@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-check fuzz fmt lint check
+.PHONY: all build test race flaky vet bench bench-json bench-check fuzz fmt lint check
 
 all: build
 
@@ -15,10 +15,20 @@ test:
 # The obs registry and tracer are lock-free/locked hot paths shared across
 # goroutines; run the whole tree under the race detector. The parallel scan
 # parity tests re-run at several GOMAXPROCS values so the order-preserving
-# scheduler is exercised both starved and saturated.
+# scheduler is exercised both starved and saturated, and so do the decode,
+# pushdown and layout parity/property tests of the packages under it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run Parallel -cpu 1,2,4 ./internal/core/ ./internal/cluster/
+	$(GO) test -race -run 'Parity|Property|Equivalence|Reference' -cpu 1,2,4 \
+		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/
+
+# Two assertions used to depend on how the scheduler interleaved goroutines
+# and failed most runs on a 2-CPU box; repeat them starved and in parallel
+# so a scheduling-dependent assertion cannot come back unnoticed.
+flaky:
+	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
+	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/
 
 vet:
 	$(GO) vet ./...
@@ -61,8 +71,8 @@ bench-check:
 		-metric evals/window -tolerance 2.0
 	rm -f BENCH_segment.base.json BENCH_scan.base.json BENCH_parallel.base.json BENCH_serving.base.json
 
-# Fuzz the WAL record decoder and the v3 column-stream decoders for a
-# short, CI-friendly budget.
+# Fuzz the WAL record decoder and the v3 column-stream decoders (string and
+# typed, one target) for a short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/
@@ -77,4 +87,4 @@ lint:
 	$(GO) vet ./...
 
 # Everything the CI gate runs.
-check: build vet test
+check: build vet test flaky

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"spate/internal/gen"
 	"spate/internal/geo"
 	"spate/internal/obs"
+	"spate/internal/scanspec"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
@@ -376,6 +378,78 @@ func TestClusterHealth(t *testing.T) {
 	for url, err := range probes {
 		if err != nil {
 			t.Fatalf("node %s unhealthy: %v", url, err)
+		}
+	}
+}
+
+// TestClusterSpecScanWidensNarrowRows: shard engines scan narrow — only the
+// spec's columns — yet /rpc/explore keeps shipping full-width row text, so
+// a 4-shard spec scan must return, row for row, exactly what a single
+// engine's narrow scan returns in the projected columns, and NULL in every
+// position the shards never decoded.
+func TestClusterSpecScanWidensNarrowRows(t *testing.T) {
+	g, snaps, window := testTrace(t, 4)
+	eng := newRefEngine(t, g)
+	for _, sn := range snaps {
+		if _, err := eng.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.FinishIngest()
+	lc := startTestCluster(t, Config{Shards: 4, Obs: obs.NewRegistry()}, g, snaps)
+	ctx := context.Background()
+
+	// Day boundaries inside the window: every shard contributes.
+	w := telco.TimeRange{From: window.From.Add(20 * time.Hour), To: window.To.Add(-20 * time.Hour)}
+	spec := &core.ScanSpec{
+		Columns: []string{telco.AttrUpflux, telco.AttrCaller},
+		Preds:   []scanspec.Pred{{Col: telco.AttrDuration, Op: ">=", Kind: "int", Val: "0"}},
+	}
+	var narrow []telco.Record
+	var layout *telco.Schema
+	err := eng.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
+		layout = tab.Schema
+		narrow = append(narrow, tab.Rows...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(narrow) == 0 || layout.NumFields() != 4 { // ts, caller, duration, upflux
+		t.Fatalf("single engine: %d rows under %v", len(narrow), layout)
+	}
+	tables, err := lc.Coordinator.ScanRows(ctx, w, []string{"CDR"}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := tables["CDR"]
+	if wide == nil || wide.Schema != telco.CDRSchema || len(wide.Rows) != len(narrow) {
+		t.Fatalf("cluster: %v rows, single engine %d", wide, len(narrow))
+	}
+	at := make(map[int]int) // stored position -> narrow position
+	for i, f := range layout.Fields {
+		at[telco.CDRSchema.FieldIndex(f.Name)] = i
+	}
+	// Shard answers concatenate in slot order, not chronologically: compare
+	// as multisets, ordered by the projected columns' wire form.
+	tsPos := telco.CDRSchema.FieldIndex(telco.AttrTS)
+	callerPos := telco.CDRSchema.FieldIndex(telco.AttrCaller)
+	upPos := telco.CDRSchema.FieldIndex(telco.AttrUpflux)
+	durPos := telco.CDRSchema.FieldIndex(telco.AttrDuration)
+	sort.SliceStable(wide.Rows, func(i, j int) bool {
+		a, b := wide.Rows[i], wide.Rows[j]
+		return telco.Record{a[tsPos], a[callerPos], a[durPos], a[upPos]}.Line() < telco.Record{b[tsPos], b[callerPos], b[durPos], b[upPos]}.Line()
+	})
+	sort.SliceStable(narrow, func(i, j int) bool { return narrow[i].Line() < narrow[j].Line() })
+	for i, row := range wide.Rows {
+		for pos, v := range row {
+			if ni, projected := at[pos]; projected {
+				if want := narrow[i][ni]; v.Kind() != want.Kind() || !v.Equal(want) {
+					t.Fatalf("row %d %s = %q, single engine has %q", i, telco.CDRSchema.Fields[pos].Name, v.Format(), want.Format())
+				}
+			} else if !v.IsNull() {
+				t.Fatalf("row %d: unprojected %s = %q, want NULL", i, telco.CDRSchema.Fields[pos].Name, v.Format())
+			}
 		}
 	}
 }

@@ -637,9 +637,11 @@ func (c *Coordinator) AggregatePartials(ctx context.Context, w telco.TimeRange, 
 
 // ScanRows runs the exact-row path alone across the cluster with an
 // optional pushdown spec: shards pre-filter rows on the spec's predicates
-// and exact window, decode only referenced column streams on v3 leaves,
-// and ship the surviving rows, which concatenate shard-major per table
-// (the SQL executor imposes any ordering itself). Like AggregatePartials
+// and exact window, materialize only the referenced columns, and ship the
+// surviving rows, which concatenate shard-major per table (the SQL
+// executor imposes any ordering itself). The RPC's row text is always
+// full-width, so the returned tables carry the stored table's schema with
+// NULL in every column the shards did not decode. Like AggregatePartials
 // — and unlike Explore — any shard failing all retries fails the call.
 func (c *Coordinator) ScanRows(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec) (map[string]*telco.Table, error) {
 	if err := spec.Validate(); err != nil {

@@ -309,13 +309,7 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rows = make(map[string][]byte, len(tables))
 		for name, t := range tables {
-			var buf bytes.Buffer
-			if err := t.WriteText(&buf); err != nil {
-				span.SetError(err)
-				rpcError(w, http.StatusInternalServerError, err)
-				return
-			}
-			resp.Rows[name] = buf.Bytes()
+			resp.Rows[name] = wireText(t)
 		}
 	}
 	resp.Profile = prof
@@ -326,6 +320,39 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = &j
 	}
 	writeJSON(w, resp)
+}
+
+// wireText renders a scanned table as the RPC's row text, which is always
+// in the stored table's full width: a narrow table out of a projected scan
+// widens back, its columns at their stored positions and every other
+// position blank (NULL), so the wire format does not depend on which
+// columns a shard decoded.
+func wireText(t *telco.Table) []byte {
+	full := telco.SchemaByName(t.Schema.Name)
+	if full == nil {
+		full = t.Schema
+	}
+	at := make([]int, len(t.Schema.Fields)) // stored position per column
+	for i, f := range t.Schema.Fields {
+		at[i] = full.FieldIndex(f.Name)
+	}
+	var buf bytes.Buffer
+	var fields []string
+	for _, r := range t.Rows {
+		fields = r.AppendFields(fields[:0])
+		next := 0
+		for pos := 0; pos < full.NumFields(); pos++ {
+			if pos > 0 {
+				buf.WriteByte('|')
+			}
+			if next < len(at) && at[next] == pos {
+				buf.WriteString(fields[next])
+				next++
+			}
+		}
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes()
 }
 
 func (n *Node) handleFinish(w http.ResponseWriter, r *http.Request) {

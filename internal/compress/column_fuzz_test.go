@@ -2,14 +2,83 @@ package compress
 
 import (
 	"testing"
+
+	"spate/internal/telco"
 )
 
-// FuzzDecodeColumn drives arbitrary bytes through every column codec.
-// Two invariants: a decoder never panics (corrupt streams must fail as
-// Corruptf errors), and any stream it accepts describes exactly rows
-// values that survive a re-encode/re-decode round trip — so an attacker
-// (or a flipped DFS bit) can at worst produce a loud error, never a
-// silently wrong column.
+// typedKinds are the value kinds a column stream can decode into.
+var typedKinds = []telco.Kind{telco.KindString, telco.KindInt, telco.KindFloat, telco.KindTime, telco.KindNull}
+
+// checkTypedDecode holds DecodeColumnValues to its contract against
+// DecodeColumn over the same stream, for every kind: a stream the string
+// decoder rejects is rejected; otherwise row i is exactly
+// telco.ParseField(kind, field i) — the same kind, payload and nullness —
+// with untouched gaps at the requested stride, a parse failure anywhere
+// fails the decode, and the reported wire bytes are the fields' lengths
+// plus one separator each.
+func checkTypedDecode(t *testing.T, tag byte, data []byte, rows int) {
+	t.Helper()
+	fields, strErr := DecodeColumn(nil, tag, data, rows)
+	for _, kind := range typedKinds {
+		const stride = 3
+		sentinel := telco.String("untouched")
+		dst := make([]telco.Value, rows*stride)
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		wire, err := DecodeColumnValues(dst, stride, kind, tag, data, rows)
+		if strErr != nil {
+			if err == nil {
+				t.Fatalf("tag %d kind %v: typed decode accepted a stream the string decoder rejects (%v)", tag, kind, strErr)
+			}
+			continue
+		}
+		var wantWire int64
+		var parseErr error
+		want := make([]telco.Value, rows)
+		for i, f := range fields {
+			wantWire += int64(len(f)) + 1
+			v, perr := telco.ParseField(kind, f)
+			if perr != nil && parseErr == nil {
+				parseErr = perr
+			}
+			want[i] = v
+		}
+		if parseErr != nil {
+			if err == nil {
+				t.Fatalf("tag %d kind %v: typed decode succeeded where ParseField fails: %v", tag, kind, parseErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("tag %d kind %v: typed decode: %v (fields %q parse cleanly)", tag, kind, err, fields)
+		}
+		if wire != wantWire {
+			t.Fatalf("tag %d kind %v: wire = %d, want %d", tag, kind, wire, wantWire)
+		}
+		for i := range want {
+			got := dst[i*stride]
+			if got.Kind() != want[i].Kind() || !got.Equal(want[i]) {
+				t.Fatalf("tag %d kind %v: row %d = %v %q, want %v %q (field %q)",
+					tag, kind, i, got.Kind(), got.Format(), want[i].Kind(), want[i].Format(), fields[i])
+			}
+			for g := 1; g < stride; g++ {
+				if !dst[i*stride+g].Equal(sentinel) {
+					t.Fatalf("tag %d kind %v: decode wrote outside its stride at row %d", tag, kind, i)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDecodeColumn drives arbitrary bytes through every column codec, the
+// string decoder and the typed one. Three invariants: a decoder never
+// panics (corrupt streams must fail as Corruptf errors), any stream the
+// string decoder accepts describes exactly rows values that survive a
+// re-encode/re-decode round trip, and the typed decoder agrees with the
+// string decoder field for field in every kind (checkTypedDecode) — so an
+// attacker (or a flipped DFS bit) can at worst produce a loud error, never
+// a silently wrong column.
 func FuzzDecodeColumn(f *testing.F) {
 	seed := func(tag byte, values []string, rows int) {
 		enc, err := EncodeColumn(nil, tag, values)
@@ -21,12 +90,16 @@ func FuzzDecodeColumn(f *testing.F) {
 	seed(ColPlain, []string{"a", "b", "a"}, 3)
 	seed(ColDict, []string{"VOICE", "VOICE", "DATA", "VOICE"}, 4)
 	seed(ColDelta, []string{"1453476600", "1453476601", "1453476603"}, 3)
+	seed(ColDelta, []string{"20160118093000", "20160118093001", "20160230000000"}, 3)
+	seed(ColPlain, []string{"", "007", "-5", "a\\pb", "20160118093000"}, 5)
+	seed(ColDict, []string{"", "", "1.5", "1.5", "x\\ny"}, 5)
 	f.Add(ColDict, uint16(100), []byte{0x01, 0x00, 0x00, 0xff})
 	f.Add(ColDelta, uint16(7), []byte{0x80})
 	f.Add(byte(9), uint16(1), []byte("junk"))
 
 	f.Fuzz(func(t *testing.T, tag byte, rows uint16, data []byte) {
 		n := int(rows % 4096)
+		checkTypedDecode(t, tag, data, n)
 		vals, err := DecodeColumn(nil, tag, data, n)
 		if err != nil {
 			return

@@ -9,7 +9,6 @@ import (
 	"spate/internal/compress"
 	"spate/internal/scanspec"
 	"spate/internal/segment"
-	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
 
@@ -22,9 +21,9 @@ type ScanSpec = scanspec.Spec
 // partial aggregates sorted by group key. It scans exactly the leaves the
 // row path (ScanTables) would and applies the same row-level filters, so
 // finalizing the partials reproduces row-materialized execution bit for
-// bit — but on v3 leaves only the spec's referenced column streams
-// decode, zone-decidable chunks are answered from metadata alone, and no
-// row is ever materialized.
+// bit — but only the spec's referenced columns are ever materialized (on v3
+// leaves only their column streams decode), and zone-decidable chunks are
+// answered from metadata alone.
 func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table string, spec *ScanSpec) ([]scanspec.Partial, error) {
 	if !spec.IsAggregate() {
 		return nil, fmt.Errorf("core: AggregatePartials needs an aggregate spec")
@@ -72,7 +71,7 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 			if !ok {
 				continue
 			}
-			if err := e.aggLeafTable(table, ref, c, w, acc, prof); err != nil {
+			if err := e.aggLeafTable(ref, c, w, acc, prof); err != nil {
 				return nil, err
 			}
 		}
@@ -83,7 +82,7 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 			if prof != nil {
 				prof.MemRows += mt.tab.Len()
 			}
-			acc.foldTable(mt.tab, w)
+			acc.foldMem(mt.tab, w)
 		}
 		parts = acc.partials()
 	} else {
@@ -123,7 +122,7 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 					}
 					accs[sw.id] = acc
 				}
-				return nil, e.aggLeafTable(table, ref, c, w, acc, sw.prof)
+				return nil, e.aggLeafTable(ref, c, w, acc, sw.prof)
 			}
 		}
 		err := e.runUnits(ctx, workers, units, prof, func(int, any) error { return nil })
@@ -143,7 +142,7 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 			if prof != nil {
 				prof.MemRows += mt.tab.Len()
 			}
-			accs[0].foldTable(mt.tab, w)
+			accs[0].foldMem(mt.tab, w)
 		}
 		for _, acc := range accs {
 			if acc != nil {
@@ -157,22 +156,33 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	return parts, nil
 }
 
+// aggLayout is one projection a per-row fold reads rows in, with the
+// positions of everything the fold touches inside it.
+type aggLayout struct {
+	projection
+	tsIdx   int   // -1 when the layout carries no timestamp
+	grpIdx  int   // -1 when ungrouped
+	predIdx []int // per predicate
+	aggIdx  []int // per aggregate argument, -1 for COUNT(*)
+}
+
 // aggAcc is the schema-resolved fold state of one pushed-down aggregate:
-// which schema positions the timestamp, predicates, aggregate arguments
-// and group key live at, which v3 column streams a per-row fold must
-// decode, and the per-group partials accumulated so far.
+// which stored columns the predicates and aggregate arguments live at (for
+// zone-map decisions), the two layouts a per-row fold may read — the
+// referenced columns alone, and with the timestamp for chunks that need
+// the row-level window filter — and the per-group partials accumulated so
+// far.
 type aggAcc struct {
 	spec   *ScanSpec
 	schema *telco.Schema
 
-	tsIdx   int
-	grpIdx  int   // -1 when ungrouped
-	predIdx []int // schema index per predicate
-	aggIdx  []int // schema index per aggregate argument, -1 for COUNT(*)
+	predCol []int // stored position per predicate
+	aggCol  []int // stored position per aggregate argument, -1 for COUNT(*)
 
-	want   []int // column streams a per-row fold decodes, without the ts
-	wantTS []int // same, with the ts column for window filtering
+	rows   aggLayout // without the timestamp, unless the spec reads it
+	rowsTS aggLayout // with the timestamp for window filtering
 
+	vals   []telco.Value // per-row aggregate arguments, reused
 	groups map[string]*scanspec.Partial
 }
 
@@ -184,31 +194,28 @@ func newAggAcc(spec *ScanSpec, schema *telco.Schema) (*aggAcc, error) {
 	a := &aggAcc{
 		spec:   spec,
 		schema: schema,
-		tsIdx:  schema.FieldIndex(telco.AttrTS),
-		grpIdx: -1,
+		vals:   make([]telco.Value, len(spec.Aggs)),
 		groups: make(map[string]*scanspec.Partial),
 	}
-	need := make(map[int]bool)
 	resolve := func(col string) (int, error) {
 		i := schema.FieldIndex(col)
 		if i < 0 {
 			return -1, fmt.Errorf("core: aggregate pushdown: no column %q in %s", col, schema.Name)
 		}
-		need[i] = true
 		return i, nil
 	}
-	a.predIdx = make([]int, len(spec.Preds))
+	a.predCol = make([]int, len(spec.Preds))
 	for i, p := range spec.Preds {
 		ci, err := resolve(p.Col)
 		if err != nil {
 			return nil, err
 		}
-		a.predIdx[i] = ci
+		a.predCol[i] = ci
 	}
-	a.aggIdx = make([]int, len(spec.Aggs))
+	a.aggCol = make([]int, len(spec.Aggs))
 	for i, g := range spec.Aggs {
 		if g.Col == "" {
-			a.aggIdx[i] = -1
+			a.aggCol[i] = -1
 			continue
 		}
 		ci, err := resolve(g.Col)
@@ -220,34 +227,40 @@ func newAggAcc(spec *ScanSpec, schema *telco.Schema) (*aggAcc, error) {
 			// floating-point sums are not, so they never push down.
 			return nil, fmt.Errorf("core: aggregate pushdown: SUM over non-integer column %q", g.Col)
 		}
-		a.aggIdx[i] = ci
+		a.aggCol[i] = ci
 	}
 	if spec.GroupBy != "" {
-		ci, err := resolve(spec.GroupBy)
-		if err != nil {
+		if _, err := resolve(spec.GroupBy); err != nil {
 			return nil, err
 		}
-		a.grpIdx = ci
 	}
-	a.want = make([]int, 0, len(need))
-	for i := range need {
-		a.want = append(a.want, i)
-	}
-	sort.Ints(a.want)
-	a.wantTS = a.want
-	if a.tsIdx >= 0 && !need[a.tsIdx] {
-		a.wantTS = append(append([]int(nil), a.want...), a.tsIdx)
-		sort.Ints(a.wantTS)
-	}
+	a.rows = a.layout(spec.Referenced())
+	a.rowsTS = a.layout(append(spec.Referenced(), telco.AttrTS))
 	return a, nil
+}
+
+// layout resolves the fold's positions inside the projection onto names.
+func (a *aggAcc) layout(names []string) aggLayout {
+	l := aggLayout{projection: newProjection(a.schema, names, false)}
+	l.tsIdx = l.out.FieldIndex(telco.AttrTS)
+	l.grpIdx = l.out.FieldIndex(a.spec.GroupBy)
+	l.predIdx = make([]int, len(a.spec.Preds))
+	for i, p := range a.spec.Preds {
+		l.predIdx[i] = l.out.FieldIndex(p.Col)
+	}
+	l.aggIdx = make([]int, len(a.spec.Aggs))
+	for i, g := range a.spec.Aggs {
+		l.aggIdx[i] = l.out.FieldIndex(g.Col)
+	}
+	return l
 }
 
 // aggLeafTable folds one stored leaf table into the accumulator. v3
 // chunks prune through window and per-column zone maps, answer from
 // metadata when every row provably passes and the aggregates are
 // zone-derivable, and otherwise decode only the needed column streams;
-// v1/v2 and legacy blob leaves decode rows in full and fold row-wise.
-func (e *Engine) aggLeafTable(name, ref string, c compress.Codec, w telco.TimeRange, acc *aggAcc, prof *Profile) error {
+// v1/v2 and legacy blob leaves pick the same columns out of their text.
+func (e *Engine) aggLeafTable(ref string, c compress.Codec, w telco.TimeRange, acc *aggAcc, prof *Profile) error {
 	scanned, pruned := 0, 0
 	defer func() {
 		e.met.chunksScanned.Add(int64(scanned))
@@ -265,12 +278,12 @@ func (e *Engine) aggLeafTable(name, ref string, c compress.Codec, w telco.TimeRa
 		if err != nil {
 			return err
 		}
-		tab, err := snapshot.DecodeTable(name, text)
+		rows, _, err := telco.DecodeRows(acc.schema, acc.rowsTS.cols, text)
 		if err != nil {
 			return fmt.Errorf("core: decode %s: %w", ref, err)
 		}
 		scanned = 1
-		acc.foldTable(tab, w)
+		acc.fold(rows, &acc.rowsTS, true, w)
 		return nil
 	}
 	r, err := segment.Open(f, f.Size(), c)
@@ -286,57 +299,35 @@ func (e *Engine) aggLeafTable(name, ref string, c compress.Codec, w telco.TimeRa
 			}
 			continue
 		}
-		if !r.Columnar() {
-			text, err := e.chunkText(r, ref, i, ch, nil, prof)
-			if err != nil {
-				return err
+		lay, checkTS := &acc.rowsTS, true
+		if r.Columnar() {
+			if acc.zonePrune(ch) {
+				pruned++
+				if prof != nil {
+					prof.ChunksPrunedPred++
+				}
+				continue
 			}
-			tab, err := snapshot.DecodeTable(name, text)
-			if err != nil {
-				return fmt.Errorf("core: decode %s: %w", ref, err)
+			allIn := acc.chunkAllInWindow(ch, w)
+			if allIn && acc.chunkAllMatch(ch) && acc.metaOK(ch) {
+				acc.addMeta(ch)
+				scanned++
+				if prof != nil {
+					prof.ChunksAggMeta++
+					prof.ColumnsSkipped += len(ch.Cols)
+				}
+				continue
 			}
-			scanned++
-			acc.foldTable(tab, w)
-			continue
-		}
-		if acc.zonePrune(ch) {
-			pruned++
-			if prof != nil {
-				prof.ChunksPrunedPred++
+			if allIn {
+				lay, checkTS = &acc.rows, false
 			}
-			continue
 		}
-		allIn := acc.chunkAllInWindow(ch, w)
-		if allIn && acc.chunkAllMatch(ch) && acc.metaOK(ch) {
-			acc.addMeta(ch)
-			scanned++
-			if prof != nil {
-				prof.ChunksAggMeta++
-				prof.ColumnsSkipped += len(ch.Cols)
-			}
-			continue
-		}
-		want := acc.want
-		if !allIn {
-			want = acc.wantTS
-		}
-		t0 := time.Now()
-		cols, inflated, err := r.ChunkColumns(i, want)
+		rows, err := e.chunkRows(r, ref, i, &lay.projection, prof)
 		if err != nil {
-			return fmt.Errorf("core: read %s: %w", ref, err)
-		}
-		e.met.leafBytes.Add(inflated)
-		if prof != nil {
-			prof.DFSReads++
-			prof.InflatedBytes += inflated
-			prof.ReadNS += time.Since(t0).Nanoseconds()
-			prof.ColumnsDecoded += len(want)
-			prof.ColumnsSkipped += len(ch.Cols) - len(want)
+			return err
 		}
 		scanned++
-		if err := acc.foldColumns(cols, want, int(ch.Rows), !allIn, w); err != nil {
-			return fmt.Errorf("core: decode %s: %w", ref, err)
-		}
+		acc.fold(rows, lay, checkTS, w)
 	}
 	return nil
 }
@@ -385,7 +376,7 @@ func (a *aggAcc) zonePrune(ch segment.Chunk) bool {
 		return false
 	}
 	for pi, p := range a.spec.Preds {
-		ci := a.predIdx[pi]
+		ci := a.predCol[pi]
 		if ci >= len(ch.Cols) || a.schema.Fields[ci].Kind != telco.KindInt {
 			continue
 		}
@@ -400,7 +391,7 @@ func (a *aggAcc) zonePrune(ch segment.Chunk) bool {
 // every predicate (vacuously true without predicates).
 func (a *aggAcc) chunkAllMatch(ch segment.Chunk) bool {
 	for pi, p := range a.spec.Preds {
-		ci := a.predIdx[pi]
+		ci := a.predCol[pi]
 		if ci >= len(ch.Cols) || a.schema.Fields[ci].Kind != telco.KindInt {
 			return false
 		}
@@ -434,7 +425,7 @@ func (a *aggAcc) addMeta(ch segment.Chunk) {
 	n := len(a.spec.Aggs)
 	mins, maxs := make([]int64, n), make([]int64, n)
 	kinds := make([]telco.Kind, n)
-	for i, ci := range a.aggIdx {
+	for i, ci := range a.aggCol {
 		if ci < 0 {
 			continue
 		}
@@ -444,51 +435,23 @@ func (a *aggAcc) addMeta(ch segment.Chunk) {
 	a.spec.AddMeta(a.group(telco.Null), ch.Rows, mins, maxs, kinds)
 }
 
-// foldColumns folds decoded v3 column streams row by row. want maps the
-// cols slices back to schema positions; checkTS applies the row-level
-// time filter (skipped when chunkAllInWindow proved it).
-func (a *aggAcc) foldColumns(cols [][]string, want []int, rows int, checkTS bool, w telco.TimeRange) error {
-	pos := make([]int, a.schema.NumFields())
-	for i := range pos {
-		pos[i] = -1
-	}
-	for wi, ci := range want {
-		pos[ci] = wi
-	}
-	field := func(ci, j int) string {
-		if ci < 0 || pos[ci] < 0 {
-			return ""
-		}
-		return cols[pos[ci]][j]
-	}
-	parse := func(ci, j int) (telco.Value, error) {
-		return telco.ParseField(a.schema.Fields[ci].Kind, field(ci, j))
-	}
-	vals := make([]telco.Value, len(a.spec.Aggs))
-	for j := 0; j < rows; j++ {
+// fold folds rows laid out as lay. checkTS applies the row-level time
+// filter (skipped when chunkAllInWindow proved it for the whole chunk).
+func (a *aggAcc) fold(rows []telco.Record, lay *aggLayout, checkTS bool, w telco.TimeRange) {
+	for _, r := range rows {
 		if checkTS {
-			if fTS := field(a.tsIdx, j); fTS == "" {
-				if a.spec.RequireTS {
-					continue
-				}
-			} else {
-				v, err := telco.ParseField(telco.KindTime, fTS)
-				if err != nil {
-					return err
-				}
-				t := v.Time()
+			if lay.tsIdx >= 0 && !r[lay.tsIdx].IsNull() {
+				t := r[lay.tsIdx].Time()
 				if !w.Contains(t) || !a.spec.Window.Contains(t.UnixNano()) {
 					continue
 				}
+			} else if a.spec.RequireTS {
+				continue
 			}
 		}
 		ok := true
 		for pi, p := range a.spec.Preds {
-			v, err := parse(a.predIdx[pi], j)
-			if err != nil {
-				return err
-			}
-			if !p.Eval(v) {
+			if !p.Eval(r[lay.predIdx[pi]]) {
 				ok = false
 				break
 			}
@@ -497,65 +460,25 @@ func (a *aggAcc) foldColumns(cols [][]string, want []int, rows int, checkTS bool
 			continue
 		}
 		g := telco.Null
-		if a.grpIdx >= 0 {
-			v, err := parse(a.grpIdx, j)
-			if err != nil {
-				return err
-			}
-			g = v
+		if lay.grpIdx >= 0 {
+			g = r[lay.grpIdx]
 		}
-		for i, ci := range a.aggIdx {
+		for i, ci := range lay.aggIdx {
 			if ci < 0 {
-				vals[i] = telco.Null
+				a.vals[i] = telco.Null
 				continue
 			}
-			v, err := parse(ci, j)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
+			a.vals[i] = r[ci]
 		}
-		a.spec.AddRow(a.group(g), vals)
+		a.spec.AddRow(a.group(g), a.vals)
 	}
-	return nil
 }
 
-// foldTable folds fully materialized rows (v1/v2 chunks, legacy blobs and
-// memtable tables) with the same row-level filters as foldColumns.
-func (a *aggAcc) foldTable(tab *telco.Table, w telco.TimeRange) {
-	vals := make([]telco.Value, len(a.spec.Aggs))
-	for _, r := range tab.Rows {
-		if a.tsIdx >= 0 && !r[a.tsIdx].IsNull() {
-			t := r[a.tsIdx].Time()
-			if !w.Contains(t) || !a.spec.Window.Contains(t.UnixNano()) {
-				continue
-			}
-		} else if a.spec.RequireTS {
-			continue
-		}
-		ok := true
-		for pi, p := range a.spec.Preds {
-			if !p.Eval(r[a.predIdx[pi]]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		g := telco.Null
-		if a.grpIdx >= 0 {
-			g = r[a.grpIdx]
-		}
-		for i, ci := range a.aggIdx {
-			if ci < 0 {
-				vals[i] = telco.Null
-				continue
-			}
-			vals[i] = r[ci]
-		}
-		a.spec.AddRow(a.group(g), vals)
-	}
+// foldMem folds one full-width memtable table: narrowed to the fold's
+// layout like every other source of rows, then folded with the row-level
+// time filter.
+func (a *aggAcc) foldMem(tab *telco.Table, w telco.TimeRange) {
+	a.fold(a.rowsTS.narrow(tab).Rows, &a.rowsTS, true, w)
 }
 
 // group returns (creating on first use) the partial for one group value.

@@ -10,19 +10,19 @@ import (
 	"spate/internal/telco"
 )
 
-// TestChunkCacheKeyPinsVersionAndColumns is the regression guard for the
-// cache-key contract: the same leaf chunk decoded under a different
-// segment version or a different projected column subset must never land
-// on the same key, and every key keeps the "<ref>#" prefix that decay and
-// compaction invalidate by.
-func TestChunkCacheKeyPinsVersionAndColumns(t *testing.T) {
+// TestChunkCacheKeyPinsVersionAndChunk is the regression guard for the
+// cache-key contract: the same leaf chunk inflated under a different
+// segment version must never land on the same key, chunks and leaves stay
+// apart, and every key keeps the "<ref>#" prefix that decay and compaction
+// invalidate by. The key names a chunk, not a projection of it — every
+// column subset decodes from the one cached entry.
+func TestChunkCacheKeyPinsVersionAndChunk(t *testing.T) {
 	keys := []string{
-		chunkCacheKey("leaf/42", 2, 0, ""),
-		chunkCacheKey("leaf/42", 3, 0, ""),
-		chunkCacheKey("leaf/42", 3, 0, "0,2,5"),
-		chunkCacheKey("leaf/42", 3, 0, "0,2,6"),
-		chunkCacheKey("leaf/42", 3, 1, "0,2,5"),
-		chunkCacheKey("leaf/43", 3, 0, ""),
+		chunkCacheKey("leaf/42", 2, 0),
+		chunkCacheKey("leaf/42", 3, 0),
+		chunkCacheKey("leaf/42", 3, 1),
+		chunkCacheKey("leaf/42", 3, 11),
+		chunkCacheKey("leaf/43", 3, 0),
 	}
 	seen := make(map[string]string)
 	for _, k := range keys {
@@ -31,13 +31,13 @@ func TestChunkCacheKeyPinsVersionAndColumns(t *testing.T) {
 		}
 		seen[k] = k
 	}
-	for _, k := range keys[:5] {
+	for _, k := range keys[:4] {
 		if !strings.HasPrefix(k, "leaf/42#") {
 			t.Fatalf("key %q escapes the %q invalidation prefix", k, "leaf/42#")
 		}
 	}
-	if strings.HasPrefix(keys[5], "leaf/42#") {
-		t.Fatalf("key %q of another leaf shares the prefix", keys[5])
+	if strings.HasPrefix(keys[4], "leaf/42#") {
+		t.Fatalf("key %q of another leaf shares the prefix", keys[4])
 	}
 }
 
@@ -81,37 +81,47 @@ func TestCompactUpgradeKeepsWarmCacheCoherent(t *testing.T) {
 	}
 }
 
-// TestSpecScanSubsetsDoNotAlias runs two projected scans with different
-// column subsets back-to-back on a warm cache. The subset signature in
-// the cache key must keep each projection's reconstructed text separate:
-// a scan may never surface another projection's columns, or NULLs where
-// its own projection decoded values.
-func TestSpecScanSubsetsDoNotAlias(t *testing.T) {
+// TestSpecScanSubsetsShareOneCacheEntry runs two projected scans with
+// different column subsets back-to-back. Both decode from the one cached
+// entry per chunk — the second projection is served from the cache the
+// first one filled — and neither may surface the other's columns: each
+// scan's tables carry exactly its own projection as their schema.
+func TestSpecScanSubsetsShareOneCacheEntry(t *testing.T) {
 	r := newRig(t, Options{})
 	r.ingestEpochs(t, 3)
 	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(90*time.Minute))
-	schema := telco.SchemaByName("CDR")
-	callerIdx := schema.FieldIndex(telco.AttrCaller)
-	durIdx := schema.FieldIndex(telco.AttrDuration)
 
-	// Ground truth from a full-row scan on a cold cache.
-	scan := func(spec *ScanSpec) (callers, durations []string) {
-		err := r.e.ScanTablesSpec(context.Background(), w, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
+	// scan returns one column's values, asserting the layout on the way:
+	// a projected scan hands out ts plus the requested column, nothing else.
+	scan := func(ctx context.Context, spec *ScanSpec, col string) (vals []string) {
+		err := r.e.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
+			if spec != nil {
+				if got := strings.Join(tab.Schema.FieldNames(), ","); got != "ts,"+col {
+					t.Fatalf("projection %v came out as (%s), want (ts,%s)", spec.Columns, got, col)
+				}
+			}
+			i := tab.Schema.FieldIndex(col)
 			for _, row := range tab.Rows {
-				callers = append(callers, row[callerIdx].Format())
-				durations = append(durations, row[durIdx].Format())
+				if len(row) != tab.Schema.NumFields() {
+					t.Fatalf("row of %d values under a %d-column schema", len(row), tab.Schema.NumFields())
+				}
+				vals = append(vals, row[i].Format())
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return callers, durations
+		return vals
 	}
-	wantCallers, wantDurations := scan(nil)
+	bg := context.Background()
+	// Ground truth from a full-row scan on a cold cache.
+	wantCallers := scan(bg, nil, telco.AttrCaller)
+	wantDurations := scan(bg, nil, telco.AttrDuration)
 	if len(wantCallers) == 0 {
 		t.Fatal("full scan returned no rows")
 	}
+	r.e.chunkCache.InvalidatePrefix("") // back to a cold chunk cache
 
 	sameStrings := func(what string, got, want []string) {
 		t.Helper()
@@ -124,38 +134,28 @@ func TestSpecScanSubsetsDoNotAlias(t *testing.T) {
 			}
 		}
 	}
-	allNull := func(what string, vals []string) {
-		t.Helper()
-		for i, v := range vals {
-			if v != "" { // null renders as the empty wire string
-				t.Fatalf("%s row %d = %q, want NULL for an unprojected column", what, i, v)
-			}
-		}
-	}
 
-	// Projection A decodes caller (duration must surface as NULL), then
-	// projection B decodes duration on the now-warm cache. If the subset
-	// signature were missing from the key, B would be served A's text.
+	// Projection A decodes caller on a cold cache and pays the misses;
+	// projection B then decodes duration from the entries A installed.
 	specA := &ScanSpec{Columns: []string{telco.AttrCaller}}
 	specB := &ScanSpec{Columns: []string{telco.AttrDuration}}
-	for pass := 0; pass < 2; pass++ { // second pass runs fully cached
-		gotCallers, gotDurations := scan(specA)
-		sameStrings("projection A caller", gotCallers, wantCallers)
-		allNull("projection A duration", gotDurations)
-
-		gotCallers, gotDurations = scan(specB)
-		allNull("projection B caller", gotCallers)
-		sameStrings("projection B duration", gotDurations, wantDurations)
+	ctxA, profA := ContextWithProfile(bg)
+	sameStrings("projection A caller", scan(ctxA, specA, telco.AttrCaller), wantCallers)
+	if profA.CacheMisses == 0 || profA.CacheHits != 0 {
+		t.Fatalf("cold projected scan: hits=%d misses=%d, want all misses", profA.CacheHits, profA.CacheMisses)
 	}
-
-	// The second identical scan must have been answered from the cache —
-	// distinct keys, not a disabled cache, is what kept A and B separate.
-	ctx, prof := ContextWithProfile(context.Background())
-	err := r.e.ScanTablesSpec(ctx, w, []string{"CDR"}, specB, func(string, *telco.Table) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	entries := r.e.chunkCache.Len()
+	ctxB, profB := ContextWithProfile(bg)
+	sameStrings("projection B duration", scan(ctxB, specB, telco.AttrDuration), wantDurations)
+	if profB.CacheHits != profA.CacheMisses || profB.CacheMisses != 0 {
+		t.Fatalf("second projection: hits=%d misses=%d, want %d hits off the first projection's entries",
+			profB.CacheHits, profB.CacheMisses, profA.CacheMisses)
 	}
-	if prof.CacheHits == 0 || prof.CacheMisses != 0 {
-		t.Fatalf("warm projected scan: hits=%d misses=%d, want all hits", prof.CacheHits, prof.CacheMisses)
+	if profB.InflatedBytes != 0 || profB.DFSReads != 0 {
+		t.Fatalf("second projection inflated %d bytes in %d reads, want none", profB.InflatedBytes, profB.DFSReads)
 	}
+	if got := r.e.chunkCache.Len(); got != entries {
+		t.Fatalf("second projection grew the cache from %d to %d entries", entries, got)
+	}
+	sameStrings("projection A caller, warm", scan(bg, specA, telco.AttrCaller), wantCallers)
 }

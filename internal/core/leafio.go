@@ -18,10 +18,11 @@ import (
 // This file is the engine's leaf I/O layer: the write path that renders a
 // snapshot table into its on-disk leaf form (a chunked segment, or a legacy
 // whole-blob when Options.ChunkSize is negative), and the read path that
-// streams a stored leaf back out, pruning segment chunks by window and cell
-// candidates before paying for decompression. Both formats flow through the
-// same scan entry point so recovery, queries, SQL scans and the cluster RPC
-// handlers never care which one a file carries.
+// streams a stored leaf back out as typed rows of just the columns a scan
+// projects, pruning segment chunks by window and cell candidates before
+// paying for decompression. Both formats flow through the same scan entry
+// point so recovery, queries, SQL scans and the cluster RPC handlers never
+// care which one a file carries.
 
 // encBufPool recycles wire-text accumulation buffers across the per-table
 // encode workers — two tables per epoch forever would otherwise churn the
@@ -213,17 +214,14 @@ func (pr leafPrune) skip(ch segment.Chunk) pruneReason {
 }
 
 // chunkCacheKey names one inflated chunk in the leaf cache; decay and
-// compaction invalidate by the "<ref>#" prefix. The key pins the segment
-// format version and the decoded column subset (cols is empty for a full
-// row reconstruction), so a leaf rewritten under another layout — a v2→v3
-// compaction upgrade — can never serve a stale decoded chunk, and scans
-// projecting different column subsets never alias each other's text.
-func chunkCacheKey(ref string, version, i int, cols string) string {
-	k := ref + "#v" + strconv.Itoa(version) + "." + strconv.Itoa(i)
-	if cols != "" {
-		k += "?" + cols
-	}
-	return k
+// compaction invalidate by the "<ref>#" prefix. The cache holds each chunk
+// once, in the form segment.Reader.ChunkBytes inflates it to — every
+// projection decodes from the same bytes — so the key carries no column
+// set. It does pin the segment format version: a leaf rewritten under
+// another layout (a v2→v3 compaction upgrade) can never be served a stale
+// chunk of the old one.
+func chunkCacheKey(ref string, version, i int) string {
+	return ref + "#v" + strconv.Itoa(version) + "." + strconv.Itoa(i)
 }
 
 // legacyCacheSuffix keys a legacy whole-blob leaf's inflated text under the
@@ -231,71 +229,97 @@ func chunkCacheKey(ref string, version, i int, cols string) string {
 // both formats.
 const legacyCacheSuffix = "#blob"
 
-// specScan is the schema-resolved view of a row-path ScanSpec: which
-// column streams a v3 chunk must decode, the cache signature of that
-// subset, and each predicate's schema position. The row path treats the
-// spec as a prefilter — the SQL engine re-evaluates its WHERE clause — so
-// unresolvable predicates are skipped (kept rows stay a superset) and
-// row-major leaves simply decode in full.
-type specScan struct {
-	spec    *ScanSpec
-	schema  *telco.Schema
-	want    []int  // sorted schema indices to decode; nil = every column
-	sig     string // cache signature of want ("" = every column)
-	predIdx []int  // schema index per spec predicate, -1 when absent
+// projection is the column subset of one stored table a scan
+// materializes. Every source of rows — v3 column streams, row-text
+// chunks, v1/v2 chunks, legacy blobs, memtable tables — is narrowed to it
+// before the scan's consumer sees a row, so consumers index rows by
+// out.FieldIndex, never by the stored table's positions.
+type projection struct {
+	full *telco.Schema // the stored table's schema
+	out  *telco.Schema // layout of the rows handed out: full.Project(cols)
+	cols []int         // ascending positions in full; nil = every column
 }
 
-func newSpecScan(spec *ScanSpec, schema *telco.Schema) *specScan {
-	ss := &specScan{spec: spec, schema: schema}
-	ss.predIdx = make([]int, len(spec.Preds))
-	for i, p := range spec.Preds {
-		ss.predIdx[i] = schema.FieldIndex(p.Col)
+// newProjection keeps the named columns of full (names it does not have
+// are ignored); all keeps every column.
+func newProjection(full *telco.Schema, names []string, all bool) projection {
+	p := projection{full: full, out: full}
+	if all {
+		return p
 	}
-	if spec.Columns == nil {
-		return ss // caller materializes every column
-	}
-	need := make(map[int]bool)
-	for _, col := range spec.Referenced() {
-		if i := schema.FieldIndex(col); i >= 0 {
+	need := make(map[int]bool, len(names))
+	for _, name := range names {
+		if i := full.FieldIndex(name); i >= 0 {
 			need[i] = true
 		}
 	}
-	// The engine's own row filters read the timestamp and cell id, so a
-	// projected scan always materializes them too.
-	if i := schema.FieldIndex(telco.AttrTS); i >= 0 {
-		need[i] = true
+	if len(need) == full.NumFields() {
+		return p
 	}
-	if i := schema.FieldIndex(telco.AttrCellID); i >= 0 {
-		need[i] = true
-	}
-	if len(need) >= schema.NumFields() {
-		return ss
-	}
-	ss.want = make([]int, 0, len(need))
+	p.cols = make([]int, 0, len(need))
 	for i := range need {
-		ss.want = append(ss.want, i)
+		p.cols = append(p.cols, i)
 	}
-	sort.Ints(ss.want)
-	var b strings.Builder
-	for i, ci := range ss.want {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(ci))
+	sort.Ints(p.cols)
+	p.out = full.Project(p.cols)
+	return p
+}
+
+// width is the number of columns the projection keeps.
+func (p *projection) width() int { return p.out.NumFields() }
+
+// table wraps rows already in the projection's layout.
+func (p *projection) table(rows []telco.Record) *telco.Table {
+	return &telco.Table{Schema: p.out, Rows: rows}
+}
+
+// narrow is the adapter for full-width in-memory tables (memtable epochs):
+// the same rows under the projection's layout.
+func (p *projection) narrow(tab *telco.Table) *telco.Table {
+	return p.table(telco.ProjectRows(tab.Rows, p.cols))
+}
+
+// specScan is the schema-resolved view of a row scan: the projection its
+// rows come out in and, under a pushdown spec, each predicate's position.
+// The row path treats the spec as a prefilter — the SQL engine
+// re-evaluates its WHERE clause — so unresolvable predicates are skipped
+// (kept rows stay a superset).
+type specScan struct {
+	projection
+	spec    *ScanSpec // nil: every column, no prefilter
+	predCol []int     // position in full per spec predicate, -1 when absent
+	predIdx []int     // position in out per spec predicate, -1 when absent
+}
+
+// newSpecScan resolves spec against the stored table's schema. The scan
+// materializes the spec's referenced columns plus the timestamp, which the
+// engine's own row-level window filter reads.
+func newSpecScan(spec *ScanSpec, schema *telco.Schema) *specScan {
+	if spec == nil {
+		return &specScan{projection: newProjection(schema, nil, true)}
 	}
-	ss.sig = b.String()
+	ss := &specScan{
+		projection: newProjection(schema, append(spec.Referenced(), telco.AttrTS), spec.Columns == nil),
+		spec:       spec,
+	}
+	ss.predCol = make([]int, len(spec.Preds))
+	ss.predIdx = make([]int, len(spec.Preds))
+	for i, p := range spec.Preds {
+		ss.predCol[i] = schema.FieldIndex(p.Col)
+		ss.predIdx[i] = ss.out.FieldIndex(p.Col)
+	}
 	return ss
 }
 
 // zonePrune reports whether a v3 chunk's per-column integer zone maps
 // prove one of the spec's predicates unsatisfiable for every row.
 func (ss *specScan) zonePrune(ch segment.Chunk) bool {
-	if ss == nil || len(ch.Cols) == 0 {
+	if ss.spec == nil || len(ch.Cols) == 0 {
 		return false
 	}
 	for pi, p := range ss.spec.Preds {
-		ci := ss.predIdx[pi]
-		if ci < 0 || ci >= len(ch.Cols) || ss.schema.Fields[ci].Kind != telco.KindInt {
+		ci := ss.predCol[pi]
+		if ci < 0 || ci >= len(ch.Cols) || ss.full.Fields[ci].Kind != telco.KindInt {
 			continue
 		}
 		if cm := ch.Cols[ci]; cm.HasZone && p.ZonePrune(cm.Min, cm.Max) {
@@ -307,7 +331,7 @@ func (ss *specScan) zonePrune(ch segment.Chunk) bool {
 
 // filter drops rows failing the spec's resolvable predicates, in place.
 func (ss *specScan) filter(tab *telco.Table) {
-	if ss == nil || len(ss.spec.Preds) == 0 {
+	if ss.spec == nil || len(ss.spec.Preds) == 0 {
 		return
 	}
 	rows := tab.Rows[:0]
@@ -371,22 +395,21 @@ func (e *Engine) blobText(ref string, c compress.Codec, prof *Profile) ([]byte, 
 	return text, err
 }
 
-// chunkText returns chunk i's wire text through the chunk cache. On a v3
-// segment with a narrowing projection only the needed column streams
-// inflate and the reconstruction carries empty fields (SQL NULL) in the
-// unprojected positions; every other shape reconstructs the full rows.
-func (e *Engine) chunkText(r *segment.Reader, ref string, i int, ch segment.Chunk, ss *specScan, prof *Profile) ([]byte, error) {
-	var want []int
-	var sig string
-	if ss != nil && ss.want != nil && r.Columnar() {
-		want, sig = ss.want, ss.sig
-	}
-	key := chunkCacheKey(ref, r.Version(), i, sig)
+// chunkRows returns chunk i's rows under proj. The chunk's inflated bytes
+// come through the chunk cache — one entry per chunk, shared by every
+// projection — and a miss fetches and inflates through the singleflight,
+// so concurrent scan workers (or concurrent queries) needing the same
+// chunk pay for one inflate. The typed decode of the wanted columns then
+// runs per caller, on a hit as on a miss. The miss's leader charges the
+// inflated bytes and decoded columns to its profile; hits and sharers
+// charge nothing.
+func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projection, prof *Profile) ([]telco.Record, error) {
+	key := chunkCacheKey(ref, r.Version(), i)
 	var t0 time.Time
 	if prof != nil {
 		t0 = time.Now()
 	}
-	text, ok := e.chunkCache.Get(key)
+	data, ok := e.chunkCache.Get(key)
 	if prof != nil {
 		prof.LookupNS += time.Since(t0).Nanoseconds()
 		if ok {
@@ -395,101 +418,74 @@ func (e *Engine) chunkText(r *segment.Reader, ref string, i int, ch segment.Chun
 			prof.CacheMisses++
 		}
 	}
-	if ok {
-		return text, nil
-	}
-	// Miss: fetch and inflate through the singleflight, so concurrent scan
-	// workers (or concurrent queries) needing the same chunk pay for one
-	// decode. The leader charges its profile; sharers charge nothing.
-	text, shared, err := e.chunkFlight.do(key, func() ([]byte, error) {
-		t1 := time.Now()
-		var text []byte
-		if want == nil {
-			var err error
-			text, err = r.ChunkData(i)
+	leader := false
+	if !ok {
+		var shared bool
+		var err error
+		data, shared, err = e.chunkFlight.do(key, func() ([]byte, error) {
+			t1 := time.Now()
+			data, err := r.ChunkBytes(i)
 			if err != nil {
 				return nil, fmt.Errorf("core: read %s: %w", ref, err)
 			}
 			if prof != nil {
-				prof.InflatedBytes += int64(len(text))
-				if r.Columnar() {
-					prof.ColumnsDecoded += len(ch.Cols)
-				}
+				// The chunk fetch issues one ranged DFS read and inflates
+				// in one step; both land in the read phase.
+				prof.DFSReads++
+				prof.ReadNS += time.Since(t1).Nanoseconds()
 			}
-			e.met.leafBytes.Add(int64(len(text)))
-		} else {
-			cols, inflated, err := r.ChunkColumns(i, want)
-			if err != nil {
-				return nil, fmt.Errorf("core: read %s: %w", ref, err)
-			}
-			text = subsetText(cols, want, ss.schema.NumFields(), int(ch.Rows))
-			if prof != nil {
-				prof.InflatedBytes += inflated
-				prof.ColumnsDecoded += len(want)
-				prof.ColumnsSkipped += len(ch.Cols) - len(want)
-			}
-			e.met.leafBytes.Add(inflated)
+			e.chunkCache.Put(key, data)
+			return data, nil
+		})
+		if shared {
+			e.met.sfShared.Inc()
 		}
+		if err != nil {
+			return nil, err
+		}
+		leader = !shared
+	}
+	if prof != nil {
+		t0 = time.Now()
+	}
+	rows, wire, err := r.DecodeRows(i, data, proj.full, proj.cols)
+	if prof != nil {
+		prof.DecodeNS += time.Since(t0).Nanoseconds()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: decode %s: %w", ref, err)
+	}
+	if leader {
+		if !r.Columnar() {
+			// A v1/v2 chunk has no column streams to leave untouched: all
+			// of its text came out of the codec, whatever the scan kept.
+			wire = int64(len(data))
+		}
+		e.met.leafBytes.Add(wire)
 		if prof != nil {
-			// The chunk fetch issues one ranged DFS read and inflates in one
-			// step; charge the wall time to read, the bytes to inflate.
-			prof.DFSReads++
-			prof.ReadNS += time.Since(t1).Nanoseconds()
-		}
-		e.chunkCache.Put(key, text)
-		return text, nil
-	})
-	if shared {
-		e.met.sfShared.Inc()
-	}
-	return text, err
-}
-
-// subsetText reconstructs chunk wire text from a decoded column subset:
-// rows of ncols fields joined by the delimiter, the unprojected positions
-// left empty (they parse as NULL).
-func subsetText(cols [][]string, want []int, ncols, rows int) []byte {
-	pos := make([]int, ncols)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for wi, ci := range want {
-		pos[ci] = wi
-	}
-	var b bytes.Buffer
-	for j := 0; j < rows; j++ {
-		for ci := 0; ci < ncols; ci++ {
-			if ci > 0 {
-				b.WriteByte('|')
-			}
-			if wi := pos[ci]; wi >= 0 {
-				b.WriteString(cols[wi][j])
+			prof.InflatedBytes += wire
+			if ncols := len(r.Chunks()[i].Cols); ncols > 0 {
+				prof.ColumnsDecoded += proj.width()
+				prof.ColumnsSkipped += ncols - proj.width()
 			}
 		}
-		b.WriteByte('\n')
 	}
-	return b.Bytes()
+	return rows, nil
 }
 
-// scanLeafTable streams one stored leaf table through fn. Segment files
-// are pruned chunk by chunk — only surviving chunks are fetched (ranged),
-// inflated and parsed, and fn runs once per chunk in row order; legacy
-// whole-blob leaves decompress in full and fn runs once. Inflated text is
-// served from and installed into the engine's chunk cache. The returned
-// counts cover segment chunks (a legacy blob counts as one scanned chunk).
-// A non-nil prof accrues the per-query cost split (prune reasons, cache
-// hits, inflated bytes, ranged reads, phase timings) alongside the fleet
-// counters.
-func (e *Engine) scanLeafTable(name, ref string, c compress.Codec, pr leafPrune, prof *Profile, fn func(*telco.Table) error) (scanned, pruned int, err error) {
-	return e.scanLeafTableSpec(name, ref, c, pr, nil, prof, fn)
-}
-
-// scanLeafTableSpec is scanLeafTable with a pushdown spec: on v3 leaves
-// only the spec's referenced column streams decode (plus the engine's
-// bookkeeping columns), per-column zone maps prune chunks no row of which
-// can satisfy a predicate, and surviving rows are prefiltered through the
-// predicates before fn sees them. A nil spec scans everything.
-func (e *Engine) scanLeafTableSpec(name, ref string, c compress.Codec, pr leafPrune, spec *ScanSpec, prof *Profile, fn func(*telco.Table) error) (scanned, pruned int, err error) {
+// scanLeafTable streams one stored leaf table through fn as tables in the
+// scan's projected layout. Segment files are pruned chunk by chunk — by
+// window and cell candidates, and under a spec by the per-column zone maps
+// of its predicates — and only surviving chunks are fetched (ranged),
+// inflated and decoded, just the projected columns of them; fn runs once
+// per chunk in row order. Legacy whole-blob leaves decompress in full and
+// fn runs once. Rows failing the spec's predicates are dropped before fn
+// sees them. Inflated chunks are served from and installed into the
+// engine's chunk cache. The returned counts cover segment chunks (a legacy
+// blob counts as one scanned chunk). A non-nil prof accrues the per-query
+// cost split (prune reasons, cache hits, inflated bytes, ranged reads,
+// phase timings) alongside the fleet counters.
+func (e *Engine) scanLeafTable(ref string, c compress.Codec, pr leafPrune, ss *specScan, prof *Profile, fn func(*telco.Table) error) (scanned, pruned int, err error) {
 	defer func() {
 		e.met.chunksScanned.Add(int64(scanned))
 		e.met.chunksPruned.Add(int64(pruned))
@@ -497,12 +493,6 @@ func (e *Engine) scanLeafTableSpec(name, ref string, c compress.Codec, pr leafPr
 			prof.ChunksScanned += scanned
 		}
 	}()
-	var ss *specScan
-	if spec != nil {
-		if schema := telco.SchemaByName(name); schema != nil {
-			ss = newSpecScan(spec, schema)
-		}
-	}
 	f, err := e.fs.Open(ref)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: open %s: %w", ref, err)
@@ -514,10 +504,11 @@ func (e *Engine) scanLeafTableSpec(name, ref string, c compress.Codec, pr leafPr
 		if err != nil {
 			return 0, 0, err
 		}
-		tab, err := snapshot.DecodeTable(name, text)
+		rows, _, err := telco.DecodeRows(ss.full, ss.cols, text)
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: decode %s: %w", ref, err)
 		}
+		tab := ss.table(rows)
 		ss.filter(tab)
 		return 1, 0, fn(tab)
 	}
@@ -544,21 +535,11 @@ func (e *Engine) scanLeafTableSpec(name, ref string, c compress.Codec, pr leafPr
 			}
 			continue
 		}
-		text, err := e.chunkText(r, ref, i, ch, ss, prof)
+		rows, err := e.chunkRows(r, ref, i, &ss.projection, prof)
 		if err != nil {
 			return scanned, pruned, err
 		}
-		var t2 time.Time
-		if prof != nil {
-			t2 = time.Now()
-		}
-		tab, err := snapshot.DecodeTable(name, text)
-		if prof != nil {
-			prof.DecodeNS += time.Since(t2).Nanoseconds()
-		}
-		if err != nil {
-			return scanned, pruned, fmt.Errorf("core: decode %s: %w", ref, err)
-		}
+		tab := ss.table(rows)
 		ss.filter(tab)
 		scanned++
 		if err := fn(tab); err != nil {

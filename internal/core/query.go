@@ -100,8 +100,9 @@ type Result struct {
 	// evaluation that produced the cached answer, with ResultCacheHit set.
 	Profile Profile
 
-	// leafDecode accrues snapshot decompress/decode time inside summary
-	// collection, reported as the leaf_decode stage.
+	// leafDecode accrues the wall time summary collection spent rebuilding
+	// leaf summaries from stored data (one interval per rebuild, or per
+	// parallel fan-out), reported as the leaf_decode stage.
 	leafDecode time.Duration
 }
 
@@ -590,10 +591,6 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result) ([
 		return parts, nil
 	}
 
-	type rebuilt struct {
-		sum *highlights.Summary
-		dur time.Duration
-	}
 	parts := make([]*highlights.Summary, len(srcs))
 	c := e.codec()
 	var units []scanUnit
@@ -606,18 +603,19 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result) ([
 		src := src
 		slots = append(slots, i)
 		units = append(units, func(w *scanWorker) (any, error) {
-			t0 := time.Now()
-			s, err := e.buildLeafSummary(c, src.period, src.refs, w.prof)
-			return rebuilt{sum: s, dur: time.Since(t0)}, err
+			return e.buildLeafSummary(c, src.period, src.refs, w.prof)
 		})
 	}
+	// leaf_decode is a stage of this query's wall clock, so the fan-out is
+	// charged its elapsed time; what each worker spent inside it stays in
+	// Profile.Workers.
+	t0 := time.Now()
 	err := e.runUnits(ctx, workers, units, &res.Profile, func(i int, v any) error {
-		rb := v.(rebuilt)
-		parts[slots[i]] = rb.sum
-		res.leafDecode += rb.dur
+		parts[slots[i]] = v.(*highlights.Summary)
 		res.ScannedLeaves++
 		return nil
 	})
+	res.leafDecode += time.Since(t0)
 	if err != nil {
 		return nil, err
 	}
@@ -626,7 +624,9 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result) ([
 
 // buildLeafSummary reconstructs an epoch summary by decoding the
 // snapshot's stored tables — the exact-data path for recent windows whose
-// day has sealed (and dropped its ephemeral leaf summaries). Every chunk
+// day has sealed (and dropped its ephemeral leaf summaries). Only the
+// columns the highlights fold reads are materialized: the timestamp, the
+// cell id and the table's configured highlight attributes. Every chunk
 // contributes (summaries aggregate the whole leaf), so the scan prunes
 // nothing; highlight accumulation is row-additive, so folding chunk by
 // chunk reproduces the whole-table fold exactly. The codec is passed
@@ -634,7 +634,13 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result) ([
 func (e *Engine) buildLeafSummary(c compress.Codec, period telco.TimeRange, refs map[string]string, prof *Profile) (*highlights.Summary, error) {
 	s := highlights.NewSummary(period)
 	for name, ref := range refs {
-		_, _, err := e.scanLeafTable(name, ref, c, leafPrune{}, prof, func(tab *telco.Table) error {
+		schema := telco.SchemaByName(name)
+		if schema == nil {
+			return nil, fmt.Errorf("core: decode %s: unknown schema %q", ref, name)
+		}
+		attrs := append(e.opts.Highlights.Attrs(name), telco.AttrTS, telco.AttrCellID)
+		ss := &specScan{projection: newProjection(schema, attrs, false)}
+		_, _, err := e.scanLeafTable(ref, c, leafPrune{}, ss, prof, func(tab *telco.Table) error {
 			s.AddTable(e.opts.Highlights, tab)
 			return nil
 		})
@@ -807,7 +813,7 @@ func (e *Engine) fetchRows(ctx context.Context, q Query, env *queryEnv, leaves [
 					dst = telco.NewTable(schema)
 					res.Rows[name] = dst
 				}
-				scanned, pruned, err := e.scanLeafTable(name, ref, c, env.pr, &res.Profile, func(tab *telco.Table) error {
+				scanned, pruned, err := e.scanLeafTable(ref, c, env.pr, newSpecScan(nil, dst.Schema), &res.Profile, func(tab *telco.Table) error {
 					filterInto(dst, tab)
 					return nil
 				})
@@ -862,7 +868,7 @@ func (e *Engine) fetchRows(ctx context.Context, q Query, env *queryEnv, leaves [
 		units[i] = func(w *scanWorker) (any, error) {
 			out := rowScan{tab: telco.NewTable(sp.schema)}
 			var err error
-			out.scanned, out.pruned, err = e.scanLeafTable(sp.name, sp.ref, c, env.pr, w.prof, func(tab *telco.Table) error {
+			out.scanned, out.pruned, err = e.scanLeafTable(sp.ref, c, env.pr, newSpecScan(nil, sp.schema), w.prof, func(tab *telco.Table) error {
 				filterInto(out.tab, tab)
 				return nil
 			})
@@ -901,11 +907,15 @@ func (e *Engine) ScanTablesContext(ctx context.Context, w telco.TimeRange, table
 
 // ScanTablesSpec is ScanTablesContext with a pushdown spec. The spec is a
 // prefilter — callers re-evaluate their own predicates — so it only makes
-// the scan cheaper: v3 leaves decode just the referenced column streams
-// (unprojected positions surface as NULL), per-column zone maps prune
-// chunks, and rows failing the spec's predicates, exact time window or
-// null-timestamp rule are dropped before fn sees them. A nil spec scans
-// everything.
+// the scan cheaper: the tables fn receives are narrow, their Schema the
+// projection (telco.Schema.Project) of the stored table onto the spec's
+// referenced columns plus the timestamp, in schema order, and only those
+// column streams of a v3 leaf decode; per-column zone maps prune chunks,
+// and rows failing the spec's predicates, exact time window or
+// null-timestamp rule are dropped before fn sees them. Every source of
+// rows — any leaf format, the unsealed memtable — comes out in that one
+// layout. A nil spec (or one with nil Columns) scans every column and fn
+// sees the stored table's own schema.
 func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *ScanSpec, fn func(string, *telco.Table) error) error {
 	e.mu.RLock()
 	leaves := e.rowLeaves(w)
@@ -925,15 +935,30 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 	c := e.codec()
 	prof := ProfileFromContext(ctx)
 
+	// One resolved scan per table, so every batch of a table shares one
+	// projected schema. Only the serial parts of the scan call scanFor.
+	scans := make(map[string]*specScan)
+	scanFor := func(name, ref string) (*specScan, error) {
+		if ss := scans[name]; ss != nil {
+			return ss, nil
+		}
+		schema := telco.SchemaByName(name)
+		if schema == nil {
+			return nil, fmt.Errorf("core: decode %s: unknown schema %q", ref, name)
+		}
+		scans[name] = newSpecScan(spec, schema)
+		return scans[name], nil
+	}
+
 	// scanOne decodes one (leaf, table) into a window/spec-filtered table.
 	// Chunks outside the window are skipped before decompression; surviving
 	// chunks still pass the per-row filter, and their rows accumulate into
 	// one table per leaf so fn observes the same call sequence as with
 	// whole-blob leaves.
-	scanOne := func(name, ref string, schema *telco.Schema, p *Profile) (*telco.Table, error) {
-		filtered := telco.NewTable(schema)
-		_, _, err := e.scanLeafTableSpec(name, ref, c, env.pr, spec, p, func(tab *telco.Table) error {
-			tsIdx := tab.Schema.FieldIndex(telco.AttrTS)
+	scanOne := func(ref string, ss *specScan, p *Profile) (*telco.Table, error) {
+		filtered := ss.table(nil)
+		tsIdx := ss.out.FieldIndex(telco.AttrTS)
+		_, _, err := e.scanLeafTable(ref, c, env.pr, ss, p, func(tab *telco.Table) error {
 			for _, r := range tab.Rows {
 				if keepRowTS(r, tsIdx, w, spec) {
 					filtered.Rows = append(filtered.Rows, r)
@@ -966,11 +991,11 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 				if !env.wantTable(name) {
 					continue
 				}
-				schema := telco.SchemaByName(name)
-				if schema == nil {
-					return fmt.Errorf("core: decode %s: unknown schema %q", ref, name)
+				ss, err := scanFor(name, ref)
+				if err != nil {
+					return err
 				}
-				filtered, err := scanOne(name, ref, schema, prof)
+				filtered, err := scanOne(ref, ss, prof)
 				if err != nil {
 					return err
 				}
@@ -988,7 +1013,7 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 		// per-table call order matches the sequential path exactly.
 		type specUnit struct {
 			name, ref string
-			schema    *telco.Schema
+			ss        *specScan
 		}
 		var specs []specUnit
 		for _, l := range leaves {
@@ -1009,18 +1034,18 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				schema := telco.SchemaByName(name)
-				if schema == nil {
-					return fmt.Errorf("core: decode %s: unknown schema %q", l.refs[name], name)
+				ss, err := scanFor(name, l.refs[name])
+				if err != nil {
+					return err
 				}
-				specs = append(specs, specUnit{name: name, ref: l.refs[name], schema: schema})
+				specs = append(specs, specUnit{name: name, ref: l.refs[name], ss: ss})
 			}
 		}
 		units := make([]scanUnit, len(specs))
 		for i, sp := range specs {
 			sp := sp
 			units[i] = func(sw *scanWorker) (any, error) {
-				t, err := scanOne(sp.name, sp.ref, sp.schema, sw.prof)
+				t, err := scanOne(sp.ref, sp.ss, sw.prof)
 				return t, err
 			}
 		}
@@ -1038,30 +1063,37 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 	// Unsealed rows stream last — strictly newer than every sealed leaf,
 	// one window-filtered table per buffered (epoch, table), the same
 	// call shape a sealed-leaf scan produces. The union path honors the
-	// spec too: memtable rows pass the same predicate and time prefilter
-	// sealed leaves apply, so fresh rows never leak around a pushdown.
+	// spec too: memtable rows narrow to the scan's layout and pass the
+	// same predicate and time prefilter sealed leaves apply, so fresh rows
+	// never leak around a pushdown.
 	for _, mt := range memTabs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		tab := mt.tab
 		if spec != nil {
-			tsIdx := mt.tab.Schema.FieldIndex(telco.AttrTS)
-			rows := mt.tab.Rows[:0]
-			for _, r := range mt.tab.Rows {
+			ss, err := scanFor(mt.name, "memtable")
+			if err != nil {
+				return err
+			}
+			tab = ss.narrow(mt.tab)
+			tsIdx := ss.out.FieldIndex(telco.AttrTS)
+			rows := tab.Rows[:0]
+			for _, r := range tab.Rows {
 				if keepRowTS(r, tsIdx, w, spec) {
 					rows = append(rows, r)
 				}
 			}
-			mt.tab.Rows = rows
-			newSpecScan(spec, mt.tab.Schema).filter(mt.tab)
-			if mt.tab.Len() == 0 {
+			tab.Rows = rows
+			ss.filter(tab)
+			if tab.Len() == 0 {
 				continue
 			}
 		}
 		if prof != nil {
-			prof.MemRows += mt.tab.Len()
+			prof.MemRows += tab.Len()
 		}
-		if err := fn(mt.name, mt.tab); err != nil {
+		if err := fn(mt.name, tab); err != nil {
 			return err
 		}
 	}

@@ -54,6 +54,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Attrs lists the attributes of one source table that AddTable reads
+// beyond the timestamp and cell id — what a scan feeding it must
+// materialize.
+func (c Config) Attrs(table string) []string {
+	var out []string
+	for _, refs := range [][]AttrRef{c.Categorical, c.Numeric} {
+		for _, ref := range refs {
+			if ref.Table == table {
+				out = append(out, ref.Attr)
+			}
+		}
+	}
+	return out
+}
+
 // DefaultConfig summarizes the telco vitals driving the paper's example
 // explorations: drop calls, call volumes and bandwidth.
 func DefaultConfig() Config {

@@ -64,10 +64,13 @@
 // The whole v3 footer (chunk entries + column directories) is itself
 // block-compressed; the tail's footer length counts the compressed bytes.
 //
-// Readers reconstruct a v3 chunk's exact wire text by decoding every
-// stream and re-joining fields (ChunkData), or materialize just the
-// columns a query touches (ChunkColumns). Readers accept versions 1-3;
-// the row Writer emits v2 and the ColumnWriter emits v3.
+// Readers inflate a chunk once (ChunkBytes — the form a cache holds) and
+// decode from there: scans take typed rows of just the columns they touch
+// (DecodeRows), compaction reconstructs a v3 chunk's exact wire text by
+// decoding every stream and re-joining fields (ChunkData), and
+// ChunkColumns materializes selected columns as wire fields. Readers
+// accept versions 1-3; the row Writer emits v2 and the ColumnWriter emits
+// v3.
 //
 // The format byte selects the read path: files that do not start with the
 // magic are legacy whole-blob leaves and must be read through the codec
@@ -760,103 +763,162 @@ func (r *Reader) Version() int { return int(r.version) }
 // Columnar reports whether chunk payloads are column-major (v3).
 func (r *Reader) Columnar() bool { return r.version >= 3 }
 
-// ChunkData fetches, verifies and inflates chunk i, returning its wire
-// text. The read is ranged: only the chunk's payload bytes travel. For a
-// v3 chunk every column stream decodes and the fields re-join — escaping
-// is deterministic, so the reconstruction is bit-for-bit the text a row
-// writer would have stored.
-func (r *Reader) ChunkData(i int) ([]byte, error) {
-	c, payload, err := r.chunkPayload(i)
-	if err != nil {
-		return nil, err
-	}
-	if r.version >= 3 {
-		if c.RowMajor() {
-			return r.inflateRowText(i, c, payload)
-		}
-		cols, _, err := r.decodeColumns(i, c, payload, nil)
-		if err != nil {
-			return nil, err
-		}
-		var b bytes.Buffer
-		b.Grow(int(c.ULen))
-		for row := int64(0); row < c.Rows; row++ {
-			for k := range cols {
-				if k > 0 {
-					b.WriteByte('|')
-				}
-				b.WriteString(cols[k][row])
-			}
-			b.WriteByte('\n')
-		}
-		if int64(b.Len()) != c.ULen {
-			return nil, compress.Corruptf("segment: chunk %d reassembled to %d bytes, footer says %d",
-				i, b.Len(), c.ULen)
-		}
-		return b.Bytes(), nil
-	}
-	text, err := io.ReadAll(compress.NewStreamReader(r.codec, bytes.NewReader(payload)))
-	if err != nil {
-		return nil, fmt.Errorf("segment: inflate chunk %d: %w", i, err)
-	}
-	if int64(len(text)) != c.ULen {
-		return nil, compress.Corruptf("segment: chunk %d inflated to %d bytes, footer says %d",
-			i, len(text), c.ULen)
-	}
-	return text, nil
-}
-
-// ChunkColumns fetches chunk i and materializes only the columns in want
-// (schema positions). It returns one field slice per requested column, in
-// want order, plus the inflated byte count actually decoded — the
-// selective-scan savings the profile counters report. Only valid for v3
-// segments.
-func (r *Reader) ChunkColumns(i int, want []int) ([][]string, int64, error) {
-	if r.version < 3 {
-		return nil, 0, fmt.Errorf("segment: ChunkColumns on v%d segment", r.version)
-	}
-	c, payload, err := r.chunkPayload(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r.decodeColumns(i, c, payload, want)
-}
-
-// chunkPayload reads and CRC-verifies chunk i's payload.
-func (r *Reader) chunkPayload(i int) (Chunk, []byte, error) {
+// ChunkBytes fetches, verifies and inflates chunk i to the form every
+// decoder below starts from — the one form worth caching, whatever columns
+// a reader goes on to want: the wire text of a row-major chunk (v1/v2, or
+// a v3 row-text chunk), the packed column-stream concatenation of a v3
+// columnar chunk. The read is ranged: only the chunk's payload travels.
+func (r *Reader) ChunkBytes(i int) ([]byte, error) {
 	if i < 0 || i >= len(r.chunks) {
-		return Chunk{}, nil, fmt.Errorf("segment: no chunk %d of %d", i, len(r.chunks))
+		return nil, fmt.Errorf("segment: no chunk %d of %d", i, len(r.chunks))
 	}
 	c := r.chunks[i]
 	payload := make([]byte, c.Len)
 	if _, err := r.src.ReadAt(payload, c.Off); err != nil {
-		return Chunk{}, nil, fmt.Errorf("segment: read chunk %d: %w", i, err)
+		return nil, fmt.Errorf("segment: read chunk %d: %w", i, err)
 	}
 	if crc32.ChecksumIEEE(payload) != c.CRC {
-		return Chunk{}, nil, compress.Corruptf("segment: chunk %d CRC mismatch", i)
+		return nil, compress.Corruptf("segment: chunk %d CRC mismatch", i)
 	}
-	return c, payload, nil
-}
-
-// inflateRowText inflates a row-text chunk's payload back to wire text.
-func (r *Reader) inflateRowText(i int, c Chunk, payload []byte) ([]byte, error) {
-	text, err := r.codec.Decompress(nil, payload)
+	var data []byte
+	var err error
+	if r.version >= 3 {
+		data, err = r.codec.Decompress(nil, payload)
+	} else {
+		data, err = io.ReadAll(compress.NewStreamReader(r.codec, bytes.NewReader(payload)))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("segment: inflate chunk %d: %w", i, err)
 	}
-	if int64(len(text)) != c.ULen {
-		return nil, compress.Corruptf("segment: chunk %d inflated to %d bytes, footer says %d",
-			i, len(text), c.ULen)
+	want := c.ULen
+	if r.packed(c) {
+		want = 0
+		for _, m := range c.Cols {
+			if m.Off != want {
+				return nil, compress.Corruptf("segment: chunk %d column streams not contiguous", i)
+			}
+			want += m.Len
+		}
 	}
-	return text, nil
+	if int64(len(data)) != want {
+		return nil, compress.Corruptf("segment: chunk %d inflated to %d bytes, footer says %d",
+			i, len(data), want)
+	}
+	return data, nil
 }
 
-// decodeColumns decodes the selected column streams of a v3 chunk (every
-// column when want is nil), returning the fields per column and the
-// inflated bytes decoded. The chunk's block codec inflates the payload
-// once; only the wanted streams are then parsed. Row-text chunks split the
-// inflated wire text instead — the caller-visible result is identical.
-func (r *Reader) decodeColumns(i int, c Chunk, payload []byte, want []int) ([][]string, int64, error) {
+// packed reports whether the chunk's inflated bytes are packed column
+// streams rather than wire text.
+func (r *Reader) packed(c Chunk) bool { return r.version >= 3 && !c.RowMajor() }
+
+// ChunkData returns chunk i's wire text. For a v3 columnar chunk every
+// column stream decodes and the fields re-join — escaping is
+// deterministic, so the reconstruction is bit-for-bit the text a row
+// writer would have stored.
+func (r *Reader) ChunkData(i int) ([]byte, error) {
+	data, err := r.ChunkBytes(i)
+	if err != nil {
+		return nil, err
+	}
+	c := r.chunks[i]
+	if !r.packed(c) {
+		return data, nil
+	}
+	cols, _, err := r.columnFields(i, c, data, nil)
+	if err != nil {
+		return nil, err
+	}
+	var b bytes.Buffer
+	b.Grow(int(c.ULen))
+	for row := int64(0); row < c.Rows; row++ {
+		for k := range cols {
+			if k > 0 {
+				b.WriteByte('|')
+			}
+			b.WriteString(cols[k][row])
+		}
+		b.WriteByte('\n')
+	}
+	if int64(b.Len()) != c.ULen {
+		return nil, compress.Corruptf("segment: chunk %d reassembled to %d bytes, footer says %d",
+			i, b.Len(), c.ULen)
+	}
+	return b.Bytes(), nil
+}
+
+// ChunkColumns fetches chunk i and materializes only the columns in want
+// (schema positions) as escaped wire fields. It returns one field slice
+// per requested column, in want order, plus the wire-text share of those
+// fields — the selective-scan savings the profile counters report. Only
+// valid for v3 segments.
+func (r *Reader) ChunkColumns(i int, want []int) ([][]string, int64, error) {
+	if r.version < 3 {
+		return nil, 0, fmt.Errorf("segment: ChunkColumns on v%d segment", r.version)
+	}
+	data, err := r.ChunkBytes(i)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r.columnFields(i, r.chunks[i], data, want)
+}
+
+// DecodeRows decodes chunk i's inflated bytes (ChunkBytes, possibly served
+// from a cache) into typed records holding only the columns at cols
+// (ascending positions in schema, the table's full schema; nil keeps every
+// column) — the rows of a table under schema.Project(cols). Packed column
+// streams decode straight into values, skipping the unwanted streams;
+// wire text takes telco.DecodeRows' single pass. Each value equals what
+// parsing the chunk's wire text would give. wire is the wire-text share of
+// the decoded columns.
+func (r *Reader) DecodeRows(i int, data []byte, schema *telco.Schema, cols []int) (rows []telco.Record, wire int64, err error) {
+	if i < 0 || i >= len(r.chunks) {
+		return nil, 0, fmt.Errorf("segment: no chunk %d of %d", i, len(r.chunks))
+	}
+	c := r.chunks[i]
+	if !r.packed(c) {
+		rows, wire, err = telco.DecodeRows(schema, cols, data)
+		if err == nil && int64(len(rows)) != c.Rows {
+			err = compress.Corruptf("segment: chunk %d holds %d rows, footer says %d", i, len(rows), c.Rows)
+		}
+		return rows, wire, err
+	}
+	if len(c.Cols) != schema.NumFields() {
+		return nil, 0, compress.Corruptf("segment: chunk %d has %d columns, schema %q has %d",
+			i, len(c.Cols), schema.Name, schema.NumFields())
+	}
+	width := len(cols)
+	if cols == nil {
+		width = len(c.Cols)
+	}
+	n := int(c.Rows)
+	vals := make([]telco.Value, n*width)
+	for k := 0; k < width; k++ {
+		col := k
+		if cols != nil {
+			col = cols[k]
+		}
+		m := c.Cols[col]
+		if m.Off+m.Len > int64(len(data)) {
+			return nil, 0, compress.Corruptf("segment: chunk %d column %d outside its %d inflated bytes", i, col, len(data))
+		}
+		w, err := compress.DecodeColumnValues(vals[k:], width, schema.Fields[col].Kind, m.Tag, data[m.Off:m.Off+m.Len], n)
+		if err != nil {
+			return nil, 0, fmt.Errorf("segment: chunk %d column %d: %w", i, col, err)
+		}
+		wire += w
+	}
+	rows = make([]telco.Record, n)
+	for j := range rows {
+		rows[j] = vals[j*width : (j+1)*width : (j+1)*width]
+	}
+	return rows, wire, nil
+}
+
+// columnFields decodes the selected columns of a v3 chunk's inflated bytes
+// (every column when want is nil) as escaped wire fields, plus their
+// wire-text share. Row-text chunks split the wire text instead — the
+// caller-visible result is identical.
+func (r *Reader) columnFields(i int, c Chunk, data []byte, want []int) ([][]string, int64, error) {
 	if want == nil {
 		want = make([]int, len(c.Cols))
 		for k := range want {
@@ -870,20 +932,16 @@ func (r *Reader) decodeColumns(i int, c Chunk, payload []byte, want []int) ([][]
 	}
 	out := make([][]string, len(want))
 	if c.RowMajor() {
-		text, err := r.inflateRowText(i, c, payload)
-		if err != nil {
-			return nil, 0, err
-		}
 		for k := range out {
 			out[k] = make([]string, 0, c.Rows)
 		}
 		rows := int64(0)
-		for start := 0; start < len(text); {
-			end := bytes.IndexByte(text[start:], '\n')
+		for start := 0; start < len(data); {
+			end := bytes.IndexByte(data[start:], '\n')
 			if end < 0 {
 				return nil, 0, compress.Corruptf("segment: chunk %d unterminated row", i)
 			}
-			fields := telco.SplitFields(string(text[start : start+end]))
+			fields := telco.SplitFields(string(data[start : start+end]))
 			if len(fields) != len(c.Cols) {
 				return nil, 0, compress.Corruptf("segment: chunk %d row has %d fields, want %d",
 					i, len(fields), len(c.Cols))
@@ -900,25 +958,10 @@ func (r *Reader) decodeColumns(i int, c Chunk, payload []byte, want []int) ([][]
 		}
 		return out, inflatedOf(out), nil
 	}
-	packed, err := r.codec.Decompress(nil, payload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("segment: inflate chunk %d: %w", i, err)
-	}
-	total := int64(0)
-	for _, m := range c.Cols {
-		if m.Off != total {
-			return nil, 0, compress.Corruptf("segment: chunk %d column streams not contiguous", i)
-		}
-		total += m.Len
-	}
-	if int64(len(packed)) != total {
-		return nil, 0, compress.Corruptf("segment: chunk %d packed to %d bytes, footer says %d",
-			i, len(packed), total)
-	}
 	for k, col := range want {
 		m := c.Cols[col]
 		vals, err := compress.DecodeColumn(make([]string, 0, c.Rows), m.Tag,
-			packed[m.Off:m.Off+m.Len], int(c.Rows))
+			data[m.Off:m.Off+m.Len], int(c.Rows))
 		if err != nil {
 			return nil, 0, fmt.Errorf("segment: chunk %d column %d: %w", i, col, err)
 		}

@@ -20,16 +20,21 @@ type ScanHint struct {
 	// columns the engine will read and the WHERE conjuncts storage may
 	// pre-apply. It is advisory — the engine re-evaluates the full WHERE
 	// clause — so providers may ignore it, apply only the predicates, or
-	// return rows holding null in every column outside Spec.Referenced().
+	// hand back narrow rows holding just a superset of Spec.Referenced().
 	Spec *scanspec.Spec
 }
 
-// Provider streams the rows of one table. Scan honors ctx: a canceled
-// context stops the stream with ctx.Err() (SPATE prunes between snapshot
-// decompressions; in-memory providers check between rows).
+// Provider streams the rows of one table, in batches. Each batch carries
+// the layout of its rows as its Schema: the table's full schema, or — when
+// the provider honored the hint's projection — a telco.Schema.Project of
+// it, which the engine then binds the statement's column references to.
+// Every batch of one scan has the same layout. Batches and their rows are
+// read-only to the engine and may be retained by it. Scan honors ctx: a
+// canceled context stops the stream with ctx.Err() (SPATE prunes between
+// snapshot decompressions; in-memory providers check between rows).
 type Provider interface {
 	Schema() *telco.Schema
-	Scan(ctx context.Context, hint ScanHint, fn func(telco.Record) error) error
+	Scan(ctx context.Context, hint ScanHint, fn func(*telco.Table) error) error
 }
 
 // Aggregator is implemented by providers whose storage layer can fold a
@@ -64,8 +69,9 @@ type memProvider struct{ t *telco.Table }
 
 func (p memProvider) Schema() *telco.Schema { return p.t.Schema }
 
-func (p memProvider) Scan(ctx context.Context, hint ScanHint, fn func(telco.Record) error) error {
+func (p memProvider) Scan(ctx context.Context, hint ScanHint, fn func(*telco.Table) error) error {
 	tsIdx := p.t.Schema.FieldIndex(telco.AttrTS)
+	out := telco.NewTable(p.t.Schema)
 	for _, r := range p.t.Rows {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -73,11 +79,9 @@ func (p memProvider) Scan(ctx context.Context, hint ScanHint, fn func(telco.Reco
 		if hint.Constrained && tsIdx >= 0 && !r[tsIdx].IsNull() && !hint.Window.Contains(r[tsIdx].Time()) {
 			continue
 		}
-		if err := fn(r); err != nil {
-			return err
-		}
+		out.Rows = append(out.Rows, r)
 	}
-	return nil
+	return fn(out)
 }
 
 // parseTimeLit interprets a (possibly truncated) timestamp literal like the

@@ -76,7 +76,11 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*ResultSet, erro
 	return rs, err
 }
 
-// binding maps one FROM/JOIN table into the combined row.
+// binding maps one FROM/JOIN table into the combined row. schema is the
+// layout of the table's rows inside it: the table's full schema while the
+// statement compiles, then — once the scan has run — whatever layout the
+// provider's batches declared, which under a pushed-down projection is a
+// narrow telco.Schema.Project of it.
 type binding struct {
 	name   string // alias or table name
 	schema *telco.Schema
@@ -151,19 +155,30 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 	// Single-table statements compile into a pushdown spec: fully eligible
 	// aggregates skip row materialization entirely when the provider folds
 	// partials itself; everything else ships the spec as an advisory
-	// prefilter with the scan hint.
-	var spec *scanspec.Spec
-	if !e.DisablePushdown && len(stmt.Joins) == 0 {
-		if plan, ok := compileAggPlan(stmt, sc.bindings[0]); ok {
-			if agg, isAgg := providers[0].(Aggregator); isAgg {
-				parts, err := agg.Aggregate(ctx, baseHint(stmt, sc), plan.spec)
-				if err != nil {
-					return nil, err
+	// prefilter with the scan hint. Joined tables each get a
+	// projection-only spec — the columns the statement reads from that
+	// binding, no predicates (the WHERE clause may span both sides) — so
+	// the nested loop concatenates narrow rows.
+	specs := make([]*scanspec.Spec, len(providers))
+	if !e.DisablePushdown {
+		if len(stmt.Joins) == 0 {
+			if plan, ok := compileAggPlan(stmt, sc.bindings[0]); ok {
+				if agg, isAgg := providers[0].(Aggregator); isAgg {
+					parts, err := agg.Aggregate(ctx, baseHint(stmt, sc), plan.spec)
+					if err != nil {
+						return nil, err
+					}
+					return plan.result(parts), nil
 				}
-				return plan.result(parts), nil
+			}
+			specs[0] = compileScanSpec(stmt, sc.bindings[0])
+		} else {
+			for i, b := range sc.bindings {
+				if cols, all := collectColumns(stmt, b); !all {
+					specs[i] = &scanspec.Spec{Columns: cols}
+				}
 			}
 		}
-		spec = compileScanSpec(stmt, sc.bindings[0])
 	}
 
 	// Resolve uncorrelated IN-subqueries up front.
@@ -174,8 +189,9 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 
 	ev := &evaluator{scope: sc, subs: subs}
 
-	// Produce the joined row stream.
-	rows, err := e.scanJoin(ctx, stmt, sc, providers, ev, spec)
+	// Produce the joined row stream; the scans rebind sc to the layouts
+	// their rows came in.
+	rows, err := e.scanJoin(ctx, stmt, sc, providers, ev, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -212,48 +228,84 @@ func baseHint(stmt *SelectStmt, sc *scope) ScanHint {
 	return hint
 }
 
-// scanJoin scans the FROM table (with ts pushdown) and nested-loop joins
-// the rest (the paper's T4 self-join path).
-func (e *Engine) scanJoin(ctx context.Context, stmt *SelectStmt, sc *scope, providers []Provider, ev *evaluator, spec *scanspec.Spec) ([][]telco.Value, error) {
-	hint := baseHint(stmt, sc)
-	hint.Spec = spec
+// scanTable drains one provider's scan, returning the rows and the layout
+// the batches declared for them (the provider's full schema when no batch
+// arrived).
+func scanTable(ctx context.Context, p Provider, hint ScanHint) (*telco.Schema, [][]telco.Value, error) {
+	layout := p.Schema()
 	var rows [][]telco.Value
-	base := providers[0]
-	err := base.Scan(ctx, hint, func(r telco.Record) error {
-		row := make([]telco.Value, len(r), sc.width())
-		copy(row, r)
-		rows = append(rows, row)
+	batches := 0
+	err := p.Scan(ctx, hint, func(t *telco.Table) error {
+		if batches++; batches == 1 {
+			layout = t.Schema
+		} else if !sameLayout(layout, t.Schema) {
+			return fmt.Errorf("sql: table %q changed row layout mid-scan", layout.Name)
+		}
+		for _, r := range t.Rows {
+			rows = append(rows, r)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	return layout, rows, err
+}
+
+// sameLayout reports whether two batch schemas lay rows out identically.
+func sameLayout(a, b *telco.Schema) bool {
+	if a == b {
+		return true
 	}
-	for ji, j := range stmt.Joins {
-		p := providers[ji+1]
-		jhint := ScanHint{}
-		if w, ok := extractWindow(stmt.Where, sc.bindings[ji+1].name); ok {
-			jhint = ScanHint{Window: w, Constrained: true}
+	if len(a.Fields) != len(b.Fields) {
+		return false
+	}
+	for i := range a.Fields {
+		if a.Fields[i].Name != b.Fields[i].Name {
+			return false
 		}
-		var right [][]telco.Value
-		err := p.Scan(ctx, jhint, func(r telco.Record) error {
-			right = append(right, append([]telco.Value(nil), r...))
-			return nil
-		})
+	}
+	return true
+}
+
+// scanJoin scans the FROM table (with ts pushdown) and nested-loop joins
+// the rest (the paper's T4 self-join path), binding sc to the layout each
+// table's rows came in: the combined row is the concatenation of those
+// layouts, narrow where a provider honored its spec's projection.
+func (e *Engine) scanJoin(ctx context.Context, stmt *SelectStmt, sc *scope, providers []Provider, ev *evaluator, specs []*scanspec.Spec) ([][]telco.Value, error) {
+	hints := make([]ScanHint, len(providers))
+	hints[0] = baseHint(stmt, sc)
+	for i := 1; i < len(providers); i++ {
+		if w, ok := extractWindow(stmt.Where, sc.bindings[i].name); ok {
+			hints[i] = ScanHint{Window: w, Constrained: true}
+		}
+	}
+	tables := make([][][]telco.Value, len(providers))
+	width := 0
+	for i, p := range providers {
+		hints[i].Spec = specs[i]
+		layout, rows, err := scanTable(ctx, p, hints[i])
 		if err != nil {
 			return nil, err
 		}
+		tables[i] = rows
+		sc.bindings[i].schema, sc.bindings[i].offset = layout, width
+		width += layout.NumFields()
+	}
+	rows := tables[0]
+	for ji, j := range stmt.Joins {
 		var joined [][]telco.Value
+		var combined []telco.Value // reused until a pair is kept
 		for _, l := range rows {
-			for _, r := range right {
-				combined := make([]telco.Value, 0, len(l)+len(r))
-				combined = append(combined, l...)
-				combined = append(combined, r...)
+			for _, r := range tables[ji+1] {
+				if combined == nil {
+					combined = make([]telco.Value, 0, len(l)+len(r))
+				}
+				combined = append(append(combined[:0], l...), r...)
 				keep, err := ev.evalBool(j.On, combined)
 				if err != nil {
 					return nil, err
 				}
 				if keep {
 					joined = append(joined, combined)
+					combined = nil
 				}
 			}
 		}

@@ -207,7 +207,8 @@ func litWire(l *Literal) (kind, val string, ok bool) {
 	}
 }
 
-// collectColumns gathers every base-table column the statement reads, in
+// collectColumns gathers every column the statement reads from binding b
+// (unqualified references count for every binding that has the column), in
 // first-use order. all reports a SELECT * — the scan must materialize every
 // column. Bare ORDER BY references that name an output column resolve
 // against the projected row (finishResult tries output names first), so
@@ -270,6 +271,9 @@ func collectColumns(stmt *SelectStmt, b binding) (cols []string, all bool) {
 	}
 	for _, it := range stmt.Items {
 		walk(it.Expr)
+	}
+	for _, j := range stmt.Joins {
+		walk(j.On)
 	}
 	if stmt.Where != nil {
 		walk(stmt.Where)

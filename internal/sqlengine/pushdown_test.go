@@ -32,8 +32,27 @@ type aggProvider struct{ t *telco.Table }
 
 func (p aggProvider) Schema() *telco.Schema { return p.t.Schema }
 
-func (p aggProvider) Scan(ctx context.Context, hint ScanHint, fn func(telco.Record) error) error {
-	return memProvider{p.t}.Scan(ctx, hint, fn)
+// Scan honors the spec's projection the way columnar storage does: under a
+// column list the batches are narrow — the referenced columns only, in
+// schema order, declared through the batch schema — so every parity test
+// below also checks that the engine binds column references to the layout
+// the provider hands back.
+func (p aggProvider) Scan(ctx context.Context, hint ScanHint, fn func(*telco.Table) error) error {
+	return memProvider{p.t}.Scan(ctx, hint, func(t *telco.Table) error {
+		if hint.Spec == nil || hint.Spec.Columns == nil {
+			return fn(t)
+		}
+		var cols []int
+		for i, f := range t.Schema.Fields {
+			for _, name := range hint.Spec.Referenced() {
+				if name == f.Name {
+					cols = append(cols, i)
+					break
+				}
+			}
+		}
+		return fn(&telco.Table{Schema: t.Schema.Project(cols), Rows: telco.ProjectRows(t.Rows, cols)})
+	})
 }
 
 func (p aggProvider) Aggregate(_ context.Context, _ ScanHint, spec *scanspec.Spec) ([]scanspec.Partial, error) {
@@ -358,5 +377,87 @@ func TestRowPathSpecIsAdvisory(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		assertSameResult(t, q, got, want)
+	}
+}
+
+// narrowScanQueries take the row path (no aggregate plan applies, or it is
+// a join) but still ship a column projection, so the narrow-batch provider
+// hands the engine rows in a layout other than the table's.
+var narrowScanQueries = []string{
+	`SELECT upflux, downflux FROM CDR WHERE ts>='201601221530' AND ts<'201601221700'`,
+	`SELECT caller, duration FROM CDR WHERE duration>=60 ORDER BY caller, duration`,
+	`SELECT downflux, caller FROM CDR WHERE call_type='DATA' ORDER BY downflux DESC`,
+	`SELECT * FROM CDR WHERE cell_id=2`,
+	`SELECT AVG(duration), COUNT(*) FROM CDR WHERE call_type='VOICE'`,
+	`SELECT call_type, AVG(upflux) FROM CDR GROUP BY call_type ORDER BY call_type`,
+	`SELECT DISTINCT caller FROM CDR ORDER BY caller`,
+	`SELECT caller FROM CDR WHERE cell_id IN (SELECT cell_id FROM NMS WHERE val > 4) ORDER BY caller`,
+	`SELECT DISTINCT a.caller FROM CDR a JOIN CDR b ON a.caller = b.caller
+		WHERE a.cell_id != b.cell_id ORDER BY a.caller`,
+	`SELECT a.caller, b.val FROM CDR a JOIN NMS b ON a.cell_id = b.cell_id
+		WHERE b.val > 0 ORDER BY a.caller, b.val`,
+	`SELECT * FROM CDR a JOIN NMS b ON a.cell_id = b.cell_id ORDER BY a.caller, b.val LIMIT 3`,
+	`SELECT COUNT(*) FROM CDR a JOIN NMS b ON a.cell_id = b.cell_id WHERE a.duration > b.val`,
+}
+
+// TestNarrowScanParity runs each statement against a provider that honors
+// the projection (narrow batches) and with pushdown disabled (full rows):
+// binding column references to the batch layout must not change an answer.
+func TestNarrowScanParity(t *testing.T) {
+	for _, q := range narrowScanQueries {
+		narrow := NewEngine(pushdownCatalog())
+		full := NewEngine(pushdownCatalog())
+		full.DisablePushdown = true
+		got, err := narrow.Query(q)
+		if err != nil {
+			t.Fatalf("%s (narrow): %v", q, err)
+		}
+		want, err := full.Query(q)
+		if err != nil {
+			t.Fatalf("%s (full): %v", q, err)
+		}
+		assertSameResult(t, q, got, want)
+	}
+}
+
+// widthCatalog records the width of every batch its providers emit.
+type widthCatalog struct {
+	inner  aggCatalog
+	widths *[]int
+}
+
+func (c widthCatalog) Table(name string) (Provider, error) {
+	p, err := c.inner.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	return widthProvider{p, c.widths}, nil
+}
+
+type widthProvider struct {
+	Provider
+	widths *[]int
+}
+
+func (p widthProvider) Scan(ctx context.Context, hint ScanHint, fn func(*telco.Table) error) error {
+	return p.Provider.Scan(ctx, hint, func(t *telco.Table) error {
+		*p.widths = append(*p.widths, t.Schema.NumFields())
+		return fn(t)
+	})
+}
+
+// TestJoinSidesScanProjected pins the T4 shape: each side of a join gets a
+// projection-only spec, so the self-join scans caller, cell_id and ts — not
+// the table's full width — on both sides.
+func TestJoinSidesScanProjected(t *testing.T) {
+	var widths []int
+	eng := NewEngine(widthCatalog{pushdownCatalog(), &widths})
+	_, err := eng.Query(`SELECT DISTINCT a.caller FROM CDR a JOIN CDR b ON a.caller = b.caller
+		WHERE a.cell_id != b.cell_id AND a.ts >= '2016' AND b.ts >= '2016' ORDER BY a.caller`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(widths) != 2 || widths[0] != 3 || widths[1] != 3 {
+		t.Fatalf("join sides scanned at widths %v, want [3 3] (caller, cell_id, ts)", widths)
 	}
 }

@@ -47,8 +47,12 @@ type Framework interface {
 // SpecScanner is the optional Framework capability for column-projected,
 // predicate-filtered scans: the storage layer decodes only the spec's
 // referenced column streams and pre-applies its conjuncts (advisory — the
-// SQL engine still re-evaluates the full WHERE clause). Frameworks without
-// it fall back to full-row scans.
+// SQL engine still re-evaluates the full WHERE clause). The tables fn
+// receives declare their own layout: each one's Schema is either the
+// stored table's schema or a narrow telco.Schema.Project of it holding at
+// least the spec's referenced columns, the same for every table of one
+// name within a scan. Frameworks without the capability fall back to
+// full-row scans.
 type SpecScanner interface {
 	ScanSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec, fn func(string, *telco.Table) error) error
 }
@@ -171,19 +175,16 @@ var allTime = telco.TimeRange{
 	To:   time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC),
 }
 
-func (p fwProvider) Scan(ctx context.Context, hint sqlengine.ScanHint, fn func(telco.Record) error) error {
+// Scan implements sqlengine.Provider. The framework's tables pass through
+// as the batches: their Schema is the layout contract — the stored table's
+// own schema from a full scan, the spec's narrow projection of it from a
+// SpecScanner that decodes only referenced columns.
+func (p fwProvider) Scan(ctx context.Context, hint sqlengine.ScanHint, fn func(*telco.Table) error) error {
 	w := allTime
 	if hint.Constrained {
 		w = hint.Window
 	}
-	emit := func(_ string, tab *telco.Table) error {
-		for _, r := range tab.Rows {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	emit := func(_ string, tab *telco.Table) error { return fn(tab) }
 	if hint.Spec != nil {
 		if ss, ok := p.f.(SpecScanner); ok {
 			return ss.ScanSpec(ctx, w, []string{p.name}, hint.Spec, emit)
@@ -230,8 +231,9 @@ func (s Spate) Scan(ctx context.Context, w telco.TimeRange, tables []string, fn 
 	return s.E.ScanTablesContext(ctx, w, tables, fn)
 }
 
-// ScanSpec implements SpecScanner: v3 leaves decode only the spec's
-// referenced column streams and pre-filter rows on its predicates.
+// ScanSpec implements SpecScanner: only the spec's referenced columns are
+// materialized (v3 leaves decode just those streams), rows come out narrow
+// and pre-filtered on its predicates.
 func (s Spate) ScanSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec, fn func(string, *telco.Table) error) error {
 	return s.E.ScanTablesSpec(ctx, w, tables, spec, fn)
 }

@@ -56,6 +56,21 @@ func (s *Schema) FieldIndex(name string) int {
 	return -1
 }
 
+// Project returns the narrow schema holding only the fields at cols
+// (ascending schema positions) under the same name — the layout of a scan
+// that materializes just those columns. A nil cols, or one naming every
+// field, returns s itself.
+func (s *Schema) Project(cols []int) *Schema {
+	if cols == nil || len(cols) == len(s.Fields) {
+		return s
+	}
+	fields := make([]Field, len(cols))
+	for i, c := range cols {
+		fields[i] = s.Fields[c]
+	}
+	return MustSchema(s.Name, fields)
+}
+
 // Field returns the field at position i.
 func (s *Schema) Field(i int) Field { return s.Fields[i] }
 

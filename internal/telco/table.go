@@ -97,3 +97,88 @@ func (t *Table) Column(name string) []Value {
 	}
 	return out
 }
+
+// DecodeRows parses wire text under schema s into records holding only the
+// fields at cols (ascending schema positions; nil keeps every field) — the
+// rows of a Table under s.Project(cols). It makes one pass over the bytes:
+// fields outside cols are stepped over, never split out or parsed. It
+// accepts the text ReadTable accepts, and every record equals the matching
+// ReadTable row restricted to cols. wire is the share of the text the kept
+// fields stand for, each with one separator.
+func DecodeRows(s *Schema, cols []int, text []byte) (rows []Record, wire int64, err error) {
+	width := len(cols)
+	if cols == nil {
+		width = len(s.Fields)
+	}
+	str := string(text) // one copy; every string value is a substring of it
+	n := strings.Count(str, "\n") + 1
+	vals := make([]Value, 0, n*width)
+	rows = make([]Record, 0, n)
+	for lineNo := 1; len(str) > 0; lineNo++ {
+		line := str
+		if nl := strings.IndexByte(str, '\n'); nl >= 0 {
+			line, str = str[:nl], str[nl+1:]
+		} else {
+			str = ""
+		}
+		line = strings.TrimSuffix(line, "\r") // as bufio.ScanLines does
+		if line == "" {
+			continue
+		}
+		rec := vals[len(vals) : len(vals)+width : len(vals)+width]
+		vals = vals[:len(vals)+width]
+		field, kept := 0, 0
+		for i := 0; ; {
+			j := i
+			for j < len(line) && line[j] != sep {
+				if line[j] == '\\' {
+					j++ // the escaped byte belongs to the field
+				}
+				j++
+			}
+			if j > len(line) {
+				j = len(line)
+			}
+			// cols ascends, so the next kept column is the only candidate.
+			if kept < width && (cols == nil || cols[kept] == field) {
+				v, err := ParseValue(s.Fields[field].Kind, unescape(line[i:j]))
+				if err != nil {
+					return nil, 0, fmt.Errorf("telco: line %d: telco: field %q: %w", lineNo, s.Fields[field].Name, err)
+				}
+				rec[kept] = v
+				kept++
+				wire += int64(j-i) + 1
+			}
+			field++
+			if j == len(line) {
+				break
+			}
+			i = j + 1
+		}
+		if field != len(s.Fields) {
+			return nil, 0, fmt.Errorf("telco: line %d: telco: schema %q: line has %d fields, want %d",
+				lineNo, s.Name, field, len(s.Fields))
+		}
+		rows = append(rows, rec)
+	}
+	return rows, wire, nil
+}
+
+// ProjectRows returns the rows restricted to the fields at cols (ascending
+// positions) — how full-width in-memory records join a projected scan. A
+// nil cols returns rows unchanged.
+func ProjectRows(rows []Record, cols []int) []Record {
+	if cols == nil {
+		return rows
+	}
+	vals := make([]Value, len(rows)*len(cols))
+	out := make([]Record, len(rows))
+	for i, r := range rows {
+		rec := vals[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		for k, c := range cols {
+			rec[k] = r[c]
+		}
+		out[i] = rec
+	}
+	return out
+}

@@ -144,6 +144,9 @@ func ParseValue(k Kind, s string) (Value, error) {
 		}
 		return Float(f), nil
 	case KindTime:
+		if sec, ok := parseWireTime(s); ok {
+			return Value{kind: KindTime, num: sec}, nil
+		}
 		t, err := time.ParseInLocation(TimeLayout, s, time.UTC)
 		if err != nil {
 			return Null, fmt.Errorf("telco: parse time %q: %w", s, err)
@@ -154,6 +157,86 @@ func ParseValue(k Kind, s string) (Value, error) {
 	default:
 		return Null, fmt.Errorf("telco: unknown kind %v", k)
 	}
+}
+
+// parseWireTime is the arithmetic fast path for TimeLayout: fourteen
+// digits naming a valid UTC civil time convert to Unix seconds without the
+// layout interpreter. Anything else (wrong length, a non-digit, a field
+// out of range) reports false and falls to time.ParseInLocation, which
+// owns the error text — so ParseValue accepts and rejects exactly what it
+// always did.
+func parseWireTime(s string) (int64, bool) {
+	if len(s) != len(TimeLayout) {
+		return 0, false
+	}
+	var f [14]int64
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		f[i] = int64(c)
+	}
+	return civilUnix(
+		f[0]*1000+f[1]*100+f[2]*10+f[3],
+		f[4]*10+f[5], f[6]*10+f[7],
+		f[8]*10+f[9], f[10]*10+f[11], f[12]*10+f[13])
+}
+
+// civilUnix converts a proleptic-Gregorian UTC civil time to Unix seconds,
+// reporting false when a field is outside the range time.Parse accepts.
+func civilUnix(y, mo, d, h, mi, sec int64) (int64, bool) {
+	if mo < 1 || mo > 12 || d < 1 || h > 23 || mi > 59 || sec > 59 {
+		return 0, false
+	}
+	dim := int64(31)
+	switch mo {
+	case 4, 6, 9, 11:
+		dim = 30
+	case 2:
+		dim = 28
+		if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+			dim = 29
+		}
+	}
+	if d > dim {
+		return 0, false
+	}
+	// Days since 1970-01-01 by era arithmetic over 400-year cycles, the
+	// year shifted to start in March so the leap day falls last.
+	if mo <= 2 {
+		y--
+		mo += 12
+	}
+	era := y / 400
+	if y < 0 {
+		era = (y - 399) / 400
+	}
+	yoe := y - era*400
+	doy := (153*(mo-3)+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	days := era*146097 + doe - 719468
+	return days*86400 + h*3600 + mi*60 + sec, true
+}
+
+// ValueOfInt returns the value ParseValue(k, strconv.FormatInt(x, 10))
+// yields — how a delta-coded column stream, which stores canonical
+// integers, turns into typed values without rendering and re-parsing the
+// digits. Integer columns take x as is and time columns read x as the
+// fourteen wire digits.
+func ValueOfInt(k Kind, x int64) (Value, error) {
+	switch k {
+	case KindInt:
+		return Int(x), nil
+	case KindTime:
+		if x >= 1e13 && x < 1e14 { // exactly fourteen digits, no sign
+			day, clock := x/1e6, x%1e6
+			if sec, ok := civilUnix(day/1e4, day/100%100, day%100, clock/1e4, clock/100%100, clock%100); ok {
+				return Value{kind: KindTime, num: sec}, nil
+			}
+		}
+	}
+	return ParseValue(k, strconv.FormatInt(x, 10))
 }
 
 // Equal reports deep equality of two values.
