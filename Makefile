@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flaky vet bench bench-json bench-check fuzz fmt lint check
+.PHONY: all build test race flaky widths vet bench bench-json bench-check fuzz fmt lint check
 
 all: build
 
@@ -13,13 +13,15 @@ test:
 	$(GO) test ./...
 
 # The obs registry and tracer are lock-free/locked hot paths shared across
-# goroutines; run the whole tree under the race detector. The parallel scan
-# parity tests re-run at several GOMAXPROCS values so the order-preserving
-# scheduler is exercised both starved and saturated, and so do the decode,
-# pushdown and layout parity/property tests of the packages under it.
+# goroutines; run the whole tree under the race detector. Every scan goes
+# through the one scheduler, so no -run pattern selects "the parallel tests"
+# any more: the whole core and cluster packages re-run at several GOMAXPROCS
+# values, exercising the scheduler both starved and saturated, and so do the
+# decode, pushdown and layout parity/property tests of the packages under it.
+# (Three raced widths of a whole package outlast go test's 10-minute default.)
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -run Parallel -cpu 1,2,4 ./internal/core/ ./internal/cluster/
+	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/
 	$(GO) test -race -run 'Parity|Property|Equivalence|Reference' -cpu 1,2,4 \
 		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/
 
@@ -29,6 +31,12 @@ race:
 flaky:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
 	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/
+
+# The un-raced counterpart of race's GOMAXPROCS sweep, cheap enough for
+# every CI run: the scan pipeline's package starved, at the box's width and
+# oversubscribed.
+widths:
+	$(GO) test -cpu 1,2,4 ./internal/core/
 
 vet:
 	$(GO) vet ./...
@@ -87,4 +95,4 @@ lint:
 	$(GO) vet ./...
 
 # Everything the CI gate runs.
-check: build vet test flaky
+check: build vet test widths flaky

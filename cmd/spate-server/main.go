@@ -92,7 +92,7 @@ func run() int {
 		chunkSize = flag.Int("chunk-size", 0,
 			"target uncompressed bytes per leaf segment chunk (0 = 256 KiB default; negative = legacy whole-blob leaves)")
 		scanWorkers = flag.Int("scan-workers", 0,
-			"goroutines per query for parallel leaf scans (0 = GOMAXPROCS; 1 = sequential)")
+			"width of the per-query worker pool for leaf scans (0 = GOMAXPROCS; 1 = a pool of one)")
 
 		decayEvery = flag.Duration("decay-interval", 0,
 			"lifecycle: run scheduled decay this often (0 = disabled)")

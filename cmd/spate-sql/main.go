@@ -39,7 +39,7 @@ func main() {
 		store   = flag.String("store", "", "store directory (default: a temp dir)")
 		profile = flag.Bool("profile", false, "print the storage cost profile after each query")
 		workers = flag.Int("scan-workers", 0,
-			"goroutines per query for parallel leaf scans (0 = GOMAXPROCS; 1 = sequential)")
+			"width of the per-query worker pool for leaf scans (0 = GOMAXPROCS; 1 = a pool of one)")
 	)
 	flag.Parse()
 

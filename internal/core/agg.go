@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"spate/internal/compress"
+	"spate/internal/geo"
 	"spate/internal/scanspec"
 	"spate/internal/segment"
 	"spate/internal/telco"
@@ -35,120 +35,51 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	if schema == nil {
 		return nil, fmt.Errorf("core: unknown schema %q", table)
 	}
-	e.mu.RLock()
-	leaves := e.rowLeaves(w)
-	memt, memAfter := e.memAfterLocked()
-	var memTabs []memTab
-	if memt != nil {
-		memTabs = collectMemTabs(memt, w, []string{table}, memAfter)
+	tables := []string{table}
+	env := e.newQueryEnv(&w, tables, geo.Rect{})
+	src := e.capture(w, tables)
+	plan, err := e.planUnits(src.leaves, env)
+	if err != nil {
+		return nil, err
 	}
-	e.mu.RUnlock()
 	prof := ProfileFromContext(ctx)
-	c := e.codec()
-	workers := e.scanWorkers()
+	if prof != nil {
+		prof.LeavesScanned += plan.scanned
+		prof.LeavesDecayed += plan.decayed
+	}
 
+	// Partial-aggregate merge is associative and commutative over the
+	// pushdown-eligible aggregates (COUNT, integer SUM, MIN, MAX), so each
+	// worker folds its units into a private accumulator with no locking at
+	// all and the per-worker partial sets Merge at the end. The worker-order
+	// merge and the final sort-by-key make the output independent of
+	// scheduling. A pool of one is one accumulator.
+	accs := make([]*aggAcc, max(1, min(e.scanWorkers(), len(plan.units))))
+	for i := range accs {
+		if accs[i], err = newAggAcc(spec, schema, w); err != nil {
+			return nil, err
+		}
+	}
+	c := e.codec()
+	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), prof, func(sw *scanWorker, i int) (any, error) {
+		_, _, err := e.walkLeaf(plan.units[i].ref, c, env.pr, accs[sw.id], sw.prof)
+		return nil, err
+	}, func(int, any) error { return nil })
+	if err != nil {
+		return nil, err
+	}
+	for _, mt := range src.memTabs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if prof != nil {
+			prof.MemRows += mt.tab.Len()
+		}
+		accs[0].foldMem(mt.tab)
+	}
 	var parts []scanspec.Partial
-	if workers <= 1 {
-		// Sequential path: one accumulator folds every leaf in order.
-		acc, err := newAggAcc(spec, schema)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range leaves {
-			if l.decayed || l.refs == nil {
-				if prof != nil && l.decayed {
-					prof.LeavesDecayed++
-				}
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if prof != nil {
-				prof.LeavesScanned++
-			}
-			ref, ok := l.refs[table]
-			if !ok {
-				continue
-			}
-			if err := e.aggLeafTable(ref, c, w, acc, prof); err != nil {
-				return nil, err
-			}
-		}
-		for _, mt := range memTabs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if prof != nil {
-				prof.MemRows += mt.tab.Len()
-			}
-			acc.foldMem(mt.tab, w)
-		}
-		parts = acc.partials()
-	} else {
-		// Parallel path: partial-aggregate merge is associative and
-		// commutative over the pushdown-eligible aggregates (COUNT, integer
-		// SUM, MIN, MAX), so each worker folds its units into a private
-		// accumulator with no locking at all and the per-worker partial
-		// sets Merge at the end — the lock-free fast path. The worker-order
-		// merge and the final sort-by-key make the output independent of
-		// scheduling.
-		accs := make([]*aggAcc, workers)
-		var refs []string
-		for _, l := range leaves {
-			if l.decayed || l.refs == nil {
-				if prof != nil && l.decayed {
-					prof.LeavesDecayed++
-				}
-				continue
-			}
-			if prof != nil {
-				prof.LeavesScanned++
-			}
-			if ref, ok := l.refs[table]; ok {
-				refs = append(refs, ref)
-			}
-		}
-		units := make([]scanUnit, len(refs))
-		for i, ref := range refs {
-			ref := ref
-			units[i] = func(sw *scanWorker) (any, error) {
-				acc := accs[sw.id]
-				if acc == nil {
-					var err error
-					acc, err = newAggAcc(spec, schema)
-					if err != nil {
-						return nil, err
-					}
-					accs[sw.id] = acc
-				}
-				return nil, e.aggLeafTable(ref, c, w, acc, sw.prof)
-			}
-		}
-		err := e.runUnits(ctx, workers, units, prof, func(int, any) error { return nil })
-		if err != nil {
-			return nil, err
-		}
-		if accs[0] == nil {
-			accs[0], err = newAggAcc(spec, schema)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, mt := range memTabs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if prof != nil {
-				prof.MemRows += mt.tab.Len()
-			}
-			accs[0].foldMem(mt.tab, w)
-		}
-		for _, acc := range accs {
-			if acc != nil {
-				parts = scanspec.Merge(parts, acc.partials())
-			}
-		}
+	for _, acc := range accs {
+		parts = scanspec.Merge(parts, acc.partials())
 	}
 	if prof != nil {
 		prof.AggPartials += len(parts)
@@ -160,6 +91,7 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 // positions of everything the fold touches inside it.
 type aggLayout struct {
 	projection
+	checkTS bool  // rows still need the row-level time filter
 	tsIdx   int   // -1 when the layout carries no timestamp
 	grpIdx  int   // -1 when ungrouped
 	predIdx []int // per predicate
@@ -171,16 +103,17 @@ type aggLayout struct {
 // zone-map decisions), the two layouts a per-row fold may read — the
 // referenced columns alone, and with the timestamp for chunks that need
 // the row-level window filter — and the per-group partials accumulated so
-// far.
+// far. It is the leaf walk's aggregating sink.
 type aggAcc struct {
 	spec   *ScanSpec
 	schema *telco.Schema
+	w      telco.TimeRange // the scan window
 
 	predCol []int // stored position per predicate
 	aggCol  []int // stored position per aggregate argument, -1 for COUNT(*)
 
-	rows   aggLayout // without the timestamp, unless the spec reads it
-	rowsTS aggLayout // with the timestamp for window filtering
+	lay   aggLayout // without the timestamp, unless the spec reads it
+	layTS aggLayout // with the timestamp for window filtering
 
 	vals   []telco.Value // per-row aggregate arguments, reused
 	groups map[string]*scanspec.Partial
@@ -190,10 +123,11 @@ type aggAcc struct {
 // path — where the spec is a prefilter and the SQL engine re-evaluates —
 // the aggregate path is authoritative, so an unresolvable column is an
 // error rather than a skipped predicate.
-func newAggAcc(spec *ScanSpec, schema *telco.Schema) (*aggAcc, error) {
+func newAggAcc(spec *ScanSpec, schema *telco.Schema, w telco.TimeRange) (*aggAcc, error) {
 	a := &aggAcc{
 		spec:   spec,
 		schema: schema,
+		w:      w,
 		vals:   make([]telco.Value, len(spec.Aggs)),
 		groups: make(map[string]*scanspec.Partial),
 	}
@@ -234,14 +168,14 @@ func newAggAcc(spec *ScanSpec, schema *telco.Schema) (*aggAcc, error) {
 			return nil, err
 		}
 	}
-	a.rows = a.layout(spec.Referenced())
-	a.rowsTS = a.layout(append(spec.Referenced(), telco.AttrTS))
+	a.lay = a.resolve(spec.Referenced(), false)
+	a.layTS = a.resolve(append(spec.Referenced(), telco.AttrTS), true)
 	return a, nil
 }
 
-// layout resolves the fold's positions inside the projection onto names.
-func (a *aggAcc) layout(names []string) aggLayout {
-	l := aggLayout{projection: newProjection(a.schema, names, false)}
+// resolve builds the fold's positions inside the projection onto names.
+func (a *aggAcc) resolve(names []string, checkTS bool) aggLayout {
+	l := aggLayout{projection: newProjection(a.schema, names, false), checkTS: checkTS}
 	l.tsIdx = l.out.FieldIndex(telco.AttrTS)
 	l.grpIdx = l.out.FieldIndex(a.spec.GroupBy)
 	l.predIdx = make([]int, len(a.spec.Preds))
@@ -255,87 +189,50 @@ func (a *aggAcc) layout(names []string) aggLayout {
 	return l
 }
 
-// aggLeafTable folds one stored leaf table into the accumulator. v3
-// chunks prune through window and per-column zone maps, answer from
-// metadata when every row provably passes and the aggregates are
-// zone-derivable, and otherwise decode only the needed column streams;
-// v1/v2 and legacy blob leaves pick the same columns out of their text.
-func (e *Engine) aggLeafTable(ref string, c compress.Codec, w telco.TimeRange, acc *aggAcc, prof *Profile) error {
-	scanned, pruned := 0, 0
-	defer func() {
-		e.met.chunksScanned.Add(int64(scanned))
-		e.met.chunksPruned.Add(int64(pruned))
-		if prof != nil {
-			prof.ChunksScanned += scanned
-		}
-	}()
-	f, err := e.fs.Open(ref)
-	if err != nil {
-		return fmt.Errorf("core: open %s: %w", ref, err)
+// prune is the aggregate's own chunk test: the spec's exact row window,
+// then its predicates against the column zone maps.
+func (a *aggAcc) prune(ch *segment.Chunk) pruneReason {
+	if a.exactWindowSkip(ch) {
+		return pruneZone
 	}
-	if !segment.IsSegment(f, f.Size()) {
-		text, err := e.blobText(ref, c, prof)
-		if err != nil {
-			return err
-		}
-		rows, _, err := telco.DecodeRows(acc.schema, acc.rowsTS.cols, text)
-		if err != nil {
-			return fmt.Errorf("core: decode %s: %w", ref, err)
-		}
-		scanned = 1
-		acc.fold(rows, &acc.rowsTS, true, w)
+	if zonePrune(a.spec.Preds, a.predCol, a.schema, ch) {
+		return prunePred
+	}
+	return pruneNone
+}
+
+// layout decides how a surviving chunk folds. A v3 chunk lying wholly
+// inside the window is answered from its metadata (nil) when every row
+// provably matches and the aggregates are zone-derivable, and otherwise
+// decodes without the timestamp column; v1/v2 chunks and legacy blobs
+// (nil ch) have no column directory and always take the row-level time
+// filter.
+func (a *aggAcc) layout(ch *segment.Chunk) *projection {
+	if ch == nil || len(ch.Cols) == 0 || !a.chunkAllInWindow(ch) {
+		return &a.layTS.projection
+	}
+	if a.chunkAllMatch(ch) && a.metaOK(ch) {
+		a.addMeta(ch)
 		return nil
 	}
-	r, err := segment.Open(f, f.Size(), c)
-	if err != nil {
-		return fmt.Errorf("core: open segment %s: %w", ref, err)
+	return &a.lay.projection
+}
+
+// rows folds a decoded chunk laid out as p, whichever of its two
+// projections layout handed out.
+func (a *aggAcc) rows(p *projection, rows []telco.Record) error {
+	lay := &a.layTS
+	if p == &a.lay.projection {
+		lay = &a.lay
 	}
-	pr := leafPrune{window: &w}
-	for i, ch := range r.Chunks() {
-		if pr.skip(ch) != pruneNone || acc.exactWindowSkip(ch) {
-			pruned++
-			if prof != nil {
-				prof.ChunksPrunedZone++
-			}
-			continue
-		}
-		lay, checkTS := &acc.rowsTS, true
-		if r.Columnar() {
-			if acc.zonePrune(ch) {
-				pruned++
-				if prof != nil {
-					prof.ChunksPrunedPred++
-				}
-				continue
-			}
-			allIn := acc.chunkAllInWindow(ch, w)
-			if allIn && acc.chunkAllMatch(ch) && acc.metaOK(ch) {
-				acc.addMeta(ch)
-				scanned++
-				if prof != nil {
-					prof.ChunksAggMeta++
-					prof.ColumnsSkipped += len(ch.Cols)
-				}
-				continue
-			}
-			if allIn {
-				lay, checkTS = &acc.rows, false
-			}
-		}
-		rows, err := e.chunkRows(r, ref, i, &lay.projection, prof)
-		if err != nil {
-			return err
-		}
-		scanned++
-		acc.fold(rows, lay, checkTS, w)
-	}
+	a.fold(rows, lay)
 	return nil
 }
 
 // exactWindowSkip reports whether the spec's exact row window (and its
 // null-timestamp rule) proves no row of the chunk passes the row-level
 // time filter.
-func (a *aggAcc) exactWindowSkip(ch segment.Chunk) bool {
+func (a *aggAcc) exactWindowSkip(ch *segment.Chunk) bool {
 	if ch.HasTimeGaps() {
 		if !a.spec.RequireTS {
 			return false // null-ts rows pass unconditionally
@@ -352,7 +249,7 @@ func (a *aggAcc) exactWindowSkip(ch segment.Chunk) bool {
 // chunkAllInWindow reports whether every row of the chunk provably passes
 // the row-level time filter (scan window, exact window and the
 // null-timestamp rule), so per-row timestamp checks can be skipped.
-func (a *aggAcc) chunkAllInWindow(ch segment.Chunk, w telco.TimeRange) bool {
+func (a *aggAcc) chunkAllInWindow(ch *segment.Chunk) bool {
 	if ch.HasTimeGaps() {
 		if a.spec.RequireTS {
 			return false
@@ -363,33 +260,15 @@ func (a *aggAcc) chunkAllInWindow(ch segment.Chunk, w telco.TimeRange) bool {
 	} else if ch.Rows == 0 {
 		return true
 	}
-	if !w.Contains(time.Unix(0, ch.MinTS)) || !w.Contains(time.Unix(0, ch.MaxTS)) {
+	if !a.w.Contains(time.Unix(0, ch.MinTS)) || !a.w.Contains(time.Unix(0, ch.MaxTS)) {
 		return false
 	}
 	return a.spec.Window.ContainsRange(ch.MinTS, ch.MaxTS)
 }
 
-// zonePrune reports whether a per-column integer zone map proves one of
-// the predicates unsatisfiable for every row of the chunk.
-func (a *aggAcc) zonePrune(ch segment.Chunk) bool {
-	if len(ch.Cols) == 0 {
-		return false
-	}
-	for pi, p := range a.spec.Preds {
-		ci := a.predCol[pi]
-		if ci >= len(ch.Cols) || a.schema.Fields[ci].Kind != telco.KindInt {
-			continue
-		}
-		if cm := ch.Cols[ci]; cm.HasZone && p.ZonePrune(cm.Min, cm.Max) {
-			return true
-		}
-	}
-	return false
-}
-
 // chunkAllMatch reports whether the zone maps prove every row satisfies
 // every predicate (vacuously true without predicates).
-func (a *aggAcc) chunkAllMatch(ch segment.Chunk) bool {
+func (a *aggAcc) chunkAllMatch(ch *segment.Chunk) bool {
 	for pi, p := range a.spec.Preds {
 		ci := a.predCol[pi]
 		if ci >= len(ch.Cols) || a.schema.Fields[ci].Kind != telco.KindInt {
@@ -405,7 +284,7 @@ func (a *aggAcc) chunkAllMatch(ch segment.Chunk) bool {
 
 // metaOK reports whether the chunk's metadata alone answers every
 // aggregate (see Spec.CanUseMeta).
-func (a *aggAcc) metaOK(ch segment.Chunk) bool {
+func (a *aggAcc) metaOK(ch *segment.Chunk) bool {
 	return a.spec.CanUseMeta(func(col string) bool {
 		ci := a.schema.FieldIndex(col)
 		if ci < 0 || ci >= len(ch.Cols) || !ch.Cols[ci].HasZone {
@@ -421,7 +300,7 @@ func (a *aggAcc) metaOK(ch segment.Chunk) bool {
 }
 
 // addMeta folds a whole chunk from its metadata.
-func (a *aggAcc) addMeta(ch segment.Chunk) {
+func (a *aggAcc) addMeta(ch *segment.Chunk) {
 	n := len(a.spec.Aggs)
 	mins, maxs := make([]int64, n), make([]int64, n)
 	kinds := make([]telco.Kind, n)
@@ -435,14 +314,14 @@ func (a *aggAcc) addMeta(ch segment.Chunk) {
 	a.spec.AddMeta(a.group(telco.Null), ch.Rows, mins, maxs, kinds)
 }
 
-// fold folds rows laid out as lay. checkTS applies the row-level time
-// filter (skipped when chunkAllInWindow proved it for the whole chunk).
-func (a *aggAcc) fold(rows []telco.Record, lay *aggLayout, checkTS bool, w telco.TimeRange) {
+// fold folds rows laid out as lay, applying the row-level time filter
+// unless chunkAllInWindow proved it for the whole chunk.
+func (a *aggAcc) fold(rows []telco.Record, lay *aggLayout) {
 	for _, r := range rows {
-		if checkTS {
+		if lay.checkTS {
 			if lay.tsIdx >= 0 && !r[lay.tsIdx].IsNull() {
 				t := r[lay.tsIdx].Time()
-				if !w.Contains(t) || !a.spec.Window.Contains(t.UnixNano()) {
+				if !a.w.Contains(t) || !a.spec.Window.Contains(t.UnixNano()) {
 					continue
 				}
 			} else if a.spec.RequireTS {
@@ -477,8 +356,8 @@ func (a *aggAcc) fold(rows []telco.Record, lay *aggLayout, checkTS bool, w telco
 // foldMem folds one full-width memtable table: narrowed to the fold's
 // layout like every other source of rows, then folded with the row-level
 // time filter.
-func (a *aggAcc) foldMem(tab *telco.Table, w telco.TimeRange) {
-	a.fold(a.rowsTS.narrow(tab).Rows, &a.rowsTS, true, w)
+func (a *aggAcc) foldMem(tab *telco.Table) {
+	a.fold(a.layTS.narrow(tab).Rows, &a.layTS)
 }
 
 // group returns (creating on first use) the partial for one group value.

@@ -94,10 +94,10 @@ type Options struct {
 	// CellIndex selects the spatial index over the cell inventory:
 	// "quadtree" (default) or "rtree" — the two variants §V-A names.
 	CellIndex string
-	// ScanWorkers bounds the goroutines a single query fans leaf×table
-	// scan units out to (default GOMAXPROCS). 1 selects the sequential
-	// scan path unchanged from earlier releases; results are bit-for-bit
-	// identical at any width.
+	// ScanWorkers is the width of the worker pool a single query runs its
+	// leaf×table scan units on (default GOMAXPROCS). It is a width, not a
+	// path: 1 is a pool of one, the same pipeline run inline on the calling
+	// goroutine, and results are bit-for-bit identical at any width.
 	ScanWorkers int
 	// Obs selects the metrics registry the engine reports into (default
 	// obs.Default). obs.NewNoop() disables all accounting — the baseline

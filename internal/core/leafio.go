@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"spate/internal/compress"
+	"spate/internal/scanspec"
 	"spate/internal/segment"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
@@ -182,14 +183,15 @@ type leafPrune struct {
 	cells   []int64
 }
 
-// pruneReason says which chunk predicate fired: the timestamp zone map or
-// the cell-id bloom sketch.
+// pruneReason says which chunk predicate fired: the timestamp zone map,
+// the cell-id bloom sketch, or a pushed-down predicate's column zone map.
 type pruneReason int
 
 const (
 	pruneNone pruneReason = iota
 	pruneZone
 	pruneBloom
+	prunePred
 )
 
 // skip reports whether a chunk provably holds no row the scan's per-row
@@ -311,15 +313,14 @@ func newSpecScan(spec *ScanSpec, schema *telco.Schema) *specScan {
 	return ss
 }
 
-// zonePrune reports whether a v3 chunk's per-column integer zone maps
-// prove one of the spec's predicates unsatisfiable for every row.
-func (ss *specScan) zonePrune(ch segment.Chunk) bool {
-	if ss.spec == nil || len(ch.Cols) == 0 {
-		return false
-	}
-	for pi, p := range ss.spec.Preds {
-		ci := ss.predCol[pi]
-		if ci < 0 || ci >= len(ch.Cols) || ss.full.Fields[ci].Kind != telco.KindInt {
+// zonePrune reports whether a v3 chunk's per-column integer zone maps prove
+// one of preds unsatisfiable for every row. predCol holds each predicate's
+// position in the stored schema full; predicates the table cannot resolve
+// (-1) or whose column is not an integer decide nothing.
+func zonePrune(preds []scanspec.Pred, predCol []int, full *telco.Schema, ch *segment.Chunk) bool {
+	for pi, p := range preds {
+		ci := predCol[pi]
+		if ci < 0 || ci >= len(ch.Cols) || full.Fields[ci].Kind != telco.KindInt {
 			continue
 		}
 		if cm := ch.Cols[ci]; cm.HasZone && p.ZonePrune(cm.Min, cm.Max) {
@@ -327,6 +328,15 @@ func (ss *specScan) zonePrune(ch segment.Chunk) bool {
 		}
 	}
 	return false
+}
+
+// prune is the row scan's own chunk test: the spec's predicates against
+// the column zone maps.
+func (ss *specScan) prune(ch *segment.Chunk) pruneReason {
+	if ss.spec != nil && zonePrune(ss.spec.Preds, ss.predCol, ss.full, ch) {
+		return prunePred
+	}
+	return pruneNone
 }
 
 // filter drops rows failing the spec's resolvable predicates, in place.
@@ -350,61 +360,13 @@ func (ss *specScan) filter(tab *telco.Table) {
 	tab.Rows = rows
 }
 
-// blobText returns a legacy whole-blob leaf's inflated wire text through
-// the chunk cache, accruing I/O costs into prof. Cache misses dedupe
-// through the chunk singleflight: when another goroutine is already
-// inflating this blob, the call waits and shares its text, charging
-// nothing (the leader's profile carries the cost).
-func (e *Engine) blobText(ref string, c compress.Codec, prof *Profile) ([]byte, error) {
-	key := ref + legacyCacheSuffix
-	text, ok := e.chunkCache.Get(key)
-	if prof != nil {
-		if ok {
-			prof.CacheHits++
-		} else {
-			prof.CacheMisses++
-		}
-	}
-	if ok {
-		return text, nil
-	}
-	text, shared, err := e.chunkFlight.do(key, func() ([]byte, error) {
-		t0 := time.Now()
-		comp, err := e.fs.ReadFile(ref)
-		if err != nil {
-			return nil, fmt.Errorf("core: read %s: %w", ref, err)
-		}
-		t1 := time.Now()
-		text, err := c.Decompress(nil, comp)
-		if err != nil {
-			return nil, fmt.Errorf("core: decompress %s: %w", ref, err)
-		}
-		e.met.leafBytes.Add(int64(len(text)))
-		e.chunkCache.Put(key, text)
-		if prof != nil {
-			prof.DFSReads++
-			prof.InflatedBytes += int64(len(text))
-			prof.ReadNS += t1.Sub(t0).Nanoseconds()
-			prof.DecodeNS += time.Since(t1).Nanoseconds()
-		}
-		return text, nil
-	})
-	if shared {
-		e.met.sfShared.Inc()
-	}
-	return text, err
-}
-
-// chunkRows returns chunk i's rows under proj. The chunk's inflated bytes
-// come through the chunk cache — one entry per chunk, shared by every
-// projection — and a miss fetches and inflates through the singleflight,
-// so concurrent scan workers (or concurrent queries) needing the same
-// chunk pay for one inflate. The typed decode of the wanted columns then
-// runs per caller, on a hit as on a miss. The miss's leader charges the
-// inflated bytes and decoded columns to its profile; hits and sharers
-// charge nothing.
-func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projection, prof *Profile) ([]telco.Record, error) {
-	key := chunkCacheKey(ref, r.Version(), i)
+// cachedChunk returns the inflated bytes the chunk cache holds under key,
+// fetching them on a miss. Misses dedupe through the chunk singleflight:
+// when another goroutine — a sibling scan worker, a concurrent query — is
+// already fetching the key, the call waits and shares its bytes. leader
+// reports that this caller ran fetch itself; it alone charges what the
+// fetch cost to its profile, hits and sharers charge nothing.
+func (e *Engine) cachedChunk(key string, prof *Profile, fetch func() ([]byte, error)) (data []byte, leader bool, err error) {
 	var t0 time.Time
 	if prof != nil {
 		t0 = time.Now()
@@ -418,33 +380,76 @@ func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projectio
 			prof.CacheMisses++
 		}
 	}
-	leader := false
-	if !ok {
-		var shared bool
-		var err error
-		data, shared, err = e.chunkFlight.do(key, func() ([]byte, error) {
-			t1 := time.Now()
-			data, err := r.ChunkBytes(i)
-			if err != nil {
-				return nil, fmt.Errorf("core: read %s: %w", ref, err)
-			}
-			if prof != nil {
-				// The chunk fetch issues one ranged DFS read and inflates
-				// in one step; both land in the read phase.
-				prof.DFSReads++
-				prof.ReadNS += time.Since(t1).Nanoseconds()
-			}
-			e.chunkCache.Put(key, data)
-			return data, nil
-		})
-		if shared {
-			e.met.sfShared.Inc()
-		}
-		if err != nil {
-			return nil, err
-		}
-		leader = !shared
+	if ok {
+		return data, false, nil
 	}
+	data, shared, err := e.chunkFlight.do(key, func() ([]byte, error) {
+		data, err := fetch()
+		if err == nil {
+			e.chunkCache.Put(key, data)
+		}
+		return data, err
+	})
+	if shared {
+		e.met.sfShared.Inc()
+	}
+	return data, err == nil && !shared, err
+}
+
+// blobText returns a legacy whole-blob leaf's inflated wire text through
+// the chunk cache, accruing I/O costs into prof.
+func (e *Engine) blobText(ref string, c compress.Codec, prof *Profile) ([]byte, error) {
+	text, leader, err := e.cachedChunk(ref+legacyCacheSuffix, prof, func() ([]byte, error) {
+		t0 := time.Now()
+		comp, err := e.fs.ReadFile(ref)
+		if err != nil {
+			return nil, fmt.Errorf("core: read %s: %w", ref, err)
+		}
+		t1 := time.Now()
+		text, err := c.Decompress(nil, comp)
+		if err != nil {
+			return nil, fmt.Errorf("core: decompress %s: %w", ref, err)
+		}
+		if prof != nil {
+			prof.DFSReads++
+			prof.ReadNS += t1.Sub(t0).Nanoseconds()
+			prof.DecodeNS += time.Since(t1).Nanoseconds()
+		}
+		return text, nil
+	})
+	if leader {
+		e.met.leafBytes.Add(int64(len(text)))
+		if prof != nil {
+			prof.InflatedBytes += int64(len(text))
+		}
+	}
+	return text, err
+}
+
+// chunkRows returns chunk i's rows under proj. The chunk's inflated bytes
+// come through the chunk cache — one entry per chunk, shared by every
+// projection — and the typed decode of the wanted columns then runs per
+// caller, on a hit as on a miss. The miss's leader charges the inflated
+// bytes and decoded columns to its profile.
+func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projection, prof *Profile) ([]telco.Record, error) {
+	data, leader, err := e.cachedChunk(chunkCacheKey(ref, r.Version(), i), prof, func() ([]byte, error) {
+		t0 := time.Now()
+		data, err := r.ChunkBytes(i)
+		if err != nil {
+			return nil, fmt.Errorf("core: read %s: %w", ref, err)
+		}
+		if prof != nil {
+			// The chunk fetch issues one ranged DFS read and inflates in
+			// one step; both land in the read phase.
+			prof.DFSReads++
+			prof.ReadNS += time.Since(t0).Nanoseconds()
+		}
+		return data, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var t0 time.Time
 	if prof != nil {
 		t0 = time.Now()
 	}
@@ -473,19 +478,47 @@ func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projectio
 	return rows, nil
 }
 
-// scanLeafTable streams one stored leaf table through fn as tables in the
-// scan's projected layout. Segment files are pruned chunk by chunk — by
-// window and cell candidates, and under a spec by the per-column zone maps
-// of its predicates — and only surviving chunks are fetched (ranged),
-// inflated and decoded, just the projected columns of them; fn runs once
-// per chunk in row order. Legacy whole-blob leaves decompress in full and
-// fn runs once. Rows failing the spec's predicates are dropped before fn
-// sees them. Inflated chunks are served from and installed into the
-// engine's chunk cache. The returned counts cover segment chunks (a legacy
-// blob counts as one scanned chunk). A non-nil prof accrues the per-query
-// cost split (prune reasons, cache hits, inflated bytes, ranged reads,
-// phase timings) alongside the fleet counters.
-func (e *Engine) scanLeafTable(ref string, c compress.Codec, pr leafPrune, ss *specScan, prof *Profile, fn func(*telco.Table) error) (scanned, pruned int, err error) {
+// leafSink is where a leaf walk's rows go. The walk consults it chunk by
+// chunk: prune says whether the chunk's metadata, beyond the scan's window
+// and cell candidates, proves no row passes; layout names the projection
+// the chunk decodes under, or nil when the sink answered the chunk from its
+// metadata alone; rows takes the decoded rows, laid out as layout said. A
+// legacy whole-blob leaf has no metadata: it is never pruned and reaches
+// layout as a nil chunk.
+type leafSink interface {
+	prune(ch *segment.Chunk) pruneReason
+	layout(ch *segment.Chunk) *projection
+	rows(p *projection, rows []telco.Record) error
+}
+
+// rowSink hands a row scan's chunks to fn as tables in the scan's
+// projected layout, rows failing the spec's predicates already dropped.
+type rowSink struct {
+	*specScan
+	fn func(*telco.Table) error
+}
+
+func (s rowSink) layout(*segment.Chunk) *projection { return &s.projection }
+
+func (s rowSink) rows(_ *projection, rows []telco.Record) error {
+	tab := s.table(rows)
+	s.filter(tab)
+	return s.fn(tab)
+}
+
+// walkLeaf is the one leaf loop every scan runs: it streams a stored leaf
+// table into sink. Segment files are pruned chunk by chunk — by window and
+// cell candidates, then by whatever the sink's own metadata tests prove —
+// and only surviving chunks are fetched (ranged), inflated and decoded,
+// just the columns of the sink's layout; a chunk the sink answers from
+// metadata is never fetched. The sink sees chunks in row order. Legacy
+// whole-blob leaves decompress in full, as one chunk. Inflated chunks are
+// served from and installed into the engine's chunk cache. The returned
+// counts cover segment chunks (a legacy blob counts as one scanned chunk).
+// A non-nil prof accrues the per-query cost split (prune reasons, cache
+// hits, inflated bytes, ranged reads, phase timings) alongside the fleet
+// counters.
+func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafSink, prof *Profile) (scanned, pruned int, err error) {
 	defer func() {
 		e.met.chunksScanned.Add(int64(scanned))
 		e.met.chunksPruned.Add(int64(pruned))
@@ -504,45 +537,53 @@ func (e *Engine) scanLeafTable(ref string, c compress.Codec, pr leafPrune, ss *s
 		if err != nil {
 			return 0, 0, err
 		}
-		rows, _, err := telco.DecodeRows(ss.full, ss.cols, text)
+		p := sink.layout(nil)
+		rows, _, err := telco.DecodeRows(p.full, p.cols, text)
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: decode %s: %w", ref, err)
 		}
-		tab := ss.table(rows)
-		ss.filter(tab)
-		return 1, 0, fn(tab)
+		return 1, 0, sink.rows(p, rows)
 	}
 	r, err := segment.Open(f, f.Size(), c)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: open segment %s: %w", ref, err)
 	}
-	for i, ch := range r.Chunks() {
-		if reason := pr.skip(ch); reason != pruneNone {
+	chunks := r.Chunks()
+	for i := range chunks {
+		ch := &chunks[i]
+		reason := pr.skip(*ch)
+		if reason == pruneNone {
+			reason = sink.prune(ch)
+		}
+		if reason != pruneNone {
 			pruned++
 			if prof != nil {
-				if reason == pruneZone {
+				switch reason {
+				case pruneZone:
 					prof.ChunksPrunedZone++
-				} else {
+				case pruneBloom:
 					prof.ChunksPrunedBloom++
+				default:
+					prof.ChunksPrunedPred++
 				}
 			}
 			continue
 		}
-		if ss.zonePrune(ch) {
-			pruned++
+		p := sink.layout(ch)
+		if p == nil {
+			scanned++
 			if prof != nil {
-				prof.ChunksPrunedPred++
+				prof.ChunksAggMeta++
+				prof.ColumnsSkipped += len(ch.Cols)
 			}
 			continue
 		}
-		rows, err := e.chunkRows(r, ref, i, &ss.projection, prof)
+		rows, err := e.chunkRows(r, ref, i, p, prof)
 		if err != nil {
 			return scanned, pruned, err
 		}
-		tab := ss.table(rows)
-		ss.filter(tab)
 		scanned++
-		if err := fn(tab); err != nil {
+		if err := sink.rows(p, rows); err != nil {
 			return scanned, pruned, err
 		}
 	}

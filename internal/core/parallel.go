@@ -6,30 +6,26 @@ import (
 	"time"
 )
 
-// This file is the engine's parallel scan pipeline: a bounded-worker
-// scheduler that fans independent leaf×table scan units out across
-// Options.ScanWorkers goroutines while emitting their results to the
-// caller strictly in unit order (so parallel scans stay bit-for-bit
-// identical to the sequential, chronological output the cluster parity
-// contract depends on), plus the two singleflight layers that keep a
-// parallel read side from duplicating work: a per-chunk-key flight group
-// so concurrent workers (and concurrent queries) inflating the same chunk
-// decompress it once, and a per-query-key result flight so a thundering
-// herd of identical explorations costs one scan.
+// This file is the schedule stage of the engine's one scan pipeline (plan →
+// schedule → leaf walk): a bounded-worker scheduler that runs a plan's
+// independent units on a pool of Options.ScanWorkers workers while emitting
+// their results to the caller strictly in unit order (so answers are
+// bit-for-bit the same at every width, which the cluster parity contract
+// depends on), plus the two singleflight layers that keep a parallel read
+// side from duplicating work: a per-chunk-key flight group so concurrent
+// workers (and concurrent queries) inflating the same chunk decompress it
+// once, and a per-query-key result flight so a thundering herd of identical
+// explorations costs one scan.
 
-// scanWorker is the per-goroutine state a scan unit runs under: a stable
-// worker id (call sites key per-worker fold state off it) and a private
-// profile accumulator, merged into the query profile after the fan-out so
-// workers never contend on shared counters mid-scan.
+// scanWorker is the per-worker state a scan unit runs under: a stable
+// worker id (call sites key per-worker fold state off it) and the profile
+// the unit accrues into — private to the worker on a fan-out and merged
+// into the query profile afterwards, so workers never contend on shared
+// counters mid-scan.
 type scanWorker struct {
 	id   int
 	prof *Profile // nil on unprofiled scans
 }
-
-// scanUnit is one independent piece of a scan — typically one (leaf,
-// table) pair. Units must not touch shared mutable state: everything they
-// produce is handed back through the return value and emitted in order.
-type scanUnit func(w *scanWorker) (any, error)
 
 // unitOut is one unit's completion record, filled by a worker and consumed
 // by the in-order emitter.
@@ -52,23 +48,39 @@ type scanScheduler struct {
 	stopped bool
 }
 
-// runUnits executes units on up to `workers` goroutines, calling emit(i, v)
-// on the calling goroutine in strict unit order. The first error — a unit
-// failure, an emit failure, or ctx expiring (checked before every unit) —
-// wins: no further units are claimed, in-flight workers drain, and the
-// lowest-index error is returned. Per-worker profiles and wall/decode
-// timings fold into prof (worker entries merged by id), so parallel scans
-// report the same summed counters the sequential path would.
-func (e *Engine) runUnits(ctx context.Context, workers int, units []scanUnit, prof *Profile, emit func(i int, v any) error) error {
-	n := len(units)
-	if n == 0 {
-		return ctx.Err()
-	}
+// runUnits is the only executor of scan units: it calls run(w, i) for every
+// unit i in [0, n) — typically one (leaf, table) pair — on a pool of up to
+// `workers` workers, and emit(i, v) with each unit's value on the calling
+// goroutine in strict unit order. Units must not touch shared mutable
+// state: everything they produce goes back through the return value. The
+// first error — a unit failure, an emit failure, or ctx expiring (checked
+// before every unit) — wins: no further units start, in-flight workers
+// drain, and the lowest-index error is returned.
+//
+// A pool of one — ScanWorkers 1, or a single unit — is the calling
+// goroutine itself: units run inline in order, accruing straight into prof.
+// A wider pool gives each worker a private profile; those and the
+// per-worker wall/decode timings fold into prof afterwards (worker entries
+// merged by id), so every width reports the same summed counters.
+func (e *Engine) runUnits(ctx context.Context, workers, n int, prof *Profile, run func(w *scanWorker, i int) (any, error), emit func(i int, v any) error) error {
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		sw := &scanWorker{prof: prof}
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			v, err := run(sw, i)
+			if err != nil {
+				return err
+			}
+			if err := emit(i, v); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	s := &scanScheduler{out: make([]unitOut, n)}
 	s.cond = sync.NewCond(&s.mu)
@@ -108,7 +120,7 @@ func (e *Engine) runUnits(ctx context.Context, workers int, units []scanUnit, pr
 				err := ctx.Err()
 				if err == nil {
 					t0 := time.Now()
-					v, err = units[i](sw)
+					v, err = run(sw, i)
 					st.WallNS += time.Since(t0).Nanoseconds()
 					st.Units++
 				}

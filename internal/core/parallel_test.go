@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,8 +19,8 @@ import (
 	"spate/internal/telco"
 )
 
-// normalizeParallel strips the fields that legitimately differ between a
-// sequential and a parallel evaluation of the same query: wall-clock
+// normalizeParallel strips the fields that legitimately differ between
+// evaluations of the same query at different scan widths: wall-clock
 // timings, trace ids, and the parallelism shape itself. Everything else —
 // rows, aggregates, highlights, and every scan/prune/cache counter — must
 // be bit-for-bit identical.
@@ -35,12 +36,12 @@ func normalizeParallel(res *Result) {
 	res.Profile.Workers = nil
 }
 
-// TestParallelExploreParity is the PR's core property test: the same store
-// queried with 1, 4 and 8 scan workers must produce identical results —
-// same rows in the same per-table order, same aggregates, and the same
-// deterministic cost counters. The engines are opened fresh over one
-// shared DFS (the recovery path), so sealed days force parallel summary
-// rebuilds too.
+// TestParallelExploreParity is the scan pipeline's core property test: the
+// same store queried with 1, 4 and 8 scan workers must produce identical
+// results — same rows in the same order, the same sequence of scan
+// callbacks, same aggregates, and the same deterministic cost counters.
+// The engines are opened fresh over one shared DFS (the recovery path), so
+// sealed days force parallel summary rebuilds too.
 func TestParallelExploreParity(t *testing.T) {
 	r := newRig(t, Options{LeafSpatialPrune: true})
 	r.ingestEpochs(t, telco.EpochsPerDay+4) // one sealed day + an open tail
@@ -67,15 +68,32 @@ func TestParallelExploreParity(t *testing.T) {
 		{Window: wSub},
 	}
 
+	type scanCall struct {
+		name string
+		rows []telco.Record
+	}
 	type observation struct {
 		explores []*Result
-		rows     map[string][]telco.Record
 		parts    []scanspec.Partial
 	}
 	spec := &scanspec.Spec{
 		Preds:     []scanspec.Pred{{Col: "duration", Op: ">=", Kind: "int", Val: "60"}},
 		Aggs:      []scanspec.Agg{{Fn: "COUNT"}, {Fn: "SUM", Col: "duration"}},
 		RequireTS: true,
+	}
+	// Row streams: the full (table name, rows) call sequence is the parity
+	// contract — leaf by leaf, table names sorted within a leaf.
+	scanCalls := func(e *Engine) []scanCall {
+		var calls []scanCall
+		err := e.ScanTablesSpec(context.Background(), wSub, nil, nil,
+			func(name string, tab *telco.Table) error {
+				calls = append(calls, scanCall{name, tab.Rows})
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls
 	}
 	observe := func(e *Engine) observation {
 		var o observation
@@ -87,18 +105,6 @@ func TestParallelExploreParity(t *testing.T) {
 			normalizeParallel(res)
 			o.explores = append(o.explores, res)
 		}
-		// Row streams: emit order across tables is unspecified (the
-		// sequential path walks each leaf's tables in map order), but the
-		// per-table concatenation is the parity contract.
-		o.rows = make(map[string][]telco.Record)
-		err := e.ScanTablesSpec(context.Background(), wSub, nil, nil,
-			func(name string, tab *telco.Table) error {
-				o.rows[name] = append(o.rows[name], tab.Rows...)
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
 		parts, err := e.AggregatePartials(context.Background(), wFull, "CDR", spec)
 		if err != nil {
 			t.Fatal(err)
@@ -107,21 +113,30 @@ func TestParallelExploreParity(t *testing.T) {
 		return o
 	}
 
-	seq := observe(open(1))
+	one := open(1)
+	seq := observe(one)
+	if calls := scanCalls(one); calls[0].name == calls[1].name {
+		t.Fatalf("first scan calls are both %q: a leaf's tables must interleave for the order to mean anything", calls[0].name)
+	}
 	for _, workers := range []int{4, 8} {
-		par := observe(open(workers))
+		wide := open(workers)
+		par := observe(wide)
 		for i := range queries {
 			if !reflect.DeepEqual(seq.explores[i], par.explores[i]) {
-				t.Errorf("workers=%d query %d diverged from sequential:\nseq: %+v\npar: %+v",
+				t.Errorf("workers=%d query %d diverged from one worker:\none:  %+v\nwide: %+v",
 					workers, i, seq.explores[i], par.explores[i])
 			}
 		}
-		if !reflect.DeepEqual(seq.rows, par.rows) {
-			t.Errorf("workers=%d ScanTablesSpec row streams diverged", workers)
-		}
 		if !reflect.DeepEqual(seq.parts, par.parts) {
-			t.Errorf("workers=%d aggregate partials diverged:\nseq: %+v\npar: %+v",
+			t.Errorf("workers=%d aggregate partials diverged:\none:  %+v\nwide: %+v",
 				workers, seq.parts, par.parts)
+		}
+		// Repeated: an order that depends on map iteration or on scheduling
+		// agrees by luck some of the time.
+		for round := 0; round < 20; round++ {
+			if !reflect.DeepEqual(scanCalls(one), scanCalls(wide)) {
+				t.Fatalf("round %d workers=%d ScanTablesSpec call sequence diverged", round, workers)
+			}
 		}
 	}
 }
@@ -157,69 +172,69 @@ func TestParallelProfileShape(t *testing.T) {
 }
 
 // TestParallelScanCancellation cancels the context from inside the emit
-// callback of a parallel scan; the scan must stop claiming units and
-// surface context.Canceled instead of completing.
+// callback of a scan, at a pool of one and of four; the scan must stop
+// starting units and surface context.Canceled instead of completing.
 func TestParallelScanCancellation(t *testing.T) {
-	r := newRig(t, Options{ScanWorkers: 4})
-	// Enough leaves that units remain unclaimed past the scheduler's
-	// bounded lookahead when the first table is emitted.
-	r.ingestEpochs(t, 24)
-	r.e.FinishIngest()
-	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(12*time.Hour))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	emits := 0
-	err := r.e.ScanTablesSpec(ctx, w, nil, nil, func(string, *telco.Table) error {
-		emits++
-		cancel()
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanTablesSpec after mid-scan cancel = %v, want context.Canceled", err)
-	}
-	if emits == 0 {
-		t.Fatal("callback never ran")
+	for _, workers := range []int{1, 4} {
+		r := newRig(t, Options{ScanWorkers: workers})
+		// Enough leaves that units remain unclaimed past the scheduler's
+		// bounded lookahead when the first table is emitted.
+		r.ingestEpochs(t, 24)
+		r.e.FinishIngest()
+		w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(12*time.Hour))
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		emits := 0
+		err := r.e.ScanTablesSpec(ctx, w, nil, nil, func(string, *telco.Table) error {
+			emits++
+			cancel()
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: ScanTablesSpec after mid-scan cancel = %v, want context.Canceled", workers, err)
+		}
+		if emits == 0 {
+			t.Fatalf("workers=%d: callback never ran", workers)
+		}
 	}
 }
 
-// TestRunUnitsOrderAndErrors drives the scheduler directly: emits must
-// arrive in unit order whatever order workers finish in, and the
-// lowest-index failure wins deterministically.
+// TestRunUnitsOrderAndErrors drives the scheduler directly, as a pool of
+// one and of four: emits must arrive in unit order whatever order workers
+// finish in, the lowest-index failure wins deterministically, a cancel
+// from emit surfaces context.Canceled, and an emit error stops further
+// units. A pool of one — width 1, or one unit at any width — runs on the
+// calling goroutine and starts none.
 func TestRunUnitsOrderAndErrors(t *testing.T) {
-	r := newRig(t, Options{ScanWorkers: 4})
+	r := newRig(t, Options{})
 	const n = 64
-	units := make([]scanUnit, n)
-	for i := range units {
-		i := i
-		units[i] = func(*scanWorker) (any, error) {
+	discard := func(int, any) error { return nil }
+	for _, workers := range []int{1, 4} {
+		var got []int
+		err := r.e.runUnits(context.Background(), workers, n, nil, func(_ *scanWorker, i int) (any, error) {
 			if i%7 == 0 {
 				time.Sleep(time.Millisecond) // scramble completion order
 			}
 			return i, nil
+		}, func(i int, v any) error {
+			got = append(got, v.(int))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var got []int
-	err := r.e.runUnits(context.Background(), 4, units, nil, func(i int, v any) error {
-		got = append(got, v.(int))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("emit order broken at %d: got %v", i, got[:i+1])
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: emit order broken at %d: got %v", workers, i, got[:i+1])
+			}
 		}
-	}
-	if len(got) != n {
-		t.Fatalf("emitted %d units, want %d", len(got), n)
-	}
+		if len(got) != n {
+			t.Fatalf("workers=%d: emitted %d units, want %d", workers, len(got), n)
+		}
 
-	errLow := errors.New("low")
-	errHigh := errors.New("high")
-	for i := range units {
-		i := i
-		units[i] = func(*scanWorker) (any, error) {
+		errLow := errors.New("low")
+		errHigh := errors.New("high")
+		err = r.e.runUnits(context.Background(), workers, n, nil, func(_ *scanWorker, i int) (any, error) {
 			switch i {
 			case 3:
 				time.Sleep(5 * time.Millisecond)
@@ -229,11 +244,53 @@ func TestRunUnitsOrderAndErrors(t *testing.T) {
 			default:
 				return i, nil
 			}
+		}, discard)
+		if !errors.Is(err, errLow) {
+			t.Fatalf("workers=%d: error = %v, want lowest-index error %v", workers, err, errLow)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		err = r.e.runUnits(ctx, workers, n, nil, func(_ *scanWorker, i int) (any, error) { return i, nil },
+			func(int, any) error { cancel(); return nil })
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancel from emit = %v, want context.Canceled", workers, err)
+		}
+
+		// An emit error is returned and no unit far enough behind it to lie
+		// beyond the bounded lookahead ever starts.
+		errEmit := errors.New("emit")
+		var started atomic.Int32
+		err = r.e.runUnits(context.Background(), workers, n, nil, func(_ *scanWorker, i int) (any, error) {
+			started.Add(1)
+			return i, nil
+		}, func(i int, _ any) error {
+			if i == 2 {
+				return errEmit
+			}
+			return nil
+		})
+		if !errors.Is(err, errEmit) {
+			t.Fatalf("workers=%d: error = %v, want the emit error", workers, err)
+		}
+		if got, limit := int(started.Load()), 3+4*workers+workers; got > limit || (workers == 1 && got != 3) {
+			t.Fatalf("workers=%d: %d units started after an emit error at unit 2 (limit %d)", workers, got, limit)
 		}
 	}
-	err = r.e.runUnits(context.Background(), 4, units, nil, func(int, any) error { return nil })
-	if !errors.Is(err, errLow) {
-		t.Fatalf("error = %v, want lowest-index error %v", err, errLow)
+
+	// A pool of one is the caller's goroutine: the unit sees the goroutine
+	// count the caller saw.
+	for _, tc := range []struct{ workers, units int }{{1, n}, {4, 1}} {
+		before := runtime.NumGoroutine()
+		err := r.e.runUnits(context.Background(), tc.workers, tc.units, nil, func(*scanWorker, int) (any, error) {
+			if now := runtime.NumGoroutine(); now != before {
+				t.Errorf("workers=%d units=%d: %d goroutines inside a unit, %d before the call", tc.workers, tc.units, now, before)
+			}
+			return nil, nil
+		}, discard)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -50,10 +50,10 @@ type Profile struct {
 	DecodeNS int64 `json:"decode_ns,omitempty"`
 	LookupNS int64 `json:"lookup_ns,omitempty"`
 
-	// ScanWorkers is the widest fan-out any parallel scan phase in this
-	// query ran with (1 on the sequential path); ParallelUnits counts the
-	// leaf×table scan units dispatched through the scheduler across all
-	// phases. Workers carries the per-worker wall/decode split. On a cluster
+	// ScanWorkers is the widest fan-out any scan phase in this query ran
+	// with and ParallelUnits counts the leaf×table scan units those
+	// fan-outs dispatched; a phase run by a pool of one (width 1, or a
+	// single unit) reports neither. Workers carries the per-worker wall/decode split. On a cluster
 	// profile, ScanWorkers is the max across shards and ParallelUnits the
 	// sum; Workers stays per-shard (under Shards) since worker ids only
 	// mean something within one engine.

@@ -222,14 +222,14 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	// serves) — fresh rows are visible exactly once either way.
 	memt, memAfter := e.memAfterLocked()
 	var memParts []*highlights.Summary
-	var memTabs []memTab
 	if memt != nil {
 		memParts = memt.Parts(q.Window, memAfter, e.opts.Highlights)
-		if q.ExactRows {
-			memTabs = collectMemTabs(memt, q.Window, q.Tables, memAfter)
-		}
 	}
-	if covering == nil && len(memParts) == 0 && len(memTabs) == 0 {
+	var rowSrc scanSources
+	if q.ExactRows {
+		rowSrc = e.captureLocked(q.Window, q.Tables)
+	}
+	if covering == nil && len(memParts) == 0 && len(rowSrc.memTabs) == 0 {
 		e.mu.RUnlock()
 		return nil, fmt.Errorf("core: no data ingested")
 	}
@@ -247,12 +247,8 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	// node's materialized summary cannot know about them.
 	fast := q.Fast && coveringSummary != nil && !q.ExactRows && len(memParts) == 0
 	var srcs []partSrc
-	var leaves []leafRef
 	if !fast && covering != nil {
 		srcs = e.planSummaries(e.tree.Root(), q.Window, nil, res)
-		if q.ExactRows {
-			leaves = e.rowLeaves(q.Window)
-		}
 	}
 	e.mu.RUnlock()
 	sr.add(StagePlan, time.Since(tPlan).Nanoseconds())
@@ -307,10 +303,7 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 
 	if q.ExactRows {
 		tRows := time.Now()
-		err := e.fetchRows(ctx, q, env, leaves, res)
-		if err == nil {
-			e.appendMemRows(env, memTabs, res)
-		}
+		err := e.fetchRows(ctx, q, env, rowSrc, res)
 		sr.add(StageRows, time.Since(tRows).Nanoseconds())
 		if err != nil {
 			return nil, err
@@ -387,21 +380,13 @@ func (e *Engine) FetchRows(ctx context.Context, q Query) (map[string]*telco.Tabl
 	ctx, span := e.met.tracer.StartSpan(ctx, "row_fetch")
 	defer span.End()
 	t0 := time.Now()
-	e.mu.RLock()
-	leaves := e.rowLeaves(q.Window)
-	memt, memAfter := e.memAfterLocked()
-	var memTabs []memTab
-	if memt != nil {
-		memTabs = collectMemTabs(memt, q.Window, q.Tables, memAfter)
-	}
-	e.mu.RUnlock()
+	src := e.capture(q.Window, q.Tables)
 	env := e.newQueryEnv(&q.Window, q.Tables, q.Box)
 	res := &Result{}
-	if err := e.fetchRows(ctx, q, env, leaves, res); err != nil {
+	if err := e.fetchRows(ctx, q, env, src, res); err != nil {
 		span.SetError(err)
 		return nil, err
 	}
-	e.appendMemRows(env, memTabs, res)
 	e.met.scannedLeaves.Add(int64(res.ScannedLeaves))
 	e.met.prunedLeaves.Add(int64(res.PrunedLeaves))
 	res.Profile.LeavesScanned = res.ScannedLeaves
@@ -470,6 +455,12 @@ func (env *queryEnv) wantTable(name string) bool {
 	return ok
 }
 
+// inBoxRow reports whether a row passes the query's spatial filter; rows
+// of tables without a cell id (cellIdx < 0) always do.
+func (env *queryEnv) inBoxRow(r telco.Record, cellIdx int) bool {
+	return env.inBox == nil || cellIdx < 0 || env.inBox[r[cellIdx].Int64()]
+}
+
 // partSrc is one planned contribution to a window's answer: a summary
 // already materialized in the tree, or — when sum is nil — a leaf whose
 // summary must be rebuilt from its compressed snapshot tables.
@@ -500,6 +491,91 @@ func (e *Engine) rowLeaves(w telco.TimeRange) []leafRef {
 		out[i] = leafRef{decayed: n.Decayed, refs: n.DataRefs, sum: n.Summary}
 	}
 	return out
+}
+
+// scanSources is the lock-free capture an exact-data read of a window
+// starts from: the window's leaves and the unsealed memtable's tables.
+type scanSources struct {
+	leaves  []leafRef
+	memTabs []memTab
+}
+
+// captureLocked snapshots the sources of window w. Leaves and memtable
+// watermark come from one acquisition of e.mu — the caller's — so a fresh
+// row is visible exactly once whichever side of a concurrent seal it is on.
+func (e *Engine) captureLocked(w telco.TimeRange, tables []string) scanSources {
+	src := scanSources{leaves: e.rowLeaves(w)}
+	if memt, memAfter := e.memAfterLocked(); memt != nil {
+		src.memTabs = collectMemTabs(memt, w, tables, memAfter)
+	}
+	return src
+}
+
+// capture is captureLocked under the engine read lock.
+func (e *Engine) capture(w telco.TimeRange, tables []string) scanSources {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.captureLocked(w, tables)
+}
+
+// unit is one (leaf, table) pair of a scan plan: the stored table a worker
+// walks.
+type unit struct {
+	name, ref string
+	schema    *telco.Schema
+}
+
+// scanPlan is the plan stage's output: the units to run, in emit order,
+// and what became of the window's leaves.
+type scanPlan struct {
+	units                    []unit
+	scanned, decayed, pruned int // leaves
+}
+
+// planUnits is the plan stage of every exact-data read: captured leaves ×
+// wanted tables become one ordered unit list — leaves in temporal order,
+// table names sorted within a leaf — so results are emitted in the same
+// order at every scan width. Decayed leaves are skipped (their raw data is
+// gone), and under Options.LeafSpatialPrune so is a leaf whose summary
+// holds no cell of the query box (§V-A).
+func (e *Engine) planUnits(leaves []leafRef, env *queryEnv) (scanPlan, error) {
+	var p scanPlan
+	for _, l := range leaves {
+		if l.decayed || l.refs == nil {
+			if l.decayed {
+				p.decayed++
+			}
+			continue
+		}
+		if e.opts.LeafSpatialPrune && env.inBox != nil && l.sum != nil {
+			hit := false
+			for id := range l.sum.Cells {
+				if env.inBox[id] {
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				p.pruned++
+				continue
+			}
+		}
+		p.scanned++
+		first := len(p.units)
+		for name, ref := range l.refs {
+			if !env.wantTable(name) {
+				continue
+			}
+			schema := telco.SchemaByName(name)
+			if schema == nil {
+				return p, fmt.Errorf("core: decode %s: unknown schema %q", ref, name)
+			}
+			p.units = append(p.units, unit{name: name, ref: ref, schema: schema})
+		}
+		tail := p.units[first:]
+		sort.Slice(tail, func(i, j int) bool { return tail[i].name < tail[j].name })
+	}
+	return p, nil
 }
 
 // planSummaries selects the parts answering window w, preferring coarse
@@ -551,66 +627,33 @@ func (e *Engine) planSummaries(n *index.Node, w telco.TimeRange, srcs []partSrc,
 }
 
 // buildParts turns a query plan into summary parts in order, rebuilding
-// the leaves the plan marked. ctx is consulted before every rebuild — the
-// expensive step — so a canceled request abandons the collection promptly.
-// With ScanWorkers > 1 and more than one rebuild, the rebuilds fan out
-// across the parallel scheduler; materialized summaries are slotted
+// the leaves the plan marked through the scan scheduler. ctx is consulted
+// before every rebuild — the expensive step — so a canceled request
+// abandons the collection promptly. Materialized summaries are slotted
 // directly and every part keeps its chronological plan position, so the
-// flat Merge downstream associates identically to the sequential path.
+// flat Merge downstream associates identically at every scan width.
 func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result) ([]*highlights.Summary, error) {
-	rebuilds := 0
-	for _, src := range srcs {
-		if src.sum == nil {
-			rebuilds++
-		}
-	}
-	workers := e.scanWorkers()
-	if workers <= 1 || rebuilds <= 1 {
-		parts := make([]*highlights.Summary, 0, len(srcs))
-		var c compress.Codec
-		for _, src := range srcs {
-			if src.sum != nil {
-				parts = append(parts, src.sum)
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if c == nil {
-				c = e.codec()
-			}
-			t0 := time.Now()
-			s, err := e.buildLeafSummary(c, src.period, src.refs, &res.Profile)
-			res.leafDecode += time.Since(t0)
-			if err != nil {
-				return nil, err
-			}
-			res.ScannedLeaves++
-			parts = append(parts, s)
-		}
-		return parts, nil
-	}
-
 	parts := make([]*highlights.Summary, len(srcs))
-	c := e.codec()
-	var units []scanUnit
-	var slots []int // unit index -> srcs index
+	var slots []int // rebuild index -> srcs index
 	for i, src := range srcs {
 		if src.sum != nil {
 			parts[i] = src.sum
-			continue
+		} else {
+			slots = append(slots, i)
 		}
-		src := src
-		slots = append(slots, i)
-		units = append(units, func(w *scanWorker) (any, error) {
-			return e.buildLeafSummary(c, src.period, src.refs, w.prof)
-		})
 	}
-	// leaf_decode is a stage of this query's wall clock, so the fan-out is
-	// charged its elapsed time; what each worker spent inside it stays in
-	// Profile.Workers.
+	if len(slots) == 0 {
+		return parts, nil
+	}
+	c := e.codec()
+	// leaf_decode is a stage of this query's wall clock, so the rebuilds are
+	// charged their elapsed time; what each worker of a fan-out spent inside
+	// it stays in Profile.Workers.
 	t0 := time.Now()
-	err := e.runUnits(ctx, workers, units, &res.Profile, func(i int, v any) error {
+	err := e.runUnits(ctx, e.scanWorkers(), len(slots), &res.Profile, func(w *scanWorker, i int) (any, error) {
+		src := srcs[slots[i]]
+		return e.buildLeafSummary(c, src.period, src.refs, w.prof)
+	}, func(i int, v any) error {
 		parts[slots[i]] = v.(*highlights.Summary)
 		res.ScannedLeaves++
 		return nil
@@ -640,10 +683,10 @@ func (e *Engine) buildLeafSummary(c compress.Codec, period telco.TimeRange, refs
 		}
 		attrs := append(e.opts.Highlights.Attrs(name), telco.AttrTS, telco.AttrCellID)
 		ss := &specScan{projection: newProjection(schema, attrs, false)}
-		_, _, err := e.scanLeafTable(ref, c, leafPrune{}, ss, prof, func(tab *telco.Table) error {
+		_, _, err := e.walkLeaf(ref, c, leafPrune{}, rowSink{ss, func(tab *telco.Table) error {
 			s.AddTable(e.opts.Highlights, tab)
 			return nil
-		})
+		}}, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -731,7 +774,7 @@ func (e *Engine) appendMemRows(env *queryEnv, memTabs []memTab, res *Result) {
 			res.Rows[mt.name] = dst
 		}
 		for _, r := range mt.tab.Rows {
-			if env.inBox != nil && cellIdx >= 0 && !env.inBox[r[cellIdx].Int64()] {
+			if !env.inBoxRow(r, cellIdx) {
 				continue
 			}
 			dst.Append(r)
@@ -740,146 +783,48 @@ func (e *Engine) appendMemRows(env *queryEnv, memTabs []memTab, res *Result) {
 	}
 }
 
-// fetchRows streams the window's non-decayed snapshots and filters records
-// by window, box and table selection. Segment leaves prune chunks through
-// their zone maps (window bounds, cell sketch) before decompressing — the
-// per-row filters below remain authoritative, pruning only skips chunks
-// that provably hold no passing row. ctx is consulted before each snapshot.
-//
-// With ScanWorkers > 1 the leaf×table scans fan out across the parallel
-// scheduler: each unit decodes and filters into a private table, and the
-// order-preserving emit appends them leaf by leaf (table names sorted
-// within a leaf), so every per-table row sequence is bit-for-bit the one
-// the sequential path produces.
-func (e *Engine) fetchRows(ctx context.Context, q Query, env *queryEnv, leaves []leafRef, res *Result) error {
+// fetchRows collects the exact rows of the captured sources: the window's
+// non-decayed snapshots filtered by window, box and table selection, then
+// the unsealed rows. Segment leaves prune chunks through their zone maps
+// (window bounds, cell sketch) before decompressing — the per-row filters
+// below remain authoritative, pruning only skips chunks that provably hold
+// no passing row. Each unit decodes and filters into a private table, and
+// the order-preserving emit appends them leaf by leaf (table names sorted
+// within a leaf), so every per-table row sequence is the same at every
+// scan width.
+func (e *Engine) fetchRows(ctx context.Context, q Query, env *queryEnv, src scanSources, res *Result) error {
 	res.Rows = make(map[string]*telco.Table)
+	plan, err := e.planUnits(src.leaves, env)
+	if err != nil {
+		return err
+	}
+	res.ScannedLeaves += plan.scanned
+	res.PrunedLeaves += plan.pruned
 	c := e.codec()
 
-	// keepLeaf applies the decay skip and §V-A leaf spatial pruning with
-	// the sequential path's exact bookkeeping.
-	keepLeaf := func(l leafRef) bool {
-		if l.decayed || l.refs == nil {
-			return false
-		}
-		if e.opts.LeafSpatialPrune && env.inBox != nil && l.sum != nil {
-			hit := false
-			for id := range l.sum.Cells {
-				if env.inBox[id] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				res.PrunedLeaves++
-				return false
-			}
-		}
-		return true
-	}
-	filterInto := func(dst *telco.Table, tab *telco.Table) {
-		tsIdx := tab.Schema.FieldIndex(telco.AttrTS)
-		cellIdx := tab.Schema.FieldIndex(telco.AttrCellID)
-		for _, r := range tab.Rows {
-			if tsIdx >= 0 && !r[tsIdx].IsNull() && !q.Window.Contains(r[tsIdx].Time()) {
-				continue
-			}
-			if env.inBox != nil && cellIdx >= 0 && !env.inBox[r[cellIdx].Int64()] {
-				continue
-			}
-			dst.Append(r)
-		}
-	}
-
-	if e.scanWorkers() <= 1 {
-		// Sequential path: the historical code shape, kept byte-for-byte
-		// comparable for differential testing.
-		for _, l := range leaves {
-			if !keepLeaf(l) {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for name, ref := range l.refs {
-				if !env.wantTable(name) {
-					continue
-				}
-				dst := res.Rows[name]
-				if dst == nil {
-					schema := telco.SchemaByName(name)
-					if schema == nil {
-						return fmt.Errorf("core: decode %s: unknown schema %q", ref, name)
-					}
-					dst = telco.NewTable(schema)
-					res.Rows[name] = dst
-				}
-				scanned, pruned, err := e.scanLeafTable(ref, c, env.pr, newSpecScan(nil, dst.Schema), &res.Profile, func(tab *telco.Table) error {
-					filterInto(dst, tab)
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				res.ScannedChunks += scanned
-				res.PrunedChunks += pruned
-			}
-			res.ScannedLeaves++
-		}
-		return nil
-	}
-
-	// Parallel path. The serial prepass applies the leaf-level skips (so
-	// PrunedLeaves/ScannedLeaves count exactly as above) and lays out one
-	// unit per surviving (leaf, table) pair, table names sorted within
-	// each leaf for a deterministic unit order.
 	type rowScan struct {
-		tab     *telco.Table
-		scanned int
-		pruned  int
+		tab             *telco.Table
+		scanned, pruned int
 	}
-	type rowUnitSpec struct {
-		name, ref string
-		schema    *telco.Schema
-	}
-	var specs []rowUnitSpec
-	for _, l := range leaves {
-		if !keepLeaf(l) {
-			continue
-		}
-		names := make([]string, 0, len(l.refs))
-		for name := range l.refs {
-			if env.wantTable(name) {
-				names = append(names, name)
+	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), &res.Profile, func(w *scanWorker, i int) (any, error) {
+		u := plan.units[i]
+		out := rowScan{tab: telco.NewTable(u.schema)}
+		tsIdx := u.schema.FieldIndex(telco.AttrTS)
+		cellIdx := u.schema.FieldIndex(telco.AttrCellID)
+		var err error
+		out.scanned, out.pruned, err = e.walkLeaf(u.ref, c, env.pr, rowSink{newSpecScan(nil, u.schema), func(tab *telco.Table) error {
+			for _, r := range tab.Rows {
+				if keepRowTS(r, tsIdx, q.Window, nil) && env.inBoxRow(r, cellIdx) {
+					out.tab.Append(r)
+				}
 			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			schema := telco.SchemaByName(name)
-			if schema == nil {
-				return fmt.Errorf("core: decode %s: unknown schema %q", l.refs[name], name)
-			}
-			specs = append(specs, rowUnitSpec{name: name, ref: l.refs[name], schema: schema})
-		}
-		res.ScannedLeaves++
-	}
-	units := make([]scanUnit, len(specs))
-	for i, sp := range specs {
-		sp := sp
-		units[i] = func(w *scanWorker) (any, error) {
-			out := rowScan{tab: telco.NewTable(sp.schema)}
-			var err error
-			out.scanned, out.pruned, err = e.scanLeafTable(sp.ref, c, env.pr, newSpecScan(nil, sp.schema), w.prof, func(tab *telco.Table) error {
-				filterInto(out.tab, tab)
-				return nil
-			})
-			return out, err
-		}
-	}
-	return e.runUnits(ctx, e.scanWorkers(), units, &res.Profile, func(i int, v any) error {
+			return nil
+		}}, w.prof)
+		return out, err
+	}, func(i int, v any) error {
 		out := v.(rowScan)
-		name := specs[i].name
-		dst := res.Rows[name]
-		if dst == nil {
+		name := plan.units[i].name
+		if dst := res.Rows[name]; dst == nil {
 			res.Rows[name] = out.tab
 		} else {
 			dst.Rows = append(dst.Rows, out.tab.Rows...)
@@ -888,6 +833,11 @@ func (e *Engine) fetchRows(ctx context.Context, q Query, env *queryEnv, leaves [
 		res.PrunedChunks += out.pruned
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	e.appendMemRows(env, src.memTabs, res)
+	return nil
 }
 
 // ScanTables streams the window's stored records table-by-table: snapshots
@@ -917,175 +867,90 @@ func (e *Engine) ScanTablesContext(ctx context.Context, w telco.TimeRange, table
 // layout. A nil spec (or one with nil Columns) scans every column and fn
 // sees the stored table's own schema.
 func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *ScanSpec, fn func(string, *telco.Table) error) error {
-	e.mu.RLock()
-	leaves := e.rowLeaves(w)
-	memt, memAfter := e.memAfterLocked()
-	var memTabs []memTab
-	if memt != nil {
-		memTabs = collectMemTabs(memt, w, tables, memAfter)
+	env := e.newQueryEnv(&w, tables, geo.Rect{})
+	src := e.capture(w, tables)
+	plan, err := e.planUnits(src.leaves, env)
+	if err != nil {
+		return err
 	}
-	e.mu.RUnlock()
-	env := &queryEnv{pr: leafPrune{window: &w}}
-	if len(tables) > 0 {
-		env.tables = make(map[string]struct{}, len(tables))
-		for _, t := range tables {
-			env.tables[t] = struct{}{}
-		}
+	prof := ProfileFromContext(ctx)
+	if prof != nil {
+		prof.LeavesScanned += plan.scanned
+		prof.LeavesDecayed += plan.decayed
 	}
 	c := e.codec()
-	prof := ProfileFromContext(ctx)
 
 	// One resolved scan per table, so every batch of a table shares one
-	// projected schema. Only the serial parts of the scan call scanFor.
+	// projected schema. Resolved here, serially; the units only read them.
 	scans := make(map[string]*specScan)
-	scanFor := func(name, ref string) (*specScan, error) {
-		if ss := scans[name]; ss != nil {
-			return ss, nil
+	scanFor := func(name string, schema *telco.Schema) *specScan {
+		ss := scans[name]
+		if ss == nil {
+			ss = newSpecScan(spec, schema)
+			scans[name] = ss
 		}
-		schema := telco.SchemaByName(name)
-		if schema == nil {
-			return nil, fmt.Errorf("core: decode %s: unknown schema %q", ref, name)
-		}
-		scans[name] = newSpecScan(spec, schema)
-		return scans[name], nil
+		return ss
+	}
+	for _, u := range plan.units {
+		scanFor(u.name, u.schema)
 	}
 
-	// scanOne decodes one (leaf, table) into a window/spec-filtered table.
-	// Chunks outside the window are skipped before decompression; surviving
-	// chunks still pass the per-row filter, and their rows accumulate into
-	// one table per leaf so fn observes the same call sequence as with
-	// whole-blob leaves.
-	scanOne := func(ref string, ss *specScan, p *Profile) (*telco.Table, error) {
-		filtered := ss.table(nil)
+	// sinkInto collects into dst the rows of a table that pass the spec's
+	// predicates and the row-level time filter.
+	sinkInto := func(ss *specScan, dst *telco.Table) rowSink {
 		tsIdx := ss.out.FieldIndex(telco.AttrTS)
-		_, _, err := e.scanLeafTable(ref, c, env.pr, ss, p, func(tab *telco.Table) error {
+		return rowSink{ss, func(tab *telco.Table) error {
 			for _, r := range tab.Rows {
 				if keepRowTS(r, tsIdx, w, spec) {
-					filtered.Rows = append(filtered.Rows, r)
+					dst.Rows = append(dst.Rows, r)
 				}
 			}
 			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return filtered, nil
+		}}
 	}
 
-	if e.scanWorkers() <= 1 {
-		// Sequential path: the historical code shape.
-		for _, l := range leaves {
-			if l.decayed || l.refs == nil {
-				if prof != nil && l.decayed {
-					prof.LeavesDecayed++
-				}
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if prof != nil {
-				prof.LeavesScanned++
-			}
-			for name, ref := range l.refs {
-				if !env.wantTable(name) {
-					continue
-				}
-				ss, err := scanFor(name, ref)
-				if err != nil {
-					return err
-				}
-				filtered, err := scanOne(ref, ss, prof)
-				if err != nil {
-					return err
-				}
-				if filtered.Len() == 0 {
-					continue
-				}
-				if err := fn(name, filtered); err != nil {
-					return err
-				}
-			}
+	// Each unit decodes one (leaf, table) into a window/spec-filtered table.
+	// Chunks outside the window are skipped before decompression; surviving
+	// chunks still pass the per-row filter, and their rows accumulate into
+	// one table per leaf so fn observes the same call sequence as with
+	// whole-blob leaves — in leaf order, table names sorted within a leaf.
+	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), prof, func(sw *scanWorker, i int) (any, error) {
+		u := plan.units[i]
+		ss := scans[u.name]
+		filtered := ss.table(nil)
+		_, _, err := e.walkLeaf(u.ref, c, env.pr, sinkInto(ss, filtered), sw.prof)
+		return filtered, err
+	}, func(i int, v any) error {
+		filtered := v.(*telco.Table)
+		if filtered.Len() == 0 {
+			return nil
 		}
-	} else {
-		// Parallel path: one unit per surviving (leaf, table), emitted to
-		// fn in leaf order with table names sorted within each leaf —
-		// per-table call order matches the sequential path exactly.
-		type specUnit struct {
-			name, ref string
-			ss        *specScan
-		}
-		var specs []specUnit
-		for _, l := range leaves {
-			if l.decayed || l.refs == nil {
-				if prof != nil && l.decayed {
-					prof.LeavesDecayed++
-				}
-				continue
-			}
-			if prof != nil {
-				prof.LeavesScanned++
-			}
-			names := make([]string, 0, len(l.refs))
-			for name := range l.refs {
-				if env.wantTable(name) {
-					names = append(names, name)
-				}
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				ss, err := scanFor(name, l.refs[name])
-				if err != nil {
-					return err
-				}
-				specs = append(specs, specUnit{name: name, ref: l.refs[name], ss: ss})
-			}
-		}
-		units := make([]scanUnit, len(specs))
-		for i, sp := range specs {
-			sp := sp
-			units[i] = func(sw *scanWorker) (any, error) {
-				t, err := scanOne(sp.ref, sp.ss, sw.prof)
-				return t, err
-			}
-		}
-		err := e.runUnits(ctx, e.scanWorkers(), units, prof, func(i int, v any) error {
-			filtered := v.(*telco.Table)
-			if filtered.Len() == 0 {
-				return nil
-			}
-			return fn(specs[i].name, filtered)
-		})
-		if err != nil {
-			return err
-		}
+		return fn(plan.units[i].name, filtered)
+	})
+	if err != nil {
+		return err
 	}
 	// Unsealed rows stream last — strictly newer than every sealed leaf,
 	// one window-filtered table per buffered (epoch, table), the same
 	// call shape a sealed-leaf scan produces. The union path honors the
-	// spec too: memtable rows narrow to the scan's layout and pass the
-	// same predicate and time prefilter sealed leaves apply, so fresh rows
-	// never leak around a pushdown.
-	for _, mt := range memTabs {
+	// spec too: memtable rows narrow to the scan's layout and go through
+	// the sink sealed chunks go through, so fresh rows never leak around a
+	// pushdown.
+	for _, mt := range src.memTabs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		tab := mt.tab
 		if spec != nil {
-			ss, err := scanFor(mt.name, "memtable")
-			if err != nil {
+			schema := telco.SchemaByName(mt.name)
+			if schema == nil {
+				return fmt.Errorf("core: decode memtable: unknown schema %q", mt.name)
+			}
+			ss := scanFor(mt.name, schema)
+			tab = ss.table(nil)
+			if err := sinkInto(ss, tab).rows(&ss.projection, ss.narrow(mt.tab).Rows); err != nil {
 				return err
 			}
-			tab = ss.narrow(mt.tab)
-			tsIdx := ss.out.FieldIndex(telco.AttrTS)
-			rows := tab.Rows[:0]
-			for _, r := range tab.Rows {
-				if keepRowTS(r, tsIdx, w, spec) {
-					rows = append(rows, r)
-				}
-			}
-			tab.Rows = rows
-			ss.filter(tab)
 			if tab.Len() == 0 {
 				continue
 			}

@@ -208,66 +208,6 @@ func (c *LRU) Stats() CacheStats {
 	}
 }
 
-// tiered probes tiers in order, promoting hits into every earlier tier;
-// writes and invalidations apply to all tiers. With an in-proc LRU as
-// tier 0 and a (future) external tier behind it, hot results stay local
-// while the shared tier absorbs each miss fleet-wide once.
-type tiered struct {
-	tiers []Cache
-}
-
-// NewTiered composes cache tiers, fastest first.
-func NewTiered(tiers ...Cache) Cache {
-	if len(tiers) == 1 {
-		return tiers[0]
-	}
-	return &tiered{tiers: tiers}
-}
-
-func (t *tiered) Get(ns, key string) (*core.Result, bool) {
-	for i, c := range t.tiers {
-		if r, ok := c.Get(ns, key); ok {
-			for j := 0; j < i; j++ {
-				t.tiers[j].Put(ns, key, r)
-			}
-			return r, true
-		}
-	}
-	return nil, false
-}
-
-func (t *tiered) Put(ns, key string, r *core.Result) {
-	for _, c := range t.tiers {
-		c.Put(ns, key, r)
-	}
-}
-
-func (t *tiered) Invalidate(ns string, ranges []telco.TimeRange) {
-	for _, c := range t.tiers {
-		c.Invalidate(ns, ranges)
-	}
-}
-
-func (t *tiered) Clear(ns string) {
-	for _, c := range t.tiers {
-		c.Clear(ns)
-	}
-}
-
-func (t *tiered) Stats() CacheStats {
-	var out CacheStats
-	for _, c := range t.tiers {
-		s := c.Stats()
-		out.Entries += s.Entries
-		out.Bytes += s.Bytes
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Evictions += s.Evictions
-		out.Invalidations += s.Invalidations
-	}
-	return out
-}
-
 // nsCache adapts one namespace of a shared Cache onto the engine's
 // core.ResultCache contract, so core.Options.ResultCache can plug a
 // process-wide cache in without core importing serving.

@@ -113,31 +113,6 @@ func TestLRUOversizedResultNotRetained(t *testing.T) {
 	}
 }
 
-func TestTieredPromotesOnHit(t *testing.T) {
-	t0 := NewUnregisteredLRU(1 << 20)
-	t1 := NewUnregisteredLRU(1 << 20)
-	c := NewTiered(t0, t1)
-	// Seed only the slow tier, as if another process had populated it.
-	t1.Put("ns", "k", res(0, 2))
-	if _, ok := c.Get("ns", "k"); !ok {
-		t.Fatal("tiered get should find the entry in tier 1")
-	}
-	if _, ok := t0.Get("ns", "k"); !ok {
-		t.Error("hit should promote the entry into tier 0")
-	}
-	// Writes and invalidations fan out to every tier.
-	c.Put("ns", "j", res(4, 6))
-	if _, ok := t1.Get("ns", "j"); !ok {
-		t.Error("put should reach every tier")
-	}
-	c.Invalidate("ns", []telco.TimeRange{window(0, 6)})
-	for name, tier := range map[string]*LRU{"t0": t0, "t1": t1} {
-		if st := tier.Stats(); st.Entries != 0 {
-			t.Errorf("%s still holds %d entries after invalidate", name, st.Entries)
-		}
-	}
-}
-
 func TestNamespaceAdapter(t *testing.T) {
 	shared := NewUnregisteredLRU(1 << 20)
 	var rc core.ResultCache = Namespace(shared, "eng1")

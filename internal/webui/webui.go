@@ -358,12 +358,19 @@ func cellsJSON(cells []core.CellSeries, attr string) []ExploreCellJSON {
 	var out []ExploreCellJSON
 	for _, cs := range cells {
 		cj := ExploreCellJSON{ID: cs.CellID, X: cs.Loc.X, Y: cs.Loc.Y, Rows: cs.Rows}
+		// With no attribute requested the cell shows its smallest-named one;
+		// taking whichever the map yields last made identical requests
+		// disagree. The name that is only compared is built apart from the
+		// one that is kept, so it stays off the heap.
+		shown := ""
 		for ref, st := range cs.Attr {
-			if attr == "" || ref.String() == attr {
-				cj.Value = st.Sum
-				if attr != "" {
+			if attr != "" {
+				if ref.String() == attr {
+					cj.Value = st.Sum
 					break
 				}
+			} else if name := ref.String(); shown == "" || name < shown {
+				shown, cj.Value = name, st.Sum
 			}
 		}
 		out = append(out, cj)

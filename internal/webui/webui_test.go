@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"spate/internal/cluster"
 	_ "spate/internal/compress/all"
 	"spate/internal/core"
 	"spate/internal/dfs"
 	"spate/internal/gen"
+	"spate/internal/highlights"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
@@ -287,5 +290,45 @@ func TestExploreAttrFilter(t *testing.T) {
 	}
 	if len(out.Cells) == 0 {
 		t.Fatal("no cells")
+	}
+}
+
+// TestExploreCellsDeterministic: without an attr parameter a cell renders
+// its smallest-named attribute, so identical requests agree — on the
+// function both handlers share, and through each handler (whose cells
+// carry the four default per-cell attributes).
+func TestExploreCellsDeterministic(t *testing.T) {
+	cell := core.CellSeries{CellID: 1, Rows: 9, Attr: map[highlights.AttrRef]*highlights.Stats{
+		{Table: "NMS", Attr: "drop_calls"}: {Sum: 3},
+		{Table: "CDR", Attr: "upflux"}:     {Sum: 5},
+		{Table: "CDR", Attr: "downflux"}:   {Sum: 7},
+		{Table: "NMS", Attr: "rssi_dbm"}:   {Sum: 11},
+	}}
+	for i := 0; i < 50; i++ {
+		if got := cellsJSON([]core.CellSeries{cell}, "")[0].Value; got != 7 {
+			t.Fatalf("render %d: value %v, want CDR.downflux's 7", i, got)
+		}
+		if got := cellsJSON([]core.CellSeries{cell}, "NMS.rssi_dbm")[0].Value; got != 11 {
+			t.Fatalf("render %d: attr=NMS.rssi_dbm value %v, want 11", i, got)
+		}
+	}
+
+	single, _ := newTestServer(t)
+	clustered, _, _ := newClusterTestServer(t, cluster.Config{Shards: 2, Replicas: 1})
+	for name, ts := range map[string]*httptest.Server{"server": single, "cluster": clustered} {
+		var first []ExploreCellJSON
+		for i := 0; i < 50; i++ {
+			var out struct {
+				Cells []ExploreCellJSON `json:"cells"`
+			}
+			if code := getJSON(t, ts.URL+"/api/explore", &out); code != 200 || len(out.Cells) == 0 {
+				t.Fatalf("%s render %d: status %d, %d cells", name, i, code, len(out.Cells))
+			}
+			if i == 0 {
+				first = out.Cells
+			} else if !reflect.DeepEqual(out.Cells, first) {
+				t.Fatalf("%s: render %d differs from render 0", name, i)
+			}
+		}
 	}
 }
