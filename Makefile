@@ -19,11 +19,15 @@ test:
 # values, exercising the scheduler both starved and saturated, and so do the
 # decode, pushdown and layout parity/property tests of the packages under it.
 # (Three raced widths of a whole package outlast go test's 10-minute default.)
+# The boot loader's look-ahead — Prepare of one snapshot beside Commit of the
+# one before — is the one place batch ingest runs two goroutines over an
+# engine; its tests repeat at each width.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/
 	$(GO) test -race -run 'Parity|Property|Equivalence|Reference' -cpu 1,2,4 \
 		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'LookAhead' ./cmd/spate-server/
 
 # Two assertions used to depend on how the scheduler interleaved goroutines
 # and failed most runs on a 2-CPU box; repeat them starved and in parallel

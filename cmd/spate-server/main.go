@@ -151,41 +151,41 @@ func run() int {
 		cells = g.Cells()
 	}
 
-	// forEachSnapshot streams the configured trace in epoch order and
-	// returns its window.
-	forEachSnapshot := func(ingest func(*snapshot.Snapshot) error) (telco.TimeRange, error) {
+	// forEachSnapshot streams the configured trace in epoch order through a
+	// two-step ingest and returns its window. While one snapshot's commit
+	// runs, the next is already being read and prepared (see lookAhead).
+	forEachSnapshot := func(prepare func(*snapshot.Snapshot) (settle func(commit bool) error, err error)) (telco.TimeRange, error) {
 		var window telco.TimeRange
+		var read func(i int) (*snapshot.Snapshot, error)
+		var n int
 		if *trace != "" {
 			epochs, err := tracedir.Epochs(*trace)
 			if err != nil {
 				return window, err
 			}
-			for _, e := range epochs {
-				sn, err := tracedir.ReadSnapshot(*trace, e)
-				if err != nil {
-					return window, err
-				}
-				if err := ingest(sn); err != nil {
-					return window, err
-				}
+			n = len(epochs)
+			read = func(i int) (*snapshot.Snapshot, error) { return tracedir.ReadSnapshot(*trace, epochs[i]) }
+			if n > 0 {
+				window = telco.NewTimeRange(epochs[0].Start(), epochs[n-1].End())
 			}
-			if len(epochs) > 0 {
-				window = telco.NewTimeRange(epochs[0].Start(), epochs[len(epochs)-1].End())
+		} else {
+			e0 := telco.EpochOf(g.Config().Start)
+			n = *days * telco.EpochsPerDay
+			read = func(i int) (*snapshot.Snapshot, error) {
+				sn := snapshot.New(e0 + telco.Epoch(i))
+				sn.Add(g.CDRTable(sn.Epoch))
+				sn.Add(g.NMSTable(sn.Epoch))
+				return sn, nil
 			}
-			return window, nil
+			window = telco.NewTimeRange(e0.Start(), (e0 + telco.Epoch(n)).Start())
 		}
-		e0 := telco.EpochOf(g.Config().Start)
-		n := *days * telco.EpochsPerDay
-		for i := 0; i < n; i++ {
-			e := e0 + telco.Epoch(i)
-			sn := snapshot.New(e)
-			sn.Add(g.CDRTable(e))
-			sn.Add(g.NMSTable(e))
-			if err := ingest(sn); err != nil {
-				return window, err
+		return window, lookAhead(n, func(i int) (func(bool) error, error) {
+			sn, err := read(i)
+			if err != nil {
+				return nil, err
 			}
-		}
-		return telco.NewTimeRange(e0.Start(), (e0 + telco.Epoch(n)).Start()), nil
+			return prepare(sn)
+		})
 	}
 
 	// Lifecycle maintenance (ISSUE 5): scheduled decay, DFS scrub and
@@ -287,8 +287,15 @@ func run() int {
 		defer local.Close()
 		slog.Info("spate-server: ingesting through coordinator",
 			"shards", *shards, "replicas", *replicas)
-		window, err := forEachSnapshot(func(sn *snapshot.Snapshot) error {
-			return local.Coordinator.Ingest(context.Background(), sn)
+		// The shards prepare and commit behind their RPC; here only the
+		// read of the next snapshot overlaps the ingest of this one.
+		window, err := forEachSnapshot(func(sn *snapshot.Snapshot) (func(bool) error, error) {
+			return func(commit bool) error {
+				if !commit {
+					return nil // only read so far
+				}
+				return local.Coordinator.Ingest(context.Background(), sn)
+			}, nil
 		})
 		if err != nil {
 			slog.Error("spate-server: ingest", "err", err)
@@ -331,9 +338,19 @@ func run() int {
 			return 1
 		}
 		slog.Info("spate-server: ingesting...")
-		window, err := forEachSnapshot(func(sn *snapshot.Snapshot) error {
-			_, err := eng.Ingest(sn)
-			return err
+		window, err := forEachSnapshot(func(sn *snapshot.Snapshot) (func(bool) error, error) {
+			p, err := eng.Prepare(context.Background(), sn)
+			if err != nil {
+				return nil, err
+			}
+			return func(commit bool) error {
+				if !commit {
+					eng.Abandon(p)
+					return nil
+				}
+				_, err := eng.Commit(p)
+				return err
+			}, nil
 		})
 		if err != nil {
 			slog.Error("spate-server: ingest", "err", err)
@@ -421,6 +438,55 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// lookAhead runs a two-step job over items 0..n-1 with a look-ahead of one:
+// prepare(i+1) runs while item i settles, and items settle strictly in order
+// on the calling goroutine. At most one prepared item waits at any time.
+// prepare returns the item's second step, settle: settle(true) commits it,
+// settle(false) gives it up. The first error, from either step, ends the
+// run: no further prepare starts, and the one item that may have been
+// prepared ahead is given up before lookAhead returns.
+func lookAhead(n int, prepare func(i int) (settle func(commit bool) error, err error)) error {
+	type prepared struct {
+		settle func(commit bool) error
+		err    error
+	}
+	ready := make(chan prepared) // unbuffered: the sender holds the one item ahead
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer close(ready)
+		for i := 0; i < n; i++ {
+			settle, err := prepare(i)
+			select {
+			case ready <- prepared{settle, err}:
+			case <-stop:
+				if err == nil {
+					_ = settle(false)
+				}
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	for p := range ready {
+		err := p.err
+		if err == nil {
+			err = p.settle(true)
+		}
+		if err != nil {
+			// Nothing receives from ready any more, so the preparer's next
+			// select can only see stop: it starts no further item.
+			close(stop)
+			<-done
+			return err
+		}
+	}
+	return nil
 }
 
 // defaultWindow is the synthesized trace span — the UI default when the

@@ -1,11 +1,17 @@
 // Package compress defines the lossless codec abstraction of SPATE's
 // storage layer (paper §IV) and a registry of implementations.
 //
-// The storage layer's desiderata drive the interface: snapshots are
-// compressed once per 30-minute ingestion cycle (compression time barely
-// matters) but decompressed on every exploratory query (decompression time
-// is paid per query), so codecs expose one-shot buffer-level calls that the
-// query path can invoke with zero setup cost.
+// The storage layer's desiderata drive the interface: a snapshot is
+// compressed once, in its 30-minute ingestion cycle, and decompressed on
+// every exploratory query that reaches it, so codecs expose one-shot
+// buffer-level calls that the query path can invoke with zero setup cost.
+// Compression time is the smaller concern, not a free one: it bounds how
+// fast a store boots or catches up, and the paper holds ingest to 1.25x of
+// writing the raw text. The batch path calls Compress once per leaf chunk;
+// with gzip at BestCompression the whole of ingest (sort, column packing,
+// compression, replicated writes, indexing) runs at ~12 MB/s of wire text
+// on a 2-core box (130 MiB in 10-11 s; 3 MB/s when it compressed every
+// chunk three times to pick a layout).
 //
 // Four codecs mirror the paper's Table I microbenchmark:
 //

@@ -3,10 +3,11 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
-	"spate/internal/entropy"
 	"spate/internal/telco"
 )
 
@@ -38,12 +39,19 @@ const (
 // low-cardinality and plain encoding wins anyway.
 const maxDictEntries = 1 << 12
 
-// ColumnChoice reports which encoding was selected for a column and the
-// entropy statistics that drove the choice, for observability.
+// ColumnChoice reports which encoding was selected for a column, the
+// statistics that drove the choice, and the column's integer zone — all the
+// writer needs to know about a chunk's column, from one walk over it.
 type ColumnChoice struct {
 	Tag         byte
 	EntropyBits float64
 	Distinct    int
+	// IntZone reports that every field is a canonical base-10 int64 (so the
+	// column has no blank field and FormatInt(ParseInt(v)) == v throughout:
+	// the exactness condition of delta encoding and of zone-map pruning);
+	// Min and Max then bound the values.
+	IntZone  bool
+	Min, Max int64
 }
 
 // ColumnTagName names a column codec tag for metrics and EXPLAIN output.
@@ -59,45 +67,146 @@ func ColumnTagName(tag byte) string {
 	return "tag" + strconv.Itoa(int(tag))
 }
 
-// ChooseColumn picks the column encoding for one chunk's fields: Shannon
-// entropy of the empirical value distribution selects dictionary+RLE for
-// low-cardinality columns, canonical-integer columns delta encode, and
-// everything else stays on the generic codec.
+// dictRowsPerEntry is the cardinality rule of dictionary selection: a
+// column dictionary-encodes when its chunk holds at least this many rows per
+// distinct value. The rule is relative to the chunk's row count on purpose —
+// an absolute entropy threshold (H < 6 bits) is met by every column of a
+// chunk under 64 rows, since H <= log2(rows), and dictionary-coding a
+// near-unique column destroys the byte-level redundancy the block codec
+// feeds on.
+const dictRowsPerEntry = 8
+
+// ChooseColumn picks the column encoding for one chunk's fields in a single
+// walk that also yields the column's value-distribution entropy and integer
+// zone: low-cardinality columns (distinct <= rows/8) take dictionary+RLE,
+// other canonical-integer columns delta encode, and everything else stays
+// on the generic codec. A low-cardinality integer column whose values do not
+// come in runs — a handful of small counts in no order — takes delta instead
+// when that is the smaller stream, see narrowDelta. Entropy is reported, not
+// consulted; it is 0 when the column exceeded the dictionary cardinality cap.
 func ChooseColumn(values []string) ColumnChoice {
-	distinct := make(map[string]int, 64)
-	for _, v := range values {
-		distinct[v]++
-		if len(distinct) > maxDictEntries {
-			break
+	ch := ColumnChoice{Tag: ColPlain, IntZone: len(values) > 0, Min: math.MaxInt64, Max: math.MinInt64}
+	index := make(map[string]int32, 64) // value → position in counts
+	var counts []int32
+	counting, last := true, int32(0) // last: the previous row's position in counts
+	// The packed sizes the two encodings would come to: dictionary entries
+	// with a length byte each and two bytes a run (entry index, run length),
+	// against one varint a row.
+	dictBytes, deltaBytes, prev := 1, 0, int64(0)
+	for i, v := range values {
+		switch {
+		case !counting:
+		case i > 0 && v == values[i-1]:
+			counts[last]++ // a run costs no hashing
+		default:
+			at, seen := index[v]
+			if !seen {
+				if len(counts) == maxDictEntries {
+					counting = false // not low-cardinality: plain wins anyway
+					break
+				}
+				at = int32(len(counts))
+				index[v] = at
+				counts = append(counts, 0)
+				dictBytes += len(v) + 1
+			}
+			counts[at]++
+			last = at
+			dictBytes += 2
+		}
+		if ch.IntZone {
+			if x, ok := canonicalInt(v); ok {
+				ch.Min, ch.Max = min(ch.Min, x), max(ch.Max, x)
+				deltaBytes += varintLen(x - prev)
+				prev = x
+			} else {
+				ch.IntZone = false
+			}
 		}
 	}
-	ch := ColumnChoice{Tag: ColPlain, Distinct: len(distinct)}
-	if len(distinct) <= maxDictEntries {
-		ch.EntropyBits = entropy.OfStrings(values)
+	if !ch.IntZone {
+		ch.Min, ch.Max = 0, 0
+	}
+	ch.Distinct = len(counts)
+	if counting {
+		ch.EntropyBits = entropyOf(counts, len(values))
+	} else {
+		ch.Distinct++ // the value that broke the cap
 	}
 	switch {
-	case len(distinct) <= maxDictEntries && ch.EntropyBits < 6:
+	case counting && ch.Distinct > 0 && ch.Distinct <= len(values)/dictRowsPerEntry:
 		ch.Tag = ColDict
-	case canDelta(values):
+		if ch.IntZone && narrowDelta(deltaBytes, dictBytes, len(values)) {
+			ch.Tag = ColDelta
+		}
+	case ch.IntZone:
 		ch.Tag = ColDelta
 	}
 	return ch
 }
 
-// canDelta reports whether every field is a canonical base-10 int64 —
-// the exactness condition for delta encoding: FormatInt(ParseInt(v)) == v
-// guarantees bit-for-bit reconstruction.
-func canDelta(values []string) bool {
-	if len(values) == 0 {
-		return false
+// narrowDelta reports whether a low-cardinality integer column should delta
+// encode after all: its delta stream is the smaller one and spends about one
+// byte a row. Both streams then hand the block codec one symbol a row from a
+// small alphabet, and the dictionary's adds a run-length byte to each — the
+// case of a column like a per-cell failure count, four values in no order.
+// Deltas that spill into a second byte are a different matter: they spread
+// one value over two symbols and code worse than the dictionary index even
+// where they pack smaller, so those columns stay dictionary-coded.
+func narrowDelta(deltaBytes, dictBytes, rows int) bool {
+	return deltaBytes < dictBytes && deltaBytes <= rows+rows/8+binary.MaxVarintLen64
+}
+
+// varintLen is the length of d's zigzag varint, as encodeDelta writes it.
+func varintLen(d int64) int {
+	return (bits.Len64(uint64(d<<1)^uint64(d>>63)|1) + 6) / 7
+}
+
+// entropyOf is the Shannon entropy in bits of a distribution given as
+// occurrence counts summing to n.
+func entropyOf(counts []int32, n int) float64 {
+	h, fn := 0.0, float64(n)
+	for _, c := range counts {
+		p := float64(c) / fn
+		h -= p * math.Log2(p)
 	}
-	for _, v := range values {
-		i, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || strconv.FormatInt(i, 10) != v {
-			return false
+	if h < 0 { // -0 guard: a single-symbol distribution reports exactly 0
+		h = 0
+	}
+	return h
+}
+
+// canonicalInt parses v as a canonical base-10 int64 — the form
+// strconv.FormatInt renders, so no sign on non-negatives, no leading zeros,
+// no "-0" — and reports whether it is one.
+func canonicalInt(v string) (int64, bool) {
+	d := v
+	neg := len(v) > 0 && v[0] == '-'
+	if neg {
+		d = v[1:]
+	}
+	// 19 digits cannot overflow uint64, so the range check can wait.
+	if len(d) == 0 || len(d) > 19 || (d[0] == '0' && (neg || len(d) > 1)) {
+		return 0, false
+	}
+	var u uint64
+	for i := 0; i < len(d); i++ {
+		c := d[i] - '0'
+		if c > 9 {
+			return 0, false
 		}
+		u = u*10 + uint64(c)
 	}
-	return true
+	if neg {
+		if u > 1<<63 {
+			return 0, false
+		}
+		return -int64(u), true
+	}
+	if u > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(u), true
 }
 
 // EncodeColumn appends the packed form of the column's fields to dst.
@@ -373,9 +482,9 @@ func encodeDelta(dst []byte, values []string) ([]byte, error) {
 	var tmp [binary.MaxVarintLen64]byte
 	prev := int64(0)
 	for _, v := range values {
-		x, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, Corruptf("compress: delta column: non-integer %q", v)
+		x, ok := canonicalInt(v)
+		if !ok {
+			return nil, Corruptf("compress: delta column: %q is not a canonical integer", v)
 		}
 		dst = append(dst, tmp[:binary.PutVarint(tmp[:], x-prev)]...)
 		prev = x

@@ -53,6 +53,35 @@ func TestInteropWithStandardGzip(t *testing.T) {
 	}
 }
 
+// TestAppendsToDst: both calls write through to dst — what was there stays,
+// what a failed Decompress returns is dst untouched — and the output is the
+// stdlib writer's at the same level, byte for byte.
+func TestAppendsToDst(t *testing.T) {
+	c := Codec{}
+	data := []byte(strings.Repeat("append|me|", 3000))
+	var want bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&want, gzip.BestCompression)
+	_, _ = zw.Write(data)
+	_ = zw.Close()
+	comp := c.Compress([]byte("head"), data)
+	if !bytes.Equal(comp, append([]byte("head"), want.Bytes()...)) {
+		t.Fatal("Compress output differs from head + stdlib gzip at BestCompression")
+	}
+	for _, spare := range []int{0, 16, 2 * len(data)} {
+		dst := append(make([]byte, 0, 4+spare), "head"...)
+		got, err := c.Decompress(dst, comp[4:])
+		if err != nil || !bytes.Equal(got, append([]byte("head"), data...)) {
+			t.Fatalf("spare %d: Decompress into a prefixed dst: %v", spare, err)
+		}
+	}
+	// A lying length trailer must not decode, nor disturb dst.
+	bad := append([]byte(nil), comp[4:]...)
+	bad[len(bad)-1] ^= 0x40
+	if got, err := c.Decompress([]byte("head"), bad); err == nil || string(got) != "head" {
+		t.Fatalf("corrupt trailer: got %d bytes, err %v", len(got), err)
+	}
+}
+
 func TestGarbageRejected(t *testing.T) {
 	c := Codec{}
 	if _, err := c.Decompress(nil, []byte("not gzip at all")); err == nil {

@@ -51,6 +51,7 @@ type CompactReport struct {
 	BlobsConverted   int   // legacy whole-blob tables converted to segments
 	SegmentsUpgraded int   // row-major (v1/v2) segments upgraded to columnar v3
 	ChunksMerged     int   // net chunk-count reduction across merged segments
+	TablesKept       int   // rewrites dropped: the new layout compressed the rows worse
 	BytesBefore      int64 // compressed bytes of rewritten tables, before
 	BytesAfter       int64
 }
@@ -125,6 +126,10 @@ type rewrittenTable struct {
 	wasRowSeg bool // row-major segment upgraded to columnar v3
 	oldCount  int  // chunk count before (blobs count 1)
 	newCount  int
+
+	// oldPayload and newPayload are the compressed bytes the table's rows
+	// take before and after, footers aside (a legacy blob is all payload).
+	oldPayload, newPayload int64
 }
 
 func (e *Engine) compactLeaf(cand compactCandidate, chunkSize, effort int, rep *CompactReport) error {
@@ -134,9 +139,22 @@ func (e *Engine) compactLeaf(cand compactCandidate, chunkSize, effort int, rep *
 		if err != nil {
 			return err
 		}
-		if rw != nil {
-			rewrites = append(rewrites, *rw)
+		if rw == nil {
+			continue
 		}
+		// A rewrite changes how a table is laid out and pays a footer for
+		// it, knowingly; it must not also make the rows themselves compress
+		// worse. That happens to a blob the codec's trained dictionary holds
+		// verbatim (the leaves the dictionary was trained on inflate from a
+		// dozen bytes, and column streams get nothing from a dictionary of
+		// row text) and can happen to a table of a few rows. Every older
+		// layout stays readable, so such a table is kept as stored; a later
+		// sweep, perhaps under another codec, weighs it again.
+		if rw.newPayload > rw.oldPayload {
+			rep.TablesKept++
+			continue
+		}
+		rewrites = append(rewrites, *rw)
 	}
 	if len(rewrites) == 0 {
 		return nil
@@ -282,6 +300,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewritte
 		}
 		return &rewrittenTable{
 			name: name, oldRef: ref, oldSize: f.Size(), data: data,
+			oldPayload: f.Size(), newPayload: st.PayloadBytes,
 			wasBlob: true, oldCount: 1, newCount: st.Chunks,
 		}, nil
 	}
@@ -291,9 +310,10 @@ func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewritte
 		return nil, fmt.Errorf("core: compact open segment %s: %w", ref, err)
 	}
 	chunks := r.Chunks()
-	var totalULen int64
+	var totalULen, payload int64
 	for _, ch := range chunks {
 		totalULen += ch.ULen
+		payload += ch.Len
 	}
 	ideal := int((totalULen + int64(chunkSize) - 1) / int64(chunkSize))
 	if ideal < 1 {
@@ -322,6 +342,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewritte
 		}
 		return &rewrittenTable{
 			name: name, oldRef: ref, oldSize: f.Size(), data: data,
+			oldPayload: payload, newPayload: st.PayloadBytes,
 			oldCount: len(chunks), newCount: st.Chunks,
 		}, nil
 	}
@@ -349,6 +370,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewritte
 	}
 	return &rewrittenTable{
 		name: name, oldRef: ref, oldSize: f.Size(), data: data,
+		oldPayload: payload, newPayload: st.PayloadBytes,
 		wasRowSeg: upgrade, oldCount: len(chunks), newCount: st.Chunks,
 	}, nil
 }
@@ -360,6 +382,8 @@ func rowMetaOf(r telco.Record, tsIdx, cellIdx int) segment.RowMeta {
 		m.TS, m.HasTS = r[tsIdx].Time().UnixNano(), true
 	}
 	if cellIdx >= 0 {
+		// Null cells hash as id 0 — the same value the row filters
+		// compare against — so the sketch stays free of false negatives.
 		m.Cell, m.HasCell = r[cellIdx].Int64(), true
 	}
 	return m

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"spate/internal/compress"
+	"spate/internal/index"
+	"spate/internal/segment"
 	"spate/internal/telco"
 )
 
@@ -102,6 +104,57 @@ func TestCompactConvertsLegacyBlobs(t *testing.T) {
 		t.Errorf("recovered aggregate rows = %d, want %d", recAgg.Summary.Rows, wantAgg.Summary.Rows)
 	}
 	sameRows(t, wantExact, recExact)
+}
+
+// TestCompactKeepsTableThatPacksWorse pins the one case where a sweep leaves
+// a legacy blob alone: the snapshots a dictionary was trained on are held in
+// it verbatim and inflate from a dozen bytes, and no column layout gets
+// anywhere near that. Such a table stays as stored, still answers, and every
+// later sweep weighs it again without rewriting anything.
+func TestCompactKeepsTableThatPacksWorse(t *testing.T) {
+	zc, err := compress.Lookup("zstd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, Options{Codec: zc, TrainDictionary: true, TrainAfter: 4, ChunkSize: -1})
+	r.ingestEpochs(t, 6)
+	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(3*time.Hour))
+	_, wantExact := exploreAll(t, r.e, w)
+
+	rep, err := r.e.Compact(context.Background(), CompactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TablesKept == 0 || rep.BlobsConverted == 0 {
+		t.Fatalf("report = %+v, want tables both kept and converted", rep)
+	}
+	blobs := 0
+	r.e.Tree().Walk(func(n *index.Node) bool {
+		for _, ref := range n.DataRefs {
+			f, err := r.e.fs.Open(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !segment.IsSegment(f, f.Size()) {
+				blobs++
+			}
+		}
+		return true
+	})
+	if blobs != rep.TablesKept {
+		t.Errorf("%d tables still stored as blobs, report kept %d", blobs, rep.TablesKept)
+	}
+	r.e.ClearCache()
+	_, gotExact := exploreAll(t, r.e, w)
+	sameRows(t, wantExact, gotExact)
+
+	rep2, err := r.e.Compact(context.Background(), CompactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.LeavesRewritten != 0 || rep2.TablesKept != rep.TablesKept {
+		t.Errorf("second sweep = %+v, want nothing rewritten and the same %d tables kept", rep2, rep.TablesKept)
+	}
 }
 
 // TestCompactMergesUndersizedChunks rewrites a fragmented segment store

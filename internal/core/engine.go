@@ -365,18 +365,53 @@ func (e *Engine) CellLocation(id int64) (geo.Point, bool) {
 // IngestReport describes one snapshot ingestion — the quantities behind
 // the paper's ingestion-time (Fig. 7/9) and space (Fig. 8/10) series.
 type IngestReport struct {
-	Epoch          telco.Epoch
-	Rows           int
-	RawBytes       int64
-	CompBytes      int64
+	Epoch     telco.Epoch
+	Rows      int
+	RawBytes  int64
+	CompBytes int64
+	// CompressTime is the storage layer's share: Prepare plus the DFS
+	// writes. IndexTime is the indexing layer's: tree append, seals and the
+	// leaf-metadata journal. Total is Prepare plus Commit — the time the
+	// snapshot was being worked on, not the time it sat prepared while an
+	// earlier one committed.
 	CompressTime   time.Duration
 	IndexTime      time.Duration
 	Total          time.Duration
 	CompletedNodes int
-	// Stages is the fine-grained wall-time breakdown (encode, train,
-	// compress, dfs_write, highlight, index_insert, seal, persist_meta,
-	// decay) that also feeds the spate_ingest_stage_seconds histograms.
+	// Stages is the wall-time breakdown (encode, train, compress, highlight
+	// from Prepare; dfs_write, index_insert, seal, persist_meta, decay from
+	// Commit) that also feeds the spate_ingest_stage_seconds histograms. The
+	// stages never overlap, so they sum to at most Total: encode, train and
+	// compress run in one worker per table, and share the wall time of that
+	// fan-out in proportion to the workers' summed figures, which Tables
+	// keeps per table.
 	Stages []obs.Stage
+	// Tables is the per-table share of the encode fan-out, in name order.
+	// The times are each worker's own and overlap across tables.
+	Tables []TableIngest
+}
+
+// TableIngest is one table's part of a snapshot's Prepare.
+type TableIngest struct {
+	Name      string
+	RawBytes  int64
+	CompBytes int64
+	// Encode is the timestamp sort plus, for row-major leaves, the wire-text
+	// render; Train the dictionary sampling; Compress the segment write
+	// (for v3: field render, column packing and the block codec).
+	Encode, Train, Compress time.Duration
+}
+
+// PreparedSnapshot is a snapshot between Prepare and Commit: every table in
+// its on-disk leaf form plus the epoch's highlight summary, with nothing
+// written anywhere yet.
+type PreparedSnapshot struct {
+	snap    *snapshot.Snapshot
+	tables  []encodedLeaf // in name order
+	summary *highlights.Summary
+	rep     IngestReport
+	sr      *stageRecorder
+	span    *obs.Span
 }
 
 // Ingest runs the storage layer (compress + DFS write) and the Incremence
@@ -390,73 +425,167 @@ func (e *Engine) Ingest(s *snapshot.Snapshot) (IngestReport, error) {
 }
 
 // IngestContext is Ingest with span propagation: when ctx carries a live
-// obs span the ingest span nests under it.
-func (e *Engine) IngestContext(ctx context.Context, s *snapshot.Snapshot) (rep IngestReport, err error) {
-	start := time.Now()
-	rep = IngestReport{Epoch: s.Epoch, Rows: s.Rows()}
-	sr := newStageRecorder()
-	var span *obs.Span
-	if e.met.tracer != nil {
-		_, span = e.met.tracer.StartSpan(ctx, "ingest")
+// obs span the ingest span nests under it. It is Commit(Prepare(s)).
+func (e *Engine) IngestContext(ctx context.Context, s *snapshot.Snapshot) (IngestReport, error) {
+	p, err := e.Prepare(ctx, s)
+	if err != nil {
+		return IngestReport{Epoch: s.Epoch, Rows: s.Rows()}, err
 	}
-	defer func() {
-		rep.Total = time.Since(start)
-		rep.Stages = sr.flush(e.met.ingestStage, span)
-		span.End()
-		if err != nil {
-			e.met.ingestErrors.Inc()
-			return
-		}
-		e.met.ingestSec.Observe(rep.Total.Seconds())
-		e.met.ingestSnaps.Inc()
-		e.met.ingestRows.Add(int64(rep.Rows))
-		e.met.ingestRawB.Add(rep.RawBytes)
-		e.met.ingestCompB.Add(rep.CompBytes)
-	}()
+	return e.Commit(p)
+}
 
-	// Validate before the storage layer writes anything, so a rejected
-	// snapshot leaves no orphan files behind.
+// admit rejects a snapshot the store cannot take: any snapshot once the
+// store is finalized, and an epoch at or before the last one indexed.
+func (e *Engine) admit(epoch telco.Epoch) error {
 	e.mu.RLock()
-	finished := e.finished
-	last, hasLeaf := e.tree.LastEpoch()
-	e.mu.RUnlock()
-	if finished {
-		return rep, ErrFinalized
+	defer e.mu.RUnlock()
+	if e.finished {
+		return ErrFinalized
 	}
-	if hasLeaf && s.Epoch <= last {
-		return rep, fmt.Errorf("core: epoch %v arrives out of order (last %v)", s.Epoch, last)
+	if last, ok := e.tree.LastEpoch(); ok && epoch <= last {
+		return fmt.Errorf("core: epoch %v arrives out of order (last %v)", epoch, last)
 	}
+	return nil
+}
 
-	// Storage layer: every table encodes and compresses in its own worker
-	// (wire-text rendering and chunk compression dominate ingest time and
-	// are independent across tables), then the replicated DFS writes and
-	// the highlight fold run serially in name order so reports, stage
-	// accounting and summaries stay deterministic.
-	refs := make(map[string]string)
-	period := telco.TimeRange{From: s.Epoch.Start(), To: s.Epoch.End()}
-	leafSummary := highlights.NewSummary(period)
-	tCompress := time.Now()
+// Prepare does all of an ingestion that needs no place in the order of
+// epochs: it sorts each table by timestamp (in place), renders and
+// compresses the tables into their leaf bytes — one worker per table, wire
+// rendering and chunk compression being independent across tables — and
+// folds the epoch's highlight summary. It writes nothing and changes no
+// engine state (dictionary training, when configured, is the exception and
+// locks for itself), so a caller may prepare epoch N+1 while epoch N
+// commits; prepared snapshots must then be committed in epoch order, and
+// the snapshot must not be modified in between. A snapshot the store
+// already cannot take is rejected before any work is done.
+func (e *Engine) Prepare(ctx context.Context, s *snapshot.Snapshot) (*PreparedSnapshot, error) {
+	start := time.Now()
+	p := &PreparedSnapshot{
+		snap: s,
+		rep:  IngestReport{Epoch: s.Epoch, Rows: s.Rows()},
+		sr:   newStageRecorder(),
+	}
+	if e.met.tracer != nil {
+		_, p.span = e.met.tracer.StartSpan(ctx, "ingest")
+	}
+	err := e.admit(s.Epoch)
+	if err == nil {
+		err = e.prepareTables(p)
+	}
+	p.rep.Total = time.Since(start)
+	p.rep.CompressTime = p.rep.Total
+	if err != nil {
+		e.finishIngest(p, err)
+		return nil, err
+	}
+	return p, nil
+}
+
+// prepareTables is Prepare's body: the per-table encode fan-out, then the
+// highlight fold in name order so summaries stay deterministic.
+func (e *Engine) prepareTables(p *PreparedSnapshot) error {
+	s := p.snap
 	names := s.TableNames()
-	encoded := make([]encodedLeaf, len(names))
+	p.tables = make([]encodedLeaf, len(names))
+	tFan := time.Now()
 	var wg sync.WaitGroup
 	for i, name := range names {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			encoded[i] = e.encodeLeafTable(s, name)
+			p.tables[i] = e.encodeLeafTable(s, name)
 		}(i, name)
 	}
 	wg.Wait()
-	for i, name := range names {
-		enc := &encoded[i]
-		sr.add(StageEncode, enc.encodeNS)
-		sr.add(StageTrain, enc.trainNS)
-		sr.add(StageCompress, enc.compressNS)
+	fan := time.Since(tFan).Nanoseconds()
+	var encode, train, comp int64
+	for i := range p.tables {
+		enc := &p.tables[i]
+		encode += enc.encodeNS
+		train += enc.trainNS
+		comp += enc.compressNS
+	}
+	// The workers overlap, so their summed times can exceed the wall clock;
+	// the stages get the fan-out's wall time, split as the sums are.
+	scale := 1.0
+	if sum := encode + train + comp; sum > fan {
+		scale = float64(fan) / float64(sum)
+	}
+	p.sr.add(StageEncode, int64(float64(encode)*scale))
+	p.sr.add(StageTrain, int64(float64(train)*scale))
+	p.sr.add(StageCompress, int64(float64(comp)*scale))
+	for i := range p.tables {
+		enc := &p.tables[i]
 		if enc.err != nil {
-			return rep, fmt.Errorf("core: encode %s: %w", name, enc.err)
+			return fmt.Errorf("core: encode %s: %w", enc.name, enc.err)
 		}
-		rep.RawBytes += enc.raw
-		rep.CompBytes += int64(len(enc.data))
+		p.rep.RawBytes += enc.raw
+		p.rep.CompBytes += int64(len(enc.data))
+		p.rep.Tables = append(p.rep.Tables, TableIngest{
+			Name: enc.name, RawBytes: enc.raw, CompBytes: int64(len(enc.data)),
+			Encode:   time.Duration(enc.encodeNS),
+			Train:    time.Duration(enc.trainNS),
+			Compress: time.Duration(enc.compressNS),
+		})
+	}
+	t0 := time.Now()
+	p.summary = highlights.NewSummary(telco.TimeRange{From: s.Epoch.Start(), To: s.Epoch.End()})
+	for _, name := range names {
+		p.summary.AddTable(e.opts.Highlights, s.Table(name))
+	}
+	p.sr.add(StageHighlight, time.Since(t0).Nanoseconds())
+	return nil
+}
+
+// finishIngest closes an ingestion's books, ended by err or complete: the
+// stages go to the histograms and the span, the span ends, the fleet
+// counters advance. It returns the finished report.
+func (e *Engine) finishIngest(p *PreparedSnapshot, err error) IngestReport {
+	p.rep.Stages = p.sr.flush(e.met.ingestStage, p.span)
+	p.span.End()
+	if err != nil {
+		e.met.ingestErrors.Inc()
+		return p.rep
+	}
+	e.met.ingestSec.Observe(p.rep.Total.Seconds())
+	e.met.ingestSnaps.Inc()
+	e.met.ingestRows.Add(int64(p.rep.Rows))
+	e.met.ingestRawB.Add(p.rep.RawBytes)
+	e.met.ingestCompB.Add(p.rep.CompBytes)
+	return p.rep
+}
+
+// errAbandoned is what an abandoned snapshot's ingest ended with.
+var errAbandoned = errors.New("core: prepared snapshot abandoned")
+
+// Abandon gives up a prepared snapshot that will not be committed, because
+// the run it belongs to stopped at an earlier error. Nothing was written for
+// it; its ingest span ends and it counts among the failed ingests.
+func (e *Engine) Abandon(p *PreparedSnapshot) { e.finishIngest(p, errAbandoned) }
+
+// Commit gives a prepared snapshot its place in the store: the replicated
+// DFS writes, the Incremence append on the right-most path with the seals
+// it completes, the leaf-metadata journal and the decay fungus. Commits
+// must arrive in epoch order, one at a time; an epoch at or before the last
+// one indexed is rejected before anything is written, so it leaves no
+// orphan file behind.
+func (e *Engine) Commit(p *PreparedSnapshot) (rep IngestReport, err error) {
+	start := time.Now()
+	sr := p.sr
+	defer func() { // every return below hands back the report as it then stands
+		p.rep.Total += time.Since(start)
+		rep = e.finishIngest(p, err)
+	}()
+	s := p.snap
+	if err := e.admit(s.Epoch); err != nil {
+		return rep, err
+	}
+
+	// Storage layer: the leaf files, in name order.
+	refs := make(map[string]string, len(p.tables))
+	for i := range p.tables {
+		enc := &p.tables[i]
+		name := enc.name
 		e.colStats.add(name, enc.colNames, enc.colStats)
 		path := snapshot.DataPath(s.Epoch, name)
 		t0 := time.Now()
@@ -466,21 +595,18 @@ func (e *Engine) IngestContext(ctx context.Context, s *snapshot.Snapshot) (rep I
 			return rep, fmt.Errorf("core: store %s: %w", name, werr)
 		}
 		refs[name] = path
-		t0 = time.Now()
-		leafSummary.AddTable(e.opts.Highlights, s.Table(name))
-		sr.add(StageHighlight, time.Since(t0).Nanoseconds())
 	}
-	rep.CompressTime = time.Since(tCompress)
+	p.rep.CompressTime += time.Since(start)
 
 	// Indexing layer: incremence on the right-most path.
 	tIndex := time.Now()
 	e.mu.Lock()
-	leaf, completed, err := e.tree.Append(s.Epoch, refs, rep.CompBytes, rep.RawBytes)
+	leaf, completed, err := e.tree.Append(s.Epoch, refs, p.rep.CompBytes, p.rep.RawBytes)
 	if err != nil {
 		e.mu.Unlock()
 		return rep, err
 	}
-	leaf.Summary = leafSummary
+	leaf.Summary = p.summary
 	sr.add(StageIndex, time.Since(tIndex).Nanoseconds())
 	tSeal := time.Now()
 	var sealErr error
@@ -490,8 +616,8 @@ func (e *Engine) IngestContext(ctx context.Context, s *snapshot.Snapshot) (rep I
 		}
 	}
 	sr.add(StageSeal, time.Since(tSeal).Nanoseconds())
-	e.rawBytes += rep.RawBytes
-	e.compBytes += rep.CompBytes
+	e.rawBytes += p.rep.RawBytes
+	e.compBytes += p.rep.CompBytes
 	e.cache.Clear()
 	e.mu.Unlock()
 	if sealErr != nil {
@@ -500,22 +626,19 @@ func (e *Engine) IngestContext(ctx context.Context, s *snapshot.Snapshot) (rep I
 	tPersist := time.Now()
 	if err := e.persistLeafMeta(leafMeta{
 		Epoch: s.Epoch, Refs: refs,
-		RawBytes: rep.RawBytes, CompBytes: rep.CompBytes,
+		RawBytes: p.rep.RawBytes, CompBytes: p.rep.CompBytes,
 	}); err != nil {
 		return rep, err
 	}
 	sr.add(StagePersist, time.Since(tPersist).Nanoseconds())
-	rep.IndexTime = time.Since(tIndex)
-	rep.CompletedNodes = len(completed)
+	p.rep.IndexTime = time.Since(tIndex)
+	p.rep.CompletedNodes = len(completed)
 
 	// Decaying: purge aged entries under the configured policy.
 	tDecay := time.Now()
 	_, err = e.Decay(s.Epoch.End())
 	sr.add(StageDecay, time.Since(tDecay).Nanoseconds())
-	if err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, err
 }
 
 // sealLocked computes and stores a completed node's summary by merging its
@@ -608,6 +731,17 @@ func (e *Engine) codec() compress.Codec {
 	return e.opts.Codec
 }
 
+// wantsTrainSample reports whether maybeTrain still has a use for a
+// table's wire text.
+func (e *Engine) wantsTrainSample() bool {
+	if !e.opts.TrainDictionary {
+		return false
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return !e.trained
+}
+
 // maybeTrain accumulates early snapshots and, once enough arrived, swaps
 // in a dictionary-trained zstd codec for all subsequent snapshots. The
 // dictionary is persisted so readers of old data are unaffected (old
@@ -626,8 +760,8 @@ func (e *Engine) maybeTrain(text []byte) {
 		return
 	}
 	sample := text
-	if len(sample) > 256<<10 {
-		sample = sample[:256<<10]
+	if len(sample) > trainSampleBytes {
+		sample = sample[:trainSampleBytes]
 	}
 	e.trainSamples = append(e.trainSamples, append([]byte(nil), sample...))
 	if len(e.trainSamples) < e.opts.TrainAfter {

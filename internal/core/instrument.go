@@ -9,9 +9,9 @@ import (
 // Ingest and exploration stage names, shared by the metrics registry, the
 // span tracer and the per-report Stages breakdowns.
 const (
-	StageEncode    = "encode"       // table → wire text
+	StageEncode    = "encode"       // timestamp sort; wire text of row-major leaves
 	StageTrain     = "train"        // dictionary sampling/training
-	StageCompress  = "compress"     // codec Compress calls
+	StageCompress  = "compress"     // segment write: field render, column packing, block codec
 	StageDFSWrite  = "dfs_write"    // replicated block writes
 	StageHighlight = "highlight"    // leaf summary build
 	StageIndex     = "index_insert" // temporal-tree append

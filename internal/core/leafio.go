@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,8 +34,9 @@ var encBufPool = sync.Pool{
 }
 
 // encodedLeaf is one table rendered to its on-disk leaf form by an encode
-// worker, with the per-stage wall times the ingest report folds in.
+// worker, with the worker's own stage times.
 type encodedLeaf struct {
+	name string
 	data []byte // segment, or legacy compressed blob
 	raw  int64  // uncompressed wire-text bytes
 
@@ -50,11 +52,16 @@ type encodedLeaf struct {
 	err error
 }
 
+// trainSampleBytes is how much of a table's wire text one snapshot
+// contributes to dictionary training.
+const trainSampleBytes = 256 << 10
+
 // encodeLeafTable renders one snapshot table into its leaf bytes. It is
 // the body of an ingest encode worker and touches no engine state beyond
-// maybeTrain (self-locking) and the codec read.
+// maybeTrain (self-locking) and the codec read. Every row is rendered once:
+// to escaped fields for a v3 leaf, to wire text for the row-major forms.
 func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf {
-	var out encodedLeaf
+	out := encodedLeaf{name: name}
 	tab := s.Table(name)
 	if tab == nil {
 		out.err = fmt.Errorf("no table %q", name)
@@ -72,44 +79,38 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 	tsIdx := tab.Schema.FieldIndex(telco.AttrTS)
 	cellIdx := tab.Schema.FieldIndex(telco.AttrCellID)
 	if tsIdx >= 0 {
-		sort.SliceStable(tab.Rows, func(i, j int) bool {
-			a, b := tab.Rows[i][tsIdx], tab.Rows[j][tsIdx]
+		slices.SortStableFunc(tab.Rows, func(x, y telco.Record) int {
+			a, b := x[tsIdx], y[tsIdx]
 			if a.IsNull() || b.IsNull() {
-				return false
+				return 0
 			}
-			return a.Time().Before(b.Time())
+			return a.Time().Compare(b.Time())
 		})
 	}
+	columnar := e.opts.ChunkSize >= 0 && e.opts.SegmentVersion != segment.RowVersion
 
-	// Wire-text render, remembering each row's end offset and pruning
-	// metadata so the segment writer can re-walk the text row by row.
+	// The row-major forms compress the table's wire text, so they render
+	// all of it; a v3 leaf renders only what dictionary training samples.
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
 		encBufPool.Put(buf)
 	}()
 	buf.Reset()
-	ends := make([]int, len(tab.Rows))
-	metas := make([]segment.RowMeta, len(tab.Rows))
-	var lb strings.Builder
-	for i, r := range tab.Rows {
-		lb.Reset()
-		r.EncodeLine(&lb)
-		lb.WriteByte('\n')
-		buf.WriteString(lb.String())
-		ends[i] = buf.Len()
-		var m segment.RowMeta
-		if tsIdx >= 0 && !r[tsIdx].IsNull() {
-			m.TS, m.HasTS = r[tsIdx].Time().UnixNano(), true
+	var ends []int // each row's end offset in buf
+	if !columnar || e.wantsTrainSample() {
+		var lb strings.Builder
+		for _, r := range tab.Rows {
+			if columnar && buf.Len() >= trainSampleBytes {
+				break
+			}
+			lb.Reset()
+			r.EncodeLine(&lb)
+			lb.WriteByte('\n')
+			buf.WriteString(lb.String())
+			ends = append(ends, buf.Len())
 		}
-		if cellIdx >= 0 {
-			// Null cells hash as id 0 — the same value the row filters
-			// compare against — so the sketch stays free of false negatives.
-			m.Cell, m.HasCell = r[cellIdx].Int64(), true
-		}
-		metas[i] = m
 	}
-	out.raw = int64(buf.Len())
 	out.encodeNS = time.Since(t0).Nanoseconds()
 
 	t0 = time.Now()
@@ -118,48 +119,39 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 
 	t0 = time.Now()
 	c := e.codec()
+	var st segment.Stats
 	switch {
 	case e.opts.ChunkSize < 0:
 		// Legacy whole-blob leaf: one compressed run of the wire text.
 		out.data = c.Compress(nil, buf.Bytes())
-	case e.opts.SegmentVersion == segment.RowVersion:
+		st.RawBytes = int64(buf.Len())
+	case !columnar:
 		w := segment.NewWriter(c, e.opts.ChunkSize)
 		text := buf.Bytes()
 		start := 0
-		for i := range tab.Rows {
-			if err := w.AppendRow(text[start:ends[i]], metas[i]); err != nil {
-				out.err = err
+		for i, r := range tab.Rows {
+			if out.err = w.AppendRow(text[start:ends[i]], rowMetaOf(r, tsIdx, cellIdx)); out.err != nil {
 				return out
 			}
 			start = ends[i]
 		}
-		data, _, err := w.Finish()
-		if err != nil {
-			out.err = err
-			return out
-		}
-		out.data = data
+		out.data, st, out.err = w.Finish()
 	default:
 		// v3 column-major segment: the same rows in the same canonical
 		// order, stored as per-column streams of escaped wire fields.
 		w := segment.NewColumnWriter(c, e.opts.ChunkSize, tab.Schema.NumFields())
 		fields := make([]string, 0, tab.Schema.NumFields())
-		for i, r := range tab.Rows {
+		for _, r := range tab.Rows {
 			fields = r.AppendFields(fields[:0])
-			if err := w.AppendRowFields(fields, metas[i]); err != nil {
-				out.err = err
+			if out.err = w.AppendRowFields(fields, rowMetaOf(r, tsIdx, cellIdx)); out.err != nil {
 				return out
 			}
 		}
-		data, _, err := w.Finish()
-		if err != nil {
-			out.err = err
-			return out
-		}
-		out.data = data
+		out.data, st, out.err = w.Finish()
 		out.colNames = tab.Schema.FieldNames()
 		out.colStats = w.ColumnStats()
 	}
+	out.raw = st.RawBytes
 	out.compressNS = time.Since(t0).Nanoseconds()
 	return out
 }

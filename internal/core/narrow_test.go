@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"reflect"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,46 +12,10 @@ import (
 	"spate/internal/highlights"
 	"spate/internal/scanspec"
 	"spate/internal/segment"
+	"spate/internal/segment/segmenttest"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
-
-// layoutCodec frames gzip with a length prefix and, while favorRows is
-// set, pads every payload that is not a table's row-major wire text (a
-// first line with exactly the CDR's or the NMS's delimiter count), so the
-// v3 writer's per-chunk layout competition deterministically picks row
-// text. One codec value reads both outcomes, so a store can mix them.
-type layoutCodec struct {
-	inner     compress.Codec
-	favorRows atomic.Bool
-}
-
-func (c *layoutCodec) Name() string { return "layout-test" }
-
-func (c *layoutCodec) Compress(dst, src []byte) []byte {
-	body := c.inner.Compress(nil, src)
-	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(body)))]...)
-	dst = append(dst, body...)
-	if c.favorRows.Load() {
-		line := src
-		if nl := bytes.IndexByte(src, '\n'); nl >= 0 {
-			line = src[:nl]
-		}
-		if n := bytes.Count(line, []byte{'|'}); n != telco.CDRSchema.NumFields()-1 && n != telco.NMSSchema.NumFields()-1 {
-			dst = append(dst, make([]byte, 4*len(src))...) // gzip never shrinks text this far
-		}
-	}
-	return dst
-}
-
-func (c *layoutCodec) Decompress(dst, src []byte) ([]byte, error) {
-	n, k := binary.Uvarint(src)
-	if k <= 0 || uint64(len(src)-k) < n {
-		return nil, compress.Corruptf("layout-test: truncated")
-	}
-	return c.inner.Decompress(dst, src[k:k+int(n)])
-}
 
 // mixedStore builds one store whose window crosses every source of rows a
 // scan can meet, two epochs each: legacy whole-blob leaves, v2 row-major
@@ -63,11 +24,10 @@ func (c *layoutCodec) Decompress(dst, src []byte) ([]byte, error) {
 // returned kinds name what each leaf turned out to be.
 func mixedStore(t *testing.T, workers int) (*testRig, telco.TimeRange, map[string]int) {
 	t.Helper()
-	gz, err := compress.Lookup("gzip")
+	codec, err := compress.Lookup("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := &layoutCodec{inner: gz}
 	const chunk = 16 << 10
 	r := newRig(t, Options{Codec: codec, ChunkSize: -1})
 	snaps := epochSnapshots(r, 9)
@@ -82,9 +42,22 @@ func mixedStore(t *testing.T, workers int) (*testRig, telco.TimeRange, map[strin
 	r.e = reopen(t, r, Options{Codec: codec, ChunkSize: chunk, SegmentVersion: segment.RowVersion})
 	ingest(2, 4) // v2
 	r.e = reopen(t, r, Options{Codec: codec, ChunkSize: chunk, ScanWorkers: workers})
-	codec.favorRows.Store(true)
-	ingest(4, 6) // v3, row-text chunks
-	codec.favorRows.Store(false)
+	// v3, row-text chunks: a layout only older writers chose, so the leaves
+	// are converted between Prepare and Commit.
+	for _, sn := range snaps[4:6] {
+		p, err := r.e.Prepare(context.Background(), sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.tables {
+			if p.tables[i].data, err = segmenttest.RowTextLayout(p.tables[i].data, codec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.e.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ingest(6, 8) // v3, packed column chunks
 	st := openStreamer(t, r, streamOpts(t))
 	appendSnapshot(t, st, snaps[8]) // live memtable epoch

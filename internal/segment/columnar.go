@@ -5,17 +5,17 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strconv"
 
 	"spate/internal/compress"
 )
 
 // ColumnWriter renders a v3 column-major segment: rows arrive as escaped
 // wire fields, accumulate per column, and each chunk flush packs every
-// column with the encoding its entropy selects (dict+RLE, delta, or raw
-// join), then block-compresses the packed concatenation once so the codec
-// keeps one shared context across columns. Like Writer it is not safe for
-// concurrent use; ingest runs one writer per table worker.
+// column with the encoding its statistics select (dict+RLE, delta, or raw
+// join), then block-compresses the packed concatenation — the chunk's only
+// codec pass — so the codec keeps one shared context across columns. Like
+// Writer it is not safe for concurrent use; ingest runs one writer per table
+// worker.
 type ColumnWriter struct {
 	codec     compress.Codec
 	chunkSize int
@@ -24,6 +24,10 @@ type ColumnWriter struct {
 	out     *bytes.Buffer
 	cols    [][]string // accumulated escaped fields, per column
 	curSize int        // wire-text bytes the accumulated rows reconstruct to
+
+	// packed and blob are one chunk's packed concatenation and its
+	// compressed form, reused from chunk to chunk.
+	packed, blob []byte
 
 	chunks []Chunk
 
@@ -128,9 +132,10 @@ func (w *ColumnWriter) flushChunk() error {
 	}
 	off := int64(w.out.Len())
 	metas := make([]ColMeta, w.ncols)
-	var packed []byte
-	anyPacked := false
+	packed := w.packed[:0]
 	for i, vals := range w.cols {
+		// One walk per column yields its codec, entropy and integer zone;
+		// the layout is settled before the block codec sees a byte.
 		choice := compress.ChooseColumn(vals)
 		streamOff := int64(len(packed))
 		var err error
@@ -138,56 +143,13 @@ func (w *ColumnWriter) flushChunk() error {
 		if err != nil {
 			return fmt.Errorf("segment: encode column %d: %w", i, err)
 		}
-		m := &metas[i]
-		m.Tag = choice.Tag
-		m.Off = streamOff
-		m.Len = int64(len(packed)) - streamOff
-		m.HasZone, m.Min, m.Max = intZone(vals)
-		if choice.Tag != compress.ColPlain {
-			anyPacked = true
+		metas[i] = ColMeta{
+			Tag: choice.Tag, Off: streamOff, Len: int64(len(packed)) - streamOff,
+			HasZone: choice.IntZone, Min: choice.Min, Max: choice.Max,
 		}
-		w.stats[i].EntropyBits += choice.EntropyBits
-	}
-	// One block-codec pass over the packed concatenation: column offsets
-	// index the inflated block, so selective reads inflate once and parse
-	// only the streams they need.
-	blob := w.codec.Compress(nil, packed)
-	if anyPacked {
-		// Dict/RLE and delta pre-packing can destroy the byte-level
-		// redundancy the block codec feeds on (near-duplicate rows
-		// compress far better as raw text than as index streams), so
-		// compress an all-plain packing too and keep the smaller chunk.
-		plain := make([]byte, 0, len(packed))
-		plainMetas := make([]ColMeta, w.ncols)
-		for i, vals := range w.cols {
-			streamOff := int64(len(plain))
-			plain, _ = compress.EncodeColumn(plain, compress.ColPlain, vals)
-			m := &plainMetas[i]
-			m.Tag = compress.ColPlain
-			m.Off = streamOff
-			m.Len = int64(len(plain)) - streamOff
-			m.HasZone, m.Min, m.Max = metas[i].HasZone, metas[i].Min, metas[i].Max
-		}
-		if pb := w.codec.Compress(nil, plain); len(pb) < len(blob) {
-			blob, metas = pb, plainMetas
-		}
-	}
-	// Per-chunk layout choice: when the row-major wire text compresses
-	// smaller than any column packing — typical under a dictionary trained
-	// on row-major samples — store the text and keep only the directory's
-	// zones. Readers still serve per-column requests by splitting rows.
-	if rb := w.codec.Compress(nil, w.rowText()); len(rb) < len(blob) {
-		blob = rb
-		w.flags |= flagRowText
-		for i := range metas {
-			m := &metas[i]
-			m.Tag = compress.ColPlain
-			m.Off, m.Len = 0, 0
-		}
-	}
-	for i, m := range metas {
 		st := &w.stats[i]
-		switch m.Tag {
+		st.EntropyBits += choice.EntropyBits
+		switch choice.Tag {
 		case compress.ColDict:
 			st.Dict++
 		case compress.ColDelta:
@@ -197,7 +159,12 @@ func (w *ColumnWriter) flushChunk() error {
 		}
 	}
 	w.statsChunks++
-	w.out.Write(blob)
+	// The chunk's one block-codec pass, over the packed concatenation:
+	// column offsets index the inflated block, so selective reads inflate
+	// once and parse only the streams they need.
+	w.blob = w.codec.Compress(w.blob[:0], packed)
+	w.packed = packed
+	w.out.Write(w.blob)
 	payload := w.out.Bytes()[off:]
 	var sk []byte
 	if w.flags&flagNoCell == 0 && len(w.cells) > 0 {
@@ -220,46 +187,6 @@ func (w *ColumnWriter) flushChunk() error {
 	})
 	w.resetChunkStats()
 	return nil
-}
-
-// rowText reassembles the accumulated rows' exact wire text (fields
-// joined by '|', rows by '\n') — the row-major layout candidate.
-func (w *ColumnWriter) rowText() []byte {
-	text := make([]byte, 0, w.curSize)
-	for r := int64(0); r < w.rows; r++ {
-		for i := range w.cols {
-			if i > 0 {
-				text = append(text, '|')
-			}
-			text = append(text, w.cols[i][r]...)
-		}
-		text = append(text, '\n')
-	}
-	return text
-}
-
-// intZone computes a column's integer zone map: present only when every
-// field is a canonical base-10 int64 (so the zone's bounds compare exactly
-// like the decoded values, and zone presence certifies the column has no
-// blank fields in the chunk).
-func intZone(vals []string) (bool, int64, int64) {
-	if len(vals) == 0 {
-		return false, 0, 0
-	}
-	min, max := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, v := range vals {
-		x, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || strconv.FormatInt(x, 10) != v {
-			return false, 0, 0
-		}
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return true, min, max
 }
 
 // Finish flushes the last chunk, appends the v3 footer and returns the

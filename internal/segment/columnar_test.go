@@ -9,12 +9,12 @@ import (
 
 	"spate/internal/compress"
 	"spate/internal/segment"
+	"spate/internal/segment/segmenttest"
 )
 
 // identCodec is an identity codec with a length-prefixed frame: packed
-// column streams keep their exact sizes, so the chunk-layout competition
-// is decided purely by the encodings (dict/delta beat plain beat row
-// text), making codec-choice assertions deterministic.
+// column streams keep their exact sizes, so size assertions see the
+// encodings alone.
 type identCodec struct{}
 
 func (identCodec) Name() string { return "ident-test" }
@@ -33,21 +33,15 @@ func (identCodec) Decompress(dst, src []byte) ([]byte, error) {
 	return append(dst, src[k:k+int(n)]...), nil
 }
 
-// favorRowsCodec is identCodec except that payloads without a '|' byte
-// are padded. Row-major wire text always contains '|' (every test table
-// has ≥2 columns) while all-plain packed streams never do (escaped fields
-// joined by '\n'), so the row-text candidate deterministically wins the
-// per-chunk size competition — the fallback path under test.
-type favorRowsCodec struct{ identCodec }
-
-func (favorRowsCodec) Name() string { return "favor-rows-test" }
-
-func (favorRowsCodec) Compress(dst, src []byte) []byte {
-	dst = identCodec{}.Compress(dst, src)
-	if !bytes.ContainsRune(src, '|') {
-		dst = append(dst, make([]byte, 64)...)
+// rowTextLayout converts a freshly written v3 segment to the legacy
+// row-text chunk layout no writer produces any more.
+func rowTextLayout(t *testing.T, data []byte, c compress.Codec) []byte {
+	t.Helper()
+	out, err := segmenttest.RowTextLayout(data, c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return dst
+	return out
 }
 
 // buildColumnar renders rows of (monotone int ts, 3-value cycling type,
@@ -200,10 +194,10 @@ func TestColumnarSubsetDecode(t *testing.T) {
 	}
 }
 
+// TestColumnarRowTextFallback: readers serve the legacy row-text chunks of
+// older stores — full text and per-column requests alike.
 func TestColumnarRowTextFallback(t *testing.T) {
-	// Every column is high-entropy non-integer text, so packing stays
-	// all-plain and the biased codec makes the row-text candidate win.
-	c := favorRowsCodec{}
+	c := identCodec{}
 	w := segment.NewColumnWriter(c, 1<<10, 3)
 	var wire bytes.Buffer
 	for i := 0; i < 300; i++ {
@@ -227,6 +221,7 @@ func TestColumnarRowTextFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = rowTextLayout(t, data, c)
 	r, err := segment.Open(bytes.NewReader(data), int64(len(data)), c)
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +246,8 @@ func TestColumnarRowTextFallback(t *testing.T) {
 			t.Fatalf("chunk %d: %d values, footer says %d rows", i, len(vals[0]), ch.Rows)
 		}
 	}
-	if rowMajor == 0 {
-		t.Fatal("no chunk fell back to row-major layout")
+	if rowMajor != r.NumChunks() || rowMajor < 2 {
+		t.Fatalf("%d of %d chunks are row-major, want all of several", rowMajor, r.NumChunks())
 	}
 	if !bytes.Equal(got.Bytes(), wire.Bytes()) {
 		t.Fatal("row-text chunks differ from the table wire text")

@@ -56,10 +56,11 @@
 //	  span           uvarint   max - min (only when zoned)
 //
 // A v3 chunk may instead carry flag bit2 (row text): its payload is the
-// block-compressed row-major wire text — chosen when the writer measures
-// that layout compresses smaller (e.g. under a dictionary trained on
-// row-major samples) — and the column directory keeps only zones and tags
-// with zero off/len.
+// block-compressed row-major wire text, and the column directory keeps only
+// zones and tags with zero off/len. Writers before PR 17 compressed every
+// chunk both ways and chose this layout when it came out smaller (e.g. under
+// a dictionary trained on row-major samples); no writer produces it any more,
+// and readers keep serving the chunks those stores hold.
 //
 // The whole v3 footer (chunk entries + column directories) is itself
 // block-compressed; the tail's footer length counts the compressed bytes.
@@ -128,10 +129,9 @@ const (
 	colTagMask = 0x0f
 	colZoneBit = 0x10
 	// flagRowText marks a v3 chunk whose payload is the block-compressed
-	// row-major wire text instead of packed column streams — written when
-	// the writer measures that the text compresses smaller (typically under
-	// a dictionary trained on row-major samples). The column directory
-	// keeps its zone maps; Off/Len are zero.
+	// row-major wire text instead of packed column streams — a layout only
+	// writers before PR 17 chose; read-only now. The column directory keeps
+	// its zone maps; Off/Len are zero.
 	flagRowText = 1 << 2
 )
 
@@ -481,8 +481,9 @@ func (w *Writer) flushChunk() error {
 
 // Stats summarizes a finished segment.
 type Stats struct {
-	Chunks   int
-	RawBytes int64 // uncompressed wire text across chunks
+	Chunks       int
+	RawBytes     int64 // uncompressed wire text across chunks
+	PayloadBytes int64 // compressed chunk payloads, header and footer excluded
 }
 
 // Finish flushes the last chunk, appends the footer and returns the
@@ -565,6 +566,7 @@ func writeFooter(dst *bytes.Buffer, chunks []Chunk, codec compress.Codec) Stats 
 			}
 		}
 		st.RawBytes += c.ULen
+		st.PayloadBytes += c.Len
 	}
 	if withCols {
 		footStart = dst.Len()
