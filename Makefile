@@ -17,7 +17,8 @@ test:
 # through the one scheduler, so no -run pattern selects "the parallel tests"
 # any more: the whole core and cluster packages re-run at several GOMAXPROCS
 # values, exercising the scheduler both starved and saturated, and so do the
-# decode, pushdown and layout parity/property tests of the packages under it.
+# decode, pushdown and layout parity/property tests of the packages under it
+# (the highlight fold's batch ≡ row property among them).
 # (Three raced widths of a whole package outlast go test's 10-minute default.)
 # The boot loader's look-ahead — Prepare of one snapshot beside Commit of the
 # one before — is the one place batch ingest runs two goroutines over an
@@ -26,7 +27,8 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/
 	$(GO) test -race -run 'Parity|Property|Equivalence|Reference' -cpu 1,2,4 \
-		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/
+		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/ \
+		./internal/highlights/
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'LookAhead' ./cmd/spate-server/
 
 # Two assertions used to depend on how the scheduler interleaved goroutines
@@ -84,7 +86,7 @@ bench-check:
 	rm -f BENCH_segment.base.json BENCH_scan.base.json BENCH_parallel.base.json BENCH_serving.base.json
 
 # Fuzz the WAL record decoder and the v3 column-stream decoders (string and
-# typed, one target) for a short, CI-friendly budget.
+# column-batch, one target) for a short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/

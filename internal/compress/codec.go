@@ -25,6 +25,14 @@
 //
 // Implementations live in subpackages and self-register; import
 // spate/internal/compress/all to load every codec.
+//
+// Beside the block codecs the package holds the column stream codecs of the
+// SPSG v3 chunk layout (column.go): plain, dictionary+RLE and delta
+// packings of one attribute's fields, each with two decoders over one
+// walker — DecodeColumn back to the escaped wire fields (compaction's
+// bit-for-bit rewrite) and DecodeColumnBatch straight into a column of a
+// telco.Batch, the pointer-free typed arrays every scan runs on. The two
+// are held equal field for field by a property test and a fuzz target.
 package compress
 
 import (

@@ -266,16 +266,21 @@ func DecodeColumn(dst []string, tag byte, data []byte, rows int) ([]string, erro
 	return nil, Corruptf("compress: column codec %d", tag)
 }
 
-// DecodeColumnValues decodes a packed column stream straight into typed
-// values: row i lands in dst[i*stride] (so a caller lays several columns
-// out row-major in one slice) and equals telco.ParseField(kind, field i)
-// over the fields DecodeColumn yields — blank fields are Null, escapes
-// resolve, plain streams keep non-canonical integers — without ever
-// building those strings for packed streams: a dictionary entry parses
-// once and its runs copy the value, deltas accumulate as int64 and convert
-// arithmetically. wire is the wire-text share of the column, each field
-// with one separator. Corrupt streams fail exactly as DecodeColumn's do.
-func DecodeColumnValues(dst []telco.Value, stride int, kind telco.Kind, tag byte, data []byte, rows int) (wire int64, err error) {
+// DecodeColumnBatch decodes a packed column stream into col, a batch column
+// already Reset to the stream's kind and row count: row i equals
+// telco.ParseField(kind, field i) over the fields DecodeColumn yields —
+// blank fields are null, escapes resolve, plain streams keep non-canonical
+// integers — without ever building those strings. Numbers land in the
+// column's typed array: a dictionary entry parses once, where its first run
+// starts, and its runs copy the value (the run boundaries stay with the
+// column, col.Runs); deltas accumulate as int64 and convert arithmetically.
+// A string column aliases data — plain fields and dictionary entries are
+// located, not copied, and a dictionary stream keeps its dictionary with one
+// code per row — so data must stay untouched while the column is in use. wire is the wire-text share of the column, each
+// field with one separator. Corrupt streams fail exactly as DecodeColumn's
+// do.
+func DecodeColumnBatch(col *telco.Column, tag byte, data []byte, rows int) (wire int64, err error) {
+	str := col.Kind == telco.KindString
 	switch tag {
 	case ColPlain:
 		if err := checkPlain(data, rows); err != nil {
@@ -284,79 +289,109 @@ func DecodeColumnValues(dst []telco.Value, stride int, kind telco.Kind, tag byte
 		if rows == 0 {
 			return 0, nil
 		}
-		rest := string(data) // one copy; string values are substrings of it
+		if str {
+			col.Arena = data
+			col.SetEntries(rows)
+		}
+		at := 0
 		for i := 0; i < rows; i++ {
-			field := rest
-			if nl := strings.IndexByte(rest, '\n'); nl >= 0 {
-				field, rest = rest[:nl], rest[nl+1:]
+			end := len(data)
+			if nl := bytes.IndexByte(data[at:], '\n'); nl >= 0 {
+				end = at + nl
 			}
-			if dst[i*stride], err = telco.ParseField(kind, field); err != nil {
+			if str {
+				col.Starts[i], col.Ends[i] = uint32(at), uint32(end)
+			} else if err := col.SetField(i, data[at:end]); err != nil {
 				return 0, err
 			}
+			at = end + 1
+		}
+		if str {
+			col.Unescape()
 		}
 		return int64(len(data)) + 1, nil
 	case ColDict:
-		entries, runs, err := dictEntries(data)
-		if err != nil {
+		// A string column keeps the entries' spans in data as its dictionary;
+		// a numeric one parses through them.
+		var runs []byte
+		if col.Starts, col.Ends, runs, err = dictSpans(data, col.Starts[:0], col.Ends[:0]); err != nil {
 			return 0, err
 		}
-		// Entries parse once; a bad entry only fails the decode if a run
-		// uses it, as it would field by field.
-		vals := make([]telco.Value, len(entries))
-		var bad []error
-		for i, e := range entries {
-			if vals[i], err = telco.ParseField(kind, e); err != nil {
-				if bad == nil {
-					bad = make([]error, len(entries))
-				}
-				bad[i] = err
+		col.Arena = data
+		n := len(col.Starts)
+		var first []int32 // numeric: the row an entry was parsed into, -1 before
+		if str {
+			col.UseCodes(rows)
+		} else {
+			first = col.Work(n)
+			for i := range first {
+				first[i] = -1
 			}
 		}
-		var badRun error
-		err = dictRuns(runs, len(entries), rows, func(idx, at, run int) {
-			if bad != nil && bad[idx] != nil && badRun == nil {
-				badRun = bad[idx]
+		// An entry that does not parse only fails the decode if a run uses
+		// it, as it would field by field.
+		var bad error
+		err = dictRuns(runs, n, rows, func(idx, at, run int) {
+			wire += int64(run) * int64(col.Ends[idx]-col.Starts[idx]+1)
+			col.Runs = append(col.Runs, uint32(at+run))
+			switch {
+			case str:
+				for j := at; j < at+run; j++ {
+					col.Codes[j] = uint32(idx)
+				}
+			case bad != nil:
+			case first[idx] < 0:
+				if bad = col.SetField(at, data[col.Starts[idx]:col.Ends[idx]]); bad == nil {
+					first[idx] = int32(at)
+					col.Fill(at+1, at+run, at)
+				}
+			default:
+				col.Fill(at, at+run, int(first[idx]))
 			}
-			v := vals[idx]
-			for j := at; j < at+run; j++ {
-				dst[j*stride] = v
-			}
-			wire += int64(run) * int64(len(entries[idx])+1)
 		})
 		if err == nil {
-			err = badRun
+			err = bad
 		}
 		if err != nil {
 			return 0, err
+		}
+		if str {
+			col.Unescape()
+		} else {
+			col.Arena, col.Starts, col.Ends = nil, col.Starts[:0], col.Ends[:0]
 		}
 		return wire, nil
 	case ColDelta:
-		if kind == telco.KindString {
-			// Numeric identifiers stored as text: render every row's digits
-			// into one buffer and hand out substrings of its one string.
-			digits := make([]byte, 0, 2*len(data)+rows)
-			ends := make([]int, rows)
+		if str {
+			// Numeric identifiers stored as text: every row's digits render
+			// into the column's own arena.
+			digits := col.Own()
+			col.SetEntries(rows)
 			err := deltaValues(data, rows, func(i int, x int64) error {
+				col.Starts[i] = uint32(len(digits))
 				digits = strconv.AppendInt(digits, x, 10)
-				ends[i] = len(digits)
+				col.Ends[i] = uint32(len(digits))
 				return nil
 			})
 			if err != nil {
 				return 0, err
 			}
-			all, start := string(digits), 0
-			for i, end := range ends {
-				dst[i*stride] = telco.String(all[start:end])
-				start = end
-			}
+			col.OwnArena(digits)
 			return int64(len(digits) + rows), nil
 		}
-		err := deltaValues(data, rows, func(i int, x int64) error {
-			v, err := telco.ValueOfInt(kind, x)
-			dst[i*stride] = v
-			wire += int64(decimalLen(x)) + 1
-			return err
-		})
+		if col.Kind == telco.KindInt {
+			// The common case lands in the array with no call per row.
+			err = deltaValues(data, rows, func(i int, x int64) error {
+				wire += int64(decimalLen(x)) + 1
+				col.Ints[i] = x
+				return nil
+			})
+		} else {
+			err = deltaValues(data, rows, func(i int, x int64) error {
+				wire += int64(decimalLen(x)) + 1
+				return col.SetInt(i, x)
+			})
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -382,17 +417,25 @@ func checkPlain(data []byte, rows int) error {
 
 // decimalLen is len(strconv.FormatInt(x, 10)).
 func decimalLen(x int64) int {
-	n := 1
-	u := uint64(x)
+	n, u := 0, uint64(x)
 	if x < 0 {
-		n, u = 2, -u
+		n, u = 1, -u
 	}
-	for u >= 10 {
-		u /= 10
-		n++
+	// 1233/4096 approximates log10(2): t is the digit count or one short.
+	t := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[t] {
+		t++
 	}
-	return n
+	return n + max(t, 1)
 }
+
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
 
 func encodeDict(dst []byte, values []string) []byte {
 	idx := make(map[string]uint64, 64)
@@ -424,33 +467,40 @@ func encodeDict(dst []byte, values []string) []byte {
 	return dst
 }
 
+// dictSpans parses a dictionary stream's header: it appends each entry's
+// start and end offset in data to starts and ends and returns them with the
+// run section that follows the entries.
+func dictSpans(data []byte, starts, ends []uint32) ([]uint32, []uint32, []byte, error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)) {
+		return nil, nil, nil, Corruptf("compress: dict column: entry count")
+	}
+	at := k
+	for i := uint64(0); i < n; i++ {
+		l, k := binary.Uvarint(data[at:])
+		if k <= 0 || l > uint64(len(data)-at-k) {
+			return nil, nil, nil, Corruptf("compress: dict column: entry %d", i)
+		}
+		starts, ends = append(starts, uint32(at+k)), append(ends, uint32(at+k)+uint32(l))
+		at += k + int(l)
+	}
+	return starts, ends, data[at:], nil
+}
+
 // dictEntries parses a dictionary stream's header, returning the entries
 // and the run section that follows them. The entries are substrings of one
 // copy of the header, not a string each.
 func dictEntries(data []byte) (entries []string, runs []byte, err error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > uint64(len(data)) {
-		return nil, nil, Corruptf("compress: dict column: entry count")
+	starts, ends, runs, err := dictSpans(data, nil, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	ends := make([]int, n) // end offset of each entry within data
-	at := k
-	for i := range ends {
-		l, k := binary.Uvarint(data[at:])
-		if k <= 0 || l > uint64(len(data)-at-k) {
-			return nil, nil, Corruptf("compress: dict column: entry %d", i)
-		}
-		at += k + int(l)
-		ends[i] = at
+	header := string(data[:len(data)-len(runs)])
+	entries = make([]string, len(starts))
+	for i := range entries {
+		entries[i] = header[starts[i]:ends[i]]
 	}
-	header := string(data[:at])
-	entries = make([]string, n)
-	at = k
-	for i, end := range ends {
-		_, k := binary.Uvarint(data[at:])
-		entries[i] = header[at+k : end]
-		at = end
-	}
-	return entries, data[at:], nil
+	return entries, runs, nil
 }
 
 // dictRuns walks a dictionary stream's (entry index, run length) pairs,

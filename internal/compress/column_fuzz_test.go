@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"testing"
 
 	"spate/internal/telco"
@@ -9,24 +10,26 @@ import (
 // typedKinds are the value kinds a column stream can decode into.
 var typedKinds = []telco.Kind{telco.KindString, telco.KindInt, telco.KindFloat, telco.KindTime, telco.KindNull}
 
-// checkTypedDecode holds DecodeColumnValues to its contract against
+// checkTypedDecode holds DecodeColumnBatch to its contract against
 // DecodeColumn over the same stream, for every kind: a stream the string
-// decoder rejects is rejected; otherwise row i is exactly
-// telco.ParseField(kind, field i) — the same kind, payload and nullness —
-// with untouched gaps at the requested stride, a parse failure anywhere
-// fails the decode, and the reported wire bytes are the fields' lengths
-// plus one separator each.
+// decoder rejects is rejected; otherwise row i of the batch column is
+// exactly telco.ParseField(kind, field i) — the same kind, payload and
+// nullness, read back both one value at a time and through the record
+// materializer — a parse failure anywhere fails the decode, and the
+// reported wire bytes are the fields' lengths plus one separator each. The
+// column is reused across kinds and calls, as a scan worker's is.
 func checkTypedDecode(t *testing.T, tag byte, data []byte, rows int) {
 	t.Helper()
 	fields, strErr := DecodeColumn(nil, tag, data, rows)
+	pristine := append([]byte(nil), data...)
 	for _, kind := range typedKinds {
-		const stride = 3
-		sentinel := telco.String("untouched")
-		dst := make([]telco.Value, rows*stride)
-		for i := range dst {
-			dst[i] = sentinel
+		schema := telco.MustSchema("T", []telco.Field{{Name: "c", Kind: kind}})
+		typedBatch.Reset(schema, nil, rows)
+		col := &typedBatch.Cols[0]
+		wire, err := DecodeColumnBatch(col, tag, data, rows)
+		if !bytes.Equal(data, pristine) {
+			t.Fatalf("tag %d kind %v: decode wrote into the stream it aliases", tag, kind)
 		}
-		wire, err := DecodeColumnValues(dst, stride, kind, tag, data, rows)
 		if strErr != nil {
 			if err == nil {
 				t.Fatalf("tag %d kind %v: typed decode accepted a stream the string decoder rejects (%v)", tag, kind, strErr)
@@ -56,26 +59,39 @@ func checkTypedDecode(t *testing.T, tag byte, data []byte, rows int) {
 		if wire != wantWire {
 			t.Fatalf("tag %d kind %v: wire = %d, want %d", tag, kind, wire, wantWire)
 		}
+		recs := typedBatch.AppendRecords(nil)
+		if len(recs) != rows {
+			t.Fatalf("tag %d kind %v: %d records materialized, want %d", tag, kind, len(recs), rows)
+		}
+		nulls := 0
 		for i := range want {
-			got := dst[i*stride]
-			if got.Kind() != want[i].Kind() || !got.Equal(want[i]) {
-				t.Fatalf("tag %d kind %v: row %d = %v %q, want %v %q (field %q)",
-					tag, kind, i, got.Kind(), got.Format(), want[i].Kind(), want[i].Format(), fields[i])
-			}
-			for g := 1; g < stride; g++ {
-				if !dst[i*stride+g].Equal(sentinel) {
-					t.Fatalf("tag %d kind %v: decode wrote outside its stride at row %d", tag, kind, i)
+			for _, got := range []telco.Value{col.Value(i), recs[i][0]} {
+				if got.Kind() != want[i].Kind() || !got.Equal(want[i]) {
+					t.Fatalf("tag %d kind %v: row %d = %v %q, want %v %q (field %q)",
+						tag, kind, i, got.Kind(), got.Format(), want[i].Kind(), want[i].Format(), fields[i])
 				}
 			}
+			if col.Null(i) != want[i].IsNull() {
+				t.Fatalf("tag %d kind %v: row %d null = %v (field %q)", tag, kind, i, col.Null(i), fields[i])
+			}
+			if want[i].IsNull() {
+				nulls++
+			}
+		}
+		if kind != telco.KindString && col.NullCount != nulls {
+			t.Fatalf("tag %d kind %v: NullCount = %d, %d rows are null", tag, kind, col.NullCount, nulls)
 		}
 	}
 }
+
+// typedBatch is the one batch every checkTypedDecode call decodes into.
+var typedBatch telco.Batch
 
 // FuzzDecodeColumn drives arbitrary bytes through every column codec, the
 // string decoder and the typed one. Three invariants: a decoder never
 // panics (corrupt streams must fail as Corruptf errors), any stream the
 // string decoder accepts describes exactly rows values that survive a
-// re-encode/re-decode round trip, and the typed decoder agrees with the
+// re-encode/re-decode round trip, and the batch decoder agrees with the
 // string decoder field for field in every kind (checkTypedDecode) — so an
 // attacker (or a flipped DFS bit) can at worst produce a loud error, never
 // a silently wrong column.

@@ -11,7 +11,7 @@ import (
 // TestTypedDecodeProperty: over seeded random columns of every flavour a
 // leaf can hold — blanks, escaped delimiters, negative and non-canonical
 // integers, valid and impossible timestamps, floats — encoded with every
-// codec that accepts them, the typed decoder equals ParseField over the
+// codec that accepts them, the batch decoder equals ParseField over the
 // string decoder in every kind, and fails exactly where it would.
 func TestTypedDecodeProperty(t *testing.T) {
 	flavours := map[string]func(r *rand.Rand) string{
@@ -177,6 +177,20 @@ func TestCanonicalInt(t *testing.T) {
 		got, ok := canonicalInt(v)
 		if ok != want || (ok && got != x) {
 			t.Errorf("canonicalInt(%q) = %d, %v; want %d, %v", v, got, ok, x, want)
+		}
+	}
+}
+
+// TestDecimalLen: wire-share accounting sizes a delta column's digits
+// without rendering them.
+func TestDecimalLen(t *testing.T) {
+	vals := []int64{0, 1, -1, 9, 10, -10, 99, 100, 999999999, 1000000000, math.MaxInt64, math.MinInt64}
+	for p := int64(1); p < math.MaxInt64/10; p *= 10 {
+		vals = append(vals, p-1, p, p+1, -p, 1-p)
+	}
+	for _, x := range vals {
+		if got, want := decimalLen(x), len(strconv.FormatInt(x, 10)); got != want {
+			t.Errorf("decimalLen(%d) = %d, FormatInt renders %d bytes", x, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -68,14 +69,18 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	if err != nil {
 		return nil, err
 	}
-	for _, mt := range src.memTabs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	if len(src.memTabs) > 0 {
+		b := e.getBatch()
+		defer e.putBatch(b)
+		for _, mt := range src.memTabs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if prof != nil {
+				prof.MemRows += mt.tab.Len()
+			}
+			accs[0].foldMem(b, mt.tab)
 		}
-		if prof != nil {
-			prof.MemRows += mt.tab.Len()
-		}
-		accs[0].foldMem(mt.tab)
 	}
 	var parts []scanspec.Partial
 	for _, acc := range accs {
@@ -87,27 +92,29 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	return parts, nil
 }
 
-// aggLayout is one projection a per-row fold reads rows in, with the
-// positions of everything the fold touches inside it.
+// aggLayout is one projection a fold reads batches in, with the positions
+// of everything the fold touches inside it.
 type aggLayout struct {
 	projection
-	checkTS bool  // rows still need the row-level time filter
-	tsIdx   int   // -1 when the layout carries no timestamp
-	grpIdx  int   // -1 when ungrouped
-	predIdx []int // per predicate
-	aggIdx  []int // per aggregate argument, -1 for COUNT(*)
+	checkTS bool        // rows still need the row-level time filter
+	tsIdx   int         // -1 when the layout carries no timestamp
+	grpIdx  int         // -1 when ungrouped
+	preds   []batchPred // the spec's predicates, compiled against the layout
+	aggIdx  []int       // per aggregate argument, -1 for COUNT(*)
 }
 
 // aggAcc is the schema-resolved fold state of one pushed-down aggregate:
 // which stored columns the predicates and aggregate arguments live at (for
-// zone-map decisions), the two layouts a per-row fold may read — the
-// referenced columns alone, and with the timestamp for chunks that need
-// the row-level window filter — and the per-group partials accumulated so
-// far. It is the leaf walk's aggregating sink.
+// zone-map decisions), the two layouts a fold may read — the referenced
+// columns alone, and with the timestamp for chunks that need the row-level
+// window filter — and the per-group state accumulated so far, dense: groups
+// are ordinals, their aggregate cells one slab. It is the leaf walk's
+// aggregating sink.
 type aggAcc struct {
 	spec   *ScanSpec
 	schema *telco.Schema
 	w      telco.TimeRange // the scan window
+	tf     timeFilter      // w and the spec's exact window, as an array filter
 
 	predCol []int // stored position per predicate
 	aggCol  []int // stored position per aggregate argument, -1 for COUNT(*)
@@ -115,8 +122,25 @@ type aggAcc struct {
 	lay   aggLayout // without the timestamp, unless the spec reads it
 	layTS aggLayout // with the timestamp for window filtering
 
-	vals   []telco.Value // per-row aggregate arguments, reused
-	groups map[string]*scanspec.Partial
+	// Groups are interned: by wire form — the merge key, so two values that
+	// render alike share a group — with a shortcut for integer group columns
+	// and, per batch, one lookup per dictionary entry of a string column.
+	byKey map[string]int32
+	byInt map[int64]int32
+	keys  []telco.Value // group value per ordinal
+	cells []aggCell     // ordinal*len(spec.Aggs) + aggregate
+	ext   []telco.Value // alongside cells when the spec has a MIN or MAX: its running extreme
+
+	hasExt  bool    // the spec has a MIN or MAX
+	ord     []int32 // per selected row of the batch being folded
+	codeOrd []int32 // per dictionary entry, -1 until a row uses it
+}
+
+// aggCell is the running state of one aggregate within one group. With the
+// extreme a MIN or MAX has seen (aggAcc.ext) it renders to a scanspec.Cell.
+type aggCell struct {
+	seen        bool
+	count, isum int64
 }
 
 // newAggAcc resolves the spec against the table schema. Unlike the row
@@ -128,8 +152,9 @@ func newAggAcc(spec *ScanSpec, schema *telco.Schema, w telco.TimeRange) (*aggAcc
 		spec:   spec,
 		schema: schema,
 		w:      w,
-		vals:   make([]telco.Value, len(spec.Aggs)),
-		groups: make(map[string]*scanspec.Partial),
+		tf:     newTimeFilter(w, spec),
+		byKey:  make(map[string]int32),
+		byInt:  make(map[int64]int32),
 	}
 	resolve := func(col string) (int, error) {
 		i := schema.FieldIndex(col)
@@ -148,6 +173,7 @@ func newAggAcc(spec *ScanSpec, schema *telco.Schema, w telco.TimeRange) (*aggAcc
 	}
 	a.aggCol = make([]int, len(spec.Aggs))
 	for i, g := range spec.Aggs {
+		a.hasExt = a.hasExt || g.Fn == "MIN" || g.Fn == "MAX"
 		if g.Col == "" {
 			a.aggCol[i] = -1
 			continue
@@ -178,9 +204,9 @@ func (a *aggAcc) resolve(names []string, checkTS bool) aggLayout {
 	l := aggLayout{projection: newProjection(a.schema, names, false), checkTS: checkTS}
 	l.tsIdx = l.out.FieldIndex(telco.AttrTS)
 	l.grpIdx = l.out.FieldIndex(a.spec.GroupBy)
-	l.predIdx = make([]int, len(a.spec.Preds))
+	l.preds = make([]batchPred, len(a.spec.Preds))
 	for i, p := range a.spec.Preds {
-		l.predIdx[i] = l.out.FieldIndex(p.Col)
+		l.preds[i] = compilePred(p, l.out.FieldIndex(p.Col))
 	}
 	l.aggIdx = make([]int, len(a.spec.Aggs))
 	for i, g := range a.spec.Aggs {
@@ -220,12 +246,12 @@ func (a *aggAcc) layout(ch *segment.Chunk) *projection {
 
 // rows folds a decoded chunk laid out as p, whichever of its two
 // projections layout handed out.
-func (a *aggAcc) rows(p *projection, rows []telco.Record) error {
+func (a *aggAcc) rows(p *projection, b *telco.Batch) error {
 	lay := &a.layTS
 	if p == &a.lay.projection {
 		lay = &a.lay
 	}
-	a.fold(rows, lay)
+	a.fold(b, lay)
 	return nil
 }
 
@@ -299,82 +325,196 @@ func (a *aggAcc) metaOK(ch *segment.Chunk) bool {
 	})
 }
 
-// addMeta folds a whole chunk from its metadata.
+// addMeta folds a whole chunk, every row of which provably matches, from
+// its metadata: the row count answers COUNT — a zoned column holds no null —
+// and the integer zone bounds, lifted into the column's kind, are the
+// chunk's MIN and MAX (see Spec.CanUseMeta: SUM and grouped specs decode).
 func (a *aggAcc) addMeta(ch *segment.Chunk) {
+	first := int(a.group(telco.Null)) * len(a.spec.Aggs)
+	for i, g := range a.spec.Aggs {
+		at := first + i
+		switch g.Fn {
+		case "COUNT":
+			a.cells[at].count += ch.Rows
+		case "MIN":
+			a.observe(at, zoneValue(a.schema.Fields[a.aggCol[i]].Kind, ch.Cols[a.aggCol[i]].Min), -1)
+		case "MAX":
+			a.observe(at, zoneValue(a.schema.Fields[a.aggCol[i]].Kind, ch.Cols[a.aggCol[i]].Max), +1)
+		}
+		a.cells[at].seen = true
+	}
+}
+
+// zoneValue lifts an integer zone bound into the column's value kind.
+func zoneValue(k telco.Kind, x int64) telco.Value {
+	if k == telco.KindFloat {
+		return telco.Float(float64(x))
+	}
+	v, _ := telco.ValueOfInt(k, x) // a time the wire digits do not name is Null
+	return v
+}
+
+// observe offers v to the MIN (sign -1) or MAX (sign +1) cell at.
+func (a *aggAcc) observe(at int, v telco.Value, sign int) {
+	if !a.cells[at].seen || v.Compare(a.ext[at])*sign > 0 {
+		a.ext[at] = v
+	}
+}
+
+// fold folds the batch laid out as lay: the row-level time filter — unless
+// chunkAllInWindow proved it for the whole chunk — and the predicates narrow
+// the selection, each surviving row is given its group's ordinal, and every
+// aggregate then runs down its argument's array.
+func (a *aggAcc) fold(b *telco.Batch, lay *aggLayout) {
+	if lay.checkTS {
+		a.tf.filter(b, lay.tsIdx)
+	}
+	for i := range lay.preds {
+		lay.preds[i].filter(b)
+	}
+	sel := b.Rows()
+	if len(sel) == 0 {
+		return
+	}
+	ord := a.groupRows(b, lay.grpIdx, sel)
 	n := len(a.spec.Aggs)
-	mins, maxs := make([]int64, n), make([]int64, n)
-	kinds := make([]telco.Kind, n)
-	for i, ci := range a.aggCol {
-		if ci < 0 {
+	for i, g := range a.spec.Aggs {
+		ci := lay.aggIdx[i]
+		if ci < 0 { // COUNT(*)
+			for _, o := range ord {
+				c := &a.cells[int(o)*n+i]
+				c.count++
+				c.seen = true
+			}
 			continue
 		}
-		mins[i], maxs[i] = ch.Cols[ci].Min, ch.Cols[ci].Max
-		kinds[i] = a.schema.Fields[ci].Kind
+		col := &b.Cols[ci]
+		for j, r := range sel {
+			if col.Null(int(r)) {
+				continue
+			}
+			at := int(ord[j])*n + i
+			switch g.Fn {
+			case "COUNT":
+				a.cells[at].count++
+			case "SUM":
+				a.cells[at].isum += col.Ints[r]
+			case "MIN":
+				a.observe(at, col.Value(int(r)), -1)
+			case "MAX":
+				a.observe(at, col.Value(int(r)), +1)
+			}
+			a.cells[at].seen = true
+		}
 	}
-	a.spec.AddMeta(a.group(telco.Null), ch.Rows, mins, maxs, kinds)
 }
 
-// fold folds rows laid out as lay, applying the row-level time filter
-// unless chunkAllInWindow proved it for the whole chunk.
-func (a *aggAcc) fold(rows []telco.Record, lay *aggLayout) {
-	for _, r := range rows {
-		if lay.checkTS {
-			if lay.tsIdx >= 0 && !r[lay.tsIdx].IsNull() {
-				t := r[lay.tsIdx].Time()
-				if !a.w.Contains(t) || !a.spec.Window.Contains(t.UnixNano()) {
-					continue
+// foldMem folds one full-width memtable table: loaded into a batch of the
+// fold's layout like every other source of rows, then folded with the
+// row-level time filter.
+func (a *aggAcc) foldMem(b *telco.Batch, tab *telco.Table) {
+	b.SetRows(a.layTS.full, a.layTS.cols, tab.Rows, true)
+	a.fold(b, &a.layTS)
+}
+
+// groupRows returns each selected row's group ordinal.
+func (a *aggAcc) groupRows(b *telco.Batch, grpIdx int, sel []uint32) []int32 {
+	if cap(a.ord) < len(sel) {
+		a.ord = make([]int32, len(sel), b.N)
+	}
+	ord := a.ord[:len(sel)]
+	if grpIdx < 0 {
+		o := a.group(telco.Null)
+		for j := range ord {
+			ord[j] = o
+		}
+		return ord
+	}
+	c := &b.Cols[grpIdx]
+	switch c.Kind {
+	case telco.KindString:
+		// One group lookup per dictionary entry the rows use.
+		if cap(a.codeOrd) < len(c.Starts) {
+			a.codeOrd = make([]int32, len(c.Starts))
+		}
+		codeOrd := a.codeOrd[:len(c.Starts)]
+		for e := range codeOrd {
+			codeOrd[e] = -1
+		}
+		for j, r := range sel {
+			e := r
+			if c.Codes != nil {
+				e = c.Codes[r]
+			}
+			if codeOrd[e] < 0 {
+				if key := c.Entry(int(e)); len(key) == 0 {
+					codeOrd[e] = a.group(telco.Null)
+				} else if o, ok := a.byKey[string(key)]; ok {
+					codeOrd[e] = o
+				} else {
+					codeOrd[e] = a.group(telco.String(string(key)))
 				}
-			} else if a.spec.RequireTS {
+			}
+			ord[j] = codeOrd[e]
+		}
+	case telco.KindInt:
+		for j, r := range sel {
+			if c.Null(int(r)) {
+				ord[j] = a.group(telco.Null)
 				continue
 			}
-		}
-		ok := true
-		for pi, p := range a.spec.Preds {
-			if !p.Eval(r[lay.predIdx[pi]]) {
-				ok = false
-				break
+			x := c.Ints[r]
+			o, ok := a.byInt[x]
+			if !ok {
+				o = a.group(telco.Int(x))
+				a.byInt[x] = o
 			}
+			ord[j] = o
 		}
-		if !ok {
-			continue
+	default:
+		for j, r := range sel {
+			ord[j] = a.group(c.Value(int(r)))
 		}
-		g := telco.Null
-		if lay.grpIdx >= 0 {
-			g = r[lay.grpIdx]
-		}
-		for i, ci := range lay.aggIdx {
-			if ci < 0 {
-				a.vals[i] = telco.Null
-				continue
-			}
-			a.vals[i] = r[ci]
-		}
-		a.spec.AddRow(a.group(g), a.vals)
 	}
+	return ord
 }
 
-// foldMem folds one full-width memtable table: narrowed to the fold's
-// layout like every other source of rows, then folded with the row-level
-// time filter.
-func (a *aggAcc) foldMem(tab *telco.Table) {
-	a.fold(a.layTS.narrow(tab).Rows, &a.layTS)
-}
-
-// group returns (creating on first use) the partial for one group value.
-func (a *aggAcc) group(g telco.Value) *scanspec.Partial {
+// group returns (creating on first use) the ordinal of one group value.
+func (a *aggAcc) group(g telco.Value) int32 {
 	key := g.Format()
-	p := a.groups[key]
-	if p == nil {
-		p = a.spec.NewPartial(g)
-		a.groups[key] = p
+	if o, ok := a.byKey[key]; ok {
+		return o
 	}
-	return p
+	o := int32(len(a.keys))
+	a.byKey[key] = o
+	a.keys = append(a.keys, g)
+	n := len(a.spec.Aggs)
+	a.cells = slices.Grow(a.cells, n)[:len(a.cells)+n]
+	if a.hasExt {
+		a.ext = slices.Grow(a.ext, n)[:len(a.cells)]
+	}
+	return o
 }
 
-// partials returns the accumulated groups sorted by group key.
+// partials renders the accumulated groups as partials sorted by group key.
 func (a *aggAcc) partials() []scanspec.Partial {
-	out := make([]scanspec.Partial, 0, len(a.groups))
-	for _, p := range a.groups {
+	out := make([]scanspec.Partial, 0, len(a.keys))
+	for o, g := range a.keys {
+		p := a.spec.NewPartial(g)
+		for i := range p.Cells {
+			at := o*len(p.Cells) + i
+			c, cell := a.cells[at], &p.Cells[i]
+			cell.Seen, cell.Count, cell.ISum = c.seen, c.count, c.isum
+			if !c.seen {
+				continue
+			}
+			switch a.spec.Aggs[i].Fn {
+			case "MIN":
+				cell.Min = scanspec.FromValue(a.ext[at])
+			case "MAX":
+				cell.Max = scanspec.FromValue(a.ext[at])
+			}
+		}
 		out = append(out, *p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -248,7 +249,8 @@ func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewritte
 	// background effort: same stream format, deeper match search.
 	wcodec := compress.WithEffort(codec, effort)
 	toV3 := e.opts.SegmentVersion != segment.RowVersion
-	if !segment.IsSegment(f, f.Size()) {
+	r, err := segment.Open(f, f.Size(), codec)
+	if errors.Is(err, segment.ErrNotSegment) {
 		// Legacy whole-blob leaf → chunked segment. The stored wire text
 		// re-renders row by row in stored order (no re-sort: equivalence
 		// means reproducing the bytes, not re-deriving them).
@@ -305,7 +307,6 @@ func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewritte
 		}, nil
 	}
 
-	r, err := segment.Open(f, f.Size(), codec)
 	if err != nil {
 		return nil, fmt.Errorf("core: compact open segment %s: %w", ref, err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -135,7 +136,7 @@ func TestCompactKeepsTableThatPacksWorse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !segment.IsSegment(f, f.Size()) {
+			if _, err := segment.Open(f, f.Size(), r.e.codec()); errors.Is(err, segment.ErrNotSegment) {
 				blobs++
 			}
 		}

@@ -214,7 +214,12 @@ type Engine struct {
 	// (across scan workers and across queries); resFlight deduplicates
 	// whole identical explorations that miss the result cache.
 	chunkFlight flightGroup
-	resFlight   resultFlight
+	// batches pools the column batches leaf walks decode into, folders the
+	// highlight folds summary rebuilds run: steady-state scans reuse their
+	// arrays instead of allocating per leaf.
+	batches   sync.Pool
+	folders   sync.Pool
+	resFlight resultFlight
 
 	// met holds the engine's pre-resolved obs series and tracer.
 	met *engineMetrics

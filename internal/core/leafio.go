@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"spate/internal/compress"
+	"spate/internal/highlights"
 	"spate/internal/scanspec"
 	"spate/internal/segment"
 	"spate/internal/snapshot"
@@ -223,11 +225,11 @@ func chunkCacheKey(ref string, version, i int) string {
 // both formats.
 const legacyCacheSuffix = "#blob"
 
-// projection is the column subset of one stored table a scan
-// materializes. Every source of rows — v3 column streams, row-text
-// chunks, v1/v2 chunks, legacy blobs, memtable tables — is narrowed to it
-// before the scan's consumer sees a row, so consumers index rows by
-// out.FieldIndex, never by the stored table's positions.
+// projection is the column subset of one stored table a scan reads. Every
+// source of rows — v3 column streams, row-text chunks, v1/v2 chunks, legacy
+// blobs, memtable tables — reaches the scan's consumer as a column batch
+// laid out as out, so consumers index columns by out.FieldIndex, never by
+// the stored table's positions.
 type projection struct {
 	full *telco.Schema // the stored table's schema
 	out  *telco.Schema // layout of the rows handed out: full.Project(cols)
@@ -267,22 +269,16 @@ func (p *projection) table(rows []telco.Record) *telco.Table {
 	return &telco.Table{Schema: p.out, Rows: rows}
 }
 
-// narrow is the adapter for full-width in-memory tables (memtable epochs):
-// the same rows under the projection's layout.
-func (p *projection) narrow(tab *telco.Table) *telco.Table {
-	return p.table(telco.ProjectRows(tab.Rows, p.cols))
-}
-
 // specScan is the schema-resolved view of a row scan: the projection its
-// rows come out in and, under a pushdown spec, each predicate's position.
-// The row path treats the spec as a prefilter — the SQL engine
-// re-evaluates its WHERE clause — so unresolvable predicates are skipped
-// (kept rows stay a superset).
+// rows come out in and, under a pushdown spec, each predicate's position
+// and compiled form. The row path treats the spec as a prefilter — the SQL
+// engine re-evaluates its WHERE clause — so unresolvable predicates are
+// skipped (kept rows stay a superset).
 type specScan struct {
 	projection
-	spec    *ScanSpec // nil: every column, no prefilter
-	predCol []int     // position in full per spec predicate, -1 when absent
-	predIdx []int     // position in out per spec predicate, -1 when absent
+	spec    *ScanSpec   // nil: every column, no prefilter
+	predCol []int       // position in full per spec predicate, -1 when absent
+	preds   []batchPred // the resolvable predicates, compiled against out
 }
 
 // newSpecScan resolves spec against the stored table's schema. The scan
@@ -297,10 +293,11 @@ func newSpecScan(spec *ScanSpec, schema *telco.Schema) *specScan {
 		spec:       spec,
 	}
 	ss.predCol = make([]int, len(spec.Preds))
-	ss.predIdx = make([]int, len(spec.Preds))
 	for i, p := range spec.Preds {
 		ss.predCol[i] = schema.FieldIndex(p.Col)
-		ss.predIdx[i] = ss.out.FieldIndex(p.Col)
+		if ci := ss.out.FieldIndex(p.Col); ci >= 0 {
+			ss.preds = append(ss.preds, compilePred(p, ci))
+		}
 	}
 	return ss
 }
@@ -329,27 +326,6 @@ func (ss *specScan) prune(ch *segment.Chunk) pruneReason {
 		return prunePred
 	}
 	return pruneNone
-}
-
-// filter drops rows failing the spec's resolvable predicates, in place.
-func (ss *specScan) filter(tab *telco.Table) {
-	if ss.spec == nil || len(ss.spec.Preds) == 0 {
-		return
-	}
-	rows := tab.Rows[:0]
-	for _, r := range tab.Rows {
-		keep := true
-		for pi, p := range ss.spec.Preds {
-			if ci := ss.predIdx[pi]; ci >= 0 && !p.Eval(r[ci]) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			rows = append(rows, r)
-		}
-	}
-	tab.Rows = rows
 }
 
 // cachedChunk returns the inflated bytes the chunk cache holds under key,
@@ -418,12 +394,13 @@ func (e *Engine) blobText(ref string, c compress.Codec, prof *Profile) ([]byte, 
 	return text, err
 }
 
-// chunkRows returns chunk i's rows under proj. The chunk's inflated bytes
-// come through the chunk cache — one entry per chunk, shared by every
-// projection — and the typed decode of the wanted columns then runs per
-// caller, on a hit as on a miss. The miss's leader charges the inflated
-// bytes and decoded columns to its profile.
-func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projection, prof *Profile) ([]telco.Record, error) {
+// chunkBatch decodes chunk i's columns under proj into b. The chunk's
+// inflated bytes come through the chunk cache — one entry per chunk, shared
+// by every projection — and the typed decode of the wanted columns then
+// runs per caller, on a hit as on a miss; b's string columns alias the
+// cached bytes, which nothing ever writes to. The miss's leader charges the
+// inflated bytes and decoded columns to its profile.
+func (e *Engine) chunkBatch(r *segment.Reader, ref string, i int, proj *projection, prof *Profile, b *telco.Batch) error {
 	data, leader, err := e.cachedChunk(chunkCacheKey(ref, r.Version(), i), prof, func() ([]byte, error) {
 		t0 := time.Now()
 		data, err := r.ChunkBytes(i)
@@ -439,18 +416,18 @@ func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projectio
 		return data, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var t0 time.Time
 	if prof != nil {
 		t0 = time.Now()
 	}
-	rows, wire, err := r.DecodeRows(i, data, proj.full, proj.cols)
+	wire, err := r.DecodeBatch(i, data, proj.full, proj.cols, b)
 	if prof != nil {
 		prof.DecodeNS += time.Since(t0).Nanoseconds()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: decode %s: %w", ref, err)
+		return fmt.Errorf("core: decode %s: %w", ref, err)
 	}
 	if leader {
 		if !r.Columnar() {
@@ -467,43 +444,84 @@ func (e *Engine) chunkRows(r *segment.Reader, ref string, i int, proj *projectio
 			}
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // leafSink is where a leaf walk's rows go. The walk consults it chunk by
 // chunk: prune says whether the chunk's metadata, beyond the scan's window
 // and cell candidates, proves no row passes; layout names the projection
 // the chunk decodes under, or nil when the sink answered the chunk from its
-// metadata alone; rows takes the decoded rows, laid out as layout said. A
-// legacy whole-blob leaf has no metadata: it is never pruned and reaches
-// layout as a nil chunk.
+// metadata alone; rows takes the decoded column batch, laid out as layout
+// said and valid until rows returns. A legacy whole-blob leaf has no
+// metadata: it is never pruned and reaches layout as a nil chunk.
 type leafSink interface {
 	prune(ch *segment.Chunk) pruneReason
 	layout(ch *segment.Chunk) *projection
-	rows(p *projection, rows []telco.Record) error
+	rows(p *projection, b *telco.Batch) error
 }
 
-// rowSink hands a row scan's chunks to fn as tables in the scan's
-// projected layout, rows failing the spec's predicates already dropped.
+// rowSink is the row scan's sink: it narrows each batch's selection by the
+// row-level time filter, the spec's compiled predicates and the query box,
+// and only then materializes the surviving rows, as records in the scan's
+// projected layout appended to dst.
 type rowSink struct {
 	*specScan
-	fn func(*telco.Table) error
+	tf      timeFilter
+	tsIdx   int            // timestamp column in the layout, -1 when absent
+	inBox   map[int64]bool // nil = no spatial filter
+	cellIdx int            // cell id column in the layout, -1 when absent
+	dst     *telco.Table
+}
+
+// newRowSink builds the sink of one row scan over window w into dst; inBox
+// is the query box's cell membership (fetchRows), nil without one.
+func newRowSink(ss *specScan, w telco.TimeRange, inBox map[int64]bool, dst *telco.Table) rowSink {
+	return rowSink{
+		specScan: ss,
+		tf:       newTimeFilter(w, ss.spec),
+		tsIdx:    ss.out.FieldIndex(telco.AttrTS),
+		inBox:    inBox,
+		cellIdx:  ss.out.FieldIndex(telco.AttrCellID),
+		dst:      dst,
+	}
 }
 
 func (s rowSink) layout(*segment.Chunk) *projection { return &s.projection }
 
-func (s rowSink) rows(_ *projection, rows []telco.Record) error {
-	tab := s.table(rows)
-	s.filter(tab)
-	return s.fn(tab)
+func (s rowSink) rows(_ *projection, b *telco.Batch) error {
+	s.tf.filter(b, s.tsIdx)
+	for i := range s.preds {
+		s.preds[i].filter(b)
+	}
+	if s.inBox != nil && s.cellIdx >= 0 {
+		// Rows of tables without a cell id always pass; a null cell id reads
+		// as cell 0, as it does in a record.
+		cell := b.Cols[s.cellIdx].Ints
+		b.Keep(func(i int) bool { return s.inBox[cell[i]] })
+	}
+	s.dst.Rows = b.AppendRecords(s.dst.Rows)
+	return nil
 }
+
+// foldSink is the summary rebuild's sink: every chunk's batch goes to one
+// highlight fold per stored table, which writes the summary once the leaf
+// is walked.
+type foldSink struct {
+	proj projection
+	fold *highlights.Folder
+}
+
+func (s foldSink) prune(*segment.Chunk) pruneReason         { return pruneNone }
+func (s foldSink) layout(*segment.Chunk) *projection        { return &s.proj }
+func (s foldSink) rows(_ *projection, b *telco.Batch) error { s.fold.Add(b); return nil }
 
 // walkLeaf is the one leaf loop every scan runs: it streams a stored leaf
 // table into sink. Segment files are pruned chunk by chunk — by window and
 // cell candidates, then by whatever the sink's own metadata tests prove —
-// and only surviving chunks are fetched (ranged), inflated and decoded,
-// just the columns of the sink's layout; a chunk the sink answers from
-// metadata is never fetched. The sink sees chunks in row order. Legacy
+// and only surviving chunks are fetched (ranged), inflated and decoded —
+// just the columns of the sink's layout, into one pooled column batch the
+// sink sees chunk after chunk; a chunk the sink answers from metadata is
+// never fetched. The sink sees chunks in row order. Legacy
 // whole-blob leaves decompress in full, as one chunk. Inflated chunks are
 // served from and installed into the engine's chunk cache. The returned
 // counts cover segment chunks (a legacy blob counts as one scanned chunk).
@@ -522,7 +540,10 @@ func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafS
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: open %s: %w", ref, err)
 	}
-	if !segment.IsSegment(f, f.Size()) {
+	b := e.getBatch()
+	defer e.putBatch(b)
+	r, err := segment.Open(f, f.Size(), c)
+	if errors.Is(err, segment.ErrNotSegment) {
 		// Legacy whole-blob leaf: no chunk metadata exists, so the whole
 		// table inflates regardless of the scan's predicates.
 		text, err := e.blobText(ref, c, prof)
@@ -534,9 +555,9 @@ func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafS
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: decode %s: %w", ref, err)
 		}
-		return 1, 0, sink.rows(p, rows)
+		b.SetRows(p.full, p.cols, rows, false)
+		return 1, 0, sink.rows(p, b)
 	}
-	r, err := segment.Open(f, f.Size(), c)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: open segment %s: %w", ref, err)
 	}
@@ -570,12 +591,11 @@ func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafS
 			}
 			continue
 		}
-		rows, err := e.chunkRows(r, ref, i, p, prof)
-		if err != nil {
+		if err := e.chunkBatch(r, ref, i, p, prof, b); err != nil {
 			return scanned, pruned, err
 		}
 		scanned++
-		if err := sink.rows(p, rows); err != nil {
+		if err := sink.rows(p, b); err != nil {
 			return scanned, pruned, err
 		}
 	}

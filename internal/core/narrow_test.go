@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
@@ -73,11 +74,11 @@ func mixedStore(t *testing.T, workers int) (*testRig, telco.TimeRange, map[strin
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !segment.IsSegment(f, f.Size()) {
+			sr, err := segment.Open(f, f.Size(), codec)
+			if errors.Is(err, segment.ErrNotSegment) {
 				kinds["blob"]++
 				continue
 			}
-			sr, err := segment.Open(f, f.Size(), codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +126,8 @@ func oracleRows(t *testing.T, r *testRig, w telco.TimeRange) (all map[string][]t
 				t.Fatal(err)
 			}
 			var text []byte
-			if !segment.IsSegment(f, f.Size()) {
+			sr, err := segment.Open(f, f.Size(), codec)
+			if errors.Is(err, segment.ErrNotSegment) {
 				comp, err := r.fs.ReadFile(ref)
 				if err != nil {
 					t.Fatal(err)
@@ -134,7 +136,6 @@ func oracleRows(t *testing.T, r *testRig, w telco.TimeRange) (all map[string][]t
 					t.Fatal(err)
 				}
 			} else {
-				sr, err := segment.Open(f, f.Size(), codec)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -676,20 +676,23 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result) ([
 // explicitly because some callers already hold the engine lock.
 func (e *Engine) buildLeafSummary(c compress.Codec, period telco.TimeRange, refs map[string]string, prof *Profile) (*highlights.Summary, error) {
 	s := highlights.NewSummary(period)
+	fold, _ := e.folders.Get().(*highlights.Folder)
+	if fold == nil {
+		fold = new(highlights.Folder)
+	}
+	defer e.folders.Put(fold)
 	for name, ref := range refs {
 		schema := telco.SchemaByName(name)
 		if schema == nil {
 			return nil, fmt.Errorf("core: decode %s: unknown schema %q", ref, name)
 		}
 		attrs := append(e.opts.Highlights.Attrs(name), telco.AttrTS, telco.AttrCellID)
-		ss := &specScan{projection: newProjection(schema, attrs, false)}
-		_, _, err := e.walkLeaf(ref, c, leafPrune{}, rowSink{ss, func(tab *telco.Table) error {
-			s.AddTable(e.opts.Highlights, tab)
-			return nil
-		}}, prof)
-		if err != nil {
+		sink := foldSink{proj: newProjection(schema, attrs, false), fold: fold}
+		fold.Reset(s, e.opts.Highlights, sink.proj.out)
+		if _, _, err := e.walkLeaf(ref, c, leafPrune{}, sink, prof); err != nil {
 			return nil, err
 		}
+		fold.Flush()
 	}
 	return s, nil
 }
@@ -722,11 +725,15 @@ func (e *Engine) cellSeries(m *highlights.Summary, inBox map[int64]bool, q Query
 		if !ok {
 			continue
 		}
-		series := CellSeries{CellID: id, Loc: loc, Rows: cs.Rows,
-			Attr: make(map[highlights.AttrRef]*highlights.Stats)}
-		for ref, st := range cs.Num {
-			if len(want) == 0 || want[ref] {
-				series.Attr[ref] = st
+		// Without an attribute selection the series carries every tracked
+		// attribute: the summary's own map, immutable like the summary.
+		series := CellSeries{CellID: id, Loc: loc, Rows: cs.Rows, Attr: cs.Num}
+		if len(want) > 0 {
+			series.Attr = make(map[highlights.AttrRef]*highlights.Stats, len(want))
+			for ref, st := range cs.Num {
+				if want[ref] {
+					series.Attr[ref] = st
+				}
 			}
 		}
 		out = append(out, series)
@@ -809,17 +816,9 @@ func (e *Engine) fetchRows(ctx context.Context, q Query, env *queryEnv, src scan
 	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), &res.Profile, func(w *scanWorker, i int) (any, error) {
 		u := plan.units[i]
 		out := rowScan{tab: telco.NewTable(u.schema)}
-		tsIdx := u.schema.FieldIndex(telco.AttrTS)
-		cellIdx := u.schema.FieldIndex(telco.AttrCellID)
 		var err error
-		out.scanned, out.pruned, err = e.walkLeaf(u.ref, c, env.pr, rowSink{newSpecScan(nil, u.schema), func(tab *telco.Table) error {
-			for _, r := range tab.Rows {
-				if keepRowTS(r, tsIdx, q.Window, nil) && env.inBoxRow(r, cellIdx) {
-					out.tab.Append(r)
-				}
-			}
-			return nil
-		}}, w.prof)
+		out.scanned, out.pruned, err = e.walkLeaf(u.ref, c, env.pr,
+			newRowSink(newSpecScan(nil, u.schema), q.Window, env.inBox, out.tab), w.prof)
 		return out, err
 	}, func(i int, v any) error {
 		out := v.(rowScan)
@@ -895,30 +894,17 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 		scanFor(u.name, u.schema)
 	}
 
-	// sinkInto collects into dst the rows of a table that pass the spec's
-	// predicates and the row-level time filter.
-	sinkInto := func(ss *specScan, dst *telco.Table) rowSink {
-		tsIdx := ss.out.FieldIndex(telco.AttrTS)
-		return rowSink{ss, func(tab *telco.Table) error {
-			for _, r := range tab.Rows {
-				if keepRowTS(r, tsIdx, w, spec) {
-					dst.Rows = append(dst.Rows, r)
-				}
-			}
-			return nil
-		}}
-	}
-
 	// Each unit decodes one (leaf, table) into a window/spec-filtered table.
 	// Chunks outside the window are skipped before decompression; surviving
-	// chunks still pass the per-row filter, and their rows accumulate into
-	// one table per leaf so fn observes the same call sequence as with
-	// whole-blob leaves — in leaf order, table names sorted within a leaf.
+	// chunks still pass the row-level filters (rowSink), and the rows that
+	// pass materialize into one table per leaf so fn observes the same call
+	// sequence as with whole-blob leaves — in leaf order, table names sorted
+	// within a leaf.
 	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), prof, func(sw *scanWorker, i int) (any, error) {
 		u := plan.units[i]
 		ss := scans[u.name]
 		filtered := ss.table(nil)
-		_, _, err := e.walkLeaf(u.ref, c, env.pr, sinkInto(ss, filtered), sw.prof)
+		_, _, err := e.walkLeaf(u.ref, c, env.pr, newRowSink(ss, w, nil, filtered), sw.prof)
 		return filtered, err
 	}, func(i int, v any) error {
 		filtered := v.(*telco.Table)
@@ -933,9 +919,11 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 	// Unsealed rows stream last — strictly newer than every sealed leaf,
 	// one window-filtered table per buffered (epoch, table), the same
 	// call shape a sealed-leaf scan produces. The union path honors the
-	// spec too: memtable rows narrow to the scan's layout and go through
-	// the sink sealed chunks go through, so fresh rows never leak around a
-	// pushdown.
+	// spec too: memtable rows load into a batch of the scan's layout and go
+	// through the sink sealed chunks go through, so fresh rows never leak
+	// around a pushdown.
+	b := e.getBatch()
+	defer e.putBatch(b)
 	for _, mt := range src.memTabs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -948,7 +936,8 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 			}
 			ss := scanFor(mt.name, schema)
 			tab = ss.table(nil)
-			if err := sinkInto(ss, tab).rows(&ss.projection, ss.narrow(mt.tab).Rows); err != nil {
+			b.SetRows(ss.full, ss.cols, mt.tab.Rows, true)
+			if err := newRowSink(ss, w, nil, tab).rows(&ss.projection, b); err != nil {
 				return err
 			}
 			if tab.Len() == 0 {
@@ -963,21 +952,6 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 		}
 	}
 	return nil
-}
-
-// keepRowTS is the row-level time filter of a (possibly spec-carrying)
-// table scan: rows inside the window pass, rows without a timestamp pass
-// unless the spec's WHERE clause carried a timestamp conjunct, and the
-// spec's exact window narrows the scan window when present.
-func keepRowTS(r telco.Record, tsIdx int, w telco.TimeRange, spec *ScanSpec) bool {
-	if tsIdx < 0 || r[tsIdx].IsNull() {
-		return spec == nil || !spec.RequireTS
-	}
-	t := r[tsIdx].Time()
-	if !w.Contains(t) {
-		return false
-	}
-	return spec == nil || spec.Window.Contains(t.UnixNano())
 }
 
 // cacheKey renders a deterministic key for the result cache.

@@ -326,7 +326,7 @@ func (c *Cluster) ReadFileRange(path string, off, n int64) ([]byte, error) {
 	if off+n > size {
 		n = size - off
 	}
-	out := make([]byte, 0, n)
+	var out []byte
 	pos := int64(0)
 	for _, bm := range blocks {
 		if pos >= off+n {
@@ -337,6 +337,15 @@ func (c *Cluster) ReadFileRange(path string, off, n int64) ([]byte, error) {
 			if err != nil {
 				c.met.opErrors.Inc()
 				return nil, fmt.Errorf("dfs: %q block %d: %w", path, bm.id, err)
+			}
+			if int64(len(chunk)) == n {
+				// The range lies within this block: hand out the slice of the
+				// block just read — it is this call's own — instead of a copy.
+				out = chunk
+				break
+			}
+			if out == nil {
+				out = make([]byte, 0, n)
 			}
 			out = append(out, chunk...)
 		}

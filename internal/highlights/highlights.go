@@ -15,6 +15,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -215,97 +216,23 @@ func NewSummary(period telco.TimeRange) *Summary {
 	}
 }
 
-// AddTable folds one snapshot table into the summary.
+// AddTable folds one snapshot table into the summary: the columns the fold
+// reads are loaded into one column batch and go through the batch fold
+// every other source of rows uses.
 func (s *Summary) AddTable(cfg Config, t *telco.Table) {
-	cfg = cfg.withDefaults()
-	tsIdx := t.Schema.FieldIndex(telco.AttrTS)
-	cellIdx := t.Schema.FieldIndex(telco.AttrCellID)
-	type numCol struct {
-		ref     AttrRef
-		idx     int
-		perCell bool
-	}
-	var numCols, catCols []numCol
-	perCell := make(map[AttrRef]bool, len(cfg.CellAttrs))
-	for _, ref := range cfg.CellAttrs {
-		perCell[ref] = true
-	}
-	for _, ref := range cfg.Numeric {
-		if ref.Table == t.Schema.Name {
-			if i := t.Schema.FieldIndex(ref.Attr); i >= 0 {
-				numCols = append(numCols, numCol{ref, i, perCell[ref]})
-			}
+	want := append(cfg.Attrs(t.Schema.Name), telco.AttrTS, telco.AttrCellID)
+	var cols []int
+	for _, name := range want {
+		if i := t.Schema.FieldIndex(name); i >= 0 && !slices.Contains(cols, i) {
+			cols = append(cols, i)
 		}
 	}
-	for _, ref := range cfg.Categorical {
-		if ref.Table == t.Schema.Name {
-			if i := t.Schema.FieldIndex(ref.Attr); i >= 0 {
-				catCols = append(catCols, numCol{ref, i, false})
-			}
-		}
-	}
-	for _, row := range t.Rows {
-		s.Rows++
-		var at time.Time
-		if tsIdx >= 0 && !row[tsIdx].IsNull() {
-			at = row[tsIdx].Time()
-		}
-		var cell *CellStats
-		if cellIdx >= 0 && !row[cellIdx].IsNull() {
-			id := row[cellIdx].Int64()
-			cell = s.Cells[id]
-			if cell == nil {
-				cell = &CellStats{Num: make(map[AttrRef]*Stats)}
-				s.Cells[id] = cell
-			}
-			cell.Rows++
-		}
-		for _, c := range numCols {
-			v := row[c.idx]
-			if v.IsNull() {
-				continue
-			}
-			f := v.Float64()
-			st := s.Num[c.ref]
-			if st == nil {
-				st = &Stats{}
-				s.Num[c.ref] = st
-			}
-			st.add(f, at)
-			if cell != nil && c.perCell {
-				cst := cell.Num[c.ref]
-				if cst == nil {
-					cst = &Stats{}
-					cell.Num[c.ref] = cst
-				}
-				cst.add(f, at)
-			}
-		}
-		for _, c := range catCols {
-			v := row[c.idx]
-			if v.IsNull() {
-				continue
-			}
-			vals := s.Cat[c.ref]
-			if vals == nil {
-				vals = make(map[string]*ValStat)
-				s.Cat[c.ref] = vals
-			}
-			key := v.Format()
-			vs := vals[key]
-			if vs == nil {
-				if len(vals) >= cfg.MaxCatValues {
-					key = overflowValue
-					vs = vals[key]
-				}
-				if vs == nil {
-					vs = &ValStat{}
-					vals[key] = vs
-				}
-			}
-			vs.add(at)
-		}
-	}
+	slices.Sort(cols)
+	var b telco.Batch
+	b.SetRows(t.Schema, cols, t.Rows, true)
+	f := NewFolder(s, cfg, t.Schema.Project(cols))
+	f.Add(&b)
+	f.Flush()
 }
 
 // Merge combines child summaries into a parent over period — the rollup
@@ -313,7 +240,30 @@ func (s *Summary) AddTable(cfg Config, t *telco.Table) {
 // months. Merging is exact: Merge(parts...) equals a direct build over the
 // concatenated underlying data.
 func Merge(period telco.TimeRange, parts ...*Summary) *Summary {
-	out := NewSummary(period)
+	// The result is at least as large as its largest part: size the maps for
+	// that, and carve Stats and CellStats out of slabs of that size instead
+	// of allocating one per (cell, attribute).
+	var big *Summary
+	for _, p := range parts {
+		if p != nil && (big == nil || len(p.Cells) > len(big.Cells)) {
+			big = p
+		}
+	}
+	if big == nil {
+		return NewSummary(period)
+	}
+	perCell := 0
+	for _, cs := range big.Cells {
+		perCell = max(perCell, len(cs.Num))
+	}
+	out := &Summary{
+		Period: period,
+		Num:    make(map[AttrRef]*Stats, len(big.Num)),
+		Cat:    make(map[AttrRef]map[string]*ValStat, len(big.Cat)),
+		Cells:  make(map[int64]*CellStats, len(big.Cells)),
+	}
+	stats := slabOf[Stats](len(big.Num) + len(big.Cells)*perCell)
+	cells := slabOf[CellStats](len(big.Cells))
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -322,7 +272,7 @@ func Merge(period telco.TimeRange, parts ...*Summary) *Summary {
 		for ref, st := range p.Num {
 			dst := out.Num[ref]
 			if dst == nil {
-				dst = &Stats{}
+				dst = stats.next()
 				out.Num[ref] = dst
 			}
 			dst.merge(st)
@@ -345,14 +295,15 @@ func Merge(period telco.TimeRange, parts ...*Summary) *Summary {
 		for id, cs := range p.Cells {
 			dst := out.Cells[id]
 			if dst == nil {
-				dst = &CellStats{Num: make(map[AttrRef]*Stats, len(cs.Num))}
+				dst = cells.next()
+				dst.Num = make(map[AttrRef]*Stats, len(cs.Num))
 				out.Cells[id] = dst
 			}
 			dst.Rows += cs.Rows
 			for ref, st := range cs.Num {
 				d := dst.Num[ref]
 				if d == nil {
-					d = &Stats{}
+					d = stats.next()
 					dst.Num[ref] = d
 				}
 				d.merge(st)
@@ -360,6 +311,24 @@ func Merge(period telco.TimeRange, parts ...*Summary) *Summary {
 		}
 	}
 	return out
+}
+
+// slab hands out zeroed values from blocks of a fixed size, so building a
+// summary allocates a block per few hundred entries rather than one each.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+func slabOf[T any](size int) slab[T] { return slab[T]{size: max(size, 16)} }
+
+func (s *slab[T]) next() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, s.size)
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
 }
 
 // Restrict filters the summary to the cells accepted by keep, rebuilding
@@ -373,7 +342,6 @@ func (s *Summary) Restrict(keep func(int64) bool) *Summary {
 	if keep == nil {
 		return s
 	}
-	out := NewSummary(s.Period)
 	// Fold cells in id order: float accumulation order then matches across
 	// runs and engines, so restricted summaries compare bit for bit.
 	ids := make([]int64, 0, len(s.Cells))
@@ -382,12 +350,19 @@ func (s *Summary) Restrict(keep func(int64) bool) *Summary {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	slices.Sort(ids)
+	out := &Summary{
+		Period: s.Period,
+		Num:    make(map[AttrRef]*Stats, len(s.Num)),
+		Cat:    s.Cat,
+		Cells:  make(map[int64]*CellStats, len(ids)),
+	}
+	cells := make([]CellStats, len(ids))
+	for i, id := range ids {
 		cs := s.Cells[id]
 		out.Rows += cs.Rows
-		dst := &CellStats{Rows: cs.Rows, Num: cs.Num}
-		out.Cells[id] = dst
+		cells[i] = CellStats{Rows: cs.Rows, Num: cs.Num}
+		out.Cells[id] = &cells[i]
 		for ref, st := range cs.Num {
 			agg := out.Num[ref]
 			if agg == nil {
@@ -397,7 +372,6 @@ func (s *Summary) Restrict(keep func(int64) bool) *Summary {
 			agg.Merge(st)
 		}
 	}
-	out.Cat = s.Cat
 	return out
 }
 

@@ -402,7 +402,9 @@ func (s *Spec) NewPartial(group telco.Value) *Partial {
 }
 
 // AddRow folds one row into the partial. vals aligns with Spec.Aggs: the
-// i'th entry is that aggregate's argument value (ignored for COUNT(*)).
+// i'th entry is that aggregate's argument value (ignored for COUNT(*)). It
+// is the row-at-a-time definition of the fold: the engine folds column
+// arrays (core.aggAcc) and chunk metadata, and is held to this.
 func (s *Spec) AddRow(p *Partial, vals []telco.Value) {
 	for i, a := range s.Aggs {
 		c := &p.Cells[i]
@@ -433,38 +435,13 @@ func (s *Spec) AddRow(p *Partial, vals []telco.Value) {
 	}
 }
 
-// AddMeta folds a whole chunk of rows known to match the window and every
-// predicate, without decoding it: rows is the chunk's row count and mins/
-// maxs the integer zone bounds of each aggregate's column (ignored for
-// COUNT(*)). The caller guarantees a zone exists for every non-COUNT(*)
-// aggregate — zone presence implies the column holds rows non-null integer
-// values, so COUNT(col) == rows and SUM is not derivable (AddMeta callers
-// must decode for SUM; see CanUseMeta).
-func (s *Spec) AddMeta(p *Partial, rows int64, mins, maxs []int64, kinds []telco.Kind) {
-	for i, a := range s.Aggs {
-		c := &p.Cells[i]
-		switch a.Fn {
-		case "COUNT":
-			c.Count += rows
-		case "MIN":
-			v := intValue(kinds[i], mins[i])
-			if !c.Seen || v.Compare(c.Min.Value()) < 0 {
-				c.Min = FromValue(v)
-			}
-		case "MAX":
-			v := intValue(kinds[i], maxs[i])
-			if !c.Seen || v.Compare(c.Max.Value()) > 0 {
-				c.Max = FromValue(v)
-			}
-		}
-		c.Seen = true
-	}
-}
-
 // CanUseMeta reports whether the spec's aggregates are all answerable from
 // chunk metadata (row counts and integer zone maps) alone: COUNT over any
 // zoned (hence null-free) column or the whole row, MIN/MAX over zoned
-// columns. SUM always needs the column values. GroupBy always decodes.
+// columns — a zone's presence implies the column holds only non-null
+// integer values, so COUNT(col) is the row count and MIN/MAX are the zone
+// bounds lifted into the column's kind. SUM always needs the column values.
+// GroupBy always decodes.
 func (s *Spec) CanUseMeta(zoned func(col string) bool) bool {
 	if s.GroupBy != "" {
 		return false
@@ -484,22 +461,6 @@ func (s *Spec) CanUseMeta(zoned func(col string) bool) bool {
 		}
 	}
 	return true
-}
-
-// intValue lifts an integer zone bound back into the column's value kind.
-func intValue(k telco.Kind, i int64) telco.Value {
-	switch k {
-	case telco.KindFloat:
-		return telco.Float(float64(i))
-	case telco.KindTime:
-		v, err := telco.ParseValue(telco.KindTime, strconv.FormatInt(i, 10))
-		if err != nil {
-			return telco.Null
-		}
-		return v
-	default:
-		return telco.Int(i)
-	}
 }
 
 // Merge folds src into dst key-wise and returns dst sorted by group key.

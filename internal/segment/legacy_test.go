@@ -84,12 +84,12 @@ func TestReadsLayoutsOfOlderWriters(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s chunk %d: %v", tc.seg, i, err)
 			}
-			rows, _, err := r.DecodeRows(i, inflated, tc.schema, nil)
+			rows, _, err := decodeRows(r, i, inflated, tc.schema, nil)
 			if err != nil {
 				t.Fatalf("%s chunk %d: %v", tc.seg, i, err)
 			}
 			got = append(got, rows...)
-			if rows, _, err = r.DecodeRows(i, inflated, tc.schema, cols); err != nil {
+			if rows, _, err = decodeRows(r, i, inflated, tc.schema, cols); err != nil {
 				t.Fatalf("%s chunk %d: %v", tc.seg, i, err)
 			}
 			gotCols = append(gotCols, rows...)

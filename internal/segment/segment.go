@@ -66,8 +66,8 @@
 // block-compressed; the tail's footer length counts the compressed bytes.
 //
 // Readers inflate a chunk once (ChunkBytes — the form a cache holds) and
-// decode from there: scans take typed rows of just the columns they touch
-// (DecodeRows), compaction reconstructs a v3 chunk's exact wire text by
+// decode from there: scans take a column batch of just the columns they
+// touch (DecodeBatch), compaction reconstructs a v3 chunk's exact wire text by
 // decoding every stream and re-joining fields (ChunkData), and
 // ChunkColumns materializes selected columns as wire fields. Readers
 // accept versions 1-3; the row Writer emits v2 and the ColumnWriter emits
@@ -75,13 +75,14 @@
 //
 // The format byte selects the read path: files that do not start with the
 // magic are legacy whole-blob leaves and must be read through the codec
-// directly. Versioning lives in the fifth header byte so later formats can
+// directly (Open reports them as ErrNotSegment). Versioning lives in the fifth header byte so later formats can
 // evolve without breaking recovery of stores written by today's engine.
 package segment
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -579,21 +580,27 @@ func writeFooter(dst *bytes.Buffer, chunks []Chunk, codec compress.Codec) Stats 
 	return st
 }
 
-// IsSegment sniffs the format byte: it reports whether the file carries
-// the segment magic. Legacy whole-blob leaves (raw codec output) do not.
-func IsSegment(r io.ReaderAt, size int64) bool {
-	if size < int64(headerLen+tailLen) {
-		return false
-	}
-	var hdr [headerLen]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return false
-	}
-	return bytes.Equal(hdr[:4], magic[:])
-}
+// ErrNotSegment is what Open returns for a file that does not carry the
+// segment magic: a legacy whole-blob leaf (raw codec output), which must be
+// read through the codec directly.
+var ErrNotSegment = errors.New("segment: not a segment file")
 
-// Reader opens a segment through ranged reads: construction costs the
-// 5-byte header probe plus one footer read, independent of segment size.
+// openReadAhead is how many bytes Open reads off the end of the file in
+// one go: enough to catch tail and footer together (a leaf's compressed
+// footer is a few hundred bytes to a few KiB) — and the header too when the
+// whole file is that small, as an epoch's leaf of a modest feed is. A DFS
+// read costs a block fetch and its checksum whatever the range, so reading
+// generously is cheaper than reading twice.
+const openReadAhead = 64 << 10
+
+// openBufs recycles Open's read-ahead buffers: nothing parsed out of one
+// aliases it.
+var openBufs = sync.Pool{New: func() any { return new([openReadAhead]byte) }}
+
+// Reader opens a segment through ranged reads: construction costs one read
+// off the end of the file that nearly always holds tail and footer, plus
+// the 5-byte header unless the file is small enough for that read to hold
+// it too — independent of segment size.
 type Reader struct {
 	src     io.ReaderAt
 	codec   compress.Codec
@@ -603,26 +610,33 @@ type Reader struct {
 }
 
 // Open parses the segment footer from src. The codec must match the
-// writer's.
+// writer's. A file without the segment magic fails with ErrNotSegment.
 func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 	if size < int64(headerLen+tailLen) {
-		return nil, compress.Corruptf("segment: %d bytes is too short", size)
+		return nil, fmt.Errorf("%w: %d bytes is too short", ErrNotSegment, size)
 	}
-	var hdr [headerLen]byte
-	if _, err := src.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("segment: read header: %w", err)
+	buf := openBufs.Get().(*[openReadAhead]byte)
+	defer openBufs.Put(buf)
+	end := buf[:min(size, openReadAhead)]
+	endOff := size - int64(len(end))
+	if _, err := src.ReadAt(end, endOff); err != nil {
+		return nil, fmt.Errorf("segment: read tail: %w", err)
+	}
+	hdr := end[:headerLen]
+	if endOff > 0 {
+		hdr = make([]byte, headerLen)
+		if _, err := src.ReadAt(hdr, 0); err != nil {
+			return nil, fmt.Errorf("segment: read header: %w", err)
+		}
 	}
 	if !bytes.Equal(hdr[:4], magic[:]) {
-		return nil, compress.Corruptf("segment: bad magic %x", hdr[:4])
+		return nil, fmt.Errorf("%w: magic %x", ErrNotSegment, hdr[:4])
 	}
 	version := hdr[4]
 	if version < 1 || version > Version {
 		return nil, fmt.Errorf("segment: unsupported version %d (have %d)", version, Version)
 	}
-	var tail [tailLen]byte
-	if _, err := src.ReadAt(tail[:], size-tailLen); err != nil {
-		return nil, fmt.Errorf("segment: read tail: %w", err)
-	}
+	tail := end[len(end)-tailLen:]
 	if !bytes.Equal(tail[4:], tailMagic[:]) {
 		return nil, compress.Corruptf("segment: bad tail magic %x", tail[4:])
 	}
@@ -630,9 +644,14 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 	if footLen <= 0 || footLen > maxFooter || footLen > size-int64(headerLen+tailLen) {
 		return nil, compress.Corruptf("segment: footer of %d bytes out of range", footLen)
 	}
-	foot := make([]byte, footLen)
-	if _, err := src.ReadAt(foot, size-tailLen-footLen); err != nil {
-		return nil, fmt.Errorf("segment: read footer: %w", err)
+	var foot []byte
+	if footLen+tailLen <= int64(len(end)) {
+		foot = end[int64(len(end))-tailLen-footLen : len(end)-tailLen]
+	} else {
+		foot = make([]byte, footLen)
+		if _, err := src.ReadAt(foot, size-tailLen-footLen); err != nil {
+			return nil, fmt.Errorf("segment: read footer: %w", err)
+		}
 	}
 	if version >= 3 {
 		// v3 footers are block-compressed (the per-chunk column
@@ -864,56 +883,53 @@ func (r *Reader) ChunkColumns(i int, want []int) ([][]string, int64, error) {
 	return r.columnFields(i, r.chunks[i], data, want)
 }
 
-// DecodeRows decodes chunk i's inflated bytes (ChunkBytes, possibly served
-// from a cache) into typed records holding only the columns at cols
-// (ascending positions in schema, the table's full schema; nil keeps every
-// column) — the rows of a table under schema.Project(cols). Packed column
-// streams decode straight into values, skipping the unwanted streams;
-// wire text takes telco.DecodeRows' single pass. Each value equals what
-// parsing the chunk's wire text would give. wire is the wire-text share of
-// the decoded columns.
-func (r *Reader) DecodeRows(i int, data []byte, schema *telco.Schema, cols []int) (rows []telco.Record, wire int64, err error) {
+// DecodeBatch decodes chunk i's inflated bytes (ChunkBytes, possibly served
+// from a cache) into b, the caller's reusable column batch: the columns at
+// cols (ascending positions in schema, the table's full schema; nil keeps
+// every column) as typed arrays, every row selected. Packed column streams
+// decode straight into the arrays, skipping the unwanted streams — string
+// columns alias data, which must stay untouched while b is in use; wire
+// text is parsed by telco.DecodeRows' single pass and loaded through the
+// batch's row adapter. Each value equals what parsing the chunk's wire text
+// would give. wire is the wire-text share of the decoded columns.
+func (r *Reader) DecodeBatch(i int, data []byte, schema *telco.Schema, cols []int, b *telco.Batch) (wire int64, err error) {
 	if i < 0 || i >= len(r.chunks) {
-		return nil, 0, fmt.Errorf("segment: no chunk %d of %d", i, len(r.chunks))
+		return 0, fmt.Errorf("segment: no chunk %d of %d", i, len(r.chunks))
 	}
 	c := r.chunks[i]
 	if !r.packed(c) {
-		rows, wire, err = telco.DecodeRows(schema, cols, data)
-		if err == nil && int64(len(rows)) != c.Rows {
-			err = compress.Corruptf("segment: chunk %d holds %d rows, footer says %d", i, len(rows), c.Rows)
+		rows, wire, err := telco.DecodeRows(schema, cols, data)
+		if err != nil {
+			return 0, err
 		}
-		return rows, wire, err
+		if int64(len(rows)) != c.Rows {
+			return 0, compress.Corruptf("segment: chunk %d holds %d rows, footer says %d", i, len(rows), c.Rows)
+		}
+		b.SetRows(schema, cols, rows, false)
+		return wire, nil
 	}
 	if len(c.Cols) != schema.NumFields() {
-		return nil, 0, compress.Corruptf("segment: chunk %d has %d columns, schema %q has %d",
+		return 0, compress.Corruptf("segment: chunk %d has %d columns, schema %q has %d",
 			i, len(c.Cols), schema.Name, schema.NumFields())
 	}
-	width := len(cols)
-	if cols == nil {
-		width = len(c.Cols)
-	}
 	n := int(c.Rows)
-	vals := make([]telco.Value, n*width)
-	for k := 0; k < width; k++ {
+	b.Reset(schema, cols, n)
+	for k := range b.Cols {
 		col := k
 		if cols != nil {
 			col = cols[k]
 		}
 		m := c.Cols[col]
 		if m.Off+m.Len > int64(len(data)) {
-			return nil, 0, compress.Corruptf("segment: chunk %d column %d outside its %d inflated bytes", i, col, len(data))
+			return 0, compress.Corruptf("segment: chunk %d column %d outside its %d inflated bytes", i, col, len(data))
 		}
-		w, err := compress.DecodeColumnValues(vals[k:], width, schema.Fields[col].Kind, m.Tag, data[m.Off:m.Off+m.Len], n)
+		w, err := compress.DecodeColumnBatch(&b.Cols[k], m.Tag, data[m.Off:m.Off+m.Len], n)
 		if err != nil {
-			return nil, 0, fmt.Errorf("segment: chunk %d column %d: %w", i, col, err)
+			return 0, fmt.Errorf("segment: chunk %d column %d: %w", i, col, err)
 		}
 		wire += w
 	}
-	rows = make([]telco.Record, n)
-	for j := range rows {
-		rows[j] = vals[j*width : (j+1)*width : (j+1)*width]
-	}
-	return rows, wire, nil
+	return wire, nil
 }
 
 // columnFields decodes the selected columns of a v3 chunk's inflated bytes

@@ -3,8 +3,10 @@ package segment_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"testing"
 	"time"
 
@@ -204,19 +206,58 @@ func TestRowsWithoutMetadataDefeatPruning(t *testing.T) {
 	}
 }
 
-func TestIsSegmentSniffsLegacyBlobs(t *testing.T) {
+func TestOpenSniffsLegacyBlobs(t *testing.T) {
 	c := codec(t, "gzip")
 	legacy := c.Compress(nil, []byte("plain whole-blob leaf data, compressed directly\n"))
-	if segment.IsSegment(bytes.NewReader(legacy), int64(len(legacy))) {
-		t.Error("legacy codec blob sniffed as a segment")
+	if _, err := segment.Open(bytes.NewReader(legacy), int64(len(legacy)), c); !errors.Is(err, segment.ErrNotSegment) {
+		t.Errorf("legacy codec blob: Open = %v, want ErrNotSegment", err)
+	}
+	if _, err := segment.Open(bytes.NewReader(legacy[:3]), 3, c); !errors.Is(err, segment.ErrNotSegment) {
+		t.Errorf("three-byte file: Open = %v, want ErrNotSegment", err)
 	}
 	lines, metas := buildRows(10, 2, time.Date(2016, 1, 4, 0, 0, 0, 0, time.UTC))
 	data := encode(t, c, 1<<10, lines, metas)
-	if !segment.IsSegment(bytes.NewReader(data), int64(len(data))) {
-		t.Error("segment not recognized by its magic")
+	if _, err := segment.Open(bytes.NewReader(data), int64(len(data)), c); err != nil {
+		t.Errorf("segment not recognized by its magic: %v", err)
 	}
-	if _, err := segment.Open(bytes.NewReader(legacy), int64(len(legacy)), c); err == nil {
-		t.Error("Open accepted a legacy blob")
+	// A segment whose tail is damaged is corrupt, not a legacy blob.
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-1] ^= 0xff
+	if _, err := segment.Open(bytes.NewReader(bad), int64(len(bad)), c); err == nil || errors.Is(err, segment.ErrNotSegment) {
+		t.Errorf("damaged tail: Open = %v, want a corruption error", err)
+	}
+}
+
+// countingReader counts the ranged reads Open issues.
+type countingReader struct {
+	io.ReaderAt
+	reads int
+}
+
+func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.ReaderAt.ReadAt(p, off)
+}
+
+// TestOpenReadsAtMostTwice: a leaf visit pays one read for a small file —
+// header, footer and tail arrive together — and two for a large one, never
+// the four (magic probe, header, tail, footer) it used to.
+func TestOpenReadsAtMostTwice(t *testing.T) {
+	c := codec(t, "gzip")
+	for _, rows := range []int{10, 50000} {
+		lines, metas := buildRows(rows, 8, time.Date(2016, 1, 4, 0, 0, 0, 0, time.UTC))
+		data := encode(t, c, 64<<10, lines, metas)
+		cr := &countingReader{ReaderAt: bytes.NewReader(data)}
+		if _, err := segment.Open(cr, int64(len(data)), c); err != nil {
+			t.Fatal(err)
+		}
+		want := 2
+		if len(data) <= 64<<10 {
+			want = 1
+		}
+		if cr.reads != want {
+			t.Errorf("%d-byte segment: Open issued %d reads, want %d", len(data), cr.reads, want)
+		}
 	}
 }
 

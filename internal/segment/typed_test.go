@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -53,11 +52,24 @@ func typedTable(seed int64, n int) *telco.Table {
 	return tab
 }
 
+// decodeRows drives the batch decoder the way a row scan does: chunk i's
+// inflated bytes decode into one reused batch, whose rows then materialize
+// as records.
+func decodeRows(r *segment.Reader, i int, data []byte, schema *telco.Schema, cols []int) ([]telco.Record, int64, error) {
+	wire, err := r.DecodeBatch(i, data, schema, cols, &rowsBatch)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rowsBatch.AppendRecords(nil), wire, nil
+}
+
+var rowsBatch telco.Batch
+
 // TestDecodeRowsParity: over every chunk layout a reader can meet — v3
 // packed column streams, v3 row-text fallback chunks, v2 row-major chunks —
-// DecodeRows over ChunkBytes equals parsing ChunkData's wire text and
-// projecting, for every column subset tried, and reports the wire share
-// ChunkColumns reports for the same columns.
+// the batch decoded from ChunkBytes, materialized, equals parsing
+// ChunkData's wire text and projecting, for every column subset tried, and
+// reports the wire share ChunkColumns reports for the same columns.
 func TestDecodeRowsParity(t *testing.T) {
 	tab := typedTable(5, 700)
 	build := map[string]func(t *testing.T) ([]byte, compress.Codec){
@@ -134,7 +146,7 @@ func TestDecodeRowsParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, cols := range subsets {
-					rows, wire, err := r.DecodeRows(i, inflated, typedSchema, cols)
+					rows, wire, err := decodeRows(r, i, inflated, typedSchema, cols)
 					if err != nil {
 						t.Fatalf("chunk %d cols %v: %v", i, cols, err)
 					}
@@ -205,17 +217,17 @@ func TestDecodeRowsCorruptFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.DecodeRows(0, good[:len(good)/2], typedSchema, nil); err == nil {
+	if _, _, err := decodeRows(r, 0, good[:len(good)/2], typedSchema, nil); err == nil {
 		t.Error("a truncated chunk decoded")
 	}
-	if _, _, err := r.DecodeRows(0, good, telco.NMSSchema, nil); err == nil {
+	if _, _, err := decodeRows(r, 0, good, telco.NMSSchema, nil); err == nil {
 		t.Error("a chunk decoded under a schema of another width")
 	}
-	if _, _, err := r.DecodeRows(7, good, typedSchema, nil); err == nil {
+	if _, _, err := decodeRows(r, 7, good, typedSchema, nil); err == nil {
 		t.Error("a chunk index past the directory decoded")
 	}
 	// Column 1 (dict) under an integer kind: its entries do not parse.
-	if _, _, err := r.DecodeRows(0, good, swapKind(typedSchema, 1, telco.KindInt), []int{1}); err == nil ||
+	if _, _, err := decodeRows(r, 0, good, swapKind(typedSchema, 1, telco.KindInt), []int{1}); err == nil ||
 		!strings.Contains(err.Error(), "parse int") {
 		t.Errorf("category column decoded as integers: %v", err)
 	}
@@ -227,11 +239,15 @@ func swapKind(s *telco.Schema, col int, k telco.Kind) *telco.Schema {
 	return telco.MustSchema(s.Name, fields)
 }
 
-// TestProjectedDecodeAllocations guards the point of narrow rows: decoding
-// 4 columns of one 200-attribute CDR chunk allocates in proportion to
-// rows × projected columns — a handful of allocations and a few times the
-// decoded values' bytes — where the full-width text path built an 8 KB
-// record and a 200-way split per row. Held for both v3 chunk layouts.
+// TestProjectedDecodeAllocations guards the point of column batches:
+// decoding 4 columns of one 200-attribute CDR chunk (1 586 rows) into a
+// batch allocates pointer-free arrays in proportion to rows × projected
+// columns the first time — 8 bytes a value and a selection slot a row, where
+// the typed rows before them cost a 40-byte telco.Value each (16 allocations,
+// 413 KB) — and nothing at all once the batch is warm, which is how a scan
+// worker meets every chunk after its first. The row-text layout, which no
+// writer produces any more, still pays for the records its text parses into
+// on the way through the row adapter.
 func TestProjectedDecodeAllocations(t *testing.T) {
 	cfg := gen.DefaultConfig(0.01)
 	cfg.CDRPerEpoch = 1500
@@ -243,7 +259,7 @@ func TestProjectedDecodeAllocations(t *testing.T) {
 		telco.CDRSchema.FieldIndex(telco.AttrTS), telco.CDRSchema.FieldIndex(telco.AttrCaller),
 		telco.CDRSchema.FieldIndex(telco.AttrDuration), telco.CDRSchema.FieldIndex(telco.AttrUpflux),
 	}
-	valueBytes := float64(tab.Len()*len(cols)) * float64(reflect.TypeOf(telco.Value{}).Size())
+	values := float64(tab.Len() * len(cols))
 	c := codec(t, "gzip")
 	for _, name := range []string{"columnar", "rowtext"} {
 		w := segment.NewColumnWriter(c, 64<<20, telco.NumCDRAttrs) // one chunk
@@ -270,33 +286,42 @@ func TestProjectedDecodeAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var b telco.Batch
 		decode := func() {
-			rows, _, err := r.DecodeRows(0, inflated, telco.CDRSchema, cols)
-			if err != nil || len(rows) != tab.Len() {
-				t.Fatalf("%s: %d rows, err %v", name, len(rows), err)
+			if _, err := r.DecodeBatch(0, inflated, telco.CDRSchema, cols, &b); err != nil || b.N != tab.Len() {
+				t.Fatalf("%s: %d rows, err %v", name, b.N, err)
 			}
 		}
-		// A constant number of slabs per chunk — the values, the records, one
-		// string per stream — and nothing per row.
+		allocated := func() float64 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			decode()
+			runtime.ReadMemStats(&m1)
+			return float64(m1.TotalAlloc - m0.TotalAlloc)
+		}
+		cold := allocated()
+		warm := allocated()
 		allocs := testing.AllocsPerRun(10, decode)
-		if allocs > 64 {
-			t.Errorf("%s: %.0f allocations for %d rows × %d columns, want a constant (≤ 64) per chunk",
-				name, allocs, tab.Len(), len(cols))
+		t.Logf("%s: %d rows × %d columns: cold %.0f bytes, warm %.0f bytes and %.0f allocations",
+			name, tab.Len(), len(cols), cold, warm, allocs)
+		if name == "rowtext" {
+			// Through the row adapter: the parsed records (a 40-byte value
+			// each), one copy of the text, then the batch's arrays.
+			if limit := 2*40*values + 2*float64(len(inflated)); warm > limit || allocs > 64 {
+				t.Errorf("rowtext: decode allocated %.0f bytes in %.0f allocations (limits %.0f, 64)", warm, allocs, limit)
+			}
+			continue
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		decode()
-		runtime.ReadMemStats(&m1)
-		got := float64(m1.TotalAlloc - m0.TotalAlloc)
-		// The row-text layout also copies the chunk's text once.
-		if limit := 2*valueBytes + 2*float64(len(inflated)); got > limit {
-			t.Errorf("%s: decode allocated %.0f bytes for %.0f bytes of values (limit %.0f): not O(rows × projected columns)",
-				name, got, valueBytes, limit)
+		// Arrays of 8-byte elements (a string column's start and end offsets
+		// count as one), a 4-byte selection slot a row, null bitmaps, the
+		// digits of a delta-coded text column, growth headroom: 147 KB as
+		// measured (209 KB under the race detector's allocator), about half
+		// of what 40-byte values came to.
+		if limit := 36 * values; cold > limit {
+			t.Errorf("columnar: a cold batch allocated %.0f bytes for %.0f values (limit %.0f): not pointer-free arrays", cold, values, limit)
 		}
-		if full := float64(tab.Len()*telco.NumCDRAttrs) * float64(reflect.TypeOf(telco.Value{}).Size()); got*8 > full {
-			t.Errorf("%s: decode allocated %.0f bytes, within 8× of a full-width table's %.0f", name, got, full)
+		if warm > 1024 || allocs > 0 {
+			t.Errorf("columnar: a warm batch allocated %.0f bytes in %.0f allocations, want none", warm, allocs)
 		}
-		t.Logf("%s: %d rows, %.0f allocations, %.0f bytes (values %.0f, full-width %d)",
-			name, tab.Len(), allocs, got, valueBytes, tab.Len()*telco.NumCDRAttrs*40)
 	}
 }

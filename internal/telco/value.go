@@ -165,7 +165,7 @@ func ParseValue(k Kind, s string) (Value, error) {
 // out of range) reports false and falls to time.ParseInLocation, which
 // owns the error text — so ParseValue accepts and rejects exactly what it
 // always did.
-func parseWireTime(s string) (int64, bool) {
+func parseWireTime[T string | []byte](s T) (int64, bool) {
 	if len(s) != len(TimeLayout) {
 		return 0, false
 	}
