@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flaky widths vet bench bench-json bench-check fuzz fmt lint check
+.PHONY: all build test race flaky widths vet bench bench-json bench-check fuzz fmt lint check loc
 
 all: build
 
@@ -22,21 +22,24 @@ test:
 # (Three raced widths of a whole package outlast go test's 10-minute default.)
 # The boot loader's look-ahead — Prepare of one snapshot beside Commit of the
 # one before — is the one place batch ingest runs two goroutines over an
-# engine; its tests repeat at each width.
+# engine; its tests repeat at each width. So does the one HTTP server's
+# package, which drives both backends (engine and coordinator scatter).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/
+	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/ ./internal/webui/
 	$(GO) test -race -run 'Parity|Property|Equivalence|Reference' -cpu 1,2,4 \
 		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/ \
 		./internal/highlights/
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'LookAhead' ./cmd/spate-server/
 
-# Two assertions used to depend on how the scheduler interleaved goroutines
-# and failed most runs on a 2-CPU box; repeat them starved and in parallel
-# so a scheduling-dependent assertion cannot come back unnoticed.
+# Three assertions used to depend on how the scheduler interleaved
+# goroutines (or, the third, on a 150 ms deadline holding under the race
+# detector) and failed many runs on a 2-CPU box; repeat them starved and in
+# parallel so a timing-dependent assertion cannot come back unnoticed.
 flaky:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
 	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/
+	$(GO) test -race -count=20 -cpu 1,2 -run 'TestClusterTracePartialShard$$' ./internal/cluster/
 
 # The un-raced counterpart of race's GOMAXPROCS sweep, cheap enough for
 # every CI run: the scan pipeline's package starved, at the box's width and
@@ -99,6 +102,17 @@ lint:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+
+# The two numbers every ROADMAP item reports a delta of, per package:
+# non-test Go lines, and exported identifiers — package-level names as
+# `go doc -short` lists them plus exported methods.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmarks'); do \
+		src=$$(ls $$d/*.go | grep -v _test.go); \
+		names=$$($(GO) doc -short $$d 2>/dev/null | grep -cE '^ *(func|type|var|const) [A-Z]'); \
+		meths=$$(cat $$src | grep -cE '^func \([^)]*\) [A-Z]'); \
+		printf '%-32s %6d lines %4d exported\n' $${d#$(CURDIR)/} $$(cat $$src | wc -l) $$((names + meths)); \
+	done
 
 # Everything the CI gate runs.
 check: build vet test widths flaky

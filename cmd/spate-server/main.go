@@ -15,22 +15,26 @@
 //	spate-server -addr :8080 -rps 50 -max-concurrent 8 -tenants gold:4,bronze:1
 //	spate-server -addr :8080 -cluster -result-cache-bytes 67108864
 //
-// Endpoints:
+// Endpoints — one server (internal/webui) over one backend, a single engine
+// or, with -cluster / -join, a coordinator; [E] and [C] mark the routes
+// only one of them has:
 //
 //	GET /                         heatmap UI (with a live stats panel)
 //	GET /api/cells                static cell inventory
 //	GET /api/explore?from=&to=&minx=&miny=&maxx=&maxy=&attr=&profile=1
+//	GET /api/template?name=       canned per-cell queries (dropcalls, rssi, ...)
+//	GET /api/playback?step=       the window as per-step frames
 //	POST /api/append              streaming row ingest (behind -stream)
 //	GET /api/sql?q=SELECT...      (also EXPLAIN / EXPLAIN ANALYZE)
-//	GET /api/space                storage accounting (single-engine mode)
-//	GET /api/health               per-node probes (cluster modes)
 //	GET /api/lifecycle            maintenance daemon status + run history
 //	POST /api/lifecycle           ?job=decay|scrub|compact or ?action=pause|resume
 //	GET /metrics                  Prometheus text exposition
 //	GET /api/stats                JSON metrics mirror
 //	GET /api/trace                recent request span trees (?id= fetches one)
 //	GET /api/slowlog              recent slow queries
-//	GET /rpc/...                  cluster node RPC (single-engine mode)
+//	GET /api/space, /api/tree     [E] storage accounting, the temporal index
+//	GET /api/health               [C] per-node probes
+//	GET /rpc/...                  [E] cluster node RPC
 //	GET /debug/pprof/...          runtime profiles (behind -pprof)
 //
 // With -cluster the process boots an in-process cluster — shards×replicas
@@ -65,7 +69,6 @@ import (
 	"spate/internal/decay"
 	"spate/internal/dfs"
 	"spate/internal/gen"
-	"spate/internal/geo"
 	"spate/internal/lifecycle"
 	"spate/internal/obs"
 	"spate/internal/serving"
@@ -235,14 +238,22 @@ func run() int {
 		slog.Info("spate-server: shared result cache enabled", "bytes", *cacheBytes)
 	}
 
+	// Each mode builds the backend and hands it to the one UI server; rpc
+	// stays nil unless this process is itself a shard node.
 	ccfg := cluster.Config{Shards: *shards, Replicas: *replicas, SpatialSplit: *split}
-	var handler http.Handler
+	var ui *webui.Server
+	var rpc http.Handler
 	switch {
 	case *join != "":
 		// Coordinator-only proxy: scatter-gather over already-running
 		// nodes; no local ingest — the nodes carry the data.
 		urls := strings.Split(*join, ",")
-		m := cluster.NewShardMap(ccfg, cellPoints(cellTable))
+		inv, err := core.NewCellInventory(cellTable, "")
+		if err != nil {
+			slog.Error("spate-server: cell table", "err", err)
+			return 1
+		}
+		m := cluster.NewShardMap(ccfg, inv.Points())
 		want := m.NumSlots() * *replicas
 		if len(urls) != want {
 			slog.Error("spate-server: -join node count mismatch",
@@ -258,18 +269,13 @@ func run() int {
 			slog.Error("spate-server: coordinator", "err", err)
 			return 1
 		}
-		window := defaultWindow(g, *days)
 		for url, perr := range coord.Health(context.Background()) {
 			if perr != nil {
 				slog.Warn("spate-server: node unhealthy", "url", url, "err", perr)
 			}
 		}
 		slog.Info("spate-server: coordinating", "nodes", len(urls), "shards", *shards)
-		cs := webui.NewClusterServer(coord, cells, window)
-		if admission != nil {
-			cs.SetAdmission(admission)
-		}
-		handler = cs.Handler()
+		ui = webui.NewClusterServer(coord, cells, defaultWindow(g, *days))
 
 	case *clusterMode:
 		lopt := cluster.LocalOptions{Engine: engOpts, ResultCache: sharedCache}
@@ -311,11 +317,7 @@ func run() int {
 		}
 		slog.Info("spate-server: cluster ready", "nodes", len(local.Nodes),
 			"from", window.From.Format(telco.TimeLayout), "to", window.To.Format(telco.TimeLayout))
-		cs := webui.NewClusterServer(local.Coordinator, cells, window)
-		if admission != nil {
-			cs.SetAdmission(admission)
-		}
-		handler = cs.Handler()
+		ui = webui.NewClusterServer(local.Coordinator, cells, window)
 
 	default:
 		dir, err := os.MkdirTemp("", "spate-server-*")
@@ -367,10 +369,8 @@ func run() int {
 		// Mount the node RPC surface alongside the UI so this process can
 		// serve as a shard behind a -join coordinator.
 		node := cluster.NewNode(eng)
-		ui := webui.NewServer(eng, cells, window)
-		if admission != nil {
-			ui.SetAdmission(admission)
-		}
+		ui = webui.NewServer(eng, cells, window)
+		rpc = node.Handler()
 		if *stream {
 			wd := *walDir
 			if wd == "" {
@@ -393,14 +393,16 @@ func run() int {
 			lm.Start()
 			defer lm.Close()
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/rpc/", node.Handler())
-		mux.Handle("/", ui.Handler())
-		handler = mux
+	}
+	if admission != nil {
+		ui.SetAdmission(admission)
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/", handler)
+	mux.Handle("/", ui.Handler())
+	if rpc != nil {
+		mux.Handle("/rpc/", rpc)
+	}
 	if *withPprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -495,18 +497,4 @@ func defaultWindow(g *gen.Generator, days int) telco.TimeRange {
 	e0 := telco.EpochOf(g.Config().Start)
 	n := days * telco.EpochsPerDay
 	return telco.NewTimeRange(e0.Start(), (e0 + telco.Epoch(n)).Start())
-}
-
-// cellPoints extracts planar cell locations for shard-map construction.
-func cellPoints(t *telco.Table) []geo.Point {
-	xIdx := t.Schema.FieldIndex("x_km")
-	yIdx := t.Schema.FieldIndex("y_km")
-	if xIdx < 0 || yIdx < 0 {
-		return nil
-	}
-	pts := make([]geo.Point, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		pts = append(pts, geo.Point{X: r[xIdx].Float64(), Y: r[yIdx].Float64()})
-	}
-	return pts
 }

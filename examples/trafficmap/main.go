@@ -110,8 +110,8 @@ func main() {
 	fmt.Println("\nstrongest origin->destination flows (whole day):")
 	for _, row := range rs.Rows {
 		a, b := row[0].Int64(), row[1].Int64()
-		la, _ := eng.CellLocation(a)
-		lb, _ := eng.CellLocation(b)
+		la, _ := eng.Cells().Location(a)
+		lb, _ := eng.Cells().Location(b)
 		dist := math.Hypot(la.X-lb.X, la.Y-lb.Y)
 		fmt.Printf("  %d -> %d: %s trips (%.1f km apart)\n", a, b, row[2].Format(), dist)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -27,27 +28,22 @@ type Coordinator struct {
 	smap  *ShardMap
 	nodes [][]string // slot-major: nodes[slot][replica] base URLs
 	cl    *client
-	cells map[int64]geo.Point
-	cellQ geo.SpatialIndex
+	cells *core.CellInventory
 	met   *clusterMetrics
 }
 
-// Result is a scatter-gathered exploration answer. It mirrors the
-// single-engine core.Result for the fields a UI renders, plus the
-// degradation contract: a Result with Partial set is a correct answer for
-// the window minus the Missing ranges.
+// Result is a scatter-gathered exploration answer: a core.Result — Summary
+// restricted to the box's cells, their per-cell Cells, Highlights extracted
+// from the merged window summary with the coordinator's θ, exact Rows when
+// requested, Scanned/DecayedLeaves summed over the shards, and a Profile
+// totalling the surviving shards' scan cost with the per-shard split in
+// Profile.Shards (failed slots appear with Missing/Error set and a zero
+// profile) — plus the degradation contract: a Result with Partial set is a
+// correct answer for the window minus the Missing ranges. What only one
+// engine knows about its own evaluation (covering level, cache hit, stages,
+// pruning counts) stays zero.
 type Result struct {
-	// Summary aggregates the window restricted to the box's cells.
-	Summary *highlights.Summary
-	// Cells is the per-cell breakdown inside the box.
-	Cells []core.CellSeries
-	// Highlights are extracted from the merged window summary with the
-	// coordinator's θ.
-	Highlights []highlights.Highlight
-	// Rows holds exact records per table when requested.
-	Rows map[string]*telco.Table
-	// ServedPeriod is the period the aggregates describe.
-	ServedPeriod telco.TimeRange
+	core.Result
 
 	// Partial marks a degraded answer: at least one shard failed all its
 	// retries and its data is absent from the aggregates.
@@ -56,9 +52,6 @@ type Result struct {
 	// chronological order per shard.
 	Missing []telco.TimeRange
 
-	// ScannedLeaves and DecayedLeaves sum the shards' reports.
-	ScannedLeaves int
-	DecayedLeaves int
 	// ShardsQueried and ShardsFailed count time shards touched by the
 	// window and those that failed after retries.
 	ShardsQueried int
@@ -71,18 +64,23 @@ type Result struct {
 	// TraceID identifies the distributed trace of this exploration ("" when
 	// tracing is disabled); /api/trace?id= returns the merged tree.
 	TraceID string
-	// Profile totals the surviving shards' scan cost, with the per-shard
-	// split in Profile.Shards (failed slots appear with Missing/Error set
-	// and a zero profile).
-	Profile core.Profile
 }
 
 // NewCoordinator wires a coordinator for the given topology. nodes is
 // slot-major — nodes[slot] lists the replica base URLs (http://host:port)
 // serving that slot, slot = timeShard*bands + band. cellTable is the same
-// cell inventory the shard engines were opened with; the coordinator needs
-// it to restrict merged summaries spatially, exactly like a single engine.
+// cell inventory the shard engines were opened with; the coordinator
+// restricts merged summaries spatially through it, exactly like a single
+// engine.
 func NewCoordinator(cfg Config, m *ShardMap, nodes [][]string, cellTable *telco.Table) (*Coordinator, error) {
+	cells, err := core.NewCellInventory(cellTable, "")
+	if err != nil {
+		return nil, err
+	}
+	return newCoordinator(cfg, m, nodes, cells)
+}
+
+func newCoordinator(cfg Config, m *ShardMap, nodes [][]string, cells *core.CellInventory) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -95,42 +93,69 @@ func NewCoordinator(cfg Config, m *ShardMap, nodes [][]string, cellTable *telco.
 			return nil, fmt.Errorf("cluster: slot %d has no replicas", slot)
 		}
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:   cfg,
 		smap:  m,
 		nodes: nodes,
 		cl:    newClient(),
-		cells: make(map[int64]geo.Point),
+		cells: cells,
 		met:   newClusterMetrics(cfg.Obs, m.Shards),
-	}
-	idIdx := cellTable.Schema.FieldIndex(telco.AttrCellID)
-	xIdx := cellTable.Schema.FieldIndex("x_km")
-	yIdx := cellTable.Schema.FieldIndex("y_km")
-	if idIdx < 0 || xIdx < 0 || yIdx < 0 {
-		return nil, fmt.Errorf("cluster: cell table %q lacks cell_id/x_km/y_km", cellTable.Schema.Name)
-	}
-	bounds := geo.NewRect(0, 0, 1, 1)
-	first := true
-	for _, r := range cellTable.Rows {
-		pt := geo.Point{X: r[xIdx].Float64(), Y: r[yIdx].Float64()}
-		c.cells[r[idIdx].Int64()] = pt
-		if first {
-			bounds = geo.NewRect(pt.X, pt.Y, pt.X+1e-6, pt.Y+1e-6)
-			first = false
-		} else {
-			bounds = bounds.Expand(pt)
-		}
-	}
-	qt := geo.NewQuadTree(bounds, 0)
-	for id, pt := range c.cells {
-		qt.Insert(geo.Item{Pt: pt, ID: id, Weight: 1})
-	}
-	c.cellQ = qt
-	return c, nil
+	}, nil
 }
 
 // Map exposes the coordinator's shard map.
 func (c *Coordinator) Map() *ShardMap { return c.smap }
+
+// fanOut runs f(0) … f(n-1) concurrently and returns their errors by index.
+func fanOut(n int, f func(i int) error) []error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	return errs
+}
+
+// allNodes lists every node's base URL once, sorted.
+func (c *Coordinator) allNodes() []string {
+	var urls []string
+	seen := make(map[string]bool)
+	for _, group := range c.nodes {
+		for _, u := range group {
+			if !seen[u] {
+				seen[u] = true
+				urls = append(urls, u)
+			}
+		}
+	}
+	sort.Strings(urls)
+	return urls
+}
+
+// retry runs try until it succeeds, reports an error retrying cannot cure,
+// or has spent the configured retries, backing off exponentially between
+// attempts; it returns the number of retries spent.
+func (c *Coordinator) retry(ctx context.Context, op string, try func(attempt int) (final bool, err error)) (int, error) {
+	backoff := c.cfg.RetryBackoff
+	for attempt := 0; ; attempt++ {
+		final, err := try(attempt)
+		if err == nil || final || attempt == c.cfg.Retries || ctx.Err() != nil {
+			return attempt, err
+		}
+		c.met.retries[op].Inc()
+		select {
+		case <-time.After(backoff):
+		case <-ctx.Done():
+			return attempt + 1, ctx.Err()
+		}
+		backoff *= 2
+	}
+}
 
 // Ingest routes one snapshot to the replica group(s) owning its epoch:
 // the time shard is the epoch's block owner, and under a spatial split
@@ -140,130 +165,123 @@ func (c *Coordinator) Map() *ShardMap { return c.smap }
 func (c *Coordinator) Ingest(ctx context.Context, snap *snapshot.Snapshot) error {
 	shard := c.smap.TimeShardOf(snap.Epoch)
 	start := time.Now()
-	reqs, err := c.splitSnapshot(snap)
+	reqs, err := c.splitSnapshot(snap, shard)
 	if err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	errc := make(chan error, len(reqs)*c.cfg.Replicas)
-	for band, req := range reqs {
-		if req == nil {
-			continue // no rows for this band
-		}
-		slot := c.smap.Slot(shard, band)
-		for _, url := range c.nodes[slot] {
-			wg.Add(1)
-			go func(url string, req *ingestRequest) {
-				defer wg.Done()
-				if err := c.writeReplica(ctx, shard, url, req); err != nil {
-					errc <- err
-				}
-			}(url, req)
-		}
-	}
-	wg.Wait()
-	close(errc)
+	err = c.writeAll(ctx, "ingest", reqs)
 	c.met.ingests.Inc()
 	c.met.ingestSec[shard].Observe(time.Since(start).Seconds())
-	return <-errc // nil when no replica failed
+	return err
 }
 
-// splitSnapshot renders the per-band ingest requests of one snapshot —
-// a single request holding every table when there is no spatial split.
-func (c *Coordinator) splitSnapshot(snap *snapshot.Snapshot) ([]*ingestRequest, error) {
-	names := snap.TableNames()
-	if c.smap.NumBands() == 1 {
+// splitSnapshot renders one snapshot's ingest requests by slot — a single
+// request holding every table when there is no spatial split.
+func (c *Coordinator) splitSnapshot(snap *snapshot.Snapshot, shard int) (map[int]any, error) {
+	bands := []*snapshot.Snapshot{snap}
+	if c.smap.NumBands() > 1 {
+		// Spatial split: route each row to the band of its cell. Rows of
+		// unknown cells land in band 0 so nothing is dropped.
+		bands = make([]*snapshot.Snapshot, c.smap.NumBands())
+		for i := range bands {
+			bands[i] = snapshot.New(snap.Epoch)
+		}
+		for _, name := range snap.TableNames() {
+			src := snap.Table(name)
+			cellIdx := src.Schema.FieldIndex(telco.AttrCellID)
+			parts := make([]*telco.Table, len(bands))
+			for i := range parts {
+				parts[i] = telco.NewTable(src.Schema)
+			}
+			for _, row := range src.Rows {
+				band := 0
+				if cellIdx >= 0 {
+					if pt, ok := c.cells.Location(row[cellIdx].Int64()); ok {
+						band = c.smap.BandOf(pt)
+					}
+				}
+				parts[band].Append(row)
+			}
+			for band, t := range parts {
+				bands[band].Add(t)
+			}
+		}
+	}
+	reqs := make(map[int]any, len(bands))
+	for band, s := range bands {
+		names := s.TableNames()
 		req := &ingestRequest{Epoch: int64(snap.Epoch), Tables: make(map[string][]byte, len(names))}
 		for _, name := range names {
-			data, err := snap.EncodeTable(name)
-			if err != nil {
-				return nil, err
-			}
-			req.Tables[name] = data
-		}
-		return []*ingestRequest{req}, nil
-	}
-	// Spatial split: route each row to the band of its cell. Rows of
-	// unknown cells land in band 0 so nothing is dropped.
-	split := make([]*snapshot.Snapshot, c.smap.NumBands())
-	for _, name := range names {
-		src := snap.Table(name)
-		cellIdx := src.Schema.FieldIndex(telco.AttrCellID)
-		parts := make([]*telco.Table, len(split))
-		for i := range parts {
-			parts[i] = telco.NewTable(src.Schema)
-		}
-		for _, row := range src.Rows {
-			band := 0
-			if cellIdx >= 0 {
-				if pt, ok := c.cells[row[cellIdx].Int64()]; ok {
-					band = c.smap.BandOf(pt)
-				}
-			}
-			parts[band].Append(row)
-		}
-		for band, t := range parts {
-			if split[band] == nil {
-				split[band] = snapshot.New(snap.Epoch)
-			}
-			split[band].Add(t)
-		}
-	}
-	reqs := make([]*ingestRequest, len(split))
-	for band, s := range split {
-		if s == nil {
-			continue
-		}
-		req := &ingestRequest{Epoch: int64(snap.Epoch), Tables: make(map[string][]byte)}
-		for _, name := range s.TableNames() {
 			data, err := s.EncodeTable(name)
 			if err != nil {
 				return nil, err
 			}
 			req.Tables[name] = data
 		}
-		reqs[band] = req
+		reqs[c.smap.Slot(shard, band)] = req
 	}
 	return reqs, nil
 }
 
-func (c *Coordinator) writeReplica(ctx context.Context, shard int, url string, req *ingestRequest) error {
-	backoff := c.cfg.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			c.met.retries["ingest"].Inc()
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			backoff *= 2
-		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.IngestTimeout)
-		var resp ingestResponse
-		err := c.cl.post(actx, url, "/rpc/ingest", req, &resp)
-		cancel()
-		if err == nil {
-			return nil
-		}
-		c.met.shardErrors[shard].Inc()
-		lastErr = err
-		if ctx.Err() != nil {
-			break
+// writeAll posts each touched slot's request (op "ingest" or "append") to
+// every replica of that slot; any replica failing all its attempts fails
+// the write.
+func (c *Coordinator) writeAll(ctx context.Context, op string, reqs map[int]any) error {
+	type write struct {
+		slot int
+		url  string
+	}
+	var ws []write
+	for slot := range reqs {
+		for _, url := range c.nodes[slot] {
+			ws = append(ws, write{slot, url})
 		}
 	}
-	return lastErr
+	for _, err := range fanOut(len(ws), func(i int) error {
+		return c.writeReplica(ctx, op, ws[i].slot, ws[i].url, reqs[ws[i].slot])
+	}) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeReplica posts one slot's write to one replica with bounded retries,
+// translating the peer's typed refusals of an append (429 backpressure, 409
+// stale/finalized) back into their sentinel errors.
+func (c *Coordinator) writeReplica(ctx context.Context, op string, slot int, url string, req any) error {
+	shard := c.smap.SlotShard(slot)
+	_, err := c.retry(ctx, op, func(int) (bool, error) {
+		actx, cancel := context.WithTimeout(ctx, c.cfg.IngestTimeout)
+		defer cancel()
+		err := c.cl.post(actx, url, "/rpc/"+op, req, nil)
+		if err != nil {
+			c.met.shardErrors[shard].Inc()
+		}
+		// A stale epoch or a finalized store: retrying cannot help.
+		return httpStatus(err) == http.StatusConflict, err
+	})
+	switch httpStatus(err) {
+	case http.StatusTooManyRequests:
+		// Re-type the shard's refusal so errors.Is(err, ErrBackpressure)
+		// still matches and the shard's Retry-After hint survives the hop
+		// (the HTTP layer surfaces it to the originating client).
+		return fmt.Errorf("%w: %v", &core.BackpressureError{RetryAfter: retryAfterOf(err)}, err)
+	case http.StatusConflict:
+		return fmt.Errorf("%w: %v", core.ErrStaleEpoch, err)
+	}
+	return err
 }
 
 // Append routes streaming rows to the slots owning them — the time shard
 // is each row's epoch block owner, the band its cell's under a spatial
 // split — and writes every replica of a touched slot (write-all, bounded
-// retries), mirroring Ingest so streamed and batch-loaded data land on
-// the same nodes. Rows travel as wire-text lines and apply through each
-// node's WAL + memtable, so they are explorable when Append returns.
-// A replica refusing for backpressure surfaces as core.ErrBackpressure,
-// rows of already-sealed epochs as core.ErrStaleEpoch.
+// retries), like Ingest, so streamed and batch-loaded data land on the same
+// nodes. Rows travel as wire-text lines and apply through each node's WAL +
+// memtable, so they are explorable when Append returns. A replica refusing
+// for backpressure surfaces as core.ErrBackpressure, rows of already-sealed
+// epochs as core.ErrStaleEpoch.
 func (c *Coordinator) Append(ctx context.Context, table string, recs []telco.Record) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -289,79 +307,36 @@ func (c *Coordinator) Append(ctx context.Context, table string, recs []telco.Rec
 		band := 0
 		if c.smap.NumBands() > 1 && cellIdx >= 0 {
 			// Unknown cells land in band 0, like splitSnapshot.
-			if pt, ok := c.cells[rec[cellIdx].Int64()]; ok {
+			if pt, ok := c.cells.Location(rec[cellIdx].Int64()); ok {
 				band = c.smap.BandOf(pt)
 			}
 		}
 		slot := c.smap.Slot(shard, band)
 		bySlot[slot] = append(bySlot[slot], rec.Line())
 	}
-	var wg sync.WaitGroup
-	errc := make(chan error, len(bySlot)*c.cfg.Replicas)
+	reqs := make(map[int]any, len(bySlot))
 	for slot, lines := range bySlot {
-		req := &appendRequest{Table: table, Rows: lines}
-		shard := c.smap.SlotShard(slot)
-		for _, url := range c.nodes[slot] {
-			wg.Add(1)
-			go func(url string) {
-				defer wg.Done()
-				if err := c.appendReplica(ctx, shard, url, req); err != nil {
-					errc <- err
-				}
-			}(url)
-		}
+		reqs[slot] = &appendRequest{Table: table, Rows: lines}
 	}
-	wg.Wait()
-	close(errc)
+	err := c.writeAll(ctx, "append", reqs)
 	c.met.appends.Inc()
-	if err := <-errc; err != nil {
+	if err != nil {
 		return 0, err
 	}
 	return len(recs), nil
 }
 
-// appendReplica writes one slot's append batch to one replica with
-// bounded retries, translating the peer's typed refusals (429
-// backpressure, 409 stale/finalized) back into their sentinel errors.
-func (c *Coordinator) appendReplica(ctx context.Context, shard int, url string, req *appendRequest) error {
-	backoff := c.cfg.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			c.met.retries["append"].Inc()
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			backoff *= 2
-		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.IngestTimeout)
-		var resp appendResponse
-		err := c.cl.post(actx, url, "/rpc/append", req, &resp)
-		cancel()
-		if err == nil {
-			return nil
-		}
-		c.met.shardErrors[shard].Inc()
-		lastErr = err
-		if httpStatus(err) == http.StatusConflict {
-			break // stale epoch / finalized store: retrying cannot help
-		}
-		if ctx.Err() != nil {
-			break
+// broadcast posts req to path on every node and returns the first failure.
+func (c *Coordinator) broadcast(ctx context.Context, path string, req any, tolerate int) error {
+	urls := c.allNodes()
+	for _, err := range fanOut(len(urls), func(i int) error {
+		return c.cl.post(ctx, urls[i], path, req, nil)
+	}) {
+		if err != nil && httpStatus(err) != tolerate {
+			return err
 		}
 	}
-	switch httpStatus(lastErr) {
-	case http.StatusTooManyRequests:
-		// Re-type the shard's refusal so errors.Is(err, ErrBackpressure)
-		// still matches and the shard's Retry-After hint survives the hop
-		// (the HTTP layer surfaces it to the originating client).
-		return fmt.Errorf("%w: %v", &core.BackpressureError{RetryAfter: retryAfterOf(lastErr)}, lastErr)
-	case http.StatusConflict:
-		return fmt.Errorf("%w: %v", core.ErrStaleEpoch, lastErr)
-	}
-	return lastErr
+	return nil
 }
 
 // FlushStreams broadcasts a seal-all to every node's streamer: each
@@ -369,53 +344,115 @@ func (c *Coordinator) appendReplica(ctx context.Context, shard int, url string, 
 // Nodes without a streamer refuse with 503, which is tolerated — a mixed
 // batch/stream topology flushes the streaming nodes and skips the rest.
 func (c *Coordinator) FlushStreams(ctx context.Context) error {
-	req := &appendRequest{Seal: true}
-	var wg sync.WaitGroup
-	errc := make(chan error, len(c.nodes)*c.cfg.Replicas)
-	for _, urls := range c.nodes {
-		for _, url := range urls {
-			wg.Add(1)
-			go func(url string) {
-				defer wg.Done()
-				var resp appendResponse
-				if err := c.cl.post(ctx, url, "/rpc/append", req, &resp); err != nil {
-					if httpStatus(err) == http.StatusServiceUnavailable {
-						return // batch-only node: nothing to flush
-					}
-					errc <- err
-				}
-			}(url)
-		}
-	}
-	wg.Wait()
-	close(errc)
-	return <-errc
+	return c.broadcast(ctx, "/rpc/append", &appendRequest{Seal: true}, http.StatusServiceUnavailable)
 }
 
 // FinishIngest broadcasts the ingest-finished seal to every node so open
 // day/month/year nodes materialize their summaries.
 func (c *Coordinator) FinishIngest(ctx context.Context) error {
+	return c.broadcast(ctx, "/rpc/finish", struct{}{}, 0)
+}
+
+// ErrDegraded marks a scatter that lost a shard after every retry where
+// the caller needed all of them: SQL answers must be complete or absent,
+// so the strict paths fail with it instead of answering from a subset.
+var ErrDegraded = errors.New("cluster: scatter degraded")
+
+// slotOutcome is what one slot of a scatter came back with: the shard's
+// response or the error that outlasted the retries, and the slot's entry
+// for Profile.Shards either way.
+type slotOutcome struct {
+	resp *exploreResponse
+	err  error
+	sp   core.ShardProfile
+}
+
+// scatter is the coordinator's one fan-out: req goes to every slot of
+// shards × bands at once, each read from any replica (hedged, bounded
+// retries), and the outcomes come back in slot order with retries, hedge
+// wins and latency booked. Each slot runs under its own child span, whose
+// identity rides out in the RPC header so the shard's recorded subtree
+// grafts back under it; a failed slot keeps its span — annotated, not
+// dropped — so a partial answer's trace shows the hole. What a failed slot
+// means is the caller's decision: Explore degrades around it, the SQL
+// paths refuse (scatterStrict).
+func (c *Coordinator) scatter(ctx context.Context, shards, bands []int, req exploreRequest) []slotOutcome {
+	outs := make([]slotOutcome, len(shards)*len(bands))
 	var wg sync.WaitGroup
-	errc := make(chan error, len(c.nodes)*c.cfg.Replicas)
-	for _, urls := range c.nodes {
-		for _, url := range urls {
+	for si, shard := range shards {
+		for bi, band := range bands {
 			wg.Add(1)
-			go func(url string) {
+			go func(o *slotOutcome, shard, band int) {
 				defer wg.Done()
-				if err := c.cl.post(ctx, url, "/rpc/finish", struct{}{}, nil); err != nil {
-					errc <- err
+				sctx, sspan := c.cfg.Tracer.StartSpan(ctx, "slot_explore")
+				defer sspan.End()
+				sspan.SetAttr("shard", strconv.Itoa(shard))
+				sspan.SetAttr("band", strconv.Itoa(band))
+				t0 := time.Now()
+				resp, retries, hedgeWin, err := c.exploreSlot(sctx, c.smap.Slot(shard, band), req)
+				o.resp, o.err = resp, err
+				o.sp = core.ShardProfile{
+					Shard:     shard,
+					Band:      band,
+					LatencyMS: float64(time.Since(t0)) / float64(time.Millisecond),
+					Retries:   retries,
+					HedgeWin:  hedgeWin,
 				}
-			}(url)
+				if err != nil {
+					o.sp.Missing, o.sp.Error = true, err.Error()
+					sspan.SetError(err)
+					sspan.SetAttr("missing", "true")
+				} else {
+					if resp.Trace != nil {
+						sspan.AttachRemote(*resp.Trace)
+					}
+					if resp.Profile != nil {
+						o.sp.Profile = *resp.Profile
+					}
+				}
+				if retries > 0 {
+					sspan.SetAttr("retries", strconv.Itoa(retries))
+				}
+				if hedgeWin {
+					sspan.SetAttr("hedge_win", "true")
+					c.met.hedgeWins.Inc()
+				}
+			}(&outs[si*len(bands)+bi], shard, band)
 		}
 	}
 	wg.Wait()
-	close(errc)
-	return <-errc
+	return outs
+}
+
+// foldShards books a scatter into p: the answering slots' scan cost into
+// the totals and one Shards entry per slot (a failed slot's profile is
+// zero, its entry says Missing).
+func foldShards(p *core.Profile, outs []slotOutcome) {
+	for _, o := range outs {
+		p.Add(o.sp.Profile)
+		p.Shards = append(p.Shards, o.sp)
+	}
+}
+
+// gatherRows decodes one shard's exact rows into dst; rows concatenate
+// shard-major per table.
+func gatherRows(dst map[string]*telco.Table, resp *exploreResponse) error {
+	for name, data := range resp.Rows {
+		t, err := snapshot.DecodeTable(name, data)
+		if err != nil {
+			return fmt.Errorf("cluster: rows table %q: %w", name, err)
+		}
+		if have, ok := dst[name]; ok {
+			have.Rows = append(have.Rows, t.Rows...)
+		} else {
+			dst[name] = t
+		}
+	}
+	return nil
 }
 
 // Explore evaluates Q(a, b, w) across the cluster: the window selects the
-// time shards to scatter to, the box selects the bands, each slot is read
-// from any replica (hedged, with bounded retries), and the gathered
+// time shards to scatter to, the box selects the bands, and the gathered
 // summary parts fold in one flat chronological merge — the association
 // order a single engine uses, so the aggregates match it bit for bit.
 // Shards that fail every attempt degrade the answer instead of failing it:
@@ -429,10 +466,7 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 	bands := c.smap.BandsFor(q.Box)
 	c.met.explores.Inc()
 
-	// Root the distributed trace: every slot RPC below runs under a child
-	// span whose identity travels in the X-Spate-Trace header, so the
-	// shard-side subtrees returned on the responses stitch into one
-	// coordinator-rooted tree.
+	// Root the distributed trace; the slot spans of the scatter nest here.
 	ctx, span := c.cfg.Tracer.StartSpan(ctx, "cluster_explore")
 	defer span.End()
 	span.SetAttr("shards", strconv.Itoa(len(shards)))
@@ -448,104 +482,45 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		req.Boxed = true
 		req.MinX, req.MinY, req.MaxX, req.MaxY = q.Box.MinX, q.Box.MinY, q.Box.MaxX, q.Box.MaxY
 	}
+	outs := c.scatter(ctx, shards, bands, req)
 
-	type slotResult struct {
-		resp     *exploreResponse
-		retries  int
-		hedgeWin bool
-		latency  time.Duration
-		err      error
-	}
-	results := make([]slotResult, len(shards)*len(bands))
-	var wg sync.WaitGroup
-	for si, shard := range shards {
-		for bi, band := range bands {
-			wg.Add(1)
-			go func(i, slot, shard, band int) {
-				defer wg.Done()
-				// Each slot gets its own child span: its id rides out in the
-				// RPC header, and the shard's recorded subtree is grafted
-				// back under it. A failed slot keeps its span — annotated,
-				// not dropped — so a partial answer's trace shows the hole.
-				sctx, sspan := c.cfg.Tracer.StartSpan(ctx, "slot_explore")
-				sspan.SetAttr("shard", strconv.Itoa(shard))
-				sspan.SetAttr("band", strconv.Itoa(band))
-				r := &results[i]
-				t0 := time.Now()
-				r.resp, r.retries, r.hedgeWin, r.err = c.exploreSlot(sctx, slot, req)
-				r.latency = time.Since(t0)
-				if r.err != nil {
-					sspan.SetError(r.err)
-					sspan.SetAttr("missing", "true")
-				} else if r.resp.Trace != nil {
-					sspan.AttachRemote(*r.resp.Trace)
-				}
-				if r.retries > 0 {
-					sspan.SetAttr("retries", strconv.Itoa(r.retries))
-				}
-				if r.hedgeWin {
-					sspan.SetAttr("hedge_win", "true")
-				}
-				sspan.End()
-			}(si*len(bands)+bi, c.smap.Slot(shard, band), shard, band)
-		}
-	}
-	wg.Wait()
-
-	res := &Result{ServedPeriod: q.Window, ShardsQueried: len(shards), TraceID: span.TraceID()}
+	res := &Result{Result: core.Result{ServedPeriod: q.Window}, ShardsQueried: len(shards), TraceID: span.TraceID()}
 	res.Profile.TraceID = res.TraceID
+	foldShards(&res.Profile, outs)
+	fail := func(err error) (*Result, error) {
+		span.SetError(err)
+		return nil, err
+	}
 	failed := make(map[int]bool)
 	leaves, live := 0, 0
 	var parts []*highlights.Summary
 	var firstErr error
-	for i, r := range results {
-		shard := shards[i/len(bands)]
-		band := bands[i%len(bands)]
-		res.Retries += r.retries
-		sp := core.ShardProfile{
-			Shard:     shard,
-			Band:      band,
-			LatencyMS: float64(r.latency) / float64(time.Millisecond),
-			Retries:   r.retries,
-			HedgeWin:  r.hedgeWin,
-		}
-		if r.err != nil {
+	for _, o := range outs {
+		res.Retries += o.sp.Retries
+		if o.err != nil {
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = o.err
 			}
-			failed[shard] = true
-			sp.Missing = true
-			sp.Error = r.err.Error()
-			res.Profile.Shards = append(res.Profile.Shards, sp)
+			failed[o.sp.Shard] = true
 			continue
 		}
-		if r.hedgeWin {
+		if o.sp.HedgeWin {
 			res.HedgeWins++
-			c.met.hedgeWins.Inc()
 		}
-		res.ScannedLeaves += r.resp.Scanned
-		res.DecayedLeaves += r.resp.Decayed
-		leaves += r.resp.Leaves
-		live += r.resp.Live
-		if r.resp.Profile != nil {
-			sp.Profile = *r.resp.Profile
-			res.Profile.Add(sp.Profile)
-		}
-		res.Profile.Shards = append(res.Profile.Shards, sp)
-		for _, blob := range r.resp.Parts {
+		res.ScannedLeaves += o.resp.Scanned
+		res.DecayedLeaves += o.resp.Decayed
+		leaves += o.resp.Leaves
+		live += o.resp.Live
+		for _, blob := range o.resp.Parts {
 			p, err := highlights.Decode(blob)
 			if err != nil {
-				err = fmt.Errorf("cluster: shard %d part: %w", shard, err)
-				span.SetError(err)
-				return nil, err
+				return fail(fmt.Errorf("cluster: shard %d part: %w", o.sp.Shard, err))
 			}
 			parts = append(parts, p)
 		}
 	}
 	if len(failed) == len(shards) {
-		err := fmt.Errorf("cluster: all %d shards failed: %w", len(shards), firstErr)
-		span.SetError(err)
-		return nil, err
+		return fail(fmt.Errorf("cluster: all %d shards failed: %w", len(shards), firstErr))
 	}
 	if len(failed) == 0 && leaves == 0 && live == 0 {
 		// Every reachable shard is empty — no sealed leaves and no unsealed
@@ -559,27 +534,17 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 	// reproduces the single engine's association order.
 	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Period.From.Before(parts[j].Period.From) })
 	merged := highlights.Merge(q.Window, parts...)
-	res.Summary, res.Cells = c.restrictToBox(merged, q)
+	res.Summary, res.Cells = c.cells.Restrict(merged, q.Box, q.Attrs)
 	res.Highlights = merged.Extract(c.cfg.Theta)
 
 	if q.ExactRows {
 		res.Rows = make(map[string]*telco.Table)
-		for _, r := range results {
-			if r.err != nil {
+		for _, o := range outs {
+			if o.err != nil {
 				continue
 			}
-			for name, data := range r.resp.Rows {
-				t, err := snapshot.DecodeTable(name, data)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: rows table %q: %w", name, err)
-				}
-				if dst, ok := res.Rows[name]; ok {
-					for _, row := range t.Rows {
-						dst.Append(row)
-					}
-				} else {
-					res.Rows[name] = t
-				}
+			if err := gatherRows(res.Rows, o.resp); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -610,11 +575,10 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 
 // AggregatePartials evaluates a pushed-down aggregate spec across the
 // cluster: every slot the window touches folds the spec over its shard's
-// rows (hedged, bounded retries) and the partials merge key-wise — partial
-// aggregate merging is associative and commutative, so the merged answer
-// matches a single engine over the union of the shards bit for bit. Unlike
-// Explore, a shard failing all its retries fails the whole call: SQL
-// answers must be complete or absent.
+// rows and the partials merge key-wise — partial aggregate merging is
+// associative and commutative, so the merged answer matches a single
+// engine over the union of the shards bit for bit. Unlike Explore, a shard
+// failing all its retries fails the whole call (ErrDegraded).
 func (c *Coordinator) AggregatePartials(ctx context.Context, w telco.TimeRange, table string, spec *scanspec.Spec) ([]scanspec.Partial, error) {
 	if !spec.IsAggregate() {
 		return nil, fmt.Errorf("cluster: AggregatePartials needs an aggregate spec")
@@ -622,7 +586,6 @@ func (c *Coordinator) AggregatePartials(ctx context.Context, w telco.TimeRange, 
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c.met.explores.Inc()
 	req := exploreRequest{FromUnix: w.From.Unix(), ToUnix: w.To.Unix(), AggTable: table, Spec: spec}
 	resps, err := c.scatterStrict(ctx, w, req, "cluster_aggregate")
 	if err != nil {
@@ -647,7 +610,6 @@ func (c *Coordinator) ScanRows(ctx context.Context, w telco.TimeRange, tables []
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c.met.explores.Inc()
 	req := exploreRequest{FromUnix: w.From.Unix(), ToUnix: w.To.Unix(), Rows: true, Tables: tables, Spec: spec}
 	resps, err := c.scatterStrict(ctx, w, req, "cluster_scan_rows")
 	if err != nil {
@@ -655,134 +617,63 @@ func (c *Coordinator) ScanRows(ctx context.Context, w telco.TimeRange, tables []
 	}
 	out := make(map[string]*telco.Table)
 	for _, r := range resps {
-		for name, data := range r.Rows {
-			t, err := snapshot.DecodeTable(name, data)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: rows table %q: %w", name, err)
-			}
-			if dst, ok := out[name]; ok {
-				for _, row := range t.Rows {
-					dst.Append(row)
-				}
-			} else {
-				out[name] = t
-			}
+		if err := gatherRows(out, r); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// scatterStrict scatters one request to every slot the window touches
-// (all bands — the SQL paths carry no spatial predicate) and gathers the
-// responses, failing the whole call when any slot fails after retries.
-// Shard profiles fold into the caller's context profile with a per-shard
-// split, so EXPLAIN ANALYZE over the cluster catalog reports the scatter.
+// scatterStrict is the scatter of the SQL paths: req goes to every slot
+// the window touches (all bands — these paths carry no spatial predicate)
+// and every one of them has to answer; the lowest failed slot's error
+// fails the call. Shard profiles fold into the caller's context profile
+// with a per-shard split, so EXPLAIN ANALYZE over the cluster catalog
+// reports the scatter.
 func (c *Coordinator) scatterStrict(ctx context.Context, w telco.TimeRange, req exploreRequest, op string) ([]*exploreResponse, error) {
 	shards := c.smap.TimeShardsFor(w)
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: empty window")
 	}
-	bands := c.smap.BandsFor(geo.Rect{})
+	c.met.explores.Inc()
 	ctx, span := c.cfg.Tracer.StartSpan(ctx, op)
 	defer span.End()
 	span.SetAttr("shards", strconv.Itoa(len(shards)))
 
-	type slotResult struct {
-		resp    *exploreResponse
-		retries int
-		hedge   bool
-		latency time.Duration
-		err     error
-	}
-	results := make([]slotResult, len(shards)*len(bands))
-	var wg sync.WaitGroup
-	for si, shard := range shards {
-		for bi, band := range bands {
-			wg.Add(1)
-			go func(i, slot, shard, band int) {
-				defer wg.Done()
-				sctx, sspan := c.cfg.Tracer.StartSpan(ctx, "slot_explore")
-				sspan.SetAttr("shard", strconv.Itoa(shard))
-				sspan.SetAttr("band", strconv.Itoa(band))
-				r := &results[i]
-				t0 := time.Now()
-				r.resp, r.retries, r.hedge, r.err = c.exploreSlot(sctx, slot, req)
-				r.latency = time.Since(t0)
-				if r.err != nil {
-					sspan.SetError(r.err)
-				} else if r.resp.Trace != nil {
-					sspan.AttachRemote(*r.resp.Trace)
-				}
-				sspan.End()
-			}(si*len(bands)+bi, c.smap.Slot(shard, band), shard, band)
-		}
-	}
-	wg.Wait()
-
-	prof := core.ProfileFromContext(ctx)
-	if prof != nil && prof.TraceID == "" {
-		prof.TraceID = span.TraceID()
-	}
-	out := make([]*exploreResponse, 0, len(results))
-	for i, r := range results {
-		shard := shards[i/len(bands)]
-		if r.err != nil {
-			err := fmt.Errorf("cluster: shard %d failed after %d retries: %w", shard, r.retries, r.err)
+	outs := c.scatter(ctx, shards, c.smap.BandsFor(geo.Rect{}), req)
+	resps := make([]*exploreResponse, len(outs))
+	for i, o := range outs {
+		if o.err != nil {
+			err := fmt.Errorf("%w: shard %d failed after %d retries: %w", ErrDegraded, o.sp.Shard, o.sp.Retries, o.err)
+			if ctx.Err() != nil {
+				err = ctx.Err() // the caller gave up; no shard is to blame
+			}
 			span.SetError(err)
 			return nil, err
 		}
-		if r.hedge {
-			c.met.hedgeWins.Inc()
-		}
-		if prof != nil {
-			sp := core.ShardProfile{
-				Shard:     shard,
-				Band:      bands[i%len(bands)],
-				LatencyMS: float64(r.latency) / float64(time.Millisecond),
-				Retries:   r.retries,
-				HedgeWin:  r.hedge,
-			}
-			if r.resp.Profile != nil {
-				sp.Profile = *r.resp.Profile
-				prof.Add(sp.Profile)
-			}
-			prof.Shards = append(prof.Shards, sp)
-		}
-		out = append(out, r.resp)
+		resps[i] = o.resp
 	}
-	return out, nil
+	if prof := core.ProfileFromContext(ctx); prof != nil {
+		if prof.TraceID == "" {
+			prof.TraceID = span.TraceID()
+		}
+		foldShards(prof, outs)
+	}
+	return resps, nil
 }
 
 // exploreSlot reads one slot with bounded retries; each attempt hedges
 // across the slot's replicas.
-func (c *Coordinator) exploreSlot(ctx context.Context, slot int, req exploreRequest) (*exploreResponse, int, bool, error) {
+func (c *Coordinator) exploreSlot(ctx context.Context, slot int, req exploreRequest) (resp *exploreResponse, retries int, hedgeWin bool, err error) {
 	shard := c.smap.SlotShard(slot)
 	start := time.Now()
 	defer func() { c.met.exploreSec[shard].Observe(time.Since(start).Seconds()) }()
-	backoff := c.cfg.RetryBackoff
-	retries := 0
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			retries++
-			c.met.retries["explore"].Inc()
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return nil, retries, false, ctx.Err()
-			}
-			backoff *= 2
-		}
-		resp, hedgeWin, err := c.hedgedExplore(ctx, slot, req, attempt)
-		if err == nil {
-			return resp, retries, hedgeWin, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, retries, false, lastErr
+	retries, err = c.retry(ctx, "explore", func(attempt int) (bool, error) {
+		var err error
+		resp, hedgeWin, err = c.hedgedExplore(ctx, slot, req, attempt)
+		return false, err
+	})
+	return resp, retries, hedgeWin, err
 }
 
 // hedgedExplore performs one read attempt against a slot's replica group:
@@ -858,63 +749,13 @@ func (c *Coordinator) hedgedExplore(ctx context.Context, slot int, req exploreRe
 
 // Health polls every node, keyed by base URL.
 func (c *Coordinator) Health(ctx context.Context) map[string]error {
-	out := make(map[string]error)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, urls := range c.nodes {
-		for _, url := range urls {
-			wg.Add(1)
-			go func(url string) {
-				defer wg.Done()
-				var resp healthResponse
-				err := c.cl.get(ctx, url, "/rpc/health", &resp)
-				mu.Lock()
-				if _, dup := out[url]; !dup {
-					out[url] = err
-				}
-				mu.Unlock()
-			}(url)
-		}
+	urls := c.allNodes()
+	errs := fanOut(len(urls), func(i int) error {
+		return c.cl.get(ctx, urls[i], "/rpc/health", new(healthResponse))
+	})
+	out := make(map[string]error, len(urls))
+	for i, u := range urls {
+		out[u] = errs[i]
 	}
-	wg.Wait()
 	return out
-}
-
-// restrictToBox mirrors the single engine's spatial restriction: keep the
-// box's cells and rebuild the window aggregates from the per-cell
-// breakdown, rendering the per-cell series view alongside.
-func (c *Coordinator) restrictToBox(m *highlights.Summary, q core.Query) (*highlights.Summary, []core.CellSeries) {
-	var inBox map[int64]bool
-	out := m
-	if q.Box != (geo.Rect{}) {
-		inBox = make(map[int64]bool)
-		for _, it := range c.cellQ.Query(q.Box, nil) {
-			inBox[it.ID] = true
-		}
-		out = m.Restrict(func(id int64) bool { return inBox[id] })
-	}
-	want := make(map[highlights.AttrRef]bool, len(q.Attrs))
-	for _, a := range q.Attrs {
-		want[a] = true
-	}
-	var cells []core.CellSeries
-	for id, cs := range m.Cells {
-		if inBox != nil && !inBox[id] {
-			continue
-		}
-		loc, ok := c.cells[id]
-		if !ok {
-			continue
-		}
-		series := core.CellSeries{CellID: id, Loc: loc, Rows: cs.Rows,
-			Attr: make(map[highlights.AttrRef]*highlights.Stats)}
-		for ref, st := range cs.Num {
-			if len(want) == 0 || want[ref] {
-				series.Attr[ref] = st
-			}
-		}
-		cells = append(cells, series)
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].CellID < cells[j].CellID })
-	return out, cells
 }

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
-	"sync"
 
 	"spate/internal/lifecycle"
 )
@@ -85,76 +83,47 @@ type LifecycleSweep struct {
 	Partial bool            `json:"partial"`
 }
 
-// LifecycleStatus probes every node's maintenance state. It fails only
-// when every node does; otherwise failures are carried per node.
-func (c *Coordinator) LifecycleStatus(ctx context.Context) (LifecycleSweep, error) {
-	return c.lifecycleFanout(ctx, func(ctx context.Context, base string, nl *NodeLifecycle) error {
-		var st lifecycle.Status
-		if err := c.cl.get(ctx, base, "/rpc/lifecycle", &st); err != nil {
-			return err
-		}
-		nl.Status = &st
-		return nil
-	})
-}
-
-// RunLifecycle triggers the named job synchronously on every node,
-// tolerating partial completion: nodes that fail (unreachable, no manager,
-// job error) are reported alongside the runs that finished.
-func (c *Coordinator) RunLifecycle(ctx context.Context, job string) (LifecycleSweep, error) {
-	path := "/rpc/lifecycle?action=trigger&job=" + url.QueryEscape(job)
-	return c.lifecycleFanout(ctx, func(ctx context.Context, base string, nl *NodeLifecycle) error {
-		var rec lifecycle.RunRecord
-		if err := c.cl.post(ctx, base, path, struct{}{}, &rec); err != nil {
-			return err
-		}
-		nl.Record = &rec
-		return nil
-	})
-}
-
-// PauseLifecycle pauses (or resumes) scheduling fleet-wide.
-func (c *Coordinator) PauseLifecycle(ctx context.Context, pause bool) (LifecycleSweep, error) {
-	action := "pause"
-	if !pause {
-		action = "resume"
-	}
-	return c.lifecycleFanout(ctx, func(ctx context.Context, base string, nl *NodeLifecycle) error {
-		var st lifecycle.Status
-		if err := c.cl.post(ctx, base, "/rpc/lifecycle?action="+action, struct{}{}, &st); err != nil {
-			return err
-		}
-		nl.Status = &st
-		return nil
-	})
-}
-
-func (c *Coordinator) lifecycleFanout(ctx context.Context, call func(context.Context, string, *NodeLifecycle) error) (LifecycleSweep, error) {
-	urls := make([]string, 0, len(c.nodes)*c.cfg.Replicas)
-	seen := make(map[string]bool)
-	for _, group := range c.nodes {
-		for _, u := range group {
-			if !seen[u] {
-				seen[u] = true
-				urls = append(urls, u)
+// Lifecycle reports or drives maintenance fleet-wide, in the vocabulary of
+// the node RPC it fans out: action "status" probes every node's manager,
+// "pause" and "resume" switch scheduling, and "trigger" runs the named job
+// synchronously on every node. It tolerates partial completion — nodes
+// that fail (unreachable, no manager, job error) are reported alongside
+// the ones that answered — and fails only when every node does.
+func (c *Coordinator) Lifecycle(ctx context.Context, action, job string) (LifecycleSweep, error) {
+	path := "/rpc/lifecycle?action=" + url.QueryEscape(action) + "&job=" + url.QueryEscape(job)
+	call := func(base string, nl *NodeLifecycle) error {
+		if action == "trigger" {
+			var rec lifecycle.RunRecord
+			if err := c.cl.post(ctx, base, path, struct{}{}, &rec); err != nil {
+				return err
 			}
+			nl.Record = &rec
+			return nil
 		}
+		var st lifecycle.Status
+		var err error
+		if action == "status" {
+			err = c.cl.get(ctx, base, "/rpc/lifecycle", &st)
+		} else {
+			err = c.cl.post(ctx, base, path, struct{}{}, &st)
+		}
+		if err != nil {
+			return err
+		}
+		nl.Status = &st
+		return nil
 	}
-	sort.Strings(urls)
+
+	urls := c.allNodes()
 	sweep := LifecycleSweep{Nodes: make([]NodeLifecycle, len(urls))}
-	var wg sync.WaitGroup
-	for i, u := range urls {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			nl := &sweep.Nodes[i]
-			nl.URL = u
-			if err := call(ctx, u, nl); err != nil {
-				nl.Error = err.Error()
-			}
-		}(i, u)
+	for i, err := range fanOut(len(urls), func(i int) error {
+		sweep.Nodes[i].URL = urls[i]
+		return call(urls[i], &sweep.Nodes[i])
+	}) {
+		if err != nil {
+			sweep.Nodes[i].Error = err.Error()
+		}
 	}
-	wg.Wait()
 	var firstErr string
 	for _, nl := range sweep.Nodes {
 		if nl.Error != "" {

@@ -37,7 +37,7 @@ func TestClusterLifecycleSweeps(t *testing.T) {
 	}
 
 	// Every node reports its maintenance roster over the RPC surface.
-	st, err := lc.Coordinator.LifecycleStatus(ctx)
+	st, err := lc.Coordinator.Lifecycle(ctx, "status", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestClusterLifecycleSweeps(t *testing.T) {
 	if _, err := fs.CorruptBlock(files[0].Path); err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := lc.Coordinator.RunLifecycle(ctx, lifecycle.JobScrub)
+	sweep, err := lc.Coordinator.Lifecycle(ctx, "trigger", lifecycle.JobScrub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestClusterLifecycleSweeps(t *testing.T) {
 	if fs.UnderReplicated() == 0 {
 		t.Fatal("rig broken: killing a datanode left nothing under-replicated")
 	}
-	sweep, err = lc.Coordinator.RunLifecycle(ctx, lifecycle.JobScrub)
+	sweep, err = lc.Coordinator.Lifecycle(ctx, "trigger", lifecycle.JobScrub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestClusterLifecycleSweeps(t *testing.T) {
 	}
 
 	// Pause and resume propagate fleet-wide.
-	ps, err := lc.Coordinator.PauseLifecycle(ctx, true)
+	ps, err := lc.Coordinator.Lifecycle(ctx, "pause", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestClusterLifecycleSweeps(t *testing.T) {
 			t.Fatalf("node %s not paused: %+v", nl.URL, nl.Status)
 		}
 	}
-	ps, err = lc.Coordinator.PauseLifecycle(ctx, false)
+	ps, err = lc.Coordinator.Lifecycle(ctx, "resume", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestClusterLifecycleSweeps(t *testing.T) {
 
 	// An unknown job fails on every node, which the fan-out surfaces as an
 	// error rather than an empty sweep.
-	if _, err := lc.Coordinator.RunLifecycle(ctx, "defrag"); err == nil {
+	if _, err := lc.Coordinator.Lifecycle(ctx, "trigger", "defrag"); err == nil {
 		t.Fatal("unknown job fan-out did not error")
 	}
 }

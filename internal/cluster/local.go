@@ -9,7 +9,6 @@ import (
 
 	"spate/internal/core"
 	"spate/internal/dfs"
-	"spate/internal/geo"
 	"spate/internal/lifecycle"
 	"spate/internal/serving"
 	"spate/internal/telco"
@@ -51,7 +50,7 @@ type Local struct {
 	// URLs lists each node's base URL, aligned with Nodes.
 	URLs []string
 
-	cfg       Config
+	replicas  int
 	servers   []*http.Server
 	managers  []*lifecycle.Manager
 	streamers []*core.Streamer
@@ -62,8 +61,14 @@ type Local struct {
 // StartLocal boots a full cluster in-process: NumSlots×Replicas engines on
 // loopback listeners plus a coordinator wired to them.
 func StartLocal(cfg Config, cellTable *telco.Table, opt LocalOptions) (*Local, error) {
-	cfg = cfg.withDefaults()
-	l := &Local{cfg: cfg, dir: opt.Dir}
+	// cfg goes to the coordinator as given: defaulted twice, "no retries"
+	// (-1, which the first pass turns into 0) would read as unset.
+	replicas := cfg.withDefaults().Replicas
+	cells, err := core.NewCellInventory(cellTable, "")
+	if err != nil {
+		return nil, err
+	}
+	l := &Local{replicas: replicas, dir: opt.Dir}
 	if l.dir == "" {
 		dir, err := os.MkdirTemp("", "spate-cluster-*")
 		if err != nil {
@@ -75,10 +80,10 @@ func StartLocal(cfg Config, cellTable *telco.Table, opt LocalOptions) (*Local, e
 		opt.DFS = dfs.Config{DataNodes: 1, Replication: 1}
 	}
 
-	m := NewShardMap(cfg, cellPoints(cellTable))
+	m := NewShardMap(cfg, cells.Points())
 	nodes := make([][]string, m.NumSlots())
 	for slot := 0; slot < m.NumSlots(); slot++ {
-		for rep := 0; rep < cfg.Replicas; rep++ {
+		for rep := 0; rep < replicas; rep++ {
 			dir := filepath.Join(l.dir, fmt.Sprintf("slot%02d-r%d", slot, rep))
 			fs, err := dfs.NewCluster(dir, opt.DFS)
 			if err != nil {
@@ -125,7 +130,7 @@ func StartLocal(cfg Config, cellTable *telco.Table, opt LocalOptions) (*Local, e
 			nodes[slot] = append(nodes[slot], l.URLs[len(l.URLs)-1])
 		}
 	}
-	coord, err := NewCoordinator(cfg, m, nodes, cellTable)
+	coord, err := newCoordinator(cfg, m, nodes, cells)
 	if err != nil {
 		l.Close()
 		return nil, err
@@ -136,7 +141,7 @@ func StartLocal(cfg Config, cellTable *telco.Table, opt LocalOptions) (*Local, e
 
 // Node returns the replica'th node of a slot.
 func (l *Local) Node(slot, replica int) *Node {
-	return l.Nodes[slot*l.cfg.Replicas+replica]
+	return l.Nodes[slot*l.replicas+replica]
 }
 
 // Close stops lifecycle managers, shuts every node server down and
@@ -155,19 +160,4 @@ func (l *Local) Close() error {
 		return os.RemoveAll(l.dir)
 	}
 	return nil
-}
-
-// cellPoints extracts the planar locations of a cell inventory; shard-map
-// construction needs only the X extent.
-func cellPoints(cellTable *telco.Table) []geo.Point {
-	xIdx := cellTable.Schema.FieldIndex("x_km")
-	yIdx := cellTable.Schema.FieldIndex("y_km")
-	if xIdx < 0 || yIdx < 0 {
-		return nil
-	}
-	pts := make([]geo.Point, 0, len(cellTable.Rows))
-	for _, r := range cellTable.Rows {
-		pts = append(pts, geo.Point{X: r[xIdx].Float64(), Y: r[yIdx].Float64()})
-	}
-	return pts
 }

@@ -126,22 +126,12 @@ func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
 		rpcError(w, http.StatusBadRequest, err)
 		return
 	}
-	rows := 0
-	if len(req.Rows) > 0 {
-		schema := telco.SchemaByName(req.Table)
-		if schema == nil {
-			rpcError(w, http.StatusBadRequest, fmt.Errorf("cluster: unknown table %q", req.Table))
-			return
-		}
-		recs := make([]telco.Record, 0, len(req.Rows))
-		for _, line := range req.Rows {
-			rec, err := telco.DecodeLine(schema, line)
-			if err != nil {
-				rpcError(w, http.StatusBadRequest, err)
-				return
-			}
-			recs = append(recs, rec)
-		}
+	recs, err := telco.DecodeLines(req.Table, req.Rows)
+	if err != nil {
+		rpcError(w, http.StatusBadRequest, err)
+		return
+	}
+	if len(recs) > 0 {
 		if err := st.Append(r.Context(), req.Table, recs); err != nil {
 			switch {
 			case errors.Is(err, core.ErrBackpressure):
@@ -154,7 +144,6 @@ func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		rows = len(recs)
 	}
 	if req.Seal {
 		if err := st.SealAll(r.Context()); err != nil {
@@ -162,7 +151,7 @@ func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, appendResponse{Rows: rows})
+	writeJSON(w, appendResponse{Rows: len(recs)})
 }
 
 func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -240,6 +229,21 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, resp)
 		return
 	}
+	fail := func(err error) {
+		span.SetError(err)
+		rpcError(w, http.StatusInternalServerError, err)
+	}
+	// answer ships resp with the shard-local profile and span subtree.
+	answer := func(attr string, v int) {
+		resp.Profile = prof
+		if span != nil {
+			span.SetAttr(attr, strconv.Itoa(v))
+			span.End() // fix the duration before rendering
+			j := span.JSON()
+			resp.Trace = &j
+		}
+		writeJSON(w, resp)
+	}
 	win := telco.TimeRange{
 		From: time.Unix(req.FromUnix, 0).UTC(),
 		To:   time.Unix(req.ToUnix, 0).UTC(),
@@ -249,47 +253,38 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// summary parts, no rows.
 		partials, err := n.eng.AggregatePartials(ctx, win, req.AggTable, req.Spec)
 		if err != nil {
-			span.SetError(err)
-			rpcError(w, http.StatusInternalServerError, err)
+			fail(err)
 			return
 		}
 		resp.Partials = partials
-		resp.Profile = prof
-		if span != nil {
-			span.SetAttr("partials", strconv.Itoa(len(partials)))
-			span.End()
-			j := span.JSON()
-			resp.Trace = &j
-		}
-		writeJSON(w, resp)
+		answer("partials", len(partials))
 		return
 	}
-	parts, diag, err := n.eng.ExploreParts(ctx, win)
-	if err != nil {
-		span.SetError(err)
-		rpcError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp.Scanned, resp.Decayed = diag.ScannedLeaves, diag.DecayedLeaves
-	for _, p := range parts {
-		blob, err := p.Encode()
+	// A row request that carries a spec and no box is the SQL scan path
+	// (Coordinator.ScanRows): it reads rows and nothing else, so no summary
+	// part is rebuilt, encoded or shipped for it.
+	rowsOnly := req.Rows && req.Spec != nil && !req.Boxed
+	if !rowsOnly {
+		parts, diag, err := n.eng.ExploreParts(ctx, win)
 		if err != nil {
-			span.SetError(err)
-			rpcError(w, http.StatusInternalServerError, err)
+			fail(err)
 			return
 		}
-		resp.Parts = append(resp.Parts, blob)
+		resp.Scanned, resp.Decayed = diag.ScannedLeaves, diag.DecayedLeaves
+		for _, p := range parts {
+			blob, err := p.Encode()
+			if err != nil {
+				fail(err)
+				return
+			}
+			resp.Parts = append(resp.Parts, blob)
+		}
 	}
 	if req.Rows {
-		q := core.Query{Window: win, Tables: req.Tables, ExactRows: true}
-		if req.Boxed {
-			q.Box = geo.NewRect(req.MinX, req.MinY, req.MaxX, req.MaxY)
-		}
 		var tables map[string]*telco.Table
 		var err error
-		if req.Spec != nil && !req.Boxed {
-			// Spec-carrying row request (the SQL scan path never sets a
-			// box): pre-filter rows and decode only referenced columns.
+		if rowsOnly {
+			// Pre-filter rows and decode only referenced columns.
 			tables = make(map[string]*telco.Table)
 			err = n.eng.ScanTablesSpec(ctx, win, req.Tables, req.Spec, func(name string, t *telco.Table) error {
 				if dst, ok := tables[name]; ok {
@@ -300,11 +295,14 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 				return nil
 			})
 		} else {
+			q := core.Query{Window: win, Tables: req.Tables, ExactRows: true}
+			if req.Boxed {
+				q.Box = geo.NewRect(req.MinX, req.MinY, req.MaxX, req.MaxY)
+			}
 			tables, err = n.eng.FetchRows(ctx, q)
 		}
 		if err != nil {
-			span.SetError(err)
-			rpcError(w, http.StatusInternalServerError, err)
+			fail(err)
 			return
 		}
 		resp.Rows = make(map[string][]byte, len(tables))
@@ -312,14 +310,7 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 			resp.Rows[name] = wireText(t)
 		}
 	}
-	resp.Profile = prof
-	if span != nil {
-		span.SetAttr("leaves_scanned", strconv.Itoa(diag.ScannedLeaves))
-		span.End() // fix the duration before rendering
-		j := span.JSON()
-		resp.Trace = &j
-	}
-	writeJSON(w, resp)
+	answer("leaves_scanned", resp.Scanned)
 }
 
 // wireText renders a scanned table as the RPC's row text, which is always

@@ -1,0 +1,161 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"spate/internal/core"
+	"spate/internal/dfs"
+	"spate/internal/obs"
+	"spate/internal/scanspec"
+	"spate/internal/telco"
+)
+
+// TestNodeRowOnlyRequestBuildsNoParts: a row request that carries a spec
+// and no box is the SQL scan path, which throws summary parts away — so the
+// node must not rebuild, encode or ship any. Its profile then counts the
+// leaves and chunks of the spec scan alone, and its span subtree has no
+// explore_parts. A plain ExactRows exploration still gets parts and rows.
+func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
+	g, snaps, window := testTrace(t, 1)
+	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.Open(fs, g.CellTable(), core.Options{Obs: obs.NewRegistry(), Tracer: obs.NewTracer(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sn := range snaps {
+		if _, err := eng.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.FinishIngest()
+	node := NewNode(eng)
+
+	// Off the day's boundaries, so summary parts would have to be rebuilt
+	// from the edge leaves' data.
+	w := telco.TimeRange{From: window.From.Add(90 * time.Minute), To: window.To.Add(-90 * time.Minute)}
+	spec := &scanspec.Spec{Columns: []string{telco.AttrUpflux}}
+	ask := func(req exploreRequest) exploreResponse {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc/explore", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/rpc/explore: status %d: %s", rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), `"parts":[`) {
+			t.Fatalf("answer lost its parts array: %.120s", rec.Body)
+		}
+		var resp exploreResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	base := exploreRequest{FromUnix: w.From.Unix(), ToUnix: w.To.Unix(), Rows: true, Tables: []string{"CDR"}}
+
+	rowsOnly := base
+	rowsOnly.Spec = spec
+	got := ask(rowsOnly)
+	if len(got.Parts) != 0 || got.Scanned != 0 {
+		t.Errorf("row-only spec request built %d parts over %d leaves, want none", len(got.Parts), got.Scanned)
+	}
+	if len(got.Rows["CDR"]) == 0 {
+		t.Fatal("row-only spec request shipped no rows")
+	}
+	if got.Trace == nil || len(collectSpans(*got.Trace, "explore_parts")) != 0 {
+		t.Error("row-only spec request ran explore_parts (or returned no trace)")
+	}
+	// What the scan alone costs, on the same (now warm) engine.
+	ctx, want := core.ContextWithProfile(context.Background())
+	err = eng.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(string, *telco.Table) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Profile == nil || got.Profile.LeavesScanned != want.LeavesScanned ||
+		got.Profile.ChunksScanned != want.ChunksScanned {
+		t.Errorf("row-only profile = %+v\nthe spec scan alone = %+v", got.Profile, want)
+	}
+
+	both := ask(base)
+	if len(both.Parts) == 0 || len(both.Rows["CDR"]) == 0 || both.Scanned == 0 {
+		t.Errorf("ExactRows exploration got %d parts (%d leaves scanned) and %d row bytes, want both",
+			len(both.Parts), both.Scanned, len(both.Rows["CDR"]))
+	}
+	if len(collectSpans(*both.Trace, "explore_parts")) != 1 {
+		t.Error("ExactRows exploration did not run explore_parts")
+	}
+}
+
+// TestScatterModes: the one scatter serves both contracts. Strict callers
+// get the lowest failed shard's error (ErrDegraded) however many failed;
+// the tolerant caller gets a Partial answer whose Missing ranges are the
+// failed shards' owned ranges, in shard order.
+func TestScatterModes(t *testing.T) {
+	g, snaps, window := testTrace(t, 3)
+	lc := startTestCluster(t, Config{Shards: 3, Retries: -1, Obs: obs.NewRegistry()}, g, snaps)
+	ctx := context.Background()
+	m := lc.Coordinator.Map()
+	spec := &scanspec.Spec{Columns: []string{telco.AttrUpflux}}
+
+	// Two of the three shards fail their one attempt.
+	failed := []int{1, 2}
+	inject := func() {
+		for _, s := range failed {
+			lc.Node(m.Slot(s, 0), 0).FailNext(1)
+		}
+	}
+
+	inject()
+	_, err := lc.Coordinator.ScanRows(ctx, window, []string{"CDR"}, spec)
+	if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "shard 1 failed after 0 retries") {
+		t.Errorf("strict row scatter: %v, want ErrDegraded naming shard 1", err)
+	}
+	inject()
+	agg := &scanspec.Spec{Aggs: []scanspec.Agg{{Fn: "COUNT"}}}
+	_, err = lc.Coordinator.AggregatePartials(ctx, window, "CDR", agg)
+	if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "shard 1 failed after 0 retries") {
+		t.Errorf("strict aggregate scatter: %v, want ErrDegraded naming shard 1", err)
+	}
+	// The faults are spent: the same calls answer.
+	if rows, err := lc.Coordinator.ScanRows(ctx, window, []string{"CDR"}, spec); err != nil || rows["CDR"].Len() == 0 {
+		t.Errorf("row scatter after the faults: %v", err)
+	}
+
+	inject()
+	res, err := lc.Coordinator.Explore(ctx, core.Query{Window: window, ExactRows: true, Tables: []string{"CDR"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []telco.TimeRange
+	for _, s := range failed {
+		want = append(want, m.OwnedRanges(s, window)...)
+	}
+	if !res.Partial || res.ShardsFailed != 2 || res.ShardsQueried != 3 || !reflect.DeepEqual(res.Missing, want) {
+		t.Errorf("tolerant scatter: partial=%v failed=%d/%d missing=%v, want %v",
+			res.Partial, res.ShardsFailed, res.ShardsQueried, res.Missing, want)
+	}
+	if res.Rows["CDR"].Len() == 0 || len(res.Profile.Shards) != 3 {
+		t.Errorf("tolerant scatter kept %d rows and %d shard entries", res.Rows["CDR"].Len(), len(res.Profile.Shards))
+	}
+	// A caller that has gone away is not a degraded cluster.
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := lc.Coordinator.ScanRows(gone, window, []string{"CDR"}, spec); !errors.Is(err, context.Canceled) || errors.Is(err, ErrDegraded) {
+		t.Errorf("canceled strict scatter: %v, want context.Canceled", err)
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"spate/internal/compress/zst"
 	"spate/internal/decay"
 	"spate/internal/dfs"
-	"spate/internal/geo"
 	"spate/internal/highlights"
 	"spate/internal/index"
 	"spate/internal/memtable"
@@ -181,8 +180,7 @@ type Engine struct {
 
 	mu    sync.RWMutex
 	tree  *index.Tree
-	cells map[int64]geo.Point
-	cellQ geo.SpatialIndex
+	cells *CellInventory // immutable after Open; read without mu
 
 	// decayMu serializes decay and compaction sweeps with each other.
 	// Sweeps take e.mu only in short bursts (plan under RLock, batched
@@ -241,11 +239,15 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table, opts Options) (*Engine, error
 		return nil, err
 	}
 	opts.Codec = compress.Instrument(opts.Codec, opts.Obs)
+	cells, err := NewCellInventory(cellTable, opts.CellIndex)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		opts:       opts,
 		fs:         fs,
 		tree:       index.New(),
-		cells:      make(map[int64]geo.Point),
+		cells:      cells,
 		chunkCache: segment.NewCache(opts.ChunkCacheBytes, opts.Obs),
 		met:        newEngineMetrics(opts.Obs, opts.Tracer),
 	}
@@ -256,41 +258,6 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table, opts Options) (*Engine, error
 	}
 	opts.Obs.Gauge("spate_scan_parallel_workers",
 		"Configured per-query scan worker fan-out.").Set(float64(opts.ScanWorkers))
-	bounds := geo.NewRect(0, 0, 1, 1)
-	first := true
-	idIdx := cellTable.Schema.FieldIndex(telco.AttrCellID)
-	xIdx := cellTable.Schema.FieldIndex("x_km")
-	yIdx := cellTable.Schema.FieldIndex("y_km")
-	if idIdx < 0 || xIdx < 0 || yIdx < 0 {
-		return nil, fmt.Errorf("core: cell table %q lacks cell_id/x_km/y_km", cellTable.Schema.Name)
-	}
-	for _, r := range cellTable.Rows {
-		id := r[idIdx].Int64()
-		pt := geo.Point{X: r[xIdx].Float64(), Y: r[yIdx].Float64()}
-		e.cells[id] = pt
-		if first {
-			bounds = geo.NewRect(pt.X, pt.Y, pt.X+1e-6, pt.Y+1e-6)
-			first = false
-		} else {
-			bounds = bounds.Expand(pt)
-		}
-	}
-	items := make([]geo.Item, 0, len(e.cells))
-	for id, pt := range e.cells {
-		items = append(items, geo.Item{Pt: pt, ID: id, Weight: 1})
-	}
-	switch opts.CellIndex {
-	case "", "quadtree":
-		qt := geo.NewQuadTree(bounds, 0)
-		for _, it := range items {
-			qt.Insert(it)
-		}
-		e.cellQ = qt
-	case "rtree":
-		e.cellQ = geo.BulkLoadRTree(items, 16)
-	default:
-		return nil, fmt.Errorf("core: unknown cell index %q (quadtree|rtree)", opts.CellIndex)
-	}
 	// Persist the inventory (idempotent across engine restarts on the same
 	// cluster).
 	if !fs.Exists("/spate/meta/CELL") {
@@ -347,25 +314,8 @@ func (e *Engine) Codec() compress.Codec {
 	return e.opts.Codec
 }
 
-// CellsInBox returns the IDs of cells located inside box.
-func (e *Engine) CellsInBox(box geo.Rect) []int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	items := e.cellQ.Query(box, nil)
-	out := make([]int64, len(items))
-	for i, it := range items {
-		out[i] = it.ID
-	}
-	return out
-}
-
-// CellLocation returns a cell's planar location.
-func (e *Engine) CellLocation(id int64) (geo.Point, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	pt, ok := e.cells[id]
-	return pt, ok
-}
+// Cells returns the engine's cell inventory.
+func (e *Engine) Cells() *CellInventory { return e.cells }
 
 // IngestReport describes one snapshot ingestion — the quantities behind
 // the paper's ingestion-time (Fig. 7/9) and space (Fig. 8/10) series.

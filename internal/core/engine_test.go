@@ -190,7 +190,7 @@ func TestExploreExactRowsWithBox(t *testing.T) {
 	r.ingestEpochs(t, 2)
 	box := geo.NewRect(0, 0, 40, 38)
 	inBox := map[int64]bool{}
-	for _, id := range r.e.CellsInBox(box) {
+	for _, id := range r.e.Cells().inBox(box) {
 		inBox[id] = true
 	}
 	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(time.Hour))
@@ -210,7 +210,7 @@ func TestLeafSpatialPruneSkipsIrrelevantSnapshots(t *testing.T) {
 	r.ingestEpochs(t, 3)
 	// A box containing no cells: every leaf prunes, nothing scanned.
 	far := geo.NewRect(70, 70, 79, 74)
-	if len(r.e.CellsInBox(far)) != 0 {
+	if len(r.e.Cells().inBox(far)) != 0 {
 		t.Skip("random topology put a cell in the far corner")
 	}
 	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(time.Hour))
@@ -450,8 +450,8 @@ func TestCellIndexVariantsAgree(t *testing.T) {
 		geo.NewRect(70, 70, 80, 75),
 	}
 	for _, box := range boxes {
-		a := rq.e.CellsInBox(box)
-		b := rr.e.CellsInBox(box)
+		a := rq.e.Cells().inBox(box)
+		b := rr.e.Cells().inBox(box)
 		if len(a) != len(b) {
 			t.Errorf("box %v: quadtree %d cells, rtree %d", box, len(a), len(b))
 			continue

@@ -258,7 +258,7 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	if fast {
 		res.ServedPeriod = coveringPeriod
 		t0 := time.Now()
-		res.Summary, res.Cells = e.restrictToBox(coveringSummary, q, env)
+		res.Summary, res.Cells = e.cells.restrict(coveringSummary, env.inBox, q.Attrs)
 		sr.add(StageRestrict, time.Since(t0).Nanoseconds())
 		res.Highlights = coveringSummary.Extract(theta)
 		finish(res)
@@ -290,7 +290,7 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	// Spatial restriction: keep only cells inside the box and rebuild the
 	// window aggregates from the per-cell breakdown.
 	tRestrict := time.Now()
-	res.Summary, res.Cells = e.restrictToBox(merged, q, env)
+	res.Summary, res.Cells = e.cells.restrict(merged, env.inBox, q.Attrs)
 	sr.add(StageRestrict, time.Since(tRestrict).Nanoseconds())
 
 	// Highlights come from the covering node's resolution — its θ — as in
@@ -424,7 +424,6 @@ type queryEnv struct {
 
 // newQueryEnv derives the environment for one query. The window pointer
 // must stay valid for the query's lifetime (the chunk pruner aliases it).
-// Must not be called with e.mu held: CellsInBox takes the read lock.
 func (e *Engine) newQueryEnv(w *telco.TimeRange, tables []string, box geo.Rect) *queryEnv {
 	env := &queryEnv{pr: leafPrune{window: w}}
 	if len(tables) > 0 {
@@ -433,15 +432,9 @@ func (e *Engine) newQueryEnv(w *telco.TimeRange, tables []string, box geo.Rect) 
 			env.tables[t] = struct{}{}
 		}
 	}
-	if box != (geo.Rect{}) {
-		ids := e.CellsInBox(box)
-		env.inBox = make(map[int64]bool, len(ids))
-		for _, id := range ids {
-			env.inBox[id] = true
-		}
-		if len(ids) <= maxPruneCells {
-			env.pr.spatial, env.pr.cells = true, ids
-		}
+	var ids []int64
+	if ids, env.inBox = e.cells.boxSet(box); env.inBox != nil && len(ids) <= maxPruneCells {
+		env.pr.spatial, env.pr.cells = true, ids
 	}
 	return env
 }
@@ -695,51 +688,6 @@ func (e *Engine) buildLeafSummary(c compress.Codec, period telco.TimeRange, refs
 		fold.Flush()
 	}
 	return s, nil
-}
-
-// restrictToBox filters a merged summary to the query box using the
-// environment's cell membership, producing both the filtered summary and
-// per-cell series.
-func (e *Engine) restrictToBox(m *highlights.Summary, q Query, env *queryEnv) (*highlights.Summary, []CellSeries) {
-	if env.inBox == nil {
-		cells := e.cellSeries(m, nil, q)
-		return m, cells
-	}
-	out := m.Restrict(func(id int64) bool { return env.inBox[id] })
-	return out, e.cellSeries(m, env.inBox, q)
-}
-
-// cellSeries renders the per-cell view, filtered by box membership and the
-// query's attribute selection.
-func (e *Engine) cellSeries(m *highlights.Summary, inBox map[int64]bool, q Query) []CellSeries {
-	want := make(map[highlights.AttrRef]bool, len(q.Attrs))
-	for _, a := range q.Attrs {
-		want[a] = true
-	}
-	var out []CellSeries
-	for id, cs := range m.Cells {
-		if inBox != nil && !inBox[id] {
-			continue
-		}
-		loc, ok := e.CellLocation(id)
-		if !ok {
-			continue
-		}
-		// Without an attribute selection the series carries every tracked
-		// attribute: the summary's own map, immutable like the summary.
-		series := CellSeries{CellID: id, Loc: loc, Rows: cs.Rows, Attr: cs.Num}
-		if len(want) > 0 {
-			series.Attr = make(map[highlights.AttrRef]*highlights.Stats, len(want))
-			for ref, st := range cs.Num {
-				if want[ref] {
-					series.Attr[ref] = st
-				}
-			}
-		}
-		out = append(out, series)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].CellID < out[j].CellID })
-	return out
 }
 
 // memTab is one unsealed (epoch, table) contribution captured from the

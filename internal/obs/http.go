@@ -14,14 +14,6 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// StatsHandler serves the registry's JSON mirror (GET /api/stats).
-func StatsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(r.Snapshot())
-	})
-}
-
 // TracesHandler serves the tracer's retained request traces
 // (GET /api/trace). With ?id=<32-hex trace id> it returns that single
 // trace's merged tree, or 404 if the ring no longer retains it.

@@ -47,36 +47,28 @@ func (c Cluster) Scan(ctx context.Context, w telco.TimeRange, tables []string, f
 		return err
 	}
 	if res.Partial {
-		return fmt.Errorf("tasks: cluster scan degraded: %d/%d shards failed (missing %d ranges)",
-			res.ShardsFailed, res.ShardsQueried, len(res.Missing))
+		return fmt.Errorf("tasks: cluster scan degraded: %d/%d shards failed (missing %d ranges): %w",
+			res.ShardsFailed, res.ShardsQueried, len(res.Missing), cluster.ErrDegraded)
 	}
-	names := make([]string, 0, len(res.Rows))
-	for name := range res.Rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if res.Rows[name].Len() == 0 {
-			continue
-		}
-		if err := fn(name, res.Rows[name]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return emitSorted(res.Rows, fn)
 }
 
 // ScanSpec implements SpecScanner: the spec rides the explore RPC, shards
 // pre-filter rows on its predicates and decode only referenced columns,
 // and the merged tables — full-width, as the RPC ships them, NULL outside
 // the referenced columns — stream to fn in name order. The row-only
-// scatter skips the summary merge Scan pays for. Like Scan, any shard
-// failing all retries fails the call.
+// scatter skips the summary parts and merge Scan pays for. Like Scan, any
+// shard failing all retries fails the call.
 func (c Cluster) ScanSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec, fn func(string, *telco.Table) error) error {
 	rows, err := c.C.ScanRows(ctx, w, tables, spec)
 	if err != nil {
 		return err
 	}
+	return emitSorted(rows, fn)
+}
+
+// emitSorted hands the gathered non-empty tables to fn in name order.
+func emitSorted(rows map[string]*telco.Table, fn func(string, *telco.Table) error) error {
 	names := make([]string, 0, len(rows))
 	for name := range rows {
 		names = append(names, name)

@@ -8,6 +8,7 @@ package tasks
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -76,6 +77,19 @@ func Catalog(f Framework) sqlengine.Catalog {
 
 type fwCatalog struct{ f Framework }
 
+// ErrScan marks a statement that failed under its storage scan — a read
+// that failed, a scatter that lost a shard, a canceled request — as
+// opposed to one that does not parse, bind or evaluate: every error a
+// Catalog provider's framework returns wraps it.
+var ErrScan = errors.New("tasks: scan")
+
+func scanErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrScan, err)
+}
+
 func (c fwCatalog) Table(name string) (sqlengine.Provider, error) {
 	schema := telco.SchemaByName(name)
 	if schema == nil {
@@ -94,12 +108,12 @@ func (c fwCatalog) Table(name string) (sqlengine.Provider, error) {
 // the render function reports it as EXPLAIN ANALYZE lines.
 func (c fwCatalog) WithProfile(ctx context.Context) (context.Context, func() []string) {
 	ctx, prof := core.ContextWithProfile(ctx)
-	return ctx, func() []string { return RenderProfile(prof) }
+	return ctx, func() []string { return renderProfile(prof) }
 }
 
-// RenderProfile renders a query profile as human-readable report lines in
+// renderProfile renders a query profile as human-readable report lines in
 // a stable order (the EXPLAIN ANALYZE tail).
-func RenderProfile(p *core.Profile) []string {
+func renderProfile(p *core.Profile) []string {
 	if p == nil {
 		return nil
 	}
@@ -187,10 +201,10 @@ func (p fwProvider) Scan(ctx context.Context, hint sqlengine.ScanHint, fn func(*
 	emit := func(_ string, tab *telco.Table) error { return fn(tab) }
 	if hint.Spec != nil {
 		if ss, ok := p.f.(SpecScanner); ok {
-			return ss.ScanSpec(ctx, w, []string{p.name}, hint.Spec, emit)
+			return scanErr(ss.ScanSpec(ctx, w, []string{p.name}, hint.Spec, emit))
 		}
 	}
-	return p.f.Scan(ctx, w, []string{p.name}, emit)
+	return scanErr(p.f.Scan(ctx, w, []string{p.name}, emit))
 }
 
 // aggProvider is the provider returned for pushdown-capable frameworks: it
@@ -206,7 +220,8 @@ func (p aggProvider) Aggregate(ctx context.Context, hint sqlengine.ScanHint, spe
 	if hint.Constrained {
 		w = hint.Window
 	}
-	return p.agg.AggregatePartials(ctx, w, p.name, spec)
+	parts, err := p.agg.AggregatePartials(ctx, w, p.name, spec)
+	return parts, scanErr(err)
 }
 
 // --- SPATE adapter ---

@@ -125,6 +125,27 @@ func DecodeLine(s *Schema, line string) (Record, error) {
 	return rec, nil
 }
 
+// DecodeLines parses wire-text lines under the schema of the named table —
+// the rows of a streaming append request.
+func DecodeLines(table string, lines []string) ([]Record, error) {
+	if len(lines) == 0 {
+		return nil, nil
+	}
+	s := SchemaByName(table)
+	if s == nil {
+		return nil, fmt.Errorf("telco: unknown table %q", table)
+	}
+	recs := make([]Record, 0, len(lines))
+	for _, line := range lines {
+		rec, err := DecodeLine(s, line)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
 // splitEscaped splits on the delimiter while respecting backslash escapes.
 func splitEscaped(line string) []string {
 	// Fast path: no escapes at all.

@@ -1,20 +1,17 @@
 // Streaming append endpoint of the SPATE-UI: POST /api/append feeds rows
-// into the engine's streaming ingest path (WAL + memtable), so they are
-// explorable as soon as the response returns — before their epoch seals
-// into a compressed leaf. In cluster mode the coordinator routes the rows
-// to the slots owning them by the day-block shard map.
+// into the streaming ingest path (WAL + memtable), so they are explorable
+// as soon as the response returns — before their epoch seals into a
+// compressed leaf. Over a coordinator the rows route to the slots owning
+// them by the day-block shard map.
 
 package webui
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"spate/internal/core"
-	"spate/internal/serving"
 	"spate/internal/telco"
 )
 
@@ -35,101 +32,34 @@ type AppendResultJSON struct {
 }
 
 // decodeAppendRows parses a request's wire-text lines against its table's
-// schema.
+// schema; a request that does not parse is the client's (errBadRequest).
 func decodeAppendRows(req *AppendJSON) ([]telco.Record, error) {
-	if len(req.Rows) == 0 {
-		return nil, nil
-	}
-	schema := telco.SchemaByName(req.Table)
-	if schema == nil {
-		return nil, fmt.Errorf("unknown table %q", req.Table)
-	}
-	recs := make([]telco.Record, 0, len(req.Rows))
-	for _, line := range req.Rows {
-		rec, err := telco.DecodeLine(schema, line)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
+	recs, err := telco.DecodeLines(req.Table, req.Rows)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errBadRequest, err)
 	}
 	return recs, nil
 }
 
-// appendErr maps the streaming sentinels onto HTTP: backpressure is 429
-// with a Retry-After hint derived from the streamer's actual backlog
-// (see core.BackpressureError), stale epochs and finalized stores are
-// 409.
-func appendErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, core.ErrBackpressure):
-		serving.WriteRetryAfter(w.Header(), serving.RetryAfterFromError(err, time.Second))
-		httpErr(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, core.ErrStaleEpoch), errors.Is(err, core.ErrFinalized):
-		httpErr(w, http.StatusConflict, err)
-	default:
-		httpErr(w, http.StatusInternalServerError, err)
+// SetStreamer attaches the engine's streaming ingest path; /api/append
+// serves 503 until one is set. It has no effect over a coordinator, whose
+// nodes own their streamers.
+func (s *Server) SetStreamer(st *core.Streamer) {
+	if b, ok := s.b.(*engineBackend); ok {
+		b.streamer = st
 	}
 }
-
-// SetStreamer attaches the engine's streaming ingest path; /api/append
-// serves 503 until one is set.
-func (s *Server) SetStreamer(st *core.Streamer) { s.streamer = st }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	st := s.streamer
-	if st == nil {
-		httpErr(w, http.StatusServiceUnavailable, fmt.Errorf("streaming ingest is not enabled (start with -stream)"))
-		return
-	}
 	var req AppendJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	recs, err := decodeAppendRows(&req)
+	n, err := s.b.appendRows(r.Context(), &req)
 	if err != nil {
-		httpErr(w, http.StatusBadRequest, err)
+		fail(w, err)
 		return
-	}
-	if len(recs) > 0 {
-		if err := st.Append(r.Context(), req.Table, recs); err != nil {
-			appendErr(w, err)
-			return
-		}
-	}
-	if req.Seal {
-		if err := st.SealAll(r.Context()); err != nil {
-			httpErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	writeJSON(w, AppendResultJSON{Rows: len(recs)})
-}
-
-func (s *ClusterServer) handleAppend(w http.ResponseWriter, r *http.Request) {
-	var req AppendJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpErr(w, http.StatusBadRequest, err)
-		return
-	}
-	recs, err := decodeAppendRows(&req)
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, err)
-		return
-	}
-	n := 0
-	if len(recs) > 0 {
-		n, err = s.coord.Append(r.Context(), req.Table, recs)
-		if err != nil {
-			appendErr(w, err)
-			return
-		}
-	}
-	if req.Seal {
-		if err := s.coord.FlushStreams(r.Context()); err != nil {
-			httpErr(w, http.StatusInternalServerError, err)
-			return
-		}
 	}
 	writeJSON(w, AppendResultJSON{Rows: n})
 }

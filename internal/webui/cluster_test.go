@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 )
 
 // newClusterTestServer boots a 2-shard × 2-replica in-process cluster with
-// two days of trace behind a ClusterServer. The coordinator reports into
+// two days of trace behind the cluster Server. The coordinator reports into
 // obs.Default (the config default), which is the registry the server's
 // /metrics endpoint exposes — so hedge and retry counters must show there.
 func newClusterTestServer(t *testing.T, cfg cluster.Config) (*httptest.Server, *cluster.Local, telco.TimeRange) {
@@ -63,9 +64,31 @@ func TestClusterServerEndpoints(t *testing.T) {
 		Retries:        -1, // no retries: a slow slot degrades, it is not re-fought
 	}
 	ts, lc, window := newClusterTestServer(t, cfg)
+	// The coordinator counts into obs.Default, which outlives one run of
+	// this test (-count, -cpu a,b,c): counters are compared to where they
+	// stood at the start.
+	scrape := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return string(body)
+	}
+	partialsRE := regexp.MustCompile(`(?m)^spate_cluster_partial_results_total (\d+)$`)
+	partials := func(metrics string) int {
+		m := partialsRE.FindStringSubmatch(metrics)
+		if m == nil {
+			return 0
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	partialsBefore := partials(scrape())
 
 	// Healthy scatter-gather over both shards.
-	var out ClusterExploreJSON
+	var out ExploreJSON
 	if code := getJSON(t, ts.URL+"/api/explore", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -80,7 +103,7 @@ func TestClusterServerEndpoints(t *testing.T) {
 	w0 := telco.TimeRange{From: window.From, To: window.From.Add(24 * time.Hour)}
 	url := ts.URL + "/api/explore?from=" + w0.From.UTC().Format(telco.TimeLayout) +
 		"&to=" + w0.To.UTC().Format(telco.TimeLayout)
-	var hedged ClusterExploreJSON
+	var hedged ExploreJSON
 	if code := getJSON(t, url, &hedged); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -95,7 +118,7 @@ func TestClusterServerEndpoints(t *testing.T) {
 	other := 1 - day0
 	lc.Node(other, 0).SetExploreDelay(2 * time.Second)
 	lc.Node(other, 1).SetExploreDelay(2 * time.Second)
-	var partial ClusterExploreJSON
+	var partial ExploreJSON
 	if code := getJSON(t, ts.URL+"/api/explore", &partial); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -109,13 +132,7 @@ func TestClusterServerEndpoints(t *testing.T) {
 	lc.Node(other, 1).SetExploreDelay(0)
 
 	// The coordinator's counters are visible on this server's /metrics.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	metrics := string(body)
+	metrics := scrape()
 	if m := regexp.MustCompile(`(?m)^spate_cluster_hedge_wins_total ([1-9]\d*)$`).
 		FindString(metrics); m == "" {
 		t.Error("no nonzero spate_cluster_hedge_wins_total in /metrics")
@@ -123,11 +140,13 @@ func TestClusterServerEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"spate_cluster_hedged_requests_total",
 		`spate_cluster_retries_total{op="explore"}`,
-		"spate_cluster_partial_results_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if got := partials(metrics); got != partialsBefore+1 {
+		t.Errorf("spate_cluster_partial_results_total went %d -> %d, want one more", partialsBefore, got)
 	}
 
 	// Health probes every node.

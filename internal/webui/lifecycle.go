@@ -1,9 +1,9 @@
 // /api/lifecycle — the maintenance daemon's HTTP surface. GET reports the
 // scheduler state and recent run history; POST triggers a job by hand
 // (?job=decay|scrub|compact) or pauses/resumes the schedule
-// (?action=pause|resume). The cluster server proxies the same surface
-// through the coordinator's fleet fan-out, so one call maintains every
-// shard and partial completion is visible per node.
+// (?action=pause|resume). Over a coordinator the same calls fan out to
+// every node's manager, so one call maintains every shard and partial
+// completion is visible per node.
 
 package webui
 
@@ -11,74 +11,34 @@ import (
 	"fmt"
 	"net/http"
 
-	"spate/internal/cluster"
 	"spate/internal/lifecycle"
 )
 
 // SetLifecycle attaches the maintenance manager whose state /api/lifecycle
-// serves. Callers own Start/Close.
-func (s *Server) SetLifecycle(m *lifecycle.Manager) { s.lc = m }
-
-func (s *Server) handleLifecycleGet(w http.ResponseWriter, _ *http.Request) {
-	if s.lc == nil {
-		httpErr(w, http.StatusServiceUnavailable, fmt.Errorf("webui: no lifecycle manager attached"))
-		return
+// serves. Callers own Start/Close. It has no effect over a coordinator,
+// whose nodes own their managers.
+func (s *Server) SetLifecycle(m *lifecycle.Manager) {
+	if b, ok := s.b.(*engineBackend); ok {
+		b.lc = m
 	}
-	writeJSON(w, s.lc.Status())
 }
 
-func (s *Server) handleLifecyclePost(w http.ResponseWriter, r *http.Request) {
-	if s.lc == nil {
-		httpErr(w, http.StatusServiceUnavailable, fmt.Errorf("webui: no lifecycle manager attached"))
-		return
-	}
-	switch action := r.URL.Query().Get("action"); action {
-	case "pause":
-		s.lc.Pause()
-		writeJSON(w, s.lc.Status())
-	case "resume":
-		s.lc.Resume()
-		writeJSON(w, s.lc.Status())
-	case "", "trigger":
-		rec, err := s.lc.Trigger(r.URL.Query().Get("job"))
-		if err != nil {
-			httpErr(w, http.StatusInternalServerError, err)
+func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request) {
+	action := "status"
+	if r.Method == http.MethodPost {
+		switch action = r.URL.Query().Get("action"); action {
+		case "":
+			action = "trigger"
+		case "trigger", "pause", "resume":
+		default:
+			httpErr(w, http.StatusBadRequest, fmt.Errorf("webui: unknown action %q", action))
 			return
 		}
-		writeJSON(w, rec)
-	default:
-		httpErr(w, http.StatusBadRequest, fmt.Errorf("webui: unknown action %q", action))
 	}
-}
-
-func (s *ClusterServer) handleLifecycleGet(w http.ResponseWriter, r *http.Request) {
-	sweep, err := s.coord.LifecycleStatus(r.Context())
+	body, err := s.b.lifecycle(r.Context(), action, r.URL.Query().Get("job"))
 	if err != nil {
-		httpErr(w, http.StatusServiceUnavailable, err)
+		fail(w, err)
 		return
 	}
-	writeJSON(w, sweep)
-}
-
-func (s *ClusterServer) handleLifecyclePost(w http.ResponseWriter, r *http.Request) {
-	var (
-		sweep cluster.LifecycleSweep
-		err   error
-	)
-	switch action := r.URL.Query().Get("action"); action {
-	case "pause":
-		sweep, err = s.coord.PauseLifecycle(r.Context(), true)
-	case "resume":
-		sweep, err = s.coord.PauseLifecycle(r.Context(), false)
-	case "", "trigger":
-		sweep, err = s.coord.RunLifecycle(r.Context(), r.URL.Query().Get("job"))
-	default:
-		httpErr(w, http.StatusBadRequest, fmt.Errorf("webui: unknown action %q", action))
-		return
-	}
-	if err != nil {
-		httpErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, sweep)
+	writeJSON(w, body)
 }

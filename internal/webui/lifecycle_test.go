@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"spate/internal/cluster"
 	_ "spate/internal/compress/all"
 	"spate/internal/core"
 	"spate/internal/dfs"
@@ -115,71 +114,5 @@ func TestLifecycleEndpoint(t *testing.T) {
 	}
 	if len(st.History) == 0 || st.History[0].Job != lifecycle.JobScrub {
 		t.Fatalf("history = %+v", st.History)
-	}
-}
-
-// TestClusterLifecycleEndpoint checks the cluster server proxies the same
-// surface through the coordinator fan-out.
-func TestClusterLifecycleEndpoint(t *testing.T) {
-	gc := gen.DefaultConfig(0.002)
-	gc.Antennas = 12
-	gc.Users = 60
-	gc.CDRPerEpoch = 20
-	g := gen.New(gc)
-	lc, err := cluster.StartLocal(cluster.Config{Shards: 2}, g.CellTable(), cluster.LocalOptions{
-		Dir:       t.TempDir(),
-		Lifecycle: &lifecycle.Config{Obs: obs.NewNoop()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lc.Close() })
-	e0 := telco.EpochOf(gc.Start)
-	window := telco.NewTimeRange(e0.Start(), (e0 + 2).Start())
-	srv := NewClusterServer(lc.Coordinator, g.Cells(), window)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	var sweep cluster.LifecycleSweep
-	if code := getJSON(t, ts.URL+"/api/lifecycle", &sweep); code != 200 {
-		t.Fatalf("GET status = %d", code)
-	}
-	if sweep.Failed != 0 || sweep.Partial || len(sweep.Nodes) != 2 {
-		t.Fatalf("status sweep = %+v", sweep)
-	}
-	for _, nl := range sweep.Nodes {
-		if nl.Status == nil || len(nl.Status.Jobs) != 3 {
-			t.Fatalf("node %s status = %+v", nl.URL, nl.Status)
-		}
-	}
-
-	if code := postJSON(t, ts.URL+"/api/lifecycle?job="+lifecycle.JobScrub, &sweep); code != 200 {
-		t.Fatalf("trigger status = %d", code)
-	}
-	if sweep.Failed != 0 || sweep.Partial {
-		t.Fatalf("trigger sweep = %+v", sweep)
-	}
-	for _, nl := range sweep.Nodes {
-		if nl.Record == nil || nl.Record.Job != lifecycle.JobScrub {
-			t.Fatalf("node %s record = %+v", nl.URL, nl.Record)
-		}
-	}
-
-	if code := postJSON(t, ts.URL+"/api/lifecycle?action=pause", &sweep); code != 200 {
-		t.Fatalf("pause status = %d", code)
-	}
-	for _, nl := range sweep.Nodes {
-		if nl.Status == nil || !nl.Status.Paused {
-			t.Fatalf("node %s not paused", nl.URL)
-		}
-	}
-	if code := postJSON(t, ts.URL+"/api/lifecycle?action=resume", &sweep); code != 200 {
-		t.Fatalf("resume status = %d", code)
-	}
-
-	// An unknown job fails on every node; the proxy degrades to 503.
-	var errBody map[string]any
-	if code := postJSON(t, ts.URL+"/api/lifecycle?job=defrag", &errBody); code != http.StatusServiceUnavailable {
-		t.Fatalf("unknown job status = %d, want 503", code)
 	}
 }

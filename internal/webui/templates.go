@@ -36,8 +36,8 @@ var templates = map[string]templateSpec{
 		"mean RSSI signal intensity per cell"},
 }
 
-// TemplateNames lists the available template queries.
-func TemplateNames() []string {
+// templateNames lists the available template queries.
+func templateNames() []string {
 	return []string{"dropcalls", "downflux", "upflux", "rssi"}
 }
 
@@ -46,7 +46,7 @@ func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 	spec, ok := templates[name]
 	if !ok {
 		httpErr(w, http.StatusBadRequest,
-			fmt.Errorf("unknown template %q (have %v)", name, TemplateNames()))
+			fmt.Errorf("unknown template %q (have %v)", name, templateNames()))
 		return
 	}
 	win, err := s.parseWindow(r)
@@ -54,7 +54,7 @@ func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := s.eng.Explore(core.Query{Window: win, Attrs: []highlights.AttrRef{spec.attr}})
+	x, err := s.b.explore(r.Context(), core.Query{Window: win, Attrs: []highlights.AttrRef{spec.attr}})
 	if err != nil {
 		httpErr(w, http.StatusInternalServerError, err)
 		return
@@ -65,7 +65,7 @@ func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		Stat     string            `json:"stat"`
 		Cells    []ExploreCellJSON `json:"cells"`
 	}{Template: name, Desc: spec.desc, Stat: spec.stat}
-	for _, cs := range res.Cells {
+	for _, cs := range x.Cells {
 		st, ok := cs.Attr[spec.attr]
 		if !ok {
 			continue
@@ -85,7 +85,7 @@ func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 // video (i.e., playback highlights in fast-forward)". The endpoint slices
 // the window into fixed steps and returns one frame of per-cell activity
 // per step; repeated playback of a narrowed window is served from the
-// engine's result cache.
+// engine's result cache (each shard's, over a coordinator).
 
 // playbackFrame is one step of a playback sequence.
 type playbackFrame struct {
@@ -124,7 +124,12 @@ func (s *Server) handlePlayback(w http.ResponseWriter, r *http.Request) {
 		if to.After(win.To) {
 			to = win.To
 		}
-		res, err := s.eng.Explore(core.Query{Window: telco.NewTimeRange(from, to)})
+		// A client that went away ends the playback at this frame instead
+		// of running out the rest (a cached frame would not notice).
+		x, err := s.b.explore(r.Context(), core.Query{Window: telco.NewTimeRange(from, to)})
+		if err == nil {
+			err = r.Context().Err()
+		}
 		if err != nil {
 			httpErr(w, http.StatusInternalServerError, err)
 			return
@@ -132,9 +137,9 @@ func (s *Server) handlePlayback(w http.ResponseWriter, r *http.Request) {
 		fr := playbackFrame{
 			From: from.Format(telco.TimeLayout),
 			To:   to.Format(telco.TimeLayout),
-			Rows: res.Summary.Rows,
+			Rows: x.Summary.Rows,
 		}
-		for _, cs := range res.Cells {
+		for _, cs := range x.Cells {
 			fr.Cells = append(fr.Cells, ExploreCellJSON{
 				ID: cs.CellID, X: cs.Loc.X, Y: cs.Loc.Y, Rows: cs.Rows,
 			})

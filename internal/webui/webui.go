@@ -8,6 +8,7 @@ package webui
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -16,12 +17,11 @@ import (
 	"sync"
 	"time"
 
+	"spate/internal/cluster"
 	"spate/internal/core"
 	"spate/internal/gen"
 	"spate/internal/geo"
 	"spate/internal/highlights"
-	"spate/internal/index"
-	"spate/internal/lifecycle"
 	"spate/internal/obs"
 	"spate/internal/serving"
 	"spate/internal/sqlengine"
@@ -29,15 +29,17 @@ import (
 	"spate/internal/telco"
 )
 
-// Server exposes one SPATE engine over HTTP.
+// Server is the SPATE-UI over one backend: a single engine (NewServer) or
+// a cluster coordinator (NewClusterServer). The routes, the handlers and
+// the JSON are the same either way; whatever differs below Q(a, b, w) —
+// where appends go, who runs maintenance, whether an answer can be partial
+// — is the backend's.
 type Server struct {
-	eng      *core.Engine
-	sql      *sqlengine.Engine
-	lc       *lifecycle.Manager // optional; see SetLifecycle
-	streamer *core.Streamer     // optional; see SetStreamer
-	cells    []gen.Cell
-	window   telco.TimeRange
-	mux      *http.ServeMux
+	b      backend
+	sql    *sqlengine.Engine
+	cells  []gen.Cell
+	window telco.TimeRange
+	mux    *http.ServeMux
 
 	obs      *obs.Registry
 	tracer   *obs.Tracer
@@ -45,15 +47,37 @@ type Server struct {
 	handler  http.Handler
 }
 
-// NewServer wraps an ingested engine. cells may be nil (the /api/cells
+// NewServer serves an ingested engine. cells may be nil (the /api/cells
 // endpoint then serves an empty inventory); window is the trace's span,
 // used as the default exploration window. The server reports per-endpoint
 // request metrics into obs.Default and serves the registry at /metrics
 // (Prometheus text), /api/stats (JSON) and /api/trace (recent spans).
+// Besides the shared routes it mounts the two that read one engine's own
+// store: /api/space and /api/tree.
 func NewServer(eng *core.Engine, cells []gen.Cell, window telco.TimeRange) *Server {
+	b := &engineBackend{eng: eng}
+	s := newServer(b, cells, window)
+	s.mux.HandleFunc("GET /api/space", b.handleSpace)
+	s.mux.HandleFunc("GET /api/tree", b.handleTree)
+	return s
+}
+
+// NewClusterServer serves a coordinator whose nodes are already serving,
+// with the same arguments as NewServer. Answers add the partial-result
+// contract — a degraded exploration is HTTP 200 carrying partial:true plus
+// the missing time-ranges, so clients can render what arrived and show
+// what didn't — and /api/health probes the nodes.
+func NewClusterServer(coord *cluster.Coordinator, cells []gen.Cell, window telco.TimeRange) *Server {
+	b := coordBackend{coord}
+	s := newServer(b, cells, window)
+	s.mux.HandleFunc("GET /api/health", b.handleHealth)
+	return s
+}
+
+func newServer(b backend, cells []gen.Cell, window telco.TimeRange) *Server {
 	s := &Server{
-		eng:    eng,
-		sql:    sqlengine.NewEngine(tasks.Catalog(tasks.Spate{E: eng})),
+		b:      b,
+		sql:    sqlengine.NewEngine(tasks.Catalog(b.framework())),
 		cells:  cells,
 		window: window,
 		mux:    http.NewServeMux(),
@@ -66,12 +90,10 @@ func NewServer(eng *core.Engine, cells []gen.Cell, window telco.TimeRange) *Serv
 	s.mux.HandleFunc("GET /api/explore", s.handleExplore)
 	s.mux.HandleFunc("POST /api/append", s.handleAppend)
 	s.mux.HandleFunc("GET /api/sql", s.handleSQL)
-	s.mux.HandleFunc("GET /api/space", s.handleSpace)
 	s.mux.HandleFunc("GET /api/template", s.handleTemplate)
 	s.mux.HandleFunc("GET /api/playback", s.handlePlayback)
-	s.mux.HandleFunc("GET /api/tree", s.handleTree)
-	s.mux.HandleFunc("GET /api/lifecycle", s.handleLifecycleGet)
-	s.mux.HandleFunc("POST /api/lifecycle", s.handleLifecyclePost)
+	s.mux.HandleFunc("GET /api/lifecycle", s.handleLifecycle)
+	s.mux.HandleFunc("POST /api/lifecycle", s.handleLifecycle)
 	s.mux.Handle("GET /metrics", obs.MetricsHandler(s.obs))
 	s.mux.HandleFunc("GET /api/stats", s.handleStats)
 	s.mux.Handle("GET /api/trace", obs.TracesHandler(s.tracer))
@@ -109,41 +131,34 @@ func (sr *statusRecorder) WriteHeader(code int) {
 }
 
 // middleware records per-endpoint request counts, latencies and the
-// in-flight gauge, and roots a trace span so engine spans nest under the
-// HTTP request in /api/trace.
+// in-flight gauge, and roots a trace span so backend spans nest under the
+// HTTP request in /api/trace. It also feeds the slow-query log (with the
+// request's trace ID, so a slow entry links to its span tree) and exports
+// a per-endpoint p99 latency gauge derived from the histogram.
 func (s *Server) middleware(next http.Handler) http.Handler {
-	return metricsMiddleware(s.obs, s.tracer, s.inflight, next)
-}
-
-// metricsMiddleware is the shared request-accounting wrapper of the
-// single-engine and cluster servers. Besides the request counter and
-// latency histogram it feeds the slow-query log (with the request's trace
-// ID, so a slow entry links to its span tree) and exports a per-endpoint
-// p99 latency gauge derived from the histogram.
-func metricsMiddleware(reg *obs.Registry, tracer *obs.Tracer, inflight *obs.Gauge, next http.Handler) http.Handler {
 	var mu sync.Mutex
 	p99Registered := make(map[string]bool)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		inflight.Add(1)
-		defer inflight.Add(-1)
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
 		ep := endpointLabel(r.URL.Path)
-		ctx, span := tracer.StartSpan(r.Context(), "http "+ep)
+		ctx, span := s.tracer.StartSpan(r.Context(), "http "+ep)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r.WithContext(ctx))
 		span.End()
 		dur := time.Since(t0)
-		reg.Counter("spate_http_requests_total",
+		s.obs.Counter("spate_http_requests_total",
 			"HTTP requests served by endpoint and status code.",
 			"endpoint", ep, "code", strconv.Itoa(rec.code)).Inc()
-		hist := reg.Histogram("spate_http_request_seconds",
+		hist := s.obs.Histogram("spate_http_request_seconds",
 			"HTTP request latency by endpoint.", nil,
 			"endpoint", ep)
 		hist.Observe(dur.Seconds())
 		mu.Lock()
 		if !p99Registered[ep] {
 			p99Registered[ep] = true
-			reg.GaugeFunc("spate_http_p99_seconds",
+			s.obs.GaugeFunc("spate_http_p99_seconds",
 				"99th percentile HTTP request latency by endpoint.",
 				func() float64 { return hist.Quantile(0.99) },
 				"endpoint", ep)
@@ -154,41 +169,6 @@ func metricsMiddleware(reg *obs.Registry, tracer *obs.Tracer, inflight *obs.Gaug
 	})
 }
 
-// TreeNodeJSON is one temporal-index node in the /api/tree response — the
-// structure the UI's temporal navigation (drill down / roll up) walks.
-type TreeNodeJSON struct {
-	Level    string         `json:"level"`
-	From     string         `json:"from,omitempty"`
-	To       string         `json:"to,omitempty"`
-	Sealed   bool           `json:"sealed"`
-	Decayed  bool           `json:"decayed,omitempty"`
-	Rows     int64          `json:"rows,omitempty"`
-	Children []TreeNodeJSON `json:"children,omitempty"`
-}
-
-func (s *Server) handleTree(w http.ResponseWriter, _ *http.Request) {
-	var convert func(n *index.Node) TreeNodeJSON
-	convert = func(n *index.Node) TreeNodeJSON {
-		out := TreeNodeJSON{
-			Level:   n.Level.String(),
-			Sealed:  n.Summary != nil,
-			Decayed: n.Decayed,
-		}
-		if !n.Period.From.IsZero() {
-			out.From = n.Period.From.Format(telco.TimeLayout)
-			out.To = n.Period.To.Format(telco.TimeLayout)
-		}
-		if n.Summary != nil {
-			out.Rows = n.Summary.Rows
-		}
-		for _, c := range n.Children {
-			out.Children = append(out.Children, convert(c))
-		}
-		return out
-	}
-	writeJSON(w, convert(s.eng.Tree().Root()))
-}
-
 // Handler returns the HTTP handler (also usable under httptest), with the
 // metrics middleware applied.
 func (s *Server) Handler() http.Handler { return s.handler }
@@ -196,8 +176,10 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // SetAdmission fronts the API with a serving-tier admission controller:
 // tenant resolution, rate limits, concurrency caps and load shedding.
 // The admission layer sits inside the metrics middleware, so shed
-// 429/503s still show up in the per-endpoint request metrics. Call
-// before Handler is used; not safe to swap while serving.
+// 429/503s still show up in the per-endpoint request metrics; over a
+// coordinator, the tenant it stamps into the request context propagates
+// into the shard RPCs. Call before Handler is used; not safe to swap while
+// serving.
 func (s *Server) SetAdmission(ctl *serving.Controller) {
 	s.handler = s.middleware(ctl.Middleware(s.mux))
 }
@@ -238,11 +220,7 @@ func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
 // parseWindow reads from/to params as (possibly truncated) wire-layout
 // timestamps; absent params default to the trace span.
 func (s *Server) parseWindow(r *http.Request) (telco.TimeRange, error) {
-	return parseWindowQuery(r, s.window)
-}
-
-func parseWindowQuery(r *http.Request, def telco.TimeRange) (telco.TimeRange, error) {
-	from, to := def.From, def.To
+	from, to := s.window.From, s.window.To
 	parse := func(v string) (time.Time, error) {
 		if len(v) > len(telco.TimeLayout) || len(v) < 4 {
 			return time.Time{}, fmt.Errorf("bad timestamp %q", v)
@@ -266,9 +244,14 @@ func parseWindowQuery(r *http.Request, def telco.TimeRange) (telco.TimeRange, er
 	return telco.NewTimeRange(from, to), nil
 }
 
-// ExploreJSON is the wire form of an exploration answer.
+// ExploreJSON is the wire form of an exploration answer, the same type
+// over either backend. An engine fills the covering level, the cache hit
+// and the stage breakdown; a coordinator fills the degradation contract
+// (a partial answer is HTTP 200: the aggregates are correct for the window
+// minus the missing ranges, and the client decides how to degrade) and its
+// scatter's counters.
 type ExploreJSON struct {
-	Level      string            `json:"covering_level"`
+	Level      string            `json:"covering_level,omitempty"`
 	Rows       int64             `json:"rows"`
 	Decayed    int               `json:"decayed_leaves"`
 	CacheHit   bool              `json:"cache_hit"`
@@ -277,11 +260,26 @@ type ExploreJSON struct {
 	// Stages is the engine's per-stage timing breakdown in milliseconds
 	// (plan, collect, leaf_decode, merge, restrict, row_fetch).
 	Stages map[string]float64 `json:"stages_ms,omitempty"`
-	// TraceID links the answer to its span tree at /api/trace?id=.
+
+	Partial       bool         `json:"partial"`
+	Missing       []WindowJSON `json:"missing,omitempty"`
+	ShardsQueried int          `json:"shards_queried,omitempty"`
+	ShardsFailed  int          `json:"shards_failed,omitempty"`
+	HedgeWins     int          `json:"hedge_wins,omitempty"`
+	Retries       int          `json:"retries,omitempty"`
+
+	// TraceID links the answer to its span tree at /api/trace?id= (over a
+	// coordinator, rooted there with the shard subtrees stitched in).
 	TraceID string `json:"trace_id,omitempty"`
-	// Profile is the per-query storage profile, included when the request
-	// carries profile=1.
+	// Profile is the per-query storage profile (with the per-shard split
+	// of a scatter), included when the request carries profile=1.
 	Profile *core.Profile `json:"profile,omitempty"`
+}
+
+// WindowJSON is one half-open time range on the wire.
+type WindowJSON struct {
+	From string `json:"from"`
+	To   string `json:"to"`
 }
 
 // ExploreCellJSON is one cell's aggregate in an exploration answer.
@@ -327,30 +325,34 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	q := core.Query{Window: win, Box: parseBoxQuery(r)}
-	res, err := s.eng.ExploreContext(r.Context(), q)
+	x, err := s.b.explore(r.Context(), core.Query{Window: win, Box: parseBoxQuery(r)})
 	if err != nil {
 		httpErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	attr := r.URL.Query().Get("attr")
 	out := ExploreJSON{
-		Level: res.CoveringLevel.String(), Rows: res.Summary.Rows,
-		Decayed: res.DecayedLeaves, CacheHit: res.CacheHit,
-		TraceID: res.Profile.TraceID,
+		Level: x.level, Rows: x.Summary.Rows, Decayed: x.DecayedLeaves, CacheHit: x.CacheHit,
+		Cells:      cellsJSON(x.Cells, r.URL.Query().Get("attr")),
+		Highlights: highlightsJSON(x.Highlights),
+		Partial:    x.partial, ShardsQueried: x.shardsQueried, ShardsFailed: x.shardsFailed,
+		HedgeWins: x.hedgeWins, Retries: x.retries,
+		TraceID: x.Profile.TraceID,
 	}
 	if r.URL.Query().Get("profile") == "1" {
-		p := res.Profile
-		out.Profile = &p
+		out.Profile = &x.Profile
 	}
-	for _, st := range res.Stages {
+	for _, st := range x.Stages {
 		if out.Stages == nil {
-			out.Stages = make(map[string]float64, len(res.Stages))
+			out.Stages = make(map[string]float64, len(x.Stages))
 		}
 		out.Stages[st.Name] = float64(st.Duration) / float64(time.Millisecond)
 	}
-	out.Cells = cellsJSON(res.Cells, attr)
-	out.Highlights = highlightsJSON(res.Highlights)
+	for _, m := range x.missing {
+		out.Missing = append(out.Missing, WindowJSON{
+			From: m.From.Format(telco.TimeLayout),
+			To:   m.To.Format(telco.TimeLayout),
+		})
+	}
 	writeJSON(w, out)
 }
 
@@ -392,6 +394,10 @@ func highlightsJSON(hs []highlights.Highlight) []HighlightJSON {
 	return out
 }
 
+// handleSQL serves SPATE-SQL. A statement that does not parse or bind is
+// the client's (400); one that fails under its scan — a storage read, a
+// canceled request — is the server's (500), and a scatter that lost a
+// shard is 503: SQL answers are complete or absent, never a silent subset.
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
@@ -400,7 +406,11 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	}
 	rs, err := s.sql.QueryContext(r.Context(), q)
 	if err != nil {
-		httpErr(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, tasks.ErrScan) {
+			code = statusOf(err)
+		}
+		httpErr(w, code, err)
 		return
 	}
 	rows := make([][]string, len(rs.Rows))
@@ -413,63 +423,10 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"cols": rs.Cols, "rows": rows})
 }
 
-// handleStats serves the obs registry's JSON mirror extended with two
-// synthetic families from the engine's columnar ingest: per-column codec
-// wins (spate_column_codec_chunks, labelled table/column/codec) and the
-// mean per-chunk entropy that drove each choice
-// (spate_column_entropy_bits). Both are derived on demand from
-// Engine.ColumnCodecStats rather than registered, so they never go stale
-// and cost nothing when no v3 segment has been written.
+// handleStats serves the obs registry's JSON mirror plus whatever families
+// the backend derives on demand (an engine's column codec statistics).
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, statsWithColumnCodecs(s.obs, s.eng))
-}
-
-func statsWithColumnCodecs(reg *obs.Registry, eng *core.Engine) []obs.Metric {
-	snap := reg.Snapshot()
-	cs := eng.ColumnCodecStats()
-	if len(cs) == 0 {
-		return snap
-	}
-	chunks := obs.Metric{
-		Name: "spate_column_codec_chunks", Type: "counter",
-		Help: "Chunks won by each column codec during columnar (v3) ingest.",
-	}
-	entropy := obs.Metric{
-		Name: "spate_column_entropy_bits", Type: "gauge",
-		Help: "Mean per-chunk value entropy per column, in bits.",
-	}
-	for _, st := range cs {
-		for _, cc := range []struct {
-			codec string
-			n     int
-		}{{"plain", st.PlainChunks}, {"dict", st.DictChunks}, {"delta", st.DeltaChunks}} {
-			if cc.n == 0 {
-				continue
-			}
-			chunks.Series = append(chunks.Series, obs.Series{
-				Labels: map[string]string{"table": st.Table, "column": st.Column, "codec": cc.codec},
-				Value:  float64(cc.n),
-			})
-		}
-		entropy.Series = append(entropy.Series, obs.Series{
-			Labels: map[string]string{"table": st.Table, "column": st.Column},
-			Value:  st.EntropyBits,
-		})
-	}
-	return append(snap, chunks, entropy)
-}
-
-func (s *Server) handleSpace(w http.ResponseWriter, _ *http.Request) {
-	sp := s.eng.Space()
-	u := s.eng.FS().Usage()
-	writeJSON(w, map[string]any{
-		"raw_bytes":               sp.RawBytes,
-		"comp_bytes":              sp.CompBytes,
-		"summary_bytes":           sp.SummaryBytes,
-		"stored_bytes":            u.StoredBytes,
-		"under_replicated_blocks": u.UnderReplicatedBlocks,
-		"o1":                      sp.O1,
-	})
+	writeJSON(w, s.b.stats(s.obs.Snapshot()))
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

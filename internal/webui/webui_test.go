@@ -183,7 +183,7 @@ func TestIndexPage(t *testing.T) {
 
 func TestTemplateQueries(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, name := range TemplateNames() {
+	for _, name := range templateNames() {
 		var out struct {
 			Template string            `json:"template"`
 			Stat     string            `json:"stat"`
