@@ -23,10 +23,12 @@ test:
 # The boot loader's look-ahead — Prepare of one snapshot beside Commit of the
 # one before — is the one place batch ingest runs two goroutines over an
 # engine; its tests repeat at each width. So does the one HTTP server's
-# package, which drives both backends (engine and coordinator scatter).
+# package, which drives both backends (engine and coordinator scatter), and
+# the one cache every scan worker and request shares (stripes, singleflight).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/ ./internal/webui/
+	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/ ./internal/webui/ \
+		./internal/cache/
 	$(GO) test -race -run 'Parity|Property|Equivalence|Reference' -cpu 1,2,4 \
 		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/ \
 		./internal/highlights/

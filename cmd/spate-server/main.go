@@ -13,7 +13,7 @@
 //	spate-server -addr :8080 -stream
 //	spate-server -addr :8080 -cluster -shards 4 -stream
 //	spate-server -addr :8080 -rps 50 -max-concurrent 8 -tenants gold:4,bronze:1
-//	spate-server -addr :8080 -cluster -result-cache-bytes 67108864
+//	spate-server -addr :8080 -result-cache-bytes 67108864
 //
 // Endpoints — one server (internal/webui) over one backend, a single engine
 // or, with -cluster / -join, a coordinator; [E] and [C] mark the routes
@@ -79,56 +79,67 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // run is main's body with a normal error return, so deferred cleanup (the
 // temp store removal) executes on every exit path — a fatal log inside
 // main would skip the defers and leak the store directory.
-func run() int {
+func run(args []string) int {
+	flags := flag.NewFlagSet("spate-server", flag.ExitOnError)
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		trace     = flag.String("trace", "", "trace directory (optional; else synthesized)")
-		scale     = flag.Float64("scale", 0.01, "synthesized trace scale")
-		days      = flag.Int("days", 1, "synthesized trace length in days")
-		withPprof = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		chunkSize = flag.Int("chunk-size", 0,
+		addr      = flags.String("addr", ":8080", "listen address")
+		trace     = flags.String("trace", "", "trace directory (optional; else synthesized)")
+		scale     = flags.Float64("scale", 0.01, "synthesized trace scale")
+		days      = flags.Int("days", 1, "synthesized trace length in days")
+		withPprof = flags.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
+		chunkSize = flags.Int("chunk-size", 0,
 			"target uncompressed bytes per leaf segment chunk (0 = 256 KiB default; negative = legacy whole-blob leaves)")
-		scanWorkers = flag.Int("scan-workers", 0,
+		scanWorkers = flags.Int("scan-workers", 0,
 			"width of the per-query worker pool for leaf scans (0 = GOMAXPROCS; 1 = a pool of one)")
 
-		decayEvery = flag.Duration("decay-interval", 0,
+		decayEvery = flags.Duration("decay-interval", 0,
 			"lifecycle: run scheduled decay this often (0 = disabled)")
-		scrubEvery = flag.Duration("scrub-interval", 0,
+		scrubEvery = flags.Duration("scrub-interval", 0,
 			"lifecycle: run the DFS scrubber + re-replicator this often (0 = disabled)")
-		compactEvery = flag.Duration("compact", 0,
+		compactEvery = flags.Duration("compact", 0,
 			"lifecycle: run segment compaction this often (0 = disabled)")
-		keepRaw = flag.Duration("keep-raw", 0,
+		keepRaw = flags.Duration("keep-raw", 0,
 			"decay horizon: evict full-resolution leaf data older than this (0 = keep forever)")
-		slowQuery = flag.Duration("slow-query", obs.DefaultSlowThreshold,
+		slowQuery = flags.Duration("slow-query", obs.DefaultSlowThreshold,
 			"slow-query log threshold (0 = disabled)")
 
-		stream = flag.Bool("stream", false,
+		stream = flags.Bool("stream", false,
 			"streaming ingest: keep the store open and serve POST /api/append (rows land in a WAL + memtable, queryable before their epoch seals)")
-		walDir = flag.String("wal", "",
+		walDir = flags.String("wal", "",
 			"WAL directory for -stream (default: under the store directory)")
 
-		rps = flag.Float64("rps", 0,
+		rps = flags.Float64("rps", 0,
 			"serving tier: sustained requests/second per tenant and endpoint class (0 = no rate limit)")
-		maxConcurrent = flag.Int("max-concurrent", 0,
+		maxConcurrent = flags.Int("max-concurrent", 0,
 			"serving tier: concurrent requests per tenant and endpoint class; excess queues FIFO then sheds 503 (0 = no cap)")
-		tenants = flag.String("tenants", "",
+		tenants = flags.String("tenants", "",
 			"serving tier: comma-separated tenant name[:weight] entries scaling -rps/-max-concurrent per tenant (requests carry X-Spate-Tenant)")
-		cacheBytes = flag.Int64("result-cache-bytes", 0,
-			"serving tier: shared result-cache budget in bytes across every local engine (0 = per-engine default cache)")
+		cacheBytes = flags.Int64("result-cache-bytes", 0,
+			"serving tier: result-cache budget in bytes (0 = the engine's own 64 MiB cache); single engine only, not with -cluster or -join")
 
-		clusterMode = flag.Bool("cluster", false, "run an in-process sharded cluster behind the coordinator UI")
-		shards      = flag.Int("shards", 4, "cluster: number of time shards")
-		replicas    = flag.Int("replicas", 1, "cluster: replica nodes per shard slot")
-		split       = flag.Int("spatial-split", 1, "cluster: vertical cell-plane bands per time shard")
-		join        = flag.String("join", "", "cluster: comma-separated node base URLs; coordinator-only proxy mode")
+		clusterMode = flags.Bool("cluster", false, "run an in-process sharded cluster behind the coordinator UI")
+		shards      = flags.Int("shards", 4, "cluster: number of time shards")
+		replicas    = flags.Int("replicas", 1, "cluster: replica nodes per shard slot")
+		split       = flags.Int("spatial-split", 1, "cluster: vertical cell-plane bands per time shard")
+		join        = flags.String("join", "", "cluster: comma-separated node base URLs; coordinator-only proxy mode")
 	)
-	flag.Parse()
+	_ = flags.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
+	// Reject flag combinations that would configure nothing, before any
+	// expensive setup.
+	if *tenants != "" && *rps <= 0 && *maxConcurrent <= 0 {
+		slog.Error("spate-server: -tenants requires -rps or -max-concurrent")
+		return 1
+	}
+	if *cacheBytes > 0 && (*clusterMode || *join != "") {
+		slog.Error("spate-server: -result-cache-bytes applies to a single engine; cluster nodes answer without a result cache")
+		return 1
+	}
 	obs.DefaultSlowLog.SetThreshold(*slowQuery)
 
 	// Bind before any expensive setup: a taken address should fail fast
@@ -214,9 +225,8 @@ func run() int {
 			"decay", *decayEvery, "scrub", *scrubEvery, "compact", *compactEvery)
 	}
 
-	// Serving tier (admission control + shared result cache). The
-	// controller fronts whichever server mode runs below; the shared
-	// cache pools every local engine's results under one byte budget.
+	// Serving tier: the admission controller fronts whichever server mode
+	// runs below.
 	var admission *serving.Controller
 	if *rps > 0 || *maxConcurrent > 0 {
 		base := serving.Limits{RPS: *rps, MaxConcurrent: *maxConcurrent}
@@ -228,14 +238,6 @@ func run() int {
 		admission = serving.NewController(serving.Config{Default: base, Tenants: perTenant})
 		slog.Info("spate-server: admission control enabled",
 			"rps", *rps, "max_concurrent", *maxConcurrent, "tenants", len(perTenant))
-	} else if *tenants != "" {
-		slog.Error("spate-server: -tenants requires -rps or -max-concurrent")
-		return 1
-	}
-	var sharedCache serving.Cache
-	if *cacheBytes > 0 {
-		sharedCache = serving.NewLRU(*cacheBytes, obs.Default)
-		slog.Info("spate-server: shared result cache enabled", "bytes", *cacheBytes)
 	}
 
 	// Each mode builds the backend and hands it to the one UI server; rpc
@@ -278,7 +280,7 @@ func run() int {
 		ui = webui.NewClusterServer(coord, cells, defaultWindow(g, *days))
 
 	case *clusterMode:
-		lopt := cluster.LocalOptions{Engine: engOpts, ResultCache: sharedCache}
+		lopt := cluster.LocalOptions{Engine: engOpts}
 		if lcEnabled {
 			lopt.Lifecycle = &lcCfg
 		}
@@ -331,8 +333,9 @@ func run() int {
 			slog.Error("spate-server: dfs", "err", err)
 			return 1
 		}
-		if sharedCache != nil {
-			engOpts.ResultCache = serving.Namespace(sharedCache, "engine")
+		if *cacheBytes > 0 {
+			engOpts.ResultCache = serving.Namespace(serving.NewLRU(*cacheBytes, obs.Default), "engine")
+			slog.Info("spate-server: shared result cache enabled", "bytes", *cacheBytes)
 		}
 		eng, err := core.Open(fs, cellTable, engOpts)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	_ "spate/internal/compress/all"
 	"spate/internal/core"
@@ -19,6 +20,29 @@ import (
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
+
+// TestRejectsFlagsThatDoNothing: flag combinations that would configure
+// nothing exit non-zero before the server binds or ingests anything. A
+// cluster's nodes answer without a result cache, so a budget for one is
+// refused like tenants without a limit to scale.
+func TestRejectsFlagsThatDoNothing(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cluster", "-result-cache-bytes", "67108864"},
+		{"-join", "http://127.0.0.1:1", "-result-cache-bytes", "1024"},
+		{"-tenants", "gold:2"},
+	} {
+		done := make(chan int, 1)
+		go func() { done <- run(append([]string{"-addr", "127.0.0.1:0", "-scale", "0.001"}, args...)) }()
+		select {
+		case code := <-done:
+			if code == 0 {
+				t.Errorf("spate-server %s exited 0", strings.Join(args, " "))
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("spate-server %s did not exit: it went on to serve", strings.Join(args, " "))
+		}
+	}
+}
 
 // TestLookAheadOrder: commits run in order on the caller's goroutine, each
 // item is prepared exactly once, and the preparer never runs more than one

@@ -97,7 +97,7 @@ func (h *herd) Close() {
 // start (benchmark iterations must not inherit warmth or drained buckets).
 func (h *herd) reset() {
 	if h.shared != nil {
-		h.shared.Clear("engine")
+		serving.Namespace(h.shared, "engine").Clear()
 	}
 	if h.resetAdmission != nil {
 		h.resetAdmission()
@@ -160,7 +160,7 @@ func newHerd(o Options) (*herd, error) {
 	}
 	g := gen.New(cfg)
 	h.engReg = obs.NewRegistry()
-	h.shared = serving.NewUnregisteredLRU(64 << 20)
+	h.shared = serving.NewLRU(64<<20, obs.NewRegistry())
 	eng, err := core.Open(fs, g.CellTable(), core.Options{
 		Obs:         h.engReg,
 		ResultCache: serving.Namespace(h.shared, "engine"),

@@ -68,7 +68,8 @@ type Config struct {
 	// Meaningless with Replicas == 1.
 	HedgeDelay time.Duration
 	// Retries is the number of additional attempts after a failed shard
-	// call (default 2). Each attempt re-dials the replica set.
+	// call (default 2; negative means none). Each attempt re-dials the
+	// replica set.
 	Retries int
 	// RetryBackoff is the base backoff before the first retry, doubling
 	// per attempt (default 25ms).
@@ -107,9 +108,7 @@ func (c Config) withDefaults() Config {
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = c.ExploreTimeout / 10
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
+	if c.Retries == 0 {
 		c.Retries = 2
 	}
 	if c.RetryBackoff <= 0 {

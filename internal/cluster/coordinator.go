@@ -144,7 +144,7 @@ func (c *Coordinator) retry(ctx context.Context, op string, try func(attempt int
 	backoff := c.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		final, err := try(attempt)
-		if err == nil || final || attempt == c.cfg.Retries || ctx.Err() != nil {
+		if err == nil || final || attempt >= c.cfg.Retries || ctx.Err() != nil {
 			return attempt, err
 		}
 		c.met.retries[op].Inc()

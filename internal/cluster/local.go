@@ -10,7 +10,6 @@ import (
 	"spate/internal/core"
 	"spate/internal/dfs"
 	"spate/internal/lifecycle"
-	"spate/internal/serving"
 	"spate/internal/telco"
 )
 
@@ -31,11 +30,6 @@ type LocalOptions struct {
 	// Streaming, when set, opens a streamer on every node (WAL under the
 	// node's directory) so /rpc/append is served; Close closes them.
 	Streaming *core.StreamerOptions
-	// ResultCache, when set, is shared by every node's engine: each gets
-	// its own namespace (its slot/replica identity) inside one process-
-	// wide byte budget, so hot shards can use cache capacity idle shards
-	// are not.
-	ResultCache serving.Cache
 }
 
 // Local is an in-process cluster: every node is a real core.Engine served
@@ -61,14 +55,12 @@ type Local struct {
 // StartLocal boots a full cluster in-process: NumSlots×Replicas engines on
 // loopback listeners plus a coordinator wired to them.
 func StartLocal(cfg Config, cellTable *telco.Table, opt LocalOptions) (*Local, error) {
-	// cfg goes to the coordinator as given: defaulted twice, "no retries"
-	// (-1, which the first pass turns into 0) would read as unset.
-	replicas := cfg.withDefaults().Replicas
+	cfg = cfg.withDefaults()
 	cells, err := core.NewCellInventory(cellTable, "")
 	if err != nil {
 		return nil, err
 	}
-	l := &Local{replicas: replicas, dir: opt.Dir}
+	l := &Local{replicas: cfg.Replicas, dir: opt.Dir}
 	if l.dir == "" {
 		dir, err := os.MkdirTemp("", "spate-cluster-*")
 		if err != nil {
@@ -83,18 +75,14 @@ func StartLocal(cfg Config, cellTable *telco.Table, opt LocalOptions) (*Local, e
 	m := NewShardMap(cfg, cells.Points())
 	nodes := make([][]string, m.NumSlots())
 	for slot := 0; slot < m.NumSlots(); slot++ {
-		for rep := 0; rep < replicas; rep++ {
+		for rep := 0; rep < cfg.Replicas; rep++ {
 			dir := filepath.Join(l.dir, fmt.Sprintf("slot%02d-r%d", slot, rep))
 			fs, err := dfs.NewCluster(dir, opt.DFS)
 			if err != nil {
 				l.Close()
 				return nil, err
 			}
-			engOpts := opt.Engine
-			if opt.ResultCache != nil {
-				engOpts.ResultCache = serving.Namespace(opt.ResultCache, fmt.Sprintf("slot%02d-r%d", slot, rep))
-			}
-			eng, err := core.Open(fs, cellTable, engOpts)
+			eng, err := core.Open(fs, cellTable, opt.Engine)
 			if err != nil {
 				l.Close()
 				return nil, err

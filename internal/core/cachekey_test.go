@@ -121,7 +121,7 @@ func TestSpecScanSubsetsShareOneCacheEntry(t *testing.T) {
 	if len(wantCallers) == 0 {
 		t.Fatal("full scan returned no rows")
 	}
-	r.e.chunkCache.InvalidatePrefix("") // back to a cold chunk cache
+	r.e.chunkCache.DropIf(func(string, []byte) bool { return true }) // back to a cold chunk cache
 
 	sameStrings := func(what string, got, want []string) {
 		t.Helper()
@@ -144,7 +144,7 @@ func TestSpecScanSubsetsShareOneCacheEntry(t *testing.T) {
 	if profA.CacheMisses == 0 || profA.CacheHits != 0 {
 		t.Fatalf("cold projected scan: hits=%d misses=%d, want all misses", profA.CacheHits, profA.CacheMisses)
 	}
-	entries := r.e.chunkCache.Len()
+	entries := r.e.chunkCache.Stats().Entries
 	ctxB, profB := ContextWithProfile(bg)
 	sameStrings("projection B duration", scan(ctxB, specB, telco.AttrDuration), wantDurations)
 	if profB.CacheHits != profA.CacheMisses || profB.CacheMisses != 0 {
@@ -154,7 +154,7 @@ func TestSpecScanSubsetsShareOneCacheEntry(t *testing.T) {
 	if profB.InflatedBytes != 0 || profB.DFSReads != 0 {
 		t.Fatalf("second projection inflated %d bytes in %d reads, want none", profB.InflatedBytes, profB.DFSReads)
 	}
-	if got := r.e.chunkCache.Len(); got != entries {
+	if got := r.e.chunkCache.Stats().Entries; got != entries {
 		t.Fatalf("second projection grew the cache from %d to %d entries", entries, got)
 	}
 	sameStrings("projection A caller, warm", scan(bg, specA, telco.AttrCaller), wantCallers)

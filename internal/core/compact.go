@@ -216,7 +216,7 @@ func (e *Engine) compactLeaf(cand compactCandidate, chunkSize, effort int, rep *
 		return err
 	}
 	for _, rw := range rewrites {
-		e.chunkCache.InvalidatePrefix(rw.oldRef + "#")
+		e.dropChunks(rw.oldRef)
 		if err := e.fs.Delete(rw.oldRef); err != nil {
 			return fmt.Errorf("core: compact delete %s: %w", rw.oldRef, err)
 		}

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"spate/internal/cache"
 	"spate/internal/compress"
 	"spate/internal/compress/zst"
 	"spate/internal/decay"
@@ -66,15 +67,13 @@ type Options struct {
 	// TrainAfter is the number of snapshots sampled before training
 	// (default 4).
 	TrainAfter int
-	// CacheSize bounds the query result cache (default 128 entries).
-	CacheSize int
-	// ResultCache, when non-nil, replaces the built-in per-engine result
+	// ResultCache, when non-nil, replaces the engine's own 64 MiB result
 	// cache — the hook a process-wide serving tier uses to pool every
 	// engine's results under one byte budget (serving.Namespace binds one
 	// namespace of a shared cache to this contract). The cache must honor
 	// the decay/epoch invalidation contract: Invalidate drops entries
 	// whose served period overlaps a stale range, Clear drops everything
-	// on ingest. CacheSize is ignored when set.
+	// on ingest.
 	ResultCache ResultCache
 	// ChunkSize is the target uncompressed bytes per leaf segment chunk
 	// (default segment.DefaultChunkSize). A negative value writes legacy
@@ -127,9 +126,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.TrainAfter <= 0 {
 		o.TrainAfter = 4
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 128
 	}
 	if o.ChunkSize == 0 {
 		o.ChunkSize = segment.DefaultChunkSize
@@ -202,22 +198,21 @@ type Engine struct {
 	// batch-only engine.
 	memt *memtable.Memtable
 
-	cache ResultCache
+	// cache holds exploration results; resFlight dedupes identical
+	// explorations that miss it.
+	cache     ResultCache
+	resFlight cache.Flight[*Result]
 
 	// chunkCache holds inflated leaf chunks across queries, bounded by
-	// bytes; see Options.ChunkCacheBytes.
-	chunkCache *segment.Cache
+	// bytes (see Options.ChunkCacheBytes); its Do dedupes concurrent
+	// inflations of one chunk, across scan workers and across queries.
+	chunkCache *cache.LRU[[]byte]
 
-	// chunkFlight deduplicates concurrent inflations of the same chunk
-	// (across scan workers and across queries); resFlight deduplicates
-	// whole identical explorations that miss the result cache.
-	chunkFlight flightGroup
 	// batches pools the column batches leaf walks decode into, folders the
 	// highlight folds summary rebuilds run: steady-state scans reuse their
 	// arrays instead of allocating per leaf.
-	batches   sync.Pool
-	folders   sync.Pool
-	resFlight resultFlight
+	batches sync.Pool
+	folders sync.Pool
 
 	// met holds the engine's pre-resolved obs series and tracer.
 	met *engineMetrics
@@ -243,18 +238,19 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table, opts Options) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
+	chunks := cache.New("spate_chunk_cache", "Inflated leaf chunks", opts.ChunkCacheBytes,
+		func(b []byte) int64 { return int64(len(b)) }, opts.Obs)
 	e := &Engine{
 		opts:       opts,
 		fs:         fs,
 		tree:       index.New(),
 		cells:      cells,
-		chunkCache: segment.NewCache(opts.ChunkCacheBytes, opts.Obs),
+		cache:      opts.ResultCache,
+		chunkCache: chunks,
 		met:        newEngineMetrics(opts.Obs, opts.Tracer),
 	}
-	if opts.ResultCache != nil {
-		e.cache = opts.ResultCache
-	} else {
-		e.cache = newResultCache(opts.CacheSize, opts.Obs)
+	if e.cache == nil {
+		e.cache = ResultsUnder(NewResultLRU(defaultResultCacheBytes, opts.Obs), "")
 	}
 	opts.Obs.Gauge("spate_scan_parallel_workers",
 		"Configured per-query scan worker fan-out.").Set(float64(opts.ScanWorkers))
@@ -873,7 +869,7 @@ func (e *Engine) DecayRun(now time.Time, b DecayBudget) (DecayReport, error) {
 			stale[i] = ev.Node.Period
 		}
 		res, err := decay.Apply(e.tree, batch, func(path string) error {
-			e.chunkCache.InvalidatePrefix(path + "#")
+			e.dropChunks(path)
 			pending = append(pending, path)
 			return nil
 		})

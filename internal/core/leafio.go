@@ -225,6 +225,13 @@ func chunkCacheKey(ref string, version, i int) string {
 // both formats.
 const legacyCacheSuffix = "#blob"
 
+// dropChunks evicts every cached chunk of the leaf file ref — decay and
+// compaction delete leaf files, and their inflated chunks must not linger.
+func (e *Engine) dropChunks(ref string) {
+	prefix := ref + "#"
+	e.chunkCache.DropIf(func(key string, _ []byte) bool { return strings.HasPrefix(key, prefix) })
+}
+
 // projection is the column subset of one stored table a scan reads. Every
 // source of rows — v3 column streams, row-text chunks, v1/v2 chunks, legacy
 // blobs, memtable tables — reaches the scan's consumer as a column batch
@@ -329,39 +336,36 @@ func (ss *specScan) prune(ch *segment.Chunk) pruneReason {
 }
 
 // cachedChunk returns the inflated bytes the chunk cache holds under key,
-// fetching them on a miss. Misses dedupe through the chunk singleflight:
+// fetching them on a miss. Misses dedupe through the cache's singleflight:
 // when another goroutine — a sibling scan worker, a concurrent query — is
 // already fetching the key, the call waits and shares its bytes. leader
 // reports that this caller ran fetch itself; it alone charges what the
-// fetch cost to its profile, hits and sharers charge nothing.
+// fetch cost to its profile (the lookup up to the fetch included), hits
+// charge the lookup and sharers nothing.
 func (e *Engine) cachedChunk(key string, prof *Profile, fetch func() ([]byte, error)) (data []byte, leader bool, err error) {
 	var t0 time.Time
 	if prof != nil {
 		t0 = time.Now()
 	}
-	data, ok := e.chunkCache.Get(key)
+	data, shared, err := e.chunkCache.Do(key, func() ([]byte, error) {
+		leader = true
+		if prof != nil {
+			prof.LookupNS += time.Since(t0).Nanoseconds()
+		}
+		return fetch()
+	})
+	if shared {
+		e.met.sfShared.Inc()
+	}
 	if prof != nil {
-		prof.LookupNS += time.Since(t0).Nanoseconds()
-		if ok {
+		if !leader && !shared {
+			prof.LookupNS += time.Since(t0).Nanoseconds()
 			prof.CacheHits++
 		} else {
 			prof.CacheMisses++
 		}
 	}
-	if ok {
-		return data, false, nil
-	}
-	data, shared, err := e.chunkFlight.do(key, func() ([]byte, error) {
-		data, err := fetch()
-		if err == nil {
-			e.chunkCache.Put(key, data)
-		}
-		return data, err
-	})
-	if shared {
-		e.met.sfShared.Inc()
-	}
-	return data, err == nil && !shared, err
+	return data, leader && err == nil, err
 }
 
 // blobText returns a legacy whole-blob leaf's inflated wire text through

@@ -204,88 +204,6 @@ func (e *Engine) runUnits(ctx context.Context, workers, n int, prof *Profile, ru
 // scanWorkers returns the configured fan-out (immutable after Open).
 func (e *Engine) scanWorkers() int { return e.opts.ScanWorkers }
 
-// flightGroup deduplicates concurrent byte-producing computations by key:
-// the first caller for a key runs fn, every caller that arrives while it
-// is in flight blocks and shares the result. The entry is dropped once fn
-// returns, so later callers recompute (the chunk cache, not the flight
-// group, is the steady-state store).
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	data []byte
-	err  error
-}
-
-// do returns fn's result for key, computing it at most once across
-// concurrent callers; shared reports whether this caller received another
-// caller's in-flight result instead of running fn itself.
-func (g *flightGroup) do(key string, fn func() ([]byte, error)) (data []byte, shared bool, err error) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.data, true, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-	c.data, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.data, false, c.err
-}
-
-// resultFlight deduplicates concurrent identical explorations that miss
-// the result cache. Unlike flightGroup, failures do not propagate: a
-// leader that errors publishes nil and its waiters retry (re-checking the
-// cache and possibly leading themselves), so one canceled request never
-// fails an unrelated concurrent query.
-type resultFlight struct {
-	mu sync.Mutex
-	m  map[string]*resultCall
-}
-
-type resultCall struct {
-	done chan struct{}
-	res  *Result // nil when the leader failed
-}
-
-// begin registers interest in key: the first caller becomes the leader
-// (leader=true) and must call finish exactly once; every other caller
-// receives the in-flight call to wait on.
-func (f *resultFlight) begin(key string) (c *resultCall, leader bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.m == nil {
-		f.m = make(map[string]*resultCall)
-	}
-	if c, ok := f.m[key]; ok {
-		return c, false
-	}
-	c = &resultCall{done: make(chan struct{})}
-	f.m[key] = c
-	return c, true
-}
-
-// finish publishes the leader's outcome (res nil on failure) and wakes
-// every waiter.
-func (f *resultFlight) finish(key string, c *resultCall, res *Result) {
-	f.mu.Lock()
-	delete(f.m, key)
-	f.mu.Unlock()
-	c.res = res
-	close(c.done)
-}
-
 // mergeWorkers folds src's per-worker stats into dst by worker id, keeping
 // the result sorted — repeated fan-outs within one query (summary rebuild,
 // then row fetch) accumulate per worker instead of duplicating entries.

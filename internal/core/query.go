@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"spate/internal/cache"
 	"spate/internal/compress"
 	"spate/internal/geo"
 	"spate/internal/highlights"
@@ -122,38 +122,28 @@ func (e *Engine) Explore(q Query) (*Result, error) {
 // request's span).
 //
 // Concurrent identical queries that miss the result cache dedupe through
-// the result singleflight: one caller (the leader) evaluates, the rest
-// wait and share its answer as a cache hit. A leader that fails — most
-// often its own context canceling — publishes nothing, and each waiter
-// retries from the cache check (possibly leading itself), so one
+// the result singleflight (cache.Flight): one caller (the leader)
+// evaluates, the rest wait and share its answer as a cache hit. A leader
+// that fails — most often its own context canceling — hands its failure to
+// nobody, and each waiter retries (possibly leading itself), so one
 // abandoned request never fails an unrelated identical one.
 func (e *Engine) ExploreContext(ctx context.Context, q Query) (*Result, error) {
 	key := q.cacheKey()
-	for {
-		if r, ok := e.cache.Get(key); ok {
-			e.met.cacheHits.Inc()
-			return sharedResult(ctx, r), nil
-		}
-		call, leader := e.resFlight.begin(key)
-		if leader {
-			res, err := e.exploreUncached(ctx, q, key)
-			if err != nil {
-				e.resFlight.finish(key, call, nil)
-				return nil, err
-			}
-			e.resFlight.finish(key, call, res)
-			return res, nil
-		}
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if call.res != nil {
-			e.met.resShared.Inc()
-			return sharedResult(ctx, call.res), nil
-		}
+	if r, ok := e.cache.Get(key); ok {
+		e.met.cacheHits.Inc()
+		return sharedResult(ctx, r), nil
 	}
+	res, shared, err := e.resFlight.Do(ctx, key, func() (*Result, error) {
+		return e.exploreUncached(ctx, q, key)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if shared {
+		e.met.resShared.Inc()
+		return sharedResult(ctx, res), nil
+	}
+	return res, nil
 }
 
 // sharedResult copies a cached (or singleflight-shared) result for one
@@ -923,8 +913,8 @@ func (q Query) cacheKey() string {
 // use and must honor the invalidation contract: every entry whose
 // ServedPeriod overlaps a given (half-open) range is dropped.
 //
-// The built-in implementation is a small count-bounded map; the serving
-// tier (internal/serving) plugs a shared bytes-bounded LRU in through
+// An engine's default is a 64 MiB result LRU of its own; the serving tier
+// (internal/serving) plugs one namespace of a process-wide LRU in through
 // Options.ResultCache so every engine in a process draws on one budget.
 type ResultCache interface {
 	Get(key string) (*Result, bool)
@@ -933,81 +923,32 @@ type ResultCache interface {
 	Clear()
 }
 
-// resultCache is the built-in count-bounded ResultCache. Entries
-// remember the period their answer describes, so decay can invalidate
-// only the results its evictions could have changed instead of dropping
-// the whole cache.
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	bytes int64
-	items map[string]*Result
-	sizes map[string]int64
-	order []string
+// defaultResultCacheBytes is an engine's own result budget, the same as
+// its chunk cache's default.
+const defaultResultCacheBytes = 64 << 20
 
-	evictions     *obs.Counter
-	invalidations *obs.Counter
+// NewResultLRU returns a result cache bounded at maxBytes of
+// Result.SizeBytes, reporting as spate_result_cache_* on reg.
+func NewResultLRU(maxBytes int64, reg *obs.Registry) *cache.LRU[*Result] {
+	return cache.New("spate_result_cache", "Exploration results", maxBytes, (*Result).SizeBytes, reg)
 }
 
-// newResultCache builds the built-in cache and registers its occupancy
-// gauges and churn counters (tier="engine") on reg. GaugeFunc
-// re-registration replaces the callback, so with several engines in one
-// process the newest engine's built-in cache reports — processes that
-// want one coherent view plug a shared serving cache in instead.
-func newResultCache(capacity int, reg *obs.Registry) *resultCache {
-	c := &resultCache{cap: capacity, items: make(map[string]*Result), sizes: make(map[string]int64)}
-	c.evictions = reg.Counter("spate_result_cache_evictions_total",
-		"Cached results evicted to stay within bounds.", "tier", "engine")
-	c.invalidations = reg.Counter("spate_result_cache_invalidations_total",
-		"Cached results dropped by decay/ingest invalidation.", "tier", "engine")
-	reg.GaugeFunc("spate_result_cache_entries",
-		"Cached exploration results.", func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(len(c.items))
-		}, "tier", "engine")
-	reg.GaugeFunc("spate_result_cache_bytes",
-		"Estimated bytes held by cached exploration results.", func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(c.bytes)
-		}, "tier", "engine")
-	return c
+// ResultsUnder binds the keys under prefix of a result LRU to the
+// ResultCache contract; Invalidate and Clear drop only that prefix's
+// entries. An engine's default cache is the whole of its own LRU (prefix
+// ""), a serving namespace one prefix of a shared one.
+func ResultsUnder(lru *cache.LRU[*Result], prefix string) ResultCache {
+	return resultsUnder{lru: lru, prefix: prefix}
 }
 
-func (c *resultCache) Get(key string) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.items[key]
-	return r, ok
+type resultsUnder struct {
+	lru    *cache.LRU[*Result]
+	prefix string
 }
 
-func (c *resultCache) Put(key string, r *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.items[key]; !exists {
-		for len(c.items) >= c.cap && len(c.order) > 0 {
-			oldest := c.order[0]
-			c.order = c.order[1:]
-			c.dropLocked(oldest)
-			c.evictions.Inc()
-		}
-		c.order = append(c.order, key)
-	} else {
-		c.bytes -= c.sizes[key]
-	}
-	c.items[key] = r
-	c.sizes[key] = r.SizeBytes()
-	c.bytes += c.sizes[key]
-}
-
-// dropLocked removes one entry with its byte accounting; caller holds
-// c.mu.
-func (c *resultCache) dropLocked(key string) {
-	c.bytes -= c.sizes[key]
-	delete(c.items, key)
-	delete(c.sizes, key)
-}
+func (c resultsUnder) Get(key string) (*Result, bool) { return c.lru.Get(c.prefix + key) }
+func (c resultsUnder) Put(key string, r *Result)      { c.lru.Put(c.prefix+key, r) }
+func (c resultsUnder) Clear()                         { c.dropIf(func(*Result) bool { return true }) }
 
 // Invalidate drops every cached result whose served period intersects any
 // of the given ranges. ServedPeriod always covers the data a result was
@@ -1016,44 +957,26 @@ func (c *resultCache) dropLocked(key string) {
 // provably cannot observe the evicted data and survives. Ranges are
 // half-open like telco.TimeRange: an entry exactly adjacent to a range
 // does not overlap it and stays.
-func (c *resultCache) Invalidate(ranges []telco.TimeRange) {
+func (c resultsUnder) Invalidate(ranges []telco.TimeRange) {
 	if len(ranges) == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keep := c.order[:0]
-	for _, key := range c.order {
-		r := c.items[key]
-		stale := false
+	c.dropIf(func(r *Result) bool {
 		for _, tr := range ranges {
 			if r.ServedPeriod.Overlaps(tr) {
-				stale = true
-				break
+				return true
 			}
 		}
-		if stale {
-			c.dropLocked(key)
-			c.invalidations.Inc()
-		} else {
-			keep = append(keep, key)
-		}
-	}
-	c.order = keep
+		return false
+	})
 }
 
-func (c *resultCache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.items = make(map[string]*Result)
-	c.sizes = make(map[string]int64)
-	c.order = nil
-	c.bytes = 0
+func (c resultsUnder) dropIf(stale func(*Result) bool) {
+	c.lru.DropIf(func(key string, r *Result) bool { return strings.HasPrefix(key, c.prefix) && stale(r) })
 }
 
 // SizeBytes estimates the retained heap footprint of a result — the unit
-// bytes-bounded result caches (the serving tier's shared LRU, and the
-// built-in cache's occupancy gauge) budget by. It costs maps and slices
+// result caches budget by. It costs maps and slices
 // at shallow per-element sizes, so it is an estimate, but a
 // deterministic one, and cheap enough to run once per cache Put.
 func (r *Result) SizeBytes() int64 {

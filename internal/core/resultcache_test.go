@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"spate/internal/dfs"
+	"spate/internal/gen"
 	"spate/internal/obs"
+	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
 
@@ -37,7 +40,7 @@ func TestResultCacheInvalidateBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newResultCache(8, obs.NewRegistry())
+			c := ResultsUnder(NewResultLRU(1<<20, obs.NewRegistry()), "")
 			c.Put("k", &Result{ServedPeriod: tc.served})
 			c.Invalidate([]telco.TimeRange{tc.stale})
 			_, ok := c.Get("k")
@@ -50,11 +53,10 @@ func TestResultCacheInvalidateBoundaries(t *testing.T) {
 }
 
 // TestResultCacheInvalidateMultiRange checks that one sweep with several
-// stale ranges drops exactly the overlapping entries and keeps eviction
-// order intact for the survivors.
+// stale ranges drops exactly the overlapping entries.
 func TestResultCacheInvalidateMultiRange(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := newResultCache(8, reg)
+	lru := NewResultLRU(1<<20, obs.NewRegistry())
+	c := ResultsUnder(lru, "")
 	c.Put("a", &Result{ServedPeriod: rcWindow(0, 2)})
 	c.Put("b", &Result{ServedPeriod: rcWindow(2, 4)})
 	c.Put("c", &Result{ServedPeriod: rcWindow(4, 6)})
@@ -68,54 +70,45 @@ func TestResultCacheInvalidateMultiRange(t *testing.T) {
 	if _, ok := c.Get("c"); ok {
 		t.Error("c overlaps [5,6): should be dropped")
 	}
-	if got := c.invalidations.Value(); got != 2 {
+	if got := lru.Stats().Invalidations; got != 2 {
 		t.Errorf("invalidations = %d, want 2", got)
 	}
 }
 
-// TestResultCacheEvictionAccounting checks the FIFO bound, the eviction
-// counter and the byte accounting through put/evict/clear.
+// TestResultCacheEvictionAccounting checks the byte bound, the eviction
+// counter and the byte accounting through put/evict/replace/clear.
 func TestResultCacheEvictionAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newResultCache(2, reg)
+	unit := (&Result{ServedPeriod: rcWindow(0, 1)}).SizeBytes()
+	lru := NewResultLRU(2*unit, reg)
+	c := ResultsUnder(lru, "")
 	c.Put("a", &Result{ServedPeriod: rcWindow(0, 1)})
 	c.Put("b", &Result{ServedPeriod: rcWindow(1, 2)})
-	c.Put("c", &Result{ServedPeriod: rcWindow(2, 3)}) // evicts a
+	c.Put("c", &Result{ServedPeriod: rcWindow(2, 3)}) // evicts a, the coldest
 	if _, ok := c.Get("a"); ok {
-		t.Error("a should have been evicted (FIFO)")
+		t.Error("a should have been evicted")
 	}
 	if _, ok := c.Get("b"); !ok {
 		t.Error("b should still be cached")
 	}
-	if got := c.evictions.Value(); got != 1 {
+	if got := reg.Counter("spate_result_cache_evictions_total", "").Value(); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
 	// Replacing an existing key must not evict or leak byte accounting.
 	c.Put("b", &Result{ServedPeriod: rcWindow(1, 2)})
-	if got := c.evictions.Value(); got != 1 {
-		t.Errorf("evictions after replace = %d, want 1", got)
+	if st := lru.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Bytes != 2*unit {
+		t.Errorf("after replace: %+v, want 1 eviction and 2 entries of %d bytes", st, unit)
 	}
-	var want int64
-	c.mu.Lock()
-	for _, s := range c.sizes {
-		want += s
-	}
-	if c.bytes != want {
-		t.Errorf("bytes = %d, want sum of sizes %d", c.bytes, want)
-	}
-	c.mu.Unlock()
 	c.Clear()
-	c.mu.Lock()
-	if c.bytes != 0 || len(c.items) != 0 || len(c.order) != 0 {
-		t.Errorf("clear left bytes=%d items=%d order=%d", c.bytes, len(c.items), len(c.order))
+	if st := lru.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("clear left %+v", st)
 	}
-	c.mu.Unlock()
 }
 
 // TestResultCacheConcurrent hammers get/put/invalidate/clear from many
 // goroutines; run under -race it pins the cache's concurrency contract.
 func TestResultCacheConcurrent(t *testing.T) {
-	c := newResultCache(16, obs.NewRegistry())
+	c := ResultsUnder(NewResultLRU(64<<10, obs.NewRegistry()), "")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -141,4 +134,65 @@ func TestResultCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEngineResultCacheStaysInBudget: an engine's own result cache is
+// bounded by bytes. Exact-row explorations of distinct windows, more of
+// them than its 64 MiB hold, leave spate_result_cache_bytes within the
+// budget. (A cache bounded by entries keeps them all, whatever their size.)
+func TestEngineResultCacheStaysInBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("holds 64 MiB of results; the race detector multiplies that")
+	}
+	if testing.Short() {
+		t.Skip("fills a 64 MiB cache")
+	}
+	cfg := gen.DefaultConfig(0.004)
+	cfg.Antennas = 30
+	cfg.Users = 300
+	cfg.CDRPerEpoch = 600
+	g := gen.New(cfg)
+	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e, err := Open(fs, g.CellTable(), Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0 := telco.EpochOf(cfg.Start)
+	for i := 0; i < 2; i++ {
+		s := snapshot.New(e0 + telco.Epoch(i))
+		s.Add(g.CDRTable(s.Epoch))
+		if _, err := e.Ingest(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each answer holds the same ~400 rows of ~200 columns, about 2 MiB;
+	// together they are a quarter more than the budget in some 40 entries.
+	var put int64
+	for i := 0; put <= defaultResultCacheBytes*5/4; i++ {
+		w := telco.NewTimeRange(cfg.Start.Add(time.Duration(i)*time.Second), cfg.Start.Add(time.Hour))
+		res, err := e.Explore(Query{Window: w, ExactRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit {
+			t.Fatalf("window %d hit the cache", i)
+		}
+		put += res.SizeBytes()
+	}
+	var held float64
+	for _, m := range reg.Snapshot() {
+		if m.Name == "spate_result_cache_bytes" {
+			for _, s := range m.Series {
+				held += s.Value
+			}
+		}
+	}
+	if held == 0 || held > defaultResultCacheBytes {
+		t.Fatalf("spate_result_cache_bytes = %.0f after %d bytes of results, want within the %d-byte budget",
+			held, put, defaultResultCacheBytes)
+	}
 }

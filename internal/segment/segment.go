@@ -65,13 +65,13 @@
 // The whole v3 footer (chunk entries + column directories) is itself
 // block-compressed; the tail's footer length counts the compressed bytes.
 //
-// Readers inflate a chunk once (ChunkBytes — the form a cache holds) and
-// decode from there: scans take a column batch of just the columns they
-// touch (DecodeBatch), compaction reconstructs a v3 chunk's exact wire text by
-// decoding every stream and re-joining fields (ChunkData), and
-// ChunkColumns materializes selected columns as wire fields. Readers
-// accept versions 1-3; the row Writer emits v2 and the ColumnWriter emits
-// v3.
+// Readers inflate a chunk once (ChunkBytes — the form the engine's chunk
+// cache, an internal/cache LRU, holds) and decode from there: scans take a
+// column batch of just the columns they touch (DecodeBatch), compaction
+// reconstructs a v3 chunk's exact wire text by decoding every stream and
+// re-joining fields (ChunkData), and ChunkColumns materializes selected
+// columns as wire fields. Readers accept versions 1-3; the row Writer
+// emits v2 and the ColumnWriter emits v3.
 //
 // The format byte selects the read path: files that do not start with the
 // magic are legacy whole-blob leaves and must be read through the codec

@@ -117,7 +117,7 @@ func TestServingParitySingleNode(t *testing.T) {
 	defer srvA.Close()
 
 	// Variant B: shared serving cache and generous admission in front.
-	shared := serving.NewUnregisteredLRU(32 << 20)
+	shared := serving.NewLRU(32<<20, obs.NewRegistry())
 	engB, _, _ := newEngine(t, core.Options{
 		Obs:         obs.NewRegistry(),
 		ResultCache: serving.Namespace(shared, "engine"),
@@ -155,14 +155,12 @@ func TestServingParityCluster(t *testing.T) {
 		t.Skip("boots a 4-node loopback cluster")
 	}
 	g, cfg := testGen()
-	shared := serving.NewUnregisteredLRU(32 << 20)
 	local, err := cluster.StartLocal(
 		cluster.Config{Shards: 4, Obs: obs.NewRegistry(), Tracer: obs.NewTracer(64)},
 		g.CellTable(),
 		cluster.LocalOptions{
-			Dir:         t.TempDir(),
-			Engine:      core.Options{Obs: obs.NewRegistry()},
-			ResultCache: shared,
+			Dir:    t.TempDir(),
+			Engine: core.Options{Obs: obs.NewRegistry()},
 		},
 	)
 	if err != nil {
@@ -214,7 +212,7 @@ func TestServingParityCluster(t *testing.T) {
 // spaced over the refill schedule, not one constant.
 func TestThunderingHerd(t *testing.T) {
 	engReg := obs.NewRegistry()
-	shared := serving.NewUnregisteredLRU(32 << 20)
+	shared := serving.NewLRU(32<<20, obs.NewRegistry())
 	eng, window, cells := newEngine(t, core.Options{
 		Obs:         engReg,
 		ResultCache: serving.Namespace(shared, "engine"),

@@ -3,8 +3,8 @@
 // concurrency caps with load shedding (429 with an honest Retry-After
 // derived from bucket refill, 503 on queue overflow), a bounded FIFO
 // admission queue so briefly-over-limit queries wait instead of failing,
-// and a shared bytes-bounded result cache every local engine plugs into
-// through core.Options.ResultCache.
+// and a shared bytes-bounded result cache a single-engine server plugs
+// into through core.Options.ResultCache.
 //
 // Tenant identity rides on the X-Spate-Tenant header. The admission
 // middleware stamps it into the request context; the cluster client
