@@ -90,11 +90,14 @@ bench-check:
 		-metric evals/window -tolerance 2.0
 	rm -f BENCH_segment.base.json BENCH_scan.base.json BENCH_parallel.base.json BENCH_serving.base.json
 
-# Fuzz the WAL record decoder and the v3 column-stream decoders (string and
-# column-batch, one target) for a short, CI-friendly budget.
+# Fuzz the WAL record decoder, the v3 column-stream decoders (string and
+# column-batch, one target), the binary summary decoder and the explore
+# frame reader for a short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/
+	$(GO) test -fuzz FuzzDecodeSummary -fuzztime 30s -run XXX ./internal/highlights/
+	$(GO) test -fuzz FuzzExploreFrame -fuzztime 30s -run XXX ./internal/cluster/
 
 fmt:
 	gofmt -l -w .

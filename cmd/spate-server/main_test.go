@@ -16,7 +16,6 @@ import (
 	"spate/internal/core"
 	"spate/internal/dfs"
 	"spate/internal/gen"
-	"spate/internal/highlights"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
@@ -152,8 +151,8 @@ func TestLookAheadStopsAtFirstError(t *testing.T) {
 // bootStore ingests snaps into a fresh store — through Ingest, or through
 // the boot loader's Prepare/Commit look-ahead — and returns every DFS file
 // it holds after FinishIngest, the space report and the ingest error. Leaf
-// files come back as their bytes; the gob-encoded journal entries and
-// summaries come back decoded, because gob writes a map in iteration order
+// and summary files come back as their bytes; the gob-encoded journal
+// entries come back decoded, because gob writes a map in iteration order
 // and equal values need not be equal bytes.
 func bootStore(t *testing.T, g *gen.Generator, snaps []*snapshot.Snapshot, ahead bool) (map[string]any, core.SpaceReport, error) {
 	t.Helper()
@@ -217,12 +216,6 @@ func bootStore(t *testing.T, g *gen.Generator, snaps []*snapshot.Snapshot, ahead
 				t.Fatalf("%s decoded to %+v", fi.Path, m)
 			}
 			files[fi.Path] = m
-		case strings.HasPrefix(fi.Path, "/spate/index/"):
-			sum, err := highlights.Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[fi.Path] = sum
 		default:
 			files[fi.Path] = string(data)
 		}

@@ -49,7 +49,8 @@ func retryAfterOf(err error) time.Duration {
 }
 
 // client is the coordinator's HTTP side: one shared transport, JSON in,
-// JSON out, errors surfaced from the peer's error envelope.
+// JSON or an explore frame out, errors surfaced from the peer's error
+// envelope.
 type client struct {
 	hc *http.Client
 }
@@ -67,13 +68,46 @@ func newClient() *client {
 // post sends req as JSON to base+path and decodes the JSON response into
 // resp. Deadlines and cancellation ride on ctx.
 func (c *client) post(ctx context.Context, base, path string, req, resp any) error {
+	hreq, err := newPost(ctx, base, path, req)
+	if err != nil {
+		return err
+	}
+	return c.do(hreq, path, base, jsonInto(resp))
+}
+
+// explore posts req to base's /rpc/explore and reads the explore frame it
+// answers with, decoding the summary parts on the caller's goroutine. A 200
+// that is not an explore frame comes from a node of another version.
+func (c *client) explore(ctx context.Context, base string, req exploreRequest) (*exploreResponse, error) {
+	const path = "/rpc/explore"
+	hreq, err := newPost(ctx, base, path, req)
+	if err != nil {
+		return nil, err
+	}
+	var resp *exploreResponse
+	err = c.do(hreq, path, base, func(hresp *http.Response) error {
+		if ct := hresp.Header.Get("Content-Type"); ct != exploreFrameType {
+			return fmt.Errorf("answer is %q, not %q: node and coordinator run different versions", ct, exploreFrameType)
+		}
+		body, err := io.ReadAll(hresp.Body)
+		if err != nil {
+			return err
+		}
+		resp, err = readExploreFrame(body)
+		return err
+	})
+	return resp, err
+}
+
+// newPost builds a POST of req as JSON to base+path.
+func newPost(ctx context.Context, base, path string, req any) (*http.Request, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("cluster: marshal %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: marshal %s: %w", path, err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("cluster: request %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: request %s: %w", path, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	// Propagate the caller's trace identity so shard-side spans stitch
@@ -81,7 +115,7 @@ func (c *client) post(ctx context.Context, base, path string, req, resp any) err
 	// per-shard load stays attributable to the tenant that caused it.
 	obs.InjectTrace(ctx, hreq.Header)
 	serving.InjectTenant(ctx, hreq.Header)
-	return c.do(hreq, path, base, resp)
+	return hreq, nil
 }
 
 // get fetches base+path and decodes the JSON response into resp.
@@ -90,10 +124,20 @@ func (c *client) get(ctx context.Context, base, path string, resp any) error {
 	if err != nil {
 		return fmt.Errorf("cluster: request %s: %w", path, err)
 	}
-	return c.do(hreq, path, base, resp)
+	return c.do(hreq, path, base, jsonInto(resp))
 }
 
-func (c *client) do(hreq *http.Request, path, base string, resp any) error {
+// jsonInto reads a JSON answer into resp; nil discards the answer.
+func jsonInto(resp any) func(*http.Response) error {
+	if resp == nil {
+		return nil
+	}
+	return func(hresp *http.Response) error { return json.NewDecoder(hresp.Body).Decode(resp) }
+}
+
+// do sends hreq, turns an answer other than 200 into a statusError, and
+// hands a 200 to read (nil: the answer is discarded).
+func (c *client) do(hreq *http.Request, path, base string, read func(*http.Response) error) error {
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("cluster: %s %s: %w", path, base, err)
@@ -113,10 +157,10 @@ func (c *client) do(hreq *http.Request, path, base string, resp any) error {
 		}
 		return &statusError{code: hresp.StatusCode, msg: fmt.Sprintf("cluster: %s %s: HTTP %d", path, base, hresp.StatusCode), retryAfter: retryAfter}
 	}
-	if resp == nil {
+	if read == nil {
 		return nil
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(resp); err != nil {
+	if err := read(hresp); err != nil {
 		return fmt.Errorf("cluster: decode %s %s: %w", path, base, err)
 	}
 	return nil

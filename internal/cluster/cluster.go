@@ -8,8 +8,9 @@
 // monolithic engine's) are assigned round-robin to shards, optionally
 // sub-split spatially into vertical bands of the cell plane. Each shard is
 // served by R replica nodes; every node is a plain core.Engine behind a
-// small HTTP/JSON RPC surface (/rpc/ingest, /rpc/explore, /rpc/health,
-// /rpc/finish).
+// small HTTP RPC surface (/rpc/ingest, /rpc/explore, /rpc/health,
+// /rpc/finish): JSON envelopes, except the binary frame /rpc/explore
+// answers with (rpc.go).
 //
 // The coordinator keeps the distribution layer deliberately thin (the
 // Spark-vs-Unicage lesson of arXiv:2212.13647): predicates are pushed to

@@ -511,13 +511,7 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		res.DecayedLeaves += o.resp.Decayed
 		leaves += o.resp.Leaves
 		live += o.resp.Live
-		for _, blob := range o.resp.Parts {
-			p, err := highlights.Decode(blob)
-			if err != nil {
-				return fail(fmt.Errorf("cluster: shard %d part: %w", o.sp.Shard, err))
-			}
-			parts = append(parts, p)
-		}
+		parts = append(parts, o.resp.Parts...)
 	}
 	if len(failed) == len(shards) {
 		return fail(fmt.Errorf("cluster: all %d shards failed: %w", len(shards), firstErr))
@@ -544,7 +538,7 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 				continue
 			}
 			if err := gatherRows(res.Rows, o.resp); err != nil {
-				return nil, err
+				return fail(err)
 			}
 		}
 	}
@@ -698,9 +692,11 @@ func (c *Coordinator) hedgedExplore(ctx context.Context, slot int, req exploreRe
 		// Successive attempts rotate the replica asked first.
 		url := urls[(attempt+i)%len(urls)]
 		go func() {
-			var er exploreResponse
-			err := c.cl.post(actx, url, "/rpc/explore", req, &er)
-			ch <- reply{&er, err, hedge}
+			// The answer's summary parts decode here, in the replica's own
+			// goroutine: slots decode in parallel, and a malformed frame or
+			// part fails this replica alone (failover, hedge, retry).
+			resp, err := c.cl.explore(actx, url, req)
+			ch <- reply{resp, err, hedge}
 		}()
 	}
 	launch(0, false)

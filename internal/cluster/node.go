@@ -221,20 +221,27 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 	defer span.End()
 	ctx, prof := core.ContextWithProfile(ctx)
 
-	resp := exploreResponse{Parts: [][]byte{}, Leaves: n.eng.Snapshots(), Live: n.liveRows()}
+	resp := exploreResponse{Leaves: n.eng.Snapshots(), Live: n.liveRows()}
 	if resp.Leaves == 0 && resp.Live == 0 {
 		// An empty shard legitimately owns no data in any window; the
 		// coordinator decides whether the cluster as a whole is empty.
 		span.SetAttr("empty", "true")
-		writeJSON(w, resp)
+		body, _ := encodeFrameBody(&resp) // no parts, so nothing to fail encoding
+		writeExploreFrame(w, &resp, body)
 		return
 	}
 	fail := func(err error) {
 		span.SetError(err)
 		rpcError(w, http.StatusInternalServerError, err)
 	}
-	// answer ships resp with the shard-local profile and span subtree.
+	// answer ships resp with the shard-local profile and span subtree; the
+	// frame's parts and rows are encoded before the span ends.
 	answer := func(attr string, v int) {
+		body, err := encodeFrameBody(&resp)
+		if err != nil {
+			fail(err)
+			return
+		}
 		resp.Profile = prof
 		if span != nil {
 			span.SetAttr(attr, strconv.Itoa(v))
@@ -242,7 +249,7 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 			j := span.JSON()
 			resp.Trace = &j
 		}
-		writeJSON(w, resp)
+		writeExploreFrame(w, &resp, body)
 	}
 	win := telco.TimeRange{
 		From: time.Unix(req.FromUnix, 0).UTC(),
@@ -270,15 +277,7 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 			fail(err)
 			return
 		}
-		resp.Scanned, resp.Decayed = diag.ScannedLeaves, diag.DecayedLeaves
-		for _, p := range parts {
-			blob, err := p.Encode()
-			if err != nil {
-				fail(err)
-				return
-			}
-			resp.Parts = append(resp.Parts, blob)
-		}
+		resp.Parts, resp.Scanned, resp.Decayed = parts, diag.ScannedLeaves, diag.DecayedLeaves
 	}
 	if req.Rows {
 		var tables map[string]*telco.Table

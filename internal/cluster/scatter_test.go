@@ -23,7 +23,8 @@ import (
 // and no box is the SQL scan path, which throws summary parts away — so the
 // node must not rebuild, encode or ship any. Its profile then counts the
 // leaves and chunks of the spec scan alone, and its span subtree has no
-// explore_parts. A plain ExactRows exploration still gets parts and rows.
+// explore_parts. A plain ExactRows exploration still gets parts and rows,
+// and an empty shard's explore frame decodes with no parts.
 func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	g, snaps, window := testTrace(t, 1)
 	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
@@ -48,23 +49,7 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	spec := &scanspec.Spec{Columns: []string{telco.AttrUpflux}}
 	ask := func(req exploreRequest) exploreResponse {
 		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc/explore", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("/rpc/explore: status %d: %s", rec.Code, rec.Body)
-		}
-		if !strings.Contains(rec.Body.String(), `"parts":[`) {
-			t.Fatalf("answer lost its parts array: %.120s", rec.Body)
-		}
-		var resp exploreResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return *askNode(t, node, req)
 	}
 	base := exploreRequest{FromUnix: w.From.Unix(), ToUnix: w.To.Unix(), Rows: true, Tables: []string{"CDR"}}
 
@@ -99,6 +84,42 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	if len(collectSpans(*both.Trace, "explore_parts")) != 1 {
 		t.Error("ExactRows exploration did not run explore_parts")
 	}
+
+	// An empty shard answers with the same frame, and no parts in it.
+	empty := askNode(t, NewNode(newRefEngine(t, g)), base)
+	if len(empty.Parts) != 0 || empty.Leaves != 0 || len(empty.Rows) != 0 {
+		t.Errorf("empty shard answered %d parts, %d leaves, %d row tables", len(empty.Parts), empty.Leaves, len(empty.Rows))
+	}
+}
+
+// askNode posts req to node's /rpc/explore and reads the explore frame it
+// answers with.
+func askNode(tb testing.TB, node *Node, req exploreRequest) *exploreResponse {
+	tb.Helper()
+	resp, err := readExploreFrame(exploreFrame(tb, node, req))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return resp
+}
+
+// exploreFrame posts req to node's /rpc/explore and returns the explore
+// frame it answers with.
+func exploreFrame(tb testing.TB, node *Node, req exploreRequest) []byte {
+	tb.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc/explore", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("/rpc/explore: status %d: %s", rec.Code, rec.Body)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != exploreFrameType {
+		tb.Fatalf("/rpc/explore answered %q, not an explore frame", ct)
+	}
+	return rec.Body.Bytes()
 }
 
 // TestScatterModes: the one scatter serves both contracts. Strict callers

@@ -12,7 +12,6 @@ import (
 
 	"spate/internal/compress"
 	"spate/internal/dfs"
-	"spate/internal/highlights"
 	"spate/internal/obs"
 	"spate/internal/segment"
 	"spate/internal/snapshot"
@@ -183,9 +182,9 @@ func TestPrepareCommit(t *testing.T) {
 	}
 }
 
-// storeContents reads every DFS file into a comparable value: leaf bytes as
-// they are, gob-encoded journal entries and summaries decoded (gob writes a
-// map in iteration order, so equal values need not be equal bytes).
+// storeContents reads every DFS file into a comparable value: leaf and
+// summary bytes as they are, gob-encoded journal entries decoded (gob writes
+// a map in iteration order, so equal values need not be equal bytes).
 func storeContents(t *testing.T, fs *dfs.Cluster) map[string]any {
 	t.Helper()
 	out := make(map[string]any)
@@ -201,12 +200,6 @@ func storeContents(t *testing.T, fs *dfs.Cluster) map[string]any {
 				t.Fatal(err)
 			}
 			out[fi.Path] = m
-		case strings.HasPrefix(fi.Path, "/spate/index/"):
-			sum, err := highlights.Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[fi.Path] = sum
 		default:
 			out[fi.Path] = string(data)
 		}

@@ -15,7 +15,10 @@ import (
 // The engine persists enough state on the DFS to survive a restart:
 //
 //	/spate/meta/leaf/<epoch>      gob leafMeta per ingested snapshot
-//	/spate/index/<level>/<start>  gob highlight summary per sealed node
+//	/spate/index/<level>/<start>  highlight summary per sealed node, in its
+//	                              binary encoding (highlights.Summary.Encode;
+//	                              stores written before it hold gob, which
+//	                              highlights.Decode still reads)
 //
 // Open detects leaf metadata on the cluster and rebuilds the temporal
 // index from it (recovery), loading sealed summaries back into the tree.

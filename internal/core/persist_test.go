@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
 	"spate/internal/decay"
 	"spate/internal/dfs"
 	"spate/internal/gen"
+	"spate/internal/highlights"
 	"spate/internal/index"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
@@ -130,6 +134,68 @@ func TestRecoveryAfterSubtreePrune(t *testing.T) {
 	}
 	if res.Summary.Rows == 0 {
 		t.Error("pruned day lost its aggregates after recovery")
+	}
+}
+
+// TestRecoveryReadsLegacyGobSummaries: a store whose /spate/index/*
+// summaries are gob, the encoding they were persisted in before the binary
+// form, recovers and answers the same explorations as the same store with
+// binary summaries — day 1 from its persisted summary alone.
+func TestRecoveryReadsLegacyGobSummaries(t *testing.T) {
+	r := newRig(t, Options{Policy: decay.Policy{
+		KeepRaw: 2 * time.Hour, KeepEpochNodes: 12 * time.Hour,
+	}})
+	r.ingestEpochs(t, 2*telco.EpochsPerDay) // day 1 fully collapses
+	current := reopen(t, r, Options{})
+
+	files := r.fs.List("/spate/index/")
+	if len(files) == 0 {
+		t.Fatal("no persisted summaries")
+	}
+	for _, fi := range files {
+		data, err := r.fs.ReadFile(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := highlights.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var legacy bytes.Buffer
+		if err := gob.NewEncoder(&legacy).Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		if data[0] == legacy.Bytes()[0] {
+			t.Fatalf("%s: persisted as gob, want the binary form", fi.Path)
+		}
+		if err := r.fs.Delete(fi.Path); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.fs.WriteFile(fi.Path, legacy.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := reopen(t, r, Options{})
+
+	day := 24 * time.Hour
+	for _, w := range []telco.TimeRange{
+		telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(day)),
+		telco.NewTimeRange(r.cfg.Start.Add(6*time.Hour), r.cfg.Start.Add(day+6*time.Hour)),
+		telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(2*day)),
+	} {
+		want, err := current.Explore(Query{Window: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := legacy.Explore(Query{Window: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Summary.Rows == 0 || !reflect.DeepEqual(got.Summary, want.Summary) ||
+			!reflect.DeepEqual(got.Cells, want.Cells) || !reflect.DeepEqual(got.Highlights, want.Highlights) {
+			t.Errorf("window %v: the gob store answers %d rows, the binary one %d (or cells/highlights differ)",
+				w, got.Summary.Rows, want.Summary.Rows)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"spate/internal/dfs"
-	"spate/internal/highlights"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 	"spate/internal/wal"
@@ -235,9 +234,9 @@ func TestStreamCrashRecoveryReplay(t *testing.T) {
 	assertStoresEqual(t, batch.fs, r.fs)
 }
 
-// assertStoresEqual compares two DFS stores: data leaves must match
-// bit-for-bit; gob metadata (leaf metas, index summaries) is compared
-// decoded, because gob writes map fields in nondeterministic order.
+// assertStoresEqual compares two DFS stores: data leaves and index
+// summaries must match bit-for-bit; gob leaf metas are compared decoded,
+// because gob writes map fields in nondeterministic order.
 func assertStoresEqual(t *testing.T, want, got *dfs.Cluster) {
 	t.Helper()
 	wFiles := want.List("/spate/")
@@ -265,17 +264,6 @@ func assertStoresEqual(t *testing.T, want, got *dfs.Cluster) {
 			}
 			if !reflect.DeepEqual(wm, gm) {
 				t.Errorf("%s: leaf meta differs:\n  want %+v\n  got  %+v", fi.Path, wm, gm)
-			}
-		case strings.HasPrefix(fi.Path, "/spate/index/"):
-			var ws, gs highlights.Summary
-			if err := gob.NewDecoder(bytes.NewReader(wb)).Decode(&ws); err != nil {
-				t.Fatal(err)
-			}
-			if err := gob.NewDecoder(bytes.NewReader(gb)).Decode(&gs); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ws, gs) {
-				t.Errorf("%s: summary differs", fi.Path)
 			}
 		default:
 			if !bytes.Equal(gb, wb) {

@@ -1,0 +1,279 @@
+package highlights
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"spate/internal/telco"
+)
+
+// randomSummary draws a summary with everything the encoding has a rule
+// for: empty maps, zero times and times with nanoseconds, NaN, ±Inf and −0,
+// the MaxCatValues overflow entry, negative and sparse cell ids (the int64
+// extremes among them), and attributes tracked in some cells only.
+func randomSummary(rng *rand.Rand) *Summary {
+	refs := []AttrRef{{"CDR", "downflux"}, {"CDR", "upflux"}, {"NMS", "drop_calls"}, {"NMS", "rssi_dbm"}, {"", ""}}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1.5, -7e300, math.SmallestNonzeroFloat64}
+	float := func() float64 {
+		if rng.Intn(2) == 0 {
+			return floats[rng.Intn(len(floats))]
+		}
+		return rng.NormFloat64() * 1e6
+	}
+	when := func() time.Time {
+		switch rng.Intn(4) {
+		case 0:
+			return time.Time{}
+		case 1:
+			return time.Unix(1453075200+rng.Int63n(86400), rng.Int63n(1e9)).UTC()
+		}
+		return time.Unix(1453075200+rng.Int63n(86400), 0).UTC()
+	}
+	stats := func() *Stats {
+		return &Stats{NonNull: rng.Int63n(1 << uint(rng.Intn(40))), Sum: float(), SumSq: float(), Min: float(), Max: float(), PeakTime: when()}
+	}
+	s := NewSummary(telco.TimeRange{From: when(), To: when()})
+	s.Rows = rng.Int63() - rng.Int63()
+	empty := rng.Intn(4) // 0..2: leave that section empty
+	if empty != 0 {
+		for _, ref := range refs {
+			if rng.Intn(3) > 0 {
+				s.Num[ref] = stats()
+			}
+		}
+	}
+	if empty != 1 {
+		for _, ref := range refs[:1+rng.Intn(len(refs))] {
+			vals := make(map[string]*ValStat)
+			for i := rng.Intn(6); i >= 0; i-- {
+				vals[fmt.Sprintf("v%d", rng.Intn(100))] = &ValStat{Count: rng.Int63n(1000), First: when(), Last: when()}
+			}
+			if rng.Intn(2) == 0 {
+				vals[overflowValue] = &ValStat{Count: rng.Int63n(1000), First: when(), Last: when()}
+			}
+			if rng.Intn(5) == 0 {
+				vals[""] = &ValStat{}
+			}
+			s.Cat[ref] = vals
+		}
+	}
+	if empty != 2 {
+		ids := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1}
+		for i := rng.Intn(40); i > 0; i-- {
+			ids = append(ids, rng.Int63n(1<<uint(1+rng.Intn(62)))-rng.Int63n(1<<20))
+		}
+		for _, id := range ids[rng.Intn(len(ids)):] {
+			cs := &CellStats{Rows: rng.Int63n(1 << 20), Num: make(map[AttrRef]*Stats)}
+			for _, ref := range refs[:4] {
+				if rng.Intn(3) == 0 {
+					cs.Num[ref] = stats()
+				}
+			}
+			s.Cells[id] = cs
+		}
+	}
+	return s
+}
+
+// sameSummary compares two summaries field by field, floats by their bits
+// and times as values (location included).
+func sameSummary(t *testing.T, got, want *Summary) {
+	t.Helper()
+	sameStats := func(what string, g, w *Stats) {
+		t.Helper()
+		if g == nil || g.NonNull != w.NonNull || g.PeakTime != w.PeakTime {
+			t.Fatalf("%s: got %+v, want %+v", what, g, w)
+		}
+		for i, pair := range [][2]float64{{g.Sum, w.Sum}, {g.SumSq, w.SumSq}, {g.Min, w.Min}, {g.Max, w.Max}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("%s: float %d is %v, want %v", what, i, pair[0], pair[1])
+			}
+		}
+	}
+	if got.Period != want.Period || got.Rows != want.Rows {
+		t.Fatalf("period/rows: got %v %d, want %v %d", got.Period, got.Rows, want.Period, want.Rows)
+	}
+	if len(got.Num) != len(want.Num) || len(got.Cat) != len(want.Cat) || len(got.Cells) != len(want.Cells) {
+		t.Fatalf("sizes: got %d/%d/%d, want %d/%d/%d", len(got.Num), len(got.Cat), len(got.Cells), len(want.Num), len(want.Cat), len(want.Cells))
+	}
+	for ref, w := range want.Num {
+		sameStats(fmt.Sprintf("num %v", ref), got.Num[ref], w)
+	}
+	for ref, wv := range want.Cat {
+		gv := got.Cat[ref]
+		if len(gv) != len(wv) {
+			t.Fatalf("cat %v: %d values, want %d", ref, len(gv), len(wv))
+		}
+		for v, w := range wv {
+			if g := gv[v]; g == nil || *g != *w {
+				t.Fatalf("cat %v=%q: got %+v, want %+v", ref, v, g, w)
+			}
+		}
+	}
+	for id, w := range want.Cells {
+		g := got.Cells[id]
+		if g == nil || g.Rows != w.Rows || len(g.Num) != len(w.Num) || g.Num == nil {
+			t.Fatalf("cell %d: got %+v, want %+v", id, g, w)
+		}
+		for ref, ws := range w.Num {
+			sameStats(fmt.Sprintf("cell %d %v", id, ref), g.Num[ref], ws)
+		}
+	}
+}
+
+// TestEncodeDecodeRoundTrip: over seeded random summaries, Decode(Encode(s))
+// is s field by field and bit for bit, Encode gives the same bytes every
+// time, and no proper prefix of an encoding decodes.
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		s := randomSummary(rng)
+		data, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := s.Encode()
+		if err != nil || !bytes.Equal(data, again) {
+			t.Fatalf("trial %d: Encode is not deterministic (%v)", trial, err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sameSummary(t, got, s)
+		if trial%10 == 0 {
+			for n := 0; n < len(data); n++ {
+				if _, err := Decode(data[:n]); err == nil {
+					t.Fatalf("trial %d: a %d-byte prefix of %d bytes decoded", trial, n, len(data))
+				}
+			}
+		}
+	}
+	// A folded summary comes back deeply equal, empty cell maps included.
+	s := NewSummary(telco.NewTimeRange(t0, t0.Add(time.Hour)))
+	s.AddTable(testConfig(), mkTable(rec(t0, 1, "VOICE", 60), rec(t0.Add(time.Minute), 2, "SMS", 0),
+		telco.Record{telco.Time(t0), telco.Int(3), telco.Null, telco.Null}))
+	data, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(data); err != nil || !reflect.DeepEqual(got, s) {
+		t.Errorf("folded summary: decoded %+v (%v), want %+v", got, err, s)
+	}
+	if _, err := Decode([]byte("garbage")); err == nil {
+		t.Error("Decode(garbage) succeeded")
+	}
+	if _, err := DecodeBinary(legacyGob(t)); err == nil {
+		t.Error("DecodeBinary read gob")
+	}
+}
+
+// legacySummary is the summary testdata/summary-gob.bin holds, written by
+// the gob encoder summaries were persisted with before the binary form.
+func legacySummary() *Summary {
+	cfg := testConfig()
+	cfg.MaxCatValues = 3
+	s := NewSummary(telco.NewTimeRange(t0, t0.Add(24*time.Hour)))
+	s.AddTable(cfg, mkTable(
+		rec(t0, 1, "VOICE", 60),
+		rec(t0.Add(time.Minute), -3, "SMS", 0),
+		rec(t0.Add(2*time.Minute), 1, "DATA", 120),
+		rec(t0.Add(3*time.Minute), 40000, "MMS", 7),
+		rec(t0.Add(4*time.Minute), 1, "VOICE", 15),
+	))
+	return s
+}
+
+func legacyGob(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/summary-gob.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeLegacyGob: a summary the gob encoder wrote still decodes, to
+// exactly the summary it was written from.
+func TestDecodeLegacyGob(t *testing.T) {
+	got, err := Decode(legacyGob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := legacySummary()
+	if _, ok := want.Cat[AttrRef{"CDR", "call_type"}][overflowValue]; !ok {
+		t.Fatal("fixture summary lost its overflow entry")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("legacy gob decoded to %+v, want %+v", got, want)
+	}
+}
+
+// allocBound is what decoding n bytes may allocate: the smallest encodings
+// of a cell, a categorical value and an attribute become maps and structs a
+// few dozen times their size.
+func allocBound(n int) uint64 { return uint64(64*n + 64<<10) }
+
+// allocated returns the bytes f allocated.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeSummary: the binary decoder never panics, allocates no more
+// than a bound proportional to its input, and whatever it accepts
+// re-encodes to a form that decodes and re-encodes to itself. Legacy gob is
+// outside it: gob sizes maps from counts in the stream, without a bound.
+func FuzzDecodeSummary(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		data, err := randomSummary(rng).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// The costliest input per byte: cells without attributes, 3 bytes each.
+	sparse := legacySummary()
+	for id := int64(0); id < 5000; id++ {
+		sparse.Cells[id] = &CellStats{Num: map[AttrRef]*Stats{}}
+	}
+	for _, s := range []*Summary{legacySummary(), sparse} {
+		data, err := s.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s *Summary
+		var err error
+		if n := allocated(func() { s, err = DecodeBinary(data) }); n > allocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := DecodeBinary(enc)
+		if err != nil {
+			t.Fatalf("re-encoded summary does not decode: %v", err)
+		}
+		if enc2, err := s2.Encode(); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not stable (%v)", err)
+		}
+	})
+}

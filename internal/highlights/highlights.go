@@ -11,9 +11,6 @@
 package highlights
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -471,22 +468,4 @@ func (s *Summary) SizeHint() int64 {
 		n += 32 + int64(len(cs.Num))*96
 	}
 	return n
-}
-
-// Encode serializes the summary (gob) for persistence in the index layer.
-func (s *Summary) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("highlights: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes a summary produced by Encode.
-func Decode(data []byte) (*Summary, error) {
-	var s Summary
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("highlights: decode: %w", err)
-	}
-	return &s, nil
 }

@@ -272,28 +272,6 @@ func TestCatOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	s := NewSummary(telco.NewTimeRange(t0, t0.Add(time.Hour)))
-	s.AddTable(testConfig(), mkTable(
-		rec(t0, 1, "VOICE", 60),
-		rec(t0.Add(time.Minute), 2, "SMS", 0),
-	))
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows != s.Rows || len(got.Cells) != len(s.Cells) || len(got.Cat) != len(s.Cat) {
-		t.Errorf("decoded = %+v", got)
-	}
-	if _, err := Decode([]byte("garbage")); err == nil {
-		t.Error("Decode(garbage) succeeded")
-	}
-}
-
 func TestSizeHintGrowsWithContent(t *testing.T) {
 	empty := NewSummary(telco.NewTimeRange(t0, t0.Add(time.Hour)))
 	s := NewSummary(empty.Period)
