@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flaky widths vet bench bench-json bench-check fuzz fmt lint check loc
+.PHONY: all build test race flaky widths vet bench fuzz fmt lint check loc
 
 all: build
 
@@ -44,51 +44,21 @@ flaky:
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestClusterTracePartialShard$$' ./internal/cluster/
 
 # The un-raced counterpart of race's GOMAXPROCS sweep, cheap enough for
-# every CI run: the scan pipeline's package starved, at the box's width and
-# oversubscribed.
+# every CI run: the whole tree starved, at the box's width and
+# oversubscribed. It includes the default width of a 1-, 2- or 4-core
+# runner, so check runs no separate plain test pass.
 widths:
-	$(GO) test -cpu 1,2,4 ./internal/core/
+	$(GO) test -cpu 1,2,4 ./...
 
 vet:
 	$(GO) vet ./...
 
+# The per-package Benchmark* functions, for profiling a layer. They gate
+# nothing: end-to-end speed is benchmarks/run.sh --compare against
+# BENCHMARK.json, and the deterministic leaf bytes a scan inflates are
+# TestInflatedBytesCeilings in internal/core, part of every test run.
 bench:
 	$(GO) test -bench . -benchtime 10x -run XXX ./...
-
-# Machine-readable report for the exploration benchmarks: ns/op, leaf bytes
-# inflated per op and the chunk-cache hit rate land in BENCH_segment.json.
-bench-json:
-	$(GO) test -bench Explore -benchtime 5x -run XXX ./internal/core/ ./internal/cluster/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_segment.json
-	$(GO) test -bench Lifecycle -benchtime 5x -run XXX ./internal/lifecycle/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_lifecycle.json
-	$(GO) test -bench 'BenchmarkExplore$$/' -benchtime 2000x -run XXX ./internal/core/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_obs.json
-	$(GO) test -bench Stream -benchtime 20x -run XXX ./internal/core/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_ingest.json
-	$(GO) test -bench ColumnarScan -benchtime 5x -run XXX ./internal/core/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_scan.json
-	$(GO) test -bench ParallelScan -benchtime 3x -run XXX ./internal/core/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_parallel.json
-	$(GO) test -bench Serving -benchtime 5x -run XXX ./internal/bench/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_serving.json
-
-# Regression gate: regenerate the reports, then compare the deterministic
-# inflatedB/op numbers against the committed baselines — a format or
-# pushdown regression shows up as more leaf bytes inflated per operation,
-# independent of runner speed.
-bench-check:
-	cp BENCH_segment.json BENCH_segment.base.json
-	cp BENCH_scan.json BENCH_scan.base.json
-	cp BENCH_parallel.json BENCH_parallel.base.json
-	cp BENCH_serving.json BENCH_serving.base.json
-	$(MAKE) bench-json
-	$(GO) run ./cmd/benchjson -baseline BENCH_segment.base.json -candidate BENCH_segment.json
-	$(GO) run ./cmd/benchjson -baseline BENCH_scan.base.json -candidate BENCH_scan.json
-	$(GO) run ./cmd/benchjson -baseline BENCH_parallel.base.json -candidate BENCH_parallel.json
-	$(GO) run ./cmd/benchjson -baseline BENCH_serving.base.json -candidate BENCH_serving.json \
-		-metric evals/window -tolerance 2.0
-	rm -f BENCH_segment.base.json BENCH_scan.base.json BENCH_parallel.base.json BENCH_serving.base.json
 
 # Fuzz the WAL record decoder, the v3 column-stream decoders (string and
 # column-batch, one target), the binary summary decoder and the explore
@@ -120,4 +90,4 @@ loc:
 	done
 
 # Everything the CI gate runs.
-check: build vet test widths flaky
+check: build vet widths flaky

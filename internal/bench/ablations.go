@@ -24,8 +24,8 @@ import (
 func buildSpate(o Options, epochs []telco.Epoch, opts core.Options) (*core.Engine, *gen.Generator, func(), time.Duration, error) {
 	o = o.withDefaults()
 	g := gen.New(o.genConfig())
-	worldSeq++
-	dir := filepath.Join(o.Dir, fmt.Sprintf("spate-bench-%d-%d", os.Getpid(), worldSeq))
+	dirSeq++
+	dir := filepath.Join(o.Dir, fmt.Sprintf("spate-bench-%d-%d", os.Getpid(), dirSeq))
 	cleanup := func() { os.RemoveAll(dir) }
 	fs, err := dfs.NewCluster(dir, benchClusterConfig())
 	if err != nil {
@@ -53,13 +53,13 @@ func buildSpate(o Options, epochs []telco.Epoch, opts core.Options) (*core.Engin
 	return eng, g, cleanup, total, nil
 }
 
-// AblateCodec measures the storage-layer codec choice (§IV-C): per codec,
+// ablateCodec measures the storage-layer codec choice (§IV-C): per codec,
 // ingestion time, stored bytes and a range-query (T2-style) response time.
-func AblateCodec(w io.Writer, o Options) error {
+func ablateCodec(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	epochs := TraceEpochs(o.genConfig(), 1)
-	t := &Table{Title: "Ablation — storage codec (1 day of trace)",
-		Header: []string{"codec", "avg ingest", "data", "T2 response"}}
+	epochs := traceEpochs(o.genConfig(), 1)
+	t := &table{title: "Ablation — storage codec (1 day of trace)",
+		header: []string{"codec", "avg ingest", "data", "T2 response"}}
 	for _, name := range compress.Names() {
 		c, err := compress.Lookup(name)
 		if err != nil {
@@ -81,25 +81,25 @@ func AblateCodec(w io.Writer, o Options) error {
 			return err
 		}
 		data, _ := f.Space()
-		t.AddRow(name, fmtDur(avg), fmtMB(data), fmtDur(d))
+		t.addRow(name, fmtDur(avg), fmtMB(data), fmtDur(d))
 		cleanup()
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	return nil
 }
 
-// AblateDecay compares no decay against the two fungi at a short horizon
+// ablateDecay compares no decay against the two fungi at a short horizon
 // (§V-C): retained bytes, index nodes and whether aggregate exploration of
 // the decayed window still answers.
-func AblateDecay(w io.Writer, o Options) error {
+func ablateDecay(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	days := o.Days
 	if days < 2 {
 		days = 2
 	}
-	epochs := TraceEpochs(o.genConfig(), days)
-	t := &Table{Title: "Ablation — decay policy (trace of " + fmt.Sprint(days) + " days, KeepRaw=12h)",
-		Header: []string{"fungus", "data retained", "leaves", "decayed", "old-window rows"}}
+	epochs := traceEpochs(o.genConfig(), days)
+	t := &table{title: "Ablation — decay policy (trace of " + fmt.Sprint(days) + " days, KeepRaw=12h)",
+		header: []string{"fungus", "data retained", "leaves", "decayed", "old-window rows"}}
 	policies := []struct {
 		name   string
 		fungus decay.Fungus
@@ -125,23 +125,23 @@ func AblateDecay(w io.Writer, o Options) error {
 			cleanup()
 			return err
 		}
-		t.AddRow(p.name, fmtMB(st.DataBytes), fmt.Sprint(st.Leaves),
+		t.addRow(p.name, fmtMB(st.DataBytes), fmt.Sprint(st.Leaves),
 			fmt.Sprint(st.DecayedLeaves), fmt.Sprint(res.Summary.Rows))
 		cleanup()
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	fmt.Fprintln(w, "\ndecay frees raw storage while day/month summaries keep answering")
 	fmt.Fprintln(w, "aggregate exploration over the decayed window (progressive loss of detail).")
 	return nil
 }
 
-// AblateLeafIndex measures the per-leaf spatial pruning discussed in §V-A:
+// ablateLeafIndex measures the per-leaf spatial pruning discussed in §V-A:
 // exact-row box queries with and without leaf summaries consulted.
-func AblateLeafIndex(w io.Writer, o Options) error {
+func ablateLeafIndex(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	epochs := TraceEpochs(o.genConfig(), 1)
-	t := &Table{Title: "Ablation — per-leaf spatial pruning (§V-A), exact-row box query",
-		Header: []string{"leaf pruning", "response", "scanned", "pruned"}}
+	epochs := traceEpochs(o.genConfig(), 1)
+	t := &table{title: "Ablation — per-leaf spatial pruning (§V-A), exact-row box query",
+		header: []string{"leaf pruning", "response", "scanned", "pruned"}}
 	for _, prune := range []bool{false, true} {
 		eng, g, cleanup, _, err := buildSpate(o, epochs, core.Options{LeafSpatialPrune: prune})
 		if err != nil {
@@ -166,22 +166,22 @@ func AblateLeafIndex(w io.Writer, o Options) error {
 			cleanup()
 			return err
 		}
-		t.AddRow(fmt.Sprint(prune), fmtDur(d), fmt.Sprint(scanned), fmt.Sprint(pruned))
+		t.addRow(fmt.Sprint(prune), fmtDur(d), fmt.Sprint(scanned), fmt.Sprint(pruned))
 		cleanup()
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	fmt.Fprintln(w, "\nthe paper argues the per-leaf spatial index yields only modest gains")
 	fmt.Fprintln(w, "for 30-minute snapshots; pruning helps only sparse boxes.")
 	return nil
 }
 
-// AblateTheta sweeps the highlight threshold θ (§V-B): volume of reported
+// ablateTheta sweeps the highlight threshold θ (§V-B): volume of reported
 // highlights per level.
-func AblateTheta(w io.Writer, o Options) error {
+func ablateTheta(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	epochs := TraceEpochs(o.genConfig(), 1)
-	t := &Table{Title: "Ablation — highlight threshold θ",
-		Header: []string{"theta", "highlights (day window)", "categorical", "peaks"}}
+	epochs := traceEpochs(o.genConfig(), 1)
+	t := &table{title: "Ablation — highlight threshold θ",
+		header: []string{"theta", "highlights (day window)", "categorical", "peaks"}}
 	for _, theta := range []float64{0.001, 0.01, 0.05, 0.2} {
 		eng, _, cleanup, _, err := buildSpate(o, epochs, core.Options{
 			Theta: map[index.Level]float64{
@@ -207,25 +207,25 @@ func AblateTheta(w io.Writer, o Options) error {
 				peak++
 			}
 		}
-		t.AddRow(fmt.Sprintf("%.3f", theta), fmt.Sprint(len(res.Highlights)),
+		t.addRow(fmt.Sprintf("%.3f", theta), fmt.Sprint(len(res.Highlights)),
 			fmt.Sprint(cat), fmt.Sprint(peak))
 		cleanup()
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	return nil
 }
 
-// AblateDictionary measures the zstd trained-dictionary direction (§IX-B
+// ablateDictionary measures the zstd trained-dictionary direction (§IX-B
 // differential compression): stored bytes with and without training.
-func AblateDictionary(w io.Writer, o Options) error {
+func ablateDictionary(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	epochs := TraceEpochs(o.genConfig(), 1)
+	epochs := traceEpochs(o.genConfig(), 1)
 	zc, err := compress.Lookup("zstd")
 	if err != nil {
 		return err
 	}
-	t := &Table{Title: "Ablation — zstd dictionary training (§IX-B direction)",
-		Header: []string{"mode", "data", "avg ingest"}}
+	t := &table{title: "Ablation — zstd dictionary training (§IX-B direction)",
+		header: []string{"mode", "data", "avg ingest"}}
 	for _, train := range []bool{false, true} {
 		eng, _, cleanup, avg, err := buildSpate(o, epochs, core.Options{
 			Codec: zc, TrainDictionary: train, TrainAfter: 4,
@@ -240,9 +240,9 @@ func AblateDictionary(w io.Writer, o Options) error {
 		if train {
 			mode = "zstd + trained dictionary"
 		}
-		t.AddRow(mode, fmtMB(data), fmtDur(avg))
+		t.addRow(mode, fmtMB(data), fmtDur(avg))
 		cleanup()
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	return nil
 }

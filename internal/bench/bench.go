@@ -43,17 +43,6 @@ type Options struct {
 	Dir string
 	// Seed drives the generator.
 	Seed int64
-	// Clients is the concurrent client-fleet size for the serving-tier
-	// herd experiment.
-	Clients int
-	// ZipfS is the zipf skew (>1) for the herd's hot-window draw.
-	ZipfS float64
-	// TenantMix assigns clients to tenants, e.g. "gold:2,bronze"; empty
-	// runs the whole fleet as the default tenant.
-	TenantMix string
-	// URL points the herd at a live spate-server instead of an
-	// in-process one (engine-side cache counters become unavailable).
-	URL string
 }
 
 func (o Options) withDefaults() Options {
@@ -75,12 +64,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Clients <= 0 {
-		o.Clients = 8
-	}
-	if o.ZipfS <= 1 {
-		o.ZipfS = 1.3
-	}
 	return o
 }
 
@@ -90,24 +73,24 @@ func (o Options) genConfig() gen.Config {
 	return cfg
 }
 
-// Table is a printable experiment result.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
+// table is a printable experiment result.
+type table struct {
+	title  string
+	header []string
+	rows   [][]string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends a formatted row.
+func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-// Fprint renders the table with aligned columns.
-func (t *Table) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
+// fprint renders the table with aligned columns.
+func (t *table) fprint(w io.Writer) {
+	fmt.Fprintf(w, "\n== %s ==\n", t.title)
+	widths := make([]int, len(t.header))
+	for i, h := range t.header {
 		widths[i] = len(h)
 	}
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		for i, c := range r {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
@@ -123,13 +106,13 @@ func (t *Table) Fprint(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
+	line(t.header)
+	sep := make([]string, len(t.header))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		line(r)
 	}
 }
@@ -144,28 +127,26 @@ func fmtMB(b int64) string {
 	return fmt.Sprintf("%.2fMB", float64(b)/(1<<20))
 }
 
-// World holds the three frameworks ingested over one epoch sequence.
-type World struct {
-	Gen   *gen.Generator
-	Cfg   gen.Config
-	FWs   []tasks.Framework
-	Pool  *compute.Pool
-	Start time.Time
-	// AvgIngest tracks per-framework mean ingestion time per snapshot.
-	AvgIngest map[string]time.Duration
+// testbed holds the three frameworks ingested over one epoch sequence.
+type testbed struct {
+	cfg  gen.Config
+	fws  []tasks.Framework
+	pool *compute.Pool
+	// avgIngest tracks per-framework mean ingestion time per snapshot.
+	avgIngest map[string]time.Duration
 	dirs      []string
 }
 
-// Close removes the world's scratch directories.
-func (w *World) Close() {
-	for _, d := range w.dirs {
+// close removes the testbed's scratch directories.
+func (tb *testbed) close() {
+	for _, d := range tb.dirs {
 		os.RemoveAll(d)
 	}
 }
 
-// Framework returns the named framework.
-func (w *World) Framework(name string) tasks.Framework {
-	for _, f := range w.FWs {
+// framework returns the named framework.
+func (tb *testbed) framework(name string) tasks.Framework {
+	for _, f := range tb.fws {
 		if f.Name() == name {
 			return f
 		}
@@ -173,8 +154,8 @@ func (w *World) Framework(name string) tasks.Framework {
 	return nil
 }
 
-// epochCounter provides unique scratch dir names.
-var worldSeq int
+// dirSeq provides unique scratch dir names.
+var dirSeq int
 
 // benchClusterConfig models the paper's testbed storage: 3-way replicated
 // blocks on slow virtualized RAID-5 disks (writes ~25 MB/s per replica)
@@ -188,20 +169,20 @@ func benchClusterConfig() dfs.Config {
 	}
 }
 
-// BuildWorld generates the trace's snapshots for the given epochs and
+// newTestbed generates the trace's snapshots for the given epochs and
 // ingests them into fresh RAW, SHAHED and SPATE instances, each on its own
 // DFS cluster (as in the paper's testbed, where each framework stores its
-// own representation). SPATE runs with the supplied engine options.
-func BuildWorld(o Options, epochs []telco.Epoch, spateOpts core.Options) (*World, error) {
+// own representation).
+func newTestbed(o Options, epochs []telco.Epoch) (*testbed, error) {
 	o = o.withDefaults()
 	g := gen.New(o.genConfig())
-	w := &World{
-		Gen: g, Cfg: g.Config(), Pool: compute.NewPool(o.Workers),
-		Start: g.Config().Start, AvgIngest: map[string]time.Duration{},
+	w := &testbed{
+		cfg: g.Config(), pool: compute.NewPool(o.Workers),
+		avgIngest: map[string]time.Duration{},
 	}
 	mk := func() (*dfs.Cluster, error) {
-		worldSeq++
-		dir := filepath.Join(o.Dir, fmt.Sprintf("spate-bench-%d-%d", os.Getpid(), worldSeq))
+		dirSeq++
+		dir := filepath.Join(o.Dir, fmt.Sprintf("spate-bench-%d-%d", os.Getpid(), dirSeq))
 		w.dirs = append(w.dirs, dir)
 		return dfs.NewCluster(dir, benchClusterConfig())
 	}
@@ -225,38 +206,38 @@ func BuildWorld(o Options, epochs []telco.Epoch, spateOpts core.Options) (*World
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.Open(fsSp, g.CellTable(), spateOpts)
+	eng, err := core.Open(fsSp, g.CellTable(), core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	w.FWs = []tasks.Framework{tasks.Raw{S: rw}, tasks.Shahed{S: sh}, tasks.Spate{E: eng}}
+	w.fws = []tasks.Framework{tasks.Raw{S: rw}, tasks.Shahed{S: sh}, tasks.Spate{E: eng}}
 
 	totals := map[string]time.Duration{}
 	for _, e := range epochs {
 		sn := snapshot.New(e)
 		sn.Add(g.CDRTable(e))
 		sn.Add(g.NMSTable(e))
-		for _, f := range w.FWs {
+		for _, f := range w.fws {
 			st, err := f.Ingest(sn)
 			if err != nil {
-				w.Close()
+				w.close()
 				return nil, fmt.Errorf("bench: %s ingest %v: %w", f.Name(), e, err)
 			}
 			totals[f.Name()] += st.Total
 		}
 	}
-	for _, f := range w.FWs {
+	for _, f := range w.fws {
 		f.Finish()
 		if len(epochs) > 0 {
-			w.AvgIngest[f.Name()] = totals[f.Name()] / time.Duration(len(epochs))
+			w.avgIngest[f.Name()] = totals[f.Name()] / time.Duration(len(epochs))
 		}
 	}
 	return w, nil
 }
 
-// TraceEpochs returns the trace's epoch sequence: days consecutive days
+// traceEpochs returns the trace's epoch sequence: days consecutive days
 // from the generator start.
-func TraceEpochs(cfg gen.Config, days int) []telco.Epoch {
+func traceEpochs(cfg gen.Config, days int) []telco.Epoch {
 	e0 := telco.EpochOf(cfg.Start)
 	out := make([]telco.Epoch, 0, days*telco.EpochsPerDay)
 	for i := 0; i < days*telco.EpochsPerDay; i++ {
@@ -265,30 +246,30 @@ func TraceEpochs(cfg gen.Config, days int) []telco.Epoch {
 	return out
 }
 
-// DayPeriod names one of the paper's four day-period datasets (§VII-C).
-type DayPeriod struct {
-	Name     string
-	From, To int // hours [From, To); wraps over midnight when From > To
+// dayPeriod names one of the paper's four day-period datasets (§VII-C).
+type dayPeriod struct {
+	name     string
+	from, to int // hours [from, to); wraps over midnight when from > to
 }
 
-// DayPeriods are the paper's Morning/Afternoon/Evening/Night partitions.
-var DayPeriods = []DayPeriod{
+// dayPeriods are the paper's Morning/Afternoon/Evening/Night partitions.
+var dayPeriods = []dayPeriod{
 	{"Morning", 5, 12},
 	{"Afternoon", 12, 17},
 	{"Evening", 17, 21},
 	{"Night", 21, 5},
 }
 
-// FilterByPeriod keeps epochs whose start hour falls in the period.
-func FilterByPeriod(epochs []telco.Epoch, p DayPeriod) []telco.Epoch {
+// filterByPeriod keeps epochs whose start hour falls in the period.
+func filterByPeriod(epochs []telco.Epoch, p dayPeriod) []telco.Epoch {
 	var out []telco.Epoch
 	for _, e := range epochs {
 		h := e.Start().Hour()
 		in := false
-		if p.From <= p.To {
-			in = h >= p.From && h < p.To
+		if p.from <= p.to {
+			in = h >= p.from && h < p.to
 		} else {
-			in = h >= p.From || h < p.To
+			in = h >= p.from || h < p.to
 		}
 		if in {
 			out = append(out, e)
@@ -297,9 +278,9 @@ func FilterByPeriod(epochs []telco.Epoch, p DayPeriod) []telco.Epoch {
 	return out
 }
 
-// FilterByWeekday keeps epochs on the given weekday (the paper's seven
+// filterByWeekday keeps epochs on the given weekday (the paper's seven
 // Mon..Sun zones, §VII-C).
-func FilterByWeekday(epochs []telco.Epoch, wd time.Weekday) []telco.Epoch {
+func filterByWeekday(epochs []telco.Epoch, wd time.Weekday) []telco.Epoch {
 	var out []telco.Epoch
 	for _, e := range epochs {
 		if e.Start().Weekday() == wd {

@@ -12,11 +12,11 @@ import (
 	"spate/internal/telco"
 )
 
-// Fig4Entropy reproduces Figure 4: the Shannon entropy of every attribute
+// fig4Entropy reproduces Figure 4: the Shannon entropy of every attribute
 // of the CDR, NMS and CELL sources. The paper's headline observation —
 // most CDR attributes below 1 bit, several exactly 0 — is printed as a
 // summary per panel, followed by the first attributes of each source.
-func Fig4Entropy(w io.Writer, o Options) error {
+func fig4Entropy(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	g := gen.New(o.genConfig())
 	// Accumulate a sample of snapshots so per-attribute distributions are
@@ -33,13 +33,13 @@ func Fig4Entropy(w io.Writer, o Options) error {
 	}
 	cell := g.CellTable()
 
-	summary := &Table{
-		Title:  "Figure 4 — Entropy of attributes (summary per panel)",
-		Header: []string{"source", "attrs", "H=0", "H<1bit", "max H", "mean H"},
+	summary := &table{
+		title:  "Figure 4 — Entropy of attributes (summary per panel)",
+		header: []string{"source", "attrs", "H=0", "H<1bit", "max H", "mean H"},
 	}
-	detail := &Table{
-		Title:  "Figure 4 — per-attribute entropy (first attributes of each source)",
-		Header: []string{"source", "attribute", "entropy (bits)"},
+	detail := &table{
+		title:  "Figure 4 — per-attribute entropy (first attributes of each source)",
+		header: []string{"source", "attribute", "entropy (bits)"},
 	}
 	for _, panel := range []struct {
 		name string
@@ -48,27 +48,27 @@ func Fig4Entropy(w io.Writer, o Options) error {
 	}{{"CDR", cdr, 10}, {"NMS", nms, 8}, {"CELL", cell, 10}} {
 		es := entropy.OfTable(panel.t)
 		s := entropy.Summarize(es)
-		summary.AddRow(panel.name,
+		summary.addRow(panel.name,
 			fmt.Sprint(s.Attrs), fmt.Sprint(s.Zero), fmt.Sprint(s.BelowOne),
 			fmt.Sprintf("%.2f", s.Max), fmt.Sprintf("%.2f", s.Mean))
 		for i, e := range es {
 			if i >= panel.show {
 				break
 			}
-			detail.AddRow(panel.name, e.Attr, fmt.Sprintf("%.3f", e.Bits))
+			detail.addRow(panel.name, e.Attr, fmt.Sprintf("%.3f", e.Bits))
 		}
 	}
-	summary.Fprint(w)
-	detail.Fprint(w)
+	summary.fprint(w)
+	detail.fprint(w)
 	fmt.Fprintln(w, "\npaper shape: most CDR attributes < 1 bit with several exactly 0;")
 	fmt.Fprintln(w, "NMS attributes substantially more entropic; CELL mixed low.")
 	return nil
 }
 
-// Table1Compression reproduces Table I: compression ratio rc, compression
+// table1Compression reproduces Table I: compression ratio rc, compression
 // time Tc1 and decompression time Tc2 per 30-minute snapshot, averaged
 // over the trace, for each of the four codecs.
-func Table1Compression(w io.Writer, o Options) error {
+func table1Compression(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	g := gen.New(o.genConfig())
 	// Render the snapshots once.
@@ -90,9 +90,9 @@ func Table1Compression(w io.Writer, o Options) error {
 		snaps = append(snaps, append([]byte(nil), buf.Bytes()...))
 	}
 
-	t := &Table{
-		Title:  "Table I — Lossless compression libraries (average per 30-min snapshot)",
-		Header: []string{"codec", "ratio rc", "Tc1 (compress)", "Tc2 (decompress)", "snapshot"},
+	t := &table{
+		title:  "Table I — Lossless compression libraries (average per 30-min snapshot)",
+		header: []string{"codec", "ratio rc", "Tc1 (compress)", "Tc2 (decompress)", "snapshot"},
 	}
 	paper := map[string]string{
 		"gzip": "paper GZIP: 9.06", "sevenz": "paper 7z: 11.75",
@@ -122,11 +122,11 @@ func Table1Compression(w io.Writer, o Options) error {
 			comp += int64(len(cb))
 		}
 		k := time.Duration(len(snaps))
-		t.AddRow(name,
+		t.addRow(name,
 			fmt.Sprintf("%.2f", compress.Ratio(int(raw), int(comp))),
 			fmtDur(tc1/k), fmtDur(tc2/k), paper[name])
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	fmt.Fprintln(w, "\npaper shape: 7z best ratio & slowest; SNAPPY ~half the ratio, no")
 	fmt.Fprintln(w, "entropy stage; GZIP and ZSTD in between; Tc2 << Tc1 for all codecs.")
 	return nil

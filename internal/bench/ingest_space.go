@@ -5,44 +5,28 @@ import (
 	"io"
 	"time"
 
-	"spate/internal/core"
 	"spate/internal/telco"
 )
 
-// Fig7IngestionByPeriod reproduces Figure 7: ingestion time per snapshot
-// for RAW, SHAHED and SPATE over the Morning/Afternoon/Evening/Night
-// datasets. The paper's shape: SPATE is the slowest but within ~1.25x,
-// and load variation across periods barely moves ingestion time.
-func Fig7IngestionByPeriod(w io.Writer, o Options) error {
+// fig7And8ByPeriod reproduces Figures 7 and 8 from one ingest of the
+// Morning/Afternoon/Evening/Night datasets: ingestion time per snapshot
+// and total disk space for RAW, SHAHED and SPATE. The paper's shape: SPATE
+// ingests slowest but within ~1.25x and stores ~an order of magnitude
+// less, and load variation across periods barely moves either.
+func fig7And8ByPeriod(w io.Writer, o Options) error {
 	return ingestSeries(w, o,
 		"Figure 7 — Ingestion time per snapshot, by day period",
 		"Figure 8 — Disk space for the dataset, by day period",
-		periodPartitions(o), false)
+		periodPartitions(o))
 }
 
-// Fig8SpaceByPeriod reproduces Figure 8: total disk space per framework
-// over the day-period datasets; SPATE is ~an order of magnitude smaller.
-func Fig8SpaceByPeriod(w io.Writer, o Options) error {
-	return ingestSeries(w, o,
-		"Figure 7 — Ingestion time per snapshot, by day period",
-		"Figure 8 — Disk space for the dataset, by day period",
-		periodPartitions(o), true)
-}
-
-// Fig9IngestionByWeekday reproduces Figure 9 (ingestion time by weekday).
-func Fig9IngestionByWeekday(w io.Writer, o Options) error {
+// fig9And10ByWeekday reproduces Figures 9 and 10 (ingestion time and
+// disk space by weekday) from one ingest of the seven weekday datasets.
+func fig9And10ByWeekday(w io.Writer, o Options) error {
 	return ingestSeries(w, o,
 		"Figure 9 — Ingestion time per snapshot, by day of week",
 		"Figure 10 — Disk space for the dataset, by day of week",
-		weekdayPartitions(o), false)
-}
-
-// Fig10SpaceByWeekday reproduces Figure 10 (disk space by weekday).
-func Fig10SpaceByWeekday(w io.Writer, o Options) error {
-	return ingestSeries(w, o,
-		"Figure 9 — Ingestion time per snapshot, by day of week",
-		"Figure 10 — Disk space for the dataset, by day of week",
-		weekdayPartitions(o), true)
+		weekdayPartitions(o))
 }
 
 type partition struct {
@@ -53,10 +37,10 @@ type partition struct {
 func periodPartitions(o Options) []partition {
 	o = o.withDefaults()
 	cfg := o.genConfig()
-	all := TraceEpochs(cfg, o.Days)
+	all := traceEpochs(cfg, o.Days)
 	var out []partition
-	for _, p := range DayPeriods {
-		out = append(out, partition{p.Name, FilterByPeriod(all, p)})
+	for _, p := range dayPeriods {
+		out = append(out, partition{p.name, filterByPeriod(all, p)})
 	}
 	return out
 }
@@ -68,45 +52,44 @@ func weekdayPartitions(o Options) []partition {
 	if days < 7 {
 		days = 7 // weekday figures need the full week
 	}
-	all := TraceEpochs(cfg, days)
+	all := traceEpochs(cfg, days)
 	var out []partition
 	for _, wd := range []time.Weekday{
 		time.Monday, time.Tuesday, time.Wednesday, time.Thursday,
 		time.Friday, time.Saturday, time.Sunday,
 	} {
-		out = append(out, partition{wd.String()[:3], FilterByWeekday(all, wd)})
+		out = append(out, partition{wd.String()[:3], filterByWeekday(all, wd)})
 	}
 	return out
 }
 
 // ingestSeries ingests each partition into fresh frameworks and prints
-// either the ingestion-time series (Fig. 7/9) or the space series
-// (Fig. 8/10); both tables are always computed so a single run regenerates
-// the paired figures.
-func ingestSeries(w io.Writer, o Options, timeTitle, spaceTitle string, parts []partition, spaceOnly bool) error {
+// both series that one ingest measures: ingestion time per snapshot
+// (Fig. 7/9) and disk space (Fig. 8/10).
+func ingestSeries(w io.Writer, o Options, timeTitle, spaceTitle string, parts []partition) error {
 	o = o.withDefaults()
-	tTime := &Table{Title: timeTitle,
-		Header: []string{"dataset", "snapshots", "RAW", "SHAHED", "SPATE", "SPATE/RAW"}}
-	tSpace := &Table{Title: spaceTitle,
-		Header: []string{"dataset", "RAW", "SHAHED", "SPATE data", "SPATE total", "RAW/SPATEdata"}}
+	tTime := &table{title: timeTitle,
+		header: []string{"dataset", "snapshots", "RAW", "SHAHED", "SPATE", "SPATE/RAW"}}
+	tSpace := &table{title: spaceTitle,
+		header: []string{"dataset", "RAW", "SHAHED", "SPATE data", "SPATE total", "RAW/SPATEdata"}}
 	for _, p := range parts {
-		world, err := BuildWorld(o, p.epochs, core.Options{})
+		tb, err := newTestbed(o, p.epochs)
 		if err != nil {
 			return err
 		}
-		rawT := world.AvgIngest["RAW"]
-		shT := world.AvgIngest["SHAHED"]
-		spT := world.AvgIngest["SPATE"]
+		rawT := tb.avgIngest["RAW"]
+		shT := tb.avgIngest["SHAHED"]
+		spT := tb.avgIngest["SPATE"]
 		ratio := 0.0
 		if rawT > 0 {
 			ratio = float64(spT) / float64(rawT)
 		}
-		tTime.AddRow(p.name, fmt.Sprint(len(p.epochs)),
+		tTime.addRow(p.name, fmt.Sprint(len(p.epochs)),
 			fmtDur(rawT), fmtDur(shT), fmtDur(spT), fmt.Sprintf("%.2fx", ratio))
 
 		var totals [3]int64
 		var spateData int64
-		for i, f := range world.FWs {
+		for i, f := range tb.fws {
 			d, idx := f.Space()
 			totals[i] = d + idx
 			if f.Name() == "SPATE" {
@@ -117,39 +100,36 @@ func ingestSeries(w io.Writer, o Options, timeTitle, spaceTitle string, parts []
 		if spateData > 0 {
 			gap = float64(totals[0]) / float64(spateData)
 		}
-		tSpace.AddRow(p.name, fmtMB(totals[0]), fmtMB(totals[1]),
+		tSpace.addRow(p.name, fmtMB(totals[0]), fmtMB(totals[1]),
 			fmtMB(spateData), fmtMB(totals[2]), fmt.Sprintf("%.1fx", gap))
-		world.Close()
+		tb.close()
 	}
-	if spaceOnly {
-		tSpace.Fprint(w)
-		fmt.Fprintln(w, "\npaper shape: SPATE needs ~an order of magnitude less disk space,")
-		fmt.Fprintln(w, "steady across load variation.")
-	} else {
-		tTime.Fprint(w)
-		fmt.Fprintln(w, "\npaper shape: SPATE has the slowest ingestion but stays within")
-		fmt.Fprintln(w, "~1.25x of RAW, and load variation barely moves per-snapshot time.")
-	}
+	tTime.fprint(w)
+	fmt.Fprintln(w, "\npaper shape: SPATE has the slowest ingestion but stays within")
+	fmt.Fprintln(w, "~1.25x of RAW, and load variation barely moves per-snapshot time.")
+	tSpace.fprint(w)
+	fmt.Fprintln(w, "\npaper shape: SPATE needs ~an order of magnitude less disk space,")
+	fmt.Fprintln(w, "steady across load variation.")
 	return nil
 }
 
-// SpaceTotals reproduces the §VIII-C storage totals across all eight
+// spaceTotals reproduces the §VIII-C storage totals across all eight
 // tasks: "SPATE requires the least storage space, i.e., 0.49GB vs. 5.37GB
 // and 5.32GB required by SHAHED and RAW".
-func SpaceTotals(w io.Writer, o Options) error {
+func spaceTotals(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	world, err := BuildWorld(o, TraceEpochs(o.genConfig(), o.Days), core.Options{})
+	tb, err := newTestbed(o, traceEpochs(o.genConfig(), o.Days))
 	if err != nil {
 		return err
 	}
-	defer world.Close()
-	t := &Table{Title: "§VIII-C — Storage totals for the whole trace",
-		Header: []string{"framework", "data", "index", "total", "paper"}}
+	defer tb.close()
+	t := &table{title: "§VIII-C — Storage totals for the whole trace",
+		header: []string{"framework", "data", "index", "total", "paper"}}
 	paper := map[string]string{"RAW": "5.32GB", "SHAHED": "5.37GB", "SPATE": "0.49GB"}
-	for _, f := range world.FWs {
+	for _, f := range tb.fws {
 		d, idx := f.Space()
-		t.AddRow(f.Name(), fmtMB(d), fmtMB(idx), fmtMB(d+idx), paper[f.Name()])
+		t.addRow(f.Name(), fmtMB(d), fmtMB(idx), fmtMB(d+idx), paper[f.Name()])
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	return nil
 }

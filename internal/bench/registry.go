@@ -16,27 +16,37 @@ type Experiment struct {
 // Experiments lists every experiment in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"fig4", "Figure 4: per-attribute entropy of CDR/NMS/CELL", Fig4Entropy},
-		{"table1", "Table I: compression ratio and (de)compression times", Table1Compression},
-		{"fig7", "Figure 7: ingestion time per snapshot, by day period", Fig7IngestionByPeriod},
-		{"fig8", "Figure 8: disk space, by day period", Fig8SpaceByPeriod},
-		{"fig9", "Figure 9: ingestion time per snapshot, by weekday", Fig9IngestionByWeekday},
-		{"fig10", "Figure 10: disk space, by weekday", Fig10SpaceByWeekday},
-		{"fig11", "Figure 11: response time of tasks T1-T5", Fig11ResponseTimes},
-		{"fig12", "Figure 12: response time of tasks T6-T8", Fig12HeavyTasks},
-		{"space", "§VIII-C: storage totals across frameworks", SpaceTotals},
-		{"window", "Window sweep: response time vs temporal window length", WindowSweep},
-		{"ablate-codec", "Ablation: storage codec choice", AblateCodec},
-		{"ablate-decay", "Ablation: decay fungi and horizons", AblateDecay},
-		{"ablate-leafindex", "Ablation: per-leaf spatial pruning", AblateLeafIndex},
-		{"ablate-theta", "Ablation: highlight threshold sweep", AblateTheta},
-		{"ablate-dict", "Ablation: zstd dictionary training", AblateDictionary},
-		{"serving", "Serving tier: zipf herd vs admission control + shared result cache", ServingHerd},
+		{"fig4", "Figure 4: per-attribute entropy of CDR/NMS/CELL", fig4Entropy},
+		{"table1", "Table I: compression ratio and (de)compression times", table1Compression},
+		{"fig7", "Figures 7 and 8: ingestion time per snapshot and disk space, by day period", fig7And8ByPeriod},
+		{"fig9", "Figures 9 and 10: ingestion time per snapshot and disk space, by weekday", fig9And10ByWeekday},
+		{"fig11", "Figure 11: response time of tasks T1-T5", fig11ResponseTimes},
+		{"fig12", "Figure 12: response time of tasks T6-T8", fig12HeavyTasks},
+		{"space", "§VIII-C: storage totals across frameworks", spaceTotals},
+		{"window", "Window sweep: response time vs temporal window length", windowSweep},
+		{"ablate-codec", "Ablation: storage codec choice", ablateCodec},
+		{"ablate-decay", "Ablation: decay fungi and horizons", ablateDecay},
+		{"ablate-leafindex", "Ablation: per-leaf spatial pruning", ablateLeafIndex},
+		{"ablate-theta", "Ablation: highlight threshold sweep", ablateTheta},
+		{"ablate-dict", "Ablation: zstd dictionary training", ablateDictionary},
 	}
 }
 
-// Lookup finds an experiment by name.
+// figureAliases maps a figure printed by another experiment's ingest to
+// that experiment, so `-exp fig8` still reproduces Figure 8. Aliases are
+// not listed in Experiments: `-exp all` runs each ingest once.
+var figureAliases = []struct{ alias, name string }{
+	{"fig8", "fig7"},
+	{"fig10", "fig9"},
+}
+
+// Lookup finds an experiment by name or figure alias.
 func Lookup(name string) (Experiment, error) {
+	for _, a := range figureAliases {
+		if a.alias == name {
+			name = a.name
+		}
+	}
 	for _, e := range Experiments() {
 		if e.Name == name {
 			return e, nil
@@ -45,6 +55,9 @@ func Lookup(name string) (Experiment, error) {
 	names := make([]string, 0)
 	for _, e := range Experiments() {
 		names = append(names, e.Name)
+	}
+	for _, a := range figureAliases {
+		names = append(names, a.alias)
 	}
 	sort.Strings(names)
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %v)", name, names)

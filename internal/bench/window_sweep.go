@@ -12,32 +12,32 @@ import (
 	"spate/internal/telco"
 )
 
-// WindowSweep measures aggregate-query response time as the temporal
+// windowSweep measures aggregate-query response time as the temporal
 // window grows — the paper's headline claim that SPATE achieves "a data
 // exploration response time that is independent of the queried temporal
 // window". RAW scans every stored byte regardless of the window; SHAHED
 // answers from its retained per-leaf summaries; SPATE answers from
 // day/month/year summaries on the exact path and from the single covering
 // node on the fast path (§VI-A).
-func WindowSweep(w io.Writer, o Options) error {
+func windowSweep(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	days := o.Days
 	if days < 2 {
 		days = 2
 	}
-	world, err := BuildWorld(o, TraceEpochs(o.genConfig(), days), core.Options{})
+	tb, err := newTestbed(o, traceEpochs(o.genConfig(), days))
 	if err != nil {
 		return err
 	}
-	defer world.Close()
+	defer tb.close()
 
-	rawFw := world.Framework("RAW")
-	shahed := world.Framework("SHAHED").(tasks.Shahed).S
-	spate := world.Framework("SPATE").(tasks.Spate).E
+	rawFw := tb.framework("RAW")
+	shahed := tb.framework("SHAHED").(tasks.Shahed).S
+	spate := tb.framework("SPATE").(tasks.Spate).E
 
-	t := &Table{
-		Title: "Window sweep — aggregate response time vs window length",
-		Header: []string{"window", "RAW scan", "SHAHED index", "SPATE exact", "SPATE fast (§VI-A)",
+	t := &table{
+		title: "Window sweep — aggregate response time vs window length",
+		header: []string{"window", "RAW scan", "SHAHED index", "SPATE exact", "SPATE fast (§VI-A)",
 			"SPATE rows"},
 	}
 	windows := []time.Duration{
@@ -45,7 +45,7 @@ func WindowSweep(w io.Writer, o Options) error {
 		24 * time.Hour, time.Duration(days) * 24 * time.Hour,
 	}
 	for _, span := range windows {
-		win := telco.NewTimeRange(world.Cfg.Start, world.Cfg.Start.Add(span))
+		win := telco.NewTimeRange(tb.cfg.Start, tb.cfg.Start.Add(span))
 
 		dRaw, err := measure(o.Iterations, func() error {
 			rows := 0
@@ -81,10 +81,10 @@ func WindowSweep(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		t.AddRow(span.String(), fmtDur(dRaw), fmtDur(dShahed),
+		t.addRow(span.String(), fmtDur(dRaw), fmtDur(dShahed),
 			fmtDur(dExact), fmtDur(dFast), fmt.Sprint(spateRows))
 	}
-	t.Fprint(w)
+	t.fprint(w)
 	fmt.Fprintln(w, "\npaper shape: RAW grows with the window (full scans); SPATE's exact")
 	fmt.Fprintln(w, "path flattens once windows swallow sealed days, and the fast path is")
 	fmt.Fprintln(w, "constant-time at any window length (the result cache is cleared")

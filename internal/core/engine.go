@@ -62,7 +62,9 @@ type Options struct {
 	LeafSpatialPrune bool
 	// TrainDictionary switches the codec to a zstd dictionary trained on
 	// the first TrainAfter snapshots (the §IX-B differential-compression
-	// direction). Ignored unless the codec is zstd.
+	// direction). Ignored unless the codec is zstd. It governs training
+	// only: a zstd engine opened over a store that holds a trained
+	// dictionary reads (and writes) with it either way.
 	TrainDictionary bool
 	// TrainAfter is the number of snapshots sampled before training
 	// (default 4).
@@ -269,8 +271,9 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table, opts Options) (*Engine, error
 	if err := e.recover(); err != nil {
 		return nil, err
 	}
-	// A previously trained dictionary re-arms the codec.
-	if opts.TrainDictionary && fs.Exists("/spate/meta/zstd-dict") {
+	// A previously trained dictionary re-arms a zstd codec whether or not
+	// this engine trains: leaves written under it cannot be read without it.
+	if _, zstd := compress.Unwrap(opts.Codec).(zst.Codec); zstd && fs.Exists("/spate/meta/zstd-dict") {
 		if dict, err := fs.ReadFile("/spate/meta/zstd-dict"); err == nil {
 			e.opts.Codec = compress.Instrument(zst.New(dict), e.opts.Obs)
 			e.trained = true

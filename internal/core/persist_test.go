@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"spate/internal/compress"
 	"spate/internal/decay"
 	"spate/internal/dfs"
 	"spate/internal/gen"
@@ -62,6 +63,41 @@ func TestRecoveryRebuildsIndex(t *testing.T) {
 	}
 	if res1.Summary.Rows != res2.Summary.Rows {
 		t.Errorf("recovered query rows = %d, want %d", res2.Summary.Rows, res1.Summary.Rows)
+	}
+}
+
+// A store whose leaves were written under a trained zstd dictionary must
+// read back on an engine that does not train: the option decides training,
+// the persisted dictionary decides reading. Training fires mid-snapshot
+// (TrainAfter counts tables), so even the first epoch has a dictionary leaf.
+func TestReopenWithoutTrainingReadsDictionaryLeaves(t *testing.T) {
+	zc, err := compress.Lookup("zstd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, Options{Codec: zc, TrainDictionary: true, TrainAfter: 2})
+	r.ingestEpochs(t, 4)
+	if !r.fs.Exists("/spate/meta/zstd-dict") {
+		t.Fatal("trained dictionary not persisted")
+	}
+	e2 := reopen(t, r, Options{Codec: zc})
+	q := Query{Window: telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(2*time.Hour)), ExactRows: true}
+	want, err := r.e.Explore(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e2.Explore(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"CDR", "NMS"} {
+		if want.Rows[table].Len() == 0 {
+			t.Fatalf("%s: training engine read no rows", table)
+		}
+		if got.Rows[table].Text() != want.Rows[table].Text() {
+			t.Errorf("%s: reopened engine read %d rows, training engine %d (or their text differs)",
+				table, got.Rows[table].Len(), want.Rows[table].Len())
+		}
 	}
 }
 
