@@ -23,15 +23,16 @@ test:
 # The boot loader's look-ahead — Prepare of one snapshot beside Commit of the
 # one before — is the one place batch ingest runs two goroutines over an
 # engine; its tests repeat at each width. So does the one HTTP server's
-# package, which drives both backends (engine and coordinator scatter), and
-# the one cache every scan worker and request shares (stripes, singleflight).
+# package, which drives both backends (engine and coordinator scatter), the
+# one cache every scan worker and request shares (stripes, singleflight),
+# and the highlights package, whose summaries memoize their encoding for
+# every goroutine that ships them.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -timeout 60m ./internal/core/ ./internal/cluster/ ./internal/webui/ \
-		./internal/cache/
+		./internal/cache/ ./internal/highlights/
 	$(GO) test -race -run 'Parity|Property|Equivalence|Reference' -cpu 1,2,4 \
-		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/ \
-		./internal/highlights/
+		./internal/segment/ ./internal/compress/ ./internal/sqlengine/ ./internal/tasks/
 	$(GO) test -race -count=10 -cpu 1,2,4 -run 'LookAhead' ./cmd/spate-server/
 
 # Three assertions used to depend on how the scheduler interleaved
@@ -61,13 +62,15 @@ bench:
 	$(GO) test -bench . -benchtime 10x -run XXX ./...
 
 # Fuzz the WAL record decoder, the v3 column-stream decoders (string and
-# column-batch, one target), the binary summary decoder and the explore
-# frame reader for a short, CI-friendly budget.
+# column-batch, one target), the binary summary decoder, the explore frame
+# reader and the scan-spec check a node runs on /rpc/explore bodies for a
+# short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/
 	$(GO) test -fuzz FuzzDecodeSummary -fuzztime 30s -run XXX ./internal/highlights/
 	$(GO) test -fuzz FuzzExploreFrame -fuzztime 30s -run XXX ./internal/cluster/
+	$(GO) test -fuzz FuzzValidateSpec -fuzztime 30s -run XXX ./internal/scanspec/
 
 fmt:
 	gofmt -l -w .

@@ -137,7 +137,7 @@ func run(args []string) int {
 		return 1
 	}
 	if *cacheBytes > 0 && (*clusterMode || *join != "") {
-		slog.Error("spate-server: -result-cache-bytes applies to a single engine; cluster nodes answer without a result cache")
+		slog.Error("spate-server: -result-cache-bytes applies to a single engine; a cluster node's engine caches only its rebuilt leaf summaries, in its own cache")
 		return 1
 	}
 	obs.DefaultSlowLog.SetThreshold(*slowQuery)

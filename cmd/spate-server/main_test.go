@@ -22,8 +22,9 @@ import (
 
 // TestRejectsFlagsThatDoNothing: flag combinations that would configure
 // nothing exit non-zero before the server binds or ingests anything. A
-// cluster's nodes answer without a result cache, so a budget for one is
-// refused like tenants without a limit to scale.
+// cluster's nodes cache no answers (only rebuilt leaf summaries, each in
+// its engine's own cache), so a budget for an answer cache is refused like
+// tenants without a limit to scale.
 func TestRejectsFlagsThatDoNothing(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cluster", "-result-cache-bytes", "67108864"},

@@ -80,8 +80,10 @@ func startTestCluster(tb testing.TB, cfg Config, g *gen.Generator, snaps []*snap
 }
 
 // TestClusterExploreMatchesSingleEngine is the identity acceptance test: a
-// 4-node cluster ingests the same generated trace as one engine and must
-// answer exploration with bit-for-bit identical merged aggregates.
+// 4-node and a 1-node cluster ingest the same generated trace as one engine
+// and must answer exploration with bit-for-bit identical merged aggregates —
+// with the shards' leaf caches cold, and again warm, when the shards rebuild
+// no leaf they rebuilt before.
 func TestClusterExploreMatchesSingleEngine(t *testing.T) {
 	g, snaps, window := testTrace(t, 4)
 	eng := newRefEngine(t, g)
@@ -92,11 +94,14 @@ func TestClusterExploreMatchesSingleEngine(t *testing.T) {
 	}
 	eng.FinishIngest()
 
-	lc := startTestCluster(t, Config{Shards: 4, Obs: obs.NewRegistry()}, g, snaps)
+	clusters := map[string]*Local{
+		"4-shard": startTestCluster(t, Config{Shards: 4, Obs: obs.NewRegistry()}, g, snaps),
+		"1-shard": startTestCluster(t, Config{Shards: 1, Obs: obs.NewRegistry()}, g, snaps),
+	}
 	ctx := context.Background()
 
 	// Every node owns exactly one day under the default day-block map.
-	for i, node := range lc.Nodes {
+	for i, node := range clusters["4-shard"].Nodes {
 		if got := node.Engine().Tree().Len(); got != telco.EpochsPerDay {
 			t.Fatalf("node %d holds %d snapshots, want %d", i, got, telco.EpochsPerDay)
 		}
@@ -107,29 +112,36 @@ func TestClusterExploreMatchesSingleEngine(t *testing.T) {
 		{From: window.From.Add(12 * time.Hour), To: window.To.Add(-12 * time.Hour)},  // edges descend to leaves
 		{From: window.From.Add(24 * time.Hour), To: window.From.Add(72 * time.Hour)}, // interior days
 	}
-	for _, w := range windows {
-		q := core.Query{Window: w}
-		single, err := eng.Explore(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cres, err := lc.Coordinator.Explore(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cres.Partial {
-			t.Fatalf("window %v: unexpected partial result (missing %v)", w, cres.Missing)
-		}
-		if cres.ShardsQueried == 0 {
-			t.Fatalf("window %v: no shards queried", w)
-		}
-		if !reflect.DeepEqual(single.Summary, cres.Summary) {
-			t.Errorf("window %v: summaries differ: single rows=%d cluster rows=%d",
-				w, single.Summary.Rows, cres.Summary.Rows)
-		}
-		if !reflect.DeepEqual(single.Cells, cres.Cells) {
-			t.Errorf("window %v: cell series differ (%d vs %d cells)",
-				w, len(single.Cells), len(cres.Cells))
+	for _, pass := range []string{"cold", "warm"} {
+		for name, lc := range clusters {
+			for _, w := range windows {
+				q := core.Query{Window: w}
+				single, err := eng.Explore(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cres, err := lc.Coordinator.Explore(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cres.Partial {
+					t.Fatalf("%s %s window %v: unexpected partial result (missing %v)", pass, name, w, cres.Missing)
+				}
+				if cres.ShardsQueried == 0 {
+					t.Fatalf("%s %s window %v: no shards queried", pass, name, w)
+				}
+				if pass == "warm" && cres.Profile.LeavesScanned != 0 {
+					t.Errorf("%s %s window %v: shards rebuilt %d leaves", pass, name, w, cres.Profile.LeavesScanned)
+				}
+				if !reflect.DeepEqual(single.Summary, cres.Summary) {
+					t.Errorf("%s %s window %v: summaries differ: single rows=%d cluster rows=%d",
+						pass, name, w, single.Summary.Rows, cres.Summary.Rows)
+				}
+				if !reflect.DeepEqual(single.Cells, cres.Cells) {
+					t.Errorf("%s %s window %v: cell series differ (%d vs %d cells)",
+						pass, name, w, len(single.Cells), len(cres.Cells))
+				}
+			}
 		}
 	}
 }

@@ -213,6 +213,12 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		rpcError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Every mode that carries a spec evaluates it: one the coordinator
+	// would have refused is refused here too, not answered as no rows.
+	if err := req.Spec.Validate(); err != nil {
+		rpcError(w, http.StatusBadRequest, err)
+		return
+	}
 	// Root a shard-local span continuing the coordinator's trace (when the
 	// request carries one) and accrue the shard-local cost profile; both
 	// ride back on the response for coordinator-side stitching.

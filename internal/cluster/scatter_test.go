@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,117 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	empty := askNode(t, NewNode(newRefEngine(t, g)), base)
 	if len(empty.Parts) != 0 || empty.Leaves != 0 || len(empty.Rows) != 0 {
 		t.Errorf("empty shard answered %d parts, %d leaves, %d row tables", len(empty.Parts), empty.Leaves, len(empty.Rows))
+	}
+}
+
+// TestNodeRepeatedExploreRebuildsNothing: a node asked the same exploration
+// twice rebuilds its edge leaves once. The second answer's parts section is
+// byte for byte the first's, its profile and explore_parts span say the
+// leaves came from the cache, and it scanned no chunk.
+func TestNodeRepeatedExploreRebuildsNothing(t *testing.T) {
+	g, snaps, window := testTrace(t, 1)
+	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.Open(fs, g.CellTable(), core.Options{Obs: obs.NewRegistry(), Tracer: obs.NewTracer(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sn := range snaps {
+		if _, err := eng.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.FinishIngest()
+	node := NewNode(eng)
+	w := telco.TimeRange{From: window.From.Add(90 * time.Minute), To: window.To.Add(-90 * time.Minute)}
+	req := exploreRequest{FromUnix: w.From.Unix(), ToUnix: w.To.Unix()}
+
+	first, second := exploreFrame(t, node, req), exploreFrame(t, node, req)
+	if !bytes.Equal(frameBody(t, first), frameBody(t, second)) {
+		t.Error("the repeated exploration's parts differ from the first's")
+	}
+	cold, err := readExploreFrame(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := readExploreFrame(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Scanned == 0 || cold.Profile.LeavesCached != 0 {
+		t.Fatalf("first exploration: %d leaves rebuilt, %d cached", cold.Scanned, cold.Profile.LeavesCached)
+	}
+	if warm.Scanned != 0 || warm.Profile.LeavesScanned != 0 || warm.Profile.LeavesCached != cold.Scanned ||
+		warm.Profile.ChunksScanned != 0 {
+		t.Errorf("repeated exploration: %d leaves rebuilt, %d cached, %d chunks scanned; want 0, %d, 0",
+			warm.Profile.LeavesScanned, warm.Profile.LeavesCached, warm.Profile.ChunksScanned, cold.Scanned)
+	}
+	spans := collectSpans(*warm.Trace, "explore_parts")
+	if len(spans) != 1 || spans[0].Attrs["leaves_cached"] != strconv.Itoa(cold.Scanned) {
+		t.Errorf("explore_parts spans %+v, want one with leaves_cached=%d", spans, cold.Scanned)
+	}
+}
+
+// frameBody is an explore frame without its JSON header: the parts and rows
+// sections.
+func frameBody(tb testing.TB, frame []byte) []byte {
+	tb.Helper()
+	n, k := binary.Uvarint(frame)
+	if k <= 0 || uint64(len(frame)-k) < n {
+		tb.Fatal("malformed explore frame header")
+	}
+	return frame[k+int(n):]
+}
+
+// TestNodeRejectsInvalidSpec: a node validates a pushed-down spec in every
+// mode and answers 400 for one Validate refuses — a predicate op or literal
+// kind it does not know, or an int or float literal that does not parse —
+// instead of answering as though no row matched.
+func TestNodeRejectsInvalidSpec(t *testing.T) {
+	g, snaps, window := testTrace(t, 1)
+	eng := newRefEngine(t, g)
+	for _, sn := range snaps {
+		if _, err := eng.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.FinishIngest()
+	node := NewNode(eng)
+	post := func(req exploreRequest) int {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc/explore", bytes.NewReader(body)))
+		return rec.Code
+	}
+	base := exploreRequest{FromUnix: window.From.Unix(), ToUnix: window.To.Unix(), Rows: true, Tables: []string{"CDR"}}
+	valid := scanspec.Pred{Col: telco.AttrDuration, Op: ">=", Kind: "int", Val: "0"}
+	good := base
+	good.Spec = &scanspec.Spec{Columns: []string{telco.AttrUpflux}, Preds: []scanspec.Pred{valid}}
+	if rows := askNode(t, node, good).Rows["CDR"]; len(rows) == 0 {
+		t.Fatal("a valid predicate matched no row")
+	}
+	for _, bad := range []scanspec.Pred{
+		{Col: telco.AttrDuration, Op: "~", Kind: "int", Val: "0"},
+		{Col: telco.AttrDuration, Op: ">=", Kind: "blob", Val: "0"},
+		{Col: telco.AttrDuration, Op: ">=", Kind: "int", Val: "abc"},
+		{Col: telco.AttrDuration, Op: ">=", Kind: "float", Val: "1.5x"},
+	} {
+		spec := &scanspec.Spec{Columns: []string{telco.AttrUpflux}, Preds: []scanspec.Pred{bad}}
+		rowsOnly, boxed, agg := base, base, base
+		rowsOnly.Spec, boxed.Spec = spec, spec
+		boxed.Boxed, boxed.MinX, boxed.MinY, boxed.MaxX, boxed.MaxY = true, -1e9, -1e9, 1e9, 1e9
+		agg.Rows, agg.AggTable = false, "CDR"
+		agg.Spec = &scanspec.Spec{Preds: spec.Preds, Aggs: []scanspec.Agg{{Fn: "COUNT"}}}
+		for mode, req := range map[string]exploreRequest{"rows": rowsOnly, "boxed rows": boxed, "aggregate": agg} {
+			if code := post(req); code != http.StatusBadRequest {
+				t.Errorf("%s request with predicate %+v: status %d, want 400", mode, bad, code)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,10 @@ type Profile struct {
 	LeavesScanned int `json:"leaves_scanned,omitempty"`
 	LeavesPruned  int `json:"leaves_pruned,omitempty"`
 	LeavesDecayed int `json:"leaves_decayed,omitempty"`
+	// LeavesCached counts the leaf summaries a shard exploration
+	// (Engine.ExploreParts) took from the result cache instead of
+	// rebuilding them; LeavesScanned counts only the rebuilds.
+	LeavesCached int `json:"leaves_cached,omitempty"`
 
 	ChunksScanned     int `json:"chunks_scanned,omitempty"`
 	ChunksPrunedZone  int `json:"chunks_pruned_zone,omitempty"`
@@ -99,6 +103,7 @@ func (p *Profile) Add(o Profile) {
 	p.LeavesScanned += o.LeavesScanned
 	p.LeavesPruned += o.LeavesPruned
 	p.LeavesDecayed += o.LeavesDecayed
+	p.LeavesCached += o.LeavesCached
 	p.ChunksScanned += o.ChunksScanned
 	p.ChunksPrunedZone += o.ChunksPrunedZone
 	p.ChunksPrunedBloom += o.ChunksPrunedBloom

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -263,7 +264,7 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	// retrieved"). This makes response time depend on the window's *edges*,
 	// not its length.
 	tCollect := time.Now()
-	parts, err := e.buildParts(ctx, srcs, res)
+	parts, err := e.buildParts(ctx, srcs, res, false)
 	sr.add(StageCollect, (time.Since(tCollect) - res.leafDecode).Nanoseconds())
 	if err != nil {
 		return nil, err
@@ -317,6 +318,15 @@ type PartsDiag struct {
 // one flat chronological Merge reproduces the exact association order a
 // single engine uses, so scatter-gathered aggregates match the monolithic
 // answer bit for bit.
+//
+// A leaf summary it has to rebuild from stored data goes into the engine's
+// result cache under the leaf's key (its sorted data refs) with the leaf's
+// period as ServedPeriod, already encoded; the next exploration that needs
+// the leaf takes it from there (Profile.LeavesCached) instead of rebuilding
+// it (Profile.LeavesScanned). Concurrent rebuilds of one leaf run once. The
+// entries live by the result cache's contract: its byte bound, Clear on
+// Ingest and FinishIngest, and Invalidate of the decayed periods on decay.
+// Explore does not cache leaves: it caches its whole answer.
 func (e *Engine) ExploreParts(ctx context.Context, w telco.TimeRange) ([]*highlights.Summary, PartsDiag, error) {
 	ctx, span := e.met.tracer.StartSpan(ctx, "explore_parts")
 	defer span.End()
@@ -337,7 +347,7 @@ func (e *Engine) ExploreParts(ctx context.Context, w telco.TimeRange) ([]*highli
 	srcs := e.planSummaries(e.tree.Root(), w, nil, res)
 	e.mu.RUnlock()
 	tCollect := time.Now()
-	parts, err := e.buildParts(ctx, srcs, res)
+	parts, err := e.buildParts(ctx, srcs, res, true)
 	if err != nil {
 		span.SetError(err)
 		return nil, PartsDiag{}, err
@@ -353,6 +363,7 @@ func (e *Engine) ExploreParts(ctx context.Context, w telco.TimeRange) ([]*highli
 		if res.leafDecode > 0 {
 			span.AddStageAt(StageLeafDecode, tCollect, res.leafDecode)
 		}
+		span.SetAttr("leaves_cached", strconv.Itoa(res.Profile.LeavesCached))
 	}
 	res.Profile.LeavesScanned = res.ScannedLeaves
 	res.Profile.LeavesDecayed = res.DecayedLeaves
@@ -610,35 +621,75 @@ func (e *Engine) planSummaries(n *index.Node, w telco.TimeRange, srcs []partSrc,
 }
 
 // buildParts turns a query plan into summary parts in order, rebuilding
-// the leaves the plan marked through the scan scheduler. ctx is consulted
-// before every rebuild — the expensive step — so a canceled request
-// abandons the collection promptly. Materialized summaries are slotted
-// directly and every part keeps its chronological plan position, so the
-// flat Merge downstream associates identically at every scan width.
-func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result) ([]*highlights.Summary, error) {
+// the leaves the plan marked through the scan scheduler. With cached set
+// (ExploreParts), a leaf is taken from the result cache when it is there,
+// and put there, encoded, when it is rebuilt; concurrent rebuilds of one
+// leaf share the result singleflight. ctx is consulted before every
+// rebuild — the expensive step — so a canceled request abandons the
+// collection promptly. Materialized summaries are slotted directly and
+// every part keeps its chronological plan position, so the flat Merge
+// downstream associates identically at every scan width.
+func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, cached bool) ([]*highlights.Summary, error) {
 	parts := make([]*highlights.Summary, len(srcs))
-	var slots []int // rebuild index -> srcs index
+	var slots []int   // rebuild index -> srcs index
+	var keys []string // rebuild index -> leaf key, when cached
 	for i, src := range srcs {
-		if src.sum != nil {
+		switch {
+		case src.sum != nil:
 			parts[i] = src.sum
-		} else {
+		case !cached:
 			slots = append(slots, i)
+		default:
+			key := leafKey(src.refs)
+			if r, ok := e.cache.Get(key); ok {
+				parts[i] = r.Summary
+				res.Profile.LeavesCached++
+				continue
+			}
+			slots = append(slots, i)
+			keys = append(keys, key)
 		}
 	}
 	if len(slots) == 0 {
 		return parts, nil
 	}
 	c := e.codec()
+	type leafPart struct {
+		sum    *highlights.Summary
+		shared bool // rebuilt by a concurrent exploration
+	}
 	// leaf_decode is a stage of this query's wall clock, so the rebuilds are
 	// charged their elapsed time; what each worker of a fan-out spent inside
 	// it stays in Profile.Workers.
 	t0 := time.Now()
 	err := e.runUnits(ctx, e.scanWorkers(), len(slots), &res.Profile, func(w *scanWorker, i int) (any, error) {
 		src := srcs[slots[i]]
-		return e.buildLeafSummary(c, src.period, src.refs, w.prof)
+		if !cached {
+			s, err := e.buildLeafSummary(c, src.period, src.refs, w.prof)
+			return leafPart{sum: s}, err
+		}
+		r, shared, err := e.resFlight.Do(ctx, keys[i], func() (*Result, error) {
+			s, err := e.buildLeafSummary(c, src.period, src.refs, w.prof)
+			if err != nil {
+				return nil, err
+			}
+			s.Encode() // what a shard ships; encoded first, its bytes count in the cache
+			r := &Result{Summary: s, ServedPeriod: src.period}
+			e.cache.Put(keys[i], r)
+			return r, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return leafPart{sum: r.Summary, shared: shared}, nil
 	}, func(i int, v any) error {
-		parts[slots[i]] = v.(*highlights.Summary)
-		res.ScannedLeaves++
+		p := v.(leafPart)
+		parts[slots[i]] = p.sum
+		if p.shared {
+			res.Profile.LeavesCached++
+		} else {
+			res.ScannedLeaves++
+		}
 		return nil
 	})
 	res.leafDecode += time.Since(t0)
@@ -904,10 +955,28 @@ func (q Query) cacheKey() string {
 	return b.String()
 }
 
+// leafKeyPrefix starts the result-cache key of a rebuilt leaf summary. A
+// query key starts with an attribute's table name or, with no attributes,
+// with "|[" (the box), so none starts with this.
+const leafKeyPrefix = "|leaf|"
+
+// leafKey renders the result-cache key of a leaf's summary: its data refs
+// in sorted order. A leaf's stored data never changes under a ref, so
+// neither does the summary rebuilt from it.
+func leafKey(refs map[string]string) string {
+	paths := make([]string, 0, len(refs))
+	for _, ref := range refs {
+		paths = append(paths, ref)
+	}
+	sort.Strings(paths)
+	return leafKeyPrefix + strings.Join(paths, "|")
+}
+
 // ResultCache is the engine's pluggable result-cache contract — the
 // mechanism behind the paper's zoom-in behaviour, where a narrowed window
 // |w'| < |w| "can be served directly from the cache". The engine calls
-// Put on every uncached evaluation, Get before evaluating, Invalidate
+// Put on every uncached evaluation and for every leaf summary ExploreParts
+// rebuilt (under a key no query has), Get before evaluating, Invalidate
 // when decay or fresh streamed rows change what a period's answer would
 // be, and Clear on ingest. Implementations must be safe for concurrent
 // use and must honor the invalidation contract: every entry whose
@@ -1002,12 +1071,13 @@ func (r *Result) SizeBytes() int64 {
 	return size
 }
 
-// summarySizeBytes estimates a highlight summary's footprint.
+// summarySizeBytes estimates a highlight summary's footprint, its memoized
+// encoding included.
 func summarySizeBytes(s *highlights.Summary) int64 {
 	if s == nil {
 		return 0
 	}
-	size := int64(128)
+	size := int64(128 + s.EncodedLen())
 	for ref := range s.Num {
 		size += int64(len(ref.Table)+len(ref.Attr)) + 112
 	}

@@ -52,7 +52,35 @@ const (
 
 // Encode serializes the summary in its binary form. It never fails; the
 // error is part of the signature every summary encoding has had.
+//
+// The bytes are computed once per summary and memoized, so a summary that
+// is persisted, cached or shipped in many frames is encoded once. Every
+// caller gets the same slice and must not modify it; and a summary must not
+// be modified once it has been encoded (summaries are read-only once built).
+// Encode is safe for concurrent use: racing first calls each compute the
+// same bytes, and one of them is kept.
 func (s *Summary) Encode() ([]byte, error) {
+	if b := s.enc.Load(); b != nil {
+		return *b, nil
+	}
+	b := s.encode()
+	if !s.enc.CompareAndSwap(nil, &b) {
+		return *s.enc.Load(), nil
+	}
+	return b, nil
+}
+
+// EncodedLen is the length of the memoized encoding: 0 until Encode has
+// run, the bytes the summary retains for it after.
+func (s *Summary) EncodedLen() int {
+	if b := s.enc.Load(); b != nil {
+		return len(*b)
+	}
+	return 0
+}
+
+// encode computes the binary form.
+func (s *Summary) encode() []byte {
 	// The attribute dictionary: every AttrRef once, in sorted order.
 	ords := make(map[AttrRef]uint64, len(s.Num)+len(s.Cat))
 	for ref := range s.Num {
@@ -151,7 +179,7 @@ func (s *Summary) Encode() ([]byte, error) {
 			b = appendStats(binary.AppendUvarint(b, p.ord), p.st)
 		}
 	}
-	return b, nil
+	return b
 }
 
 func compareRefs(x, y AttrRef) int {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -156,7 +157,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A folded summary comes back deeply equal, empty cell maps included.
+	// A folded summary comes back field for field, empty cell maps included,
+	// and the copy encodes to the original's bytes.
 	s := NewSummary(telco.NewTimeRange(t0, t0.Add(time.Hour)))
 	s.AddTable(testConfig(), mkTable(rec(t0, 1, "VOICE", 60), rec(t0.Add(time.Minute), 2, "SMS", 0),
 		telco.Record{telco.Time(t0), telco.Int(3), telco.Null, telco.Null}))
@@ -164,14 +166,59 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Decode(data); err != nil || !reflect.DeepEqual(got, s) {
-		t.Errorf("folded summary: decoded %+v (%v), want %+v", got, err, s)
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSummary(t, got, s)
+	if again, err := got.Encode(); err != nil || !bytes.Equal(again, data) {
+		t.Errorf("folded summary: the decoded copy encodes differently (%v)", err)
 	}
 	if _, err := Decode([]byte("garbage")); err == nil {
 		t.Error("Decode(garbage) succeeded")
 	}
 	if _, err := DecodeBinary(legacyGob(t)); err == nil {
 		t.Error("DecodeBinary read gob")
+	}
+}
+
+// TestEncodeConcurrent: goroutines racing to encode one summary — the first
+// encodings and the memoized ones after — all get the bytes a fresh,
+// never-encoded copy of the summary encodes to. Under -race it pins the
+// memo's publication.
+func TestEncodeConcurrent(t *testing.T) {
+	for trial := int64(0); trial < 20; trial++ {
+		s := randomSummary(rand.New(rand.NewSource(trial)))
+		want, _ := randomSummary(rand.New(rand.NewSource(trial))).Encode()
+		const n = 16
+		out := make([][]byte, n)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range out {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				for rep := 0; rep < 4; rep++ {
+					b, err := s.Encode()
+					if err != nil || (out[i] != nil && !bytes.Equal(b, out[i])) {
+						t.Errorf("goroutine %d: encoding changed between calls (%v)", i, err)
+						return
+					}
+					out[i] = b
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		if s.EncodedLen() != len(want) {
+			t.Fatalf("trial %d: EncodedLen %d, encoding %d bytes", trial, s.EncodedLen(), len(want))
+		}
+		for i, b := range out {
+			if !bytes.Equal(b, want) {
+				t.Fatalf("trial %d: goroutine %d got %d bytes unlike the %d of a fresh encoding", trial, i, len(b), len(want))
+			}
+		}
 	}
 }
 

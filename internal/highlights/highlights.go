@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"spate/internal/telco"
@@ -194,13 +195,17 @@ type CellStats struct {
 	Num  map[AttrRef]*Stats
 }
 
-// Summary is the mergeable highlight cube of one temporal-index node.
+// Summary is the mergeable highlight cube of one temporal-index node. A
+// summary is filled once — by a fold, Merge or a decode — and read-only
+// from then on; Encode memoizes its bytes on that promise.
 type Summary struct {
 	Period telco.TimeRange
 	Rows   int64
 	Num    map[AttrRef]*Stats
 	Cat    map[AttrRef]map[string]*ValStat
 	Cells  map[int64]*CellStats
+
+	enc atomic.Pointer[[]byte] // Encode's bytes, once computed
 }
 
 // NewSummary returns an empty summary over the given period.

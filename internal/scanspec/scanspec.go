@@ -528,7 +528,9 @@ func (a Agg) Finalize(c Cell) telco.Value {
 	return telco.Null
 }
 
-// Validate rejects malformed specs at the RPC boundary.
+// Validate rejects malformed specs at the RPC boundary. Every predicate of
+// a spec it accepts has a non-null Literal: a literal of its kind that does
+// not parse would otherwise reject every row.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return nil
@@ -543,6 +545,9 @@ func (s *Spec) Validate() error {
 		case "int", "float", "str":
 		default:
 			return fmt.Errorf("scanspec: bad predicate literal kind %q", p.Kind)
+		}
+		if p.Literal().IsNull() {
+			return fmt.Errorf("scanspec: predicate literal %q is not a valid %s", p.Val, p.Kind)
 		}
 	}
 	for _, a := range s.Aggs {

@@ -2,6 +2,7 @@ package scanspec
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"spate/internal/telco"
@@ -251,6 +252,10 @@ func TestValidate(t *testing.T) {
 	for _, bad := range []*Spec{
 		{Preds: []Pred{{Col: "c", Op: "LIKE", Kind: "str", Val: "x"}}},
 		{Preds: []Pred{{Col: "c", Op: "=", Kind: "time", Val: "x"}}},
+		{Preds: []Pred{{Col: "c", Op: "=", Kind: "int", Val: "abc"}}},
+		{Preds: []Pred{{Col: "c", Op: "=", Kind: "int", Val: "1.5"}}},
+		{Preds: []Pred{{Col: "c", Op: "<", Kind: "float", Val: "1.5x"}}},
+		{Preds: []Pred{{Col: "c", Op: "<", Kind: "float", Val: ""}}},
 		{Aggs: []Agg{{Fn: "AVG", Col: "v"}}},
 		{Aggs: []Agg{{Fn: "SUM"}}},
 	} {
@@ -258,6 +263,62 @@ func TestValidate(t *testing.T) {
 			t.Errorf("accepted %+v", bad)
 		}
 	}
+}
+
+// FuzzValidateSpec: Validate is the gate a node puts in front of a spec
+// off the wire. Whatever JSON it is handed, a spec it accepts has a
+// non-null literal in every predicate, and evaluating it — row by row or
+// against integer zone maps — never panics. On a one-value zone [v, v] the
+// zone verdicts agree with evaluating v itself.
+func FuzzValidateSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"columns":["upflux"],"preds":[{"col":"duration","op":">=","kind":"int","val":"0"}]}`,
+		`{"preds":[{"col":"c","op":"!=","kind":"float","val":"-1.5e3"},{"col":"d","op":"=","kind":"str","val":""}]}`,
+		`{"preds":[{"col":"c","op":"<","kind":"int","val":"-9223372036854775808"}],"aggs":[{"fn":"COUNT"},{"fn":"MAX","col":"c"}],"group_by":"g"}`,
+		`{"preds":[{"col":"c","op":"~","kind":"int","val":"1"}]}`,
+		`{"preds":[{"col":"c","op":"=","kind":"blob","val":"1"}]}`,
+		`{"preds":[{"col":"c","op":"=","kind":"int","val":"abc"}]}`,
+		`{"aggs":[{"fn":"SUM"}],"window":{"from":5,"has_from":true}}`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	ints := []int64{math.MinInt64, -1, 0, 1, 300, math.MaxInt64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s *Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		_ = s.String()
+		_ = s.Referenced()
+		if s == nil {
+			return
+		}
+		vals := []telco.Value{telco.Null, telco.String(""), telco.String("x"), telco.Float(math.NaN()), telco.Float(-0.5)}
+		for _, v := range ints {
+			vals = append(vals, telco.Int(v))
+		}
+		for _, p := range s.Preds {
+			if p.Literal().IsNull() {
+				t.Fatalf("accepted %+v, whose literal is null", p)
+			}
+			for _, v := range vals {
+				p.Eval(v)
+			}
+			for _, lo := range ints {
+				for _, hi := range ints {
+					if lo <= hi && p.ZonePrune(lo, hi) && p.ZoneAllMatch(lo, hi) {
+						t.Fatalf("%+v: zone [%d, %d] both pruned and all-matching", p, lo, hi)
+					}
+				}
+				if _, isInt := p.IntLiteral(); isInt {
+					if match := p.Eval(telco.Int(lo)); p.ZoneAllMatch(lo, lo) != match || p.ZonePrune(lo, lo) == match {
+						t.Fatalf("%+v: zone [%d, %d] disagrees with Eval(%d) = %v", p, lo, lo, lo, match)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestReferencedAndString(t *testing.T) {

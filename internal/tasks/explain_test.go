@@ -138,3 +138,18 @@ func TestSQLOverCluster(t *testing.T) {
 		t.Errorf("cluster EXPLAIN ANALYZE missing per-shard lines:\n%s", out)
 	}
 }
+
+// TestRenderProfileLeafCache: EXPLAIN ANALYZE tells rebuilt leaves from
+// leaves a shard took from its leaf cache, in the totals and per shard.
+func TestRenderProfileLeafCache(t *testing.T) {
+	shard := core.Profile{LeavesScanned: 1, LeavesCached: 4}
+	p := core.Profile{Shards: []core.ShardProfile{{Shard: 2, LatencyMS: 1.5, Profile: shard}}}
+	p.Add(shard)
+	out := strings.Join(renderProfile(&p), "\n")
+	for _, want := range []string{"leaves: 1 scanned, 0 pruned, 0 decayed, 4 cached",
+		"shard 2 band 0: 1.5 ms, 1 leaves scanned, 4 cached, "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, out)
+		}
+	}
+}
