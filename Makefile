@@ -62,8 +62,9 @@ bench:
 	$(GO) test -bench . -benchtime 10x -run XXX ./...
 
 # Fuzz the WAL record decoder, the v3 column-stream decoders (string and
-# column-batch, one target), the binary summary decoder, the explore frame
-# reader and the scan-spec check a node runs on /rpc/explore bodies for a
+# column-batch, one target), the binary summary decoder (with its check and
+# the merge from encodings), the explore frame reader, the partials section
+# inside it and the scan-spec check a node runs on /rpc/explore bodies for a
 # short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeSummary -fuzztime 30s -run XXX ./internal/highlights/
 	$(GO) test -fuzz FuzzExploreFrame -fuzztime 30s -run XXX ./internal/cluster/
 	$(GO) test -fuzz FuzzValidateSpec -fuzztime 30s -run XXX ./internal/scanspec/
+	$(GO) test -fuzz FuzzReadPartials -fuzztime 30s -run XXX ./internal/scanspec/
 
 fmt:
 	gofmt -l -w .

@@ -76,8 +76,9 @@ func (c *client) post(ctx context.Context, base, path string, req, resp any) err
 }
 
 // explore posts req to base's /rpc/explore and reads the explore frame it
-// answers with, decoding the summary parts on the caller's goroutine. A 200
-// that is not an explore frame comes from a node of another version.
+// answers with, checking the summary parts and the partials on the
+// caller's goroutine. A 200 that is not an explore frame comes from a node
+// of another version.
 func (c *client) explore(ctx context.Context, base string, req exploreRequest) (*exploreResponse, error) {
 	const path = "/rpc/explore"
 	hreq, err := newPost(ctx, base, path, req)
@@ -89,12 +90,17 @@ func (c *client) explore(ctx context.Context, base string, req exploreRequest) (
 		if ct := hresp.Header.Get("Content-Type"); ct != exploreFrameType {
 			return fmt.Errorf("answer is %q, not %q: node and coordinator run different versions", ct, exploreFrameType)
 		}
-		body, err := io.ReadAll(hresp.Body)
+		body, err := readFrameBody(hresp)
 		if err != nil {
 			return err
 		}
-		resp, err = readExploreFrame(body)
-		return err
+		if resp, err = readExploreFrame(body); err != nil {
+			return err
+		}
+		if req.AggTable != "" {
+			return checkPartials(resp, req.Spec)
+		}
+		return nil
 	})
 	return resp, err
 }

@@ -81,9 +81,9 @@ func startTestCluster(tb testing.TB, cfg Config, g *gen.Generator, snaps []*snap
 
 // TestClusterExploreMatchesSingleEngine is the identity acceptance test: a
 // 4-node and a 1-node cluster ingest the same generated trace as one engine
-// and must answer exploration with bit-for-bit identical merged aggregates —
-// with the shards' leaf caches cold, and again warm, when the shards rebuild
-// no leaf they rebuilt before.
+// and must answer exploration, and a T3 aggregate, with bit-for-bit
+// identical merged aggregates — with the shards' leaf caches cold, and again
+// warm, when the shards rebuild no leaf they rebuilt before.
 func TestClusterExploreMatchesSingleEngine(t *testing.T) {
 	g, snaps, window := testTrace(t, 4)
 	eng := newRefEngine(t, g)
@@ -107,6 +107,9 @@ func TestClusterExploreMatchesSingleEngine(t *testing.T) {
 		}
 	}
 
+	t3 := &scanspec.Spec{GroupBy: telco.AttrCellID, Aggs: []scanspec.Agg{
+		{Fn: "COUNT"}, {Fn: "SUM", Col: "drop_calls"}, {Fn: "MIN", Col: "rssi_dbm"}, {Fn: "MAX", Col: "call_attempts"},
+	}}
 	windows := []telco.TimeRange{
 		window, // whole trace: day summaries on both sides
 		{From: window.From.Add(12 * time.Hour), To: window.To.Add(-12 * time.Hour)},  // edges descend to leaves
@@ -140,6 +143,20 @@ func TestClusterExploreMatchesSingleEngine(t *testing.T) {
 				if !reflect.DeepEqual(single.Cells, cres.Cells) {
 					t.Errorf("%s %s window %v: cell series differ (%d vs %d cells)",
 						pass, name, w, len(single.Cells), len(cres.Cells))
+				}
+				// T3: per-cell aggregates, folded shard-side, travel as
+				// binary partials and merge to the engine's answer.
+				want, err := eng.AggregatePartials(ctx, w, "NMS", t3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := lc.Coordinator.AggregatePartials(ctx, w, "NMS", t3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s window %v: T3 partials differ (%d vs the engine's %d groups)",
+						pass, name, w, len(got), len(want))
 				}
 			}
 		}

@@ -403,6 +403,8 @@ func (c *Coordinator) scatter(ctx context.Context, shards, bands []int, req expl
 					sspan.SetError(err)
 					sspan.SetAttr("missing", "true")
 				} else {
+					o.sp.FrameBytes = resp.frameBytes
+					sspan.SetAttr("frame_bytes", strconv.Itoa(resp.frameBytes))
 					if resp.Trace != nil {
 						sspan.AttachRemote(*resp.Trace)
 					}
@@ -493,7 +495,7 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 	}
 	failed := make(map[int]bool)
 	leaves, live := 0, 0
-	var parts []*highlights.Summary
+	var parts []encodedPart
 	var firstErr error
 	for _, o := range outs {
 		res.Retries += o.sp.Retries
@@ -525,9 +527,19 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 	// One flat chronological fold, exactly like a monolithic engine's merge
 	// stage. Parts from different slots are disjoint in time (or disjoint
 	// in cells under a spatial split), so ordering by period start
-	// reproduces the single engine's association order.
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Period.From.Before(parts[j].Period.From) })
-	merged := highlights.Merge(q.Window, parts...)
+	// reproduces the single engine's association order. The parts merge
+	// from their encodings, already checked in the replicas' goroutines,
+	// with no decoded summary in between.
+	sort.SliceStable(parts, func(i, j int) bool { return parts[i].period.From.Before(parts[j].period.From) })
+	encs := make([][]byte, len(parts))
+	for i, p := range parts {
+		encs[i] = p.data
+	}
+	span.SetAttr("parts", strconv.Itoa(len(parts)))
+	merged, err := highlights.MergeEncoded(q.Window, encs)
+	if err != nil {
+		return fail(err)
+	}
 	res.Summary, res.Cells = c.cells.Restrict(merged, q.Box, q.Attrs)
 	res.Highlights = merged.Extract(c.cfg.Theta)
 
@@ -692,9 +704,10 @@ func (c *Coordinator) hedgedExplore(ctx context.Context, slot int, req exploreRe
 		// Successive attempts rotate the replica asked first.
 		url := urls[(attempt+i)%len(urls)]
 		go func() {
-			// The answer's summary parts decode here, in the replica's own
-			// goroutine: slots decode in parallel, and a malformed frame or
-			// part fails this replica alone (failover, hedge, retry).
+			// The answer's summary parts and partials are checked here, in
+			// the replica's own goroutine: slots check in parallel, and a
+			// malformed frame, part or partial fails this replica alone
+			// (failover, hedge, retry).
 			resp, err := c.cl.explore(actx, url, req)
 			ch <- reply{resp, err, hedge}
 		}()

@@ -1,57 +1,57 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"spate/internal/core"
+	"spate/internal/gen"
 	"spate/internal/highlights"
 	"spate/internal/obs"
 	"spate/internal/scanspec"
+	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
 
-// TestBadFrameDegradesOneSlot: a replica whose explore frame arrives cut
-// short, or carries a malformed part, fails like a replica that is down. As
-// its slot's lone replica it turns the answer Partial with its shard's
-// Missing ranges; beside a healthy replica, second or first, it does not
-// change the answer.
-func TestBadFrameDegradesOneSlot(t *testing.T) {
-	g, snaps, window := testTrace(t, 2)
-	cfg := Config{Shards: 2, Retries: -1, HedgeDelay: time.Millisecond, Obs: obs.NewNoop()}
-	cells, err := core.NewCellInventory(g.CellTable(), "")
+// twoShards is two single-replica shards serving a two-day trace over
+// HTTP, for tests that put bad replicas beside them.
+type twoShards struct {
+	tb     testing.TB
+	g      *gen.Generator
+	snaps  []*snapshot.Snapshot
+	window telco.TimeRange
+	cfg    Config
+	m      *ShardMap
+	nodes  [2]*Node
+	urls   [2]string
+}
+
+func newTwoShards(t *testing.T) *twoShards {
+	f := &twoShards{tb: t, cfg: Config{Shards: 2, Retries: -1, HedgeDelay: time.Millisecond, Obs: obs.NewNoop()}}
+	f.g, f.snaps, f.window = testTrace(t, 2)
+	cells, err := core.NewCellInventory(f.g.CellTable(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewShardMap(cfg.withDefaults(), cells.Points())
-	serve := func(h http.Handler) string {
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
-		return srv.URL
-	}
-	var good [2]string
-	var nodes [2]*Node
-	for s := range good {
-		nodes[s] = NewNode(newRefEngine(t, g))
-		good[s] = serve(nodes[s].Handler())
+	f.m = NewShardMap(f.cfg.withDefaults(), cells.Points())
+	for s := range f.urls {
+		f.nodes[s] = NewNode(newRefEngine(t, f.g))
+		f.urls[s] = f.serve(f.nodes[s].Handler())
 	}
 	ctx := context.Background()
-	coordinator := func(topology [][]string) *Coordinator {
-		c, err := NewCoordinator(cfg, m, topology, g.CellTable())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	healthy := coordinator([][]string{{good[0]}, {good[1]}})
-	for _, sn := range snaps {
+	healthy := f.coordinator([][]string{{f.urls[0]}, {f.urls[1]}})
+	for _, sn := range f.snaps {
 		if err := healthy.Ingest(ctx, sn); err != nil {
 			t.Fatal(err)
 		}
@@ -59,6 +59,34 @@ func TestBadFrameDegradesOneSlot(t *testing.T) {
 	if err := healthy.FinishIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+func (f *twoShards) serve(h http.Handler) string {
+	srv := httptest.NewServer(h)
+	f.tb.Cleanup(srv.Close)
+	return srv.URL
+}
+
+func (f *twoShards) coordinator(topology [][]string) *Coordinator {
+	c, err := NewCoordinator(f.cfg, f.m, topology, f.g.CellTable())
+	if err != nil {
+		f.tb.Fatal(err)
+	}
+	return c
+}
+
+// TestBadFrameDegradesOneSlot: a replica whose explore frame arrives cut
+// short, or carries a malformed part, fails like a replica that is down. As
+// its slot's lone replica it turns the answer Partial with its shard's
+// Missing ranges; beside a healthy replica, second or first, it does not
+// change the answer.
+func TestBadFrameDegradesOneSlot(t *testing.T) {
+	f := newTwoShards(t)
+	m, window, nodes, good, coordinator, serve := f.m, f.window, f.nodes, f.urls, f.coordinator, f.serve
+	snaps := f.snaps
+	ctx := context.Background()
+	healthy := coordinator([][]string{{good[0]}, {good[1]}})
 
 	// Two bad replicas of shard bad: one cuts the node's frame in half, the
 	// other sends a well-formed frame whose one part is cut short.
@@ -76,8 +104,7 @@ func TestBadFrameDegradesOneSlot(t *testing.T) {
 	}
 	part = part[:len(part)-1]
 	badPart := serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body := append(binary.AppendUvarint([]byte{1}, uint64(len(part))), part...)
-		writeExploreFrame(w, &exploreResponse{Leaves: 1}, append(body, 0))
+		writeExploreFrame(w, &exploreResponse{Leaves: 1, Parts: []encodedPart{{data: part}}})
 	}))
 
 	q := core.Query{Window: window}
@@ -113,6 +140,137 @@ func TestBadFrameDegradesOneSlot(t *testing.T) {
 	}
 }
 
+// TestMisSizedPartialsFailTheirSlot: a shard whose partials hold another
+// number of cells than the spec has aggregates — here a replica of shard 0
+// that folds only the first of three — fails its slot alone. As the lone
+// replica the call fails with ErrDegraded naming the shard (the partials of
+// the two shards used to merge into an index-out-of-range panic); beside a
+// healthy replica, either side, the answer is the healthy one.
+func TestMisSizedPartialsFailTheirSlot(t *testing.T) {
+	f := newTwoShards(t)
+	spec := &scanspec.Spec{Aggs: []scanspec.Agg{{Fn: "COUNT"}, {Fn: "SUM", Col: telco.AttrDuration}, {Fn: "MAX", Col: telco.AttrUpflux}}}
+	oneCell := f.serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req exploreRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Spec == nil {
+			t.Errorf("proxy: %v", err)
+			return
+		}
+		req.Spec.Aggs = req.Spec.Aggs[:1]
+		body, _ := json.Marshal(req)
+		f.nodes[0].Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/rpc/explore", bytes.NewReader(body)))
+	}))
+	ctx := context.Background()
+	aggregate := func(replicas []string) ([]scanspec.Partial, error) {
+		return f.coordinator([][]string{replicas, {f.urls[1]}}).AggregatePartials(ctx, f.window, "CDR", spec)
+	}
+	want, err := aggregate([]string{f.urls[0]})
+	if err != nil || len(want) != 1 || want[0].Cells[0].Count == 0 {
+		t.Fatalf("healthy cluster: %+v, %v", want, err)
+	}
+	if _, err := aggregate([]string{oneCell}); !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "shard 0 failed") ||
+		!strings.Contains(err.Error(), "1 cells for 3 aggregates") {
+		t.Errorf("one-cell partials: %v, want ErrDegraded naming shard 0", err)
+	}
+	for _, replicas := range [][]string{{f.urls[0], oneCell}, {oneCell, f.urls[0]}} {
+		if got, err := aggregate(replicas); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("replicas %v: %+v, %v; want the healthy answer", replicas, got, err)
+		}
+	}
+}
+
+// rawFrame is an explore frame with a header, no parts, no rows and the
+// given bytes as its partials section.
+func rawFrame(hdr string, partials []byte) []byte {
+	var f frameWriter
+	f.field([]byte(hdr))
+	f.uvarint(0)
+	f.uvarint(0)
+	f.field(partials)
+	return slices.Concat(f.chunks...)
+}
+
+// serveFrame answers every request with frame.
+func serveFrame(frame []byte) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", exploreFrameType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		w.Write(frame)
+	})
+}
+
+// TestBadPartialsSectionFailsItsSlot: a partials section with a value kind
+// the coordinator does not know, or cut short, fails its replica like a
+// replica that is down: ErrDegraded as the slot's lone replica, the healthy
+// answer beside a good one.
+func TestBadPartialsSectionFailsItsSlot(t *testing.T) {
+	f := newTwoShards(t)
+	spec := &scanspec.Spec{Aggs: []scanspec.Agg{{Fn: "COUNT"}}}
+	section := scanspec.AppendPartials(nil, []scanspec.Partial{{Cells: []scanspec.Cell{{Seen: true, Count: 1}}}})
+	unknownKind := bytes.Clone(section)
+	unknownKind[1] = 9 // the group value's kind
+	ctx := context.Background()
+	aggregate := func(replicas []string) ([]scanspec.Partial, error) {
+		return f.coordinator([][]string{{f.urls[0]}, replicas}).AggregatePartials(ctx, f.window, "CDR", spec)
+	}
+	want, err := aggregate([]string{f.urls[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, partials := range map[string][]byte{
+		"unknown value kind": unknownKind,
+		"cut short":          section[:len(section)-1],
+		"trailing bytes":     append(bytes.Clone(section), 0),
+	} {
+		bad := f.serve(serveFrame(rawFrame(`{"leaves":1}`, partials)))
+		if _, err := aggregate([]string{bad}); !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "shard 1 failed") ||
+			!strings.Contains(err.Error(), "partials") {
+			t.Errorf("%s: %v, want ErrDegraded naming shard 1's partials", name, err)
+		}
+		for _, replicas := range [][]string{{f.urls[1], bad}, {bad, f.urls[1]}} {
+			if got, err := aggregate(replicas); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: replicas %v: %v; want the healthy answer", name, replicas, err)
+			}
+		}
+	}
+}
+
+// TestFrameReadIsBounded: a coordinator reads a frame into a buffer sized
+// by its Content-Length, so an answer without one, or with one past
+// maxFrameBytes, is refused before anything is allocated for it.
+func TestFrameReadIsBounded(t *testing.T) {
+	frame := rawFrame(`{"leaves":1}`, scanspec.AppendPartials(nil, nil))
+	for name, h := range map[string]http.HandlerFunc{
+		"chunked": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", exploreFrameType)
+			w.Write(frame)
+			w.(http.Flusher).Flush() // commits the answer without a length
+		},
+		"oversized": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", exploreFrameType)
+			w.Header().Set("Content-Length", strconv.Itoa(maxFrameBytes+1))
+			w.Write(frame)
+		},
+	} {
+		srv := httptest.NewServer(h)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := newClient().explore(context.Background(), srv.URL, exploreRequest{})
+		runtime.ReadMemStats(&after)
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "explore frame") {
+			t.Errorf("%s answer read as %v, want an explore frame error", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s answer: reading it allocated %d bytes", name, n)
+		}
+	}
+	srv := httptest.NewServer(serveFrame(frame))
+	defer srv.Close()
+	if resp, err := newClient().explore(context.Background(), srv.URL, exploreRequest{}); err != nil || resp.Leaves != 1 || resp.frameBytes != len(frame) {
+		t.Errorf("a well-formed frame read as %+v, %v", resp, err)
+	}
+}
+
 // TestExploreAnswerIsAFrame: a 200 /rpc/explore answer that is not an explore
 // frame is refused as a version mismatch — there is no JSON fallback.
 func TestExploreAnswerIsAFrame(t *testing.T) {
@@ -127,8 +285,9 @@ func TestExploreAnswerIsAFrame(t *testing.T) {
 }
 
 // FuzzExploreFrame: the frame reader never panics and allocates no more than
-// a bound proportional to its input. Seeds are real node answers: parts and
-// rows, rows alone, and an empty shard's.
+// a bound proportional to its input. Seeds are real node answers — parts and
+// rows, rows alone, partials, and an empty shard's — and a frame whose
+// partials section holds an unknown value kind.
 func FuzzExploreFrame(f *testing.F) {
 	g, snaps, window := testTrace(f, 1)
 	eng := newRefEngine(f, g)
@@ -144,9 +303,15 @@ func FuzzExploreFrame(f *testing.F) {
 	both.Rows, both.Tables = true, []string{"NMS"}
 	rows := both
 	rows.Spec = &scanspec.Spec{Columns: []string{"drop_calls"}}
-	for _, req := range []exploreRequest{parts, both, rows} {
+	agg := parts
+	agg.AggTable = "NMS"
+	agg.Spec = &scanspec.Spec{GroupBy: telco.AttrCellID, Aggs: []scanspec.Agg{{Fn: "COUNT"}, {Fn: "MAX", Col: "rssi_dbm"}}}
+	for _, req := range []exploreRequest{parts, both, rows, agg} {
 		f.Add(exploreFrame(f, NewNode(eng), req))
 	}
+	badKind := scanspec.AppendPartials(nil, []scanspec.Partial{{Cells: []scanspec.Cell{{Seen: true, Count: 1}}}})
+	badKind[1] = 9
+	f.Add(rawFrame(`{"leaves":1}`, badKind))
 	f.Add(exploreFrame(f, NewNode(newRefEngine(f, g)), parts))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

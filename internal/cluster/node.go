@@ -232,22 +232,15 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// An empty shard legitimately owns no data in any window; the
 		// coordinator decides whether the cluster as a whole is empty.
 		span.SetAttr("empty", "true")
-		body, _ := encodeFrameBody(&resp) // no parts, so nothing to fail encoding
-		writeExploreFrame(w, &resp, body)
+		writeExploreFrame(w, &resp)
 		return
 	}
 	fail := func(err error) {
 		span.SetError(err)
 		rpcError(w, http.StatusInternalServerError, err)
 	}
-	// answer ships resp with the shard-local profile and span subtree; the
-	// frame's parts and rows are encoded before the span ends.
+	// answer ships resp with the shard-local profile and span subtree.
 	answer := func(attr string, v int) {
-		body, err := encodeFrameBody(&resp)
-		if err != nil {
-			fail(err)
-			return
-		}
 		resp.Profile = prof
 		if span != nil {
 			span.SetAttr(attr, strconv.Itoa(v))
@@ -255,7 +248,7 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 			j := span.JSON()
 			resp.Trace = &j
 		}
-		writeExploreFrame(w, &resp, body)
+		writeExploreFrame(w, &resp)
 	}
 	win := telco.TimeRange{
 		From: time.Unix(req.FromUnix, 0).UTC(),
@@ -283,7 +276,18 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 			fail(err)
 			return
 		}
-		resp.Parts, resp.Scanned, resp.Decayed = parts, diag.ScannedLeaves, diag.DecayedLeaves
+		// Encode inside the span: encodings are memoized on the summaries,
+		// so a part a cached leaf or an earlier answer shipped costs nothing.
+		resp.Parts = make([]encodedPart, len(parts))
+		for i, p := range parts {
+			data, err := p.Encode()
+			if err != nil {
+				fail(err)
+				return
+			}
+			resp.Parts[i] = encodedPart{data: data}
+		}
+		resp.Scanned, resp.Decayed = diag.ScannedLeaves, diag.DecayedLeaves
 	}
 	if req.Rows {
 		var tables map[string]*telco.Table

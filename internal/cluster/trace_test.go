@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -110,6 +111,18 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	sp, cp := single.Profile, cres.Profile
 	if len(cp.Shards) != 4 {
 		t.Fatalf("profile has %d shard entries, want 4", len(cp.Shards))
+	}
+	// The root says how many parts merged; each slot span, and its shard's
+	// entry, how large the frame it answered with was.
+	if n, err := strconv.Atoi(root.Attrs["parts"]); err != nil || n < 4 {
+		t.Errorf("cluster_explore parts=%q, want one or more per shard", root.Attrs["parts"])
+	}
+	for _, sl := range slots {
+		shard, _ := strconv.Atoi(sl.Attrs["shard"])
+		fb := cp.Shards[shard].FrameBytes
+		if fb == 0 || sl.Attrs["frame_bytes"] != strconv.Itoa(fb) {
+			t.Errorf("shard %d: slot span frame_bytes=%q, profile %d", shard, sl.Attrs["frame_bytes"], fb)
+		}
 	}
 	type pair struct {
 		name      string

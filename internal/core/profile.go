@@ -88,9 +88,12 @@ type ShardProfile struct {
 	LatencyMS float64 `json:"latency_ms"`
 	Retries   int     `json:"retries,omitempty"`
 	HedgeWin  bool    `json:"hedge_win,omitempty"`
-	Missing   bool    `json:"missing,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	Profile   Profile `json:"profile"`
+	// FrameBytes is the size of the explore frame the slot answered with:
+	// the wire volume behind its latency.
+	FrameBytes int     `json:"frame_bytes,omitempty"`
+	Missing    bool    `json:"missing,omitempty"`
+	Error      string  `json:"error,omitempty"`
+	Profile    Profile `json:"profile"`
 }
 
 // Add folds o's scan counters into p. Identity fields (TraceID,

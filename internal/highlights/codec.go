@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"time"
+
+	"spate/internal/telco"
 )
 
 // A Summary has one encoding, used for the persisted index
@@ -223,60 +225,144 @@ func Decode(data []byte) (*Summary, error) {
 // by the length of data: every count is checked against the bytes left
 // before anything is sized by it.
 func DecodeBinary(data []byte) (*Summary, error) {
+	b := builder{s: &Summary{}}
+	from, to, err := walk(data, &b)
+	if err != nil {
+		return nil, err
+	}
+	b.s.Period = telco.TimeRange{From: from.time(), To: to.time()}
+	return b.s, nil
+}
+
+// CheckBinary checks data the way DecodeBinary does — it accepts exactly
+// what DecodeBinary accepts — and returns the summary's period, building
+// nothing else and allocating nothing: what a cluster coordinator runs on
+// each shard part before it merges the encodings (MergeEncoded).
+func CheckBinary(data []byte) (telco.TimeRange, error) {
+	from, to, err := walk(data, noop{})
+	if err != nil {
+		return telco.TimeRange{}, err
+	}
+	return telco.TimeRange{From: from.time(), To: to.time()}, nil
+}
+
+// A visitor receives a binary summary from walk, section by section, and
+// only what walk has checked: a section's count comes before its entries
+// and has been checked against the bytes left, attr is an ordinal into the
+// attribute dictionary, and the byte slices alias the encoding.
+type visitor interface {
+	rows(n int64)
+	dict(n int)
+	attr(i int, table, attr, key []byte) // key: the entry's encoded bytes
+	nums(n int)
+	num(attr int, st wireStats)
+	cats(n int)
+	cat(attr, values int)
+	value(v []byte, count int64, first, last stamp)
+	cells(n, pairs int)
+	cell(id, rows int64, attrs int)
+	cellNum(attr int, st wireStats)
+}
+
+// noop visits nothing: walk with it is the format's check alone.
+type noop struct{}
+
+func (noop) rows(int64)                        {}
+func (noop) dict(int)                          {}
+func (noop) attr(int, []byte, []byte, []byte)  {}
+func (noop) nums(int)                          {}
+func (noop) num(int, wireStats)                {}
+func (noop) cats(int)                          {}
+func (noop) cat(int, int)                      {}
+func (noop) value([]byte, int64, stamp, stamp) {}
+func (noop) cells(int, int)                    {}
+func (noop) cell(int64, int64, int)            {}
+func (noop) cellNum(int, wireStats)            {}
+
+// walk reads one binary summary, enforcing every rule of the format, hands
+// what it reads to v and returns the summary's period. It is the format's
+// one reader: DecodeBinary, CheckBinary and MergeEncoded differ only in
+// their visitor. walk itself allocates nothing and builds no time.Time.
+func walk(data []byte, v visitor) (from, to stamp, err error) {
 	if !bytes.HasPrefix(data, binaryHeader) {
-		return nil, errors.New("highlights: decode: not a binary summary (or an unknown version)")
+		return stamp{}, stamp{}, errors.New("highlights: decode: not a binary summary (or an unknown version)")
 	}
 	d := decoder{b: data[len(binaryHeader):]}
-	s := &Summary{}
-	s.Period.From = d.time()
-	s.Period.To = d.time()
-	s.Rows = d.varint()
+	from, to = d.stamp(), d.stamp()
+	rows := d.varint()
+	if d.err != nil {
+		return stamp{}, stamp{}, d.err
+	}
+	v.rows(rows)
+	if err := d.sections(v); err != nil {
+		return stamp{}, stamp{}, err
+	}
+	return from, to, nil
+}
 
-	refs := make([]AttrRef, d.count(2))
-	for i := range refs {
-		refs[i] = AttrRef{Table: d.string(), Attr: d.string()}
-		if i > 0 && compareRefs(refs[i-1], refs[i]) >= 0 {
+// sections reads the sections after the header.
+func (d *decoder) sections(v visitor) error {
+	attrs := d.count(2)
+	if d.err != nil {
+		return d.err
+	}
+	v.dict(attrs)
+	var prevTable, prevAttr []byte
+	for i := 0; i < attrs; i++ {
+		entry := d.b
+		table, attr := d.bytes(), d.bytes()
+		if i > 0 && compareRawRefs(prevTable, prevAttr, table, attr) >= 0 {
 			d.fail("attributes out of order")
 		}
 		if d.err != nil {
-			return nil, d.err
+			return d.err
 		}
+		v.attr(i, table, attr, entry[:len(entry)-len(d.b)])
+		prevTable, prevAttr = table, attr
 	}
 
 	n := d.count(minPair)
-	s.Num = make(map[AttrRef]*Stats, n)
-	num := make([]Stats, n)
-	prev := -1
-	for i := range num {
-		ref := d.attr(refs, &prev)
-		d.stats(&num[i])
-		s.Num[ref] = &num[i]
-	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
+	}
+	v.nums(n)
+	prev := -1
+	for i := 0; i < n; i++ {
+		a := d.attr(attrs, &prev)
+		st := d.stats()
+		if d.err != nil {
+			return d.err
+		}
+		v.num(a, st)
 	}
 
 	n = d.count(2)
-	s.Cat = make(map[AttrRef]map[string]*ValStat, n)
+	if d.err != nil {
+		return d.err
+	}
+	v.cats(n)
 	prev = -1
 	for i := 0; i < n; i++ {
-		ref := d.attr(refs, &prev)
-		vs := make([]ValStat, d.count(minValue))
-		vals := make(map[string]*ValStat, len(vs))
-		var last string
-		for j := range vs {
-			v := d.string()
-			if j > 0 && v <= last {
-				d.fail("values of %v out of order", ref)
-			}
-			last = v
-			vs[j] = ValStat{Count: int64(d.uvarint()), First: d.time(), Last: d.time()}
-			vals[v] = &vs[j]
-		}
+		a := d.attr(attrs, &prev)
+		m := d.count(minValue)
 		if d.err != nil {
-			return nil, d.err
+			return d.err
 		}
-		s.Cat[ref] = vals
+		v.cat(a, m)
+		var last []byte
+		for j := 0; j < m; j++ {
+			val := d.bytes()
+			if j > 0 && bytes.Compare(val, last) <= 0 {
+				d.fail("values of attribute %d out of order", a)
+			}
+			last = val
+			count := d.uvarint()
+			first, lastSeen := d.stamp(), d.stamp()
+			if d.err != nil {
+				return d.err
+			}
+			v.value(val, int64(count), first, lastSeen)
+		}
 	}
 
 	n = d.count(minCell)
@@ -285,13 +371,12 @@ func DecodeBinary(data []byte) (*Summary, error) {
 		d.fail("%d cells with %d attributes in %d bytes", n, pairs, len(d.b))
 	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
-	s.Cells = make(map[int64]*CellStats, n)
-	cells := make([]CellStats, n)
-	stats := make([]Stats, pairs)
+	v.cells(n, pairs)
+	left := pairs
 	var id int64
-	for i := range cells {
+	for i := 0; i < n; i++ {
 		if i == 0 {
 			id = d.varint()
 		} else if delta := d.uvarint(); delta == 0 || delta > uint64(math.MaxInt64)-uint64(id) {
@@ -299,38 +384,67 @@ func DecodeBinary(data []byte) (*Summary, error) {
 		} else {
 			id = int64(uint64(id) + delta)
 		}
-		cs := &cells[i]
-		cs.Rows = d.varint()
+		rows := d.varint()
 		k := d.count(minPair)
-		if k > len(stats) {
+		if k > left {
 			d.fail("cells hold more than %d attributes", pairs)
 		}
 		if d.err != nil {
-			return nil, d.err
+			return d.err
 		}
-		cs.Num = make(map[AttrRef]*Stats, k)
+		v.cell(id, rows, k)
 		prev = -1
 		for j := 0; j < k; j++ {
-			ref := d.attr(refs, &prev)
-			d.stats(&stats[j])
-			cs.Num[ref] = &stats[j]
+			a := d.attr(attrs, &prev)
+			st := d.stats()
+			if d.err != nil {
+				return d.err
+			}
+			v.cellNum(a, st)
 		}
-		stats = stats[k:]
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.Cells[id] = cs
+		left -= k
 	}
-	if len(stats) != 0 {
-		d.fail("cells hold %d of %d attributes", pairs-len(stats), pairs)
+	if left != 0 {
+		d.fail("cells hold %d of %d attributes", pairs-left, pairs)
 	}
 	if len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
-	if d.err != nil {
-		return nil, d.err
+	return d.err
+}
+
+// compareRawRefs is compareRefs over encoded (table, attr) strings.
+func compareRawRefs(table1, attr1, table2, attr2 []byte) int {
+	if c := bytes.Compare(table1, table2); c != 0 {
+		return c
 	}
-	return s, nil
+	return bytes.Compare(attr1, attr2)
+}
+
+// stamp is a time as the encoding holds it, its Unix seconds shifted to the
+// internal seconds time.Time counts from year 1 (wrapping, like time.Unix,
+// for the int64 extremes): the zero stamp is the zero time, and stamps
+// order exactly as Before orders the times they decode to.
+type stamp struct {
+	sec, nsec int64 // nsec below 1e9
+}
+
+// unixToInternal is the offset time.Time adds to Unix seconds internally.
+const unixToInternal = 62135596800
+
+func (t stamp) time() time.Time { return time.Unix(t.sec-unixToInternal, t.nsec).UTC() }
+
+func (t stamp) before(u stamp) bool { return t.sec < u.sec || t.sec == u.sec && t.nsec < u.nsec }
+
+// wireStats is one encoded Stats, its peak time a stamp.
+type wireStats struct {
+	n                 int64
+	sum, sq, min, max float64
+	peak              stamp
+}
+
+func (w wireStats) stats() Stats {
+	return Stats{NonNull: w.n, Sum: w.sum, SumSq: w.sq, Min: w.min, Max: w.max, PeakTime: w.peak.time()}
 }
 
 // decoder reads the binary form; the first failure sticks, and every read
@@ -383,50 +497,126 @@ func (d *decoder) count(min int) int {
 	return int(v)
 }
 
-func (d *decoder) string() string {
+// bytes reads a string, aliasing the encoding.
+func (d *decoder) bytes() []byte {
 	n := d.count(1)
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	s := d.b[:n:n]
 	d.b = d.b[n:]
 	return s
 }
 
-func (d *decoder) time() time.Time {
+func (d *decoder) stamp() stamp {
 	sec, nsec := d.varint(), d.uvarint()
 	if nsec >= 1e9 {
 		d.fail("%d nanoseconds", nsec)
-		return time.Time{}
+		return stamp{}
 	}
-	return time.Unix(sec, int64(nsec)).UTC()
+	return stamp{sec + unixToInternal, int64(nsec)}
 }
 
-func (d *decoder) stats(st *Stats) {
+func (d *decoder) stats() wireStats {
 	n := d.uvarint()
 	if d.err != nil {
-		return
+		return wireStats{}
 	}
 	b := d.b
 	if len(b) < 4*8 {
 		d.fail("truncated stats")
-		return
+		return wireStats{}
 	}
-	float := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
 	d.b = b[4*8:]
-	*st = Stats{NonNull: int64(n), Sum: float(0), SumSq: float(1), Min: float(2), Max: float(3), PeakTime: d.time()}
+	return wireStats{
+		n:    int64(n),
+		sum:  math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		sq:   math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		min:  math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		max:  math.Float64frombits(binary.LittleEndian.Uint64(b[24:32])),
+		peak: d.stamp(),
+	}
 }
 
-// attr reads an attribute ordinal, which must ascend past *prev.
-func (d *decoder) attr(refs []AttrRef, prev *int) AttrRef {
+// attr reads an attribute ordinal, which must ascend past *prev and lie
+// below n.
+func (d *decoder) attr(n int, prev *int) int {
 	v := d.uvarint()
 	if d.err != nil {
-		return AttrRef{}
+		return 0
 	}
-	if v >= uint64(len(refs)) || int(v) <= *prev {
-		d.fail("attribute %d out of order or past %d", v, len(refs))
-		return AttrRef{}
+	if v >= uint64(n) || int(v) <= *prev {
+		d.fail("attribute %d out of order or past %d", v, n)
+		return 0
 	}
 	*prev = int(v)
-	return refs[v]
+	return int(v)
+}
+
+// builder is DecodeBinary's visitor: it builds the map-shaped Summary,
+// carving Stats, ValStats and CellStats out of slabs sized by the counts.
+type builder struct {
+	s        *Summary
+	refs     []AttrRef
+	numSlab  []Stats
+	vals     map[string]*ValStat
+	valSlab  []ValStat
+	cellSlab []CellStats
+	statSlab []Stats
+	cur      *CellStats
+}
+
+func (b *builder) rows(n int64) { b.s.Rows = n }
+func (b *builder) dict(n int)   { b.refs = make([]AttrRef, n) }
+
+func (b *builder) attr(i int, table, attr, _ []byte) {
+	b.refs[i] = AttrRef{Table: string(table), Attr: string(attr)}
+}
+
+func (b *builder) nums(n int) {
+	b.s.Num = make(map[AttrRef]*Stats, n)
+	b.numSlab = make([]Stats, n)
+}
+
+func (b *builder) num(attr int, st wireStats) {
+	p := &b.numSlab[0]
+	b.numSlab = b.numSlab[1:]
+	*p = st.stats()
+	b.s.Num[b.refs[attr]] = p
+}
+
+func (b *builder) cats(n int) { b.s.Cat = make(map[AttrRef]map[string]*ValStat, n) }
+
+func (b *builder) cat(attr, values int) {
+	b.valSlab = make([]ValStat, values)
+	b.vals = make(map[string]*ValStat, values)
+	b.s.Cat[b.refs[attr]] = b.vals
+}
+
+func (b *builder) value(v []byte, count int64, first, last stamp) {
+	p := &b.valSlab[0]
+	b.valSlab = b.valSlab[1:]
+	*p = ValStat{Count: count, First: first.time(), Last: last.time()}
+	b.vals[string(v)] = p
+}
+
+func (b *builder) cells(n, pairs int) {
+	b.s.Cells = make(map[int64]*CellStats, n)
+	b.cellSlab = make([]CellStats, n)
+	b.statSlab = make([]Stats, pairs)
+}
+
+func (b *builder) cell(id, rows int64, attrs int) {
+	c := &b.cellSlab[0]
+	b.cellSlab = b.cellSlab[1:]
+	*c = CellStats{Rows: rows, Num: make(map[AttrRef]*Stats, attrs)}
+	b.s.Cells[id] = c
+	b.cur = c
+}
+
+func (b *builder) cellNum(attr int, st wireStats) {
+	p := &b.statSlab[0]
+	b.statSlab = b.statSlab[1:]
+	*p = st.stats()
+	b.cur.Num[b.refs[attr]] = p
 }

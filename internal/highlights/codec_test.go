@@ -279,8 +279,11 @@ func allocated(f func()) uint64 {
 
 // FuzzDecodeSummary: the binary decoder never panics, allocates no more
 // than a bound proportional to its input, and whatever it accepts
-// re-encodes to a form that decodes and re-encodes to itself. Legacy gob is
-// outside it: gob sizes maps from counts in the stream, without a bound.
+// re-encodes to a form that decodes and re-encodes to itself. CheckBinary
+// accepts exactly what DecodeBinary accepts, with the same period, and
+// MergeEncoded of one accepted part encodes as Merge of its decoding does.
+// Legacy gob is outside it: gob sizes maps from counts in the stream,
+// without a bound.
 func FuzzDecodeSummary(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
@@ -308,8 +311,24 @@ func FuzzDecodeSummary(f *testing.F) {
 		if n := allocated(func() { s, err = DecodeBinary(data) }); n > allocBound(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
+		period, checkErr := CheckBinary(data)
+		if (err == nil) != (checkErr == nil) {
+			t.Fatalf("DecodeBinary: %v, but CheckBinary: %v", err, checkErr)
+		}
 		if err != nil {
 			return
+		}
+		if period != s.Period {
+			t.Fatalf("CheckBinary period %v, decoded %v", period, s.Period)
+		}
+		merged, err := MergeEncoded(period, [][]byte{data})
+		if err != nil {
+			t.Fatalf("MergeEncoded of an accepted part: %v", err)
+		}
+		got, _ := merged.Encode()
+		want, _ := Merge(period, s).Encode()
+		if !bytes.Equal(got, want) {
+			t.Fatal("MergeEncoded of one part encodes unlike Merge of its decoding")
 		}
 		enc, err := s.Encode()
 		if err != nil {

@@ -134,9 +134,18 @@ func (s *Stats) merge(o *Stats) {
 		s.PeakTime = o.PeakTime
 	}
 	s.NonNull += o.NonNull
-	s.Sum += o.Sum
-	s.SumSq += o.SumSq
+	s.Sum = addFloat(s.Sum, o.Sum)
+	s.SumSq = addFloat(s.SumSq, o.SumSq)
 }
+
+// addFloat is a + b, the one addition every merge of Stats makes — in memory
+// (Merge) and from encodings (MergeEncoded). When both operands are NaN,
+// which payload the result keeps depends on the operand order the compiler
+// gives the add instruction at each inlined site; one out-of-line addition
+// makes the two merges agree bit for bit.
+//
+//go:noinline
+func addFloat(a, b float64) float64 { return a + b }
 
 // Mean returns the arithmetic mean (0 for empty stats).
 func (s *Stats) Mean() float64 {

@@ -465,7 +465,8 @@ func (s *Spec) CanUseMeta(zoned func(col string) bool) bool {
 
 // Merge folds src into dst key-wise and returns dst sorted by group key.
 // Merging is associative and commutative, so shard partials fold in any
-// arrival order.
+// arrival order. Partials of one spec hold a cell per aggregate each; where
+// two of a key disagree, only the cells both hold merge.
 func Merge(dst, src []Partial) []Partial {
 	byKey := make(map[string]int, len(dst))
 	for i := range dst {
@@ -479,7 +480,7 @@ func Merge(dst, src []Partial) []Partial {
 			continue
 		}
 		d := &dst[i]
-		for j := range p.Cells {
+		for j := range min(len(d.Cells), len(p.Cells)) {
 			dc, sc := &d.Cells[j], p.Cells[j]
 			dc.Count += sc.Count
 			dc.ISum += sc.ISum

@@ -163,10 +163,10 @@ func renderProfile(p *core.Profile) []string {
 		if s.Profile.AggPartials > 0 {
 			extra += fmt.Sprintf(", %d partial rows", s.Profile.AggPartials)
 		}
-		add("shard %d band %d: %.1f ms, %d leaves scanned, %d cached, %d chunks scanned, %d pruned, %d cache hits, %d bytes%s",
+		add("shard %d band %d: %.1f ms, %d leaves scanned, %d cached, %d chunks scanned, %d pruned, %d cache hits, %d bytes, %d frame bytes%s",
 			s.Shard, s.Band, s.LatencyMS, s.Profile.LeavesScanned, s.Profile.LeavesCached, s.Profile.ChunksScanned,
 			s.Profile.ChunksPrunedZone+s.Profile.ChunksPrunedBloom,
-			s.Profile.CacheHits, s.Profile.InflatedBytes, extra)
+			s.Profile.CacheHits, s.Profile.InflatedBytes, s.FrameBytes, extra)
 	}
 	return lines
 }
