@@ -226,11 +226,11 @@ func Decode(data []byte) (*Summary, error) {
 // before anything is sized by it.
 func DecodeBinary(data []byte) (*Summary, error) {
 	b := builder{s: &Summary{}}
-	from, to, err := walk(data, &b)
+	period, err := walk(data, &b)
 	if err != nil {
 		return nil, err
 	}
-	b.s.Period = telco.TimeRange{From: from.time(), To: to.time()}
+	b.s.Period = period
 	return b.s, nil
 }
 
@@ -238,13 +238,7 @@ func DecodeBinary(data []byte) (*Summary, error) {
 // what DecodeBinary accepts — and returns the summary's period, building
 // nothing else and allocating nothing: what a cluster coordinator runs on
 // each shard part before it merges the encodings (MergeEncoded).
-func CheckBinary(data []byte) (telco.TimeRange, error) {
-	from, to, err := walk(data, noop{})
-	if err != nil {
-		return telco.TimeRange{}, err
-	}
-	return telco.TimeRange{From: from.time(), To: to.time()}, nil
-}
+func CheckBinary(data []byte) (telco.TimeRange, error) { return walk(data, noop{}) }
 
 // A visitor receives a binary summary from walk, section by section, and
 // only what walk has checked: a section's count comes before its entries
@@ -253,7 +247,7 @@ func CheckBinary(data []byte) (telco.TimeRange, error) {
 type visitor interface {
 	rows(n int64)
 	dict(n int)
-	attr(i int, table, attr, key []byte) // key: the entry's encoded bytes
+	attr(i int, table, attr []byte)
 	nums(n int)
 	num(attr int, st wireStats)
 	cats(n int)
@@ -269,7 +263,7 @@ type noop struct{}
 
 func (noop) rows(int64)                        {}
 func (noop) dict(int)                          {}
-func (noop) attr(int, []byte, []byte, []byte)  {}
+func (noop) attr(int, []byte, []byte)          {}
 func (noop) nums(int)                          {}
 func (noop) num(int, wireStats)                {}
 func (noop) cats(int)                          {}
@@ -282,48 +276,39 @@ func (noop) cellNum(int, wireStats)            {}
 // walk reads one binary summary, enforcing every rule of the format, hands
 // what it reads to v and returns the summary's period. It is the format's
 // one reader: DecodeBinary, CheckBinary and MergeEncoded differ only in
-// their visitor. walk itself allocates nothing and builds no time.Time.
-func walk(data []byte, v visitor) (from, to stamp, err error) {
+// their visitor. walk itself allocates nothing.
+func walk(data []byte, v visitor) (telco.TimeRange, error) {
 	if !bytes.HasPrefix(data, binaryHeader) {
-		return stamp{}, stamp{}, errors.New("highlights: decode: not a binary summary (or an unknown version)")
+		return telco.TimeRange{}, errors.New("highlights: decode: not a binary summary (or an unknown version)")
 	}
 	d := decoder{b: data[len(binaryHeader):]}
-	from, to = d.stamp(), d.stamp()
+	from, to := d.stamp(), d.stamp()
 	rows := d.varint()
 	if d.err != nil {
-		return stamp{}, stamp{}, d.err
+		return telco.TimeRange{}, d.err
 	}
 	v.rows(rows)
-	if err := d.sections(v); err != nil {
-		return stamp{}, stamp{}, err
-	}
-	return from, to, nil
-}
-
-// sections reads the sections after the header.
-func (d *decoder) sections(v visitor) error {
 	attrs := d.count(2)
 	if d.err != nil {
-		return d.err
+		return telco.TimeRange{}, d.err
 	}
 	v.dict(attrs)
 	var prevTable, prevAttr []byte
 	for i := 0; i < attrs; i++ {
-		entry := d.b
 		table, attr := d.bytes(), d.bytes()
 		if i > 0 && compareRawRefs(prevTable, prevAttr, table, attr) >= 0 {
 			d.fail("attributes out of order")
 		}
 		if d.err != nil {
-			return d.err
+			return telco.TimeRange{}, d.err
 		}
-		v.attr(i, table, attr, entry[:len(entry)-len(d.b)])
+		v.attr(i, table, attr)
 		prevTable, prevAttr = table, attr
 	}
 
 	n := d.count(minPair)
 	if d.err != nil {
-		return d.err
+		return telco.TimeRange{}, d.err
 	}
 	v.nums(n)
 	prev := -1
@@ -331,14 +316,14 @@ func (d *decoder) sections(v visitor) error {
 		a := d.attr(attrs, &prev)
 		st := d.stats()
 		if d.err != nil {
-			return d.err
+			return telco.TimeRange{}, d.err
 		}
 		v.num(a, st)
 	}
 
 	n = d.count(2)
 	if d.err != nil {
-		return d.err
+		return telco.TimeRange{}, d.err
 	}
 	v.cats(n)
 	prev = -1
@@ -346,7 +331,7 @@ func (d *decoder) sections(v visitor) error {
 		a := d.attr(attrs, &prev)
 		m := d.count(minValue)
 		if d.err != nil {
-			return d.err
+			return telco.TimeRange{}, d.err
 		}
 		v.cat(a, m)
 		var last []byte
@@ -359,7 +344,7 @@ func (d *decoder) sections(v visitor) error {
 			count := d.uvarint()
 			first, lastSeen := d.stamp(), d.stamp()
 			if d.err != nil {
-				return d.err
+				return telco.TimeRange{}, d.err
 			}
 			v.value(val, int64(count), first, lastSeen)
 		}
@@ -371,7 +356,7 @@ func (d *decoder) sections(v visitor) error {
 		d.fail("%d cells with %d attributes in %d bytes", n, pairs, len(d.b))
 	}
 	if d.err != nil {
-		return d.err
+		return telco.TimeRange{}, d.err
 	}
 	v.cells(n, pairs)
 	left := pairs
@@ -390,7 +375,7 @@ func (d *decoder) sections(v visitor) error {
 			d.fail("cells hold more than %d attributes", pairs)
 		}
 		if d.err != nil {
-			return d.err
+			return telco.TimeRange{}, d.err
 		}
 		v.cell(id, rows, k)
 		prev = -1
@@ -398,7 +383,7 @@ func (d *decoder) sections(v visitor) error {
 			a := d.attr(attrs, &prev)
 			st := d.stats()
 			if d.err != nil {
-				return d.err
+				return telco.TimeRange{}, d.err
 			}
 			v.cellNum(a, st)
 		}
@@ -410,7 +395,10 @@ func (d *decoder) sections(v visitor) error {
 	if len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
-	return d.err
+	if d.err != nil {
+		return telco.TimeRange{}, d.err
+	}
+	return telco.TimeRange{From: from.time(), To: to.time()}, nil
 }
 
 // compareRawRefs is compareRefs over encoded (table, attr) strings.
@@ -569,7 +557,7 @@ type builder struct {
 func (b *builder) rows(n int64) { b.s.Rows = n }
 func (b *builder) dict(n int)   { b.refs = make([]AttrRef, n) }
 
-func (b *builder) attr(i int, table, attr, _ []byte) {
+func (b *builder) attr(i int, table, attr []byte) {
 	b.refs[i] = AttrRef{Table: string(table), Attr: string(attr)}
 }
 

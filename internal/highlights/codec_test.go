@@ -280,8 +280,10 @@ func allocated(f func()) uint64 {
 // FuzzDecodeSummary: the binary decoder never panics, allocates no more
 // than a bound proportional to its input, and whatever it accepts
 // re-encodes to a form that decodes and re-encodes to itself. CheckBinary
-// accepts exactly what DecodeBinary accepts, with the same period, and
-// MergeEncoded of one accepted part encodes as Merge of its decoding does.
+// accepts exactly what DecodeBinary accepts, with the same period;
+// MergeEncoded of one accepted part encodes as Merge of its decoding does,
+// and of the part beside a seeded random one, in either order, as the
+// reference merge of their decodings does.
 // Legacy gob is outside it: gob sizes maps from counts in the stream,
 // without a bound.
 func FuzzDecodeSummary(f *testing.F) {
@@ -329,6 +331,26 @@ func FuzzDecodeSummary(f *testing.F) {
 		want, _ := Merge(period, s).Encode()
 		if !bytes.Equal(got, want) {
 			t.Fatal("MergeEncoded of one part encodes unlike Merge of its decoding")
+		}
+		// Beside a second part, either side of it: the accepted part's
+		// cells, attributes and values meet the partner's.
+		partner, _ := randomSummary(rand.New(rand.NewSource(int64(len(data))))).Encode()
+		partnerDecoded, err := DecodeBinary(partner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, order := range [][2]int{{0, 1}, {1, 0}} {
+			encs := [2][]byte{data, partner}
+			decs := [2]*Summary{s, partnerDecoded}
+			merged, err := MergeEncoded(period, [][]byte{encs[order[0]], encs[order[1]]})
+			if err != nil {
+				t.Fatalf("MergeEncoded of two accepted parts: %v", err)
+			}
+			got, _ := merged.Encode()
+			want, _ := refMerge(period, decs[order[0]], decs[order[1]]).Encode()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("MergeEncoded of two parts (order %v) encodes unlike the reference merge of their decodings", order)
+			}
 		}
 		enc, err := s.Encode()
 		if err != nil {

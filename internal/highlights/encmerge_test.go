@@ -157,6 +157,7 @@ func benchParts() [][]byte {
 func BenchmarkCheckBinary(b *testing.B) {
 	parts := benchParts()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range parts {
 			if _, err := CheckBinary(p); err != nil {
@@ -169,6 +170,7 @@ func BenchmarkCheckBinary(b *testing.B) {
 func BenchmarkMergeEncoded(b *testing.B) {
 	parts := benchParts()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MergeEncoded(telco.TimeRange{}, parts); err != nil {
 			b.Fatal(err)
@@ -179,6 +181,7 @@ func BenchmarkMergeEncoded(b *testing.B) {
 func BenchmarkMergeDecoded(b *testing.B) {
 	parts := benchParts()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var decoded []*Summary
 		for _, p := range parts {
@@ -189,5 +192,21 @@ func BenchmarkMergeDecoded(b *testing.B) {
 			decoded = append(decoded, s)
 		}
 		Merge(telco.TimeRange{}, decoded...)
+	}
+}
+
+func BenchmarkMerge(b *testing.B) {
+	var parts []*Summary
+	for _, p := range benchParts() {
+		s, err := DecodeBinary(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts = append(parts, s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Merge(telco.TimeRange{}, parts...)
 	}
 }

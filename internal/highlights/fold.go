@@ -2,103 +2,47 @@ package highlights
 
 import (
 	"slices"
-	"time"
 
 	"spate/internal/telco"
 )
 
 // Folder folds column batches of one source table into a Summary — the one
 // highlight fold: ingest, memtable parts and leaf rebuilds all feed it.
-// Between NewFolder and Flush it keeps the table's share of the cube dense:
-// one accumulator per numeric attribute, and for the per-cell attributes a
-// cell-ordinal × attribute slab, so a row costs one cell lookup and array
-// arithmetic instead of a map access per (cell, attribute). Flush writes
-// the map-shaped Summary once.
+// Between NewFolder and Flush the table's share of the summary lives in the
+// cube every summary is built in: a row costs one cell lookup and array
+// arithmetic on the cube's per-attribute stats and its cell-ordinal ×
+// attribute slab, instead of a map access per (cell, attribute). Flush
+// writes the cube into the map-shaped Summary once.
 //
 // The fold is column-at-a-time, which changes nothing a Stats can see: each
-// accumulator receives exactly the values the row-at-a-time fold gave it, in
-// row order, so every float comes out bit for bit the same. A folder starts
-// from whatever the summary already holds for its attributes and cells.
+// key receives exactly the values the row-at-a-time fold gave it, in row
+// order, so every float comes out bit for bit the same. A folder starts
+// from whatever the summary already holds for its attributes and cells,
+// copied into the cube as it first meets them.
 type Folder struct {
-	s   *Summary
-	cfg Config
+	s      *Summary
+	maxCat int // Config.MaxCatValues
+	c      cube
 
 	ts, cell int // column positions in the batch layout, -1 when absent
 	nums     []foldCol
 	cats     []foldCol
-	perCell  int // per-cell accumulators a cell carries
-
-	rows     int64
-	num      []acc           // per nums
-	cellOrd  map[int64]int32 // cell id -> ordinal
-	cellIDs  []int64         // per ordinal
-	cellRows []int64         // rows folded per ordinal
-	cellAcc  []acc           // ordinal*perCell + slot
 
 	// per-batch scratch
-	at      []int64 // each row's timestamp as Unix seconds
+	at      []stamp // each row's timestamp
 	ord     []int32 // each row's cell ordinal, -1 without a cell id
-	entries []*ValStat
+	entries []int32 // per dictionary entry of a string column: its value's index in the cube + 1, 0 until resolved
 }
 
 // foldCol is one summarized attribute resolved against the batch layout.
 type foldCol struct {
-	ref  AttrRef
-	idx  int // column position
-	slot int // per-cell accumulator slot, -1 when not tracked per cell
+	idx  int   // column position
+	attr int32 // the attribute's ordinal in the cube
+	slot int   // per-cell slot, -1 when not tracked per cell
 }
 
-// acc is Stats with its peak time as Unix seconds: pointer-free, so the
-// slabs cost the collector nothing.
-type acc struct {
-	n        int64
-	sum, sq  float64
-	min, max float64
-	peak     int64
-}
-
-// noTime is what a row without a timestamp folds under: the zero
-// time.Time, as Unix seconds (it converts back to exactly time.Time{}).
-var noTime = time.Time{}.Unix()
-
-func unixUTC(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
-
-func (a *acc) add(v float64, at int64) {
-	if a.n == 0 || v < a.min {
-		a.min = v
-	}
-	if a.n == 0 || v > a.max {
-		a.max = v
-		a.peak = at
-	}
-	a.n++
-	a.sum += v
-	a.sq += v * v
-}
-
-func accOf(st *Stats) acc {
-	if st == nil {
-		return acc{}
-	}
-	return acc{n: st.NonNull, sum: st.Sum, sq: st.SumSq, min: st.Min, max: st.Max, peak: st.PeakTime.Unix()}
-}
-
-func (a *acc) stats() Stats {
-	return Stats{NonNull: a.n, Sum: a.sum, SumSq: a.sq, Min: a.min, Max: a.max, PeakTime: unixUTC(a.peak)}
-}
-
-// addAt is ValStat.add over Unix seconds. Summary times are whole seconds —
-// each is a KindTime value or the zero time — so comparing seconds orders
-// them exactly as Before and After do.
-func (v *ValStat) addAt(sec int64) {
-	if v.Count == 0 || sec < v.First.Unix() {
-		v.First = unixUTC(sec)
-	}
-	if v.Count == 0 || sec > v.Last.Unix() {
-		v.Last = unixUTC(sec)
-	}
-	v.Count++
-}
+// seed is what the cube starts a key from when the summary already holds it.
+func seed(st *Stats) cubeStat { return cubeStat{has: true, wireStats: wireOf(st)} }
 
 // NewFolder starts a fold into s of batches laid out as layout: a source
 // table's schema, or a projection of it holding at least the timestamp, the
@@ -111,34 +55,34 @@ func NewFolder(s *Summary, cfg Config, layout *telco.Schema) *Folder {
 }
 
 // Reset starts the folder over on another summary and layout, keeping its
-// arrays and its cell table's storage: a scan that rebuilds leaf after leaf
-// reuses one folder.
+// cube's storage: a scan that rebuilds leaf after leaf reuses one folder.
 func (f *Folder) Reset(s *Summary, cfg Config, layout *telco.Schema) {
-	f.s, f.cfg = s, cfg.withDefaults()
+	f.s, f.maxCat = s, cfg.withDefaults().MaxCatValues
 	f.ts, f.cell = layout.FieldIndex(telco.AttrTS), layout.FieldIndex(telco.AttrCellID)
-	f.nums, f.cats, f.num, f.perCell, f.rows = f.nums[:0], f.cats[:0], f.num[:0], 0, 0
-	if f.cellOrd == nil {
-		f.cellOrd = make(map[int64]int32)
-	}
-	clear(f.cellOrd)
-	f.cellIDs, f.cellRows, f.cellAcc = f.cellIDs[:0], f.cellRows[:0], f.cellAcc[:0]
+	f.nums, f.cats = f.nums[:0], f.cats[:0]
+	f.c.reset()
 	for _, ref := range cfg.Numeric {
 		if i := layout.FieldIndex(ref.Attr); ref.Table == layout.Name && i >= 0 {
-			c := foldCol{ref: ref, idx: i, slot: -1}
-			for _, pc := range cfg.CellAttrs {
-				if pc == ref {
-					c.slot = f.perCell
-					f.perCell++
-					break
-				}
+			col := foldCol{idx: i, attr: f.c.attr(ref), slot: -1}
+			if st := s.Num[ref]; st != nil {
+				f.c.num[col.attr] = seed(st)
 			}
-			f.nums = append(f.nums, c)
-			f.num = append(f.num, accOf(s.Num[ref]))
+			if slices.Contains(cfg.CellAttrs, ref) {
+				col.slot = f.c.slotOf(col.attr)
+			}
+			f.nums = append(f.nums, col)
 		}
 	}
 	for _, ref := range cfg.Categorical {
 		if i := layout.FieldIndex(ref.Attr); ref.Table == layout.Name && i >= 0 {
-			f.cats = append(f.cats, foldCol{ref: ref, idx: i})
+			col := foldCol{idx: i, attr: f.c.attr(ref)}
+			if vals := s.Cat[ref]; vals != nil && f.c.cat[col.attr] == nil {
+				tab := f.c.table(col.attr, len(vals))
+				for v, vs := range vals {
+					f.c.vals[f.c.value(tab, v)] = cubeVal{vs.Count, stampOf(vs.First), stampOf(vs.Last)}
+				}
+			}
+			f.cats = append(f.cats, col)
 		}
 	}
 }
@@ -146,25 +90,18 @@ func (f *Folder) Reset(s *Summary, cfg Config, layout *telco.Schema) {
 // Add folds every row of b, in row order.
 func (f *Folder) Add(b *telco.Batch) {
 	n := b.N
-	f.rows += int64(n)
+	f.c.rows += int64(n)
 	f.at = slices.Grow(f.at[:0], n)[:n]
+	clear(f.at) // a row without a timestamp folds under the zero time
 	if f.ts >= 0 {
 		c := &b.Cols[f.ts]
-		if len(c.Ints) == n {
-			copy(f.at, c.Ints)
-		} else {
-			clear(f.at) // not a time column: its values read as second 0
-		}
-		if c.NullCount > 0 || c.Kind == telco.KindString {
-			for i := range f.at {
-				if c.Null(i) {
-					f.at[i] = noTime
+		for i := range f.at {
+			if !c.Null(i) {
+				f.at[i].sec = unixToInternal // Unix second 0: what a column without times reads as
+				if len(c.Ints) == n {
+					f.at[i].sec += c.Ints[i]
 				}
 			}
-		}
-	} else {
-		for i := range f.at {
-			f.at[i] = noTime
 		}
 	}
 	f.ord = slices.Grow(f.ord[:0], n)[:n]
@@ -184,16 +121,16 @@ func (f *Folder) Add(b *telco.Batch) {
 				lastID, last = id, f.ordinal(id)
 			}
 			f.ord[i] = last
-			f.cellRows[last]++
+			f.c.cellRows[last]++
 		}
 	} else {
 		for i := range f.ord {
 			f.ord[i] = -1
 		}
 	}
-	for k, nc := range f.nums {
+	for _, nc := range f.nums {
 		c := &b.Cols[nc.idx]
-		global := &f.num[k]
+		global := &f.c.num[nc.attr]
 		for i := 0; i < n; i++ {
 			if c.Null(i) {
 				continue
@@ -201,70 +138,49 @@ func (f *Folder) Add(b *telco.Batch) {
 			v := c.Num(i)
 			global.add(v, f.at[i])
 			if o := f.ord[i]; nc.slot >= 0 && o >= 0 {
-				f.cellAcc[int(o)*f.perCell+nc.slot].add(v, f.at[i])
+				f.c.at(o, nc.slot).add(v, f.at[i])
 			}
 		}
 	}
 	for _, cc := range f.cats {
-		f.addCat(cc.ref, &b.Cols[cc.idx], n)
+		f.addCat(cc.attr, &b.Cols[cc.idx], n)
 	}
 }
 
-// ordinal returns the cell's slot in the dense per-cell arrays, giving it
-// one — seeded with whatever the summary already holds for the cell — on
-// first sight.
+// ordinal returns the cell's ordinal in the cube, seeding a cell new to the
+// cube with whatever the summary already holds for it.
 func (f *Folder) ordinal(id int64) int32 {
-	if o, ok := f.cellOrd[id]; ok {
-		return o
-	}
-	o := int32(len(f.cellIDs))
-	f.cellOrd[id] = o
-	f.cellIDs = append(f.cellIDs, id)
-	f.cellRows = append(f.cellRows, 0)
-	have := f.s.Cells[id]
-	for _, nc := range f.nums {
-		if nc.slot < 0 {
-			continue
+	o, fresh := f.c.cell(id)
+	if have := f.s.Cells[id]; fresh && have != nil {
+		for _, nc := range f.nums {
+			if st := have.Num[f.c.refs[nc.attr]]; nc.slot >= 0 && st != nil {
+				*f.c.at(o, nc.slot) = seed(st)
+			}
 		}
-		var st *Stats
-		if have != nil {
-			st = have.Num[nc.ref]
-		}
-		f.cellAcc = append(f.cellAcc, accOf(st))
 	}
 	return o
 }
 
-// addCat folds one categorical column. A value's ValStat is resolved once
-// per dictionary entry — in row order, at the entry's first non-null row,
-// so values claim their place under MaxCatValues exactly as row-at-a-time —
-// and rows then count through the entry's pointer.
-func (f *Folder) addCat(ref AttrRef, c *telco.Column, n int) {
-	vals := f.s.Cat[ref]
-	resolve := func(key []byte) *ValStat {
-		if vals == nil {
-			vals = make(map[string]*ValStat)
-			f.s.Cat[ref] = vals
+// addCat folds one categorical column. A value's place in the cube is
+// resolved once per dictionary entry — in row order, at the entry's first
+// non-null row, so values claim their place under MaxCatValues exactly as
+// row-at-a-time — and rows then count through the entry's index.
+func (f *Folder) addCat(g int32, c *telco.Column, n int) {
+	resolve := func(key []byte) int32 {
+		tab := f.c.table(g, 0)
+		if i, ok := tab[string(key)]; ok {
+			return i
 		}
-		vs := vals[string(key)]
-		if vs == nil {
-			k := string(key)
-			if len(vals) >= f.cfg.MaxCatValues {
-				k = overflowValue
-				vs = vals[k]
-			}
-			if vs == nil {
-				vs = &ValStat{}
-				vals[k] = vs
-			}
+		if len(tab) >= f.maxCat {
+			return f.c.value(tab, overflowValue)
 		}
-		return vs
+		return f.c.value(tab, string(key))
 	}
 	if c.Kind != telco.KindString {
 		// A categorical over a non-string column counts each value's wire form.
 		for i := 0; i < n; i++ {
 			if !c.Null(i) {
-				resolve([]byte(c.Value(i).Format())).addAt(f.at[i])
+				f.c.vals[resolve([]byte(c.Value(i).Format()))].merge(1, f.at[i], f.at[i])
 			}
 		}
 		return
@@ -276,60 +192,22 @@ func (f *Folder) addCat(ref AttrRef, c *telco.Column, n int) {
 		if c.Codes != nil {
 			e = int(c.Codes[i])
 		}
-		vs := f.entries[e]
-		if vs == nil {
+		v := f.entries[e]
+		if v == 0 {
 			key := c.Entry(e)
 			if len(key) == 0 {
 				continue // null
 			}
-			vs = resolve(key)
-			f.entries[e] = vs
+			v = resolve(key) + 1
+			f.entries[e] = v
 		}
-		vs.addAt(f.at[i])
+		f.c.vals[v-1].merge(1, f.at[i], f.at[i])
 	}
 }
 
-// Flush writes what the folder accumulated into the summary: Stats and
-// CellStats are carved out of one slab each and the cell maps are sized for
-// what they will hold. The folder is spent until the next Reset.
+// Flush writes what the folder accumulated into the summary. The folder is
+// spent until the next Reset.
 func (f *Folder) Flush() {
-	s := f.s
-	defer func() {
-		f.s = nil
-		clear(f.entries[:cap(f.entries)])
-	}()
-	s.Rows += f.rows
-	stats := slabOf[Stats](len(f.num) + len(f.cellAcc))
-	put := func(m map[AttrRef]*Stats, ref AttrRef, a *acc) {
-		if a.n == 0 {
-			return // no value seen: the row fold never created the entry
-		}
-		st := m[ref]
-		if st == nil {
-			st = stats.next()
-			m[ref] = st
-		}
-		*st = a.stats()
-	}
-	for k, nc := range f.nums {
-		put(s.Num, nc.ref, &f.num[k])
-	}
-	if len(s.Cells) == 0 {
-		s.Cells = make(map[int64]*CellStats, len(f.cellIDs))
-	}
-	cells := slabOf[CellStats](len(f.cellIDs))
-	for o, id := range f.cellIDs {
-		cell := s.Cells[id]
-		if cell == nil {
-			cell = cells.next()
-			cell.Num = make(map[AttrRef]*Stats, len(f.cfg.CellAttrs))
-			s.Cells[id] = cell
-		}
-		cell.Rows += f.cellRows[o]
-		for _, nc := range f.nums {
-			if nc.slot >= 0 {
-				put(cell.Num, nc.ref, &f.cellAcc[o*f.perCell+nc.slot])
-			}
-		}
-	}
+	f.c.write(f.s)
+	f.s = nil
 }

@@ -7,8 +7,34 @@ import (
 	"testing"
 	"time"
 
+	"spate/internal/gen"
 	"spate/internal/telco"
 )
+
+// add and ValStat's add are the row fold's accumulation steps, which the
+// cube's add and merge reproduce.
+func (s *Stats) add(v float64, at time.Time) {
+	if s.NonNull == 0 || v < s.Min {
+		s.Min = v
+	}
+	if s.NonNull == 0 || v > s.Max {
+		s.Max = v
+		s.PeakTime = at
+	}
+	s.NonNull++
+	s.Sum += v
+	s.SumSq += v * v
+}
+
+func (v *ValStat) add(at time.Time) {
+	if v.Count == 0 || at.Before(v.First) {
+		v.First = at
+	}
+	if v.Count == 0 || at.After(v.Last) {
+		v.Last = at
+	}
+	v.Count++
+}
 
 // rowFold is the row-at-a-time fold AddTable ran before the batch fold
 // replaced it, kept verbatim as the definition the batch fold must equal.
@@ -248,6 +274,33 @@ func TestFolderReuse(t *testing.T) {
 		f.Flush()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: a reused folder's summary differs from the row fold", i)
+		}
+	}
+}
+
+// BenchmarkFold folds a paper-shaped epoch — its CDR and NMS tables, as
+// batches of every column — into a fresh summary through one reused folder,
+// as a leaf rebuild does.
+func BenchmarkFold(b *testing.B) {
+	cfg := gen.DefaultConfig(0.004)
+	cfg.Antennas, cfg.Users, cfg.CDRPerEpoch, cfg.NMSReportsPerCell = 100, 3000, 1500, 17
+	g := gen.New(cfg)
+	ep := telco.EpochOf(cfg.Start.Add(12 * time.Hour))
+	tables := []*telco.Table{g.CDRTable(ep), g.NMSTable(ep)}
+	batches := make([]telco.Batch, len(tables))
+	for i, t := range tables {
+		batches[i].SetRows(t.Schema, nil, t.Rows, true)
+	}
+	hl := DefaultConfig()
+	f := new(Folder)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSummary(telco.TimeRange{From: ep.Start(), To: ep.End()})
+		for k, t := range tables {
+			f.Reset(s, hl, t.Schema)
+			f.Add(&batches[k])
+			f.Flush()
 		}
 	}
 }

@@ -167,24 +167,7 @@ func (s *Store) Aggregate(w telco.TimeRange, box geo.Rect) (*highlights.Summary,
 	for _, id := range s.CellsInBox(box) {
 		inBox[id] = true
 	}
-	out := highlights.NewSummary(w)
-	out.Cat = merged.Cat
-	for id, cs := range merged.Cells {
-		if !inBox[id] {
-			continue
-		}
-		out.Rows += cs.Rows
-		out.Cells[id] = cs
-		for ref, st := range cs.Num {
-			agg := out.Num[ref]
-			if agg == nil {
-				agg = &highlights.Stats{}
-				out.Num[ref] = agg
-			}
-			agg.Merge(st)
-		}
-	}
-	return out, nil
+	return merged.Restrict(func(id int64) bool { return inBox[id] }), nil
 }
 
 // Scan reads the window's snapshots (pruned by the temporal index, unlike

@@ -1,12 +1,14 @@
 package shahed
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"spate/internal/dfs"
 	"spate/internal/gen"
 	"spate/internal/geo"
+	"spate/internal/highlights"
 	"spate/internal/index"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
@@ -85,6 +87,14 @@ func TestAggregateSpatialRestriction(t *testing.T) {
 		if !inBox[id] {
 			t.Errorf("cell %d outside box in aggregate", id)
 		}
+	}
+	var leaves []*highlights.Summary
+	for _, l := range s.Tree().LeavesIn(w, nil) {
+		leaves = append(leaves, l.Summary)
+	}
+	want := highlights.Merge(w, leaves...).Restrict(func(id int64) bool { return inBox[id] })
+	if !reflect.DeepEqual(sub, want) {
+		t.Error("the box aggregate differs from the restricted merge of the window's leaves")
 	}
 }
 
