@@ -48,7 +48,8 @@ func TestAddTableAggregates(t *testing.T) {
 	if s.Rows != 3 {
 		t.Errorf("Rows = %d", s.Rows)
 	}
-	dur := s.Num[AttrRef{"CDR", "duration"}]
+	m := mapOf(s)
+	dur := m.Num[AttrRef{"CDR", "duration"}]
 	if dur == nil || dur.NonNull != 3 || dur.Sum != 180 || dur.Min != 0 || dur.Max != 120 {
 		t.Errorf("duration stats = %+v", dur)
 	}
@@ -58,14 +59,14 @@ func TestAddTableAggregates(t *testing.T) {
 	if dur.PeakTime != t0.Add(time.Minute) {
 		t.Errorf("PeakTime = %v", dur.PeakTime)
 	}
-	ct := s.Cat[AttrRef{"CDR", "call_type"}]
+	ct := m.Cat[AttrRef{"CDR", "call_type"}]
 	if ct["VOICE"].Count != 2 || ct["SMS"].Count != 1 {
 		t.Errorf("cat counts = %+v", ct)
 	}
-	if len(s.Cells) != 2 || s.Cells[1].Rows != 2 || s.Cells[2].Rows != 1 {
-		t.Errorf("cells = %+v", s.Cells)
+	if len(m.Cells) != 2 || m.Cells[1].Rows != 2 || m.Cells[2].Rows != 1 {
+		t.Errorf("cells = %+v", m.Cells)
 	}
-	if s.Cells[1].Num[AttrRef{"CDR", "duration"}].Sum != 180 {
+	if m.Cells[1].Num[AttrRef{"CDR", "duration"}].Sum != 180 {
 		t.Errorf("cell 1 duration sum wrong")
 	}
 }
@@ -78,10 +79,10 @@ func TestNullsAreSkipped(t *testing.T) {
 	if s.Rows != 1 {
 		t.Errorf("Rows = %d", s.Rows)
 	}
-	if st := s.Num[AttrRef{"CDR", "duration"}]; st != nil && st.NonNull != 0 {
+	if st := mapOf(s).Num[AttrRef{"CDR", "duration"}]; st != nil && st.NonNull != 0 {
 		t.Errorf("null duration counted: %+v", st)
 	}
-	if len(s.Cells) != 0 {
+	if len(mapOf(s).Cells) != 0 {
 		t.Error("null cell created an entry")
 	}
 }
@@ -113,12 +114,13 @@ func TestMergeEqualsDirect(t *testing.T) {
 		p.AddTable(testConfig(), tab)
 		parts = append(parts, p)
 	}
-	merged := Merge(period, parts...)
+	merged := mapOf(Merge(period, parts...))
 
-	direct := NewSummary(period)
+	directSummary := NewSummary(period)
 	for _, tab := range tables {
-		direct.AddTable(testConfig(), tab)
+		directSummary.AddTable(testConfig(), tab)
 	}
+	direct := mapOf(directSummary)
 
 	if merged.Rows != direct.Rows {
 		t.Fatalf("Rows: merged %d, direct %d", merged.Rows, direct.Rows)
@@ -253,7 +255,7 @@ func TestCatOverflowBucket(t *testing.T) {
 		tab.Append(rec(t0, 1, string(rune('A'+i)), 1))
 	}
 	s.AddTable(cfg, tab)
-	vals := s.Cat[AttrRef{"CDR", "call_type"}]
+	vals := mapOf(s).Cat[AttrRef{"CDR", "call_type"}]
 	if len(vals) > 5 { // 4 tracked + overflow
 		t.Errorf("tracked %d values, cap is 4+overflow", len(vals))
 	}
