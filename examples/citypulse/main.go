@@ -100,7 +100,7 @@ func main() {
 	dropAttr := spate.AttrRef{Table: "NMS", Attr: "drop_calls"}
 	var hs []hotspot
 	for _, cs := range res.Cells {
-		if st, ok := cs.Attr[dropAttr]; ok && st.Sum > 0 {
+		if st, ok := cs.Attr.Get(dropAttr); ok && st.Sum > 0 {
 			hs = append(hs, hotspot{cs.CellID, cs.Loc, st.Sum, cs.Rows})
 		}
 	}

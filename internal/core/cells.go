@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"spate/internal/geo"
 	"spate/internal/highlights"
@@ -117,32 +116,19 @@ func (ci *CellInventory) restrict(m *highlights.Summary, inBox map[int64]bool, a
 	if inBox != nil {
 		out = m.Restrict(func(id int64) bool { return inBox[id] })
 	}
-	want := make(map[highlights.AttrRef]bool, len(attrs))
-	for _, a := range attrs {
-		want[a] = true
-	}
-	var cells []CellSeries
-	for id, cs := range m.Cells {
-		if inBox != nil && !inBox[id] {
-			continue
-		}
+	// The series are views into the restricted summary, already in cell-id
+	// order; an attribute selection narrows each into a copy.
+	cells := make([]CellSeries, 0, out.Cells())
+	for i := 0; i < out.Cells(); i++ {
+		id, rows, num := out.Cell(i)
 		loc, ok := ci.pts[id]
 		if !ok {
 			continue
 		}
-		// Without an attribute selection the series carries every tracked
-		// attribute: the summary's own map, immutable like the summary.
-		series := CellSeries{CellID: id, Loc: loc, Rows: cs.Rows, Attr: cs.Num}
-		if len(want) > 0 {
-			series.Attr = make(map[highlights.AttrRef]*highlights.Stats, len(want))
-			for ref, st := range cs.Num {
-				if want[ref] {
-					series.Attr[ref] = st
-				}
-			}
+		if len(attrs) > 0 {
+			num = num.Only(attrs)
 		}
-		cells = append(cells, series)
+		cells = append(cells, CellSeries{CellID: id, Loc: loc, Rows: rows, Attr: num})
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].CellID < cells[j].CellID })
 	return out, cells
 }

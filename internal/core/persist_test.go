@@ -198,7 +198,7 @@ func TestRecoveryReadsLegacyGobSummaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		var legacy bytes.Buffer
-		if err := gob.NewEncoder(&legacy).Encode(s); err != nil {
+		if err := gob.NewEncoder(&legacy).Encode(gobShape(s)); err != nil {
 			t.Fatal(err)
 		}
 		if data[0] == legacy.Bytes()[0] {
@@ -233,6 +233,45 @@ func TestRecoveryReadsLegacyGobSummaries(t *testing.T) {
 				w, got.Summary.Rows, want.Summary.Rows)
 		}
 	}
+}
+
+// legacySummary is the shape summaries were gob-encoded in.
+type legacySummary struct {
+	Period telco.TimeRange
+	Rows   int64
+	Num    map[highlights.AttrRef]highlights.Stats
+	Cat    map[highlights.AttrRef]map[string]highlights.ValStat
+	Cells  map[int64]legacyCell
+}
+
+type legacyCell struct {
+	Rows int64
+	Num  map[highlights.AttrRef]highlights.Stats
+}
+
+// gobShape is s in the shape its gob encoding had (the default
+// configuration's categorical attributes are the ones it can hold).
+func gobShape(s *highlights.Summary) legacySummary {
+	attrs := func(a highlights.Attrs) map[highlights.AttrRef]highlights.Stats {
+		m := make(map[highlights.AttrRef]highlights.Stats, a.Len())
+		for i := 0; i < a.Len(); i++ {
+			ref, st := a.At(i)
+			m[ref] = st
+		}
+		return m
+	}
+	out := legacySummary{Period: s.Period, Rows: s.Rows, Num: attrs(s.Num()),
+		Cat: map[highlights.AttrRef]map[string]highlights.ValStat{}, Cells: map[int64]legacyCell{}}
+	for _, ref := range highlights.DefaultConfig().Categorical {
+		if vals := s.Values(ref); vals != nil {
+			out.Cat[ref] = vals
+		}
+	}
+	for i := 0; i < s.Cells(); i++ {
+		id, rows, num := s.Cell(i)
+		out.Cells[id] = legacyCell{rows, attrs(num)}
+	}
+	return out
 }
 
 func TestFinishIngestMakesStoreReadOnly(t *testing.T) {

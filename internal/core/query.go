@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"spate/internal/cache"
 	"spate/internal/compress"
@@ -49,12 +50,13 @@ type Query struct {
 // everywhere reports whether the box is the zero value (no spatial filter).
 func (q Query) everywhere() bool { return q.Box == (geo.Rect{}) }
 
-// CellSeries is the per-cell aggregate view a heatmap renders.
+// CellSeries is the per-cell aggregate view a heatmap renders. Attr is the
+// cell's tracked attributes, ascending: a view into the answer's summary.
 type CellSeries struct {
 	CellID int64
 	Loc    geo.Point
 	Rows   int64
-	Attr   map[highlights.AttrRef]*highlights.Stats
+	Attr   highlights.Attrs
 }
 
 // Result is a data exploration answer.
@@ -543,11 +545,9 @@ func (e *Engine) planUnits(leaves []leafRef, env *queryEnv) (scanPlan, error) {
 		}
 		if e.opts.LeafSpatialPrune && env.inBox != nil && l.sum != nil {
 			hit := false
-			for id := range l.sum.Cells {
-				if env.inBox[id] {
-					hit = true
-					break
-				}
+			for i := 0; i < l.sum.Cells() && !hit; i++ {
+				id, _, _ := l.sum.Cell(i)
+				hit = env.inBox[id]
 			}
 			if !hit {
 				p.pruned++
@@ -1045,18 +1045,17 @@ func (c resultsUnder) dropIf(stale func(*Result) bool) {
 }
 
 // SizeBytes estimates the retained heap footprint of a result — the unit
-// result caches budget by. It costs maps and slices
-// at shallow per-element sizes, so it is an estimate, but a
-// deterministic one, and cheap enough to run once per cache Put.
+// result caches budget by: its summary exactly, the rest at shallow
+// per-element sizes. It is deterministic, and cheap enough to run once per
+// cache Put.
 func (r *Result) SizeBytes() int64 {
 	size := int64(512) // struct shell: periods, counters, profile
-	size += summarySizeBytes(r.Summary)
-	for i := range r.Cells {
-		cs := &r.Cells[i]
-		size += 64
-		for ref := range cs.Attr {
-			size += int64(len(ref.Table)+len(ref.Attr)) + 96
-		}
+	if r.Summary != nil {
+		size += r.Summary.SizeHint() // its memoized encoding included
+	}
+	size += int64(cap(r.Cells)) * int64(unsafe.Sizeof(CellSeries{}))
+	for _, cs := range r.Cells {
+		size += int64(cs.Attr.Len()) * 64 // a selection's copy, or a view counted twice
 	}
 	for _, h := range r.Highlights {
 		size += int64(len(h.Attr.Table)+len(h.Attr.Attr)+len(h.Value)) + 64
@@ -1068,27 +1067,5 @@ func (r *Result) SizeBytes() int64 {
 		}
 	}
 	size += int64(len(r.Stages)) * 48
-	return size
-}
-
-// summarySizeBytes estimates a highlight summary's footprint, its memoized
-// encoding included.
-func summarySizeBytes(s *highlights.Summary) int64 {
-	if s == nil {
-		return 0
-	}
-	size := int64(128 + s.EncodedLen())
-	for ref := range s.Num {
-		size += int64(len(ref.Table)+len(ref.Attr)) + 112
-	}
-	for ref, vals := range s.Cat {
-		size += int64(len(ref.Table)+len(ref.Attr)) + 48
-		for v := range vals {
-			size += int64(len(v)) + 72
-		}
-	}
-	for _, cs := range s.Cells {
-		size += 64 + int64(len(cs.Num))*112
-	}
 	return size
 }

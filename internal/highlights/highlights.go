@@ -9,10 +9,13 @@
 // reported with their type (categorical) or peaking point (continuous) and
 // their duration.
 //
-// Every summary but a decoding is built in one dense accumulator, the cube:
-// Folder folds snapshot rows into it, Merge merges child summaries into it
-// and MergeEncoded merges their encodings into it, and one writer puts it
-// into the map-shaped Summary.
+// A Summary is flat and pointer-free but for its attribute names and
+// categorical values, laid out as its binary encoding is: a sorted
+// attribute dictionary, the window's stats per attribute, one categorical
+// side table, and sorted cell ids with row counts, each cell a run of
+// per-attribute stats in one array. Folder folds snapshot rows into a dense
+// accumulator and hands the summary its arrays; Merge folds summaries cell
+// id by cell id; DecodeBinary fills the arrays straight from the encoding.
 package highlights
 
 import (
@@ -21,6 +24,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"spate/internal/telco"
 )
@@ -111,25 +115,8 @@ type Stats struct {
 	PeakTime time.Time // when Max was observed
 }
 
-// merge folds another Stats value into s (exact, commutative).
-func (s *Stats) merge(o *Stats) {
-	if o.NonNull == 0 {
-		return
-	}
-	if s.NonNull == 0 || o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if s.NonNull == 0 || o.Max > s.Max {
-		s.Max = o.Max
-		s.PeakTime = o.PeakTime
-	}
-	s.NonNull += o.NonNull
-	s.Sum = addFloat(s.Sum, o.Sum)
-	s.SumSq = addFloat(s.SumSq, o.SumSq)
-}
-
-// addFloat is a + b, the one addition every merge of Stats makes — in the
-// cube and in Restrict. When both operands are NaN, which payload the result
+// addFloat is a + b, the one addition every merge of stats makes — in
+// Merge and in Restrict. When both operands are NaN, which payload the result
 // keeps depends on the operand order the compiler gives the add instruction
 // at each inlined site; one out-of-line addition keeps it the same for all.
 //
@@ -164,33 +151,117 @@ type ValStat struct {
 	First, Last time.Time
 }
 
-// CellStats aggregates per spatial cell.
-type CellStats struct {
-	Rows int64
-	Num  map[AttrRef]*Stats
-}
-
 // Summary is the mergeable highlight cube of one temporal-index node. A
-// summary is filled once — by a fold, Merge or a decode — and read-only
-// from then on; Encode memoizes its bytes on that promise.
+// summary is filled once — by a fold, Merge, Restrict or a decode — and
+// read-only from then on; Encode memoizes its bytes and the views Num and
+// Cell return alias it on that promise.
 type Summary struct {
 	Period telco.TimeRange
 	Rows   int64
-	Num    map[AttrRef]*Stats
-	Cat    map[AttrRef]map[string]*ValStat
-	Cells  map[int64]*CellStats
+
+	attrs []AttrRef // the attribute dictionary, sorted; pairs and tables name attributes by their index
+	num   []pair    // the window's numeric stats, ascending by attribute
+	cat   []table   // the categorical value tables, ascending by attribute
+	vals  []value   // the side table every categorical table is a run of, ascending by value within a run
+	cells []cell    // ascending by id
+	pairs []pair    // the cells' stats: each cell a run, ascending by attribute
 
 	enc atomic.Pointer[[]byte] // Encode's bytes, once computed
 }
 
+// stat is a Stats as a summary holds it: pointer-free, its peak time a stamp.
+type stat struct {
+	n                 int64
+	sum, sq, min, max float64
+	peak              stamp
+}
+
+func (st *stat) stats() Stats {
+	return Stats{NonNull: st.n, Sum: st.sum, SumSq: st.sq, Min: st.min, Max: st.max, PeakTime: st.peak.time()}
+}
+
+// pair is one attribute's stats.
+type pair struct {
+	attr int32
+	stat
+}
+
+// table is one categorical attribute's values: vals[lo:hi].
+type table struct{ attr, lo, hi int32 }
+
+// value is one categorical value's ValStat.
+type value struct {
+	v           string
+	count       int64
+	first, last stamp
+}
+
+// cell is one spatial cell's row count and stats: pairs[lo:hi].
+type cell struct {
+	id, rows int64
+	lo, hi   int32
+}
+
 // NewSummary returns an empty summary over the given period.
-func NewSummary(period telco.TimeRange) *Summary {
-	return &Summary{
-		Period: period,
-		Num:    make(map[AttrRef]*Stats),
-		Cat:    make(map[AttrRef]map[string]*ValStat),
-		Cells:  make(map[int64]*CellStats),
+func NewSummary(period telco.TimeRange) *Summary { return &Summary{Period: period} }
+
+// Num returns the window's numeric stats.
+func (s *Summary) Num() Attrs { return Attrs{s.attrs, s.num} }
+
+// Cells returns the number of cells the summary holds.
+func (s *Summary) Cells() int { return len(s.cells) }
+
+// Cell returns the i-th cell in ascending id order: its id, its row count
+// and its tracked attributes' stats.
+func (s *Summary) Cell(i int) (id, rows int64, num Attrs) {
+	c := &s.cells[i]
+	return c.id, c.rows, Attrs{s.attrs, s.pairs[c.lo:c.hi]}
+}
+
+// Values returns the categorical values of ref the summary counts, with
+// their stats (nil when it holds no table for ref).
+func (s *Summary) Values(ref AttrRef) map[string]ValStat {
+	i := slices.IndexFunc(s.cat, func(t table) bool { return s.attrs[t.attr] == ref })
+	if i < 0 {
+		return nil
 	}
+	out := make(map[string]ValStat, s.cat[i].hi-s.cat[i].lo)
+	for _, v := range s.vals[s.cat[i].lo:s.cat[i].hi] {
+		out[v.v] = ValStat{Count: v.count, First: v.first.time(), Last: v.last.time()}
+	}
+	return out
+}
+
+// Attrs is a view of per-attribute stats — a cell's, or a window's —
+// ascending by attribute. It aliases its summary.
+type Attrs struct {
+	dict  []AttrRef
+	pairs []pair
+}
+
+// Len is the number of attributes the view holds.
+func (a Attrs) Len() int { return len(a.pairs) }
+
+// At returns the i-th attribute and its stats.
+func (a Attrs) At(i int) (AttrRef, Stats) { return a.dict[a.pairs[i].attr], a.pairs[i].stats() }
+
+// Get returns ref's stats, and whether the view holds ref.
+func (a Attrs) Get(ref AttrRef) (Stats, bool) {
+	if i := slices.IndexFunc(a.pairs, func(p pair) bool { return a.dict[p.attr] == ref }); i >= 0 {
+		return a.pairs[i].stats(), true
+	}
+	return Stats{}, false
+}
+
+// Only returns the view narrowed to the attributes refs names, in a copy.
+func (a Attrs) Only(refs []AttrRef) Attrs {
+	out := Attrs{dict: a.dict}
+	for _, p := range a.pairs {
+		if slices.Contains(refs, a.dict[p.attr]) {
+			out.pairs = append(out.pairs, p)
+		}
+	}
+	return out
 }
 
 // AddTable folds one snapshot table into the summary: the columns the fold
@@ -215,59 +286,42 @@ func (s *Summary) AddTable(cfg Config, t *telco.Table) {
 // Merge combines child summaries into a parent over period — the rollup
 // step that builds month highlights from days and year highlights from
 // months. Merging is exact: Merge(parts...) equals a direct build over the
-// concatenated underlying data. The parts merge, in order, into the cube
-// every summary is built in, and the result is written from it once.
+// concatenated underlying data. Each key merges the parts' entries in part
+// order: the cells in one pass over the parts' sorted cell ids.
 func Merge(period telco.TimeRange, parts ...*Summary) *Summary {
-	var c cube
-	for _, p := range parts {
-		if p != nil {
-			c.merge(p)
-		}
-	}
-	return c.write(&Summary{Period: period})
+	m := mergers.Get().(*merger)
+	defer mergers.Put(m)
+	return m.merge(&Summary{Period: period}, parts)
 }
 
 // Restrict filters the summary to the cells accepted by keep, rebuilding
 // the window-level numeric aggregates from the per-cell breakdown (so the
-// restricted Num carries the per-cell tracked attributes). Categorical
-// counts are not cell-resolved (bounded-size cube) and carry through at
-// window level. A nil keep returns the summary unchanged. Both the engine's
-// spatial restriction and the cluster coordinator's post-merge restriction
-// share this path.
+// restricted window stats carry the per-cell tracked attributes).
+// Categorical counts are not cell-resolved (bounded-size cube) and carry
+// through at window level. A nil keep returns the summary unchanged. Both
+// the engine's spatial restriction and the cluster coordinator's post-merge
+// restriction share this path.
 func (s *Summary) Restrict(keep func(int64) bool) *Summary {
 	if keep == nil {
 		return s
 	}
+	m := mergers.Get().(*merger)
+	defer mergers.Put(m)
+	m.reset(len(s.attrs))
+	m.cells, m.pairs = m.cells[:0], m.pairs[:0]
+	out := &Summary{Period: s.Period, attrs: s.attrs, cat: s.cat, vals: s.vals}
 	// Fold cells in id order: float accumulation order then matches across
 	// runs and engines, so restricted summaries compare bit for bit.
-	ids := make([]int64, 0, len(s.Cells))
-	for id := range s.Cells {
-		if keep(id) {
-			ids = append(ids, id)
+	for _, c := range s.cells {
+		if keep(c.id) {
+			run := s.pairs[c.lo:c.hi]
+			m.fold(run, nil)
+			out.Rows += c.rows
+			m.cells = append(m.cells, cell{c.id, c.rows, int32(len(m.pairs)), int32(len(m.pairs) + len(run))})
+			m.pairs = append(m.pairs, run...)
 		}
 	}
-	slices.Sort(ids)
-	out := &Summary{
-		Period: s.Period,
-		Num:    make(map[AttrRef]*Stats, len(s.Num)),
-		Cat:    s.Cat,
-		Cells:  make(map[int64]*CellStats, len(ids)),
-	}
-	cells := make([]CellStats, len(ids))
-	for i, id := range ids {
-		cs := s.Cells[id]
-		out.Rows += cs.Rows
-		cells[i] = CellStats{Rows: cs.Rows, Num: cs.Num}
-		out.Cells[id] = &cells[i]
-		for ref, st := range cs.Num {
-			agg := out.Num[ref]
-			if agg == nil {
-				agg = &Stats{}
-				out.Num[ref] = agg
-			}
-			agg.merge(st)
-		}
-	}
+	out.num, out.cells, out.pairs = exact(m.emit(m.num[:0])), exact(m.cells), exact(m.pairs)
 	return out
 }
 
@@ -305,29 +359,31 @@ const peakZ = 3.0
 // deviations. Results are ordered by attribute then value for determinism.
 func (s *Summary) Extract(theta float64) []Highlight {
 	var out []Highlight
-	for ref, vals := range s.Cat {
+	for _, t := range s.cat {
+		vals := s.vals[t.lo:t.hi]
 		var total int64
 		for _, vs := range vals {
-			total += vs.Count
+			total += vs.count
 		}
 		if total == 0 {
 			continue
 		}
-		for v, vs := range vals {
-			if v == overflowValue {
+		for _, vs := range vals {
+			if vs.v == overflowValue {
 				continue
 			}
-			freq := float64(vs.Count) / float64(total)
+			freq := float64(vs.count) / float64(total)
 			if freq < theta {
 				out = append(out, Highlight{
-					Attr: ref, Kind: Categorical, Value: v,
-					Count: vs.Count, Frequency: freq,
-					Start: vs.First, End: vs.Last,
+					Attr: s.attrs[t.attr], Kind: Categorical, Value: vs.v,
+					Count: vs.count, Frequency: freq,
+					Start: vs.first.time(), End: vs.last.time(),
 				})
 			}
 		}
 	}
-	for ref, st := range s.Num {
+	for _, p := range s.num {
+		st := p.stats()
 		if st.NonNull < 2 {
 			continue
 		}
@@ -337,7 +393,7 @@ func (s *Summary) Extract(theta float64) []Highlight {
 		}
 		if (st.Max-st.Mean())/sd > peakZ {
 			out = append(out, Highlight{
-				Attr: ref, Kind: Peak,
+				Attr: s.attrs[p.attr], Kind: Peak,
 				PeakValue: st.Max, PeakTime: st.PeakTime,
 				Start: s.Period.From, End: s.Period.To,
 			})
@@ -355,16 +411,27 @@ func (s *Summary) Extract(theta float64) []Highlight {
 	return out
 }
 
-// SizeHint estimates the summary's in-memory footprint in bytes, used by
-// storage accounting (index space S_i in the paper's O1 = S/(Sc+Si)).
+// SizeHint is the summary's in-memory footprint in bytes: what its arrays
+// and its memoized encoding hold to capacity, and its attribute names and
+// categorical values as the allocator rounds strings up (a cost every
+// array's capacity already carries). It is what storage accounting counts
+// (index space S_i in the paper's O1 = S/(Sc+Si)), and what a cache of
+// summaries budgets by.
 func (s *Summary) SizeHint() int64 {
-	var n int64 = 64
-	n += int64(len(s.Num)) * 96
-	for _, vals := range s.Cat {
-		n += int64(len(vals)) * 80
+	n := int64(unsafe.Sizeof(*s)) + capBytes(s.attrs) + capBytes(s.num) + capBytes(s.cat) +
+		capBytes(s.vals) + capBytes(s.cells) + capBytes(s.pairs)
+	if b := s.enc.Load(); b != nil {
+		n += capBytes(*b)
 	}
-	for _, cs := range s.Cells {
-		n += 32 + int64(len(cs.Num))*96
+	str := func(b int) int64 { return int64(b + b/8 + 16) }
+	for _, ref := range s.attrs {
+		n += str(len(ref.Table)) + str(len(ref.Attr))
+	}
+	for _, v := range s.vals {
+		n += str(len(v.v))
 	}
 	return n
 }
+
+// capBytes is what s holds to capacity.
+func capBytes[T any](s []T) int64 { return int64(cap(s)) * int64(unsafe.Sizeof(*new(T))) }

@@ -83,8 +83,8 @@ func TestAggregateSpatialRestriction(t *testing.T) {
 	for _, id := range s.CellsInBox(box) {
 		inBox[id] = true
 	}
-	for id := range sub.Cells {
-		if !inBox[id] {
+	for i := 0; i < sub.Cells(); i++ {
+		if id, _, _ := sub.Cell(i); !inBox[id] {
 			t.Errorf("cell %d outside box in aggregate", id)
 		}
 	}

@@ -66,7 +66,7 @@ func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		Cells    []ExploreCellJSON `json:"cells"`
 	}{Template: name, Desc: spec.desc, Stat: spec.stat}
 	for _, cs := range x.Cells {
-		st, ok := cs.Attr[spec.attr]
+		st, ok := cs.Attr.Get(spec.attr)
 		if !ok {
 			continue
 		}

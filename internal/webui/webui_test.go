@@ -298,12 +298,30 @@ func TestExploreAttrFilter(t *testing.T) {
 // function both handlers share, and through each handler (whose cells
 // carry the four default per-cell attributes).
 func TestExploreCellsDeterministic(t *testing.T) {
-	cell := core.CellSeries{CellID: 1, Rows: 9, Attr: map[highlights.AttrRef]*highlights.Stats{
-		{Table: "NMS", Attr: "drop_calls"}: {Sum: 3},
-		{Table: "CDR", Attr: "upflux"}:     {Sum: 5},
-		{Table: "CDR", Attr: "downflux"}:   {Sum: 7},
-		{Table: "NMS", Attr: "rssi_dbm"}:   {Sum: 11},
-	}}
+	// One cell whose four tracked attributes sum to 3, 5, 7 and 11.
+	sum := highlights.NewSummary(telco.TimeRange{})
+	for _, row := range []struct {
+		schema *telco.Schema
+		vals   map[string]int64
+	}{
+		{telco.NMSSchema, map[string]int64{"drop_calls": 3, "rssi_dbm": 11}},
+		{telco.CDRSchema, map[string]int64{telco.AttrUpflux: 5, telco.AttrDownflux: 7}},
+	} {
+		rec := make(telco.Record, row.schema.NumFields())
+		for i, f := range row.schema.Fields {
+			rec[i] = telco.Null
+			if f.Name == telco.AttrCellID {
+				rec[i] = telco.Int(1)
+			} else if v, ok := row.vals[f.Name]; ok {
+				rec[i] = telco.Int(v)
+			}
+		}
+		tab := telco.NewTable(row.schema)
+		tab.Append(rec)
+		sum.AddTable(highlights.DefaultConfig(), tab)
+	}
+	_, _, attrs := sum.Cell(0)
+	cell := core.CellSeries{CellID: 1, Rows: 9, Attr: attrs}
 	for i := 0; i < 50; i++ {
 		if got := cellsJSON([]core.CellSeries{cell}, "")[0].Value; got != 7 {
 			t.Fatalf("render %d: value %v, want CDR.downflux's 7", i, got)
