@@ -9,10 +9,13 @@
 // lock, so appends to the current epoch, scans over older unsealed epochs
 // and a seal draining one epoch proceed without serializing on one lock.
 // Within a bucket rows stay in arrival order, with an index of
-// time-ordered runs on top: records arrive roughly time-ordered, so runs
-// stay few, and merging them streams the bucket in the same stable
-// timestamp order the sealed leaf encoder produces — which is what makes
-// pre-seal answers identical to post-seal answers for the same rows.
+// time-ordered runs on top, and merging the runs streams the bucket in the
+// same stable timestamp order the sealed leaf encoder produces — which is
+// what makes pre-seal answers identical to post-seal answers for the same
+// rows. Runs are not necessarily few: a feed that writes an epoch's rows in
+// random time order leaves hundreds (635 runs over one epoch's 1 509 NMS
+// rows of the generated trace), and the merge scans every run for each row
+// it emits, so reading such a bucket is quadratic in its rows.
 package memtable
 
 import (
