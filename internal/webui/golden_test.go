@@ -1,11 +1,13 @@
 package webui
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"net/url"
 	"regexp"
 	"testing"
 	"time"
@@ -74,5 +76,58 @@ func TestExploreGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != exploreGoldenDigest {
 		t.Errorf("digest %s, want %s", got, exploreGoldenDigest)
+	}
+}
+
+// sqlGoldenDigest is the sha256 of the /api/sql bodies TestSQLGolden
+// fetches, as the engine and the 4-shard cluster serve them.
+const sqlGoldenDigest = "16b4baf5dcad328360e672c08b2d540705805ba22227a48f3c0e5f163c05a788"
+
+// TestSQLGolden pins SQL answers byte for byte: twelve seeded statements,
+// two in each of the benchmark's six shapes (T1 over one epoch, T2, T2 with
+// a selective predicate, SELECT *, T3's per-cell aggregate and T4's
+// self-join), every window at or across the day boundary so two day-shards
+// answer. The engine and the 4-shard cluster of TestBackendParity's fixture
+// each answer them, and each body — rows in the order its backend returns
+// them — goes into one digest. A change to how rows are scanned, shipped,
+// decoded or rendered that moves any answer shows here.
+func TestSQLGolden(t *testing.T) {
+	stacks, _, window := newParityStacks(t)
+	boundary := window.From.Add(24 * time.Hour)
+	rng := rand.New(rand.NewSource(30))
+	ts := func(x time.Time) string { return x.Format(telco.TimeLayout) }
+	var stmts []string
+	for i := 0; i < 2; i++ {
+		// Up to six hours either side of the boundary, on minute marks.
+		from := boundary.Add(-time.Duration(1+rng.Intn(360)) * time.Minute)
+		to := boundary.Add(time.Duration(1+rng.Intn(360)) * time.Minute)
+		f, u := ts(from), ts(to)
+		epoch := boundary.Add(-time.Duration(i) * 30 * time.Minute) // the epoch after, then before, the boundary
+		// T4 joins every pair of a caller's calls: a short window keeps it small.
+		jf, ju := ts(boundary.Add(-time.Duration(1+rng.Intn(30))*time.Minute)), ts(boundary.Add(time.Duration(1+rng.Intn(30))*time.Minute))
+		stmts = append(stmts,
+			fmt.Sprintf("SELECT upflux, downflux FROM CDR WHERE ts >= '%s' AND ts < '%s'", ts(epoch), ts(epoch.Add(30*time.Minute))),
+			fmt.Sprintf("SELECT upflux, downflux FROM CDR WHERE ts >= '%s' AND ts < '%s'", f, u),
+			fmt.Sprintf("SELECT upflux, downflux FROM CDR WHERE ts >= '%s' AND ts < '%s' AND duration > 300", f, u),
+			fmt.Sprintf("SELECT * FROM CDR WHERE ts >= '%s' AND ts < '%s'", f, u),
+			fmt.Sprintf("SELECT cell_id, SUM(drop_calls) AS drops, SUM(call_attempts) AS attempts FROM NMS WHERE ts >= '%s' AND ts < '%s' GROUP BY cell_id ORDER BY cell_id", f, u),
+			fmt.Sprintf("SELECT DISTINCT a.caller FROM CDR a JOIN CDR b ON a.caller = b.caller WHERE a.cell_id != b.cell_id AND a.ts >= '%s' AND a.ts < '%s' AND b.ts >= '%s' AND b.ts < '%s' ORDER BY a.caller", jf, ju, jf, ju))
+	}
+	h := sha256.New()
+	for _, p := range []*parityStack{stacks[0], stacks[2]} {
+		for _, q := range stmts {
+			code, body := p.fetch(t, "/api/sql?q="+url.QueryEscape(q), nil)
+			if code != 200 {
+				t.Fatalf("%s: %s: status %d: %s", p.name, q, code, head(body))
+			}
+			if !bytes.Contains(body, []byte(`"rows":[[`)) {
+				t.Fatalf("%s: %s: no rows: %s", p.name, q, head(body))
+			}
+			h.Write(binary.AppendUvarint(nil, uint64(len(body))))
+			h.Write(body)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != sqlGoldenDigest {
+		t.Errorf("digest %s, want %s", got, sqlGoldenDigest)
 	}
 }
