@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -411,12 +412,14 @@ func TestClusterHealth(t *testing.T) {
 	}
 }
 
-// TestClusterSpecScanWidensNarrowRows: shard engines scan narrow — only the
-// spec's columns — yet /rpc/explore keeps shipping full-width row text, so
-// a 4-shard spec scan must return, row for row, exactly what a single
-// engine's narrow scan returns in the projected columns, and NULL in every
-// position the shards never decoded.
-func TestClusterSpecScanWidensNarrowRows(t *testing.T) {
+// TestClusterSpecScanIsEngineNarrowScan: shard engines scan narrow — only
+// the spec's columns plus the timestamp — and ship their rows in that
+// layout, so a 1- or 4-shard spec scan returns exactly what a single
+// engine's narrow scan hands out: the same field names in the same order,
+// and the same rows, value for value and bit for bit. Specs: a projection
+// subset, a predicate on a column the projection leaves out, and no
+// columns at all (SELECT *, the stored width).
+func TestClusterSpecScanIsEngineNarrowScan(t *testing.T) {
 	g, snaps, window := testTrace(t, 4)
 	eng := newRefEngine(t, g)
 	for _, sn := range snaps {
@@ -425,59 +428,57 @@ func TestClusterSpecScanWidensNarrowRows(t *testing.T) {
 		}
 	}
 	eng.FinishIngest()
-	lc := startTestCluster(t, Config{Shards: 4, Obs: obs.NewRegistry()}, g, snaps)
 	ctx := context.Background()
-
 	// Day boundaries inside the window: every shard contributes.
 	w := telco.TimeRange{From: window.From.Add(20 * time.Hour), To: window.To.Add(-20 * time.Hour)}
-	spec := &core.ScanSpec{
-		Columns: []string{telco.AttrUpflux, telco.AttrCaller},
-		Preds:   []scanspec.Pred{{Col: telco.AttrDuration, Op: ">=", Kind: "int", Val: "0"}},
+	specs := map[string]*core.ScanSpec{
+		"projection": {Columns: []string{telco.AttrUpflux, telco.AttrDownflux}},
+		"predicate": {
+			Columns: []string{telco.AttrUpflux, telco.AttrCaller},
+			Preds:   []scanspec.Pred{{Col: telco.AttrDuration, Op: ">", Kind: "int", Val: "100"}},
+		},
+		"select *": {Preds: []scanspec.Pred{{Col: telco.AttrDuration, Op: ">=", Kind: "int", Val: "0"}}},
 	}
-	var narrow []telco.Record
-	var layout *telco.Schema
-	err := eng.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
-		layout = tab.Schema
-		narrow = append(narrow, tab.Rows...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	widths := map[string]int{"projection": 3, "predicate": 4, "select *": telco.CDRSchema.NumFields()}
+	// sorted orders rows by their record text: shard answers concatenate
+	// in slot order, not chronologically.
+	sorted := func(rows []telco.Record) []telco.Record {
+		rows = slices.Clone(rows)
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Line() < rows[j].Line() })
+		return rows
 	}
-	if len(narrow) == 0 || layout.NumFields() != 4 { // ts, caller, duration, upflux
-		t.Fatalf("single engine: %d rows under %v", len(narrow), layout)
-	}
-	tables, err := lc.Coordinator.ScanRows(ctx, w, []string{"CDR"}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := tables["CDR"]
-	if wide == nil || wide.Schema != telco.CDRSchema || len(wide.Rows) != len(narrow) {
-		t.Fatalf("cluster: %v rows, single engine %d", wide, len(narrow))
-	}
-	at := make(map[int]int) // stored position -> narrow position
-	for i, f := range layout.Fields {
-		at[telco.CDRSchema.FieldIndex(f.Name)] = i
-	}
-	// Shard answers concatenate in slot order, not chronologically: compare
-	// as multisets, ordered by the projected columns' wire form.
-	tsPos := telco.CDRSchema.FieldIndex(telco.AttrTS)
-	callerPos := telco.CDRSchema.FieldIndex(telco.AttrCaller)
-	upPos := telco.CDRSchema.FieldIndex(telco.AttrUpflux)
-	durPos := telco.CDRSchema.FieldIndex(telco.AttrDuration)
-	sort.SliceStable(wide.Rows, func(i, j int) bool {
-		a, b := wide.Rows[i], wide.Rows[j]
-		return telco.Record{a[tsPos], a[callerPos], a[durPos], a[upPos]}.Line() < telco.Record{b[tsPos], b[callerPos], b[durPos], b[upPos]}.Line()
-	})
-	sort.SliceStable(narrow, func(i, j int) bool { return narrow[i].Line() < narrow[j].Line() })
-	for i, row := range wide.Rows {
-		for pos, v := range row {
-			if ni, projected := at[pos]; projected {
-				if want := narrow[i][ni]; v.Kind() != want.Kind() || !v.Equal(want) {
-					t.Fatalf("row %d %s = %q, single engine has %q", i, telco.CDRSchema.Fields[pos].Name, v.Format(), want.Format())
+	for _, shards := range []int{1, 4} {
+		lc := startTestCluster(t, Config{Shards: shards, Obs: obs.NewRegistry()}, g, snaps)
+		for name, spec := range specs {
+			var want *telco.Table
+			err := eng.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
+				if want == nil {
+					want = &telco.Table{Schema: tab.Schema}
+				} else if want.Schema != tab.Schema {
+					t.Fatalf("%s: the engine scanned in two layouts", name)
 				}
-			} else if !v.IsNull() {
-				t.Fatalf("row %d: unprojected %s = %q, want NULL", i, telco.CDRSchema.Fields[pos].Name, v.Format())
+				want.Rows = append(want.Rows, tab.Rows...)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil || want.Len() == 0 || want.Schema.NumFields() != widths[name] {
+				t.Fatalf("%s: single engine: %v", name, want)
+			}
+			tables, err := lc.Coordinator.ScanRows(ctx, w, []string{"CDR"}, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tables["CDR"]
+			if len(tables) != 1 || got == nil {
+				t.Fatalf("%d shards, %s: tables %v", shards, name, tables)
+			}
+			if !slices.Equal(got.Schema.Fields, want.Schema.Fields) || got.Schema.Name != want.Schema.Name {
+				t.Fatalf("%d shards, %s: layout %v, the engine's %v", shards, name, got.Schema, want.Schema)
+			}
+			if !reflect.DeepEqual(sorted(got.Rows), sorted(want.Rows)) {
+				t.Errorf("%d shards, %s: %d rows differ from the engine's %d", shards, name, got.Len(), want.Len())
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -403,8 +404,9 @@ func (c *Coordinator) scatter(ctx context.Context, shards, bands []int, req expl
 					sspan.SetError(err)
 					sspan.SetAttr("missing", "true")
 				} else {
-					o.sp.FrameBytes = resp.frameBytes
+					o.sp.FrameBytes, o.sp.Rows = resp.frameBytes, resp.rows
 					sspan.SetAttr("frame_bytes", strconv.Itoa(resp.frameBytes))
+					sspan.SetAttr("rows", strconv.Itoa(resp.rows))
 					if resp.Trace != nil {
 						sspan.AttachRemote(*resp.Trace)
 					}
@@ -436,18 +438,19 @@ func foldShards(p *core.Profile, outs []slotOutcome) {
 	}
 }
 
-// gatherRows decodes one shard's exact rows into dst; rows concatenate
-// shard-major per table.
-func gatherRows(dst map[string]*telco.Table, resp *exploreResponse) error {
-	for name, data := range resp.Rows {
-		t, err := snapshot.DecodeTable(name, data)
-		if err != nil {
-			return fmt.Errorf("cluster: rows table %q: %w", name, err)
-		}
-		if have, ok := dst[name]; ok {
-			have.Rows = append(have.Rows, t.Rows...)
-		} else {
+// appendRows appends one shard's decoded rows to dst, per table: rows
+// concatenate shard-major, and every shard must have scanned a table in
+// the same layout.
+func appendRows(dst map[string]*telco.Table, resp *exploreResponse) error {
+	for name, t := range resp.Rows {
+		have, ok := dst[name]
+		switch {
+		case !ok:
 			dst[name] = t
+		case !slices.Equal(have.Schema.Fields, t.Schema.Fields):
+			return fmt.Errorf("cluster: rows table %q: shards answered in layouts %v and %v", name, have.Schema, t.Schema)
+		default:
+			have.Rows = append(have.Rows, t.Rows...)
 		}
 	}
 	return nil
@@ -495,7 +498,7 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 	}
 	failed := make(map[int]bool)
 	leaves, live := 0, 0
-	var parts []encodedPart
+	var parts []*highlights.Summary
 	var firstErr error
 	for _, o := range outs {
 		res.Retries += o.sp.Retries
@@ -527,19 +530,11 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 	// One flat chronological fold, exactly like a monolithic engine's merge
 	// stage. Parts from different slots are disjoint in time (or disjoint
 	// in cells under a spatial split), so ordering by period start
-	// reproduces the single engine's association order. The parts merge
-	// from their encodings, already checked in the replicas' goroutines,
-	// with no decoded summary in between.
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].period.From.Before(parts[j].period.From) })
-	encs := make([][]byte, len(parts))
-	for i, p := range parts {
-		encs[i] = p.data
-	}
+	// reproduces the single engine's association order. The parts were
+	// decoded in the replicas' goroutines; only the merge is left here.
+	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Period.From.Before(parts[j].Period.From) })
 	span.SetAttr("parts", strconv.Itoa(len(parts)))
-	merged, err := highlights.MergeEncoded(q.Window, encs)
-	if err != nil {
-		return fail(err)
-	}
+	merged := highlights.Merge(q.Window, parts...)
 	res.Summary, res.Cells = c.cells.Restrict(merged, q.Box, q.Attrs)
 	res.Highlights = merged.Extract(c.cfg.Theta)
 
@@ -549,7 +544,7 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 			if o.err != nil {
 				continue
 			}
-			if err := gatherRows(res.Rows, o.resp); err != nil {
+			if err := appendRows(res.Rows, o.resp); err != nil {
 				return fail(err)
 			}
 		}
@@ -607,11 +602,13 @@ func (c *Coordinator) AggregatePartials(ctx context.Context, w telco.TimeRange, 
 // ScanRows runs the exact-row path alone across the cluster with an
 // optional pushdown spec: shards pre-filter rows on the spec's predicates
 // and exact window, materialize only the referenced columns, and ship the
-// surviving rows, which concatenate shard-major per table (the SQL
-// executor imposes any ordering itself). The RPC's row text is always
-// full-width, so the returned tables carry the stored table's schema with
-// NULL in every column the shards did not decode. Like AggregatePartials
-// — and unlike Explore — any shard failing all retries fails the call.
+// surviving rows in that narrow layout, which concatenate shard-major per
+// table (the SQL executor imposes any ordering itself). The returned
+// tables are exactly what a single engine's ScanTablesSpec hands out: the
+// same layout — the referenced columns plus the timestamp, in stored order
+// (the stored table itself when the spec names no columns) — and the same
+// rows, value for value. Like AggregatePartials — and unlike Explore — any
+// shard failing all retries fails the call.
 func (c *Coordinator) ScanRows(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec) (map[string]*telco.Table, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -623,7 +620,7 @@ func (c *Coordinator) ScanRows(ctx context.Context, w telco.TimeRange, tables []
 	}
 	out := make(map[string]*telco.Table)
 	for _, r := range resps {
-		if err := gatherRows(out, r); err != nil {
+		if err := appendRows(out, r); err != nil {
 			return nil, err
 		}
 	}
@@ -704,10 +701,10 @@ func (c *Coordinator) hedgedExplore(ctx context.Context, slot int, req exploreRe
 		// Successive attempts rotate the replica asked first.
 		url := urls[(attempt+i)%len(urls)]
 		go func() {
-			// The answer's summary parts and partials are checked here, in
-			// the replica's own goroutine: slots check in parallel, and a
-			// malformed frame, part or partial fails this replica alone
-			// (failover, hedge, retry).
+			// The answer's frame is decoded here, in the replica's own
+			// goroutine — its parts, rows and partials: slots decode in
+			// parallel, and a malformed frame, part, rows table or partial
+			// fails this replica alone (failover, hedge, retry).
 			resp, err := c.cl.explore(actx, url, req)
 			ch <- reply{resp, err, hedge}
 		}()

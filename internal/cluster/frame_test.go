@@ -103,9 +103,7 @@ func TestBadFrameDegradesOneSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	part = part[:len(part)-1]
-	badPart := serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeExploreFrame(w, &exploreResponse{Leaves: 1, Parts: []encodedPart{{data: part}}})
-	}))
+	badPart := serve(serveFrame(rawFrame(`{"leaves":1}`, [][]byte{part}, nil, nil)))
 
 	q := core.Query{Window: window}
 	want, err := healthy.Explore(ctx, q)
@@ -178,13 +176,25 @@ func TestMisSizedPartialsFailTheirSlot(t *testing.T) {
 	}
 }
 
-// rawFrame is an explore frame with a header, no parts, no rows and the
-// given bytes as its partials section.
-func rawFrame(hdr string, partials []byte) []byte {
+// rawFrame is an explore frame of a header and sections as given: the
+// parts' bytes, each rows table as its name, field list and text, and the
+// partials section (nil: no partials).
+func rawFrame(hdr string, parts [][]byte, rows [][3]string, partials []byte) []byte {
+	if partials == nil {
+		partials = scanspec.AppendPartials(nil, nil)
+	}
 	var f frameWriter
 	f.field([]byte(hdr))
-	f.uvarint(0)
-	f.uvarint(0)
+	f.uvarint(len(parts))
+	for _, p := range parts {
+		f.field(p)
+	}
+	f.uvarint(len(rows))
+	for _, t := range rows {
+		for _, s := range t {
+			f.field([]byte(s))
+		}
+	}
 	f.field(partials)
 	return slices.Concat(f.chunks...)
 }
@@ -221,7 +231,7 @@ func TestBadPartialsSectionFailsItsSlot(t *testing.T) {
 		"cut short":          section[:len(section)-1],
 		"trailing bytes":     append(bytes.Clone(section), 0),
 	} {
-		bad := f.serve(serveFrame(rawFrame(`{"leaves":1}`, partials)))
+		bad := f.serve(serveFrame(rawFrame(`{"leaves":1}`, nil, nil, partials)))
 		if _, err := aggregate([]string{bad}); !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "shard 1 failed") ||
 			!strings.Contains(err.Error(), "partials") {
 			t.Errorf("%s: %v, want ErrDegraded naming shard 1's partials", name, err)
@@ -234,11 +244,76 @@ func TestBadPartialsSectionFailsItsSlot(t *testing.T) {
 	}
 }
 
+// TestBadRowsSectionFailsItsSlot: a rows table whose text does not parse
+// under its layout, or whose field list names an unknown field, a field
+// twice or fields out of stored order, fails its replica like a replica
+// that is down — the rows decode in the replica's goroutine, not after the
+// scatter. As the slot's lone replica it turns an exploration Partial with
+// its shard's Missing ranges and fails a row scan with ErrDegraded naming
+// the shard; beside a healthy replica, either side, the answer is the
+// healthy one.
+func TestBadRowsSectionFailsItsSlot(t *testing.T) {
+	f := newTwoShards(t)
+	ctx := context.Background()
+	bad := 1
+	nmsFields := strings.Join(telco.NMSSchema.FieldNames(), "|")
+	q := core.Query{Window: f.window, Tables: []string{"NMS"}, ExactRows: true}
+	spec := &scanspec.Spec{Columns: []string{telco.AttrUpflux}}
+	topology := func(replicas []string) [][]string {
+		top := [][]string{{f.urls[0]}, {f.urls[1]}}
+		top[bad] = replicas
+		return top
+	}
+	want, err := f.coordinator(topology([]string{f.urls[bad]})).Explore(ctx, q)
+	if err != nil || want.Partial || want.Rows["NMS"].Len() == 0 {
+		t.Fatalf("healthy cluster: %v", err)
+	}
+	wantRows, err := f.coordinator(topology([]string{f.urls[bad]})).ScanRows(ctx, f.window, []string{"CDR"}, spec)
+	if err != nil || wantRows["CDR"].Len() == 0 {
+		t.Fatalf("healthy cluster: %v", err)
+	}
+	for name, table := range map[string][3]string{
+		"bad row text":     {"NMS", nmsFields, "not|a|row\n"},
+		"unknown field":    {"CDR", "ts|upflux|nope", ""},
+		"repeated field":   {"CDR", "ts|upflux|upflux", ""},
+		"out of order":     {"CDR", "upflux|ts", ""},
+		"unknown table":    {"NOPE", "ts", ""},
+		"empty field list": {"CDR", "", ""},
+	} {
+		replica := f.serve(serveFrame(rawFrame(`{"leaves":1}`, nil, [][3]string{table}, nil)))
+		res, err := f.coordinator(topology([]string{replica})).Explore(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: a bad rows section failed the exploration: %v", name, err)
+		}
+		if !res.Partial || res.ShardsFailed != 1 || !reflect.DeepEqual(res.Missing, f.m.OwnedRanges(bad, f.window)) {
+			t.Errorf("%s: partial=%v failed=%d missing=%v, want shard %d's ranges", name, res.Partial, res.ShardsFailed, res.Missing, bad)
+		}
+		if e := res.Profile.Shards[bad].Error; !strings.Contains(e, "rows table") {
+			t.Errorf("%s: shard %d failed with %q, want a rows table error", name, bad, e)
+		}
+		_, err = f.coordinator(topology([]string{replica})).ScanRows(ctx, f.window, []string{"CDR"}, spec)
+		if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "shard 1 failed") {
+			t.Errorf("%s: row scan: %v, want ErrDegraded naming shard 1", name, err)
+		}
+		for _, replicas := range [][]string{{f.urls[bad], replica}, {replica, f.urls[bad]}} {
+			c := f.coordinator(topology(replicas))
+			got, err := c.Explore(ctx, q)
+			if err != nil || got.Partial || !reflect.DeepEqual(got.Summary, want.Summary) || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Errorf("%s: replicas %v: %v, or the exploration changed", name, replicas, err)
+			}
+			rows, err := c.ScanRows(ctx, f.window, []string{"CDR"}, spec)
+			if err != nil || !reflect.DeepEqual(rows, wantRows) {
+				t.Errorf("%s: replicas %v: %v, or the row scan changed", name, replicas, err)
+			}
+		}
+	}
+}
+
 // TestFrameReadIsBounded: a coordinator reads a frame into a buffer sized
 // by its Content-Length, so an answer without one, or with one past
 // maxFrameBytes, is refused before anything is allocated for it.
 func TestFrameReadIsBounded(t *testing.T) {
-	frame := rawFrame(`{"leaves":1}`, scanspec.AppendPartials(nil, nil))
+	frame := rawFrame(`{"leaves":1}`, nil, nil, nil)
 	for name, h := range map[string]http.HandlerFunc{
 		"chunked": func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", exploreFrameType)
@@ -284,10 +359,12 @@ func TestExploreAnswerIsAFrame(t *testing.T) {
 	}
 }
 
-// FuzzExploreFrame: the frame reader never panics and allocates no more than
-// a bound proportional to its input. Seeds are real node answers — parts and
-// rows, rows alone, partials, and an empty shard's — and a frame whose
-// partials section holds an unknown value kind.
+// FuzzExploreFrame: the frame reader, which decodes every part, rows table
+// and partial, never panics and allocates no more than a bound proportional
+// to its input. Seeds are real node answers — parts and rows, rows alone,
+// partials, an empty shard's, and a T2-shaped narrow row scan — a frame
+// whose partials section holds an unknown value kind, and one whose rows
+// table lists its fields out of stored order.
 func FuzzExploreFrame(f *testing.F) {
 	g, snaps, window := testTrace(f, 1)
 	eng := newRefEngine(f, g)
@@ -311,8 +388,13 @@ func FuzzExploreFrame(f *testing.F) {
 	}
 	badKind := scanspec.AppendPartials(nil, []scanspec.Partial{{Cells: []scanspec.Cell{{Seen: true, Count: 1}}}})
 	badKind[1] = 9
-	f.Add(rawFrame(`{"leaves":1}`, badKind))
+	f.Add(rawFrame(`{"leaves":1}`, nil, nil, badKind))
 	f.Add(exploreFrame(f, NewNode(newRefEngine(f, g)), parts))
+	t2 := both
+	t2.Tables = []string{"CDR"}
+	t2.Spec = &scanspec.Spec{Columns: []string{telco.AttrUpflux, telco.AttrDownflux}}
+	f.Add(exploreFrame(f, NewNode(eng), t2))
+	f.Add(rawFrame(`{"leaves":1}`, nil, [][3]string{{"CDR", "upflux|ts", "1|20160118093000\n"}}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +12,9 @@ import (
 
 	"spate/internal/core"
 	"spate/internal/geo"
+	"spate/internal/highlights"
 	"spate/internal/obs"
+	"spate/internal/scanspec"
 	"spate/internal/serving"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
@@ -232,15 +233,20 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// An empty shard legitimately owns no data in any window; the
 		// coordinator decides whether the cluster as a whole is empty.
 		span.SetAttr("empty", "true")
-		writeExploreFrame(w, &resp)
+		writeExploreFrame(w, &resp, frameSections(nil, nil, nil))
 		return
 	}
 	fail := func(err error) {
 		span.SetError(err)
 		rpcError(w, http.StatusInternalServerError, err)
 	}
-	// answer ships resp with the shard-local profile and span subtree.
+	// answer lays out the frame's sections inside the span, then ships them
+	// with the shard-local profile and span subtree.
+	var parts []*highlights.Summary
+	var tables map[string]*telco.Table
+	var partials []scanspec.Partial
 	answer := func(attr string, v int) {
+		body := frameSections(parts, tables, partials)
 		resp.Profile = prof
 		if span != nil {
 			span.SetAttr(attr, strconv.Itoa(v))
@@ -248,7 +254,7 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 			j := span.JSON()
 			resp.Trace = &j
 		}
-		writeExploreFrame(w, &resp)
+		writeExploreFrame(w, &resp, body)
 	}
 	win := telco.TimeRange{
 		From: time.Unix(req.FromUnix, 0).UTC(),
@@ -257,12 +263,11 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if req.AggTable != "" {
 		// Aggregate mode: fold the spec shard-side and ship partials — no
 		// summary parts, no rows.
-		partials, err := n.eng.AggregatePartials(ctx, win, req.AggTable, req.Spec)
-		if err != nil {
+		var err error
+		if partials, err = n.eng.AggregatePartials(ctx, win, req.AggTable, req.Spec); err != nil {
 			fail(err)
 			return
 		}
-		resp.Partials = partials
 		answer("partials", len(partials))
 		return
 	}
@@ -271,29 +276,19 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// part is rebuilt, encoded or shipped for it.
 	rowsOnly := req.Rows && req.Spec != nil && !req.Boxed
 	if !rowsOnly {
-		parts, diag, err := n.eng.ExploreParts(ctx, win)
-		if err != nil {
+		var diag core.PartsDiag
+		var err error
+		if parts, diag, err = n.eng.ExploreParts(ctx, win); err != nil {
 			fail(err)
 			return
-		}
-		// Encode inside the span: encodings are memoized on the summaries,
-		// so a part a cached leaf or an earlier answer shipped costs nothing.
-		resp.Parts = make([]encodedPart, len(parts))
-		for i, p := range parts {
-			data, err := p.Encode()
-			if err != nil {
-				fail(err)
-				return
-			}
-			resp.Parts[i] = encodedPart{data: data}
 		}
 		resp.Scanned, resp.Decayed = diag.ScannedLeaves, diag.DecayedLeaves
 	}
 	if req.Rows {
-		var tables map[string]*telco.Table
 		var err error
 		if rowsOnly {
-			// Pre-filter rows and decode only referenced columns.
+			// Pre-filter rows and decode only referenced columns; the rows
+			// travel in that narrow layout.
 			tables = make(map[string]*telco.Table)
 			err = n.eng.ScanTablesSpec(ctx, win, req.Tables, req.Spec, func(name string, t *telco.Table) error {
 				if dst, ok := tables[name]; ok {
@@ -314,45 +309,8 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 			fail(err)
 			return
 		}
-		resp.Rows = make(map[string][]byte, len(tables))
-		for name, t := range tables {
-			resp.Rows[name] = wireText(t)
-		}
 	}
 	answer("leaves_scanned", resp.Scanned)
-}
-
-// wireText renders a scanned table as the RPC's row text, which is always
-// in the stored table's full width: a narrow table out of a projected scan
-// widens back, its columns at their stored positions and every other
-// position blank (NULL), so the wire format does not depend on which
-// columns a shard decoded.
-func wireText(t *telco.Table) []byte {
-	full := telco.SchemaByName(t.Schema.Name)
-	if full == nil {
-		full = t.Schema
-	}
-	at := make([]int, len(t.Schema.Fields)) // stored position per column
-	for i, f := range t.Schema.Fields {
-		at[i] = full.FieldIndex(f.Name)
-	}
-	var buf bytes.Buffer
-	var fields []string
-	for _, r := range t.Rows {
-		fields = r.AppendFields(fields[:0])
-		next := 0
-		for pos := 0; pos < full.NumFields(); pos++ {
-			if pos > 0 {
-				buf.WriteByte('|')
-			}
-			if next < len(at) && at[next] == pos {
-				buf.WriteString(fields[next])
-				next++
-			}
-		}
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
 }
 
 func (n *Node) handleFinish(w http.ResponseWriter, r *http.Request) {

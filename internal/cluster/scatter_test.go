@@ -61,7 +61,7 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	if len(got.Parts) != 0 || got.Scanned != 0 {
 		t.Errorf("row-only spec request built %d parts over %d leaves, want none", len(got.Parts), got.Scanned)
 	}
-	if len(got.Rows["CDR"]) == 0 {
+	if got.Rows["CDR"].Len() == 0 {
 		t.Fatal("row-only spec request shipped no rows")
 	}
 	if got.Trace == nil || len(collectSpans(*got.Trace, "explore_parts")) != 0 {
@@ -79,9 +79,9 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	}
 
 	both := ask(base)
-	if len(both.Parts) == 0 || len(both.Rows["CDR"]) == 0 || both.Scanned == 0 {
-		t.Errorf("ExactRows exploration got %d parts (%d leaves scanned) and %d row bytes, want both",
-			len(both.Parts), both.Scanned, len(both.Rows["CDR"]))
+	if len(both.Parts) == 0 || both.Rows["CDR"].Len() == 0 || both.Scanned == 0 {
+		t.Errorf("ExactRows exploration got %d parts (%d leaves scanned) and %d rows, want both",
+			len(both.Parts), both.Scanned, both.Rows["CDR"].Len())
 	}
 	if len(collectSpans(*both.Trace, "explore_parts")) != 1 {
 		t.Error("ExactRows exploration did not run explore_parts")
@@ -182,7 +182,7 @@ func TestNodeRejectsInvalidSpec(t *testing.T) {
 	valid := scanspec.Pred{Col: telco.AttrDuration, Op: ">=", Kind: "int", Val: "0"}
 	good := base
 	good.Spec = &scanspec.Spec{Columns: []string{telco.AttrUpflux}, Preds: []scanspec.Pred{valid}}
-	if rows := askNode(t, node, good).Rows["CDR"]; len(rows) == 0 {
+	if rows := askNode(t, node, good).Rows["CDR"]; rows.Len() == 0 {
 		t.Fatal("a valid predicate matched no row")
 	}
 	for _, bad := range []scanspec.Pred{

@@ -113,16 +113,28 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 		t.Fatalf("profile has %d shard entries, want 4", len(cp.Shards))
 	}
 	// The root says how many parts merged; each slot span, and its shard's
-	// entry, how large the frame it answered with was.
+	// entry, how large the frame it answered with was and how many rows the
+	// coordinator decoded from it.
 	if n, err := strconv.Atoi(root.Attrs["parts"]); err != nil || n < 4 {
 		t.Errorf("cluster_explore parts=%q, want one or more per shard", root.Attrs["parts"])
 	}
+	// How many rows the coordinator decoded from that frame, too: together
+	// the single engine's rows.
+	decoded := 0
 	for _, sl := range slots {
 		shard, _ := strconv.Atoi(sl.Attrs["shard"])
 		fb := cp.Shards[shard].FrameBytes
 		if fb == 0 || sl.Attrs["frame_bytes"] != strconv.Itoa(fb) {
 			t.Errorf("shard %d: slot span frame_bytes=%q, profile %d", shard, sl.Attrs["frame_bytes"], fb)
 		}
+		rows := cp.Shards[shard].Rows
+		if sl.Attrs["rows"] != strconv.Itoa(rows) {
+			t.Errorf("shard %d: slot span rows=%q, profile %d", shard, sl.Attrs["rows"], rows)
+		}
+		decoded += rows
+	}
+	if decoded == 0 || decoded != single.Rows["CDR"].Len() {
+		t.Errorf("slots decoded %d rows, the single engine has %d", decoded, single.Rows["CDR"].Len())
 	}
 	type pair struct {
 		name      string

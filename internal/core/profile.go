@@ -89,8 +89,10 @@ type ShardProfile struct {
 	Retries   int     `json:"retries,omitempty"`
 	HedgeWin  bool    `json:"hedge_win,omitempty"`
 	// FrameBytes is the size of the explore frame the slot answered with:
-	// the wire volume behind its latency.
+	// the wire volume behind its latency; Rows is the number of exact rows
+	// the coordinator decoded from it.
 	FrameBytes int     `json:"frame_bytes,omitempty"`
+	Rows       int     `json:"rows,omitempty"`
 	Missing    bool    `json:"missing,omitempty"`
 	Error      string  `json:"error,omitempty"`
 	Profile    Profile `json:"profile"`

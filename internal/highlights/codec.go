@@ -232,66 +232,30 @@ func (g *gobSummary) summary() *Summary {
 
 // DecodeBinary deserializes the binary form alone — what crosses the wire,
 // where nothing legacy is expected — filling the summary's arrays straight
-// from the bytes. Unlike gob's, its allocations are bounded by the length
-// of data: every count is checked against the bytes left before anything is
-// sized by it.
+// from the bytes, and enforcing every rule of the format. Unlike gob's, its
+// allocations are bounded by the length of data: every count is checked
+// against the bytes left before anything is sized by it. A failure sticks
+// (every read after it is a zero value), so the decoder checks for one once
+// per section, before anything is sized by what it read.
 func DecodeBinary(data []byte) (*Summary, error) {
-	s := new(Summary)
-	period, err := walk(data, s)
-	if err != nil {
-		return nil, err
-	}
-	s.Period = period
-	return s, nil
-}
-
-// CheckBinary checks data the way DecodeBinary does — it accepts exactly
-// what DecodeBinary accepts — and returns the summary's period, building
-// nothing else and allocating nothing: what a cluster coordinator runs on
-// each shard part before it merges the encodings (MergeEncoded).
-func CheckBinary(data []byte) (telco.TimeRange, error) { return walk(data, nil) }
-
-// MergeEncoded is Merge over parts in their binary form (Encode): each part
-// decodes into its arrays and the arrays merge, so the result equals
-// Merge(period, DecodeBinary(p)...) bit for bit. A part that does not decode
-// fails the merge.
-func MergeEncoded(period telco.TimeRange, parts [][]byte) (*Summary, error) {
-	decoded := make([]*Summary, len(parts))
-	for i, p := range parts {
-		var err error
-		if decoded[i], err = DecodeBinary(p); err != nil {
-			return nil, err
-		}
-	}
-	return Merge(period, decoded...), nil
-}
-
-// walk reads one binary summary, enforcing every rule of the format, into
-// s and returns the summary's period. It is the format's one reader: with a
-// nil s it is the format's check alone, and allocates nothing. A failure
-// sticks (every read after it is a zero value), so walk checks for one
-// once per section, before anything is sized by what it read.
-func walk(data []byte, s *Summary) (telco.TimeRange, error) {
 	if !bytes.HasPrefix(data, binaryHeader) {
-		return telco.TimeRange{}, errors.New("highlights: decode: not a binary summary (or an unknown version)")
+		return nil, errors.New("highlights: decode: not a binary summary (or an unknown version)")
 	}
 	d := decoder{b: data[len(binaryHeader):]}
 	from, to := d.stamp(), d.stamp()
 	rows := d.varint()
 	attrs := d.count(2)
 	if d.err != nil {
-		return telco.TimeRange{}, d.err
+		return nil, d.err
 	}
-	if s != nil {
-		s.Rows, s.attrs = rows, sized[AttrRef](attrs)
-	}
+	s := &Summary{Rows: rows, attrs: sized[AttrRef](attrs)}
 	var prevTable, prevAttr []byte
 	for i := 0; i < attrs; i++ {
 		table, attr := d.bytes(), d.bytes()
 		if i > 0 && compareRawRefs(prevTable, prevAttr, table, attr) >= 0 {
 			d.fail("attributes out of order")
 		}
-		if s != nil && d.err == nil {
+		if d.err == nil {
 			s.attrs = append(s.attrs, AttrRef{Table: string(table), Attr: string(attr)})
 		}
 		prevTable, prevAttr = table, attr
@@ -299,33 +263,25 @@ func walk(data []byte, s *Summary) (telco.TimeRange, error) {
 
 	n := d.count(minPair)
 	if d.err != nil {
-		return telco.TimeRange{}, d.err
+		return nil, d.err
 	}
-	if s != nil {
-		s.num = sized[pair](n)
-	}
+	s.num = sized[pair](n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		a, st := d.attr(attrs, &prev), d.stats()
-		if s != nil {
-			s.num = append(s.num, pair{int32(a), st})
-		}
+		s.num = append(s.num, pair{int32(a), st})
 	}
 
 	n = d.count(2)
 	if d.err != nil {
-		return telco.TimeRange{}, d.err
+		return nil, d.err
 	}
-	if s != nil {
-		s.cat = sized[table](n)
-	}
+	s.cat = sized[table](n)
 	prev = -1
 	for i := 0; i < n; i++ {
 		a, m := d.attr(attrs, &prev), d.count(minValue)
-		if s != nil {
-			s.vals = slices.Grow(s.vals, m)
-			s.cat = append(s.cat, table{int32(a), int32(len(s.vals)), int32(len(s.vals) + m)})
-		}
+		s.vals = slices.Grow(s.vals, m)
+		s.cat = append(s.cat, table{int32(a), int32(len(s.vals)), int32(len(s.vals) + m)})
 		var last []byte
 		for j := 0; j < m; j++ {
 			val := d.bytes()
@@ -335,9 +291,7 @@ func walk(data []byte, s *Summary) (telco.TimeRange, error) {
 			last = val
 			count := d.uvarint()
 			first, lastSeen := d.stamp(), d.stamp()
-			if s != nil {
-				s.vals = append(s.vals, value{string(val), int64(count), first, lastSeen})
-			}
+			s.vals = append(s.vals, value{string(val), int64(count), first, lastSeen})
 		}
 	}
 
@@ -347,12 +301,10 @@ func walk(data []byte, s *Summary) (telco.TimeRange, error) {
 		d.fail("%d cells with %d attributes in %d bytes", n, pairs, len(d.b))
 	}
 	if d.err != nil {
-		return telco.TimeRange{}, d.err
+		return nil, d.err
 	}
-	if s != nil {
-		s.vals = exact(s.vals) // the size a fold gives it
-		s.cells, s.pairs = sized[cell](n), sized[pair](pairs)
-	}
+	s.vals = exact(s.vals) // the size a fold gives it
+	s.cells, s.pairs = sized[cell](n), sized[pair](pairs)
 	left := pairs
 	var id int64
 	for i := 0; i < n; i++ {
@@ -372,13 +324,9 @@ func walk(data []byte, s *Summary) (telco.TimeRange, error) {
 		prev = -1
 		for j := 0; j < k; j++ {
 			a, st := d.attr(attrs, &prev), d.stats()
-			if s != nil {
-				s.pairs = append(s.pairs, pair{int32(a), st})
-			}
+			s.pairs = append(s.pairs, pair{int32(a), st})
 		}
-		if s != nil {
-			s.cells = append(s.cells, cell{id, rows, int32(len(s.pairs) - k), int32(len(s.pairs))})
-		}
+		s.cells = append(s.cells, cell{id, rows, int32(len(s.pairs) - k), int32(len(s.pairs))})
 		left -= k
 	}
 	if left != 0 {
@@ -388,9 +336,10 @@ func walk(data []byte, s *Summary) (telco.TimeRange, error) {
 		d.fail("%d trailing bytes", len(d.b))
 	}
 	if d.err != nil {
-		return telco.TimeRange{}, d.err
+		return nil, d.err
 	}
-	return telco.TimeRange{From: from.time(), To: to.time()}, nil
+	s.Period = telco.TimeRange{From: from.time(), To: to.time()}
+	return s, nil
 }
 
 // compareRawRefs is compareRefs over encoded (table, attr) strings.

@@ -284,13 +284,11 @@ func allocated(f func()) uint64 {
 
 // FuzzDecodeSummary: the binary decoder never panics, allocates no more
 // than a bound proportional to its input, and whatever it accepts
-// re-encodes to a form that decodes and re-encodes to itself. CheckBinary
-// accepts exactly what DecodeBinary accepts, with the same period;
-// MergeEncoded of one accepted part stays within the same bound and encodes
-// as Merge of its decoding does, and of the part beside a seeded random
-// one, in either order, as the reference merge of their decodings does.
-// Legacy gob is outside it: gob sizes maps from counts in the stream,
-// without a bound.
+// re-encodes to a form that decodes and re-encodes to itself. Merging the
+// accepted part's encoding (Merge over DecodeBinary) stays within the same
+// bound and encodes as the reference merge of its decoding does, and so
+// does merging it beside a seeded random part, in either order. Legacy gob
+// is outside it: gob sizes maps from counts in the stream, without a bound.
 func FuzzDecodeSummary(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
@@ -319,27 +317,21 @@ func FuzzDecodeSummary(f *testing.F) {
 		if n := allocated(func() { s, err = DecodeBinary(data) }); n > allocBound(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
-		period, checkErr := CheckBinary(data)
-		if (err == nil) != (checkErr == nil) {
-			t.Fatalf("DecodeBinary: %v, but CheckBinary: %v", err, checkErr)
-		}
 		if err != nil {
 			return
 		}
-		if period != s.Period {
-			t.Fatalf("CheckBinary period %v, decoded %v", period, s.Period)
-		}
+		period := s.Period
 		var merged *Summary
-		if n := allocated(func() { merged, err = MergeEncoded(period, [][]byte{data}) }); n > allocBound(len(data)) {
+		if n := allocated(func() { merged, err = mergeEncoded(period, [][]byte{data}) }); n > allocBound(len(data)) {
 			t.Fatalf("merging a %d-byte part allocated %d", len(data), n)
 		}
 		if err != nil {
-			t.Fatalf("MergeEncoded of an accepted part: %v", err)
+			t.Fatalf("merging an accepted part: %v", err)
 		}
 		got, _ := merged.Encode()
-		want, _ := Merge(period, s).Encode()
+		want, _ := refMerge(period, mapOf(s)).summary().Encode()
 		if !bytes.Equal(got, want) {
-			t.Fatal("MergeEncoded of one part encodes unlike Merge of its decoding")
+			t.Fatal("merging one part encodes unlike the reference merge of its decoding")
 		}
 		// Beside a second part, either side of it: the accepted part's
 		// cells, attributes and values meet the partner's.
@@ -351,14 +343,14 @@ func FuzzDecodeSummary(f *testing.F) {
 		for _, order := range [][2]int{{0, 1}, {1, 0}} {
 			encs := [2][]byte{data, partner}
 			decs := [2]*Summary{s, partnerDecoded}
-			merged, err := MergeEncoded(period, [][]byte{encs[order[0]], encs[order[1]]})
+			merged, err := mergeEncoded(period, [][]byte{encs[order[0]], encs[order[1]]})
 			if err != nil {
-				t.Fatalf("MergeEncoded of two accepted parts: %v", err)
+				t.Fatalf("merging two accepted parts: %v", err)
 			}
 			got, _ := merged.Encode()
 			want, _ := refMerge(period, mapOf(decs[order[0]]), mapOf(decs[order[1]])).summary().Encode()
 			if !bytes.Equal(got, want) {
-				t.Fatalf("MergeEncoded of two parts (order %v) encodes unlike the reference merge of their decodings", order)
+				t.Fatalf("merging two parts (order %v) encodes unlike the reference merge of their decodings", order)
 			}
 		}
 		enc, err := s.Encode()

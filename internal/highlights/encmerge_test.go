@@ -62,28 +62,37 @@ func sortedIDs(cells map[int64]*mapCell) []int64 {
 	return ids
 }
 
+// mergeEncoded merges parts in their binary form the way a cluster
+// coordinator does: each part decodes (DecodeBinary) and the decodings
+// merge. A part that does not decode fails the merge.
+func mergeEncoded(period telco.TimeRange, encs [][]byte) (*Summary, error) {
+	decoded := make([]*Summary, len(encs))
+	for i, data := range encs {
+		var err error
+		if decoded[i], err = DecodeBinary(data); err != nil {
+			return nil, err
+		}
+	}
+	return Merge(period, decoded...), nil
+}
+
 // TestMergeEncodedMatchesMerge: over seeded random part lists, merging the
-// encodings gives the summary — field by field, bit for bit, and in its
-// encoding — that merging their decodings gives.
+// encodings (Merge over DecodeBinary) gives the summary — field by field,
+// bit for bit, and in its encoding — that merging the parts as built gives.
 func TestMergeEncodedMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	period := telco.TimeRange{From: time.Unix(1453075200, 0).UTC(), To: time.Unix(1453161600, 0).UTC()}
 	for trial := 0; trial < 500; trial++ {
 		parts := randomParts(rng)
 		encs := make([][]byte, len(parts))
-		decoded := make([]*Summary, len(parts))
 		for i, p := range parts {
 			encs[i], _ = p.Encode()
-			var err error
-			if decoded[i], err = DecodeBinary(encs[i]); err != nil {
-				t.Fatal(err)
-			}
 		}
-		got, err := MergeEncoded(period, encs)
+		got, err := mergeEncoded(period, encs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want := Merge(period, decoded...)
+		want := Merge(period, parts...)
 		sameSummary(t, got, want)
 		g, _ := got.Encode()
 		w, _ := want.Encode()
@@ -94,31 +103,13 @@ func TestMergeEncodedMatchesMerge(t *testing.T) {
 }
 
 // TestMergeEncodedRejectsBadPart: a part that does not decode fails the
-// merge, wherever it stands in the list.
+// merge of the encodings, wherever it stands in the list.
 func TestMergeEncodedRejectsBadPart(t *testing.T) {
 	good, _ := randomSummary(rand.New(rand.NewSource(1))).Encode()
 	bad := good[:len(good)-1]
 	for _, parts := range [][][]byte{{bad}, {good, bad}, {bad, good}} {
-		if _, err := MergeEncoded(telco.TimeRange{}, parts); err == nil {
+		if _, err := mergeEncoded(telco.TimeRange{}, parts); err == nil {
 			t.Errorf("a %d-part merge with a cut-short part succeeded", len(parts))
-		}
-	}
-}
-
-// TestCheckBinaryAllocatesNothing: the check a coordinator runs on every
-// shard part builds nothing, and returns the period the decoding has.
-func TestCheckBinaryAllocatesNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		s := randomSummary(rng)
-		data, _ := s.Encode()
-		var period telco.TimeRange
-		var err error
-		if n := testing.AllocsPerRun(10, func() { period, err = CheckBinary(data) }); n != 0 {
-			t.Fatalf("trial %d: CheckBinary allocated %v times", trial, n)
-		}
-		if err != nil || period != s.Period {
-			t.Fatalf("trial %d: CheckBinary = %v, %v; want %v", trial, period, err, s.Period)
 		}
 	}
 }
@@ -137,8 +128,8 @@ func sparsePart(cells int) *Summary {
 }
 
 // TestSparsePartBounded: decoding a sparse part, merging its decoding and
-// merging its encoding each allocate within allocBound of the part's bytes
-// and take well under a tenth of a second.
+// merging its encoding (decoding it and merging that) each allocate within
+// allocBound of the part's bytes and take well under a tenth of a second.
 func TestSparsePartBounded(t *testing.T) {
 	data, _ := sparsePart(1000).Encode()
 	if len(data) < 40<<10 {
@@ -149,9 +140,9 @@ func TestSparsePartBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, f := range map[string]func(){
-		"DecodeBinary": func() { DecodeBinary(data) },
-		"Merge":        func() { Merge(decoded.Period, decoded) },
-		"MergeEncoded": func() { MergeEncoded(decoded.Period, [][]byte{data}) },
+		"DecodeBinary":       func() { DecodeBinary(data) },
+		"Merge":              func() { Merge(decoded.Period, decoded) },
+		"Merge∘DecodeBinary": func() { mergeEncoded(decoded.Period, [][]byte{data}) },
 	} {
 		start := time.Now()
 		n := allocated(f)
@@ -162,7 +153,7 @@ func TestSparsePartBounded(t *testing.T) {
 			t.Errorf("%s of a %d-byte sparse part allocated %d bytes, over %d", name, len(data), n, allocBound(len(data)))
 		}
 	}
-	merged, _ := MergeEncoded(decoded.Period, [][]byte{data})
+	merged, _ := mergeEncoded(decoded.Period, [][]byte{data})
 	if got, _ := merged.Encode(); !bytes.Equal(got, data) {
 		t.Error("merging the one sparse part changed it")
 	}
@@ -200,44 +191,31 @@ func benchParts() [][]byte {
 	return parts
 }
 
-func BenchmarkCheckBinary(b *testing.B) {
+// BenchmarkDecodeBinary decodes the parts of a cluster explore across a
+// day boundary, as a coordinator does in each replica's goroutine.
+func BenchmarkDecodeBinary(b *testing.B) {
 	parts := benchParts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range parts {
-			if _, err := CheckBinary(p); err != nil {
+			if _, err := DecodeBinary(p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
+// BenchmarkMergeEncoded merges those parts from their encodings: each
+// decoded, then the decodings merged.
 func BenchmarkMergeEncoded(b *testing.B) {
 	parts := benchParts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MergeEncoded(telco.TimeRange{}, parts); err != nil {
+		if _, err := mergeEncoded(telco.TimeRange{}, parts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMergeDecoded(b *testing.B) {
-	parts := benchParts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var decoded []*Summary
-		for _, p := range parts {
-			s, err := DecodeBinary(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			decoded = append(decoded, s)
-		}
-		Merge(telco.TimeRange{}, decoded...)
 	}
 }
 

@@ -175,8 +175,8 @@ func (m *mapSummary) summary() *Summary {
 }
 
 // refMerge is the in-memory Merge as it stood before every summary went
-// through one accumulator, kept as the definition Merge and MergeEncoded
-// must equal: verbatim over the map shape, but for allocating its Stats and
+// through one accumulator, kept as the definition Merge must equal, over
+// parts as built and as decoded from their encodings: verbatim over the map shape, but for allocating its Stats and
 // cells one by one where it carved them out of slabs.
 func refMerge(period telco.TimeRange, parts ...*mapSummary) *mapSummary {
 	// The result is at least as large as its largest part: size the maps for
@@ -360,8 +360,8 @@ func foldedDays(rng *rand.Rand) []*Summary {
 }
 
 // TestMergeMatchesReference: over seeded random part lists and over
-// fold-built day parts, Merge and MergeEncoded both give the summary the
-// reference merge gives — reflect.DeepEqual, floats by their bits — and
+// fold-built day parts, Merge of the parts and Merge of their decoded
+// encodings both give the summary the reference merge gives — reflect.DeepEqual, floats by their bits — and
 // encode to its bytes.
 func TestMergeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
@@ -380,15 +380,15 @@ func TestMergeMatchesReference(t *testing.T) {
 				encs = append(encs, data)
 			}
 		}
-		fromEnc, err := MergeEncoded(period, encs)
+		fromEnc, err := mergeEncoded(period, encs)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if !deepEqual(mapOf(fromEnc), want) {
-			t.Fatalf("%s: MergeEncoded differs from the reference merge", what)
+			t.Fatalf("%s: Merge∘DecodeBinary differs from the reference merge", what)
 		}
 		w, _ := want.summary().Encode()
-		for name, s := range map[string]*Summary{"Merge": got, "MergeEncoded": fromEnc} {
+		for name, s := range map[string]*Summary{"Merge": got, "Merge∘DecodeBinary": fromEnc} {
 			if g, _ := s.Encode(); !bytes.Equal(g, w) {
 				t.Fatalf("%s: %s encodes unlike the reference merge", what, name)
 			}
@@ -407,9 +407,10 @@ func TestMergeMatchesReference(t *testing.T) {
 	check("no parts", nil)
 }
 
-// goldenDigest is the sha256 of goldenEncodings: what Merge, MergeEncoded,
-// the fold (Folder and AddTable) and DecodeBinary build from fixed seeds,
-// and what the legacy gob fixture decodes to, each as its encoding.
+// goldenDigest is the sha256 of goldenEncodings: what Merge (of parts as
+// built and of their decoded encodings), the fold (Folder and AddTable) and
+// DecodeBinary build from fixed seeds, and what the legacy gob fixture
+// decodes to, each as its encoding.
 const goldenDigest = "37776fe8221ebb41b6c9bdc9ec2cbbe9a705aec87391cafbccc6e4bbec3375be"
 
 func goldenEncodings(t *testing.T) [][]byte {
@@ -432,7 +433,7 @@ func goldenEncodings(t *testing.T) [][]byte {
 			encs[i] = out[len(out)-1]
 		}
 		add(Merge(period, parts...))
-		merged, err := MergeEncoded(period, encs)
+		merged, err := mergeEncoded(period, encs)
 		if err != nil {
 			t.Fatal(err)
 		}

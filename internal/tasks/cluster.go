@@ -55,8 +55,8 @@ func (c Cluster) Scan(ctx context.Context, w telco.TimeRange, tables []string, f
 
 // ScanSpec implements SpecScanner: the spec rides the explore RPC, shards
 // pre-filter rows on its predicates and decode only referenced columns,
-// and the merged tables — full-width, as the RPC ships them, NULL outside
-// the referenced columns — stream to fn in name order. The row-only
+// and the merged tables — in the narrow layout a local ScanTablesSpec
+// hands out, as the RPC ships them — stream to fn in name order. The row-only
 // scatter skips the summary parts and merge Scan pays for. Like Scan, any
 // shard failing all retries fails the call.
 func (c Cluster) ScanSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec, fn func(string, *telco.Table) error) error {

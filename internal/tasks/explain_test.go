@@ -141,14 +141,14 @@ func TestSQLOverCluster(t *testing.T) {
 
 // TestRenderProfileLeafCache: EXPLAIN ANALYZE tells rebuilt leaves from
 // leaves a shard took from its leaf cache, in the totals and per shard, and
-// prints the size of each shard's explore frame.
+// prints the rows decoded from each shard's explore frame and its size.
 func TestRenderProfileLeafCache(t *testing.T) {
 	shard := core.Profile{LeavesScanned: 1, LeavesCached: 4}
-	p := core.Profile{Shards: []core.ShardProfile{{Shard: 2, LatencyMS: 1.5, FrameBytes: 2048, Profile: shard}}}
+	p := core.Profile{Shards: []core.ShardProfile{{Shard: 2, LatencyMS: 1.5, FrameBytes: 2048, Rows: 17, Profile: shard}}}
 	p.Add(shard)
 	out := strings.Join(renderProfile(&p), "\n")
 	for _, want := range []string{"leaves: 1 scanned, 0 pruned, 0 decayed, 4 cached",
-		"shard 2 band 0: 1.5 ms, 1 leaves scanned, 4 cached, ", ", 2048 frame bytes"} {
+		"shard 2 band 0: 1.5 ms, 1 leaves scanned, 4 cached, ", ", 17 rows, 2048 frame bytes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, out)
 		}

@@ -104,14 +104,17 @@ func (t *Table) Column(name string) []Value {
 // fields outside cols are stepped over, never split out or parsed. It
 // accepts the text ReadTable accepts, and every record equals the matching
 // ReadTable row restricted to cols. wire is the share of the text the kept
-// fields stand for, each with one separator.
+// fields stand for, each with one separator. What it allocates is bounded
+// by the length of text, whatever the text holds: a line of s takes at
+// least len(s.Fields)-1 separators, so no more rows than that allows are
+// sized for.
 func DecodeRows(s *Schema, cols []int, text []byte) (rows []Record, wire int64, err error) {
 	width := len(cols)
 	if cols == nil {
 		width = len(s.Fields)
 	}
 	str := string(text) // one copy; every string value is a substring of it
-	n := strings.Count(str, "\n") + 1
+	n := min(strings.Count(str, "\n")+1, (len(str)+1)/max(len(s.Fields), 2))
 	vals := make([]Value, 0, n*width)
 	rows = make([]Record, 0, n)
 	for lineNo := 1; len(str) > 0; lineNo++ {
@@ -124,6 +127,11 @@ func DecodeRows(s *Schema, cols []int, text []byte) (rows []Record, wire int64, 
 		line = strings.TrimSuffix(line, "\r") // as bufio.ScanLines does
 		if line == "" {
 			continue
+		}
+		if len(vals)+width > cap(vals) {
+			// A line past the bound cannot hold len(s.Fields) fields: it is
+			// read only for its error.
+			vals = make([]Value, 0, width)
 		}
 		rec := vals[len(vals) : len(vals)+width : len(vals)+width]
 		vals = vals[:len(vals)+width]
