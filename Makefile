@@ -62,10 +62,10 @@ bench:
 	$(GO) test -bench . -benchtime 10x -run XXX ./...
 
 # Fuzz the WAL record decoder, the v3 column-stream decoders (string and
-# column-batch, one target), the binary summary decoder (with its check and
-# the merge from encodings), the explore frame reader, the partials section
-# inside it and the scan-spec check a node runs on /rpc/explore bodies for a
-# short, CI-friendly budget.
+# column-batch, one target), the binary summary decoder (with the merge of
+# what it decodes), the explore frame reader (which decodes the parts, rows
+# and partials inside it), the partials section alone and the scan-spec
+# check a node runs on /rpc/explore bodies for a short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/
