@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
@@ -165,7 +166,10 @@ func TestClusterExploreMatchesSingleEngine(t *testing.T) {
 }
 
 // TestClusterExactRows checks the scatter-gathered row path returns the
-// same records as a single engine.
+// records a single engine does, field for field: over 1 and 4 shards, with
+// and without a box, a window across the day boundary yields every table
+// under the engine's schema and, as a multiset (shards concatenate in slot
+// order), the engine's rows.
 func TestClusterExactRows(t *testing.T) {
 	g, snaps, window := testTrace(t, 2)
 	eng := newRefEngine(t, g)
@@ -175,25 +179,79 @@ func TestClusterExactRows(t *testing.T) {
 		}
 	}
 	eng.FinishIngest()
-	lc := startTestCluster(t, Config{Shards: 2, Obs: obs.NewRegistry()}, g, snaps)
+	clusters := map[int]*Local{
+		1: startTestCluster(t, Config{Shards: 1, Obs: obs.NewRegistry()}, g, snaps),
+		4: startTestCluster(t, Config{Shards: 4, Obs: obs.NewRegistry()}, g, snaps),
+	}
 
-	w := telco.TimeRange{From: window.From, To: window.From.Add(3 * time.Hour)}
-	q := core.Query{Window: w, ExactRows: true, Tables: []string{"CDR"}}
-	single, err := eng.Explore(q)
-	if err != nil {
-		t.Fatal(err)
+	w := telco.TimeRange{From: window.From.Add(21 * time.Hour), To: window.From.Add(27 * time.Hour)}
+	box := cellBox(g)
+	box.MaxX = (box.MinX + box.MaxX) / 2
+	everywhere := 0
+	for _, b := range []geo.Rect{{}, box} {
+		q := core.Query{Window: w, Box: b, ExactRows: true}
+		single, err := eng.Explore(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, tab := range single.Rows {
+			n += tab.Len()
+		}
+		if n == 0 || n == everywhere {
+			t.Fatalf("box %v: the engine returns %d rows (%d without the box): the case checks nothing", b, n, everywhere)
+		}
+		everywhere = n
+		for shards, lc := range clusters {
+			cres, err := lc.Coordinator.Explore(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"CDR", "NMS"} {
+				st, ct := single.Rows[name], cres.Rows[name]
+				if st == nil || ct == nil {
+					t.Fatalf("%d shards, box %v: %s rows missing: single=%v cluster=%v", shards, b, name, st != nil, ct != nil)
+				}
+				if !slices.Equal(st.Schema.Fields, ct.Schema.Fields) {
+					t.Fatalf("%d shards, box %v: %s layouts differ", shards, b, name)
+				}
+				if want, got := rowMultiset(st), rowMultiset(ct); !slices.Equal(got, want) {
+					t.Fatalf("%d shards, box %v: %s rows differ: %d rows, the engine's %d", shards, b, name, len(got), len(want))
+				}
+			}
+		}
 	}
-	cres, err := lc.Coordinator.Explore(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// cellBox is the smallest box holding every cell of the generated world.
+func cellBox(g *gen.Generator) geo.Rect {
+	cells := g.CellTable()
+	xi, yi := cells.Schema.FieldIndex("x_km"), cells.Schema.FieldIndex("y_km")
+	var box geo.Rect
+	for i, c := range cells.Rows {
+		pt := geo.Point{X: c[xi].Float64(), Y: c[yi].Float64()}
+		if i == 0 {
+			box = geo.NewRect(pt.X, pt.Y, pt.X, pt.Y)
+		}
+		box = box.Expand(pt)
 	}
-	st, ct := single.Rows["CDR"], cres.Rows["CDR"]
-	if st == nil || ct == nil {
-		t.Fatalf("missing CDR rows: single=%v cluster=%v", st != nil, ct != nil)
+	return box
+}
+
+// rowMultiset renders a table's rows value by value (kind and wire form)
+// and sorts them: two tables hold the same records, in any order, exactly
+// when their multisets are equal.
+func rowMultiset(tab *telco.Table) []string {
+	out := make([]string, len(tab.Rows))
+	for i, r := range tab.Rows {
+		var b strings.Builder
+		for _, v := range r {
+			fmt.Fprintf(&b, "%d:%s\x1f", v.Kind(), v.Format())
+		}
+		out[i] = b.String()
 	}
-	if len(st.Rows) == 0 || len(st.Rows) != len(ct.Rows) {
-		t.Fatalf("row counts differ: single=%d cluster=%d", len(st.Rows), len(ct.Rows))
-	}
+	sort.Strings(out)
+	return out
 }
 
 // TestClusterPartialDegradation forces one shard past its exploration

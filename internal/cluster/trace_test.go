@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"spate/internal/core"
+	"spate/internal/decay"
+	"spate/internal/dfs"
 	"spate/internal/obs"
 	"spate/internal/telco"
 )
@@ -27,16 +29,29 @@ func collectSpans(j obs.SpanJSON, name string) []obs.SpanJSON {
 // 4-shard exploration must yield ONE coordinator-rooted trace with a remote
 // rpc_explore subtree per shard (each carrying the node's scan spans), and
 // the merged profile's storage counters must equal a single engine fed the
-// same snapshots, bit for bit.
+// same snapshots, bit for bit. The first hour's leaves have decayed, and
+// the window starts inside it: the summary plan and the row scan both meet
+// those leaves, and each counts once.
 func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	g, snaps, window := testTrace(t, 4)
-	eng := newRefEngine(t, g)
+	policy := decay.Policy{KeepRaw: window.To.Sub(window.From) - time.Hour}
+	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.Open(fs, g.CellTable(), core.Options{Obs: obs.NewNoop(), Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sn := range snaps {
 		if _, err := eng.Ingest(sn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	eng.FinishIngest()
+	if st := eng.Tree().Stats(); st.DecayedLeaves == 0 {
+		t.Fatal("the engine decayed no leaf while ingesting")
+	}
 
 	// Coordinator and nodes deliberately use SEPARATE tracers: the only way
 	// shard spans can appear under the coordinator root is over the RPC
@@ -46,7 +61,7 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	lc, err := StartLocal(
 		Config{Shards: 4, Obs: obs.NewRegistry(), Tracer: coordTracer},
 		g.CellTable(),
-		LocalOptions{Dir: t.TempDir(), Engine: core.Options{Obs: obs.NewRegistry(), Tracer: nodeTracer}},
+		LocalOptions{Dir: t.TempDir(), Engine: core.Options{Obs: obs.NewRegistry(), Tracer: nodeTracer, Policy: policy}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +76,15 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	if err := lc.Coordinator.FinishIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// A shard's ingest decays by its own newest data, so the first day's
+	// shard runs the engine's decay by hand.
+	for _, n := range lc.Nodes {
+		if _, err := n.Engine().DecayRun(window.To, core.DecayBudget{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	q := core.Query{Window: window, ExactRows: true, Tables: []string{"CDR"}}
+	q := core.Query{Window: telco.TimeRange{From: window.From.Add(15 * time.Minute), To: window.To}, ExactRows: true, Tables: []string{"CDR"}}
 	single, err := eng.Explore(q)
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +165,7 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	for _, c := range []pair{
 		{"LeavesScanned", cp.LeavesScanned, sp.LeavesScanned},
 		{"LeavesPruned", cp.LeavesPruned, sp.LeavesPruned},
+		{"LeavesDecayed", cp.LeavesDecayed, sp.LeavesDecayed},
 		{"ChunksScanned", cp.ChunksScanned, sp.ChunksScanned},
 		{"ChunksPrunedZone", cp.ChunksPrunedZone, sp.ChunksPrunedZone},
 		{"ChunksPrunedBloom", cp.ChunksPrunedBloom, sp.ChunksPrunedBloom},
@@ -153,6 +176,9 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s: cluster=%d single=%d", c.name, c.got, c.want)
 		}
+	}
+	if sp.LeavesDecayed == 0 {
+		t.Error("the window meets no decayed leaf")
 	}
 	if cp.InflatedBytes != sp.InflatedBytes {
 		t.Errorf("InflatedBytes: cluster=%d single=%d", cp.InflatedBytes, sp.InflatedBytes)

@@ -3,13 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"spate/internal/compress"
+	"spate/internal/geo"
 	"spate/internal/highlights"
 	"spate/internal/scanspec"
 	"spate/internal/segment"
@@ -291,6 +295,33 @@ func TestNarrowScanParityAcrossSources(t *testing.T) {
 			sameRecords(t, "fetchRows "+name, res.Rows[name].Rows, wantScan(all[name], schema, sub, nil, schema.FieldNames()))
 		}
 
+		// Boxed exact rows: the oracle's rows of the box's cells. A box
+		// holding no cell still names every scanned table, with no rows.
+		box := cellExtent(r)
+		box.MaxX = (box.MinX + box.MaxX) / 2
+		boxed, err := r.e.Explore(Query{Window: sub, Box: box, ExactRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := boxCells(r, box)
+		for name, schema := range map[string]*telco.Schema{"CDR": cdr, "NMS": nms} {
+			want := inBoxRows(wantScan(all[name], schema, sub, nil, schema.FieldNames()), schema, cells)
+			if len(want) == 0 || len(want) == len(all[name]) {
+				t.Fatalf("box %v keeps %d of %d %s rows: the case checks nothing", box, len(want), len(all[name]), name)
+			}
+			sameRecords(t, "boxed exact rows "+name, boxed.Rows[name].Rows, want)
+		}
+		far, err := r.e.Explore(Query{Window: sub, Box: geo.NewRect(1e6, 1e6, 1e6+1, 1e6+1), ExactRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"CDR", "NMS"} {
+			if tab, ok := far.Rows[name]; !ok || tab.Len() != 0 {
+				t.Fatalf("empty box: Rows[%s] present=%v, want present and empty", name, ok)
+			}
+		}
+		exactRowsCases(t, r, w, all, workers)
+
 		// Leaf summary rebuild: projected fold ≡ full-width fold.
 		r.e.mu.RLock()
 		leaves := r.e.rowLeaves(w)
@@ -358,6 +389,112 @@ func TestNarrowScanParityAcrossSources(t *testing.T) {
 				t.Fatalf("workers=%d aggregate %d: partials differ from the full-row fold\n got %+v\nwant %+v", workers, ai, got, want)
 			}
 		}
+	}
+}
+
+// cellExtent is the smallest box holding every cell of the rig's world.
+func cellExtent(r *testRig) geo.Rect {
+	cells := r.g.CellTable()
+	xi, yi := cells.Schema.FieldIndex("x_km"), cells.Schema.FieldIndex("y_km")
+	var box geo.Rect
+	for i, c := range cells.Rows {
+		pt := geo.Point{X: c[xi].Float64(), Y: c[yi].Float64()}
+		if i == 0 {
+			box = geo.NewRect(pt.X, pt.Y, pt.X, pt.Y)
+		}
+		box = box.Expand(pt)
+	}
+	return box
+}
+
+// boxCells is the oracle's spatial filter: the ids of the cells located in
+// box, read off the generator's CELL table rather than the engine's cell
+// index; nil for the zero box, which filters nothing.
+func boxCells(r *testRig, box geo.Rect) map[int64]bool {
+	if box == (geo.Rect{}) {
+		return nil
+	}
+	cells := r.g.CellTable()
+	idi, xi, yi := cells.Schema.FieldIndex(telco.AttrCellID), cells.Schema.FieldIndex("x_km"), cells.Schema.FieldIndex("y_km")
+	in := map[int64]bool{}
+	for _, c := range cells.Rows {
+		if box.Contains(geo.Point{X: c[xi].Float64(), Y: c[yi].Float64()}) {
+			in[c[idi].Int64()] = true
+		}
+	}
+	return in
+}
+
+// inBoxRows keeps the full-width rows whose cell is in cells; nil cells
+// keeps every row.
+func inBoxRows(rows []telco.Record, schema *telco.Schema, cells map[int64]bool) []telco.Record {
+	if cells == nil {
+		return rows
+	}
+	ci := schema.FieldIndex(telco.AttrCellID)
+	var out []telco.Record
+	for _, r := range rows {
+		if cells[r[ci].Int64()] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// exactRowsCases runs seeded random exact-row explorations over the mixed
+// store's window — random windows, boxes (some the zero box) and table
+// selections — and checks each table's rows against the oracle's, filtered
+// by window and the box's cells. A table outside the selection is absent;
+// one the oracle has rows of is present.
+func exactRowsCases(t *testing.T, r *testRig, w telco.TimeRange, all map[string][]telco.Record, workers int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(31))
+	ext := cellExtent(r)
+	selections := [][]string{nil, {"CDR"}, {"NMS"}, {"CDR", "NMS"}}
+	schemas := map[string]*telco.Schema{"CDR": telco.CDRSchema, "NMS": telco.NMSSchema}
+	span := int(w.To.Sub(w.From) / time.Minute)
+	checked := 0
+	for i := 0; i < 10; i++ {
+		from := rng.Intn(span - 1)
+		win := telco.NewTimeRange(w.From.Add(time.Duration(from)*time.Minute),
+			w.From.Add(time.Duration(from+1+rng.Intn(span-from-1))*time.Minute))
+		var box geo.Rect
+		if rng.Intn(4) > 0 {
+			x0 := ext.MinX + rng.Float64()*(ext.MaxX-ext.MinX)
+			y0 := ext.MinY + rng.Float64()*(ext.MaxY-ext.MinY)
+			box = geo.NewRect(x0, y0, x0+rng.Float64()*(ext.MaxX-ext.MinX)/2, y0+rng.Float64()*(ext.MaxY-ext.MinY)/2)
+		}
+		tables := selections[rng.Intn(len(selections))]
+		what := fmt.Sprintf("workers=%d case %d (%v, box %v, tables %v)", workers, i, win, box, tables)
+		res, err := r.e.Explore(Query{Window: win, Box: box, Tables: tables, ExactRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := boxCells(r, box)
+		for name, schema := range schemas {
+			got, ok := res.Rows[name]
+			if tables != nil && !slices.Contains(tables, name) {
+				if ok {
+					t.Fatalf("%s: unselected table %s present", what, name)
+				}
+				continue
+			}
+			want := inBoxRows(wantScan(all[name], schema, win, nil, schema.FieldNames()), schema, cells)
+			if !ok {
+				if len(want) > 0 {
+					t.Fatalf("%s: table %s absent, want %d rows", what, name, len(want))
+				}
+				continue
+			}
+			if got.Schema != schema {
+				t.Fatalf("%s: %s rows under a projected schema", what, name)
+			}
+			sameRecords(t, what+" "+name, got.Rows, want)
+			checked += len(want)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the random cases selected no rows")
 	}
 }
 
