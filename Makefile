@@ -85,14 +85,19 @@ lint:
 
 # The two numbers every ROADMAP item reports a delta of, per package:
 # non-test Go lines, and exported identifiers — package-level names as
-# `go doc -short` lists them plus exported methods.
+# `go doc -short` lists them plus exported methods. The last row sums them
+# over the tree.
 loc:
-	@for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmarks'); do \
+	@lines=0; exported=0; \
+	for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmarks'); do \
 		src=$$(ls $$d/*.go | grep -v _test.go); \
 		names=$$($(GO) doc -short $$d 2>/dev/null | grep -cE '^ *(func|type|var|const) [A-Z]'); \
 		meths=$$(cat $$src | grep -cE '^func \([^)]*\) [A-Z]'); \
-		printf '%-32s %6d lines %4d exported\n' $${d#$(CURDIR)/} $$(cat $$src | wc -l) $$((names + meths)); \
-	done
+		n=$$(cat $$src | wc -l); rel=$${d#$(CURDIR)}; rel=$${rel#/}; \
+		printf '%-32s %6d lines %4d exported\n' $${rel:-.} $$n $$((names + meths)); \
+		lines=$$((lines + n)); exported=$$((exported + names + meths)); \
+	done; \
+	printf '%-32s %6d lines %4d exported\n' total $$lines $$exported
 
 # Everything the CI gate runs.
 check: build vet widths flaky

@@ -509,7 +509,7 @@ func TestClusterSpecScanIsEngineNarrowScan(t *testing.T) {
 		lc := startTestCluster(t, Config{Shards: shards, Obs: obs.NewRegistry()}, g, snaps)
 		for name, spec := range specs {
 			var want *telco.Table
-			err := eng.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
+			err := eng.ScanTablesSpec(ctx, w, geo.Rect{}, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
 				if want == nil {
 					want = &telco.Table{Schema: tab.Schema}
 				} else if want.Schema != tab.Schema {

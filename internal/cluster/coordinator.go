@@ -607,11 +607,17 @@ func (c *Coordinator) AggregatePartials(ctx context.Context, w telco.TimeRange, 
 // tables are exactly what a single engine's ScanTablesSpec hands out: the
 // same layout — the referenced columns plus the timestamp, in stored order
 // (the stored table itself when the spec names no columns) — and the same
-// rows, value for value. Like AggregatePartials — and unlike Explore — any
-// shard failing all retries fails the call.
+// rows, value for value; a table comes back even when no row of it passed.
+// No shard builds summary parts for it. Like AggregatePartials — and unlike
+// Explore — any shard failing all retries fails the call.
 func (c *Coordinator) ScanRows(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec) (map[string]*telco.Table, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if spec == nil {
+		// The empty spec keeps every column; carrying one marks the request
+		// rows-only, so no shard builds summary parts.
+		spec = &scanspec.Spec{}
 	}
 	req := exploreRequest{FromUnix: w.From.Unix(), ToUnix: w.To.Unix(), Rows: true, Tables: tables, Spec: spec}
 	resps, err := c.scatterStrict(ctx, w, req, "cluster_scan_rows")

@@ -38,30 +38,28 @@ func (n *Node) handleLifecycle(w http.ResponseWriter, r *http.Request) {
 		rpcError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: no lifecycle manager on this node"))
 		return
 	}
+	action := "status"
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, m.Status())
 	case http.MethodPost:
-		switch action := r.URL.Query().Get("action"); action {
-		case "pause":
-			m.Pause()
-			writeJSON(w, m.Status())
-		case "resume":
-			m.Resume()
-			writeJSON(w, m.Status())
-		case "", "trigger":
-			rec, err := m.Trigger(r.URL.Query().Get("job"))
-			if err != nil {
-				rpcError(w, http.StatusInternalServerError, err)
-				return
-			}
-			writeJSON(w, rec)
+		switch action = r.URL.Query().Get("action"); action {
+		case "":
+			action = "trigger"
+		case "trigger", "pause", "resume":
 		default:
 			rpcError(w, http.StatusBadRequest, fmt.Errorf("cluster: unknown action %q", action))
+			return
 		}
 	default:
 		rpcError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST required"))
+		return
 	}
+	body, err := m.Act(action, r.URL.Query().Get("job"))
+	if err != nil {
+		rpcError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, body)
 }
 
 // NodeLifecycle is one node's slice of a cluster-wide lifecycle fan-out.

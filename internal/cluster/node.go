@@ -132,25 +132,17 @@ func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
 		rpcError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(recs) > 0 {
-		if err := st.Append(r.Context(), req.Table, recs); err != nil {
-			switch {
-			case errors.Is(err, core.ErrBackpressure):
-				serving.WriteRetryAfter(w.Header(), serving.RetryAfterFromError(err, time.Second))
-				rpcError(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, core.ErrStaleEpoch), errors.Is(err, core.ErrFinalized):
-				rpcError(w, http.StatusConflict, err)
-			default:
-				rpcError(w, http.StatusInternalServerError, err)
-			}
-			return
-		}
-	}
-	if req.Seal {
-		if err := st.SealAll(r.Context()); err != nil {
+	if err := st.AppendAndSeal(r.Context(), req.Table, recs, req.Seal); err != nil {
+		switch {
+		case errors.Is(err, core.ErrBackpressure):
+			serving.WriteRetryAfter(w.Header(), serving.RetryAfterFromError(err, time.Second))
+			rpcError(w, http.StatusTooManyRequests, err)
+		case errors.Is(err, core.ErrStaleEpoch), errors.Is(err, core.ErrFinalized):
+			rpcError(w, http.StatusConflict, err)
+		default:
 			rpcError(w, http.StatusInternalServerError, err)
-			return
 		}
+		return
 	}
 	writeJSON(w, appendResponse{Rows: len(recs)})
 }
@@ -285,25 +277,26 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		resp.Scanned, resp.Decayed = diag.ScannedLeaves, diag.DecayedLeaves
 	}
 	if req.Rows {
-		var err error
-		if rowsOnly {
-			// Pre-filter rows and decode only referenced columns; the rows
-			// travel in that narrow layout.
-			tables = make(map[string]*telco.Table)
-			err = n.eng.ScanTablesSpec(ctx, win, req.Tables, req.Spec, func(name string, t *telco.Table) error {
-				if dst, ok := tables[name]; ok {
-					dst.Rows = append(dst.Rows, t.Rows...)
-				} else {
-					tables[name] = t
-				}
-				return nil
-			})
-		} else {
-			q := core.Query{Window: win, Tables: req.Tables, ExactRows: true}
-			if req.Boxed {
-				q.Box = geo.NewRect(req.MinX, req.MinY, req.MaxX, req.MaxY)
+		var box geo.Rect
+		if req.Boxed {
+			box = geo.NewRect(req.MinX, req.MinY, req.MaxX, req.MaxY)
+		}
+		// The rows travel in the layout the scan hands out: narrow under a
+		// spec naming columns, the stored tables' own otherwise.
+		decayed := prof.LeavesDecayed
+		tables = make(map[string]*telco.Table)
+		err := n.eng.ScanTablesSpec(ctx, win, box, req.Tables, req.Spec, func(name string, t *telco.Table) error {
+			if dst, ok := tables[name]; ok {
+				dst.Rows = append(dst.Rows, t.Rows...)
+			} else {
+				tables[name] = t
 			}
-			tables, err = n.eng.FetchRows(ctx, q)
+			return nil
+		})
+		if !rowsOnly {
+			// ExploreParts counted the decayed leaves the row scan met too,
+			// as an engine's exploration counts them once.
+			prof.LeavesDecayed = decayed
 		}
 		if err != nil {
 			fail(err)

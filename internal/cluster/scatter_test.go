@@ -16,6 +16,7 @@ import (
 
 	"spate/internal/core"
 	"spate/internal/dfs"
+	"spate/internal/geo"
 	"spate/internal/obs"
 	"spate/internal/scanspec"
 	"spate/internal/telco"
@@ -24,9 +25,9 @@ import (
 // TestNodeRowOnlyRequestBuildsNoParts: a row request that carries a spec
 // and no box is the SQL scan path, which throws summary parts away — so the
 // node must not rebuild, encode or ship any. Its profile then counts the
-// leaves and chunks of the spec scan alone, and its span subtree has no
-// explore_parts. A plain ExactRows exploration still gets parts and rows,
-// and an empty shard's explore frame decodes with no parts.
+// leaves and chunks of the spec scan alone, and its span subtree has one
+// row_fetch and no explore_parts. A plain ExactRows exploration still gets
+// parts and rows, and an empty shard's explore frame decodes with no parts.
 func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	g, snaps, window := testTrace(t, 1)
 	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
@@ -67,9 +68,12 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	if got.Trace == nil || len(collectSpans(*got.Trace, "explore_parts")) != 0 {
 		t.Error("row-only spec request ran explore_parts (or returned no trace)")
 	}
+	if got.Trace != nil && len(collectSpans(*got.Trace, "row_fetch")) != 1 {
+		t.Errorf("row-only spec request's trace holds %d row_fetch spans, want 1", len(collectSpans(*got.Trace, "row_fetch")))
+	}
 	// What the scan alone costs, on the same (now warm) engine.
 	ctx, want := core.ContextWithProfile(context.Background())
-	err = eng.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(string, *telco.Table) error { return nil })
+	err = eng.ScanTablesSpec(ctx, w, geo.Rect{}, []string{"CDR"}, spec, func(string, *telco.Table) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +87,8 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 		t.Errorf("ExactRows exploration got %d parts (%d leaves scanned) and %d rows, want both",
 			len(both.Parts), both.Scanned, both.Rows["CDR"].Len())
 	}
-	if len(collectSpans(*both.Trace, "explore_parts")) != 1 {
-		t.Error("ExactRows exploration did not run explore_parts")
+	if len(collectSpans(*both.Trace, "explore_parts")) != 1 || len(collectSpans(*both.Trace, "row_fetch")) != 1 {
+		t.Error("ExactRows exploration did not run explore_parts and row_fetch once each")
 	}
 
 	// An empty shard answers with the same frame, and no parts in it.

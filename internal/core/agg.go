@@ -20,7 +20,7 @@ type ScanSpec = scanspec.Spec
 // AggregatePartials evaluates a pushed-down aggregate spec over the
 // window's stored rows and the unsealed memtable, returning per-group
 // partial aggregates sorted by group key. It scans exactly the leaves the
-// row path (ScanTables) would and applies the same row-level filters, so
+// row path (ScanTablesSpec) would and applies the same row-level filters, so
 // finalizing the partials reproduces row-materialized execution bit for
 // bit — but only the spec's referenced columns are ever materialized (on v3
 // leaves only their column streams decode), and zone-decidable chunks are
@@ -37,16 +37,11 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 		return nil, fmt.Errorf("core: unknown schema %q", table)
 	}
 	tables := []string{table}
-	env := e.newQueryEnv(&w, tables, geo.Rect{})
 	src := e.capture(w, tables)
-	plan, err := e.planUnits(src.leaves, env)
+	prof := ProfileFromContext(ctx)
+	env, plan, err := e.planScan(&w, geo.Rect{}, tables, src, prof)
 	if err != nil {
 		return nil, err
-	}
-	prof := ProfileFromContext(ctx)
-	if prof != nil {
-		prof.LeavesScanned += plan.scanned
-		prof.LeavesDecayed += plan.decayed
 	}
 
 	// Partial-aggregate merge is associative and commutative over the
@@ -63,8 +58,7 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	}
 	c := e.codec()
 	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), prof, func(sw *scanWorker, i int) (any, error) {
-		_, _, err := e.walkLeaf(plan.units[i].ref, c, env.pr, accs[sw.id], sw.prof)
-		return nil, err
+		return nil, e.walkLeaf(plan.units[i].ref, c, env.pr, accs[sw.id], sw.prof)
 	}, func(int, any) error { return nil })
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"spate/internal/geo"
 	"spate/internal/segment"
 	"spate/internal/telco"
 )
@@ -94,7 +95,7 @@ func TestSpecScanSubsetsShareOneCacheEntry(t *testing.T) {
 	// scan returns one column's values, asserting the layout on the way:
 	// a projected scan hands out ts plus the requested column, nothing else.
 	scan := func(ctx context.Context, spec *ScanSpec, col string) (vals []string) {
-		err := r.e.ScanTablesSpec(ctx, w, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
+		err := r.e.ScanTablesSpec(ctx, w, geo.Rect{}, []string{"CDR"}, spec, func(_ string, tab *telco.Table) error {
 			if spec != nil {
 				if got := strings.Join(tab.Schema.FieldNames(), ","); got != "ts,"+col {
 					t.Fatalf("projection %v came out as (%s), want (ts,%s)", spec.Columns, got, col)

@@ -104,14 +104,7 @@ func (ci *CellInventory) boxSet(box geo.Rect) (ids []int64, set map[int64]bool) 
 // per-cell series of those cells in cell-id order, each carrying the
 // attributes named by attrs (all of them when attrs is empty).
 func (ci *CellInventory) Restrict(m *highlights.Summary, box geo.Rect, attrs []highlights.AttrRef) (*highlights.Summary, []CellSeries) {
-	_, set := ci.boxSet(box)
-	return ci.restrict(m, set, attrs)
-}
-
-// restrict is Restrict over a membership set already derived from the box
-// (nil = everywhere), which an engine's query environment shares with its
-// row filter.
-func (ci *CellInventory) restrict(m *highlights.Summary, inBox map[int64]bool, attrs []highlights.AttrRef) (*highlights.Summary, []CellSeries) {
+	_, inBox := ci.boxSet(box)
 	out := m
 	if inBox != nil {
 		out = m.Restrict(func(id int64) bool { return inBox[id] })

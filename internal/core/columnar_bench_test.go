@@ -7,6 +7,7 @@ import (
 
 	"spate/internal/dfs"
 	"spate/internal/gen"
+	"spate/internal/geo"
 	"spate/internal/obs"
 	"spate/internal/scanspec"
 	"spate/internal/snapshot"
@@ -50,7 +51,7 @@ func columnarStore(tb testing.TB, version int) (*Engine, *obs.Registry, telco.Ti
 // an optional pushdown spec and returns how many it handed out.
 func countRows(e *Engine, w telco.TimeRange, tables []string, spec *scanspec.Spec) (int, error) {
 	rows := 0
-	err := e.ScanTablesSpec(context.Background(), w, tables, spec, func(_ string, t *telco.Table) error {
+	err := e.ScanTablesSpec(context.Background(), w, geo.Rect{}, tables, spec, func(_ string, t *telco.Table) error {
 		rows += t.Len()
 		return nil
 	})

@@ -464,10 +464,13 @@ type leafSink interface {
 	rows(p *projection, b *telco.Batch) error
 }
 
-// rowSink is the row scan's sink: it narrows each batch's selection by the
-// row-level time filter, the spec's compiled predicates and the query box,
-// and only then materializes the surviving rows, as records in the scan's
-// projected layout appended to dst.
+// rowSink is the sink of the one exact-row loop (scanRows), which every
+// row read runs — Explore's rows, SQL scans, a shard's row answers — and
+// which feeds it every sealed chunk and every unsealed memtable table
+// alike: it narrows each batch's selection by the row-level time filter,
+// the spec's compiled predicates and the query box, and only then
+// materializes the surviving rows, as records in the scan's projected
+// layout appended to dst.
 type rowSink struct {
 	*specScan
 	tf      timeFilter
@@ -478,7 +481,7 @@ type rowSink struct {
 }
 
 // newRowSink builds the sink of one row scan over window w into dst; inBox
-// is the query box's cell membership (fetchRows), nil without one.
+// is the query box's cell membership, nil for the zero box.
 func newRowSink(ss *specScan, w telco.TimeRange, inBox map[int64]bool, dst *telco.Table) rowSink {
 	return rowSink{
 		specScan: ss,
@@ -527,12 +530,12 @@ func (s foldSink) rows(_ *projection, b *telco.Batch) error { s.fold.Add(b); ret
 // sink sees chunk after chunk; a chunk the sink answers from metadata is
 // never fetched. The sink sees chunks in row order. Legacy
 // whole-blob leaves decompress in full, as one chunk. Inflated chunks are
-// served from and installed into the engine's chunk cache. The returned
-// counts cover segment chunks (a legacy blob counts as one scanned chunk).
-// A non-nil prof accrues the per-query cost split (prune reasons, cache
-// hits, inflated bytes, ranged reads, phase timings) alongside the fleet
-// counters.
-func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafSink, prof *Profile) (scanned, pruned int, err error) {
+// served from and installed into the engine's chunk cache. The chunks
+// scanned and pruned count in the fleet counters (a legacy blob counts as
+// one scanned chunk); a non-nil prof accrues the per-query cost split
+// (prune reasons, cache hits, inflated bytes, ranged reads, phase timings).
+func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafSink, prof *Profile) error {
+	var scanned, pruned int
 	defer func() {
 		e.met.chunksScanned.Add(int64(scanned))
 		e.met.chunksPruned.Add(int64(pruned))
@@ -542,7 +545,7 @@ func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafS
 	}()
 	f, err := e.fs.Open(ref)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: open %s: %w", ref, err)
+		return fmt.Errorf("core: open %s: %w", ref, err)
 	}
 	b := e.getBatch()
 	defer e.putBatch(b)
@@ -552,18 +555,19 @@ func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafS
 		// table inflates regardless of the scan's predicates.
 		text, err := e.blobText(ref, c, prof)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		p := sink.layout(nil)
 		rows, _, err := telco.DecodeRows(p.full, p.cols, text)
 		if err != nil {
-			return 0, 0, fmt.Errorf("core: decode %s: %w", ref, err)
+			return fmt.Errorf("core: decode %s: %w", ref, err)
 		}
 		b.SetRows(p.full, p.cols, rows, false)
-		return 1, 0, sink.rows(p, b)
+		scanned = 1
+		return sink.rows(p, b)
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: open segment %s: %w", ref, err)
+		return fmt.Errorf("core: open segment %s: %w", ref, err)
 	}
 	chunks := r.Chunks()
 	for i := range chunks {
@@ -596,12 +600,12 @@ func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafS
 			continue
 		}
 		if err := e.chunkBatch(r, ref, i, p, prof, b); err != nil {
-			return scanned, pruned, err
+			return err
 		}
 		scanned++
 		if err := sink.rows(p, b); err != nil {
-			return scanned, pruned, err
+			return err
 		}
 	}
-	return scanned, pruned, nil
+	return nil
 }

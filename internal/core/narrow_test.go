@@ -263,7 +263,7 @@ func TestNarrowScanParityAcrossSources(t *testing.T) {
 		}
 		for si, sc := range specs {
 			var got []telco.Record
-			err := r.e.ScanTablesSpec(ctx, sub, []string{sc.table}, sc.spec, func(name string, tab *telco.Table) error {
+			err := r.e.ScanTablesSpec(ctx, sub, geo.Rect{}, []string{sc.table}, sc.spec, func(name string, tab *telco.Table) error {
 				if name != sc.table || tab.Schema.Name != sc.table {
 					t.Fatalf("spec %d: got table %q under schema %q", si, name, tab.Schema.Name)
 				}
@@ -290,9 +290,9 @@ func TestNarrowScanParityAcrossSources(t *testing.T) {
 		}
 		for name, schema := range map[string]*telco.Schema{"CDR": cdr, "NMS": nms} {
 			if res.Rows[name].Schema != schema {
-				t.Fatalf("fetchRows %s: rows under a projected schema", name)
+				t.Fatalf("exact rows %s: rows under a projected schema", name)
 			}
-			sameRecords(t, "fetchRows "+name, res.Rows[name].Rows, wantScan(all[name], schema, sub, nil, schema.FieldNames()))
+			sameRecords(t, "exact rows "+name, res.Rows[name].Rows, wantScan(all[name], schema, sub, nil, schema.FieldNames()))
 		}
 
 		// Boxed exact rows: the oracle's rows of the box's cells. A box
@@ -441,11 +441,12 @@ func inBoxRows(rows []telco.Record, schema *telco.Schema, cells map[int64]bool) 
 	return out
 }
 
-// exactRowsCases runs seeded random exact-row explorations over the mixed
-// store's window — random windows, boxes (some the zero box) and table
-// selections — and checks each table's rows against the oracle's, filtered
-// by window and the box's cells. A table outside the selection is absent;
-// one the oracle has rows of is present.
+// exactRowsCases runs seeded random exact-row reads over the mixed store's
+// window — random windows, boxes (some the zero box) and table selections,
+// each as an exploration and as a full-width and a narrow ScanTablesSpec —
+// and checks each table's rows against the oracle's, filtered by window and
+// the box's cells. In an exploration a table outside the selection is
+// absent, and one the oracle has rows of is present.
 func exactRowsCases(t *testing.T, r *testRig, w telco.TimeRange, all map[string][]telco.Record, workers int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -470,15 +471,35 @@ func exactRowsCases(t *testing.T, r *testRig, w telco.TimeRange, all map[string]
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The same case through the SQL scan, full width and narrow: a narrow
+		// scan inside a box reads the cell id too.
+		narrow := &ScanSpec{Columns: []string{telco.AttrDuration, "rssi_dbm"}}
+		scanned := map[*ScanSpec]map[string][]telco.Record{nil: {}, narrow: {}}
+		for spec, got := range scanned {
+			err := r.e.ScanTablesSpec(context.Background(), win, box, tables, spec, func(name string, tab *telco.Table) error {
+				got[name] = append(got[name], tab.Rows...)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		cells := boxCells(r, box)
 		for name, schema := range schemas {
+			var names []string
+			for _, f := range schema.FieldNames() {
+				if f == telco.AttrTS || f == telco.AttrDuration || f == "rssi_dbm" || (f == telco.AttrCellID && cells != nil) {
+					names = append(names, f)
+				}
+			}
 			got, ok := res.Rows[name]
 			if tables != nil && !slices.Contains(tables, name) {
-				if ok {
-					t.Fatalf("%s: unselected table %s present", what, name)
+				if ok || len(scanned[nil][name])+len(scanned[narrow][name]) > 0 {
+					t.Fatalf("%s: unselected table %s read", what, name)
 				}
 				continue
 			}
+			sameRecords(t, what+" narrow scan "+name, scanned[narrow][name], wantScan(inBoxRows(all[name], schema, cells), schema, win, narrow, names))
 			want := inBoxRows(wantScan(all[name], schema, win, nil, schema.FieldNames()), schema, cells)
 			if !ok {
 				if len(want) > 0 {
@@ -490,6 +511,7 @@ func exactRowsCases(t *testing.T, r *testRig, w telco.TimeRange, all map[string]
 				t.Fatalf("%s: %s rows under a projected schema", what, name)
 			}
 			sameRecords(t, what+" "+name, got.Rows, want)
+			sameRecords(t, what+" scan "+name, scanned[nil][name], want)
 			checked += len(want)
 		}
 	}

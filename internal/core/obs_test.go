@@ -126,6 +126,31 @@ func TestExploreResultStages(t *testing.T) {
 	if last.Name != "explore" || len(last.Children) == 0 {
 		t.Errorf("explore trace = %+v", last)
 	}
+	// The row loop is one row_fetch span, under the exploration as under an
+	// SQL scan's caller, carrying the scan's I/O stages.
+	if n := countSpans(last, StageRows); n != 1 {
+		t.Errorf("explore trace holds %d row_fetch spans, want 1", n)
+	}
+	ctx, root := tr.StartSpan(context.Background(), "sql")
+	if err := r.e.ScanTablesContext(ctx, w, []string{"CDR"}, func(string, *telco.Table) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if j := root.JSON(); countSpans(j, StageRows) != 1 || countSpans(j, StageDecode) != 1 {
+		t.Errorf("SQL scan trace holds %d row_fetch and %d decode spans, want 1 each", countSpans(j, StageRows), countSpans(j, StageDecode))
+	}
+}
+
+// countSpans counts the spans named name in a span tree.
+func countSpans(j obs.SpanJSON, name string) int {
+	n := 0
+	if j.Name == name {
+		n++
+	}
+	for _, c := range j.Children {
+		n += countSpans(c, name)
+	}
+	return n
 }
 
 func TestNoopRegistryDisablesAccounting(t *testing.T) {

@@ -86,7 +86,7 @@ func TestParallelExploreParity(t *testing.T) {
 	// contract — leaf by leaf, table names sorted within a leaf.
 	scanCalls := func(e *Engine) []scanCall {
 		var calls []scanCall
-		err := e.ScanTablesSpec(context.Background(), wSub, nil, nil,
+		err := e.ScanTablesSpec(context.Background(), wSub, geo.Rect{}, nil, nil,
 			func(name string, tab *telco.Table) error {
 				calls = append(calls, scanCall{name, tab.Rows})
 				return nil
@@ -186,7 +186,7 @@ func TestParallelScanCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		emits := 0
-		err := r.e.ScanTablesSpec(ctx, w, nil, nil, func(string, *telco.Table) error {
+		err := r.e.ScanTablesSpec(ctx, w, geo.Rect{}, nil, nil, func(string, *telco.Table) error {
 			emits++
 			cancel()
 			return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,16 +77,11 @@ type Result struct {
 	// DecayedLeaves counts window snapshots whose raw data has decayed;
 	// those contribute aggregates only.
 	DecayedLeaves int
-	// ScannedLeaves counts snapshots decompressed for exact rows.
+	// ScannedLeaves counts snapshots decompressed for summaries or exact
+	// rows.
 	ScannedLeaves int
 	// PrunedLeaves counts snapshots skipped by leaf spatial pruning.
 	PrunedLeaves int
-	// ScannedChunks counts leaf chunks decompressed on the exact-row path
-	// (a legacy whole-blob leaf counts as one chunk).
-	ScannedChunks int
-	// PrunedChunks counts leaf chunks skipped through segment zone maps
-	// (window bounds and cell sketches) without being decompressed.
-	PrunedChunks int
 	// CacheHit marks answers served from the result cache (the UI-facing
 	// behaviour for zoom-in queries with |w'| < |w|).
 	CacheHit bool
@@ -168,10 +164,7 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	e.met.cacheMisses.Inc()
 	start := time.Now()
 	sr := newStageRecorder()
-	var span *obs.Span
-	if e.met.tracer != nil {
-		_, span = e.met.tracer.StartSpan(ctx, "explore")
-	}
+	ctx, span := e.met.tracer.StartSpan(ctx, "explore")
 	defer span.End()
 	// finish flushes stage accounting into the registry, the span and the
 	// result, then installs the answer in the cache.
@@ -180,9 +173,9 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 			sr.add(StageLeafDecode, res.leafDecode.Nanoseconds())
 		}
 		res.Stages = sr.flush(e.met.exploreStage, span)
-		res.Profile.LeavesScanned = res.ScannedLeaves
-		res.Profile.LeavesPruned = res.PrunedLeaves
-		res.Profile.LeavesDecayed = res.DecayedLeaves
+		res.ScannedLeaves = res.Profile.LeavesScanned
+		res.PrunedLeaves = res.Profile.LeavesPruned
+		res.DecayedLeaves = res.Profile.LeavesDecayed
 		res.Profile.TraceID = span.TraceID()
 		if p := ProfileFromContext(ctx); p != nil {
 			p.Add(res.Profile)
@@ -193,11 +186,6 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 		e.met.prunedLeaves.Add(int64(res.PrunedLeaves))
 		e.cache.Put(key, res)
 	}
-
-	// The query environment (table set, box cell membership, chunk prune
-	// predicates) is derived once and shared by every later phase —
-	// restriction, row fetch and the memtable union all read the same maps.
-	env := e.newQueryEnv(&q.Window, q.Tables, q.Box)
 
 	// Planning happens entirely under the engine read lock — tree nodes are
 	// mutated by Ingest/Decay under the write lock, so no node field may be
@@ -251,7 +239,7 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	if fast {
 		res.ServedPeriod = coveringPeriod
 		t0 := time.Now()
-		res.Summary, res.Cells = e.cells.restrict(coveringSummary, env.inBox, q.Attrs)
+		res.Summary, res.Cells = e.cells.Restrict(coveringSummary, q.Box, q.Attrs)
 		sr.add(StageRestrict, time.Since(t0).Nanoseconds())
 		res.Highlights = coveringSummary.Extract(theta)
 		finish(res)
@@ -283,7 +271,7 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 	// Spatial restriction: keep only cells inside the box and rebuild the
 	// window aggregates from the per-cell breakdown.
 	tRestrict := time.Now()
-	res.Summary, res.Cells = e.cells.restrict(merged, env.inBox, q.Attrs)
+	res.Summary, res.Cells = e.cells.Restrict(merged, q.Box, q.Attrs)
 	sr.add(StageRestrict, time.Since(tRestrict).Nanoseconds())
 
 	// Highlights come from the covering node's resolution — its θ — as in
@@ -296,7 +284,18 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 
 	if q.ExactRows {
 		tRows := time.Now()
-		err := e.fetchRows(ctx, q, env, rowSrc, res)
+		planned := res.Profile.LeavesDecayed
+		res.Rows = make(map[string]*telco.Table)
+		err := e.scanRows(ctx, q, nil, rowSrc, &res.Profile, func(name string, tab *telco.Table) error {
+			if dst := res.Rows[name]; dst != nil {
+				dst.Rows = append(dst.Rows, tab.Rows...)
+			} else {
+				res.Rows[name] = tab
+			}
+			return nil
+		})
+		// The row scan met the decayed leaves the summary plan counted.
+		res.Profile.LeavesDecayed = planned
 		sr.add(StageRows, time.Since(tRows).Nanoseconds())
 		if err != nil {
 			return nil, err
@@ -367,56 +366,15 @@ func (e *Engine) ExploreParts(ctx context.Context, w telco.TimeRange) ([]*highli
 		}
 		span.SetAttr("leaves_cached", strconv.Itoa(res.Profile.LeavesCached))
 	}
-	res.Profile.LeavesScanned = res.ScannedLeaves
-	res.Profile.LeavesDecayed = res.DecayedLeaves
 	if p := ProfileFromContext(ctx); p != nil {
 		p.Add(res.Profile)
 	}
-	return parts, PartsDiag{ScannedLeaves: res.ScannedLeaves, DecayedLeaves: res.DecayedLeaves}, nil
+	return parts, PartsDiag{ScannedLeaves: res.Profile.LeavesScanned, DecayedLeaves: res.Profile.LeavesDecayed}, nil
 }
 
-// FetchRows runs the exact-row path alone: the window's non-decayed
-// snapshots are decompressed and their records filtered by the query's
-// window, box and table selection. Cluster shard nodes serve /rpc/explore
-// row requests through this without paying for a summary merge.
-func (e *Engine) FetchRows(ctx context.Context, q Query) (map[string]*telco.Table, error) {
-	ctx, span := e.met.tracer.StartSpan(ctx, "row_fetch")
-	defer span.End()
-	t0 := time.Now()
-	src := e.capture(q.Window, q.Tables)
-	env := e.newQueryEnv(&q.Window, q.Tables, q.Box)
-	res := &Result{}
-	if err := e.fetchRows(ctx, q, env, src, res); err != nil {
-		span.SetError(err)
-		return nil, err
-	}
-	e.met.scannedLeaves.Add(int64(res.ScannedLeaves))
-	e.met.prunedLeaves.Add(int64(res.PrunedLeaves))
-	res.Profile.LeavesScanned = res.ScannedLeaves
-	res.Profile.LeavesPruned = res.PrunedLeaves
-	if span != nil {
-		// The I/O phases accrue across chunks; anchor them at the fetch
-		// start so the waterfall keeps execution order.
-		if d := time.Duration(res.Profile.LookupNS); d > 0 {
-			span.AddStageAt(StageCacheLookup, t0, d)
-		}
-		if d := time.Duration(res.Profile.ReadNS); d > 0 {
-			span.AddStageAt(StageDFSRead, t0, d)
-		}
-		if d := time.Duration(res.Profile.DecodeNS); d > 0 {
-			span.AddStageAt(StageDecode, t0, d)
-		}
-	}
-	if p := ProfileFromContext(ctx); p != nil {
-		p.Add(res.Profile)
-	}
-	return res.Rows, nil
-}
-
-// queryEnv is the per-query derived state every scan phase shares: the
-// table selection as a set (the old per-row linear search over q.Tables
-// was O(tables) per leaf table), the box's cell membership map (built
-// once instead of once per phase), and the chunk-prune predicates.
+// queryEnv is the per-scan derived state every unit of an exact-data read
+// shares: the table selection as a set, the box's cell membership map and
+// the chunk-prune predicates.
 // It is immutable after construction, so parallel scan workers read it
 // without synchronization.
 type queryEnv struct {
@@ -449,12 +407,6 @@ func (env *queryEnv) wantTable(name string) bool {
 	}
 	_, ok := env.tables[name]
 	return ok
-}
-
-// inBoxRow reports whether a row passes the query's spatial filter; rows
-// of tables without a cell id (cellIdx < 0) always do.
-func (env *queryEnv) inBoxRow(r telco.Record, cellIdx int) bool {
-	return env.inBox == nil || cellIdx < 0 || env.inBox[r[cellIdx].Int64()]
 }
 
 // partSrc is one planned contribution to a window's answer: a summary
@@ -572,6 +524,24 @@ func (e *Engine) planUnits(leaves []leafRef, env *queryEnv) (scanPlan, error) {
 	return p, nil
 }
 
+// planScan is the prologue every exact-data read shares: the query
+// environment of window w, box and the table selection, the unit plan of
+// the captured leaves, and the plan's leaf counts booked to prof (when
+// non-nil). The window pointer must stay valid for the scan's lifetime.
+func (e *Engine) planScan(w *telco.TimeRange, box geo.Rect, tables []string, src scanSources, prof *Profile) (*queryEnv, scanPlan, error) {
+	env := e.newQueryEnv(w, tables, box)
+	plan, err := e.planUnits(src.leaves, env)
+	if err != nil {
+		return nil, plan, err
+	}
+	if prof != nil {
+		prof.LeavesScanned += plan.scanned
+		prof.LeavesPruned += plan.pruned
+		prof.LeavesDecayed += plan.decayed
+	}
+	return env, plan, nil
+}
+
 // planSummaries selects the parts answering window w, preferring coarse
 // materialized summaries and descending only at the window's edges. It
 // runs under the engine read lock (held by the caller) and performs no
@@ -584,7 +554,7 @@ func (e *Engine) planSummaries(n *index.Node, w telco.TimeRange, srcs []partSrc,
 	}
 	if n.IsLeaf() {
 		if n.Decayed {
-			res.DecayedLeaves++
+			res.Profile.LeavesDecayed++
 			if n.Summary != nil {
 				// Open-day decayed leaf: its in-memory summary is all that
 				// remains and still answers aggregates.
@@ -688,7 +658,7 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, ca
 		if p.shared {
 			res.Profile.LeavesCached++
 		} else {
-			res.ScannedLeaves++
+			res.Profile.LeavesScanned++
 		}
 		return nil
 	})
@@ -723,7 +693,7 @@ func (e *Engine) buildLeafSummary(c compress.Codec, period telco.TimeRange, refs
 		attrs := append(e.opts.Highlights.Attrs(name), telco.AttrTS, telco.AttrCellID)
 		sink := foldSink{proj: newProjection(schema, attrs, false), fold: fold}
 		fold.Reset(s, e.opts.Highlights, sink.proj.out)
-		if _, _, err := e.walkLeaf(ref, c, leafPrune{}, sink, prof); err != nil {
+		if err := e.walkLeaf(ref, c, leafPrune{}, sink, prof); err != nil {
 			return nil, err
 		}
 		fold.Flush()
@@ -751,124 +721,82 @@ func collectMemTabs(memt *memtable.Memtable, w telco.TimeRange, tables []string,
 	return out
 }
 
-// appendMemRows folds captured memtable tables into an exact-row result,
-// applying the query's spatial filter through the shared environment.
-// Unsealed rows are strictly newer than every sealed leaf, so appending
-// after the leaf scan keeps each table chronological.
-func (e *Engine) appendMemRows(env *queryEnv, memTabs []memTab, res *Result) {
-	if len(memTabs) == 0 {
-		return
-	}
-	if res.Rows == nil {
-		res.Rows = make(map[string]*telco.Table)
-	}
-	for _, mt := range memTabs {
-		cellIdx := mt.tab.Schema.FieldIndex(telco.AttrCellID)
-		dst := res.Rows[mt.name]
-		if dst == nil {
-			dst = telco.NewTable(mt.tab.Schema)
-			res.Rows[mt.name] = dst
-		}
-		for _, r := range mt.tab.Rows {
-			if !env.inBoxRow(r, cellIdx) {
-				continue
-			}
-			dst.Append(r)
-			res.Profile.MemRows++
-		}
-	}
-}
-
-// fetchRows collects the exact rows of the captured sources: the window's
-// non-decayed snapshots filtered by window, box and table selection, then
-// the unsealed rows. Segment leaves prune chunks through their zone maps
-// (window bounds, cell sketch) before decompressing — the per-row filters
-// below remain authoritative, pruning only skips chunks that provably hold
-// no passing row. Each unit decodes and filters into a private table, and
-// the order-preserving emit appends them leaf by leaf (table names sorted
-// within a leaf), so every per-table row sequence is the same at every
-// scan width.
-func (e *Engine) fetchRows(ctx context.Context, q Query, env *queryEnv, src scanSources, res *Result) error {
-	res.Rows = make(map[string]*telco.Table)
-	plan, err := e.planUnits(src.leaves, env)
-	if err != nil {
-		return err
-	}
-	res.ScannedLeaves += plan.scanned
-	res.PrunedLeaves += plan.pruned
-	c := e.codec()
-
-	type rowScan struct {
-		tab             *telco.Table
-		scanned, pruned int
-	}
-	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), &res.Profile, func(w *scanWorker, i int) (any, error) {
-		u := plan.units[i]
-		out := rowScan{tab: telco.NewTable(u.schema)}
-		var err error
-		out.scanned, out.pruned, err = e.walkLeaf(u.ref, c, env.pr,
-			newRowSink(newSpecScan(nil, u.schema), q.Window, env.inBox, out.tab), w.prof)
-		return out, err
-	}, func(i int, v any) error {
-		out := v.(rowScan)
-		name := plan.units[i].name
-		if dst := res.Rows[name]; dst == nil {
-			res.Rows[name] = out.tab
-		} else {
-			dst.Rows = append(dst.Rows, out.tab.Rows...)
-		}
-		res.ScannedChunks += out.scanned
-		res.PrunedChunks += out.pruned
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	e.appendMemRows(env, src.memTabs, res)
-	return nil
-}
-
-// ScanTables streams the window's stored records table-by-table: snapshots
-// are pruned through the temporal index, decompressed, parsed and filtered
-// to the window. Decayed snapshots are skipped (their raw data is gone).
-// This is the access path SPATE-SQL executes declarative queries over.
-func (e *Engine) ScanTables(w telco.TimeRange, tables []string, fn func(string, *telco.Table) error) error {
-	return e.ScanTablesContext(context.Background(), w, tables, fn)
-}
-
-// ScanTablesContext is ScanTables with cancellation: a canceled ctx stops
-// the scan between snapshot decompressions, so an abandoned SQL request
-// does not keep reading and inflating blocks.
+// ScanTablesContext streams the window's stored records table by table:
+// snapshots are pruned through the temporal index, decompressed, parsed
+// and filtered to the window, and a canceled ctx stops the scan between
+// snapshot decompressions, so an abandoned SQL request does not keep
+// reading and inflating blocks. Decayed snapshots are skipped (their raw
+// data is gone). This is the access path SPATE-SQL executes declarative
+// queries over.
 func (e *Engine) ScanTablesContext(ctx context.Context, w telco.TimeRange, tables []string, fn func(string, *telco.Table) error) error {
-	return e.ScanTablesSpec(ctx, w, tables, nil, fn)
+	return e.ScanTablesSpec(ctx, w, geo.Rect{}, tables, nil, fn)
 }
 
-// ScanTablesSpec is ScanTablesContext with a pushdown spec. The spec is a
-// prefilter — callers re-evaluate their own predicates — so it only makes
-// the scan cheaper: the tables fn receives are narrow, their Schema the
-// projection (telco.Schema.Project) of the stored table onto the spec's
-// referenced columns plus the timestamp, in schema order, and only those
-// column streams of a v3 leaf decode; per-column zone maps prune chunks,
-// and rows failing the spec's predicates, exact time window or
-// null-timestamp rule are dropped before fn sees them. Every source of
-// rows — any leaf format, the unsealed memtable — comes out in that one
-// layout. A nil spec (or one with nil Columns) scans every column and fn
-// sees the stored table's own schema.
-func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *ScanSpec, fn func(string, *telco.Table) error) error {
-	env := e.newQueryEnv(&w, tables, geo.Rect{})
-	src := e.capture(w, tables)
-	plan, err := e.planUnits(src.leaves, env)
+// ScanTablesSpec is ScanTablesContext inside a box and with a pushdown
+// spec. The zero box means everywhere; any other keeps the rows of the
+// cells inside it (rows of a table without a cell id always pass). The spec
+// is a prefilter — callers re-evaluate their own predicates — so it only
+// makes the scan cheaper: the tables fn receives are narrow, their Schema
+// the projection (telco.Schema.Project) of the stored table onto the spec's
+// referenced columns plus the timestamp (and, inside a box, the cell id),
+// in schema order, and only those column streams of a v3 leaf decode;
+// per-column zone maps prune chunks, and rows failing the spec's
+// predicates, exact time window or null-timestamp rule are dropped before
+// fn sees them. Every source of rows — any leaf format, the unsealed
+// memtable — comes out in that one layout. A nil spec (or one with nil
+// Columns) scans every column and fn sees the stored table's own schema.
+func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, box geo.Rect, tables []string, spec *ScanSpec, fn func(string, *telco.Table) error) error {
+	return e.scanRows(ctx, Query{Window: w, Box: box, Tables: tables}, spec, e.capture(w, tables), ProfileFromContext(ctx), fn)
+}
+
+// scanRows is the one exact-row loop, under one row_fetch span: Explore's
+// rows, the SQL scans and a shard's row answers all run it. It reads the
+// sources src captured for q's window and table selection, and hands fn
+// one table per (leaf, table) unit, in leaf order with table names sorted
+// within a leaf, then one per unsealed (epoch, table) — strictly newer than
+// every sealed leaf — so every table's row sequence is the same at every
+// scan width. A table comes out even when none of its rows passed. Segment
+// leaves prune chunks through their zone maps (window bounds, cell sketch,
+// the spec's integer predicates) before decompressing; the row sink's
+// filters — q's window and box, the spec — stay authoritative, and the
+// memtable's rows go through the same sink. The leaf counts and the scan's
+// costs accrue to prof (nil: unprofiled).
+func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scanSources, prof *Profile, fn func(string, *telco.Table) error) (err error) {
+	ctx, span := e.met.tracer.StartSpan(ctx, StageRows)
+	defer span.End()
+	if span != nil {
+		if prof == nil {
+			prof = new(Profile) // the span's I/O stages are read off a profile
+		}
+		before, t0 := *prof, time.Now()
+		defer func() {
+			span.SetError(err)
+			// The I/O phases accrue across chunks; anchor them at the
+			// scan's start so the waterfall keeps execution order.
+			for _, st := range []struct {
+				name string
+				ns   int64
+			}{{StageCacheLookup, prof.LookupNS - before.LookupNS}, {StageDFSRead, prof.ReadNS - before.ReadNS}, {StageDecode, prof.DecodeNS - before.DecodeNS}} {
+				if st.ns > 0 {
+					span.AddStageAt(st.name, t0, time.Duration(st.ns))
+				}
+			}
+		}()
+	}
+
+	if q.Box != (geo.Rect{}) && spec != nil && spec.Columns != nil {
+		// The box filters on the cell id, so a narrow scan reads it too.
+		narrow := *spec
+		narrow.Columns = append(slices.Clip(spec.Columns), telco.AttrCellID)
+		spec = &narrow
+	}
+	env, plan, err := e.planScan(&q.Window, q.Box, q.Tables, src, prof)
 	if err != nil {
 		return err
 	}
-	prof := ProfileFromContext(ctx)
-	if prof != nil {
-		prof.LeavesScanned += plan.scanned
-		prof.LeavesDecayed += plan.decayed
-	}
 	c := e.codec()
 
-	// One resolved scan per table, so every batch of a table shares one
+	// One resolved scan per table, so every table of a name shares one
 	// projected schema. Resolved here, serially; the units only read them.
 	scans := make(map[string]*specScan)
 	scanFor := func(name string, schema *telco.Schema) *specScan {
@@ -882,56 +810,32 @@ func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, tables [
 	for _, u := range plan.units {
 		scanFor(u.name, u.schema)
 	}
-
-	// Each unit decodes one (leaf, table) into a window/spec-filtered table.
-	// Chunks outside the window are skipped before decompression; surviving
-	// chunks still pass the row-level filters (rowSink), and the rows that
-	// pass materialize into one table per leaf so fn observes the same call
-	// sequence as with whole-blob leaves — in leaf order, table names sorted
-	// within a leaf.
 	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), prof, func(sw *scanWorker, i int) (any, error) {
 		u := plan.units[i]
 		ss := scans[u.name]
-		filtered := ss.table(nil)
-		_, _, err := e.walkLeaf(u.ref, c, env.pr, newRowSink(ss, w, nil, filtered), sw.prof)
-		return filtered, err
+		tab := ss.table(nil)
+		return tab, e.walkLeaf(u.ref, c, env.pr, newRowSink(ss, q.Window, env.inBox, tab), sw.prof)
 	}, func(i int, v any) error {
-		filtered := v.(*telco.Table)
-		if filtered.Len() == 0 {
-			return nil
-		}
-		return fn(plan.units[i].name, filtered)
+		return fn(plan.units[i].name, v.(*telco.Table))
 	})
 	if err != nil {
 		return err
 	}
-	// Unsealed rows stream last — strictly newer than every sealed leaf,
-	// one window-filtered table per buffered (epoch, table), the same
-	// call shape a sealed-leaf scan produces. The union path honors the
-	// spec too: memtable rows load into a batch of the scan's layout and go
-	// through the sink sealed chunks go through, so fresh rows never leak
-	// around a pushdown.
 	b := e.getBatch()
 	defer e.putBatch(b)
 	for _, mt := range src.memTabs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		tab := mt.tab
-		if spec != nil {
-			schema := telco.SchemaByName(mt.name)
-			if schema == nil {
-				return fmt.Errorf("core: decode memtable: unknown schema %q", mt.name)
-			}
-			ss := scanFor(mt.name, schema)
-			tab = ss.table(nil)
-			b.SetRows(ss.full, ss.cols, mt.tab.Rows, true)
-			if err := newRowSink(ss, w, nil, tab).rows(&ss.projection, b); err != nil {
-				return err
-			}
-			if tab.Len() == 0 {
-				continue
-			}
+		schema := telco.SchemaByName(mt.name)
+		if schema == nil {
+			return fmt.Errorf("core: decode memtable: unknown schema %q", mt.name)
+		}
+		ss := scanFor(mt.name, schema)
+		tab := ss.table(nil)
+		b.SetRows(ss.full, ss.cols, mt.tab.Rows, true)
+		if err := newRowSink(ss, q.Window, env.inBox, tab).rows(&ss.projection, b); err != nil {
+			return err
 		}
 		if prof != nil {
 			prof.MemRows += tab.Len()

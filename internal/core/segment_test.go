@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func TestSegmentLegacyEquivalence(t *testing.T) {
 	w := telco.NewTimeRange(seg.cfg.Start, seg.cfg.Start.Add(2*time.Hour))
 	collect := func(e *Engine) map[string]string {
 		out := make(map[string]string)
-		if err := e.ScanTables(w, nil, func(name string, tab *telco.Table) error {
+		if err := e.ScanTablesContext(context.Background(), w, nil, func(name string, tab *telco.Table) error {
 			out[name] += tab.Text()
 			return nil
 		}); err != nil {
@@ -76,7 +77,7 @@ func TestSegmentLegacyEquivalence(t *testing.T) {
 		return out
 	}
 	if got, want := collect(seg.e), collect(leg.e); !reflect.DeepEqual(got, want) {
-		t.Errorf("ScanTables row streams differ: %d tables vs %d", len(got), len(want))
+		t.Errorf("ScanTablesContext row streams differ: %d tables vs %d", len(got), len(want))
 	}
 }
 
@@ -147,11 +148,11 @@ func TestChunkPruningSkipsChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PrunedChunks == 0 {
-		t.Errorf("no chunks pruned for a 10-minute window (scanned %d)", res.ScannedChunks)
+	if res.Profile.ChunksPrunedZone == 0 {
+		t.Errorf("no chunks pruned for a 10-minute window (scanned %d)", res.Profile.ChunksScanned)
 	}
-	if res.ScannedChunks == 0 || res.Rows["CDR"].Len() == 0 {
-		t.Errorf("scanned=%d rows=%d", res.ScannedChunks, res.Rows["CDR"].Len())
+	if res.Profile.ChunksScanned == 0 || res.Rows["CDR"].Len() == 0 {
+		t.Errorf("scanned=%d rows=%d", res.Profile.ChunksScanned, res.Rows["CDR"].Len())
 	}
 	for _, row := range res.Rows["CDR"].Rows {
 		if ts := row.Get(telco.CDRSchema, telco.AttrTS).Time(); !w.Contains(ts) {

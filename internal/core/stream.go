@@ -692,6 +692,18 @@ func (s *Streamer) SealAll(ctx context.Context) error {
 	}
 }
 
+// AppendAndSeal is the streaming write as the HTTP surfaces serve it:
+// Append the records (none is a no-op), then, when seal is set, SealAll.
+func (s *Streamer) AppendAndSeal(ctx context.Context, table string, recs []telco.Record, seal bool) error {
+	if err := s.Append(ctx, table, recs); err != nil {
+		return err
+	}
+	if seal {
+		return s.SealAll(ctx)
+	}
+	return nil
+}
+
 // Close stops the streamer: new appends are rejected, already-accepted
 // batches finish applying, and the WAL flushes and closes. Buffered
 // unsealed rows are NOT sealed — they stay in the WAL and replay on the

@@ -499,7 +499,7 @@ func TestStreamConcurrentAppendExploreSeal(t *testing.T) {
 				return
 			default:
 			}
-			err := r.e.ScanTables(w, []string{"NMS"},
+			err := r.e.ScanTablesContext(context.Background(), w, []string{"NMS"},
 				func(string, *telco.Table) error { return nil })
 			if err != nil {
 				errc <- fmt.Errorf("scan: %w", err)

@@ -223,20 +223,24 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// Pause suspends scheduled runs (a fire that lands while paused is
-// skipped, not queued). Trigger still works — an operator can run a job by
-// hand while the schedule is held.
-func (m *Manager) Pause() {
-	m.mu.Lock()
-	m.paused = true
-	m.mu.Unlock()
-}
-
-// Resume lifts a Pause.
-func (m *Manager) Resume() {
-	m.mu.Lock()
-	m.paused = false
-	m.mu.Unlock()
+// Act runs one operator action, the verbs every maintenance surface
+// serves: "status" reports the manager's Status; "pause" suspends
+// scheduled runs (a fire that lands while paused is skipped, not queued)
+// and "resume" lifts that, each then reporting the Status; "trigger" runs
+// job by hand — paused or not — and answers its RunRecord (see Trigger).
+func (m *Manager) Act(action, job string) (any, error) {
+	switch action {
+	case "trigger":
+		return m.Trigger(job)
+	case "pause", "resume":
+		m.mu.Lock()
+		m.paused = action == "pause"
+		m.mu.Unlock()
+	case "status":
+	default:
+		return nil, fmt.Errorf("lifecycle: unknown action %q", action)
+	}
+	return m.Status(), nil
 }
 
 // Trigger runs the named job synchronously, regardless of pause state, and

@@ -217,9 +217,8 @@ func TestPauseTriggerAndHistory(t *testing.T) {
 		t.Fatalf("unknown job error = %v", err)
 	}
 
-	m.Pause()
-	if !m.Status().Paused {
-		t.Fatal("status not paused")
+	if st, err := m.Act("pause", ""); err != nil || !st.(lifecycle.Status).Paused || !m.Status().Paused {
+		t.Fatalf("pause answered %+v, %v; status not paused", st, err)
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := m.Trigger(lifecycle.JobScrub); err != nil {
@@ -241,9 +240,14 @@ func TestPauseTriggerAndHistory(t *testing.T) {
 	if !st.History[0].Start.After(st.History[2].Start) && st.History[0].Start != st.History[2].Start {
 		t.Error("history not newest-first")
 	}
-	m.Resume()
-	if m.Status().Paused {
-		t.Fatal("resume did not lift pause")
+	if _, err := m.Act("resume", ""); err != nil || m.Status().Paused {
+		t.Fatalf("resume did not lift pause (%v)", err)
+	}
+	if rec, err := m.Act("trigger", lifecycle.JobScrub); err != nil || rec.(lifecycle.RunRecord).Job != lifecycle.JobScrub {
+		t.Fatalf("trigger answered %+v, %v", rec, err)
+	}
+	if _, err := m.Act("defrag", ""); err == nil {
+		t.Fatal("unknown action accepted")
 	}
 
 	m.Close()

@@ -2,12 +2,10 @@ package tasks
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"time"
 
 	"spate/internal/cluster"
-	"spate/internal/core"
 	"spate/internal/scanspec"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
@@ -15,10 +13,10 @@ import (
 
 // Cluster adapts a cluster.Coordinator to the Framework surface, which in
 // turn makes the sharded deployment queryable through SPATE-SQL via
-// Catalog: scans fan out as exact-row explorations and the shard rows
-// merge coordinator-side. A partial answer (failed shards after retries)
-// fails the scan rather than silently returning a subset of rows — SQL
-// results must be complete or absent.
+// Catalog: scans fan out as row-only scatters and the shard rows merge
+// coordinator-side. A shard failing all its retries fails the scan rather
+// than silently returning a subset of rows — SQL results must be complete
+// or absent.
 type Cluster struct{ C *cluster.Coordinator }
 
 // Name implements Framework.
@@ -39,26 +37,17 @@ func (c Cluster) Ingest(sn *snapshot.Snapshot) (IngestStats, error) {
 // Finish implements Framework.
 func (c Cluster) Finish() { _ = c.C.FinishIngest(context.Background()) }
 
-// Scan implements Framework: one scatter-gather exact-row exploration per
-// window, streamed to fn table by table in name order.
+// Scan implements Framework: ScanSpec without a spec, every column of the
+// stored tables.
 func (c Cluster) Scan(ctx context.Context, w telco.TimeRange, tables []string, fn func(string, *telco.Table) error) error {
-	res, err := c.C.Explore(ctx, core.Query{Window: w, Tables: tables, ExactRows: true})
-	if err != nil {
-		return err
-	}
-	if res.Partial {
-		return fmt.Errorf("tasks: cluster scan degraded: %d/%d shards failed (missing %d ranges): %w",
-			res.ShardsFailed, res.ShardsQueried, len(res.Missing), cluster.ErrDegraded)
-	}
-	return emitSorted(res.Rows, fn)
+	return c.ScanSpec(ctx, w, tables, nil, fn)
 }
 
 // ScanSpec implements SpecScanner: the spec rides the explore RPC, shards
 // pre-filter rows on its predicates and decode only referenced columns,
 // and the merged tables — in the narrow layout a local ScanTablesSpec
-// hands out, as the RPC ships them — stream to fn in name order. The row-only
-// scatter skips the summary parts and merge Scan pays for. Like Scan, any
-// shard failing all retries fails the call.
+// hands out, as the RPC ships them — stream to fn in name order. No shard
+// builds summary parts for a scan.
 func (c Cluster) ScanSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec, fn func(string, *telco.Table) error) error {
 	rows, err := c.C.ScanRows(ctx, w, tables, spec)
 	if err != nil {

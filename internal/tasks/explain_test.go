@@ -2,6 +2,9 @@ package tasks
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +139,115 @@ func TestSQLOverCluster(t *testing.T) {
 	out := joined.String()
 	if !strings.Contains(out, "shard 0 band 0: ") || !strings.Contains(out, "shard 1 band 0: ") {
 		t.Errorf("cluster EXPLAIN ANALYZE missing per-shard lines:\n%s", out)
+	}
+}
+
+// scanRows runs a Framework scan and renders each table's rows value by
+// value, sorted: two scans agree when they hand out the same multisets.
+func scanRows(ctx context.Context, f Framework, w telco.TimeRange) (map[string][]string, error) {
+	out := map[string][]string{}
+	err := f.Scan(ctx, w, nil, func(name string, tab *telco.Table) error {
+		for _, r := range tab.Rows {
+			var b strings.Builder
+			for _, v := range r {
+				fmt.Fprintf(&b, "%d:%s|", v.Kind(), v.Format())
+			}
+			out[name] = append(out[name], b.String())
+		}
+		return nil
+	})
+	for _, rows := range out {
+		sort.Strings(rows)
+	}
+	return out, err
+}
+
+// TestClusterScanReadsRowsOnly: a Framework scan over a cluster reads rows
+// and nothing else — every shard's span subtree holds one row_fetch and no
+// explore_parts — and hands out the engine's rows; over a cluster with no
+// data it hands out no rows, as an engine with no data does.
+func TestClusterScanReadsRowsOnly(t *testing.T) {
+	eng, g, snaps := spateWorld(t, 2*telco.EpochsPerDay)
+	coordTracer := obs.NewTracer(16)
+	start := func() *cluster.Local {
+		lc, err := cluster.StartLocal(
+			cluster.Config{Shards: 2, Obs: obs.NewRegistry(), Tracer: coordTracer},
+			g.CellTable(),
+			cluster.LocalOptions{Dir: t.TempDir(), Engine: core.Options{Obs: obs.NewRegistry(), Tracer: obs.NewTracer(64)}},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lc.Close() })
+		return lc
+	}
+	lc := start()
+	ctx := context.Background()
+	for _, sn := range snaps {
+		if err := lc.Coordinator.Ingest(ctx, sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lc.Coordinator.FinishIngest(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Across the day boundary, so both shards answer.
+	from := snaps[0].Epoch.Start().Add(20 * time.Hour)
+	w := telco.NewTimeRange(from, from.Add(8*time.Hour))
+	tctx, root := coordTracer.StartSpan(ctx, "scan")
+	got, err := scanRows(tctx, Cluster{C: lc.Coordinator}, w)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scanRows(ctx, Spate{E: eng}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want["CDR"]) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("cluster scan differs from the engine's: %d vs %d CDR rows", len(got["CDR"]), len(want["CDR"]))
+	}
+	var shards int
+	var walk func(j obs.SpanJSON)
+	walk = func(j obs.SpanJSON) {
+		if j.Name == "rpc_explore" {
+			shards++
+			counts := map[string]int{}
+			var count func(obs.SpanJSON)
+			count = func(j obs.SpanJSON) {
+				counts[j.Name]++
+				for _, c := range j.Children {
+					count(c)
+				}
+			}
+			count(j)
+			if counts["row_fetch"] != 1 || counts["explore_parts"] != 0 {
+				t.Errorf("shard subtree holds %d row_fetch and %d explore_parts spans, want 1 and 0", counts["row_fetch"], counts["explore_parts"])
+			}
+		}
+		for _, c := range j.Children {
+			walk(c)
+		}
+	}
+	walk(root.JSON())
+	if shards != 2 {
+		t.Fatalf("trace holds %d shard subtrees, want 2", shards)
+	}
+
+	// No data anywhere: no rows and no error, from either.
+	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := core.Open(fs, g.CellTable(), core.Options{Obs: obs.NewNoop()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, wantErr := scanRows(ctx, Spate{E: empty}, w)
+	gotRows, gotErr := scanRows(ctx, Cluster{C: start().Coordinator}, w)
+	if gotErr != nil || wantErr != nil || !reflect.DeepEqual(gotRows, wantRows) {
+		t.Fatalf("empty cluster scan = %v, %v; empty engine scan = %v, %v", gotRows, gotErr, wantRows, wantErr)
 	}
 }
 

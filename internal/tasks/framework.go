@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spate/internal/core"
+	"spate/internal/geo"
 	"spate/internal/raw"
 	"spate/internal/scanspec"
 	"spate/internal/shahed"
@@ -250,7 +251,7 @@ func (s Spate) Scan(ctx context.Context, w telco.TimeRange, tables []string, fn 
 // materialized (v3 leaves decode just those streams), rows come out narrow
 // and pre-filtered on its predicates.
 func (s Spate) ScanSpec(ctx context.Context, w telco.TimeRange, tables []string, spec *scanspec.Spec, fn func(string, *telco.Table) error) error {
-	return s.E.ScanTablesSpec(ctx, w, tables, spec, fn)
+	return s.E.ScanTablesSpec(ctx, w, geo.Rect{}, tables, spec, fn)
 }
 
 // AggregatePartials implements PartialAggregator: simple aggregates fold

@@ -125,15 +125,8 @@ func (b *engineBackend) appendRows(ctx context.Context, req *AppendJSON) (int, e
 	if err != nil {
 		return 0, err
 	}
-	if len(recs) > 0 {
-		if err := b.streamer.Append(ctx, req.Table, recs); err != nil {
-			return 0, err
-		}
-	}
-	if req.Seal {
-		if err := b.streamer.SealAll(ctx); err != nil {
-			return 0, err
-		}
+	if err := b.streamer.AppendAndSeal(ctx, req.Table, recs, req.Seal); err != nil {
+		return 0, err
 	}
 	return len(recs), nil
 }
@@ -142,15 +135,7 @@ func (b *engineBackend) lifecycle(_ context.Context, action, job string) (any, e
 	if b.lc == nil {
 		return nil, unavailable(fmt.Errorf("webui: no lifecycle manager attached"))
 	}
-	switch action {
-	case "trigger":
-		return b.lc.Trigger(job)
-	case "pause":
-		b.lc.Pause()
-	case "resume":
-		b.lc.Resume()
-	}
-	return b.lc.Status(), nil
+	return b.lc.Act(action, job)
 }
 
 func (b *engineBackend) framework() tasks.Framework { return tasks.Spate{E: b.eng} }
