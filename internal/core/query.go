@@ -821,6 +821,9 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 	if err != nil {
 		return err
 	}
+	// Unsealed rows come last, strictly newer than every sealed leaf. They
+	// load into a batch of the scan's layout and pass the same sink, so no
+	// fresh row leaks around the box or a pushdown.
 	b := e.getBatch()
 	defer e.putBatch(b)
 	for _, mt := range src.memTabs {
