@@ -64,8 +64,9 @@ bench:
 # Fuzz the WAL record decoder, the v3 column-stream decoders (string and
 # column-batch, one target), the binary summary decoder (with the merge of
 # what it decodes), the explore frame reader (which decodes the parts, rows
-# and partials inside it), the partials section alone and the scan-spec
-# check a node runs on /rpc/explore bodies for a short, CI-friendly budget.
+# and partials inside it), the partials section alone, the scan-spec
+# check a node runs on /rpc/explore bodies and the web UI's JSON string and
+# number writers (against encoding/json) for a short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz FuzzExploreFrame -fuzztime 30s -run XXX ./internal/cluster/
 	$(GO) test -fuzz FuzzValidateSpec -fuzztime 30s -run XXX ./internal/scanspec/
 	$(GO) test -fuzz FuzzReadPartials -fuzztime 30s -run XXX ./internal/scanspec/
+	$(GO) test -fuzz FuzzJSONAppend -fuzztime 30s -run XXX ./internal/webui/
 
 fmt:
 	gofmt -l -w .

@@ -496,8 +496,12 @@ func TestClusterSpecScanIsEngineNarrowScan(t *testing.T) {
 			Preds:   []scanspec.Pred{{Col: telco.AttrDuration, Op: ">", Kind: "int", Val: "100"}},
 		},
 		"select *": {Preds: []scanspec.Pred{{Col: telco.AttrDuration, Op: ">=", Kind: "int", Val: "0"}}},
+		// A statement reading no column of the table: the explicit empty
+		// list keeps ts alone, and must reach a shard as [] rather than as
+		// a missing list, which keeps every column.
+		"no column": {Columns: []string{}},
 	}
-	widths := map[string]int{"projection": 3, "predicate": 4, "select *": telco.CDRSchema.NumFields()}
+	widths := map[string]int{"projection": 3, "predicate": 4, "select *": telco.CDRSchema.NumFields(), "no column": 1}
 	// sorted orders rows by their record text: shard answers concatenate
 	// in slot order, not chronologically.
 	sorted := func(rows []telco.Record) []telco.Record {

@@ -175,11 +175,12 @@ func (a Agg) String() string {
 //
 // Columns lists the columns the caller needs materialized (nil keeps every
 // column, an explicit empty, non-nil slice keeps none beyond bookkeeping).
+// The two travel apart on the wire, as null and [].
 // Preds are conjunctive filters the scan applies before materializing a
 // row. When Aggs is non-empty the scan returns partial aggregates instead
 // of rows, optionally grouped by the single low-cardinality GroupBy column.
 type Spec struct {
-	Columns []string `json:"columns,omitempty"`
+	Columns []string `json:"columns"`
 	Preds   []Pred   `json:"preds,omitempty"`
 	Aggs    []Agg    `json:"aggs,omitempty"`
 	GroupBy string   `json:"group_by,omitempty"`

@@ -3,6 +3,8 @@ package webui
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -150,5 +152,45 @@ func TestAppendWithoutStreamer(t *testing.T) {
 	ts, _ := newTestServer(t)
 	if code := postAppend(t, ts.URL, AppendJSON{Table: "NMS", Rows: []string{"x"}}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("status %d, want 503", code)
+	}
+}
+
+// TestAppendNaNExplore: telco accepts a NaN float, and one appended NMS row
+// with rssi_dbm = NaN used to turn every exploration over its window into
+// an empty 200 (encoding/json refuses NaN). The answer is now complete
+// JSON, with null for the cell value the NaN reaches.
+func TestAppendNaNExplore(t *testing.T) {
+	ts, _, cfg := newStreamServer(t)
+	g := gen.New(cfg)
+	row := g.NMSTable(telco.EpochOf(cfg.Start)).Rows[0].Clone()
+	row[telco.NMSSchema.FieldIndex("rssi_dbm")] = telco.Float(math.NaN())
+	if code := postAppend(t, ts.URL, AppendJSON{Table: "NMS", Rows: []string{row.Line()}}, nil); code != 200 {
+		t.Fatalf("append status %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/api/explore?attr=NMS.rssi_dbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 || !json.Valid(body) {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+	var out struct {
+		Rows  int64 `json:"rows"`
+		Cells []struct {
+			ID    int64    `json:"id"`
+			Value *float64 `json:"value"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	cell := row.Get(telco.NMSSchema, telco.AttrCellID).Int64()
+	if out.Rows != 1 || len(out.Cells) != 1 || out.Cells[0].ID != cell || out.Cells[0].Value != nil {
+		t.Fatalf("answer %s, want one row and cell %d with a null value", body, cell)
 	}
 }

@@ -42,14 +42,15 @@ func templateNames() []string {
 }
 
 func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	q := r.URL.Query()
+	name := q.Get("name")
 	spec, ok := templates[name]
 	if !ok {
 		httpErr(w, http.StatusBadRequest,
 			fmt.Errorf("unknown template %q (have %v)", name, templateNames()))
 		return
 	}
-	win, err := s.parseWindow(r)
+	win, err := s.parseWindow(q)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
@@ -99,13 +100,14 @@ type playbackFrame struct {
 const maxPlaybackFrames = 96
 
 func (s *Server) handlePlayback(w http.ResponseWriter, r *http.Request) {
-	win, err := s.parseWindow(r)
+	q := r.URL.Query()
+	win, err := s.parseWindow(q)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
 	step := telco.EpochDuration
-	if v := r.URL.Query().Get("step"); v != "" {
+	if v := q.Get("step"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			httpErr(w, http.StatusBadRequest, fmt.Errorf("bad step %q", v))

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,7 +22,6 @@ import (
 	"spate/internal/core"
 	"spate/internal/gen"
 	"spate/internal/geo"
-	"spate/internal/highlights"
 	"spate/internal/obs"
 	"spate/internal/serving"
 	"spate/internal/sqlengine"
@@ -38,6 +38,7 @@ type Server struct {
 	b      backend
 	sql    *sqlengine.Engine
 	cells  []gen.Cell
+	heads  cellHeads
 	window telco.TimeRange
 	mux    *http.ServeMux
 
@@ -219,7 +220,7 @@ func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
 
 // parseWindow reads from/to params as (possibly truncated) wire-layout
 // timestamps; absent params default to the trace span.
-func (s *Server) parseWindow(r *http.Request) (telco.TimeRange, error) {
+func (s *Server) parseWindow(q url.Values) (telco.TimeRange, error) {
 	from, to := s.window.From, s.window.To
 	parse := func(v string) (time.Time, error) {
 		if len(v) > len(telco.TimeLayout) || len(v) < 4 {
@@ -227,14 +228,14 @@ func (s *Server) parseWindow(r *http.Request) (telco.TimeRange, error) {
 		}
 		return time.ParseInLocation(telco.TimeLayout[:len(v)], v, time.UTC)
 	}
-	if v := r.URL.Query().Get("from"); v != "" {
+	if v := q.Get("from"); v != "" {
 		t, err := parse(v)
 		if err != nil {
 			return telco.TimeRange{}, err
 		}
 		from = t
 	}
-	if v := r.URL.Query().Get("to"); v != "" {
+	if v := q.Get("to"); v != "" {
 		t, err := parse(v)
 		if err != nil {
 			return telco.TimeRange{}, err
@@ -249,7 +250,9 @@ func (s *Server) parseWindow(r *http.Request) (telco.TimeRange, error) {
 // and the stage breakdown; a coordinator fills the degradation contract
 // (a partial answer is HTTP 200: the aggregates are correct for the window
 // minus the missing ranges, and the client decides how to degrade) and its
-// scatter's counters.
+// scatter's counters. The handler writes the answer by hand
+// (appendExplore) in this type's encoding/json form, a non-finite number as
+// null; the type documents the wire, and clients decode into it.
 type ExploreJSON struct {
 	Level      string            `json:"covering_level,omitempty"`
 	Rows       int64             `json:"rows"`
@@ -302,10 +305,10 @@ type HighlightJSON struct {
 
 // parseBoxQuery reads the minx/miny/maxx/maxy params; absent minx leaves
 // the zero box ("everywhere").
-func parseBoxQuery(r *http.Request) geo.Rect {
+func parseBoxQuery(q url.Values) geo.Rect {
 	get := func(k string) (float64, bool) {
 		var f float64
-		if _, err := fmt.Sscanf(r.URL.Query().Get(k), "%g", &f); err == nil {
+		if _, err := fmt.Sscanf(q.Get(k), "%g", &f); err == nil {
 			return f, true
 		}
 		return 0, false
@@ -319,80 +322,22 @@ func parseBoxQuery(r *http.Request) geo.Rect {
 	return geo.Rect{}
 }
 
+// handleExplore parses the request's query string once and renders the
+// answer with appendExplore.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	win, err := s.parseWindow(r)
+	q := r.URL.Query()
+	win, err := s.parseWindow(q)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	x, err := s.b.explore(r.Context(), core.Query{Window: win, Box: parseBoxQuery(r)})
+	x, err := s.b.explore(r.Context(), core.Query{Window: win, Box: parseBoxQuery(q)})
 	if err != nil {
 		httpErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := ExploreJSON{
-		Level: x.level, Rows: x.Summary.Rows, Decayed: x.DecayedLeaves, CacheHit: x.CacheHit,
-		Cells:      cellsJSON(x.Cells, r.URL.Query().Get("attr")),
-		Highlights: highlightsJSON(x.Highlights),
-		Partial:    x.partial, ShardsQueried: x.shardsQueried, ShardsFailed: x.shardsFailed,
-		HedgeWins: x.hedgeWins, Retries: x.retries,
-		TraceID: x.Profile.TraceID,
-	}
-	if r.URL.Query().Get("profile") == "1" {
-		out.Profile = &x.Profile
-	}
-	for _, st := range x.Stages {
-		if out.Stages == nil {
-			out.Stages = make(map[string]float64, len(x.Stages))
-		}
-		out.Stages[st.Name] = float64(st.Duration) / float64(time.Millisecond)
-	}
-	for _, m := range x.missing {
-		out.Missing = append(out.Missing, WindowJSON{
-			From: m.From.Format(telco.TimeLayout),
-			To:   m.To.Format(telco.TimeLayout),
-		})
-	}
-	writeJSON(w, out)
-}
-
-func cellsJSON(cells []core.CellSeries, attr string) []ExploreCellJSON {
-	var out []ExploreCellJSON
-	for _, cs := range cells {
-		cj := ExploreCellJSON{ID: cs.CellID, X: cs.Loc.X, Y: cs.Loc.Y, Rows: cs.Rows}
-		// With no attribute requested the cell shows its smallest-named one,
-		// by the name it renders (the view orders by table, then attribute).
-		// The name that is only compared is built apart from the one that
-		// is kept, so it stays off the heap.
-		shown := ""
-		for i := 0; i < cs.Attr.Len(); i++ {
-			ref, st := cs.Attr.At(i)
-			if attr != "" {
-				if ref.String() == attr {
-					cj.Value = st.Sum
-					break
-				}
-			} else if name := ref.String(); shown == "" || name < shown {
-				shown, cj.Value = name, st.Sum
-			}
-		}
-		out = append(out, cj)
-	}
-	return out
-}
-
-func highlightsJSON(hs []highlights.Highlight) []HighlightJSON {
-	var out []HighlightJSON
-	for _, h := range hs {
-		hj := HighlightJSON{Attr: h.Attr.String(), Value: h.Value, Freq: h.Frequency, Peak: h.PeakValue}
-		if h.Kind == highlights.Categorical {
-			hj.Kind = "categorical"
-		} else {
-			hj.Kind = "peak"
-		}
-		out = append(out, hj)
-	}
-	return out
+	attr, profile := q.Get("attr"), q.Get("profile") == "1"
+	writeBody(w, func(b []byte) ([]byte, error) { return s.appendExplore(b, x, attr, profile) })
 }
 
 // handleSQL serves SPATE-SQL. A statement that does not parse or bind is
@@ -414,14 +359,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, code, err)
 		return
 	}
-	rows := make([][]string, len(rs.Rows))
-	for i, row := range rs.Rows {
-		rows[i] = make([]string, len(row))
-		for j, v := range row {
-			rows[i][j] = v.Format()
-		}
-	}
-	writeJSON(w, map[string]any{"cols": rs.Cols, "rows": rows})
+	writeBody(w, func(b []byte) ([]byte, error) { return appendSQL(b, rs), nil })
 }
 
 // handleStats serves the obs registry's JSON mirror plus whatever families
