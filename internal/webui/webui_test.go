@@ -322,11 +322,19 @@ func TestExploreCellsDeterministic(t *testing.T) {
 	}
 	_, _, attrs := sum.Cell(0)
 	cell := core.CellSeries{CellID: 1, Rows: 9, Attr: attrs}
+	s := &Server{}
+	value := func(attr string) float64 {
+		var out []ExploreCellJSON
+		if err := json.Unmarshal(s.appendCells(nil, []core.CellSeries{cell}, attr), &out); err != nil || len(out) != 1 {
+			t.Fatalf("attr=%q: %d cells, %v", attr, len(out), err)
+		}
+		return out[0].Value
+	}
 	for i := 0; i < 50; i++ {
-		if got := cellsJSON([]core.CellSeries{cell}, "")[0].Value; got != 7 {
+		if got := value(""); got != 7 {
 			t.Fatalf("render %d: value %v, want CDR.downflux's 7", i, got)
 		}
-		if got := cellsJSON([]core.CellSeries{cell}, "NMS.rssi_dbm")[0].Value; got != 11 {
+		if got := value("NMS.rssi_dbm"); got != 11 {
 			t.Fatalf("render %d: attr=NMS.rssi_dbm value %v, want 11", i, got)
 		}
 	}
