@@ -85,10 +85,15 @@ lint:
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
-# The two numbers every ROADMAP item reports a delta of, per package:
+# The numbers every ROADMAP item reports a delta of. Per package:
 # non-test Go lines, and exported identifiers — package-level names as
-# `go doc -short` lists them plus exported methods. The last row sums them
-# over the tree.
+# `go doc -short` lists them plus exported methods; the total row sums
+# them over the tree. Then two totals: options, the exported field lines
+# (one per line, `A, B int` counts once) of every struct type under
+# internal/ whose name ends in Options or Config, with core.Options's own
+# share; and flags, the calls in non-test Go under cmd/ that define one —
+# Bool, Int, Int64, Uint, Uint64, Float64, String, Duration, Func, Var or
+# a ...Var form, on the flag package or a FlagSet named flags.
 loc:
 	@lines=0; exported=0; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmarks'); do \
@@ -99,7 +104,16 @@ loc:
 		printf '%-32s %6d lines %4d exported\n' $${rel:-.} $$n $$((names + meths)); \
 		lines=$$((lines + n)); exported=$$((exported + names + meths)); \
 	done; \
-	printf '%-32s %6d lines %4d exported\n' total $$lines $$exported
+	printf '%-32s %6d lines %4d exported\n' total $$lines $$exported; \
+	fields() { pat=$$1; shift; awk -v pat="^type $$pat struct" \
+		'$$0 ~ pat { on = 1; next } on && /^}/ { on = 0 } on && /^\t[A-Z]/' "$$@" | wc -l; }; \
+	opts=$$(fields '[A-Za-z]*(Options|Config)' $$(grep -rlE '^type [A-Za-z]*(Options|Config) struct' \
+		--include='*.go' internal | grep -v _test.go)); \
+	core=$$(fields Options $$(ls internal/core/*.go | grep -v _test.go)); \
+	flags=$$(cat $$(find cmd -name '*.go' ! -name '*_test.go') | \
+		grep -oE '\<flags?\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(' | wc -l); \
+	printf '%-32s %6d fields (core.Options %d)\n' options $$opts $$core; \
+	printf '%-32s %6d\n' flags $$flags
 
 # Everything the CI gate runs.
 check: build vet widths flaky

@@ -250,7 +250,7 @@ func run(args []string) int {
 		// Coordinator-only proxy: scatter-gather over already-running
 		// nodes; no local ingest — the nodes carry the data.
 		urls := strings.Split(*join, ",")
-		inv, err := core.NewCellInventory(cellTable, "")
+		inv, err := core.NewCellInventory(cellTable)
 		if err != nil {
 			slog.Error("spate-server: cell table", "err", err)
 			return 1

@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 	g := spate.NewGenerator(spate.GeneratorConfig(0.01))
-	eng, err := spate.Open(fs, g.CellTable(), spate.Options{CellIndex: "rtree"})
+	eng, err := spate.Open(fs, g.CellTable(), spate.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,7 +74,7 @@ type Result struct {
 // restricts merged summaries spatially through it, exactly like a single
 // engine.
 func NewCoordinator(cfg Config, m *ShardMap, nodes [][]string, cellTable *telco.Table) (*Coordinator, error) {
-	cells, err := core.NewCellInventory(cellTable, "")
+	cells, err := core.NewCellInventory(cellTable)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ type twoShards struct {
 func newTwoShards(t *testing.T) *twoShards {
 	f := &twoShards{tb: t, cfg: Config{Shards: 2, Retries: -1, HedgeDelay: time.Millisecond, Obs: obs.NewNoop()}}
 	f.g, f.snaps, f.window = testTrace(t, 2)
-	cells, err := core.NewCellInventory(f.g.CellTable(), "")
+	cells, err := core.NewCellInventory(f.g.CellTable())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ type Local struct {
 // loopback listeners plus a coordinator wired to them.
 func StartLocal(cfg Config, cellTable *telco.Table, opt LocalOptions) (*Local, error) {
 	cfg = cfg.withDefaults()
-	cells, err := core.NewCellInventory(cellTable, "")
+	cells, err := core.NewCellInventory(cellTable)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,6 @@ import (
 // blocks) and, when a spatial split is configured, every cell to a
 // vertical band of the plane. A (time shard, band) pair is a "slot" — the
 // unit a replica group serves.
-//
-// A map built from discovered node windows (join mode) instead addresses
-// shards by explicit per-shard time ranges.
 type ShardMap struct {
 	// Shards is the number of time shards N.
 	Shards int
@@ -24,10 +21,6 @@ type ShardMap struct {
 	// Bands holds the half-open X intervals of the spatial sub-split, in
 	// band order; len(Bands) == 1 means no split.
 	Bands []Band
-	// Windows, when non-empty, switches the map to explicit-window
-	// addressing (join mode): time shard i owns Windows[i] and the block
-	// round-robin is unused.
-	Windows []telco.TimeRange
 }
 
 // Band is one vertical strip [MinX, MaxX) of the cell plane.
@@ -67,16 +60,6 @@ func NewShardMap(cfg Config, cells []geo.Point) *ShardMap {
 		m.Bands = append(m.Bands, b)
 	}
 	return m
-}
-
-// WindowShardMap builds an explicit-window map (join mode): shard i owns
-// windows[i]. No spatial split.
-func WindowShardMap(windows []telco.TimeRange) *ShardMap {
-	return &ShardMap{
-		Shards:  len(windows),
-		Bands:   []Band{{MinX: -1e18, MaxX: 1e18}},
-		Windows: append([]telco.TimeRange(nil), windows...),
-	}
 }
 
 // NumBands returns the spatial fan-out per time shard.
@@ -123,15 +106,6 @@ func (m *ShardMap) BandsFor(box geo.Rect) []int {
 // TimeShardsFor returns the time shards owning data inside w, in shard
 // order.
 func (m *ShardMap) TimeShardsFor(w telco.TimeRange) []int {
-	if len(m.Windows) > 0 {
-		var out []int
-		for i, sw := range m.Windows {
-			if sw.Overlaps(w) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
 	seen := make(map[int]bool, m.Shards)
 	var out []int
 	for _, b := range m.blocksIn(w) {
@@ -152,14 +126,6 @@ func (m *ShardMap) TimeShardsFor(w telco.TimeRange) []int {
 // in chronological order — the Missing enumeration a degraded Result
 // carries for a failed shard.
 func (m *ShardMap) OwnedRanges(timeShard int, w telco.TimeRange) []telco.TimeRange {
-	if len(m.Windows) > 0 {
-		if timeShard < len(m.Windows) {
-			if r, ok := intersect(m.Windows[timeShard], w); ok {
-				return []telco.TimeRange{r}
-			}
-		}
-		return nil
-	}
 	var out []telco.TimeRange
 	for _, b := range m.blocksIn(w) {
 		if m.TimeShardOf(telco.Epoch(b*int64(m.BlockEpochs))) != timeShard {
@@ -216,8 +182,8 @@ func (m *ShardMap) validate() error {
 	if len(m.Bands) == 0 {
 		return fmt.Errorf("cluster: shard map has no bands")
 	}
-	if len(m.Windows) == 0 && m.BlockEpochs <= 0 {
-		return fmt.Errorf("cluster: shard map needs BlockEpochs or Windows")
+	if m.BlockEpochs <= 0 {
+		return fmt.Errorf("cluster: shard map needs BlockEpochs")
 	}
 	return nil
 }

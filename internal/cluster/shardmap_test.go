@@ -113,24 +113,6 @@ func TestSpatialBands(t *testing.T) {
 	}
 }
 
-func TestWindowShardMap(t *testing.T) {
-	m := WindowShardMap([]telco.TimeRange{
-		{From: day(0), To: day(2)},
-		{From: day(2), To: day(4)},
-	})
-	w := telco.TimeRange{From: day(1), To: day(3)}
-	if got := m.TimeShardsFor(w); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("TimeShardsFor = %v", got)
-	}
-	got := m.OwnedRanges(1, w)
-	if !reflect.DeepEqual(got, []telco.TimeRange{{From: day(2), To: day(3)}}) {
-		t.Fatalf("OwnedRanges = %v", got)
-	}
-	if got := m.OwnedRanges(0, telco.TimeRange{From: day(3), To: day(4)}); got != nil {
-		t.Fatalf("shard 0 owns %v outside its window", got)
-	}
-}
-
 func TestSlotFlattening(t *testing.T) {
 	pts := []geo.Point{{X: 0}, {X: 30}}
 	m := NewShardMap(Config{Shards: 3, SpatialSplit: 2}, pts)

@@ -16,13 +16,12 @@ import (
 // immutable once built.
 type CellInventory struct {
 	pts map[int64]geo.Point
-	idx geo.SpatialIndex
+	idx *geo.QuadTree
 }
 
 // NewCellInventory reads the CELL table (cell_id, x_km, y_km) and indexes
-// the cells with the named leaf-index variant of §V-A: "quadtree" (the
-// default, "") or "rtree".
-func NewCellInventory(cellTable *telco.Table, index string) (*CellInventory, error) {
+// the cells with a quad-tree, the leaf spatial index of §V-A.
+func NewCellInventory(cellTable *telco.Table) (*CellInventory, error) {
 	idIdx := cellTable.Schema.FieldIndex(telco.AttrCellID)
 	xIdx := cellTable.Schema.FieldIndex("x_km")
 	yIdx := cellTable.Schema.FieldIndex("y_km")
@@ -40,21 +39,9 @@ func NewCellInventory(cellTable *telco.Table, index string) (*CellInventory, err
 			bounds = bounds.Expand(pt)
 		}
 	}
-	items := make([]geo.Item, 0, len(ci.pts))
+	ci.idx = geo.NewQuadTree(bounds, 0)
 	for id, pt := range ci.pts {
-		items = append(items, geo.Item{Pt: pt, ID: id, Weight: 1})
-	}
-	switch index {
-	case "", "quadtree":
-		qt := geo.NewQuadTree(bounds, 0)
-		for _, it := range items {
-			qt.Insert(it)
-		}
-		ci.idx = qt
-	case "rtree":
-		ci.idx = geo.BulkLoadRTree(items, 16)
-	default:
-		return nil, fmt.Errorf("core: unknown cell index %q (quadtree|rtree)", index)
+		ci.idx.Insert(geo.Item{Pt: pt, ID: id})
 	}
 	return ci, nil
 }

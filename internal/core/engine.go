@@ -91,9 +91,6 @@ type Options struct {
 	// (2) keeps the row-major layout for equivalence benchmarks. Every
 	// version stays readable regardless of this setting.
 	SegmentVersion int
-	// CellIndex selects the spatial index over the cell inventory:
-	// "quadtree" (default) or "rtree" — the two variants §V-A names.
-	CellIndex string
 	// ScanWorkers is the width of the worker pool a single query runs its
 	// leaf×table scan units on (default GOMAXPROCS). It is a width, not a
 	// path: 1 is a pool of one, the same pipeline run inline on the calling
@@ -236,7 +233,7 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table, opts Options) (*Engine, error
 		return nil, err
 	}
 	opts.Codec = compress.Instrument(opts.Codec, opts.Obs)
-	cells, err := NewCellInventory(cellTable, opts.CellIndex)
+	cells, err := NewCellInventory(cellTable)
 	if err != nil {
 		return nil, err
 	}

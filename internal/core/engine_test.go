@@ -438,45 +438,6 @@ func TestFastPathServesCoveringSummary(t *testing.T) {
 	}
 }
 
-func TestCellIndexVariantsAgree(t *testing.T) {
-	// The quad-tree and R-tree cell indexes answer identical box queries
-	// (§V-A names both as valid leaf spatial indexes).
-	rq := newRig(t, Options{CellIndex: "quadtree"})
-	rr := newRig(t, Options{CellIndex: "rtree"})
-	boxes := []geo.Rect{
-		geo.NewRect(0, 0, 40, 38),
-		geo.NewRect(20, 20, 25, 25),
-		geo.NewRect(-5, -5, 100, 100),
-		geo.NewRect(70, 70, 80, 75),
-	}
-	for _, box := range boxes {
-		a := rq.e.Cells().inBox(box)
-		b := rr.e.Cells().inBox(box)
-		if len(a) != len(b) {
-			t.Errorf("box %v: quadtree %d cells, rtree %d", box, len(a), len(b))
-			continue
-		}
-		seen := map[int64]bool{}
-		for _, id := range a {
-			seen[id] = true
-		}
-		for _, id := range b {
-			if !seen[id] {
-				t.Errorf("box %v: rtree returned extra cell %d", box, id)
-			}
-		}
-	}
-	// Unknown index names are rejected.
-	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gen.New(gen.DefaultConfig(0.001))
-	if _, err := Open(fs, g.CellTable(), Options{CellIndex: "btree"}); err == nil {
-		t.Error("unknown cell index accepted")
-	}
-}
-
 func TestConcurrentIngestAndExplore(t *testing.T) {
 	// One ingester plus several queriers, per the engine's contract.
 	r := newRig(t, Options{})

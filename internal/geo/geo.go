@@ -1,5 +1,6 @@
 // Package geo provides the planar spatial primitives used throughout the
-// SPATE reproduction: points, rectangles, a uniform grid, and a quad-tree.
+// SPATE reproduction: points, rectangles and the point quad-tree that
+// answers which cells a box holds.
 //
 // Telco records are not point data in the traditional sense — each record is
 // linked to a cell ID covering an area of hundreds of meters (paper §II-B).
@@ -36,22 +37,9 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X < r.MaxX && p.Y >= r.MinY && p.Y < r.MaxY
 }
 
-// Covers reports whether r fully contains s.
-func (r Rect) Covers(s Rect) bool {
-	return s.MinX >= r.MinX && s.MaxX <= r.MaxX && s.MinY >= r.MinY && s.MaxY <= r.MaxY
-}
-
 // Intersects reports whether the two rectangles overlap with positive area.
 func (r Rect) Intersects(s Rect) bool {
 	return r.MinX < s.MaxX && s.MinX < r.MaxX && r.MinY < s.MaxY && s.MinY < r.MaxY
-}
-
-// Area returns the rectangle's area in km^2.
-func (r Rect) Area() float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
-
-// Center returns the rectangle's midpoint.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
 }
 
 // Expand grows the rectangle to include p (treating the rect as closed).
@@ -89,32 +77,14 @@ func (r Rect) String() string {
 	return fmt.Sprintf("[%.3f,%.3f)x[%.3f,%.3f)", r.MinX, r.MaxX, r.MinY, r.MaxY)
 }
 
-// SpatialIndex is the read surface shared by the quad-tree and the R-tree
-// — the two leaf-index variants the paper names in §V-A. Both answer box
-// queries and box aggregations over point items.
-type SpatialIndex interface {
-	// Query appends every item inside box to dst.
-	Query(box Rect, dst []Item) []Item
-	// AggregateQuery returns the count and weight sum inside box.
-	AggregateQuery(box Rect) (count int, weight float64)
-	// Len returns the number of stored items.
-	Len() int
-}
-
-// Compile-time checks: both index variants satisfy SpatialIndex.
-var (
-	_ SpatialIndex = (*QuadTree)(nil)
-	_ SpatialIndex = (*RTree)(nil)
-)
-
 // quadrants splits the rectangle into its four quadrants
 // (NW, NE, SW, SE order).
 func (r Rect) quadrants() [4]Rect {
-	c := r.Center()
+	cx, cy := (r.MinX+r.MaxX)/2, (r.MinY+r.MaxY)/2
 	return [4]Rect{
-		{MinX: r.MinX, MinY: c.Y, MaxX: c.X, MaxY: r.MaxY},
-		{MinX: c.X, MinY: c.Y, MaxX: r.MaxX, MaxY: r.MaxY},
-		{MinX: r.MinX, MinY: r.MinY, MaxX: c.X, MaxY: c.Y},
-		{MinX: c.X, MinY: r.MinY, MaxX: r.MaxX, MaxY: c.Y},
+		{MinX: r.MinX, MinY: cy, MaxX: cx, MaxY: r.MaxY},
+		{MinX: cx, MinY: cy, MaxX: r.MaxX, MaxY: r.MaxY},
+		{MinX: r.MinX, MinY: r.MinY, MaxX: cx, MaxY: cy},
+		{MinX: cx, MinY: r.MinY, MaxX: r.MaxX, MaxY: cy},
 	}
 }

@@ -1,10 +1,9 @@
 package geo
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestRectBasics(t *testing.T) {
@@ -19,33 +18,31 @@ func TestRectBasics(t *testing.T) {
 	if r.Contains(Point{10, 20}) {
 		t.Error("max corner must be outside (half-open)")
 	}
-	if got := r.Area(); got != 150 {
-		t.Errorf("Area = %v, want 150", got)
-	}
-	if got := r.Center(); got != (Point{5, 12.5}) {
-		t.Errorf("Center = %v", got)
+	if r.Contains(Point{10, 10}) || r.Contains(Point{5, 20}) {
+		t.Error("max edges must be outside (half-open)")
 	}
 }
 
-func TestRectCoversIntersects(t *testing.T) {
+func TestRectIntersects(t *testing.T) {
 	r := NewRect(0, 0, 10, 10)
 	tests := []struct {
-		s                 Rect
-		covers, intersect bool
+		s         Rect
+		intersect bool
 	}{
-		{NewRect(1, 1, 9, 9), true, true},
-		{NewRect(0, 0, 10, 10), true, true},
-		{NewRect(-1, 0, 10, 10), false, true},
-		{NewRect(10, 10, 20, 20), false, false}, // touching corner
-		{NewRect(5, -5, 15, 5), false, true},
-		{NewRect(20, 20, 30, 30), false, false},
+		{NewRect(1, 1, 9, 9), true},
+		{NewRect(0, 0, 10, 10), true},
+		{NewRect(-1, 0, 10, 10), true},
+		{NewRect(10, 10, 20, 20), false}, // touching corner
+		{NewRect(10, 0, 20, 10), false},  // touching edge
+		{NewRect(5, -5, 15, 5), true},
+		{NewRect(20, 20, 30, 30), false},
 	}
 	for _, tc := range tests {
-		if got := r.Covers(tc.s); got != tc.covers {
-			t.Errorf("Covers(%v) = %v, want %v", tc.s, got, tc.covers)
-		}
 		if got := r.Intersects(tc.s); got != tc.intersect {
 			t.Errorf("Intersects(%v) = %v, want %v", tc.s, got, tc.intersect)
+		}
+		if got := tc.s.Intersects(r); got != tc.intersect {
+			t.Errorf("%v.Intersects(r) = %v, want %v", tc.s, got, tc.intersect)
 		}
 	}
 }
@@ -64,25 +61,22 @@ func TestRectExpand(t *testing.T) {
 func TestQuadrantsPartition(t *testing.T) {
 	r := NewRect(0, 0, 8, 8)
 	qs := r.quadrants()
-	var total float64
-	for _, q := range qs {
-		total += q.Area()
-	}
-	if total != r.Area() {
-		t.Errorf("quadrant areas sum to %v, want %v", total, r.Area())
-	}
-	// Every interior point belongs to exactly one quadrant.
+	// Every point of r, on the quadrants' shared edges too, belongs to
+	// exactly one quadrant; no point outside r belongs to any.
 	rng := rand.New(rand.NewSource(1))
+	pts := []Point{{0, 0}, {4, 4}, {4, 0}, {0, 4}, {7.999, 7.999}, {8, 8}, {-1, 4}, {4, 8}}
 	for i := 0; i < 200; i++ {
-		p := Point{rng.Float64() * 8, rng.Float64() * 8}
+		pts = append(pts, Point{rng.Float64() * 8, rng.Float64() * 8})
+	}
+	for _, p := range pts {
 		n := 0
 		for _, q := range qs {
 			if q.Contains(p) {
 				n++
 			}
 		}
-		if n != 1 {
-			t.Fatalf("point %v in %d quadrants", p, n)
+		if want := map[bool]int{true: 1, false: 0}[r.Contains(p)]; n != want {
+			t.Fatalf("point %v in %d quadrants, want %d", p, n, want)
 		}
 	}
 }
@@ -96,13 +90,27 @@ func randomItems(n int, seed int64, bounds Rect) []Item {
 				bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
 				bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
 			},
-			ID:     int64(i),
-			Weight: rng.Float64() * 10,
+			ID: int64(i),
 		}
 	}
 	return items
 }
 
+// ids returns the sorted IDs of items.
+func ids(items []Item) []int64 {
+	out := make([]int64, len(items))
+	for i, it := range items {
+		out[i] = it.ID
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestQuadTreeQueryMatchesLinearScan: every box query returns exactly the
+// items a linear scan finds inside the half-open box — seeded boxes, boxes
+// whose edges pass through item coordinates (an item on a min edge is in,
+// one on a max edge is out), a zero-area box, the tree's whole bounds and
+// boxes reaching past them.
 func TestQuadTreeQueryMatchesLinearScan(t *testing.T) {
 	bounds := NewRect(0, 0, 100, 100)
 	items := randomItems(2000, 42, bounds)
@@ -112,129 +120,65 @@ func TestQuadTreeQueryMatchesLinearScan(t *testing.T) {
 			t.Fatalf("Insert(%v) rejected", it)
 		}
 	}
-	if qt.Len() != len(items) {
-		t.Fatalf("Len = %d, want %d", qt.Len(), len(items))
-	}
 	rng := rand.New(rand.NewSource(7))
+	boxes := []Rect{bounds, NewRect(-50, -50, 150, 150), NewRect(50, 50, 50, 60), {}}
 	for trial := 0; trial < 50; trial++ {
-		box := NewRect(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
-		got := qt.Query(box, nil)
-		var wantN int
-		var wantW float64
+		boxes = append(boxes, NewRect(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100))
+		a, b := items[rng.Intn(len(items))].Pt, items[rng.Intn(len(items))].Pt
+		boxes = append(boxes, NewRect(a.X, a.Y, b.X, b.Y), NewRect(a.X, a.Y, a.X, b.Y))
+	}
+	for _, box := range boxes {
+		var want []Item
 		for _, it := range items {
 			if box.Contains(it.Pt) {
-				wantN++
-				wantW += it.Weight
+				want = append(want, it)
 			}
 		}
-		if len(got) != wantN {
-			t.Errorf("Query(%v): got %d items, scan %d", box, len(got), wantN)
+		if got := ids(qt.Query(box, nil)); !slices.Equal(got, ids(want)) {
+			t.Errorf("Query(%v): %d items, scan %d (or other ids)", box, len(got), len(want))
 		}
-		c, w := qt.AggregateQuery(box)
-		if c != wantN {
-			t.Errorf("AggregateQuery(%v): count %d, want %d", box, c, wantN)
-		}
-		if diff := w - wantW; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("AggregateQuery(%v): weight %v, want %v", box, w, wantW)
-		}
+	}
+	if got := qt.Query(bounds, nil); len(got) != len(items) {
+		t.Errorf("whole-bounds query: %d items, want %d", len(got), len(items))
 	}
 }
 
 func TestQuadTreeRejectsOutside(t *testing.T) {
 	qt := NewQuadTree(NewRect(0, 0, 1, 1), 4)
-	if qt.Insert(Item{Pt: Point{2, 2}}) {
-		t.Error("Insert outside bounds accepted")
+	for _, p := range []Point{{2, 2}, {1, 0.5}, {0.5, 1}, {-0.1, 0.5}} {
+		if qt.Insert(Item{Pt: p}) {
+			t.Errorf("Insert(%v) outside bounds accepted", p)
+		}
 	}
-	if qt.Len() != 0 {
-		t.Error("size changed after rejected insert")
+	if got := qt.Query(NewRect(-9, -9, 9, 9), nil); len(got) != 0 {
+		t.Errorf("rejected inserts stored %d items", len(got))
 	}
+}
+
+// depth returns the maximum depth of the subtree under n (a leaf is 1).
+func (n *qtNode) depth() int {
+	if n.kids == nil {
+		return 1
+	}
+	d := 0
+	for _, k := range n.kids {
+		d = max(d, k.depth())
+	}
+	return d + 1
 }
 
 func TestQuadTreeCoincidentPoints(t *testing.T) {
-	// Many identical points must not recurse forever.
+	// Many identical points must not recurse forever: splitting stops once
+	// a node is minExtent across.
 	qt := NewQuadTree(NewRect(0, 0, 1, 1), 2)
 	for i := 0; i < 100; i++ {
-		qt.Insert(Item{Pt: Point{0.5, 0.5}, ID: int64(i), Weight: 1})
+		qt.Insert(Item{Pt: Point{0.5, 0.5}, ID: int64(i)})
 	}
-	c, w := qt.AggregateQuery(NewRect(0.4, 0.4, 0.6, 0.6))
-	if c != 100 || w != 100 {
-		t.Errorf("coincident aggregate = (%d,%v), want (100,100)", c, w)
+	if got := qt.Query(NewRect(0.4, 0.4, 0.6, 0.6), nil); len(got) != 100 {
+		t.Errorf("coincident query = %d items, want 100", len(got))
 	}
-	if d := qt.Depth(); d > 30 {
+	// 1 km halved 10 times is under a meter: at most 11 levels.
+	if d := qt.root.depth(); d > 11 {
 		t.Errorf("depth %d too large for coincident points", d)
 	}
-}
-
-func TestQuadTreeFullCoverFastPath(t *testing.T) {
-	bounds := NewRect(0, 0, 64, 64)
-	qt := NewQuadTree(bounds, 4)
-	items := randomItems(500, 3, bounds)
-	for _, it := range items {
-		qt.Insert(it)
-	}
-	c, _ := qt.AggregateQuery(bounds)
-	if c != 500 {
-		t.Errorf("full-cover count = %d, want 500", c)
-	}
-}
-
-func TestGridCellIndexRoundTrip(t *testing.T) {
-	g := NewGrid(NewRect(0, 0, 80, 75), 16, 15)
-	if g.NumCells() != 240 {
-		t.Fatalf("NumCells = %d", g.NumCells())
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		p := Point{rng.Float64() * 80, rng.Float64() * 75}
-		idx := g.CellIndex(p)
-		if idx < 0 || idx >= g.NumCells() {
-			t.Fatalf("CellIndex(%v) = %d out of range", p, idx)
-		}
-		if !g.CellRect(idx).Contains(p) {
-			t.Fatalf("CellRect(%d)=%v does not contain %v", idx, g.CellRect(idx), p)
-		}
-	}
-	if g.CellIndex(Point{-1, 0}) != -1 {
-		t.Error("outside point should map to -1")
-	}
-}
-
-func TestGridCellsIntersecting(t *testing.T) {
-	g := NewGrid(NewRect(0, 0, 10, 10), 10, 10)
-	got := g.CellsIntersecting(NewRect(2.5, 2.5, 4.5, 3.5), nil)
-	// x cells 2,3,4 ; y cells 2,3 -> 6 cells
-	if len(got) != 6 {
-		t.Errorf("CellsIntersecting = %v (len %d), want 6 cells", got, len(got))
-	}
-	if got := g.CellsIntersecting(NewRect(20, 20, 30, 30), nil); got != nil {
-		t.Errorf("disjoint box returned cells %v", got)
-	}
-	// Whole bounds -> every cell.
-	if got := g.CellsIntersecting(g.Bounds(), nil); len(got) != 100 {
-		t.Errorf("full box = %d cells, want 100", len(got))
-	}
-}
-
-func TestGridPropertyEveryIntersectedCellTouchesBox(t *testing.T) {
-	g := NewGrid(NewRect(0, 0, 100, 100), 20, 20)
-	f := func(a, b, c, d float64) bool {
-		box := NewRect(mod(a, 100), mod(b, 100), mod(c, 100), mod(d, 100))
-		for _, idx := range g.CellsIntersecting(box, nil) {
-			if !g.CellRect(idx).Intersects(box) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func mod(v, m float64) float64 {
-	v = math.Abs(math.Mod(v, m))
-	if math.IsNaN(v) {
-		return 0
-	}
-	return v
 }

@@ -1,49 +1,38 @@
 package geo
 
 // Item is a spatial payload stored in a QuadTree: a point plus an opaque
-// integer handle (e.g. a cell ID) and an aggregate weight.
+// integer handle (e.g. a cell ID).
 type Item struct {
-	Pt     Point
-	ID     int64
-	Weight float64
+	Pt Point
+	ID int64
 }
 
-// QuadTree is a point quad-tree with per-node aggregate weights. SHAHED's
-// aggregate index (and the optional per-leaf spatial index SPATE discusses
-// in §V-A) use it to answer box queries and box aggregations without a
-// full scan.
+// QuadTree is a point quad-tree answering box queries without a full scan.
+// The cell inventory (the per-leaf spatial index SPATE discusses in §V-A)
+// and SHAHED's store use it to find the cells inside a query box.
 type QuadTree struct {
 	bounds   Rect
 	capacity int
 	root     *qtNode
-	size     int
 }
 
 type qtNode struct {
 	bounds Rect
 	items  []Item // leaf payload; nil once split
 	kids   *[4]*qtNode
-	count  int     // items in this subtree
-	weight float64 // sum of weights in this subtree
 }
 
-// DefaultNodeCapacity is the leaf split threshold.
-const DefaultNodeCapacity = 16
+// defaultNodeCapacity is the leaf split threshold.
+const defaultNodeCapacity = 16
 
 // NewQuadTree builds an empty tree over the given bounds. Capacity <= 0
-// selects DefaultNodeCapacity.
+// selects a leaf split threshold of 16.
 func NewQuadTree(bounds Rect, capacity int) *QuadTree {
 	if capacity <= 0 {
-		capacity = DefaultNodeCapacity
+		capacity = defaultNodeCapacity
 	}
 	return &QuadTree{bounds: bounds, capacity: capacity, root: &qtNode{bounds: bounds}}
 }
-
-// Bounds returns the tree's coverage rectangle.
-func (t *QuadTree) Bounds() Rect { return t.bounds }
-
-// Len returns the number of stored items.
-func (t *QuadTree) Len() int { return t.size }
 
 // Insert adds an item. Items outside the tree bounds are rejected.
 func (t *QuadTree) Insert(it Item) bool {
@@ -51,7 +40,6 @@ func (t *QuadTree) Insert(it Item) bool {
 		return false
 	}
 	t.root.insert(it, t.capacity)
-	t.size++
 	return true
 }
 
@@ -60,8 +48,6 @@ func (t *QuadTree) Insert(it Item) bool {
 const minExtent = 1e-3
 
 func (n *qtNode) insert(it Item, capacity int) {
-	n.count++
-	n.weight += it.Weight
 	if n.kids == nil {
 		ext := n.bounds.MaxX - n.bounds.MinX
 		if len(n.items) < capacity || ext <= minExtent {
@@ -83,9 +69,7 @@ func (n *qtNode) split(capacity int) {
 	items := n.items
 	n.items = nil
 	for _, it := range items {
-		c := n.child(it.Pt)
-		// Reinsert without touching n's own aggregates (already counted).
-		c.insert(it, capacity)
+		n.child(it.Pt).insert(it, capacity)
 	}
 }
 
@@ -105,7 +89,7 @@ func (t *QuadTree) Query(box Rect, dst []Item) []Item {
 }
 
 func (n *qtNode) query(box Rect, dst []Item) []Item {
-	if n.count == 0 || !n.bounds.Intersects(box) {
+	if !n.bounds.Intersects(box) {
 		return dst
 	}
 	if n.kids == nil {
@@ -120,53 +104,4 @@ func (n *qtNode) query(box Rect, dst []Item) []Item {
 		dst = k.query(box, dst)
 	}
 	return dst
-}
-
-// AggregateQuery returns the count and weight sum of all items inside box,
-// using subtree aggregates to skip fully covered nodes. This is the
-// operation SHAHED's index serves for spatio-temporal aggregate queries.
-func (t *QuadTree) AggregateQuery(box Rect) (count int, weight float64) {
-	return t.root.aggregate(box)
-}
-
-func (n *qtNode) aggregate(box Rect) (int, float64) {
-	if n.count == 0 || !n.bounds.Intersects(box) {
-		return 0, 0
-	}
-	if box.Covers(n.bounds) {
-		return n.count, n.weight
-	}
-	if n.kids == nil {
-		c, w := 0, 0.0
-		for _, it := range n.items {
-			if box.Contains(it.Pt) {
-				c++
-				w += it.Weight
-			}
-		}
-		return c, w
-	}
-	c, w := 0, 0.0
-	for _, k := range n.kids {
-		kc, kw := k.aggregate(box)
-		c += kc
-		w += kw
-	}
-	return c, w
-}
-
-// Depth returns the maximum depth of the tree (root = 1); useful in tests.
-func (t *QuadTree) Depth() int { return t.root.depth() }
-
-func (n *qtNode) depth() int {
-	if n.kids == nil {
-		return 1
-	}
-	max := 0
-	for _, k := range n.kids {
-		if d := k.depth(); d > max {
-			max = d
-		}
-	}
-	return max + 1
 }

@@ -56,7 +56,7 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table) (*Store, error) {
 	}
 	s.cellQ = geo.NewQuadTree(bounds, 0)
 	for id, pt := range s.cells {
-		s.cellQ.Insert(geo.Item{Pt: pt, ID: id, Weight: 1})
+		s.cellQ.Insert(geo.Item{Pt: pt, ID: id})
 	}
 	if !fs.Exists("/shahed/meta/CELL") {
 		if err := fs.WriteFile("/shahed/meta/CELL", []byte(cellTable.Text())); err != nil {

@@ -194,3 +194,45 @@ func TestAppendNaNExplore(t *testing.T) {
 		t.Fatalf("answer %s, want one row and cell %d with a null value", body, cell)
 	}
 }
+
+// TestAppendNaNTemplate: /api/template rendered through encoding/json, so
+// one appended NMS row with rssi_dbm = NaN turned ?name=rssi over its
+// window into an empty 200. The answer is now complete JSON, with null for
+// the mean the NaN reaches.
+func TestAppendNaNTemplate(t *testing.T) {
+	ts, _, cfg := newStreamServer(t)
+	g := gen.New(cfg)
+	row := g.NMSTable(telco.EpochOf(cfg.Start)).Rows[0].Clone()
+	row[telco.NMSSchema.FieldIndex("rssi_dbm")] = telco.Float(math.NaN())
+	if code := postAppend(t, ts.URL, AppendJSON{Table: "NMS", Rows: []string{row.Line()}}, nil); code != 200 {
+		t.Fatalf("append status %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/api/template?name=rssi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 || !json.Valid(body) {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+	var out struct {
+		Template string `json:"template"`
+		Cells    []struct {
+			ID    int64    `json:"id"`
+			Rows  int64    `json:"rows"`
+			Value *float64 `json:"value"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	cell := row.Get(telco.NMSSchema, telco.AttrCellID).Int64()
+	if out.Template != "rssi" || len(out.Cells) != 1 || out.Cells[0].ID != cell ||
+		out.Cells[0].Rows != 1 || out.Cells[0].Value != nil {
+		t.Fatalf("answer %s, want template rssi and cell %d with one row and a null value", body, cell)
+	}
+}

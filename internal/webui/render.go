@@ -1,6 +1,6 @@
-// The two hot response bodies — an exploration answer and a SQL result —
-// are written by hand into one pooled buffer instead of through
-// encoding/json's reflection. The bytes are encoding/json's own (the
+// The hot response bodies — an exploration answer and a SQL result — and
+// a template answer are written by hand into one pooled buffer instead of
+// through encoding/json's reflection. The bytes are encoding/json's own (the
 // documented wire types ExploreJSON and friends still describe them), with
 // one exception encoding/json has no answer for: a non-finite number,
 // which it refuses, is written as null.

@@ -104,6 +104,33 @@ func encodeSQL(t *testing.T, rs *sqlengine.ResultSet) []byte {
 	return buf.Bytes()
 }
 
+// encodeTemplate is /api/template's body as the handler wrote it through
+// encoding/json; it fails on a non-finite value.
+func encodeTemplate(name string, spec templateSpec, cells []core.CellSeries) ([]byte, error) {
+	out := struct {
+		Template string            `json:"template"`
+		Desc     string            `json:"desc"`
+		Stat     string            `json:"stat"`
+		Cells    []ExploreCellJSON `json:"cells"`
+	}{Template: name, Desc: spec.desc, Stat: spec.stat}
+	for _, cs := range cells {
+		st, ok := cs.Attr.Get(spec.attr)
+		if !ok {
+			continue
+		}
+		v := st.Sum
+		if spec.stat == "mean" {
+			v = st.Mean()
+		}
+		out.Cells = append(out.Cells, ExploreCellJSON{
+			ID: cs.CellID, X: cs.Loc.X, Y: cs.Loc.Y, Rows: cs.Rows, Value: v,
+		})
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(out)
+	return buf.Bytes(), err
+}
+
 // floatEdges are where appendFloat's choices turn: -0, both sides of the
 // 'e' thresholds, and integral values either side of 2^53.
 var floatEdges = []float64{
@@ -297,6 +324,45 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestTemplateBodyMatchesEncodingJSON: over seeded random answers and
+// every template, the hand-rendered /api/template body equals, byte for
+// byte, what the handler wrote through encoding/json, for every answer
+// encoding/json can write. For one it refuses (a sum or mean that
+// overflowed to an infinity) the body is still valid JSON.
+func TestTemplateBodyMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var inv map[int64]geo.Point
+	compared, refused := 0, 0
+	for i := 0; i < 300; i++ {
+		if i%50 == 0 {
+			inv = randInventory(rng)
+		}
+		var cells []core.CellSeries
+		if i%5 != 0 {
+			cells = randCells(rng, inv)
+		}
+		for _, name := range templateNames() {
+			spec := templates[name]
+			got := appendTemplate(nil, name, spec, cells)
+			want, err := encodeTemplate(name, spec, cells)
+			if err != nil {
+				refused++
+				if !json.Valid(got) {
+					t.Fatalf("answer %d, %s: invalid body %s", i, name, got)
+				}
+				continue
+			}
+			compared++
+			if !bytes.Equal(got, want) {
+				t.Fatalf("answer %d, %s:\n got %s\nwant %s", i, name, got, want)
+			}
+		}
+	}
+	if compared < 1000 {
+		t.Fatalf("only %d of %d bodies compared", compared, compared+refused)
+	}
 }
 
 // answer is one exploration with its request's parameters, the server

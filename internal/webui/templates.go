@@ -3,6 +3,7 @@ package webui
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"spate/internal/core"
@@ -60,13 +61,23 @@ func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := struct {
-		Template string            `json:"template"`
-		Desc     string            `json:"desc"`
-		Stat     string            `json:"stat"`
-		Cells    []ExploreCellJSON `json:"cells"`
-	}{Template: name, Desc: spec.desc, Stat: spec.stat}
-	for _, cs := range x.Cells {
+	writeBody(w, func(b []byte) ([]byte, error) { return appendTemplate(b, name, spec, x.Cells), nil })
+}
+
+// appendTemplate writes a template answer as encoding/json writes
+// {"template", "desc", "stat", "cells": []ExploreCellJSON}, newline
+// included, each cell's value the template's statistic of its attribute;
+// a non-finite value (a NaN that reached the window) is written as null.
+func appendTemplate(b []byte, name string, spec templateSpec, cells []core.CellSeries) []byte {
+	b = append(b, `{"template":`...)
+	b = appendString(b, name)
+	b = append(b, `,"desc":`...)
+	b = appendString(b, spec.desc)
+	b = append(b, `,"stat":`...)
+	b = appendString(b, spec.stat)
+	b = append(b, `,"cells":`...)
+	n := 0
+	for _, cs := range cells {
 		st, ok := cs.Attr.Get(spec.attr)
 		if !ok {
 			continue
@@ -75,11 +86,25 @@ func (s *Server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		if spec.stat == "mean" {
 			v = st.Mean()
 		}
-		out.Cells = append(out.Cells, ExploreCellJSON{
-			ID: cs.CellID, X: cs.Loc.X, Y: cs.Loc.Y, Rows: cs.Rows, Value: v,
-		})
+		if n == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
+		}
+		n++
+		b = appendCellHead(b, cs.CellID, cs.Loc)
+		b = append(b, `,"rows":`...)
+		b = strconv.AppendInt(b, cs.Rows, 10)
+		b = append(b, `,"value":`...)
+		b = appendFloat(b, v)
+		b = append(b, '}')
 	}
-	writeJSON(w, out)
+	if n == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
 }
 
 // Playback (paper §VI-A): "observe the query results as snapshots or as a
