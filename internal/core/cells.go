@@ -39,7 +39,7 @@ func NewCellInventory(cellTable *telco.Table) (*CellInventory, error) {
 			bounds = bounds.Expand(pt)
 		}
 	}
-	ci.idx = geo.NewQuadTree(bounds, 0)
+	ci.idx = geo.NewQuadTree(bounds)
 	for id, pt := range ci.pts {
 		ci.idx.Insert(geo.Item{Pt: pt, ID: id})
 	}

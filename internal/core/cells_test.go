@@ -102,7 +102,7 @@ func refCoordRestrict(cellTable *telco.Table, m *highlights.Summary, q Query) (*
 			bounds = bounds.Expand(pt)
 		}
 	}
-	qt := geo.NewQuadTree(bounds, 0)
+	qt := geo.NewQuadTree(bounds)
 	for id, pt := range pts {
 		qt.Insert(geo.Item{Pt: pt, ID: id})
 	}

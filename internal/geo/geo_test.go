@@ -114,7 +114,7 @@ func ids(items []Item) []int64 {
 func TestQuadTreeQueryMatchesLinearScan(t *testing.T) {
 	bounds := NewRect(0, 0, 100, 100)
 	items := randomItems(2000, 42, bounds)
-	qt := NewQuadTree(bounds, 8)
+	qt := NewQuadTree(bounds)
 	for _, it := range items {
 		if !qt.Insert(it) {
 			t.Fatalf("Insert(%v) rejected", it)
@@ -144,7 +144,7 @@ func TestQuadTreeQueryMatchesLinearScan(t *testing.T) {
 }
 
 func TestQuadTreeRejectsOutside(t *testing.T) {
-	qt := NewQuadTree(NewRect(0, 0, 1, 1), 4)
+	qt := NewQuadTree(NewRect(0, 0, 1, 1))
 	for _, p := range []Point{{2, 2}, {1, 0.5}, {0.5, 1}, {-0.1, 0.5}} {
 		if qt.Insert(Item{Pt: p}) {
 			t.Errorf("Insert(%v) outside bounds accepted", p)
@@ -170,7 +170,7 @@ func (n *qtNode) depth() int {
 func TestQuadTreeCoincidentPoints(t *testing.T) {
 	// Many identical points must not recurse forever: splitting stops once
 	// a node is minExtent across.
-	qt := NewQuadTree(NewRect(0, 0, 1, 1), 2)
+	qt := NewQuadTree(NewRect(0, 0, 1, 1))
 	for i := 0; i < 100; i++ {
 		qt.Insert(Item{Pt: Point{0.5, 0.5}, ID: int64(i)})
 	}

@@ -11,9 +11,8 @@ type Item struct {
 // The cell inventory (the per-leaf spatial index SPATE discusses in §V-A)
 // and SHAHED's store use it to find the cells inside a query box.
 type QuadTree struct {
-	bounds   Rect
-	capacity int
-	root     *qtNode
+	bounds Rect
+	root   *qtNode
 }
 
 type qtNode struct {
@@ -22,16 +21,12 @@ type qtNode struct {
 	kids   *[4]*qtNode
 }
 
-// defaultNodeCapacity is the leaf split threshold.
-const defaultNodeCapacity = 16
+// nodeCapacity is the leaf split threshold.
+const nodeCapacity = 16
 
-// NewQuadTree builds an empty tree over the given bounds. Capacity <= 0
-// selects a leaf split threshold of 16.
-func NewQuadTree(bounds Rect, capacity int) *QuadTree {
-	if capacity <= 0 {
-		capacity = defaultNodeCapacity
-	}
-	return &QuadTree{bounds: bounds, capacity: capacity, root: &qtNode{bounds: bounds}}
+// NewQuadTree builds an empty tree over the given bounds.
+func NewQuadTree(bounds Rect) *QuadTree {
+	return &QuadTree{bounds: bounds, root: &qtNode{bounds: bounds}}
 }
 
 // Insert adds an item. Items outside the tree bounds are rejected.
@@ -39,7 +34,7 @@ func (t *QuadTree) Insert(it Item) bool {
 	if !t.bounds.Contains(it.Pt) {
 		return false
 	}
-	t.root.insert(it, t.capacity)
+	t.root.insert(it)
 	return true
 }
 
@@ -47,19 +42,19 @@ func (t *QuadTree) Insert(it Item) bool {
 // unbounded recursion on coincident points.
 const minExtent = 1e-3
 
-func (n *qtNode) insert(it Item, capacity int) {
+func (n *qtNode) insert(it Item) {
 	if n.kids == nil {
 		ext := n.bounds.MaxX - n.bounds.MinX
-		if len(n.items) < capacity || ext <= minExtent {
+		if len(n.items) < nodeCapacity || ext <= minExtent {
 			n.items = append(n.items, it)
 			return
 		}
-		n.split(capacity)
+		n.split()
 	}
-	n.child(it.Pt).insert(it, capacity)
+	n.child(it.Pt).insert(it)
 }
 
-func (n *qtNode) split(capacity int) {
+func (n *qtNode) split() {
 	qs := n.bounds.quadrants()
 	kids := &[4]*qtNode{}
 	for i := range kids {
@@ -69,7 +64,7 @@ func (n *qtNode) split(capacity int) {
 	items := n.items
 	n.items = nil
 	for _, it := range items {
-		n.child(it.Pt).insert(it, capacity)
+		n.child(it.Pt).insert(it)
 	}
 }
 

@@ -54,7 +54,7 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table) (*Store, error) {
 			bounds = bounds.Expand(pt)
 		}
 	}
-	s.cellQ = geo.NewQuadTree(bounds, 0)
+	s.cellQ = geo.NewQuadTree(bounds)
 	for id, pt := range s.cells {
 		s.cellQ.Insert(geo.Item{Pt: pt, ID: id})
 	}
