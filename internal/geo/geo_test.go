@@ -138,8 +138,22 @@ func TestQuadTreeQueryMatchesLinearScan(t *testing.T) {
 			t.Errorf("Query(%v): %d items, scan %d (or other ids)", box, len(got), len(want))
 		}
 	}
-	if got := qt.Query(bounds, nil); len(got) != len(items) {
-		t.Errorf("whole-bounds query: %d items, want %d", len(got), len(items))
+}
+
+// TestQuadTreeFullCoverFastPath: a box covering the tree's whole bounds
+// returns every stored item, from leaves several levels down.
+func TestQuadTreeFullCoverFastPath(t *testing.T) {
+	bounds := NewRect(0, 0, 64, 64)
+	qt := NewQuadTree(bounds)
+	items := randomItems(500, 3, bounds)
+	for _, it := range items {
+		qt.Insert(it)
+	}
+	if d := qt.root.depth(); d < 3 {
+		t.Fatalf("depth %d: 500 items should split the root at least twice", d)
+	}
+	if got := ids(qt.Query(bounds, nil)); !slices.Equal(got, ids(items)) {
+		t.Errorf("full-cover query: %d items, want %d", len(got), len(items))
 	}
 }
 
