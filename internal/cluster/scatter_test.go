@@ -83,9 +83,9 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	}
 
 	both := ask(base)
-	if len(both.Parts) == 0 || both.Rows["CDR"].Len() == 0 || both.Scanned == 0 {
-		t.Errorf("ExactRows exploration got %d parts (%d leaves scanned) and %d rows, want both",
-			len(both.Parts), both.Scanned, both.Rows["CDR"].Len())
+	if len(both.Parts) == 0 || both.Rows["CDR"].Len() == 0 || both.Profile.LeavesDecoded == 0 {
+		t.Errorf("ExactRows exploration got %d parts (%d leaves decoded) and %d rows, want both",
+			len(both.Parts), both.Profile.LeavesDecoded, both.Rows["CDR"].Len())
 	}
 	if len(collectSpans(*both.Trace, "explore_parts")) != 1 || len(collectSpans(*both.Trace, "row_fetch")) != 1 {
 		t.Error("ExactRows exploration did not run explore_parts and row_fetch once each")
@@ -98,17 +98,18 @@ func TestNodeRowOnlyRequestBuildsNoParts(t *testing.T) {
 	}
 }
 
-// TestNodeRepeatedExploreRebuildsNothing: a node asked the same exploration
-// twice rebuilds its edge leaves once. The second answer's parts section is
-// byte for byte the first's, its profile and explore_parts span say the
-// leaves came from the cache, and it scanned no chunk.
+// TestNodeRepeatedExploreRebuildsNothing: a node over a reopened store —
+// whose leaves keep no summary encoding yet — asked the same exploration
+// twice rebuilds its leaves once. The second answer's parts section is byte
+// for byte the first's, its profile and explore_parts span say the leaves
+// came from the cache, and it scanned no chunk.
 func TestNodeRepeatedExploreRebuildsNothing(t *testing.T) {
 	g, snaps, window := testTrace(t, 1)
 	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Open(fs, g.CellTable(), core.Options{Obs: obs.NewRegistry(), Tracer: obs.NewTracer(8)})
+	eng, err := core.Open(fs, g.CellTable(), core.Options{Obs: obs.NewNoop()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +119,9 @@ func TestNodeRepeatedExploreRebuildsNothing(t *testing.T) {
 		}
 	}
 	eng.FinishIngest()
+	if eng, err = core.Open(fs, g.CellTable(), core.Options{Obs: obs.NewRegistry(), Tracer: obs.NewTracer(8)}); err != nil {
+		t.Fatal(err)
+	}
 	node := NewNode(eng)
 	w := telco.TimeRange{From: window.From.Add(90 * time.Minute), To: window.To.Add(-90 * time.Minute)}
 	req := exploreRequest{FromUnix: w.From.Unix(), ToUnix: w.To.Unix()}

@@ -164,6 +164,7 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	}
 	for _, c := range []pair{
 		{"LeavesScanned", cp.LeavesScanned, sp.LeavesScanned},
+		{"LeavesDecoded", cp.LeavesDecoded, sp.LeavesDecoded},
 		{"LeavesPruned", cp.LeavesPruned, sp.LeavesPruned},
 		{"LeavesDecayed", cp.LeavesDecayed, sp.LeavesDecayed},
 		{"ChunksScanned", cp.ChunksScanned, sp.ChunksScanned},
@@ -179,6 +180,9 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	}
 	if sp.LeavesDecayed == 0 {
 		t.Error("the window meets no decayed leaf")
+	}
+	if sp.LeavesDecoded == 0 {
+		t.Error("the window decodes no sealed leaf's kept summary")
 	}
 	if cp.InflatedBytes != sp.InflatedBytes {
 		t.Errorf("InflatedBytes: cluster=%d single=%d", cp.InflatedBytes, sp.InflatedBytes)
@@ -291,12 +295,13 @@ func TestClusterTracePartialShard(t *testing.T) {
 		t.Fatalf("profile marks %d shards missing, want 1", missingEntries)
 	}
 	if sum.LeavesScanned != res.Profile.LeavesScanned || sum.LeavesCached != res.Profile.LeavesCached ||
-		sum.ChunksScanned != res.Profile.ChunksScanned {
+		sum.LeavesDecoded != res.Profile.LeavesDecoded || sum.ChunksScanned != res.Profile.ChunksScanned {
 		t.Errorf("surviving shards do not sum to the merged profile: sum=%+v merged=%+v", sum, res.Profile)
 	}
-	// A surviving shard's edge leaves were rebuilt, or taken from its leaf
-	// cache when an earlier exploration rebuilt them.
-	if res.Profile.LeavesScanned+res.Profile.LeavesCached == 0 {
+	// A surviving shard's edge leaves were decoded from their kept
+	// encodings, or taken from its leaf cache when an earlier exploration
+	// decoded them.
+	if res.Profile.LeavesDecoded+res.Profile.LeavesCached == 0 {
 		t.Error("partial profile counts no surviving work")
 	}
 }

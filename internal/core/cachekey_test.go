@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"spate/internal/geo"
+	"spate/internal/highlights"
 	"spate/internal/segment"
 	"spate/internal/telco"
 )
@@ -159,4 +161,74 @@ func TestSpecScanSubsetsShareOneCacheEntry(t *testing.T) {
 		t.Fatalf("second projection grew the cache from %d to %d entries", entries, got)
 	}
 	sameStrings("projection A caller, warm", scan(bg, specA, telco.AttrCaller), wantCallers)
+}
+
+// TestResultCacheKeyIsExact: two boxes whose max X edges differ by 0.2 m
+// around a cell that has data — less than the metre a corner printed in km
+// to three decimals keeps — are two queries: asked one after the other on
+// one engine, the second answers what it answers alone on a fresh engine,
+// not the first's cells.
+func TestResultCacheKeyIsExact(t *testing.T) {
+	r := newRig(t, Options{})
+	r.ingestEpochs(t, 2)
+	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(time.Hour))
+	all, err := r.e.Explore(Query{Window: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cell whose X, 0.1 m either side, prints the same to the metre.
+	const d = 0.0001 // km
+	var at *geo.Point
+	for _, c := range all.Cells {
+		if fmt.Sprintf("%.3f", c.Loc.X-d) == fmt.Sprintf("%.3f", c.Loc.X+d) {
+			at = &c.Loc
+			break
+		}
+	}
+	if at == nil {
+		t.Fatal("no cell's X rounds the same either side")
+	}
+	short := geo.NewRect(at.X-4*d, at.Y-4*d, at.X-d, at.Y+4*d)
+	past := geo.NewRect(at.X-4*d, at.Y-4*d, at.X+d, at.Y+4*d)
+	if _, err := r.e.Explore(Query{Window: w, Box: short}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.e.Explore(Query{Window: w, Box: past})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := reopen(t, r, Options{}).Explore(Query{Window: w, Box: past})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alone.Cells) == 0 || len(got.Cells) != len(alone.Cells) || got.Summary.Rows != alone.Summary.Rows {
+		t.Errorf("box 0.1 m past the cell after one 0.1 m short: %d cells, %d rows (cache hit %v); alone %d cells, %d rows",
+			len(got.Cells), got.Summary.Rows, got.CacheHit, len(alone.Cells), alone.Summary.Rows)
+	}
+
+	// Windows a nanosecond apart are two queries as well.
+	later := w
+	later.From = later.From.Add(time.Nanosecond)
+	if (Query{Window: w}).cacheKey() == (Query{Window: later}).cacheKey() {
+		t.Error("windows a nanosecond apart share a result-cache key")
+	}
+}
+
+// TestQueryKeysNeverLookLikeLeafKeys: whatever a query holds — no
+// attributes, attributes with any table name, any box — its result-cache key
+// does not start with leafKeyPrefix, so no query is answered with a cached
+// leaf summary or evicts one by name.
+func TestQueryKeysNeverLookLikeLeafKeys(t *testing.T) {
+	queries := []Query{
+		{},
+		{Attrs: []highlights.AttrRef{{Table: "|leaf|", Attr: "x"}}},
+		{Attrs: []highlights.AttrRef{{Table: "", Attr: "leaf|"}}},
+		{Box: geo.NewRect(-1, -2, 3, 4), Fast: true},
+		{Tables: []string{"|leaf|"}, ExactRows: true},
+	}
+	for _, q := range queries {
+		if key := q.cacheKey(); strings.HasPrefix(key, leafKeyPrefix) {
+			t.Errorf("query %+v has key %q", q, key)
+		}
+	}
 }

@@ -596,14 +596,20 @@ func (e *Engine) Commit(p *PreparedSnapshot) (rep IngestReport, err error) {
 // children's summaries (days merge epoch leaves; months merge days; years
 // merge months) — the highlights rollup of §V-B — and persists the sealed
 // summary to the DFS so the index survives restarts. Leaves whose
-// ephemeral summary is gone (a recovered open day) are rebuilt from their
-// compressed data first.
+// ephemeral summary is gone (a recovered open day) decode their kept
+// encoding, or are rebuilt from their compressed data when they have none.
 func (e *Engine) sealLocked(n *index.Node) error {
 	parts := make([]*highlights.Summary, 0, len(n.Children))
 	for _, c := range n.Children {
 		if c.Summary == nil && c.IsLeaf() && !c.Decayed {
-			// e.mu is held: read the codec directly.
-			s, err := e.buildLeafSummary(e.opts.Codec, c.Period, c.DataRefs, nil)
+			var s *highlights.Summary
+			var err error
+			if c.KeptSummary != nil {
+				s, err = highlights.DecodeBinary(c.KeptSummary)
+			} else {
+				// e.mu is held: read the codec directly.
+				s, err = e.buildLeafSummary(e.opts.Codec, c.Period, c.DataRefs, nil)
+			}
 			if err != nil {
 				return fmt.Errorf("core: seal %s %v: %w", n.Level, n.Period.From, err)
 			}
@@ -615,11 +621,16 @@ func (e *Engine) sealLocked(n *index.Node) error {
 	if err := e.persistSummary(n); err != nil {
 		return err
 	}
-	// Epoch-level summaries are ephemeral ingestion state: once the day is
-	// sealed, the paper's index keeps highlights at day/month/year nodes
-	// only, and sub-day queries fall back to the compressed data itself.
+	// The paper's index keeps highlights at day/month/year nodes only, so
+	// once the day is sealed an epoch leaf's summary object goes. Its exact
+	// encoding stays in memory (never on the DFS), and a sub-day window
+	// decodes it instead of rebuilding it from the compressed data; a
+	// decayed leaf keeps nothing and answers from the day's summary.
 	if n.Level == index.LevelDay {
 		for _, c := range n.Children {
+			if c.Summary != nil && !c.Decayed && c.KeptSummary == nil {
+				c.KeptSummary, _ = c.Summary.Encode()
+			}
 			c.Summary = nil
 		}
 	}
@@ -916,8 +927,12 @@ type SpaceReport struct {
 	RawBytes     int64 // S: bytes before compression (all ingested)
 	CompBytes    int64 // Sc: compressed bytes currently held (logical)
 	SummaryBytes int64 // Si: index/highlight footprint estimate
-	StoredBytes  int64 // physical bytes on the DFS incl. replication
-	O1           float64
+	// KeptSummaryBytes is the memory the sealed leaves' kept summary
+	// encodings take; they are not persisted, so neither Si nor O1 counts
+	// them.
+	KeptSummaryBytes int64
+	StoredBytes      int64 // physical bytes on the DFS incl. replication
+	O1               float64
 }
 
 // Space returns current storage accounting.
@@ -927,10 +942,11 @@ func (e *Engine) Space() SpaceReport {
 	st := e.tree.Stats()
 	u := e.fs.Usage()
 	rep := SpaceReport{
-		RawBytes:     e.rawBytes,
-		CompBytes:    st.DataBytes,
-		SummaryBytes: st.SummaryBytes,
-		StoredBytes:  u.StoredBytes,
+		RawBytes:         e.rawBytes,
+		CompBytes:        st.DataBytes,
+		SummaryBytes:     st.SummaryBytes,
+		KeptSummaryBytes: st.KeptBytes,
+		StoredBytes:      u.StoredBytes,
 	}
 	if d := rep.CompBytes + rep.SummaryBytes; d > 0 {
 		rep.O1 = float64(rep.RawBytes) / float64(d)

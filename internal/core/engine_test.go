@@ -243,21 +243,30 @@ func TestDayRollupSealsSummaries(t *testing.T) {
 		t.Errorf("day summary rows = %d, want %d", days[0].Summary.Rows, want)
 	}
 	// Sealed-day leaves drop their ephemeral summaries (paper keeps
-	// highlights at day/month/year only).
+	// highlights at day/month/year only) and keep only their encoding.
 	for _, l := range days[0].Children {
-		if l.Summary != nil {
-			t.Error("sealed-day leaf still carries a summary")
+		if l.Summary != nil || l.KeptSummary == nil {
+			t.Errorf("sealed-day leaf: summary %v, %d kept bytes", l.Summary != nil, len(l.KeptSummary))
 		}
 	}
-	// A sub-day window over the sealed day still answers by falling back
-	// to the compressed data.
+	// A sub-day window over the sealed day still answers by decoding the
+	// leaves' kept encodings, with no decompression.
 	w := telco.NewTimeRange(r.cfg.Start.Add(time.Hour), r.cfg.Start.Add(2*time.Hour))
 	res, err := r.e.Explore(Query{Window: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.Rows == 0 || res.ScannedLeaves == 0 {
-		t.Errorf("sealed-day sub-window: rows=%d scanned=%d", res.Summary.Rows, res.ScannedLeaves)
+	if res.Summary.Rows == 0 || res.Profile.LeavesDecoded != 2 || res.ScannedLeaves != 0 {
+		t.Errorf("sealed-day sub-window: rows=%d decoded=%d scanned=%d", res.Summary.Rows, res.Profile.LeavesDecoded, res.ScannedLeaves)
+	}
+	// A reopened store keeps no encoding: it rebuilds the leaves from the
+	// compressed data, to the same answer.
+	reopened, err := reopen(t, r, Options{}).Explore(Query{Window: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Summary.Rows != res.Summary.Rows || reopened.ScannedLeaves != 2 {
+		t.Errorf("reopened sealed-day sub-window: rows=%d scanned=%d, want %d and 2", reopened.Summary.Rows, reopened.ScannedLeaves, res.Summary.Rows)
 	}
 	// A window covering the whole day uses the day summary in O(1).
 	dayW := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.AddDate(0, 0, 1))
@@ -433,8 +442,8 @@ func TestFastPathServesCoveringSummary(t *testing.T) {
 	if exact.ServedPeriod != w {
 		t.Errorf("exact served period = %v, want %v", exact.ServedPeriod, w)
 	}
-	if exact.ScannedLeaves == 0 {
-		t.Error("exact path should decompress the window's edges")
+	if exact.Profile.LeavesDecoded == 0 || exact.ScannedLeaves != 0 {
+		t.Errorf("exact path decoded %d and rebuilt %d leaves; it should decode the window's edges", exact.Profile.LeavesDecoded, exact.ScannedLeaves)
 	}
 }
 

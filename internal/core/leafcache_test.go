@@ -63,28 +63,28 @@ func leafKeysIn(e *Engine, w telco.TimeRange) []string {
 	return keys
 }
 
-// TestExplorePartsCachesLeaves: a shard exploration that rebuilds leaf
-// summaries keeps them in the result cache, so repeating it rebuilds no
-// leaf and yields byte-identical parts; the entries carry the leaf's period
-// and are charged their encoding. Explore leaves no such entry behind, and
-// Ingest and FinishIngest drop them.
+// TestExplorePartsCachesLeaves: a shard exploration that decodes sealed
+// leaves' kept summaries keeps them in the result cache, so repeating it
+// decodes no leaf and yields byte-identical parts; the entries carry the
+// leaf's period and are charged their encoding. Explore leaves no such
+// entry behind, and Ingest and FinishIngest drop them.
 func TestExplorePartsCachesLeaves(t *testing.T) {
 	r := newRig(t, Options{})
-	r.ingestEpochs(t, telco.EpochsPerDay+4) // day 1 sealed: its leaves lost their summaries
+	r.ingestEpochs(t, telco.EpochsPerDay+4) // day 1 sealed: its leaves keep only their encodings
 	w := telco.NewTimeRange(r.cfg.Start.Add(90*time.Minute), r.cfg.Start.Add(5*time.Hour))
 
 	if _, err := r.e.Explore(Query{Window: w}); err != nil {
 		t.Fatal(err)
 	}
 	cold := exploreParts(t, r.e, w)
-	if cold.prof.LeavesScanned == 0 || cold.prof.LeavesCached != 0 {
-		t.Fatalf("cold exploration after Explore: %d rebuilt, %d cached; want rebuilds only",
-			cold.prof.LeavesScanned, cold.prof.LeavesCached)
+	if cold.prof.LeavesDecoded == 0 || cold.prof.LeavesCached != 0 || cold.prof.LeavesScanned != 0 {
+		t.Fatalf("cold exploration after Explore: %d decoded, %d cached, %d rebuilt; want decodes only",
+			cold.prof.LeavesDecoded, cold.prof.LeavesCached, cold.prof.LeavesScanned)
 	}
 	warm := exploreParts(t, r.e, w)
-	if warm.prof.LeavesScanned != 0 || warm.prof.LeavesCached != cold.prof.LeavesScanned {
-		t.Fatalf("warm exploration: %d rebuilt, %d cached; want 0 and %d",
-			warm.prof.LeavesScanned, warm.prof.LeavesCached, cold.prof.LeavesScanned)
+	if warm.prof.LeavesDecoded != 0 || warm.prof.LeavesCached != cold.prof.LeavesDecoded {
+		t.Fatalf("warm exploration: %d decoded, %d cached; want 0 and %d",
+			warm.prof.LeavesDecoded, warm.prof.LeavesCached, cold.prof.LeavesDecoded)
 	}
 	sameParts(t, "warm", warm, cold)
 	if warm.prof.ChunksScanned != 0 || warm.prof.InflatedBytes != 0 {
@@ -92,8 +92,8 @@ func TestExplorePartsCachesLeaves(t *testing.T) {
 	}
 
 	keys := leafKeysIn(r.e, w)
-	if len(keys) != cold.prof.LeavesScanned {
-		t.Fatalf("%d leaves in the window, %d rebuilt", len(keys), cold.prof.LeavesScanned)
+	if len(keys) != cold.prof.LeavesDecoded {
+		t.Fatalf("%d leaves in the window, %d decoded", len(keys), cold.prof.LeavesDecoded)
 	}
 	for _, key := range keys {
 		ent, ok := r.e.cache.Get(key)
@@ -120,14 +120,14 @@ func TestExplorePartsCachesLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterIngest := exploreParts(t, r.e, w)
-	if afterIngest.prof.LeavesScanned != cold.prof.LeavesScanned {
-		t.Errorf("after Ingest: %d rebuilt, want %d", afterIngest.prof.LeavesScanned, cold.prof.LeavesScanned)
+	if afterIngest.prof.LeavesDecoded != cold.prof.LeavesDecoded {
+		t.Errorf("after Ingest: %d decoded, want %d", afterIngest.prof.LeavesDecoded, cold.prof.LeavesDecoded)
 	}
 	sameParts(t, "after Ingest", afterIngest, cold)
 	exploreParts(t, r.e, w)
 	r.e.FinishIngest()
-	if got := exploreParts(t, r.e, w); got.prof.LeavesScanned != cold.prof.LeavesScanned {
-		t.Errorf("after FinishIngest: %d rebuilt, want %d", got.prof.LeavesScanned, cold.prof.LeavesScanned)
+	if got := exploreParts(t, r.e, w); got.prof.LeavesDecoded != cold.prof.LeavesDecoded {
+		t.Errorf("after FinishIngest: %d decoded, want %d", got.prof.LeavesDecoded, cold.prof.LeavesDecoded)
 	}
 }
 

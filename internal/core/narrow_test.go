@@ -522,16 +522,18 @@ func exactRowsCases(t *testing.T, r *testRig, w telco.TimeRange, all map[string]
 
 // TestExploreStagesNonNegative: the stage breakdown partitions a query's
 // wall clock, so no stage may come out negative — at any scan width. The
-// window lies inside a sealed day, so summary collection rebuilds several
-// leaves (in parallel where it can) and leaf_decode must be carved out of
-// collect as elapsed time, not as a sum over workers.
+// window lies inside a sealed day of a reopened store, whose leaves keep no
+// summary encoding yet, so summary collection rebuilds several leaves (in
+// parallel where it can) and leaf_decode must be carved out of collect as
+// elapsed time, not as a sum over workers.
 func TestExploreStagesNonNegative(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		r := newRig(t, Options{ScanWorkers: workers})
 		r.ingestEpochs(t, telco.EpochsPerDay+2) // seals the first day
+		e := reopen(t, r, Options{ScanWorkers: workers})
 		for i := 0; i < 6; i++ {
 			from := r.cfg.Start.Add(time.Duration(i)*3*time.Hour + 10*time.Minute)
-			res, err := r.e.Explore(Query{Window: telco.NewTimeRange(from, from.Add(4*time.Hour))})
+			res, err := e.Explore(Query{Window: telco.NewTimeRange(from, from.Add(4*time.Hour))})
 			if err != nil {
 				t.Fatal(err)
 			}

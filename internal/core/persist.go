@@ -118,12 +118,20 @@ func (e *Engine) recover() error {
 	if len(metas) == 0 && len(summaries) == 0 {
 		return nil
 	}
-	// Graft summary-only nodes first (they are never newer than surviving
-	// leaves: decay prunes oldest-first).
-	for _, sf := range summaries {
-		if _, err := e.tree.EnsurePeriod(sf.level, sf.start); err != nil {
-			return fmt.Errorf("core: recover graft %s: %w", sf.path, err)
+	// Sealed nodes are grafted in temporal order with the leaves: a node
+	// before the first leaf inside its period, so the leaves land under it
+	// (or under none, where decay pruned its subtree). The tree only grows
+	// on its right-most path, so a node grafted after a later one would sit
+	// beside the one its leaves then create.
+	grafted := 0
+	graft := func(upTo time.Time) error {
+		for ; grafted < len(summaries) && !summaries[grafted].start.After(upTo); grafted++ {
+			sf := summaries[grafted]
+			if _, err := e.tree.EnsurePeriod(sf.level, sf.start); err != nil {
+				return fmt.Errorf("core: recover graft %s: %w", sf.path, err)
+			}
 		}
+		return nil
 	}
 	sort.Slice(metas, func(i, j int) bool { return metas[i].Path < metas[j].Path })
 	for _, fi := range metas {
@@ -134,6 +142,9 @@ func (e *Engine) recover() error {
 		var m leafMeta
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
 			return fmt.Errorf("core: recover %s: %w", fi.Path, err)
+		}
+		if err := graft(m.Epoch.Start()); err != nil {
+			return err
 		}
 		leaf, _, err := e.tree.Append(m.Epoch, m.Refs, m.CompBytes, m.RawBytes)
 		if err != nil {
@@ -154,6 +165,11 @@ func (e *Engine) recover() error {
 		}
 		e.rawBytes += m.RawBytes
 		e.compBytes += m.CompBytes
+	}
+	if len(summaries) > 0 {
+		if err := graft(summaries[len(summaries)-1].start); err != nil {
+			return err
+		}
 	}
 	// Reload sealed summaries.
 	var loadErr error

@@ -66,6 +66,38 @@ func TestRecoveryRebuildsIndex(t *testing.T) {
 	}
 }
 
+// TestRecoveryGraftsSealedDaysInOrder: with two sealed days whose leaves
+// are all live, recovery puts each day's leaves under that day's node — one
+// node per day, in order — so a window inside the first day answers from
+// its leaves and not, beside them, from a childless copy of the day that
+// would serve the whole day's summary too.
+func TestRecoveryGraftsSealedDaysInOrder(t *testing.T) {
+	r := newRig(t, Options{})
+	r.ingestEpochs(t, 2*telco.EpochsPerDay+1) // two sealed days + an open one
+	e2 := reopen(t, r, Options{})
+	days := e2.Tree().NodesAtLevel(index.LevelDay)
+	if len(days) != 3 {
+		t.Fatalf("recovered %d day nodes, want 3", len(days))
+	}
+	for i, d := range days {
+		if want := r.cfg.Start.AddDate(0, 0, i); !d.Period.From.Equal(want) || len(d.Children) == 0 {
+			t.Errorf("day node %d: %v with %d leaves, want the day of %v with its leaves", i, d.Period, len(d.Children), want)
+		}
+	}
+	w := telco.NewTimeRange(r.cfg.Start.Add(time.Hour), r.cfg.Start.Add(3*time.Hour))
+	res1, err := r.e.Explore(Query{Window: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := e2.Explore(Query{Window: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Summary.Rows != res2.Summary.Rows || res2.ServedPeriod != w {
+		t.Errorf("recovered query: %d rows served for %v, want %d for %v", res2.Summary.Rows, res2.ServedPeriod, res1.Summary.Rows, w)
+	}
+}
+
 // A store whose leaves were written under a trained zstd dictionary must
 // read back on an engine that does not train: the option decides training,
 // the persisted dictionary decides reading. Training fires mid-snapshot

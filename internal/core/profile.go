@@ -13,10 +13,14 @@ type Profile struct {
 	LeavesScanned int `json:"leaves_scanned,omitempty"`
 	LeavesPruned  int `json:"leaves_pruned,omitempty"`
 	LeavesDecayed int `json:"leaves_decayed,omitempty"`
-	// LeavesCached counts the leaf summaries a shard exploration
-	// (Engine.ExploreParts) took from the result cache instead of
-	// rebuilding them; LeavesScanned counts only the rebuilds.
-	LeavesCached int `json:"leaves_cached,omitempty"`
+	// LeavesDecoded counts the sealed leaves whose summary was decoded
+	// from the encoding the leaf keeps in memory, and LeavesCached those a
+	// shard exploration (Engine.ExploreParts) took from the result cache or
+	// a concurrent exploration built; LeavesScanned counts only the
+	// summaries rebuilt from a leaf's data (and the leaves an exact-row scan
+	// read).
+	LeavesDecoded int `json:"leaves_decoded,omitempty"`
+	LeavesCached  int `json:"leaves_cached,omitempty"`
 
 	ChunksScanned     int `json:"chunks_scanned,omitempty"`
 	ChunksPrunedZone  int `json:"chunks_pruned_zone,omitempty"`
@@ -108,6 +112,7 @@ func (p *Profile) Add(o Profile) {
 	p.LeavesScanned += o.LeavesScanned
 	p.LeavesPruned += o.LeavesPruned
 	p.LeavesDecayed += o.LeavesDecayed
+	p.LeavesDecoded += o.LeavesDecoded
 	p.LeavesCached += o.LeavesCached
 	p.ChunksScanned += o.ChunksScanned
 	p.ChunksPrunedZone += o.ChunksPrunedZone

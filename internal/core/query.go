@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -99,9 +100,9 @@ type Result struct {
 	// evaluation that produced the cached answer, with ResultCacheHit set.
 	Profile Profile
 
-	// leafDecode accrues the wall time summary collection spent rebuilding
-	// leaf summaries from stored data (one interval per rebuild, or per
-	// parallel fan-out), reported as the leaf_decode stage.
+	// leafDecode accrues the wall time summary collection spent decoding
+	// leaves' kept summaries and rebuilding the rest from stored data (one
+	// interval per fan-out), reported as the leaf_decode stage.
 	leafDecode time.Duration
 }
 
@@ -320,14 +321,15 @@ type PartsDiag struct {
 // single engine uses, so scatter-gathered aggregates match the monolithic
 // answer bit for bit.
 //
-// A leaf summary it has to rebuild from stored data goes into the engine's
-// result cache under the leaf's key (its sorted data refs) with the leaf's
-// period as ServedPeriod, already encoded; the next exploration that needs
-// the leaf takes it from there (Profile.LeavesCached) instead of rebuilding
-// it (Profile.LeavesScanned). Concurrent rebuilds of one leaf run once. The
-// entries live by the result cache's contract: its byte bound, Clear on
-// Ingest and FinishIngest, and Invalidate of the decayed periods on decay.
-// Explore does not cache leaves: it caches its whole answer.
+// A sealed leaf's summary it has to decode from the leaf's kept encoding
+// (Profile.LeavesDecoded) or rebuild from stored data (Profile.LeavesScanned)
+// goes into the engine's result cache under the leaf's key (its sorted data
+// refs) with the leaf's period as ServedPeriod, already encoded; the next
+// exploration that needs the leaf takes it from there
+// (Profile.LeavesCached). Concurrent decodes or rebuilds of one leaf run
+// once. The entries live by the result cache's contract: its byte bound,
+// Clear on Ingest and FinishIngest, and Invalidate of the decayed periods on
+// decay. Explore does not cache leaves: it caches its whole answer.
 func (e *Engine) ExploreParts(ctx context.Context, w telco.TimeRange) ([]*highlights.Summary, PartsDiag, error) {
 	ctx, span := e.met.tracer.StartSpan(ctx, "explore_parts")
 	defer span.End()
@@ -365,6 +367,7 @@ func (e *Engine) ExploreParts(ctx context.Context, w telco.TimeRange) ([]*highli
 			span.AddStageAt(StageLeafDecode, tCollect, res.leafDecode)
 		}
 		span.SetAttr("leaves_cached", strconv.Itoa(res.Profile.LeavesCached))
+		span.SetAttr("leaves_decoded", strconv.Itoa(res.Profile.LeavesDecoded))
 	}
 	if p := ProfileFromContext(ctx); p != nil {
 		p.Add(res.Profile)
@@ -410,12 +413,17 @@ func (env *queryEnv) wantTable(name string) bool {
 }
 
 // partSrc is one planned contribution to a window's answer: a summary
-// already materialized in the tree, or — when sum is nil — a leaf whose
-// summary must be rebuilt from its compressed snapshot tables.
+// already materialized in the tree, or — when sum is nil — a sealed leaf
+// whose summary is decoded from its kept encoding or, without one, rebuilt
+// from its compressed snapshot tables.
 type partSrc struct {
 	sum    *highlights.Summary
-	period telco.TimeRange   // rebuild only: the leaf's period
-	refs   map[string]string // rebuild only: table name -> DFS path
+	kept   []byte            // the leaf's kept encoding; nil: rebuild
+	period telco.TimeRange   // the leaf's period
+	refs   map[string]string // table name -> DFS path
+	// leaf is the rebuilt leaf, given the rebuild's encoding under the
+	// engine write lock; it is not read without that lock.
+	leaf *index.Node
 }
 
 // leafRef is the lock-free snapshot of the leaf fields the exact-row path
@@ -545,8 +553,9 @@ func (e *Engine) planScan(w *telco.TimeRange, box geo.Rect, tables []string, src
 // planSummaries selects the parts answering window w, preferring coarse
 // materialized summaries and descending only at the window's edges. It
 // runs under the engine read lock (held by the caller) and performs no
-// I/O: leaves whose summary the day seal dropped become rebuild jobs for
-// buildParts to decompress after the lock is released, so a long query
+// I/O: leaves of a sealed day become jobs for buildParts to run after the
+// lock is released — a decode of the leaf's kept encoding or, on a leaf
+// that has none yet, a rebuild from its compressed data — so a long query
 // never stalls ingest behind block decodes.
 func (e *Engine) planSummaries(n *index.Node, w telco.TimeRange, srcs []partSrc, res *Result) []partSrc {
 	if n.Level != index.LevelRoot && !n.Period.Overlaps(w) {
@@ -565,7 +574,11 @@ func (e *Engine) planSummaries(n *index.Node, w telco.TimeRange, srcs []partSrc,
 		if n.Summary != nil {
 			return append(srcs, partSrc{sum: n.Summary})
 		}
-		return append(srcs, partSrc{period: n.Period, refs: n.DataRefs})
+		src := partSrc{kept: n.KeptSummary, period: n.Period, refs: n.DataRefs}
+		if src.kept == nil {
+			src.leaf = n
+		}
+		return append(srcs, src)
 	}
 	if n.Level != index.LevelRoot && n.Summary != nil {
 		// Sealed internal node: use its materialized summary when the
@@ -590,35 +603,39 @@ func (e *Engine) planSummaries(n *index.Node, w telco.TimeRange, srcs []partSrc,
 	return srcs
 }
 
-// buildParts turns a query plan into summary parts in order, rebuilding
-// the leaves the plan marked through the scan scheduler. With cached set
+// buildParts turns a query plan into summary parts in order, decoding or
+// rebuilding the leaves the plan marked through the scan scheduler. A
+// rebuild runs once however many explorations ask for the leaf at once
+// (they share the result singleflight), and the leaf keeps the rebuilt
+// summary's encoding, so later plans decode it. With cached set
 // (ExploreParts), a leaf is taken from the result cache when it is there,
-// and put there, encoded, when it is rebuilt; concurrent rebuilds of one
-// leaf share the result singleflight. ctx is consulted before every
-// rebuild — the expensive step — so a canceled request abandons the
-// collection promptly. Materialized summaries are slotted directly and
-// every part keeps its chronological plan position, so the flat Merge
-// downstream associates identically at every scan width.
+// and put there, encoded, when it is decoded or rebuilt. ctx is consulted
+// before every job, so a canceled request abandons the collection
+// promptly. Materialized summaries are slotted directly and every part
+// keeps its chronological plan position, so the flat Merge downstream
+// associates identically at every scan width.
 func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, cached bool) ([]*highlights.Summary, error) {
 	parts := make([]*highlights.Summary, len(srcs))
-	var slots []int   // rebuild index -> srcs index
-	var keys []string // rebuild index -> leaf key, when cached
+	var slots []int   // job index -> srcs index
+	var keys []string // job index -> leaf key, when cached or rebuilt
 	for i, src := range srcs {
-		switch {
-		case src.sum != nil:
+		if src.sum != nil {
 			parts[i] = src.sum
-		case !cached:
-			slots = append(slots, i)
-		default:
-			key := leafKey(src.refs)
+			continue
+		}
+		var key string
+		if cached || src.kept == nil {
+			key = leafKey(src.refs)
+		}
+		if cached {
 			if r, ok := e.cache.Get(key); ok {
 				parts[i] = r.Summary
 				res.Profile.LeavesCached++
 				continue
 			}
-			slots = append(slots, i)
-			keys = append(keys, key)
 		}
+		slots = append(slots, i)
+		keys = append(keys, key)
 	}
 	if len(slots) == 0 {
 		return parts, nil
@@ -626,26 +643,28 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, ca
 	c := e.codec()
 	type leafPart struct {
 		sum    *highlights.Summary
-		shared bool // rebuilt by a concurrent exploration
+		shared bool // built by a concurrent exploration
 	}
-	// leaf_decode is a stage of this query's wall clock, so the rebuilds are
+	// leaf_decode is a stage of this query's wall clock, so the jobs are
 	// charged their elapsed time; what each worker of a fan-out spent inside
 	// it stays in Profile.Workers.
 	t0 := time.Now()
 	err := e.runUnits(ctx, e.scanWorkers(), len(slots), &res.Profile, func(w *scanWorker, i int) (any, error) {
 		src := srcs[slots[i]]
-		if !cached {
-			s, err := e.buildLeafSummary(c, src.period, src.refs, w.prof)
+		if src.kept != nil && !cached {
+			s, err := highlights.DecodeBinary(src.kept)
 			return leafPart{sum: s}, err
 		}
 		r, shared, err := e.resFlight.Do(ctx, keys[i], func() (*Result, error) {
-			s, err := e.buildLeafSummary(c, src.period, src.refs, w.prof)
+			s, err := e.leafSummary(c, src, w.prof)
 			if err != nil {
 				return nil, err
 			}
-			s.Encode() // what a shard ships; encoded first, its bytes count in the cache
 			r := &Result{Summary: s, ServedPeriod: src.period}
-			e.cache.Put(keys[i], r)
+			if cached {
+				s.Encode() // what a shard ships; encoded first, its bytes count in the cache
+				e.cache.Put(keys[i], r)
+			}
 			return r, nil
 		})
 		if err != nil {
@@ -655,9 +674,12 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, ca
 	}, func(i int, v any) error {
 		p := v.(leafPart)
 		parts[slots[i]] = p.sum
-		if p.shared {
+		switch {
+		case p.shared:
 			res.Profile.LeavesCached++
-		} else {
+		case srcs[slots[i]].kept != nil:
+			res.Profile.LeavesDecoded++
+		default:
 			res.Profile.LeavesScanned++
 		}
 		return nil
@@ -667,6 +689,28 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, ca
 		return nil, err
 	}
 	return parts, nil
+}
+
+// leafSummary is a planned leaf's summary: its kept encoding decoded, or
+// one rebuilt from its data, whose encoding the leaf then keeps. The bytes
+// are stored under the engine write lock, and not on a leaf that decayed
+// (or gained an encoding) since the plan, so each leaf is rebuilt at most
+// once per process.
+func (e *Engine) leafSummary(c compress.Codec, src partSrc, prof *Profile) (*highlights.Summary, error) {
+	if src.kept != nil {
+		return highlights.DecodeBinary(src.kept)
+	}
+	s, err := e.buildLeafSummary(c, src.period, src.refs, prof)
+	if err != nil {
+		return nil, err
+	}
+	enc, _ := s.Encode()
+	e.mu.Lock()
+	if l := src.leaf; !l.Decayed && l.Summary == nil && l.KeptSummary == nil {
+		l.KeptSummary = enc
+	}
+	e.mu.Unlock()
+	return s, nil
 }
 
 // buildLeafSummary reconstructs an epoch summary by decoding the
@@ -850,21 +894,38 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 	return nil
 }
 
-// cacheKey renders a deterministic key for the result cache.
+// cacheKey renders a deterministic key for the result cache that tells
+// every two queries apart: names are quoted, the box's corners are their
+// float bits and the window's bounds their seconds and nanoseconds, none of
+// them rounded as printing would. It starts with "q", which no leaf key
+// does.
 func (q Query) cacheKey() string {
-	var b strings.Builder
+	b := make([]byte, 0, 160)
+	b = append(b, 'q')
 	for _, a := range q.Attrs {
-		b.WriteString(a.String())
-		b.WriteByte(',')
+		b = strconv.AppendQuote(strconv.AppendQuote(b, a.Table), a.Attr)
 	}
-	fmt.Fprintf(&b, "|%v|%d|%d|%v|%v|%v", q.Box,
-		q.Window.From.Unix(), q.Window.To.Unix(), q.Tables, q.ExactRows, q.Fast)
-	return b.String()
+	b = append(b, '|')
+	for _, v := range [4]float64{q.Box.MinX, q.Box.MinY, q.Box.MaxX, q.Box.MaxY} {
+		b = strconv.AppendUint(append(b, ','), math.Float64bits(v), 16)
+	}
+	b = append(b, '|')
+	for _, t := range [2]time.Time{q.Window.From, q.Window.To} {
+		b = strconv.AppendInt(append(b, ','), t.Unix(), 10)
+		b = strconv.AppendInt(append(b, '.'), int64(t.Nanosecond()), 10)
+	}
+	b = append(b, '|')
+	for _, t := range q.Tables {
+		b = strconv.AppendQuote(b, t)
+	}
+	b = append(b, '|')
+	b = strconv.AppendBool(b, q.ExactRows)
+	b = strconv.AppendBool(append(b, ','), q.Fast)
+	return string(b)
 }
 
-// leafKeyPrefix starts the result-cache key of a rebuilt leaf summary. A
-// query key starts with an attribute's table name or, with no attributes,
-// with "|[" (the box), so none starts with this.
+// leafKeyPrefix starts the result-cache key of a leaf summary. A query key
+// starts with "q", so none starts with this.
 const leafKeyPrefix = "|leaf|"
 
 // leafKey renders the result-cache key of a leaf's summary: its data refs

@@ -72,7 +72,8 @@ type Action int
 // Actions, in increasing severity.
 const (
 	// EvictLeafData deletes a leaf's compressed data from the DFS and marks
-	// the leaf decayed; the index entry survives.
+	// the leaf decayed, dropping its kept summary encoding with the data;
+	// the index entry survives.
 	EvictLeafData Action = iota
 	// PruneChildren removes a node's entire child subtree, leaving only
 	// the node's own summary.
@@ -226,6 +227,7 @@ func Apply(t *index.Tree, evs []Eviction, del DeleteFunc) (Result, error) {
 			}
 			res.BytesFreed += n.DataBytes
 			n.DataRefs = nil
+			n.KeptSummary = nil // a decayed leaf answers from its day's summary
 			n.Decayed = true
 			res.LeavesDecayed++
 		case PruneChildren:

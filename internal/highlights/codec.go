@@ -14,9 +14,10 @@ import (
 )
 
 // A Summary has one encoding, used for the persisted index
-// (/spate/index/*) and for the parts a cluster shard ships. Version 1:
+// (/spate/index/*), for the parts a cluster shard ships and for the sealed
+// epoch leaves an engine keeps in memory. Version 2:
 //
-//	header   0x80 "SPSM" 0x01
+//	header   0x80 "SPSM" 0x02
 //	period   time From, time To
 //	rows     varint
 //	attrs    uvarint n, n × (string table, string attr)      sorted, each once
@@ -30,22 +31,35 @@ import (
 // later one a uvarint delta ≥ 1 from the one before; pairs is the sum of the
 // cells' k.
 //
-//	stats    uvarint NonNull, float64 Sum, SumSq, Min, Max, time PeakTime
+//	stats    uvarint NonNull, float Sum, SumSq, Min, Max, peak PeakTime
+//	float    uvarint u: an integral value v with |v| < 2^53 that is not −0
+//	         is u = zigzag(v) << 1; any other value is u = 1 followed by
+//	         its IEEE 754 bits, little-endian
+//	peak     varint seconds after From's, uvarint nanoseconds
 //	valstat  uvarint Count, time First, time Last
 //	time     varint Unix seconds, uvarint nanoseconds (UTC)
 //	string   uvarint length, bytes
-//	float64  IEEE 754 bits, little-endian
 //
-// Every float and time comes back bit for bit, the zero time included.
-// Encode is deterministic. The leading byte is one no gob stream starts with
-// (gob opens with a uint: below 0x80, or a negated byte count in 0xF8–0xFF),
-// so Decode tells the form from the gob the index held before it.
-var binaryHeader = []byte{0x80, 'S', 'P', 'S', 'M', 1}
+// Each float has one encoding: a value the integer form can hold is never
+// tagged. Summed counters are integral, so most stats take a byte or two a
+// float. Version 1, which stores written before version 2 hold, differs in
+// stats alone: the four floats are their 8 raw bytes each, and PeakTime is a
+// time. Encode writes version 2; Decode and DecodeBinary read both.
+//
+// Every float and time comes back bit for bit, NaN, ±Inf, −0 and the zero
+// time included (seconds wrap like int64 arithmetic, so any PeakTime is a
+// delta from any From). Encode is deterministic. The leading byte is one no
+// gob stream starts with (gob opens with a uint: below 0x80, or a negated
+// byte count in 0xF8–0xFF), so Decode tells the form from the gob the index
+// held before it.
+var binaryHeader = []byte{0x80, 'S', 'P', 'S', 'M', 2}
 
 // Smallest encodings, which bound every count Decode reads by the bytes left.
+// A pair's smallest encoding depends on the version (version 1: NonNull,
+// four 8-byte floats and a time; version 2: a byte for each).
 const (
-	minStats = 1 + 4*8 + 2   // NonNull, four floats, PeakTime
-	minPair  = 1 + minStats  // attribute ordinal, stats
+	minPair1 = 1 + 1 + 4*8 + 2 // attribute ordinal, stats
+	minPair2 = 1 + 1 + 4 + 2
 	minCell  = 3             // id, rows, pair count
 	minValue = 1 + 1 + 2 + 2 // value, Count, First, Last
 )
@@ -63,7 +77,7 @@ func (s *Summary) Encode() ([]byte, error) {
 	if b := s.enc.Load(); b != nil {
 		return *b, nil
 	}
-	b := s.encode()
+	b := s.encode(binaryHeader, appendStats)
 	if !s.enc.CompareAndSwap(nil, &b) {
 		return *s.enc.Load(), nil
 	}
@@ -79,10 +93,15 @@ func (s *Summary) EncodedLen() int {
 	return 0
 }
 
-// encode computes the binary form. Its dictionary holds the attributes the
-// summary has entries for, renumbered in order: a restricted summary shares
-// its parent's, and a decoded one holds what its encoding held.
-func (s *Summary) encode() []byte {
+// statsWriter appends one stats entry of a version of the format; from is
+// the summary's period start.
+type statsWriter func(b []byte, st *stat, from stamp) []byte
+
+// encode computes the binary form under header, its stats written by stats.
+// Its dictionary holds the attributes the summary has entries for,
+// renumbered in order: a restricted summary shares its parent's, and a
+// decoded one holds what its encoding held.
+func (s *Summary) encode(header []byte, stats statsWriter) []byte {
 	ords := make([]uint64, len(s.attrs)) // 1 + the encoding's ordinal, 0 while unused
 	for _, p := range s.num {
 		ords[p.attr] = 1
@@ -106,9 +125,10 @@ func (s *Summary) encode() []byte {
 	}
 
 	// A capacity hint: an entry of each kind rarely takes more.
-	size := 64 + 32*len(s.attrs) + 64*(len(s.num)+pairs) + 16*len(s.cells) + 48*len(s.vals)
-	b := append(make([]byte, 0, size), binaryHeader...)
-	b = appendStamp(b, stampAt(s.Period.From))
+	size := 64 + 32*len(s.attrs) + 48*(len(s.num)+pairs) + 16*len(s.cells) + 48*len(s.vals)
+	b := append(make([]byte, 0, size), header...)
+	from := stampAt(s.Period.From)
+	b = appendStamp(b, from)
 	b = appendStamp(b, stampAt(s.Period.To))
 	b = binary.AppendVarint(b, s.Rows)
 
@@ -122,7 +142,7 @@ func (s *Summary) encode() []byte {
 
 	b = binary.AppendUvarint(b, uint64(len(s.num)))
 	for i := range s.num {
-		b = appendStats(binary.AppendUvarint(b, ords[s.num[i].attr]-1), &s.num[i].stat)
+		b = stats(binary.AppendUvarint(b, ords[s.num[i].attr]-1), &s.num[i].stat, from)
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(s.cat)))
@@ -148,7 +168,7 @@ func (s *Summary) encode() []byte {
 		b = binary.AppendVarint(b, c.rows)
 		b = binary.AppendUvarint(b, uint64(c.hi-c.lo))
 		for j := c.lo; j < c.hi; j++ {
-			b = appendStats(binary.AppendUvarint(b, ords[s.pairs[j].attr]-1), &s.pairs[j].stat)
+			b = stats(binary.AppendUvarint(b, ords[s.pairs[j].attr]-1), &s.pairs[j].stat, from)
 		}
 	}
 	return exact(b) // what the summary retains is the encoding's size
@@ -162,16 +182,36 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func appendStats(b []byte, st *stat) []byte {
+// appendStats writes stats in version 2.
+func appendStats(b []byte, st *stat, from stamp) []byte {
 	b = binary.AppendUvarint(b, uint64(st.n))
-	for _, f := range [4]float64{st.sum, st.sq, st.min, st.max} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	}
-	return appendStamp(b, st.peak)
+	b = appendFloat(appendFloat(appendFloat(appendFloat(b, st.sum), st.sq), st.min), st.max)
+	return binary.AppendUvarint(binary.AppendVarint(b, st.peak.sec-from.sec), uint64(st.peak.nsec))
 }
 
-// Decode deserializes a summary produced by Encode, or by the gob encoding
-// persisted summaries had before the binary form.
+// maxExact bounds the integers a float holds exactly: |v| < 2^53.
+const maxExact = 1 << 53
+
+// appendFloat writes f as version 2's tagged uvarint.
+func appendFloat(b []byte, f float64) []byte {
+	if v, ok := integral(f); ok {
+		return binary.AppendUvarint(b, uint64(v<<1^v>>63)<<1)
+	}
+	return binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(f))
+}
+
+// integral reports f as an integer when the integer form encodes it: f is
+// integral, |f| < 2^53 and f is not −0.
+func integral(f float64) (int64, bool) {
+	if !(f > -maxExact && f < maxExact) { // NaN fails both
+		return 0, false
+	}
+	v := int64(f)
+	return v, float64(v) == f && (v != 0 || !math.Signbit(f))
+}
+
+// Decode deserializes a summary in either version of the binary form, or in
+// the gob encoding persisted summaries had before it.
 func Decode(data []byte) (*Summary, error) {
 	if bytes.HasPrefix(data, binaryHeader[:1]) {
 		return DecodeBinary(data)
@@ -231,18 +271,23 @@ func (g *gobSummary) summary() *Summary {
 }
 
 // DecodeBinary deserializes the binary form alone — what crosses the wire,
-// where nothing legacy is expected — filling the summary's arrays straight
-// from the bytes, and enforcing every rule of the format. Unlike gob's, its
-// allocations are bounded by the length of data: every count is checked
-// against the bytes left before anything is sized by it. A failure sticks
+// where no gob is expected — in either version, filling the summary's
+// arrays straight from the bytes, and enforcing every rule of the format.
+// Unlike gob's, its allocations are bounded by the length of data: every
+// count is checked against the bytes left before anything is sized by it. A failure sticks
 // (every read after it is a zero value), so the decoder checks for one once
 // per section, before anything is sized by what it read.
 func DecodeBinary(data []byte) (*Summary, error) {
-	if !bytes.HasPrefix(data, binaryHeader) {
+	n := len(binaryHeader)
+	if len(data) < n || !bytes.Equal(data[:n-1], binaryHeader[:n-1]) || data[n-1] < 1 || data[n-1] > binaryHeader[n-1] {
 		return nil, errors.New("highlights: decode: not a binary summary (or an unknown version)")
 	}
-	d := decoder{b: data[len(binaryHeader):]}
+	d := decoder{b: data[n:], v1: data[n-1] == 1, minPair: minPair2}
+	if d.v1 {
+		d.minPair = minPair1
+	}
 	from, to := d.stamp(), d.stamp()
+	d.from = from
 	rows := d.varint()
 	attrs := d.count(2)
 	if d.err != nil {
@@ -261,7 +306,7 @@ func DecodeBinary(data []byte) (*Summary, error) {
 		prevTable, prevAttr = table, attr
 	}
 
-	n := d.count(minPair)
+	n = d.count(d.minPair)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -296,8 +341,8 @@ func DecodeBinary(data []byte) (*Summary, error) {
 	}
 
 	n = d.count(minCell)
-	pairs := d.count(minPair)
-	if d.err == nil && n*minCell+pairs*minPair > len(d.b) {
+	pairs := d.count(d.minPair)
+	if d.err == nil && n*minCell+pairs*d.minPair > len(d.b) {
 		d.fail("%d cells with %d attributes in %d bytes", n, pairs, len(d.b))
 	}
 	if d.err != nil {
@@ -316,7 +361,7 @@ func DecodeBinary(data []byte) (*Summary, error) {
 			id = int64(uint64(id) + delta)
 		}
 		rows := d.varint()
-		k := d.count(minPair)
+		k := d.count(d.minPair)
 		if k > left {
 			d.fail("cells hold more than %d attributes", pairs)
 			k = 0
@@ -371,8 +416,11 @@ func (t stamp) before(u stamp) bool { return t.sec < u.sec || t.sec == u.sec && 
 // decoder reads the binary form; the first failure sticks, and every read
 // after it returns a zero value.
 type decoder struct {
-	b   []byte
-	err error
+	b       []byte
+	err     error
+	v1      bool  // the encoding is version 1
+	minPair int   // the version's smallest (attribute, stats) pair
+	from    stamp // the period start version 2 peaks count from
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -381,7 +429,17 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
+// uvarint reads a uvarint; one byte, the most common length, inline.
 func (d *decoder) uvarint() uint64 {
+	if len(d.b) > 0 && d.b[0] < 0x80 && d.err == nil {
+		v := d.b[0]
+		d.b = d.b[1:]
+		return uint64(v)
+	}
+	return d.longUvarint()
+}
+
+func (d *decoder) longUvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -394,7 +452,17 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// varint reads a varint; one byte inline, as uvarint does.
 func (d *decoder) varint() int64 {
+	if len(d.b) > 0 && d.b[0] < 0x80 && d.err == nil {
+		v := d.b[0]
+		d.b = d.b[1:]
+		return int64(v>>1) ^ -int64(v&1)
+	}
+	return d.longVarint()
+}
+
+func (d *decoder) longVarint() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -439,7 +507,68 @@ func (d *decoder) stamp() stamp {
 }
 
 func (d *decoder) stats() stat {
-	n := d.uvarint()
+	if d.v1 || d.err != nil {
+		return d.stats1(d.uvarint())
+	}
+	// Version 2 reads off a local slice: stats are most of a summary's
+	// bytes, and this loop most of its decoding.
+	b := d.b
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		d.fail("truncated or overlong varint")
+		return stat{}
+	}
+	b = b[k:]
+	var f [4]float64
+	for i := range f {
+		if f[i], k = readFloat(b); k == 0 {
+			d.fail("bad float")
+			return stat{}
+		}
+		b = b[k:]
+	}
+	sec, k := binary.Varint(b)
+	if k <= 0 {
+		d.fail("truncated or overlong varint")
+		return stat{}
+	}
+	b = b[k:]
+	nsec, k := binary.Uvarint(b)
+	if k <= 0 || nsec >= 1e9 {
+		d.fail("bad peak nanoseconds")
+		return stat{}
+	}
+	d.b = b[k:]
+	return stat{n: int64(n), sum: f[0], sq: f[1], min: f[2], max: f[3], peak: stamp{sec + d.from.sec, int64(nsec)}}
+}
+
+// readFloat reads version 2's tagged uvarint off the front of b, returning
+// the value and the bytes it took — 0 unless b starts with the value's one
+// encoding.
+func readFloat(b []byte) (float64, int) {
+	u, k := binary.Uvarint(b)
+	switch {
+	case k <= 0:
+		return 0, 0
+	case u&1 == 0:
+		z := u >> 1
+		v := int64(z>>1) ^ -int64(z&1)
+		if v <= -maxExact || v >= maxExact {
+			return 0, 0
+		}
+		return float64(v), k
+	case u != 1 || len(b) < k+8:
+		return 0, 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))
+	if _, ok := integral(f); ok {
+		return 0, 0
+	}
+	return f, k + 8
+}
+
+// stats1 reads the rest of a version 1 stats entry after its NonNull n.
+func (d *decoder) stats1(n uint64) stat {
 	if d.err != nil {
 		return stat{}
 	}

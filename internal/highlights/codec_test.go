@@ -2,12 +2,14 @@ package highlights
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,9 +136,25 @@ func sameSummary(t *testing.T, gotSummary, wantSummary *Summary) {
 	}
 }
 
+// encodeV1 is s in version 1 of the format, which stores written before
+// version 2 hold: each stats entry's floats as their raw bits and its
+// PeakTime as a time.
+func encodeV1(s *Summary) []byte {
+	header := slices.Clone(binaryHeader)
+	header[len(header)-1] = 1
+	return s.encode(header, func(b []byte, st *stat, _ stamp) []byte {
+		b = binary.AppendUvarint(b, uint64(st.n))
+		for _, f := range [4]float64{st.sum, st.sq, st.min, st.max} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+		return appendStamp(b, st.peak)
+	})
+}
+
 // TestEncodeDecodeRoundTrip: over seeded random summaries, Decode(Encode(s))
-// is s field by field and bit for bit, Encode gives the same bytes every
-// time, and no proper prefix of an encoding decodes.
+// and Decode of s's version 1 encoding are s field by field and bit for bit,
+// Encode gives the same bytes every time, and no proper prefix of an
+// encoding in either version decodes.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
@@ -149,15 +167,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(data, again) {
 			t.Fatalf("trial %d: Encode is not deterministic (%v)", trial, err)
 		}
-		got, err := Decode(data)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		sameSummary(t, got, s)
-		if trial%10 == 0 {
-			for n := 0; n < len(data); n++ {
-				if _, err := Decode(data[:n]); err == nil {
-					t.Fatalf("trial %d: a %d-byte prefix of %d bytes decoded", trial, n, len(data))
+		for i, enc := range [][]byte{encodeV1(s), data} {
+			got, err := Decode(enc)
+			if err != nil {
+				t.Fatalf("trial %d, version %d: %v", trial, i+1, err)
+			}
+			sameSummary(t, got, s)
+			if trial%10 == 0 {
+				for n := 0; n < len(enc); n++ {
+					if _, err := Decode(enc[:n]); err == nil {
+						t.Fatalf("trial %d, version %d: a %d-byte prefix of %d bytes decoded", trial, i+1, n, len(enc))
+					}
 				}
 			}
 		}
@@ -184,6 +204,41 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeBinary(legacyGob(t)); err == nil {
 		t.Error("DecodeBinary read gob")
+	}
+	for _, version := range []byte{0, 3} {
+		bad := slices.Clone(data)
+		bad[len(binaryHeader)-1] = version
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("Decode read version %d", version)
+		}
+	}
+}
+
+// TestFloatEncoding: every float comes back bit for bit from its one
+// encoding — integral values below 2^53 in a varint, the rest tagged with
+// their raw bits — and a decoder refuses a second encoding of a value.
+func TestFloatEncoding(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 300, -7, 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53),
+		1e300, 0.5, -2.25, math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, float64(math.MinInt64)} {
+		b := appendFloat(nil, f)
+		_, small := integral(f)
+		if small != (len(b) < 9) {
+			t.Errorf("%v: %d bytes", f, len(b))
+		}
+		if got, k := readFloat(b); k != len(b) || math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("%v (%x): decoded %v (%x) from %d of %d bytes", f, math.Float64bits(f), got, math.Float64bits(got), k, len(b))
+		}
+	}
+	for _, b := range [][]byte{
+		binary.LittleEndian.AppendUint64([]byte{1}, math.Float64bits(3)), // an integer tagged
+		binary.AppendUvarint(nil, uint64(1<<53)<<2),                      // 2^53 as an integer
+		{3},                         // an unknown tag
+		{1, 0, 0, 0, 0, 0, 0, 0xf8}, // truncated raw bits
+	} {
+		if f, k := readFloat(b); k != 0 {
+			t.Errorf("% x decoded to %v", b, f)
+		}
 	}
 }
 
@@ -292,11 +347,13 @@ func allocated(f func()) uint64 {
 func FuzzDecodeSummary(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
-		data, err := randomSummary(rng).Encode()
+		s := randomSummary(rng)
+		data, err := s.Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		f.Add(encodeV1(s))
 	}
 	// The costliest input per byte: cells without attributes, 3 bytes each.
 	sparse := mapOf(legacySummary())
@@ -310,6 +367,7 @@ func FuzzDecodeSummary(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		f.Add(encodeV1(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s *Summary

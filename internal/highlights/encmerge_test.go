@@ -131,7 +131,7 @@ func sparsePart(cells int) *Summary {
 // merging its encoding (decoding it and merging that) each allocate within
 // allocBound of the part's bytes and take well under a tenth of a second.
 func TestSparsePartBounded(t *testing.T) {
-	data, _ := sparsePart(1000).Encode()
+	data, _ := sparsePart(2000).Encode()
 	if len(data) < 40<<10 {
 		t.Fatalf("the sparse part encodes to %d bytes", len(data))
 	}

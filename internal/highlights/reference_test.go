@@ -407,21 +407,25 @@ func TestMergeMatchesReference(t *testing.T) {
 	check("no parts", nil)
 }
 
-// goldenDigest is the sha256 of goldenEncodings: what Merge (of parts as
-// built and of their decoded encodings), the fold (Folder and AddTable) and
-// DecodeBinary build from fixed seeds, and what the legacy gob fixture
-// decodes to, each as its encoding.
-const goldenDigest = "37776fe8221ebb41b6c9bdc9ec2cbbe9a705aec87391cafbccc6e4bbec3375be"
+// goldenDigest is the sha256 of the version 1 encodings of
+// goldenSummaries: what Merge (of parts as built and of their decoded
+// encodings), the fold (Folder and AddTable) and DecodeBinary build from
+// fixed seeds, and what the legacy gob fixture decodes to. goldenDigestV2 is
+// the sha256 of their version 2 encodings.
+const (
+	goldenDigest   = "37776fe8221ebb41b6c9bdc9ec2cbbe9a705aec87391cafbccc6e4bbec3375be"
+	goldenDigestV2 = "57fb9272f7a62a1989026dfb8a06c7fad788e8d2428a4ac97c75063f6a75b864"
+)
 
-func goldenEncodings(t *testing.T) [][]byte {
+func goldenSummaries(t *testing.T) []*Summary {
 	t.Helper()
-	var out [][]byte
-	add := func(s *Summary) {
+	var out []*Summary
+	encode := func(s *Summary) []byte {
 		data, err := s.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, data)
+		return data
 	}
 	rng := rand.New(rand.NewSource(2016))
 	period := telco.NewTimeRange(t0, t0.Add(7*24*time.Hour))
@@ -429,33 +433,31 @@ func goldenEncodings(t *testing.T) [][]byte {
 		parts := foldedDays(rng)
 		encs := make([][]byte, len(parts))
 		for i, p := range parts {
-			add(p)
-			encs[i] = out[len(out)-1]
+			out = append(out, p)
+			encs[i] = encode(p)
 		}
-		add(Merge(period, parts...))
+		out = append(out, Merge(period, parts...))
 		merged, err := mergeEncoded(period, encs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		add(merged)
+		out = append(out, merged)
 	}
 	for trial := 0; trial < 40; trial++ {
-		add(Merge(period, randomParts(rng)...))
+		out = append(out, Merge(period, randomParts(rng)...))
 	}
 	for trial := 0; trial < 40; trial++ {
-		data, _ := randomSummary(rng).Encode()
-		s, err := DecodeBinary(data)
+		s, err := DecodeBinary(encode(randomSummary(rng)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		add(s)
+		out = append(out, s)
 	}
 	legacy, err := Decode(legacyGob(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(legacy)
-	return out
+	return append(out, legacy)
 }
 
 // TestGoldenDigest pins the bytes of what the package builds, so a change
@@ -467,12 +469,44 @@ func TestGoldenDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the digest is pinned for amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	h := sha256.New()
-	for _, data := range goldenEncodings(t) {
-		h.Write(binary.AppendUvarint(nil, uint64(len(data))))
-		h.Write(data)
+	summaries := goldenSummaries(t)
+	for _, c := range []struct {
+		version int
+		encode  func(*Summary) []byte
+		want    string
+	}{
+		{1, encodeV1, goldenDigest},
+		{2, func(s *Summary) []byte { data, _ := s.Encode(); return data }, goldenDigestV2},
+	} {
+		h := sha256.New()
+		for _, s := range summaries {
+			data := c.encode(s)
+			h.Write(binary.AppendUvarint(nil, uint64(len(data))))
+			h.Write(data)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("version %d: digest %s, want %s", c.version, got, c.want)
+		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDigest {
-		t.Errorf("digest %s, want %s", got, goldenDigest)
+}
+
+// TestDecodeVersionsAgree: each golden summary's version 1 and version 2
+// encodings decode to the same summary, which encodes to the version 2
+// bytes.
+func TestDecodeVersionsAgree(t *testing.T) {
+	for i, s := range goldenSummaries(t) {
+		v2, _ := s.Encode()
+		from1, err := Decode(encodeV1(s))
+		if err != nil {
+			t.Fatalf("summary %d, version 1: %v", i, err)
+		}
+		from2, err := Decode(v2)
+		if err != nil {
+			t.Fatalf("summary %d, version 2: %v", i, err)
+		}
+		sameSummary(t, from1, from2)
+		if got, _ := from1.Encode(); !bytes.Equal(got, v2) {
+			t.Fatalf("summary %d: its version 1 decoding encodes unlike its version 2 bytes", i)
+		}
 	}
 }

@@ -55,8 +55,14 @@ type Node struct {
 
 	// Summary holds the node's highlights. For internal nodes it is set
 	// when the period completes (sealed); leaves carry their snapshot's
-	// summary immediately.
+	// summary immediately, until their day seals.
 	Summary *highlights.Summary
+	// KeptSummary is a leaf's summary once its day has sealed: the
+	// exact-size encoding (highlights.Summary.Encode), held in memory only,
+	// which a sub-day window decodes instead of rebuilding the summary from
+	// the leaf's data. It is nil on a leaf of an open day, on a decayed
+	// leaf, and on a leaf of a reopened store until its first rebuild.
+	KeptSummary []byte
 
 	// Leaf payload (Level == LevelEpoch).
 	Epoch     telco.Epoch
@@ -329,6 +335,7 @@ type Stats struct {
 	DataBytes     int64 // compressed leaf bytes still held
 	RawBytes      int64 // original bytes represented (including decayed)
 	SummaryBytes  int64 // estimated highlight summary footprint (index S_i)
+	KeptBytes     int64 // sealed leaves' kept summary encodings, in memory only
 	Nodes         int
 }
 
@@ -345,6 +352,7 @@ func (t *Tree) Stats() Stats {
 		}
 		if n.IsLeaf() {
 			s.Leaves++
+			s.KeptBytes += int64(len(n.KeptSummary))
 			if n.Decayed {
 				s.DecayedLeaves++
 			} else {

@@ -125,8 +125,8 @@ func renderProfile(p *core.Profile) []string {
 	if p.ResultCacheHit {
 		add("result cache: hit")
 	}
-	add("leaves: %d scanned, %d pruned, %d decayed, %d cached",
-		p.LeavesScanned, p.LeavesPruned, p.LeavesDecayed, p.LeavesCached)
+	add("leaves: %d scanned, %d pruned, %d decayed, %d cached, %d decoded",
+		p.LeavesScanned, p.LeavesPruned, p.LeavesDecayed, p.LeavesCached, p.LeavesDecoded)
 	add("chunks: %d scanned, %d pruned (zone map), %d pruned (bloom)",
 		p.ChunksScanned, p.ChunksPrunedZone, p.ChunksPrunedBloom)
 	if p.ChunksPrunedPred+p.ChunksAggMeta > 0 {
@@ -164,8 +164,8 @@ func renderProfile(p *core.Profile) []string {
 		if s.Profile.AggPartials > 0 {
 			extra += fmt.Sprintf(", %d partial rows", s.Profile.AggPartials)
 		}
-		add("shard %d band %d: %.1f ms, %d leaves scanned, %d cached, %d chunks scanned, %d pruned, %d cache hits, %d bytes, %d rows, %d frame bytes%s",
-			s.Shard, s.Band, s.LatencyMS, s.Profile.LeavesScanned, s.Profile.LeavesCached, s.Profile.ChunksScanned,
+		add("shard %d band %d: %.1f ms, %d leaves scanned, %d cached, %d decoded, %d chunks scanned, %d pruned, %d cache hits, %d bytes, %d rows, %d frame bytes%s",
+			s.Shard, s.Band, s.LatencyMS, s.Profile.LeavesScanned, s.Profile.LeavesCached, s.Profile.LeavesDecoded, s.Profile.ChunksScanned,
 			s.Profile.ChunksPrunedZone+s.Profile.ChunksPrunedBloom,
 			s.Profile.CacheHits, s.Profile.InflatedBytes, s.Rows, s.FrameBytes, extra)
 	}

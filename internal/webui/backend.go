@@ -190,6 +190,7 @@ func (b *engineBackend) handleSpace(w http.ResponseWriter, _ *http.Request) {
 		"raw_bytes":               sp.RawBytes,
 		"comp_bytes":              sp.CompBytes,
 		"summary_bytes":           sp.SummaryBytes,
+		"kept_summary_bytes":      sp.KeptSummaryBytes,
 		"stored_bytes":            u.StoredBytes,
 		"under_replicated_blocks": u.UnderReplicatedBlocks,
 		"o1":                      sp.O1,

@@ -152,6 +152,10 @@ func TestSpaceEndpoint(t *testing.T) {
 	if out["raw_bytes"] <= out["comp_bytes"] || out["comp_bytes"] <= 0 {
 		t.Errorf("space = %v", out)
 	}
+	// No day has sealed, so no leaf keeps a summary encoding yet.
+	if kept, ok := out["kept_summary_bytes"]; !ok || kept != 0 {
+		t.Errorf("kept_summary_bytes = %v (present %v), want 0", kept, ok)
+	}
 }
 
 func TestIndexPage(t *testing.T) {
