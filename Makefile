@@ -40,13 +40,15 @@ race:
 # detector) and failed many runs on a 2-CPU box; repeat them starved and in
 # parallel so a timing-dependent assertion cannot come back unnoticed. The
 # fourth races explorations against the day seal, decay and the refill that
-# write a sealed leaf's kept summary encoding: which of them wins differs
-# from run to run, so it repeats under the race detector too.
+# write a sealed leaf's kept summary encoding, and the fifth a decay sweep
+# applied one eviction per batch against four explorers: which of them wins
+# differs from run to run, so they repeat under the race detector too.
 flaky:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
 	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestClusterTracePartialShard$$' ./internal/cluster/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestKeptSummaryRace$$' ./internal/core/
+	$(GO) test -race -count=20 -cpu 1,2 -run 'TestConcurrentDecayExplore$$' ./internal/core/
 
 # The un-raced counterpart of race's GOMAXPROCS sweep, cheap enough for
 # every CI run: the whole tree starved, at the box's width and

@@ -94,7 +94,7 @@ func run(args []string) int {
 		days      = flags.Int("days", 1, "synthesized trace length in days")
 		withPprof = flags.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		chunkSize = flags.Int("chunk-size", 0,
-			"target uncompressed bytes per leaf segment chunk (0 = 256 KiB default; negative = legacy whole-blob leaves)")
+			"target uncompressed bytes per leaf segment chunk (0 = 256 KiB default)")
 		scanWorkers = flags.Int("scan-workers", 0,
 			"width of the per-query worker pool for leaf scans (0 = GOMAXPROCS; 1 = a pool of one)")
 
@@ -130,6 +130,10 @@ func run(args []string) int {
 		join        = flags.String("join", "", "cluster: comma-separated node base URLs; coordinator-only proxy mode")
 	)
 	_ = flags.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
+	if *chunkSize < 0 {
+		slog.Error("spate-server: -chunk-size must not be negative", "chunk-size", *chunkSize)
+		return 1
+	}
 	// Reject flag combinations that would configure nothing, before any
 	// expensive setup.
 	if *tenants != "" && *rps <= 0 && *maxConcurrent <= 0 {

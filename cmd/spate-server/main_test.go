@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"log/slog"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -41,6 +42,28 @@ func TestRejectsFlagsThatDoNothing(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("spate-server %s did not exit: it went on to serve", strings.Join(args, " "))
 		}
+	}
+}
+
+// TestRejectsNegativeChunkSize: a negative -chunk-size once selected legacy
+// whole-blob leaves, which no engine writes any more; the server exits
+// non-zero naming the flag instead of starting.
+func TestRejectsNegativeChunkSize(t *testing.T) {
+	var log bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&log, nil)))
+	done := make(chan int, 1)
+	go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-scale", "0.001", "-chunk-size", "-1"}) }()
+	select {
+	case code := <-done:
+		if code == 0 {
+			t.Fatal("spate-server -chunk-size -1 exited 0")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("spate-server -chunk-size -1 did not exit: it went on to serve")
+	}
+	if !strings.Contains(log.String(), "-chunk-size") {
+		t.Errorf("the error does not name the flag: %q", log.String())
 	}
 }
 

@@ -24,9 +24,10 @@ import (
 // the engine and 1- and 4-shard clusters answer bit for bit what an engine
 // reopened over the engine's DFS answers — a fresh one per query, so every
 // answer is a rebuild, and one kept open across the queries, so its leaves
-// are refilled with the rebuilds' encodings as it goes. (Highlights are not
-// compared: they come from the node covering the window, and a reopened
-// store leaves its right-most path unsealed.)
+// are refilled with the rebuilds' encodings as it goes. The reopened
+// engines also extract the engine's highlights: those come from the node
+// covering the window, and a reopen keeps the summaries FinishIngest
+// sealed on the right-most path.
 func TestKeptSummariesMatchRebuild(t *testing.T) {
 	g, snaps, window := testTrace(t, 3)
 	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{DataNodes: 1, Replication: 1})
@@ -94,11 +95,13 @@ func TestKeptSummariesMatchRebuild(t *testing.T) {
 		}
 		decoded += got.Profile.LeavesDecoded
 		sameAnswer(t, what+": engine", got, want)
+		sameHighlights(t, what+": engine", got, want)
 		again, err := refilled.Explore(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameAnswer(t, what+": refilled engine", again, want)
+		sameHighlights(t, what+": refilled engine", again, want)
 		for name, lc := range clusters {
 			cres, err := lc.Coordinator.Explore(ctx, q)
 			if err != nil {
@@ -112,6 +115,14 @@ func TestKeptSummariesMatchRebuild(t *testing.T) {
 	}
 	if decoded == 0 || rebuilt == 0 {
 		t.Fatalf("the engine decoded %d leaves and the reopened ones rebuilt %d; the windows must lie in sealed days", decoded, rebuilt)
+	}
+}
+
+// sameHighlights compares two explorations' highlights.
+func sameHighlights(t *testing.T, what string, got, want *core.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Highlights, want.Highlights) {
+		t.Errorf("%s: highlights differ (%d, want %d)", what, len(got.Highlights), len(want.Highlights))
 	}
 }
 

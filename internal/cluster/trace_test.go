@@ -165,7 +165,6 @@ func TestClusterMergedTraceAndProfileParity(t *testing.T) {
 	for _, c := range []pair{
 		{"LeavesScanned", cp.LeavesScanned, sp.LeavesScanned},
 		{"LeavesDecoded", cp.LeavesDecoded, sp.LeavesDecoded},
-		{"LeavesPruned", cp.LeavesPruned, sp.LeavesPruned},
 		{"LeavesDecayed", cp.LeavesDecayed, sp.LeavesDecayed},
 		{"ChunksScanned", cp.ChunksScanned, sp.ChunksScanned},
 		{"ChunksPrunedZone", cp.ChunksPrunedZone, sp.ChunksPrunedZone},

@@ -29,12 +29,11 @@ func columnarStore(tb testing.TB, version int) (*Engine, *obs.Registry, telco.Ti
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := Open(fs, g.CellTable(), Options{
-		SegmentVersion: version, ChunkCacheBytes: -1, Obs: reg,
-	})
+	e, err := Open(fs, g.CellTable(), Options{SegmentVersion: version, Obs: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	disableChunkCache(e)
 	e0 := telco.EpochOf(cfg.Start)
 	for i := 0; i < 4; i++ {
 		s := snapshot.New(e0 + telco.Epoch(i))

@@ -29,20 +29,17 @@ type CompactOptions struct {
 	// MaxLeaves caps how many leaves one sweep may rewrite (0 = no cap);
 	// the remainder waits for the next run.
 	MaxLeaves int
-	// ChunkSize is the rewrite target in uncompressed bytes per chunk.
-	// 0 uses the engine's configured chunk size, or the format default
-	// when the engine writes legacy blobs.
+	// ChunkSize is the rewrite target in uncompressed bytes per chunk
+	// (0: the engine's configured chunk size).
 	ChunkSize int
-	// Effort selects the codec effort level for recompression (0 picks
-	// DefaultCompactEffort). Compaction runs in the background, so unlike
-	// ingest it can afford a deep match search; the stream format is
-	// unchanged and the query path keeps reading with the engine codec.
-	Effort int
 }
 
-// DefaultCompactEffort is the codec effort compaction rewrites at — for
-// the zstd codec, a 16x deeper match search than the ingest path.
-const DefaultCompactEffort = 3
+// compactEffort is the codec effort compaction recompresses at — for the
+// zstd codec, a 16x deeper match search than the ingest path. Compaction
+// runs in the background, so unlike ingest it can afford it; the stream
+// format is unchanged and the query path keeps reading with the engine
+// codec.
+const compactEffort = 3
 
 // CompactReport describes one compaction sweep. Byte counts cover
 // rewritten leaves only.
@@ -78,13 +75,6 @@ func (e *Engine) Compact(ctx context.Context, opts CompactOptions) (CompactRepor
 	chunkSize := opts.ChunkSize
 	if chunkSize <= 0 {
 		chunkSize = e.opts.ChunkSize
-		if chunkSize <= 0 {
-			chunkSize = segment.DefaultChunkSize
-		}
-	}
-	effort := opts.Effort
-	if effort <= 0 {
-		effort = DefaultCompactEffort
 	}
 
 	e.mu.RLock()
@@ -109,7 +99,7 @@ func (e *Engine) Compact(ctx context.Context, opts CompactOptions) (CompactRepor
 			break
 		}
 		rep.LeavesExamined++
-		if err := e.compactLeaf(cand, chunkSize, effort, &rep); err != nil {
+		if err := e.compactLeaf(cand, chunkSize, &rep); err != nil {
 			return rep, err
 		}
 	}
@@ -133,10 +123,10 @@ type rewrittenTable struct {
 	oldPayload, newPayload int64
 }
 
-func (e *Engine) compactLeaf(cand compactCandidate, chunkSize, effort int, rep *CompactReport) error {
+func (e *Engine) compactLeaf(cand compactCandidate, chunkSize int, rep *CompactReport) error {
 	var rewrites []rewrittenTable
 	for name, ref := range cand.refs {
-		rw, err := e.planRewrite(name, ref, chunkSize, effort)
+		rw, err := e.planRewrite(name, ref, chunkSize)
 		if err != nil {
 			return err
 		}
@@ -239,7 +229,7 @@ func (e *Engine) compactLeaf(cand compactCandidate, chunkSize, effort int, rep *
 // planRewrite decides whether one stored table benefits from a rewrite and
 // renders the replacement bytes if so. Returns nil when the file is fine
 // as stored.
-func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewrittenTable, error) {
+func (e *Engine) planRewrite(name, ref string, chunkSize int) (*rewrittenTable, error) {
 	f, err := e.fs.Open(ref)
 	if err != nil {
 		return nil, fmt.Errorf("core: compact open %s: %w", ref, err)
@@ -247,7 +237,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize, effort int) (*rewritte
 	codec := e.codec()
 	// Rewrites decompress through the engine codec but recompress at
 	// background effort: same stream format, deeper match search.
-	wcodec := compress.WithEffort(codec, effort)
+	wcodec := compress.WithEffort(codec, compactEffort)
 	toV3 := e.opts.SegmentVersion != segment.RowVersion
 	r, err := segment.Open(f, f.Size(), codec)
 	if errors.Is(err, segment.ErrNotSegment) {

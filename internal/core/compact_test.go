@@ -56,9 +56,9 @@ func TestCompactConvertsLegacyBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Codec: zc, TrainDictionary: true, TrainAfter: 4, ChunkSize: -1}
+	opts := Options{Codec: zc, TrainDictionary: true}
 	r := newRig(t, opts)
-	r.ingestEpochs(t, 6)
+	r.ingestBlobEpochs(t, 6)
 
 	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(3*time.Hour))
 	wantAgg, wantExact := exploreAll(t, r.e, w)
@@ -117,8 +117,8 @@ func TestCompactKeepsTableThatPacksWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRig(t, Options{Codec: zc, TrainDictionary: true, TrainAfter: 4, ChunkSize: -1})
-	r.ingestEpochs(t, 6)
+	r := newRig(t, Options{Codec: zc, TrainDictionary: true})
+	r.ingestBlobEpochs(t, 6)
 	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(3*time.Hour))
 	_, wantExact := exploreAll(t, r.e, w)
 
@@ -189,8 +189,8 @@ func TestCompactMergesUndersizedChunks(t *testing.T) {
 
 // TestCompactRespectsMaxLeaves bounds a sweep and resumes it.
 func TestCompactRespectsMaxLeaves(t *testing.T) {
-	r := newRig(t, Options{ChunkSize: -1})
-	r.ingestEpochs(t, 4)
+	r := newRig(t, Options{})
+	r.ingestBlobEpochs(t, 4)
 	rep1, err := r.e.Compact(context.Background(), CompactOptions{MaxLeaves: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +209,8 @@ func TestCompactRespectsMaxLeaves(t *testing.T) {
 
 // TestCompactCanceledContext stops a sweep between leaves.
 func TestCompactCanceledContext(t *testing.T) {
-	r := newRig(t, Options{ChunkSize: -1})
-	r.ingestEpochs(t, 2)
+	r := newRig(t, Options{})
+	r.ingestBlobEpochs(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.e.Compact(ctx, CompactOptions{}); err == nil {

@@ -9,11 +9,11 @@ import (
 	"spate/internal/telco"
 )
 
-// TestDecayRunDryRunAndBudget drives the lock-split decay path by hand:
-// the dry run estimates without mutating, the budget clamps a sweep to a
-// bounded slice of the plan, and a follow-up unbudgeted run finishes the
-// job — the lifecycle daemon's steady-state pattern.
-func TestDecayRunDryRunAndBudget(t *testing.T) {
+// TestDecayRunSweepsThePlan drives the lock-split decay path by hand: a
+// sweep in small batches decays exactly what the policy plans, deleting
+// the leaves' files, the decayed window still answers, and a second sweep
+// finds nothing left to do — the lifecycle daemon's steady state.
+func TestDecayRunSweepsThePlan(t *testing.T) {
 	// Ingest under the zero policy (nothing decays inline), then reopen
 	// with a 2h horizon so every sweep is explicit.
 	r := newRig(t, Options{})
@@ -22,47 +22,23 @@ func TestDecayRunDryRunAndBudget(t *testing.T) {
 	now := telco.EpochOf(r.cfg.Start).Start().Add(5 * time.Hour)
 	filesBefore := len(r.fs.List("/spate/data/"))
 
-	dry, err := e.DecayRun(now, DecayBudget{DryRun: true})
+	rep, err := e.DecayRun(now, DecayBudget{BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dry.DryRun || dry.Planned == 0 || dry.LeavesDecayed == 0 || dry.BytesFreed == 0 {
-		t.Fatalf("dry run = %+v", dry)
+	// The leaves ending at or before now-2h: the first 3 hours' 6.
+	if rep.LeavesDecayed != 6 || rep.BytesFreed == 0 || rep.RefsDeleted != 12 {
+		t.Fatalf("sweep = %+v, want 6 leaves and their 12 files", rep)
 	}
-	if st := e.Tree().Stats(); st.DecayedLeaves != 0 {
-		t.Fatalf("dry run decayed %d leaves", st.DecayedLeaves)
+	if st := e.Tree().Stats(); st.DecayedLeaves != rep.LeavesDecayed {
+		t.Errorf("tree has %d decayed leaves, the sweep reported %d", st.DecayedLeaves, rep.LeavesDecayed)
 	}
-	if got := len(r.fs.List("/spate/data/")); got != filesBefore {
-		t.Fatalf("dry run deleted files: %d -> %d", filesBefore, got)
-	}
-
-	// A one-leaf budget applies exactly the head of the plan.
-	rep1, err := e.DecayRun(now, DecayBudget{MaxLeaves: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep1.Clamped || rep1.LeavesDecayed != 1 || rep1.Planned != dry.Planned {
-		t.Fatalf("budgeted run = %+v (planned %d)", rep1, dry.Planned)
-	}
-
-	// The unbudgeted follow-up drains the remainder; together the two runs
-	// decay exactly what the dry run promised.
-	rep2, err := e.DecayRun(now, DecayBudget{BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Clamped {
-		t.Errorf("unbudgeted run clamped: %+v", rep2)
-	}
-	if got := rep1.LeavesDecayed + rep2.LeavesDecayed; got != dry.LeavesDecayed {
-		t.Errorf("decayed %d leaves across runs, dry run promised %d", got, dry.LeavesDecayed)
-	}
-	if st := e.Tree().Stats(); st.DecayedLeaves != dry.LeavesDecayed {
-		t.Errorf("tree has %d decayed leaves, want %d", st.DecayedLeaves, dry.LeavesDecayed)
+	if got := len(r.fs.List("/spate/data/")); got != filesBefore-rep.RefsDeleted {
+		t.Errorf("%d data files left of %d, want %d deleted", got, filesBefore, rep.RefsDeleted)
 	}
 
 	// The decayed window still answers (marking its decayed leaves), and a
-	// third sweep finds nothing left to do. (Rows are not asserted: these
+	// second sweep finds nothing left to do. (Rows are not asserted: these
 	// leaves sit in an unsealed day, whose ephemeral summaries recovery
 	// does not rebuild — realistic horizons decay only sealed days, served
 	// by their persisted day summaries.)
@@ -74,36 +50,46 @@ func TestDecayRunDryRunAndBudget(t *testing.T) {
 	if res.DecayedLeaves == 0 {
 		t.Errorf("decayed window reports %d decayed leaves", res.DecayedLeaves)
 	}
-	rep3, err := e.DecayRun(now, DecayBudget{})
+	again, err := e.DecayRun(now, DecayBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.Planned != 0 {
-		t.Errorf("idempotent sweep planned %d evictions", rep3.Planned)
+	if again != (decay.Result{}) {
+		t.Errorf("idempotent sweep did %+v", again)
 	}
 }
 
-// TestDecayByteBudget bounds a sweep by bytes instead of leaves.
-func TestDecayByteBudget(t *testing.T) {
+// TestDecayRunFollowsTheHorizon: each sweep decays the leaves the horizon
+// has passed since the last one, whatever the batch size.
+func TestDecayRunFollowsTheHorizon(t *testing.T) {
 	r := newRig(t, Options{})
 	r.ingestEpochs(t, 8)
 	e := reopen(t, r, Options{Policy: decay.Policy{KeepRaw: time.Hour}})
-	now := telco.EpochOf(r.cfg.Start).Start().Add(4 * time.Hour)
-	rep, err := e.DecayRun(now, DecayBudget{MaxBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The budget always admits the first eviction (progress guarantee) but
-	// nothing more at 1 byte.
-	if !rep.Clamped || rep.Applied != 1 {
-		t.Fatalf("1-byte budget applied %d evictions (clamped=%v)", rep.Applied, rep.Clamped)
+	start := telco.EpochOf(r.cfg.Start).Start()
+	for _, step := range []struct {
+		now     time.Duration
+		batch   int
+		decayed int
+	}{
+		{2 * time.Hour, 1, 2},  // the first hour
+		{2 * time.Hour, 1, 0},  // nothing new
+		{4 * time.Hour, 32, 4}, // the next two hours
+		{8 * time.Hour, 0, 2},  // the rest up to the horizon
+	} {
+		rep, err := e.DecayRun(start.Add(step.now), DecayBudget{BatchSize: step.batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LeavesDecayed != step.decayed {
+			t.Errorf("sweep at +%v decayed %d leaves, want %d", step.now, rep.LeavesDecayed, step.decayed)
+		}
 	}
 }
 
-// TestConcurrentDecayExplore runs budgeted decay sweeps against live
-// explorers under -race: the sweep plans under the read lock and applies
-// in short write-locked batches, so queries on recent windows proceed
-// while old leaves decay.
+// TestConcurrentDecayExplore runs a decay sweep against live explorers
+// under -race: the sweep plans under the read lock and applies in short
+// write-locked batches, so queries on recent windows proceed while old
+// leaves decay.
 func TestConcurrentDecayExplore(t *testing.T) {
 	r := newRig(t, Options{})
 	r.ingestEpochs(t, 16) // 8 hours
@@ -143,17 +129,10 @@ func TestConcurrentDecayExplore(t *testing.T) {
 		}(i)
 	}
 
-	// Drain the decay plan one leaf and one batch at a time, maximizing
-	// lock handoffs with the explorers.
-	for {
-		rep, err := e.DecayRun(now, DecayBudget{MaxLeaves: 1, BatchSize: 1})
-		if err != nil {
-			t.Errorf("decay: %v", err)
-			break
-		}
-		if rep.Applied == 0 {
-			break
-		}
+	// Apply the decay plan one eviction per batch, maximizing lock
+	// handoffs with the explorers.
+	if _, err := e.DecayRun(now, DecayBudget{BatchSize: 1}); err != nil {
+		t.Errorf("decay: %v", err)
 	}
 	close(done)
 	wg.Wait()
@@ -168,12 +147,9 @@ func TestConcurrentDecayExplore(t *testing.T) {
 // leaves) serves the same results and does not resurrect pruned leaf
 // metadata.
 func TestRecoveryAfterDecayParity(t *testing.T) {
-	opts := Options{
-		ChunkSize: -1, // legacy whole-blob leaves
-		Policy:    decay.Policy{KeepRaw: 2 * time.Hour, KeepEpochNodes: 12 * time.Hour},
-	}
+	opts := Options{Policy: decay.Policy{KeepRaw: 2 * time.Hour, KeepEpochNodes: 12 * time.Hour}}
 	r := newRig(t, opts)
-	r.ingestEpochs(t, 2*telco.EpochsPerDay) // day 1 decays and fully collapses
+	r.ingestBlobEpochs(t, 2*telco.EpochsPerDay) // day 1 decays and fully collapses
 
 	oldW := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(6*time.Hour))
 	newW := telco.NewTimeRange(r.cfg.Start.Add(46*time.Hour), r.cfg.Start.Add(48*time.Hour))

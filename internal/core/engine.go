@@ -56,19 +56,12 @@ type Options struct {
 	Fungus decay.Fungus
 	// Policy sets the decay horizons; the zero policy retains everything.
 	Policy decay.Policy
-	// LeafSpatialPrune enables the per-leaf spatial pruning discussed in
-	// §V-A: exact-row queries consult leaf summaries to skip decompressing
-	// snapshots with no data in the query box.
-	LeafSpatialPrune bool
 	// TrainDictionary switches the codec to a zstd dictionary trained on
-	// the first TrainAfter snapshots (the §IX-B differential-compression
-	// direction). Ignored unless the codec is zstd. It governs training
-	// only: a zstd engine opened over a store that holds a trained
-	// dictionary reads (and writes) with it either way.
+	// the first trainAfterTables tables ingested (the §IX-B
+	// differential-compression direction). Ignored unless the codec is
+	// zstd. It governs training only: a zstd engine opened over a store
+	// that holds a trained dictionary reads (and writes) with it either way.
 	TrainDictionary bool
-	// TrainAfter is the number of snapshots sampled before training
-	// (default 4).
-	TrainAfter int
 	// ResultCache, when non-nil, replaces the engine's own 64 MiB result
 	// cache — the hook a process-wide serving tier uses to pool every
 	// engine's results under one byte budget (serving.Namespace binds one
@@ -78,14 +71,10 @@ type Options struct {
 	// on ingest.
 	ResultCache ResultCache
 	// ChunkSize is the target uncompressed bytes per leaf segment chunk
-	// (default segment.DefaultChunkSize). A negative value writes legacy
-	// whole-blob leaves instead of segments — the pre-segment format kept
-	// for equivalence tests and downgrade compatibility; both formats are
-	// always readable.
+	// (default segment.DefaultChunkSize); a negative value is refused.
+	// Leaves in the pre-segment whole-blob format, which no engine writes
+	// any more, stay readable.
 	ChunkSize int
-	// ChunkCacheBytes bounds the in-memory cache of inflated leaf chunks
-	// (default 64 MiB). A negative value disables the cache.
-	ChunkCacheBytes int64
 	// SegmentVersion selects the leaf segment layout for new writes: 0 or
 	// segment.Version (3) writes column-major v3 chunks, segment.RowVersion
 	// (2) keeps the row-major layout for equivalence benchmarks. Every
@@ -109,6 +98,14 @@ type Options struct {
 // entry for a level.
 const DefaultTheta = 0.05
 
+// trainAfterTables is how many table samples dictionary training collects
+// before it trains: maybeTrain samples once per table, so a CDR+NMS store
+// trains during its second snapshot.
+const trainAfterTables = 4
+
+// chunkCacheBytes bounds the in-memory cache of inflated leaf chunks.
+const chunkCacheBytes = 64 << 20
+
 func (o Options) withDefaults() (Options, error) {
 	if o.Codec == nil {
 		c, err := compress.Lookup("gzip")
@@ -123,14 +120,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Fungus == nil {
 		o.Fungus = decay.EvictOldestIndividuals{}
 	}
-	if o.TrainAfter <= 0 {
-		o.TrainAfter = 4
-	}
-	if o.ChunkSize == 0 {
+	switch {
+	case o.ChunkSize < 0:
+		return o, fmt.Errorf("core: negative chunk size %d", o.ChunkSize)
+	case o.ChunkSize == 0:
 		o.ChunkSize = segment.DefaultChunkSize
-	}
-	if o.ChunkCacheBytes == 0 {
-		o.ChunkCacheBytes = 64 << 20
 	}
 	switch o.SegmentVersion {
 	case 0:
@@ -191,6 +185,9 @@ type Engine struct {
 	// finished marks a store whose open periods were sealed; further
 	// ingestion is rejected (summaries would be stale otherwise).
 	finished bool
+	// finishMarked records that the store carries the finish marker
+	// (finishMarkPath).
+	finishMarked bool
 
 	// memt is the streaming memtable of unsealed rows, attached by
 	// OpenStreamer; queries union it with sealed-leaf scans. Nil on a
@@ -203,8 +200,8 @@ type Engine struct {
 	resFlight cache.Flight[*Result]
 
 	// chunkCache holds inflated leaf chunks across queries, bounded by
-	// bytes (see Options.ChunkCacheBytes); its Do dedupes concurrent
-	// inflations of one chunk, across scan workers and across queries.
+	// chunkCacheBytes; its Do dedupes concurrent inflations of one chunk,
+	// across scan workers and across queries.
 	chunkCache *cache.LRU[[]byte]
 
 	// batches pools the column batches leaf walks decode into, folders the
@@ -237,7 +234,7 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table, opts Options) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	chunks := cache.New("spate_chunk_cache", "Inflated leaf chunks", opts.ChunkCacheBytes,
+	chunks := cache.New("spate_chunk_cache", "Inflated leaf chunks", chunkCacheBytes,
 		func(b []byte) int64 { return int64(len(b)) }, opts.Obs)
 	e := &Engine{
 		opts:       opts,
@@ -531,6 +528,9 @@ func (e *Engine) Commit(p *PreparedSnapshot) (rep IngestReport, err error) {
 	if err := e.admit(s.Epoch); err != nil {
 		return rep, err
 	}
+	if err := e.unmarkFinished(); err != nil {
+		return rep, err
+	}
 
 	// Storage layer: the leaf files, in name order.
 	refs := make(map[string]string, len(p.tables))
@@ -558,6 +558,12 @@ func (e *Engine) Commit(p *PreparedSnapshot) (rep IngestReport, err error) {
 		return rep, err
 	}
 	leaf.Summary = p.summary
+	// The append extended the periods of the right-most path: a summary
+	// one of them still carries, sealed by FinishIngest before a reopen,
+	// misses the new leaf.
+	for _, n := range e.tree.FinishIngest() {
+		n.Summary = nil
+	}
 	sr.add(StageIndex, time.Since(tIndex).Nanoseconds())
 	tSeal := time.Now()
 	var sealErr error
@@ -587,7 +593,7 @@ func (e *Engine) Commit(p *PreparedSnapshot) (rep IngestReport, err error) {
 
 	// Decaying: purge aged entries under the configured policy.
 	tDecay := time.Now()
-	_, err = e.Decay(s.Epoch.End())
+	_, err = e.DecayRun(s.Epoch.End(), DecayBudget{})
 	sr.add(StageDecay, time.Since(tDecay).Nanoseconds())
 	return rep, err
 }
@@ -646,9 +652,17 @@ func (e *Engine) sealLocked(n *index.Node) error {
 func (e *Engine) FinishIngest() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	sealed := true
 	for _, n := range e.tree.FinishIngest() {
 		// Best-effort: sealing failures degrade queries to the data path.
-		_ = e.sealLocked(n)
+		if err := e.sealLocked(n); err != nil {
+			sealed = false
+		}
+	}
+	// Only a path whose every seal is persisted may be trusted by a
+	// recovery (see recover).
+	if sealed {
+		e.markFinished()
 	}
 	e.finished = true
 	e.cache.Clear()
@@ -726,7 +740,7 @@ func (e *Engine) maybeTrain(text []byte) {
 		sample = sample[:trainSampleBytes]
 	}
 	e.trainSamples = append(e.trainSamples, append([]byte(nil), sample...))
-	if len(e.trainSamples) < e.opts.TrainAfter {
+	if len(e.trainSamples) < trainAfterTables {
 		return
 	}
 	dict := zst.Train(e.trainSamples, 64<<10)
@@ -744,136 +758,54 @@ func (e *Engine) maybeTrain(text []byte) {
 // uncached response times; normal operation never needs it).
 func (e *Engine) ClearCache() { e.cache.Clear() }
 
-// Decay plans and applies the data fungus at the given instant with no
-// budget — the ingest-path housekeeping call. See DecayRun.
-func (e *Engine) Decay(now time.Time) (decay.Result, error) {
-	rep, err := e.DecayRun(now, DecayBudget{})
-	return rep.Result, err
-}
-
-// DecayBudget bounds one decay sweep. The zero value applies the whole
+// DecayBudget paces one decay sweep. The zero value applies the whole
 // plan in default-sized batches.
 type DecayBudget struct {
-	// MaxLeaves caps the number of leaves whose raw data one sweep may
-	// evict (subtree prunes count every undecayed leaf beneath). 0 = no
-	// cap. At least one eviction is always admitted so sweeps make
-	// progress.
-	MaxLeaves int
-	// MaxBytes stops admitting evictions once the planned reclaim reaches
-	// this many compressed bytes. 0 = no cap.
-	MaxBytes int64
-	// DryRun plans (and clamps) without touching the tree or the DFS —
-	// the report carries what a real sweep would have reclaimed.
-	DryRun bool
 	// BatchSize is how many evictions apply per write-lock acquisition
 	// (default 32). Smaller batches yield to concurrent explorations more
 	// often at the cost of more lock traffic.
 	BatchSize int
 }
 
-// DecayReport describes one decay sweep.
-type DecayReport struct {
-	decay.Result
-	// Planned counts the evictions the fungus proposed; Applied counts
-	// those admitted by the budget (and, unless DryRun, executed).
-	Planned int
-	Applied int
-	// Clamped marks a sweep the budget cut short; the remainder stays for
-	// the next run.
-	Clamped bool
-	DryRun  bool
-}
-
-// evictionCost sizes one planned eviction for budget accounting. Caller
-// holds at least the read lock.
-func evictionCost(ev decay.Eviction) (leaves int, bytes int64) {
-	switch ev.Action {
-	case decay.EvictLeafData:
-		if !ev.Node.Decayed {
-			return 1, ev.Node.DataBytes
-		}
-		return 0, 0
-	case decay.PruneChildren:
-		var walk func(n *index.Node)
-		walk = func(n *index.Node) {
-			if n.IsLeaf() {
-				if !n.Decayed {
-					leaves++
-					bytes += n.DataBytes
-				}
-				return
-			}
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(ev.Node)
-	}
-	return leaves, bytes
-}
-
-// DecayRun plans and applies the data fungus at the given instant under a
-// budget. Planning happens under the engine read lock; evictions then
-// apply in bounded batches under short write-lock acquisitions, with the
-// DFS deletes deferred outside the lock entirely — a concurrent Explore
-// is never blocked for the whole sweep. Cache damage is targeted: deleted
-// leaf files drop their inflated chunks from the chunk cache by path
-// prefix, and only cached results whose served period intersects a
-// decayed node's period are invalidated — a cached query over a disjoint
-// window keeps serving hits through decay runs.
+// DecayRun plans and applies the data fungus at the given instant — the
+// ingest path's housekeeping and the lifecycle daemon's sweep. Planning
+// happens under the engine read lock; evictions then apply in batches of
+// b.BatchSize under short write-lock acquisitions, with the DFS deletes
+// deferred outside the lock entirely — a concurrent Explore is never
+// blocked for the whole sweep. Cache damage is targeted: deleted leaf files
+// drop their inflated chunks from the chunk cache by path prefix, and only
+// cached results whose served period intersects a decayed node's period are
+// invalidated — a cached query over a disjoint window keeps serving hits
+// through decay runs.
 //
 // A delete that fails leaves an orphaned file behind (the index entry is
 // already gone); the first such error is reported after the sweep
 // finishes applying.
-func (e *Engine) DecayRun(now time.Time, b DecayBudget) (DecayReport, error) {
+func (e *Engine) DecayRun(now time.Time, b DecayBudget) (decay.Result, error) {
 	e.decayMu.Lock()
 	defer e.decayMu.Unlock()
 	if b.BatchSize <= 0 {
 		b.BatchSize = 32
 	}
 
-	// Plan under the read lock: the fungus walks the tree, and budget
-	// accounting reads leaf payload fields, but nothing mutates.
+	// Plan under the read lock: the fungus walks the tree, but nothing
+	// mutates.
 	e.mu.RLock()
 	evs := e.opts.Fungus.Plan(now, e.tree, e.opts.Policy)
-	rep := DecayReport{Planned: len(evs), DryRun: b.DryRun}
-	var planLeaves int
-	var planBytes int64
-	kept := evs
-	for i, ev := range evs {
-		l, by := evictionCost(ev)
-		if i > 0 && ((b.MaxLeaves > 0 && planLeaves+l > b.MaxLeaves) ||
-			(b.MaxBytes > 0 && planBytes+by > b.MaxBytes)) {
-			kept, rep.Clamped = evs[:i], true
-			break
-		}
-		planLeaves += l
-		planBytes += by
-	}
-	rep.Applied = len(kept)
 	e.mu.RUnlock()
-	if len(kept) == 0 {
-		return rep, nil
-	}
-	if b.DryRun {
-		for _, ev := range kept {
-			if ev.Action == decay.PruneChildren {
-				rep.NodesPruned += len(ev.Node.Children)
-			}
-		}
-		rep.LeavesDecayed = planLeaves
-		rep.BytesFreed = planBytes
-		return rep, nil
+	if len(evs) == 0 {
+		return decay.Result{}, nil
 	}
 
 	// Apply in bounded batches. The tree only grows between plan and
 	// apply (ingest appends on the right-most path; other sweeps are
 	// serialized by decayMu), so the planned nodes stay valid.
+	var rep decay.Result
 	var pending []string // DFS paths to delete once the lock is down
 	var delErr error
 	structural := false
-	for start := 0; start < len(kept); start += b.BatchSize {
-		batch := kept[start:min(start+b.BatchSize, len(kept))]
+	for start := 0; start < len(evs); start += b.BatchSize {
+		batch := evs[start:min(start+b.BatchSize, len(evs))]
 		e.mu.Lock()
 		stale := make([]telco.TimeRange, len(batch))
 		for i, ev := range batch {

@@ -205,21 +205,35 @@ func TestExploreExactRowsWithBox(t *testing.T) {
 	}
 }
 
-func TestLeafSpatialPruneSkipsIrrelevantSnapshots(t *testing.T) {
-	r := newRig(t, Options{LeafSpatialPrune: true})
-	r.ingestEpochs(t, 3)
-	// A box containing no cells: every leaf prunes, nothing scanned.
-	far := geo.NewRect(70, 70, 79, 74)
-	if len(r.e.Cells().inBox(far)) != 0 {
-		t.Skip("random topology put a cell in the far corner")
+// TestEmptyBoxInflatesNoChunk: an exact-row query whose box holds no cell
+// skips every chunk by its cell sketch before inflating it — what a
+// per-leaf spatial index would have saved, at chunk grain — and returns
+// no rows, on the sealed day and the open one alike.
+func TestEmptyBoxInflatesNoChunk(t *testing.T) {
+	r := newRig(t, Options{})
+	r.ingestEpochs(t, telco.EpochsPerDay+3)
+	empty := geo.NewRect(1000, 1000, 1010, 1010)
+	if n := len(r.e.Cells().inBox(empty)); n != 0 {
+		t.Fatalf("the box holds %d cells", n)
 	}
-	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(time.Hour))
-	res, err := r.e.Explore(Query{Window: w, Box: far, ExactRows: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PrunedLeaves == 0 || res.ScannedLeaves != 0 {
-		t.Errorf("pruned=%d scanned=%d", res.PrunedLeaves, res.ScannedLeaves)
+	for _, w := range []telco.TimeRange{
+		telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(2*time.Hour)),
+		telco.NewTimeRange(r.cfg.Start.Add(23*time.Hour), r.cfg.Start.Add(25*time.Hour)),
+	} {
+		res, err := r.e.Explore(Query{Window: w, Box: empty, ExactRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Profile
+		if p.ChunksScanned != 0 || p.InflatedBytes != 0 || p.ChunksPrunedBloom == 0 {
+			t.Errorf("%v: %d chunks scanned, %d bytes inflated, %d pruned by cell sketch; want none, none, some",
+				w, p.ChunksScanned, p.InflatedBytes, p.ChunksPrunedBloom)
+		}
+		for name, tab := range res.Rows {
+			if tab.Len() != 0 {
+				t.Errorf("%v: %d %s rows outside every cell", w, tab.Len(), name)
+			}
+		}
 	}
 }
 
@@ -362,7 +376,7 @@ func TestDictionaryTrainingSwapsCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRig(t, Options{Codec: zc, TrainDictionary: true, TrainAfter: 2})
+	r := newRig(t, Options{Codec: zc, TrainDictionary: true})
 	r.ingestEpochs(t, 4)
 	if r.e.Codec().Name() != "zstd" {
 		t.Fatalf("codec = %s", r.e.Codec().Name())
@@ -526,6 +540,20 @@ func TestOpenValidatesCellTable(t *testing.T) {
 	bad := telco.NewTable(telco.NMSSchema) // wrong schema
 	if _, err := Open(fs, bad, Options{}); err == nil {
 		t.Error("Open accepted a non-CELL table")
+	}
+}
+
+// TestOpenRefusesNegativeChunkSize: a negative chunk size once selected
+// legacy whole-blob leaves, which no engine writes any more; Open refuses
+// it rather than silently writing segments.
+func TestOpenRefusesNegativeChunkSize(t *testing.T) {
+	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gen.New(gen.DefaultConfig(0.001))
+	if _, err := Open(fs, g.CellTable(), Options{ChunkSize: -1}); err == nil {
+		t.Error("Open accepted a negative chunk size")
 	}
 }
 

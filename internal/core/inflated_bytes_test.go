@@ -24,7 +24,7 @@ func TestInflatedBytesCeilings(t *testing.T) {
 	}
 	pruning := func(chunkSize int) func(testing.TB) (*obs.Registry, func() (int, error)) {
 		return func(tb testing.TB) (*obs.Registry, func() (int, error)) {
-			e, reg, q := pruningStore(tb, chunkSize, -1)
+			e, reg, q := pruningStore(tb, chunkSize, false)
 			return reg, func() (int, error) {
 				res, err := e.Explore(q)
 				if err != nil {
@@ -92,7 +92,7 @@ func TestInflatedBytesCeilings(t *testing.T) {
 	// With the chunk cache on, the cold run inflates what the pruned
 	// window needs and a repeat is served from the cache entirely.
 	t.Run("ExploreWindowPruning/segment-warm", func(t *testing.T) {
-		e, reg, q := pruningStore(t, 4<<10, 0)
+		e, reg, q := pruningStore(t, 4<<10, true)
 		explore := func() int64 {
 			t.Helper()
 			before := inflatedBytes(reg)

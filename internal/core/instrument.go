@@ -58,7 +58,6 @@ type engineMetrics struct {
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	scannedLeaves *obs.Counter
-	prunedLeaves  *obs.Counter
 	chunksScanned *obs.Counter
 	chunksPruned  *obs.Counter
 	leafBytes     *obs.Counter
@@ -89,7 +88,6 @@ func newEngineMetrics(r *obs.Registry, t *obs.Tracer) *engineMetrics {
 		cacheHits:     r.Counter("spate_explore_cache_hits_total", "Explorations served from the result cache."),
 		cacheMisses:   r.Counter("spate_explore_cache_misses_total", "Explorations that missed the result cache."),
 		scannedLeaves: r.Counter("spate_explore_scanned_leaves_total", "Snapshots decompressed during exploration."),
-		prunedLeaves:  r.Counter("spate_explore_pruned_leaves_total", "Snapshots skipped by leaf spatial pruning."),
 		chunksScanned: r.Counter("spate_explore_scanned_chunks_total", "Leaf chunks decompressed during scans."),
 		chunksPruned:  r.Counter("spate_explore_pruned_chunks_total", "Leaf chunks skipped through segment zone maps."),
 		leafBytes:     r.Counter("spate_leaf_decompressed_bytes_total", "Leaf bytes inflated from the DFS (chunk-cache misses only)."),

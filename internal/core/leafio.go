@@ -20,13 +20,13 @@ import (
 )
 
 // This file is the engine's leaf I/O layer: the write path that renders a
-// snapshot table into its on-disk leaf form (a chunked segment, or a legacy
-// whole-blob when Options.ChunkSize is negative), and the read path that
-// streams a stored leaf back out as typed rows of just the columns a scan
-// projects, pruning segment chunks by window and cell candidates before
-// paying for decompression. Both formats flow through the same scan entry
-// point so recovery, queries, SQL scans and the cluster RPC handlers never
-// care which one a file carries.
+// snapshot table into its on-disk leaf form (a chunked segment), and the
+// read path that streams a stored leaf back out as typed rows of just the
+// columns a scan projects, pruning segment chunks by window and cell
+// candidates before paying for decompression. Segments and the legacy
+// whole-blob leaves older writers left behind flow through the same scan
+// entry point, so recovery, queries, SQL scans and the cluster RPC handlers
+// never care which one a file carries.
 
 // encBufPool recycles wire-text accumulation buffers across the per-table
 // encode workers — two tables per epoch forever would otherwise churn the
@@ -39,11 +39,11 @@ var encBufPool = sync.Pool{
 // worker, with the worker's own stage times.
 type encodedLeaf struct {
 	name string
-	data []byte // segment, or legacy compressed blob
+	data []byte // the segment file
 	raw  int64  // uncompressed wire-text bytes
 
 	// colNames and colStats report the v3 per-column codec choices and
-	// entropy for the ingest stats feed (nil for v2/blob leaves).
+	// entropy for the ingest stats feed (nil for v2 leaves).
 	colNames []string
 	colStats []segment.ColumnStat
 
@@ -74,9 +74,7 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 	// time-ordered within an epoch, and chunk zone maps only prune when
 	// each chunk covers a narrow slice of the epoch's half hour. The sort
 	// is stable and in place, so the in-memory table (summary folds), the
-	// wire text and the stored leaf all agree on one canonical order —
-	// legacy whole-blob writes share it, keeping both formats
-	// row-for-row identical.
+	// wire text and the stored leaf all agree on one canonical order.
 	t0 := time.Now()
 	tsIdx := tab.Schema.FieldIndex(telco.AttrTS)
 	cellIdx := tab.Schema.FieldIndex(telco.AttrCellID)
@@ -89,10 +87,10 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 			return a.Time().Compare(b.Time())
 		})
 	}
-	columnar := e.opts.ChunkSize >= 0 && e.opts.SegmentVersion != segment.RowVersion
+	columnar := e.opts.SegmentVersion != segment.RowVersion
 
-	// The row-major forms compress the table's wire text, so they render
-	// all of it; a v3 leaf renders only what dictionary training samples.
+	// A v2 leaf compresses the table's wire text, so it renders all of it;
+	// a v3 leaf renders only what dictionary training samples.
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
@@ -122,12 +120,7 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 	t0 = time.Now()
 	c := e.codec()
 	var st segment.Stats
-	switch {
-	case e.opts.ChunkSize < 0:
-		// Legacy whole-blob leaf: one compressed run of the wire text.
-		out.data = c.Compress(nil, buf.Bytes())
-		st.RawBytes = int64(buf.Len())
-	case !columnar:
+	if !columnar {
 		w := segment.NewWriter(c, e.opts.ChunkSize)
 		text := buf.Bytes()
 		start := 0
@@ -138,7 +131,7 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 			start = ends[i]
 		}
 		out.data, st, out.err = w.Finish()
-	default:
+	} else {
 		// v3 column-major segment: the same rows in the same canonical
 		// order, stored as per-column streams of escaped wire fields.
 		w := segment.NewColumnWriter(c, e.opts.ChunkSize, tab.Schema.NumFields())

@@ -34,7 +34,7 @@ func mixedStore(t *testing.T, workers int) (*testRig, telco.TimeRange, map[strin
 		t.Fatal(err)
 	}
 	const chunk = 16 << 10
-	r := newRig(t, Options{Codec: codec, ChunkSize: -1})
+	r := newRig(t, Options{Codec: codec})
 	snaps := epochSnapshots(r, 9)
 	ingest := func(from, to int) {
 		for _, sn := range snaps[from:to] {
@@ -43,7 +43,7 @@ func mixedStore(t *testing.T, workers int) (*testRig, telco.TimeRange, map[strin
 			}
 		}
 	}
-	ingest(0, 2) // legacy blobs
+	commitBlobs(t, r.e, snaps[0:2]...) // legacy blobs
 	r.e = reopen(t, r, Options{Codec: codec, ChunkSize: chunk, SegmentVersion: segment.RowVersion})
 	ingest(2, 4) // v2
 	r.e = reopen(t, r, Options{Codec: codec, ChunkSize: chunk, ScanWorkers: workers})

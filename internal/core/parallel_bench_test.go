@@ -33,14 +33,11 @@ func parallelStore(tb testing.TB, workers int, readMBps float64) (*Engine, *obs.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := Open(fs, g.CellTable(), Options{
-		ScanWorkers:     workers,
-		ChunkCacheBytes: -1,
-		Obs:             reg,
-	})
+	e, err := Open(fs, g.CellTable(), Options{ScanWorkers: workers, Obs: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	disableChunkCache(e)
 	e0 := telco.EpochOf(cfg.Start)
 	for i := 0; i < epochs; i++ {
 		s := snapshot.New(e0 + telco.Epoch(i))

@@ -44,16 +44,12 @@ func normalizeParallel(res *Result) {
 // The engines are opened fresh over one shared DFS (the recovery path), so
 // sealed days force parallel summary rebuilds too.
 func TestParallelExploreParity(t *testing.T) {
-	r := newRig(t, Options{LeafSpatialPrune: true})
+	r := newRig(t, Options{})
 	r.ingestEpochs(t, telco.EpochsPerDay+4) // one sealed day + an open tail
 	r.e.FinishIngest()
 
 	open := func(workers int) *Engine {
-		e, err := Open(r.fs, r.g.CellTable(), Options{
-			ScanWorkers:      workers,
-			LeafSpatialPrune: true,
-			Obs:              obs.NewRegistry(),
-		})
+		e, err := Open(r.fs, r.g.CellTable(), Options{ScanWorkers: workers, Obs: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,9 @@ import (
 // The engine persists enough state on the DFS to survive a restart:
 //
 //	/spate/meta/leaf/<epoch>      gob leafMeta per ingested snapshot
+//	/spate/meta/finished          empty marker: FinishIngest sealed the
+//	                              right-most path and nothing was appended
+//	                              since
 //	/spate/index/<level>/<start>  highlight summary per sealed node, in its
 //	                              binary encoding (highlights.Summary.Encode;
 //	                              stores written before it hold gob, which
@@ -35,6 +38,36 @@ type leafMeta struct {
 
 func leafMetaPath(e telco.Epoch) string {
 	return "/spate/meta/leaf/" + e.String()
+}
+
+// finishMarkPath is the marker FinishIngest writes once every seal of the
+// right-most path is persisted, and the first append after a reopen
+// deletes before its leaf is durable. While it exists, the persisted
+// summaries of the right-most path describe every leaf under them.
+const finishMarkPath = "/spate/meta/finished"
+
+// markFinished writes the finish marker. Caller holds e.mu.
+func (e *Engine) markFinished() {
+	e.finishMarked = e.fs.Exists(finishMarkPath) || e.fs.WriteFile(finishMarkPath, nil) == nil
+}
+
+// unmarkFinished deletes the finish marker, if the store carries one, ahead
+// of an append: the append extends the right-most periods, whose persisted
+// summaries a recovery must then no longer trust.
+func (e *Engine) unmarkFinished() error {
+	e.mu.RLock()
+	marked := e.finishMarked
+	e.mu.RUnlock()
+	if !marked {
+		return nil
+	}
+	if err := e.fs.Delete(finishMarkPath); err != nil {
+		return fmt.Errorf("core: delete finish marker: %w", err)
+	}
+	e.mu.Lock()
+	e.finishMarked = false
+	e.mu.Unlock()
+	return nil
 }
 
 func summaryPath(level index.Level, start time.Time) string {
@@ -113,6 +146,7 @@ func (e *Engine) listSummaryFiles() []summaryFileInfo {
 // recover rebuilds the index from persisted metadata. Called by Open when
 // the cluster already carries SPATE state.
 func (e *Engine) recover() error {
+	e.finishMarked = e.fs.Exists(finishMarkPath)
 	metas := e.fs.List("/spate/meta/leaf/")
 	summaries := e.listSummaryFiles()
 	if len(metas) == 0 && len(summaries) == 0 {
@@ -198,11 +232,15 @@ func (e *Engine) recover() error {
 		return loadErr
 	}
 	// The right-most path may still grow after recovery (the trace can
-	// continue); drop any summaries loaded for those open periods — they
-	// could be stale partial seals from a FinishIngest — and let the next
-	// rollover re-seal them from data.
-	for _, n := range e.tree.FinishIngest() {
-		n.Summary = nil
+	// continue). Under the finish marker its summaries are the ones
+	// FinishIngest sealed over every leaf, and stay until an append extends
+	// their periods. Without it they may be partial seals an append has
+	// since outgrown: they are dropped, and the next rollover re-seals
+	// those periods from data.
+	if !e.finishMarked {
+		for _, n := range e.tree.FinishIngest() {
+			n.Summary = nil
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"spate/internal/decay"
 	"spate/internal/dfs"
 	"spate/internal/gen"
+	"spate/internal/geo"
 	"spate/internal/highlights"
 	"spate/internal/index"
 	"spate/internal/snapshot"
@@ -100,14 +102,14 @@ func TestRecoveryGraftsSealedDaysInOrder(t *testing.T) {
 
 // A store whose leaves were written under a trained zstd dictionary must
 // read back on an engine that does not train: the option decides training,
-// the persisted dictionary decides reading. Training fires mid-snapshot
-// (TrainAfter counts tables), so even the first epoch has a dictionary leaf.
+// the persisted dictionary decides reading. Training counts tables, so it
+// fires during the second snapshot and the last two hold dictionary leaves.
 func TestReopenWithoutTrainingReadsDictionaryLeaves(t *testing.T) {
 	zc, err := compress.Lookup("zstd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRig(t, Options{Codec: zc, TrainDictionary: true, TrainAfter: 2})
+	r := newRig(t, Options{Codec: zc, TrainDictionary: true})
 	r.ingestEpochs(t, 4)
 	if !r.fs.Exists("/spate/meta/zstd-dict") {
 		t.Fatal("trained dictionary not persisted")
@@ -320,6 +322,95 @@ func TestFinishIngestMakesStoreReadOnly(t *testing.T) {
 	if _, err := e2.Ingest(s); err != nil {
 		t.Fatalf("recovered engine rejected ingest: %v", err)
 	}
+}
+
+// TestReopenedFinishedStoreAppendsAndReseals: a store FinishIngest sealed
+// reopens with the summaries of its right-most path and answers as the
+// finished engine did, highlights included. An append then extends those
+// periods: the reopened engine drops their summaries and the finish
+// marker, so a later reopen — as after a crash — trusts none of the now
+// partial persisted seals, and every answer matches a store that ingested
+// the same snapshots without ever finishing. The next day's
+// rollover re-seals the extended day, and finishing again makes the
+// right-most path trusted once more.
+func TestReopenedFinishedStoreAppendsAndReseals(t *testing.T) {
+	r := newRig(t, Options{})
+	ref := newRig(t, Options{})
+	snaps := epochSnapshots(r, 2*telco.EpochsPerDay+2)
+	refSnaps := epochSnapshots(ref, len(snaps))
+	ingest := func(e *Engine, snaps []*snapshot.Snapshot) {
+		t.Helper()
+		for _, sn := range snaps {
+			if _, err := e.Ingest(sn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	day2 := telco.NewTimeRange(r.cfg.Start.Add(24*time.Hour), r.cfg.Start.Add(48*time.Hour))
+	queries := []Query{
+		{Window: day2},
+		{Window: telco.NewTimeRange(r.cfg.Start.Add(20*time.Hour), r.cfg.Start.Add(26*time.Hour))},
+		{Window: telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(48*time.Hour)), Box: geo.NewRect(0, 0, 40, 38)},
+	}
+	// same fails unless got answers every query as want does.
+	same := func(what string, got, want *Engine) {
+		t.Helper()
+		for _, q := range queries {
+			g, err := got.Explore(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := want.Explore(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameExplore(t, fmt.Sprintf("%s: %v", what, q.Window), g, w)
+			if !reflect.DeepEqual(g.Highlights, w.Highlights) {
+				t.Errorf("%s: %v: highlights differ", what, q.Window)
+			}
+		}
+	}
+	daySummary := func(e *Engine, day int) *highlights.Summary {
+		return e.Tree().NodesAtLevel(index.LevelDay)[day].Summary
+	}
+
+	// Day 1 sealed, day 2 three epochs in and sealed by FinishIngest.
+	ingest(r.e, snaps[:telco.EpochsPerDay+3])
+	r.e.FinishIngest()
+	e2 := reopen(t, r, Options{})
+	if daySummary(e2, 1) == nil {
+		t.Fatal("the reopened finished store dropped its last day's summary")
+	}
+	same("reopened finished store", e2, r.e)
+
+	// Two more epochs into day 2: its summary and the marker go.
+	ingest(e2, snaps[telco.EpochsPerDay+3:telco.EpochsPerDay+5])
+	if daySummary(e2, 1) != nil {
+		t.Error("the append left day 2 its partial summary")
+	}
+	if r.fs.Exists(finishMarkPath) {
+		t.Error("the append left the finish marker")
+	}
+	ingest(ref.e, refSnaps[:telco.EpochsPerDay+5])
+	same("extended store", e2, ref.e)
+	e3 := reopen(t, r, Options{})
+	if daySummary(e3, 1) != nil {
+		t.Error("a reopen trusted day 2's partial persisted summary")
+	}
+	same("store reopened after the append", e3, ref.e)
+
+	// Day 3's first epoch seals day 2 again, over all its leaves.
+	ingest(e3, snaps[telco.EpochsPerDay+5:])
+	ingest(ref.e, refSnaps[telco.EpochsPerDay+5:])
+	g, _ := daySummary(e3, 1).Encode()
+	w, _ := daySummary(ref.e, 1).Encode()
+	if !bytes.Equal(g, w) {
+		t.Error("the re-sealed day 2 differs from a day sealed once")
+	}
+	same("re-sealed store", e3, ref.e)
+	e3.FinishIngest()
+	ref.e.FinishIngest()
+	same("finished again", reopen(t, r, Options{}), ref.e)
 }
 
 func TestFullProcessRestartRecoversStore(t *testing.T) {

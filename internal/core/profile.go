@@ -11,7 +11,6 @@ type Profile struct {
 	TraceID string `json:"trace_id,omitempty"`
 
 	LeavesScanned int `json:"leaves_scanned,omitempty"`
-	LeavesPruned  int `json:"leaves_pruned,omitempty"`
 	LeavesDecayed int `json:"leaves_decayed,omitempty"`
 	// LeavesDecoded counts the sealed leaves whose summary was decoded
 	// from the encoding the leaf keeps in memory, and LeavesCached those a
@@ -110,7 +109,6 @@ func (p *Profile) Add(o Profile) {
 		return
 	}
 	p.LeavesScanned += o.LeavesScanned
-	p.LeavesPruned += o.LeavesPruned
 	p.LeavesDecayed += o.LeavesDecayed
 	p.LeavesDecoded += o.LeavesDecoded
 	p.LeavesCached += o.LeavesCached

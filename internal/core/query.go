@@ -81,8 +81,6 @@ type Result struct {
 	// ScannedLeaves counts snapshots decompressed for summaries or exact
 	// rows.
 	ScannedLeaves int
-	// PrunedLeaves counts snapshots skipped by leaf spatial pruning.
-	PrunedLeaves int
 	// CacheHit marks answers served from the result cache (the UI-facing
 	// behaviour for zoom-in queries with |w'| < |w|).
 	CacheHit bool
@@ -175,7 +173,6 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 		}
 		res.Stages = sr.flush(e.met.exploreStage, span)
 		res.ScannedLeaves = res.Profile.LeavesScanned
-		res.PrunedLeaves = res.Profile.LeavesPruned
 		res.DecayedLeaves = res.Profile.LeavesDecayed
 		res.Profile.TraceID = span.TraceID()
 		if p := ProfileFromContext(ctx); p != nil {
@@ -184,7 +181,6 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 		span.End()
 		e.met.exploreSec.Observe(time.Since(start).Seconds())
 		e.met.scannedLeaves.Add(int64(res.ScannedLeaves))
-		e.met.prunedLeaves.Add(int64(res.PrunedLeaves))
 		e.cache.Put(key, res)
 	}
 
@@ -429,13 +425,11 @@ type partSrc struct {
 // leafRef is the lock-free snapshot of the leaf fields the exact-row path
 // reads. Tree nodes are mutated under the engine write lock, so node
 // pointers must not be dereferenced after the read lock is released; the
-// captured summary and DataRefs map are safe to retain by reference —
-// summaries are immutable once built, and decay replaces the refs map
-// wholesale rather than mutating entries.
+// captured DataRefs map is safe to retain by reference — decay and
+// compaction replace the refs map wholesale rather than mutating entries.
 type leafRef struct {
 	decayed bool
 	refs    map[string]string
-	sum     *highlights.Summary
 }
 
 // rowLeaves snapshots the window's leaves for the exact-row path. The
@@ -444,7 +438,7 @@ func (e *Engine) rowLeaves(w telco.TimeRange) []leafRef {
 	nodes := e.tree.LeavesIn(w, nil)
 	out := make([]leafRef, len(nodes))
 	for i, n := range nodes {
-		out[i] = leafRef{decayed: n.Decayed, refs: n.DataRefs, sum: n.Summary}
+		out[i] = leafRef{decayed: n.Decayed, refs: n.DataRefs}
 	}
 	return out
 }
@@ -484,16 +478,16 @@ type unit struct {
 // scanPlan is the plan stage's output: the units to run, in emit order,
 // and what became of the window's leaves.
 type scanPlan struct {
-	units                    []unit
-	scanned, decayed, pruned int // leaves
+	units            []unit
+	scanned, decayed int // leaves
 }
 
 // planUnits is the plan stage of every exact-data read: captured leaves ×
 // wanted tables become one ordered unit list — leaves in temporal order,
 // table names sorted within a leaf — so results are emitted in the same
 // order at every scan width. Decayed leaves are skipped (their raw data is
-// gone), and under Options.LeafSpatialPrune so is a leaf whose summary
-// holds no cell of the query box (§V-A).
+// gone); a leaf's chunks with no cell of the query box are skipped later,
+// by their cell sketches, before they inflate.
 func (e *Engine) planUnits(leaves []leafRef, env *queryEnv) (scanPlan, error) {
 	var p scanPlan
 	for _, l := range leaves {
@@ -502,17 +496,6 @@ func (e *Engine) planUnits(leaves []leafRef, env *queryEnv) (scanPlan, error) {
 				p.decayed++
 			}
 			continue
-		}
-		if e.opts.LeafSpatialPrune && env.inBox != nil && l.sum != nil {
-			hit := false
-			for i := 0; i < l.sum.Cells() && !hit; i++ {
-				id, _, _ := l.sum.Cell(i)
-				hit = env.inBox[id]
-			}
-			if !hit {
-				p.pruned++
-				continue
-			}
 		}
 		p.scanned++
 		first := len(p.units)
@@ -544,7 +527,6 @@ func (e *Engine) planScan(w *telco.TimeRange, box geo.Rect, tables []string, src
 	}
 	if prof != nil {
 		prof.LeavesScanned += plan.scanned
-		prof.LeavesPruned += plan.pruned
 		prof.LeavesDecayed += plan.decayed
 	}
 	return env, plan, nil

@@ -29,11 +29,11 @@ func inflatedBytes(reg *obs.Registry) int64 {
 }
 
 // pruningStore ingests four CDR epochs into an engine with the given chunk
-// target (-1: legacy whole-blob leaves) and chunk-cache budget (-1: off)
-// and returns it with its registry and the exact-row query over a
-// 10-minute window of the first epoch, which the chunks' timestamp zone
+// target (-1: legacy whole-blob leaves, see commitBlobs), its chunk cache
+// on or off, and returns it with its registry and the exact-row query over
+// a 10-minute window of the first epoch, which the chunks' timestamp zone
 // maps prune most of each leaf for.
-func pruningStore(tb testing.TB, chunkSize int, cacheBytes int64) (*Engine, *obs.Registry, Query) {
+func pruningStore(tb testing.TB, chunkSize int, cached bool) (*Engine, *obs.Registry, Query) {
 	tb.Helper()
 	reg := obs.NewRegistry()
 	cfg := gen.DefaultConfig(0.004)
@@ -45,15 +45,20 @@ func pruningStore(tb testing.TB, chunkSize int, cacheBytes int64) (*Engine, *obs
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := Open(fs, g.CellTable(), Options{ChunkSize: chunkSize, ChunkCacheBytes: cacheBytes, Obs: reg})
+	e, err := Open(fs, g.CellTable(), Options{ChunkSize: max(chunkSize, 0), Obs: reg})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if !cached {
+		disableChunkCache(e)
 	}
 	e0 := telco.EpochOf(cfg.Start)
 	for i := 0; i < 4; i++ {
 		s := snapshot.New(e0 + telco.Epoch(i))
 		s.Add(g.CDRTable(s.Epoch))
-		if _, err := e.Ingest(s); err != nil {
+		if chunkSize < 0 {
+			commitBlobs(tb, e, s)
+		} else if _, err := e.Ingest(s); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -74,8 +79,8 @@ func pruningStore(tb testing.TB, chunkSize int, cacheBytes int64) (*Engine, *obs
 // it); the cached variant shows the steady state where repeats are
 // absorbed entirely.
 func BenchmarkExploreWindowPruning(b *testing.B) {
-	run := func(b *testing.B, chunkSize int, cacheBytes int64) {
-		e, reg, q := pruningStore(b, chunkSize, cacheBytes)
+	run := func(b *testing.B, chunkSize int, cached bool) {
+		e, reg, q := pruningStore(b, chunkSize, cached)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.cache.Clear() // defeat the result cache; chunk cache behaves per variant
@@ -86,7 +91,7 @@ func BenchmarkExploreWindowPruning(b *testing.B) {
 		b.StopTimer()
 		reportChunkMetrics(b, reg)
 	}
-	b.Run("segment", func(b *testing.B) { run(b, 4<<10, 0) })
-	b.Run("segment-nocache", func(b *testing.B) { run(b, 4<<10, -1) })
-	b.Run("legacy-nocache", func(b *testing.B) { run(b, -1, -1) })
+	b.Run("segment", func(b *testing.B) { run(b, 4<<10, true) })
+	b.Run("segment-nocache", func(b *testing.B) { run(b, 4<<10, false) })
+	b.Run("legacy-nocache", func(b *testing.B) { run(b, -1, false) })
 }

@@ -6,12 +6,60 @@ import (
 	"testing"
 	"time"
 
+	"spate/internal/cache"
 	"spate/internal/decay"
 	"spate/internal/geo"
 	"spate/internal/obs"
+	"spate/internal/segment/segmenttest"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
+
+// commitBlobs ingests snapshots as legacy whole-blob leaves, a form no
+// engine writes any more but stores from older writers hold: each table is
+// prepared as a segment and re-rendered as a blob before the commit.
+func commitBlobs(tb testing.TB, e *Engine, snaps ...*snapshot.Snapshot) {
+	tb.Helper()
+	for _, sn := range snaps {
+		p, err := e.Prepare(context.Background(), sn)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.rep.CompBytes = 0
+		for i := range p.tables {
+			enc := &p.tables[i]
+			if enc.data, err = segmenttest.Blob(enc.data, e.codec()); err != nil {
+				tb.Fatal(err)
+			}
+			enc.colNames, enc.colStats = nil, nil
+			p.rep.Tables[i].CompBytes = int64(len(enc.data))
+			p.rep.CompBytes += int64(len(enc.data))
+		}
+		if _, err := e.Commit(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// ingestBlobEpochs is ingestEpochs storing legacy whole-blob leaves.
+func (r *testRig) ingestBlobEpochs(t *testing.T, n int) {
+	t.Helper()
+	e0 := telco.EpochOf(r.cfg.Start)
+	for i := 0; i < n; i++ {
+		s := snapshot.New(e0 + telco.Epoch(i))
+		s.Add(r.g.CDRTable(s.Epoch))
+		s.Add(r.g.NMSTable(s.Epoch))
+		commitBlobs(t, r.e, s)
+	}
+}
+
+// disableChunkCache swaps the engine's chunk cache for one that holds
+// nothing, so every scan pays its full inflate. Call it before the engine
+// serves anything.
+func disableChunkCache(e *Engine) {
+	e.chunkCache = cache.New("spate_chunk_cache", "Inflated leaf chunks", -1,
+		func(b []byte) int64 { return int64(len(b)) }, e.opts.Obs)
+}
 
 // TestSegmentLegacyEquivalence is the format-refactor acceptance gate: the
 // same generated world stored as chunked segments (small chunks, so leaves
@@ -19,9 +67,9 @@ import (
 // boxed exploration with bit-identical rows, summaries and cell series.
 func TestSegmentLegacyEquivalence(t *testing.T) {
 	seg := newRig(t, Options{ChunkSize: 1 << 10})
-	leg := newRig(t, Options{ChunkSize: -1})
+	leg := newRig(t, Options{})
 	seg.ingestEpochs(t, 6)
-	leg.ingestEpochs(t, 6)
+	leg.ingestBlobEpochs(t, 6)
 
 	queries := []Query{
 		{Window: telco.NewTimeRange(seg.cfg.Start.Add(15*time.Minute), seg.cfg.Start.Add(75*time.Minute)),
@@ -86,8 +134,8 @@ func TestSegmentLegacyEquivalence(t *testing.T) {
 // under a segment-writing engine and keep answering, and new epochs
 // appended in segment form must coexist with the old leaves in one window.
 func TestLegacyLeavesRecoverAndQuery(t *testing.T) {
-	r := newRig(t, Options{ChunkSize: -1})
-	r.ingestEpochs(t, 4)
+	r := newRig(t, Options{})
+	r.ingestBlobEpochs(t, 4)
 	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(2*time.Hour))
 	want, err := r.e.Explore(Query{Window: w, ExactRows: true})
 	if err != nil {
@@ -199,7 +247,7 @@ func TestDecayKeepsDisjointCachedResults(t *testing.T) {
 	}
 
 	// Advance time so exactly the [1h, 1h30m) leaf ages out.
-	res, err := r.e.Decay(r.cfg.Start.Add(3*time.Hour + 30*time.Minute))
+	res, err := r.e.DecayRun(r.cfg.Start.Add(3*time.Hour+30*time.Minute), DecayBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@
 // component of the system that acts on its own clock. A Manager supervises
 // three job families over one engine:
 //
-//   - decay: runs the data fungus on a schedule with a per-run budget, so
-//     the paper's storage objective O1 stays bounded over months of ingest
-//     without an operator ever calling Engine.Decay.
+//   - decay: runs the data fungus on a schedule, so the paper's storage
+//     objective O1 stays bounded over months of ingest without an operator
+//     ever calling Engine.DecayRun.
 //   - scrub: walks DFS blocks verifying replica checksums, quarantines
 //     corrupt copies and restores the replication factor.
 //   - compact: rewrites legacy whole-blob leaves into chunked segments and
@@ -43,10 +43,6 @@ type Config struct {
 	// Jitter spreads each sleep uniformly into ±Jitter×interval (default
 	// 0.1; negative disables). Keeps shard fleets from sweeping in phase.
 	Jitter float64
-	// DecayBudget bounds each scheduled decay sweep.
-	DecayBudget core.DecayBudget
-	// Compact bounds each compaction sweep.
-	Compact core.CompactOptions
 	// History is the number of run records retained (default 32).
 	History int
 	// Now supplies the decay instant (default time.Now) — tests inject a
@@ -375,20 +371,15 @@ func (m *Manager) runJob(j *job) RunRecord {
 }
 
 func (m *Manager) runDecay(context.Context) (string, map[string]int64, error) {
-	rep, err := m.eng.DecayRun(m.cfg.Now(), m.cfg.DecayBudget)
+	rep, err := m.eng.DecayRun(m.cfg.Now(), core.DecayBudget{})
 	m.met.bytesFreed.Add(rep.BytesFreed)
-	summary := fmt.Sprintf("%d leaves decayed, %d nodes pruned, %d bytes freed (%d/%d evictions applied)",
-		rep.LeavesDecayed, rep.NodesPruned, rep.BytesFreed, rep.Applied, rep.Planned)
-	if rep.Clamped {
-		summary += " [budget clamped]"
-	}
+	summary := fmt.Sprintf("%d leaves decayed, %d nodes pruned, %d bytes freed",
+		rep.LeavesDecayed, rep.NodesPruned, rep.BytesFreed)
 	details := map[string]int64{
 		"leaves_decayed": int64(rep.LeavesDecayed),
 		"nodes_pruned":   int64(rep.NodesPruned),
 		"bytes_freed":    rep.BytesFreed,
 		"refs_deleted":   int64(rep.RefsDeleted),
-		"planned":        int64(rep.Planned),
-		"applied":        int64(rep.Applied),
 	}
 	return summary, details, err
 }
@@ -414,7 +405,7 @@ func (m *Manager) runScrub(context.Context) (string, map[string]int64, error) {
 }
 
 func (m *Manager) runCompact(ctx context.Context) (string, map[string]int64, error) {
-	rep, err := m.eng.Compact(ctx, m.cfg.Compact)
+	rep, err := m.eng.Compact(ctx, core.CompactOptions{})
 	m.met.chunksMerged.Add(int64(rep.ChunksMerged))
 	summary := fmt.Sprintf("%d/%d leaves rewritten (%d blobs converted, %d chunks merged), %d -> %d bytes",
 		rep.LeavesRewritten, rep.LeavesExamined, rep.BlobsConverted, rep.ChunksMerged,

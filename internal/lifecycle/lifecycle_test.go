@@ -12,6 +12,7 @@ import (
 	"spate/internal/gen"
 	"spate/internal/lifecycle"
 	"spate/internal/obs"
+	"spate/internal/segment/segmenttest"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
@@ -52,6 +53,28 @@ func (r *rig) ingestEpochs(t *testing.T, n int) {
 		s.Add(r.g.CDRTable(s.Epoch))
 		s.Add(r.g.NMSTable(s.Epoch))
 		if _, err := r.e.Ingest(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// storeAsBlobs rewrites every stored leaf file as a legacy whole-blob
+// leaf, the form older writers left behind and compaction converts.
+func (r *rig) storeAsBlobs(t *testing.T) {
+	t.Helper()
+	for _, fi := range r.fs.List("/spate/data/") {
+		data, err := r.fs.ReadFile(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := segmenttest.Blob(data, r.e.Codec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.fs.Delete(fi.Path); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.fs.WriteFile(fi.Path, blob); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,8 +207,9 @@ func TestScrubRestoresClusterHealth(t *testing.T) {
 // TestTriggerCompactConvertsBlobs drives the compactor through the manager
 // and checks the run record the UI will render.
 func TestTriggerCompactConvertsBlobs(t *testing.T) {
-	r := newRig(t, core.Options{ChunkSize: -1}) // legacy whole-blob leaves
+	r := newRig(t, core.Options{})
 	r.ingestEpochs(t, 3)
+	r.storeAsBlobs(t)
 	m := lifecycle.New(r.e, lifecycle.Config{Obs: obs.NewNoop()})
 
 	rec, err := m.Trigger(lifecycle.JobCompact)

@@ -1,8 +1,8 @@
-// Package segmenttest builds segment files that no writer produces any more,
-// for the tests of the readers that still serve them. It renders them from
-// the on-disk layout documented in package segment, not through the writers'
-// own code, so a reader that parses its output also agrees with the format
-// as written down.
+// Package segmenttest builds leaf files that no writer produces any more —
+// segments of row-text chunks, legacy whole-blob leaves — for the tests of
+// the readers that still serve them. It renders them from the on-disk layout
+// documented in package segment, not through the writers' own code, so a
+// reader that parses its output also agrees with the format as written down.
 package segmenttest
 
 import (

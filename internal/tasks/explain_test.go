@@ -260,7 +260,7 @@ func TestRenderProfileLeafCache(t *testing.T) {
 	p := core.Profile{Shards: []core.ShardProfile{{Shard: 2, LatencyMS: 1.5, FrameBytes: 2048, Rows: 17, Profile: shard}}}
 	p.Add(shard)
 	out := strings.Join(renderProfile(&p), "\n")
-	for _, want := range []string{"leaves: 1 scanned, 0 pruned, 0 decayed, 4 cached, 2 decoded",
+	for _, want := range []string{"leaves: 1 scanned, 0 decayed, 4 cached, 2 decoded",
 		"shard 2 band 0: 1.5 ms, 1 leaves scanned, 4 cached, 2 decoded, ", ", 17 rows, 2048 frame bytes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, out)

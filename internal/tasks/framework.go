@@ -125,8 +125,8 @@ func renderProfile(p *core.Profile) []string {
 	if p.ResultCacheHit {
 		add("result cache: hit")
 	}
-	add("leaves: %d scanned, %d pruned, %d decayed, %d cached, %d decoded",
-		p.LeavesScanned, p.LeavesPruned, p.LeavesDecayed, p.LeavesCached, p.LeavesDecoded)
+	add("leaves: %d scanned, %d decayed, %d cached, %d decoded",
+		p.LeavesScanned, p.LeavesDecayed, p.LeavesCached, p.LeavesDecoded)
 	add("chunks: %d scanned, %d pruned (zone map), %d pruned (bloom)",
 		p.ChunksScanned, p.ChunksPrunedZone, p.ChunksPrunedBloom)
 	if p.ChunksPrunedPred+p.ChunksAggMeta > 0 {
