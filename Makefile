@@ -68,14 +68,17 @@ bench:
 	$(GO) test -bench . -benchtime 10x -run XXX ./...
 
 # Fuzz the WAL record decoder, the v3 column-stream decoders (string and
-# column-batch, one target), the binary summary decoder (with the merge of
-# what it decodes), the explore frame reader (which decodes the parts, rows
-# and partials inside it), the partials section alone, the scan-spec
-# check a node runs on /rpc/explore bodies and the web UI's JSON string and
-# number writers (against encoding/json) for a short, CI-friendly budget.
+# column-batch, one target), the SPSG tail/footer parser behind
+# segment.Open (with the chunk reads of what opens), the binary summary
+# decoder (with the merge of what it decodes), the explore frame reader
+# (which decodes the parts, rows and partials inside it), the partials
+# section alone, the scan-spec check a node runs on /rpc/explore bodies and
+# the web UI's JSON string and number writers (against encoding/json) for a
+# short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/
+	$(GO) test -fuzz FuzzSegmentOpen -fuzztime 30s -run XXX ./internal/segment/
 	$(GO) test -fuzz FuzzDecodeSummary -fuzztime 30s -run XXX ./internal/highlights/
 	$(GO) test -fuzz FuzzExploreFrame -fuzztime 30s -run XXX ./internal/cluster/
 	$(GO) test -fuzz FuzzValidateSpec -fuzztime 30s -run XXX ./internal/scanspec/

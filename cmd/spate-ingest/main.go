@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	spate-ingest -trace /tmp/trace -store /tmp/store -codec gzip -keepraw 24h
+//	spate-ingest -trace /tmp/trace -store /tmp/store -keepraw 24h
 //
 // With -stream the command becomes a paced firehose against a running
 // spate-server (started with -stream): rows of the trace are POSTed to
@@ -23,8 +23,6 @@ import (
 	"os/signal"
 	"time"
 
-	"spate/internal/compress"
-	_ "spate/internal/compress/all"
 	"spate/internal/core"
 	"spate/internal/decay"
 	"spate/internal/dfs"
@@ -36,7 +34,6 @@ func main() {
 	var (
 		trace   = flag.String("trace", "", "trace directory from spate-gen (required)")
 		store   = flag.String("store", "", "DFS store directory (required unless -stream)")
-		codec   = flag.String("codec", "gzip", "storage codec: gzip|sevenz|snappy|zstd")
 		keepRaw = flag.Duration("keepraw", 0, "decay horizon for raw data (0 = keep forever)")
 		grouped = flag.Bool("grouped", false, "use the EvictGroupedIndividuals fungus")
 		verbose = flag.Bool("v", false, "print a line per ingested snapshot")
@@ -66,10 +63,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	c, err := compress.Lookup(*codec)
-	if err != nil {
-		fatal(err)
-	}
 	cells, err := tracedir.ReadCells(*trace)
 	if err != nil {
 		fatal(err)
@@ -82,7 +75,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := core.Options{Codec: c, Policy: decay.Policy{KeepRaw: *keepRaw}}
+	opts := core.Options{Policy: decay.Policy{KeepRaw: *keepRaw}}
 	if *grouped {
 		opts.Fungus = decay.EvictGroupedIndividuals{}
 	}

@@ -64,7 +64,6 @@ import (
 	"time"
 
 	"spate/internal/cluster"
-	_ "spate/internal/compress/all"
 	"spate/internal/core"
 	"spate/internal/decay"
 	"spate/internal/dfs"

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	_ "spate/internal/compress/all"
 	"spate/internal/core"
 	"spate/internal/dfs"
 	"spate/internal/gen"

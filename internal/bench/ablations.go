@@ -228,35 +228,3 @@ func ablateTheta(w io.Writer, o Options) error {
 	t.fprint(w)
 	return nil
 }
-
-// ablateDictionary measures the zstd trained-dictionary direction (§IX-B
-// differential compression): stored bytes with and without training.
-func ablateDictionary(w io.Writer, o Options) error {
-	o = o.withDefaults()
-	epochs := traceEpochs(o.genConfig(), 1)
-	zc, err := compress.Lookup("zstd")
-	if err != nil {
-		return err
-	}
-	t := &table{title: "Ablation — zstd dictionary training (§IX-B direction)",
-		header: []string{"mode", "data", "avg ingest"}}
-	for _, train := range []bool{false, true} {
-		eng, _, cleanup, avg, err := buildSpate(o, epochs, core.Options{
-			Codec: zc, TrainDictionary: train,
-		})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		f := tasks.Spate{E: eng}
-		data, _ := f.Space()
-		mode := "zstd"
-		if train {
-			mode = "zstd + trained dictionary"
-		}
-		t.addRow(mode, fmtMB(data), fmtDur(avg))
-		cleanup()
-	}
-	t.fprint(w)
-	return nil
-}

@@ -32,7 +32,6 @@ var experimentTitles = map[string][]string{
 	"ablate-decay":     {"Ablation — decay policy"},
 	"ablate-leafindex": {"Ablation — per-leaf spatial pruning"},
 	"ablate-theta":     {"Ablation — highlight threshold"},
-	"ablate-dict":      {"Ablation — zstd dictionary training"},
 }
 
 // TestEveryExperimentRuns runs every experiment and every figure alias

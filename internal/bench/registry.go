@@ -28,7 +28,6 @@ func Experiments() []Experiment {
 		{"ablate-decay", "Ablation: decay fungi and horizons", ablateDecay},
 		{"ablate-leafindex", "Ablation: per-leaf spatial pruning", ablateLeafIndex},
 		{"ablate-theta", "Ablation: highlight threshold sweep", ablateTheta},
-		{"ablate-dict", "Ablation: zstd dictionary training", ablateDictionary},
 	}
 }
 

@@ -20,8 +20,7 @@
 //     slowest compression)
 //   - "snappy" — byte-oriented LZ with no entropy stage (fastest, ~half the
 //     ratio of the others)
-//   - "zstd"   — LZ77 + canonical Huffman with optional dictionary training
-//     (modern balance of ratio and speed)
+//   - "zstd"   — LZ77 + canonical Huffman (modern balance of ratio and speed)
 //
 // Implementations live in subpackages and self-register; import
 // spate/internal/compress/all to load every codec.
@@ -53,27 +52,6 @@ type Codec interface {
 	// Decompress appends the original bytes to dst and returns the extended
 	// slice. It fails on corrupted or truncated input.
 	Decompress(dst, src []byte) ([]byte, error)
-}
-
-// Effortful is implemented by codecs that can spend more compression CPU
-// in exchange for a better ratio. WithEffort returns a codec producing the
-// same stream format (and carrying the same dictionary) at the given
-// effort; level 1 is the ingest default, higher levels search harder, and
-// levels beyond a codec's maximum clamp. Decompression is identical across
-// levels, so a background rewriter can compress at high effort while the
-// query path keeps reading through the original codec.
-type Effortful interface {
-	Codec
-	WithEffort(level int) Codec
-}
-
-// WithEffort returns c at the given effort level when it supports one, and
-// c unchanged otherwise.
-func WithEffort(c Codec, level int) Codec {
-	if e, ok := c.(Effortful); ok {
-		return e.WithEffort(level)
-	}
-	return c
 }
 
 // ErrCorrupt is returned (possibly wrapped) when compressed input is

@@ -10,7 +10,6 @@ import (
 
 	"spate/internal/compress"
 	_ "spate/internal/compress/all"
-	"spate/internal/compress/zst"
 	"spate/internal/gen"
 	"spate/internal/telco"
 )
@@ -198,40 +197,6 @@ func TestTable1RatioOrderingOnTelcoData(t *testing.T) {
 		if r < 1 {
 			t.Errorf("%s expands telco data (ratio %.2f)", n, r)
 		}
-	}
-}
-
-func TestZstdDictionaryImprovesSmallBlocks(t *testing.T) {
-	// Dictionary compression must help on small blocks that share structure
-	// with the training samples.
-	full := telcoSample(t)
-	lines := bytes.SplitAfter(full, []byte{'\n'})
-	if len(lines) < 60 {
-		t.Skip("sample too small")
-	}
-	var samples [][]byte
-	for i := 0; i+10 <= 50; i += 10 {
-		samples = append(samples, bytes.Join(lines[i:i+10], nil))
-	}
-	dict := zst.Train(samples, 16<<10)
-	if len(dict) == 0 {
-		t.Fatal("Train returned empty dictionary")
-	}
-	block := bytes.Join(lines[50:58], nil)
-	plain := zst.New(nil)
-	trained := zst.New(dict)
-	lp := len(plain.Compress(nil, block))
-	lt := len(trained.Compress(nil, block))
-	got, err := trained.Decompress(nil, trained.Compress(nil, block))
-	if err != nil || !bytes.Equal(got, block) {
-		t.Fatalf("dict round trip failed: %v", err)
-	}
-	if lt >= lp {
-		t.Errorf("dictionary did not help: trained %d vs plain %d bytes", lt, lp)
-	}
-	// A dict-compressed block must not decode without the dictionary.
-	if _, err := plain.Decompress(nil, trained.Compress(nil, block)); err == nil {
-		t.Error("dict block decoded without dictionary")
 	}
 }
 

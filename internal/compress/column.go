@@ -19,8 +19,8 @@ import (
 // integer attributes (timestamps, counters) delta encode, and high-entropy
 // attributes stay as raw joined text. Packed streams are concatenated and
 // the chunk's generic block codec compresses the concatenation once, so
-// the codec keeps one shared context (and its trained dictionary) across
-// all columns instead of restarting per stream.
+// the codec keeps one shared context across all columns instead of
+// restarting per stream.
 const (
 	// ColPlain is the generic fallback: the fields joined by '\n', left
 	// for the chunk-level block codec.

@@ -43,31 +43,8 @@ func Instrument(c Codec, r *obs.Registry) Codec {
 	}
 }
 
-// Unwrap returns the codec beneath instrumentation (or c itself) — for
-// callers that switch on the concrete codec type, e.g. dictionary
-// training's zstd check.
-func Unwrap(c Codec) Codec {
-	if w, ok := c.(*instrumented); ok {
-		return w.inner
-	}
-	return c
-}
-
 // Name implements Codec.
 func (w *instrumented) Name() string { return w.inner.Name() }
-
-// WithEffort implements Effortful by forwarding to the inner codec,
-// keeping the same instrumentation series (the effort level is not a
-// separate codec). Codecs without effort levels come back unchanged.
-func (w *instrumented) WithEffort(level int) Codec {
-	e, ok := w.inner.(Effortful)
-	if !ok {
-		return w
-	}
-	cp := *w
-	cp.inner = e.WithEffort(level)
-	return &cp
-}
 
 // Compress implements Codec.
 func (w *instrumented) Compress(dst, src []byte) []byte {

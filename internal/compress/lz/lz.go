@@ -14,8 +14,7 @@ type Seq struct {
 
 // Options tunes the match finder.
 type Options struct {
-	// WindowSize bounds match distances. <= 0 means unbounded (whole input,
-	// plus the dictionary prefix if any).
+	// WindowSize bounds match distances. <= 0 means unbounded (whole input).
 	WindowSize int
 	// MinMatch is the smallest useful match length (default 4).
 	MinMatch int
@@ -56,26 +55,11 @@ func hash4(b []byte) uint32 {
 // Parse produces an LZ77 parse of src. The returned sequences exactly cover
 // src: sum(LitLen + MatchLen) == len(src).
 func Parse(src []byte, o Options) []Seq {
-	return ParseWithPrefix(nil, src, o)
-}
-
-// ParseWithPrefix parses src with prefix prepended as match history (a
-// shared dictionary, as in zstd dictionary compression). Distances are
-// measured in the concatenated stream, so they may exceed the current
-// position within src and reach into the prefix.
-func ParseWithPrefix(prefix, src []byte, o Options) []Seq {
 	o = o.withDefaults()
 	if len(src) == 0 {
 		return nil
 	}
 	data := src
-	base := 0
-	if len(prefix) > 0 {
-		data = make([]byte, 0, len(prefix)+len(src))
-		data = append(data, prefix...)
-		data = append(data, src...)
-		base = len(prefix)
-	}
 
 	head := make([]int32, 1<<hashBits)
 	for i := range head {
@@ -91,11 +75,6 @@ func ParseWithPrefix(prefix, src []byte, o Options) []Seq {
 		prev[i] = head[h]
 		head[h] = int32(i)
 	}
-	// Seed the chains with the dictionary prefix.
-	for i := 0; i < base; i++ {
-		insert(i)
-	}
-
 	find := func(i int) (bestLen, bestDist int) {
 		if i+hashLen > len(data) {
 			return 0, 0
@@ -125,7 +104,7 @@ func ParseWithPrefix(prefix, src []byte, o Options) []Seq {
 
 	var seqs []Seq
 	lit := 0 // pending literal run length
-	i := base
+	i := 0
 	for i < len(data) {
 		bestLen, bestDist := find(i)
 		if bestLen < o.MinMatch {
@@ -183,15 +162,13 @@ func matchLen(data []byte, j, i int) int {
 	return n
 }
 
-// Expand reconstructs the original bytes from a parse: the inverse of
-// Parse, used by tests and as the decode core of the LZ codecs. literals
-// holds the concatenated literal bytes of all sequences; prefix is the
-// dictionary (may be nil).
-func Expand(dst, prefix, literals []byte, seqs []Seq) ([]byte, bool) {
-	histBase := len(prefix)
-	// out holds prefix + decoded data; trimmed before return.
-	out := make([]byte, 0, histBase+len(literals)*2)
-	out = append(out, prefix...)
+// Expand reconstructs the original bytes from a parse and appends them to
+// dst: the inverse of Parse, used by tests and as the decode core of the
+// zstd-style codec. literals holds the concatenated literal bytes of all
+// sequences. A match may reach back only into the bytes it appends.
+func Expand(dst, literals []byte, seqs []Seq) ([]byte, bool) {
+	mark := len(dst)
+	out := dst
 	lp := 0
 	for _, s := range seqs {
 		if lp+s.LitLen > len(literals) {
@@ -203,7 +180,7 @@ func Expand(dst, prefix, literals []byte, seqs []Seq) ([]byte, bool) {
 			continue
 		}
 		start := len(out) - s.Dist
-		if s.Dist <= 0 || start < 0 {
+		if s.Dist <= 0 || start < mark {
 			return dst, false
 		}
 		for k := 0; k < s.MatchLen; k++ {
@@ -213,5 +190,5 @@ func Expand(dst, prefix, literals []byte, seqs []Seq) ([]byte, bool) {
 	if lp != len(literals) {
 		return dst, false
 	}
-	return append(dst, out[histBase:]...), true
+	return out, true
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // roundTrip parses src and expands the parse back.
-func roundTrip(t *testing.T, prefix, src []byte, o Options) {
+func roundTrip(t *testing.T, src []byte, o Options) {
 	t.Helper()
-	seqs := ParseWithPrefix(prefix, src, o)
+	seqs := Parse(src, o)
 	total := 0
 	var lits []byte
 	pos := 0
@@ -23,7 +23,7 @@ func roundTrip(t *testing.T, prefix, src []byte, o Options) {
 	if total != len(src) {
 		t.Fatalf("parse covers %d bytes, want %d", total, len(src))
 	}
-	got, ok := Expand(nil, prefix, lits, seqs)
+	got, ok := Expand(nil, lits, seqs)
 	if !ok {
 		t.Fatal("Expand failed")
 	}
@@ -51,7 +51,7 @@ func TestParseRoundTripTexts(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			roundTrip(t, nil, []byte(tc.src), Options{})
+			roundTrip(t, []byte(tc.src), Options{})
 		})
 	}
 }
@@ -87,25 +87,8 @@ func TestParseRandomRoundTrip(t *testing.T) {
 				i++
 			}
 		}
-		roundTrip(t, nil, src, Options{MaxChain: 16})
+		roundTrip(t, src, Options{MaxChain: 16})
 	}
-}
-
-func TestParseWithPrefixUsesDictionary(t *testing.T) {
-	dict := []byte(strings.Repeat("COMMON-TELCO-HEADER|GSM|PLAN0|", 10))
-	src := []byte("COMMON-TELCO-HEADER|GSM|PLAN0|payload")
-	seqs := ParseWithPrefix(dict, src, Options{})
-	if len(seqs) == 0 {
-		t.Fatal("no sequences")
-	}
-	first := seqs[0]
-	if first.LitLen != 0 || first.MatchLen < 20 {
-		t.Errorf("expected a long dictionary match at position 0, got %+v", first)
-	}
-	if first.Dist <= first.MatchLen && first.Dist < len(src) {
-		// Distance should reach back into the dictionary.
-	}
-	roundTrip(t, dict, src, Options{})
 }
 
 func TestWindowLimitsDistance(t *testing.T) {
@@ -120,25 +103,33 @@ func TestWindowLimitsDistance(t *testing.T) {
 			t.Fatalf("distance %d exceeds window", s.Dist)
 		}
 	}
-	roundTrip(t, nil, src, Options{WindowSize: 1024})
+	roundTrip(t, src, Options{WindowSize: 1024})
 }
 
 func TestExpandRejectsCorrupt(t *testing.T) {
 	// Distance beyond start of output.
-	if _, ok := Expand(nil, nil, []byte("ab"), []Seq{{LitLen: 2, MatchLen: 3, Dist: 100}}); ok {
+	if _, ok := Expand(nil, []byte("ab"), []Seq{{LitLen: 2, MatchLen: 3, Dist: 100}}); ok {
 		t.Error("Expand accepted invalid distance")
 	}
 	// Literal overrun.
-	if _, ok := Expand(nil, nil, []byte("a"), []Seq{{LitLen: 5}}); ok {
+	if _, ok := Expand(nil, []byte("a"), []Seq{{LitLen: 5}}); ok {
 		t.Error("Expand accepted literal overrun")
 	}
 	// Leftover literals.
-	if _, ok := Expand(nil, nil, []byte("abc"), []Seq{{LitLen: 1}}); ok {
+	if _, ok := Expand(nil, []byte("abc"), []Seq{{LitLen: 1}}); ok {
 		t.Error("Expand accepted leftover literals")
 	}
 	// Zero distance.
-	if _, ok := Expand(nil, nil, nil, []Seq{{MatchLen: 2, Dist: 0}}); ok {
+	if _, ok := Expand(nil, nil, []Seq{{MatchLen: 2, Dist: 0}}); ok {
 		t.Error("Expand accepted zero distance")
+	}
+	// A match reaching back past the appended bytes into dst.
+	if _, ok := Expand([]byte("xyz"), []byte("a"), []Seq{{LitLen: 1, MatchLen: 2, Dist: 3}}); ok {
+		t.Error("Expand matched into the bytes dst already held")
+	}
+	// dst is kept, the decoded bytes follow it.
+	if got, ok := Expand([]byte("xy"), []byte("ab"), []Seq{{LitLen: 2, MatchLen: 4, Dist: 2}}); !ok || string(got) != "xyababab" {
+		t.Errorf("Expand after a prefix = %q, %v", got, ok)
 	}
 }
 

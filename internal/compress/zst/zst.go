@@ -1,61 +1,34 @@
 // Package zst implements a ZSTD-style codec: an LZ77 parse over an
 // unbounded window whose literal and token streams are entropy-coded with
-// canonical Huffman, plus support for domain-specific trained dictionaries
-// — the feature the paper singles out for Facebook's zstd ("allows building
-// domain-specific training dictionaries", §IV-B). It targets fast
-// decompression with a ratio close to GZIP's, matching its Table I row.
+// canonical Huffman. It targets fast decompression with a ratio close to
+// GZIP's, matching its Table I row. The paper's §IV-B singles out zstd's
+// trained dictionaries; this codec has none, because training one on telco
+// wire text stored nothing less (EXPERIMENTS.md).
 package zst
 
 import (
-	"sort"
-
 	"spate/internal/compress"
 	"spate/internal/compress/bitio"
 	"spate/internal/compress/lz"
 )
 
-func init() { compress.Register(New(nil)) }
+func init() { compress.Register(Codec{}) }
 
-// Codec is the zstd-style codec, optionally carrying a trained dictionary.
-type Codec struct {
-	dict []byte
-	// maxChain bounds the LZ hash-chain search; 0 selects the ingest
-	// default. Deeper chains trade compression CPU for ratio (WithEffort).
-	maxChain int
-}
+// Codec is the zstd-style codec.
+type Codec struct{}
 
-// New returns a codec using dict as shared LZ history (nil for none).
-// Compressor and decompressor must use the same dictionary.
-func New(dict []byte) Codec { return Codec{dict: dict} }
-
-// defaultMaxChain is the ingest-path search depth: compression runs once
-// per 30-minute cycle but still sits on the ingest critical path.
-const defaultMaxChain = 64
-
-// WithEffort implements compress.Effortful: each level above 1 quadruples
-// the hash-chain search depth, up to 4096 at level 4. Background rewriters
-// (the lifecycle compactor) compress at high effort; the stream format and
-// dictionary are unchanged, so readers never notice.
-func (c Codec) WithEffort(level int) compress.Codec {
-	chain := defaultMaxChain
-	for ; level > 1 && chain < 4096; level-- {
-		chain *= 4
-	}
-	c.maxChain = chain
-	return c
-}
+// maxChain bounds the LZ hash-chain search: compression runs once per
+// 30-minute cycle but still sits on the ingest critical path.
+const maxChain = 64
 
 // Name implements compress.Codec.
 func (Codec) Name() string { return "zstd" }
 
-// Dict returns the codec's dictionary (nil when untrained).
-func (c Codec) Dict() []byte { return c.dict }
-
-// Container flags.
+// Block types, the container's flags byte. The decoder refuses any other
+// value.
 const (
 	blockRaw  = 0
 	blockComp = 1
-	flagDict  = 1 << 4
 )
 
 // Compress implements compress.Codec. Layout:
@@ -64,16 +37,12 @@ const (
 //
 // where a compressed body is: uvarint numSeqs, framed token stream
 // (litLen/matchLen/dist uvarints), framed literal stream.
-func (c Codec) Compress(dst, src []byte) []byte {
+func (Codec) Compress(dst, src []byte) []byte {
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	if len(src) < 32 {
 		return append(append(dst, blockRaw), src...)
 	}
-	chain := c.maxChain
-	if chain <= 0 {
-		chain = defaultMaxChain
-	}
-	seqs := lz.ParseWithPrefix(c.dict, src, lz.Options{MinMatch: 4, MaxChain: chain, Lazy: true})
+	seqs := lz.Parse(src, lz.Options{MinMatch: 4, MaxChain: maxChain, Lazy: true})
 	var tokens []byte
 	var lits []byte
 	pos := 0
@@ -86,11 +55,7 @@ func (c Codec) Compress(dst, src []byte) []byte {
 		lits = append(lits, src[pos:pos+s.LitLen]...)
 		pos += s.LitLen + s.MatchLen
 	}
-	flags := byte(blockComp)
-	if len(c.dict) > 0 {
-		flags |= flagDict
-	}
-	body := []byte{flags}
+	body := []byte{blockComp}
 	body = bitio.AppendUvarint(body, uint64(len(seqs)))
 	body = appendHuffStream(body, tokens)
 	body = appendHuffStream(body, lits)
@@ -101,7 +66,7 @@ func (c Codec) Compress(dst, src []byte) []byte {
 }
 
 // Decompress implements compress.Codec.
-func (c Codec) Decompress(dst, src []byte) ([]byte, error) {
+func (Codec) Decompress(dst, src []byte) ([]byte, error) {
 	want, n := bitio.Uvarint(src)
 	if n == 0 {
 		return dst, compress.Corruptf("zstd: length header")
@@ -112,7 +77,7 @@ func (c Codec) Decompress(dst, src []byte) ([]byte, error) {
 	}
 	flags := src[0]
 	src = src[1:]
-	switch flags & 0x0F {
+	switch flags {
 	case blockRaw:
 		if uint64(len(src)) < want {
 			return dst, compress.Corruptf("zstd: raw block truncated")
@@ -120,10 +85,7 @@ func (c Codec) Decompress(dst, src []byte) ([]byte, error) {
 		return append(dst, src[:want]...), nil
 	case blockComp:
 	default:
-		return dst, compress.Corruptf("zstd: unknown block type %d", flags&0x0F)
-	}
-	if flags&flagDict != 0 && len(c.dict) == 0 {
-		return dst, compress.Corruptf("zstd: input requires a dictionary")
+		return dst, compress.Corruptf("zstd: unknown block flags %#x", flags)
 	}
 	numSeqs, n := bitio.Uvarint(src)
 	if n == 0 {
@@ -169,85 +131,9 @@ func (c Codec) Decompress(dst, src []byte) ([]byte, error) {
 	if produced != want {
 		return dst, compress.Corruptf("zstd: sequences cover %d of %d bytes", produced, want)
 	}
-	var dict []byte
-	if flags&flagDict != 0 {
-		dict = c.dict
-	}
-	out, ok := lz.Expand(dst, dict, lits, seqs)
+	out, ok := lz.Expand(dst, lits, seqs)
 	if !ok {
 		return dst, compress.Corruptf("zstd: expand")
 	}
 	return out, nil
-}
-
-// trainChunk is the shingle width used by Train. Telco records repeat long
-// column *segments* (constant tail attributes, hot cell IDs) rather than
-// whole lines — every line carries a unique timestamp — so training counts
-// fixed-width chunks instead of lines.
-const trainChunk = 32
-
-// Train builds a domain-specific dictionary from sample blocks, up to
-// maxSize bytes. Two regions share the budget: ranked repeated 32-byte
-// shingles (at most half), then raw recent sample history filling the
-// remainder. The split reflects measurement on telco wire text: every
-// line carries a unique timestamp, so aligned shingles rarely capture the
-// cross-snapshot redundancy — verbatim recent history hands the LZ parser
-// real matches (hot cell IDs, constant attribute tails at arbitrary
-// offsets) and is what actually pays.
-func Train(samples [][]byte, maxSize int) []byte {
-	if maxSize <= 0 || len(samples) == 0 {
-		return nil
-	}
-	counts := make(map[string]int)
-	for _, s := range samples {
-		for i := 0; i+trainChunk <= len(s); i += trainChunk {
-			counts[string(s[i:i+trainChunk])]++
-		}
-	}
-	type stat struct {
-		chunk string
-		count int
-	}
-	stats := make([]stat, 0, len(counts))
-	for c, n := range counts {
-		if n >= 2 {
-			stats = append(stats, stat{c, n})
-		}
-	}
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].count != stats[j].count {
-			return stats[i].count > stats[j].count
-		}
-		return stats[i].chunk < stats[j].chunk
-	})
-	var dict []byte
-	// Most frequent chunks go LAST within the shingle region: smaller
-	// match distances for the hottest content.
-	for _, st := range stats {
-		if len(dict)+trainChunk > maxSize/2 {
-			break
-		}
-		dict = append(dict, st.chunk...)
-	}
-	for i, j := 0, len(dict)-trainChunk; i < j; i, j = i+trainChunk, j-trainChunk {
-		var tmp [trainChunk]byte
-		copy(tmp[:], dict[i:i+trainChunk])
-		copy(dict[i:i+trainChunk], dict[j:j+trainChunk])
-		copy(dict[j:j+trainChunk], tmp[:])
-	}
-	// Raw history fills the rest, walking samples newest-first so the
-	// freshest content lands at the very end — the smallest distances.
-	if rem := maxSize - len(dict); rem > 0 {
-		var hist []byte
-		for i := len(samples) - 1; i >= 0 && len(hist) < rem; i-- {
-			s := samples[i]
-			take := rem - len(hist)
-			if take > len(s) {
-				take = len(s)
-			}
-			hist = append(append([]byte(nil), s[len(s)-take:]...), hist...)
-		}
-		dict = append(dict, hist...)
-	}
-	return dict
 }

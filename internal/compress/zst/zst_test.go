@@ -2,12 +2,13 @@ package zst
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"spate/internal/compress"
 	"spate/internal/compress/bitio"
 )
 
@@ -118,94 +119,27 @@ func TestHuffStreamCorruption(t *testing.T) {
 	}
 }
 
-func TestTrainRanksHotChunks(t *testing.T) {
-	hot := strings.Repeat("H", trainChunk)
-	cold := strings.Repeat("C", trainChunk)
-	var samples [][]byte
-	for i := 0; i < 8; i++ {
-		samples = append(samples, []byte(hot))
-	}
-	samples = append(samples, []byte(cold), []byte(cold))
-	dict := Train(samples, 2*trainChunk)
-	if len(dict) != 2*trainChunk {
-		t.Fatalf("dict len = %d", len(dict))
-	}
-	// The shingle region (first half of the budget) keeps only the hottest
-	// chunk; raw recent history — the cold sample, which arrived last —
-	// fills the remainder at the end.
-	if string(dict[:trainChunk]) != hot {
-		t.Errorf("hot chunk not in the shingle region")
-	}
-	if string(dict[trainChunk:]) != cold {
-		t.Errorf("raw history tail missing")
-	}
-}
-
-func TestTrainEdgeCases(t *testing.T) {
-	if Train(nil, 100) != nil {
-		t.Error("empty samples produced a dictionary")
-	}
-	if Train([][]byte{[]byte("x")}, 0) != nil {
-		t.Error("zero budget produced a dictionary")
-	}
-	// Unique chunks (count < 2) never enter the ranked prefix; the budget
-	// falls through to raw recent history instead.
-	sample := randomBytes(10*trainChunk, 7)
-	if d := Train([][]byte{sample}, 1024); !bytes.Equal(d, sample) {
-		t.Errorf("unique chunks: dict = %d bytes, want the raw sample", len(d))
-	}
-	// A tight budget keeps only the sample's tail.
-	if d := Train([][]byte{sample}, trainChunk); !bytes.Equal(d, sample[len(sample)-trainChunk:]) {
-		t.Errorf("tight budget kept %d bytes, want the %d-byte tail", len(d), trainChunk)
-	}
-}
-
-// TestTrainedDictionaryBeatsPlain is the training payoff test: on small
-// line-structured inputs whose lines never repeat verbatim, a dictionary
-// trained on sibling samples must compress future samples tighter than no
-// dictionary — the property the lifecycle compactor's byte reduction
-// rests on.
-func TestTrainedDictionaryBeatsPlain(t *testing.T) {
-	line := func(i int) string {
-		return fmt.Sprintf("ts=2016-04-0%dT12:%02d:%02d|cell=%d|result=OK|tech=4G|dur=%d\n",
-			i%7+1, i%60, (i*7)%60, 1000+i%13, i*3%500)
-	}
-	var samples [][]byte
-	for s := 0; s < 4; s++ {
-		var b []byte
-		for i := s * 40; i < (s+1)*40; i++ {
-			b = append(b, line(i)...)
-		}
-		samples = append(samples, b)
-	}
-	dict := Train(samples[:3], 8<<10)
-	if len(dict) == 0 {
-		t.Fatal("no dictionary trained")
-	}
-	plain := len(New(nil).Compress(nil, samples[3]))
-	trained := len(New(dict).Compress(nil, samples[3]))
-	if trained >= plain {
-		t.Errorf("trained dict does not pay: %d >= %d bytes", trained, plain)
-	}
-}
-
-func TestDictMismatchFailsLoudly(t *testing.T) {
+// TestDecompressRefusesUnknownFlags pins the container's flags byte: only
+// the raw and compressed block types decode. A block carrying any other
+// bit — the dictionary flag (0x10) earlier writers set among them — is
+// refused as corrupt, never decoded into wrong bytes.
+func TestDecompressRefusesUnknownFlags(t *testing.T) {
 	data := bytes.Repeat([]byte("shared-structure|"), 64)
-	dictA := bytes.Repeat([]byte("shared-structure|"), 8)
-	cA := New(dictA)
-	comp := cA.Compress(nil, data)
-	// Decoding with no dictionary is detected.
-	if _, err := New(nil).Decompress(nil, comp); err == nil {
-		t.Error("dict block decoded without dictionary")
+	comp := Codec{}.Compress(nil, data)
+	_, n := bitio.Uvarint(comp)
+	if comp[n] != blockComp {
+		t.Fatalf("flags = %#x, want a compressed block", comp[n])
 	}
-	// Decoding with a wrong same-length dictionary must not silently return
-	// wrong bytes: either error or correct output required. (The format
-	// does not checksum dictionaries; LZ distances may resolve, so this
-	// documents the failure mode rather than asserting an error.)
-	wrong := bytes.Repeat([]byte("XXXXXX-structure|"), 8)
-	got, err := New(wrong).Decompress(nil, comp)
-	if err == nil && bytes.Equal(got, data) {
-		t.Log("wrong dictionary coincidentally decoded correctly")
+	for _, flags := range []byte{blockComp | 0x10, blockRaw | 0x10, 2, 0x80} {
+		bad := append([]byte(nil), comp...)
+		bad[n] = flags
+		if _, err := (Codec{}).Decompress(nil, bad); !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("flags %#x: err = %v, want ErrCorrupt", flags, err)
+		}
+	}
+	got, err := Codec{}.Decompress(nil, comp)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip: %v", err)
 	}
 }
 
@@ -221,33 +155,5 @@ func BenchmarkHuffEncode(b *testing.B) {
 	var out []byte
 	for i := 0; i < b.N; i++ {
 		out = appendHuffStream(out[:0], data)
-	}
-}
-
-// TestWithEffortCompressesTighter pins the compactor's contract: a
-// high-effort codec produces a stream the base codec decodes, and on
-// redundant line-structured text the deeper match search strictly pays.
-func TestWithEffortCompressesTighter(t *testing.T) {
-	var b []byte
-	for i := 0; i < 2000; i++ {
-		b = append(b, fmt.Sprintf("ts=%09d|cell=%d|result=OK|bytes=%d\n", i*37, i%97, i*i%8192)...)
-	}
-	base := New(nil)
-	hard := base.WithEffort(3)
-	plain := base.Compress(nil, b)
-	tight := hard.Compress(nil, b)
-	if len(tight) >= len(plain) {
-		t.Errorf("effort 3: %d >= %d bytes", len(tight), len(plain))
-	}
-	got, err := base.Decompress(nil, tight)
-	if err != nil {
-		t.Fatalf("base codec cannot decode high-effort stream: %v", err)
-	}
-	if !bytes.Equal(got, b) {
-		t.Fatal("high-effort round trip mismatch")
-	}
-	// Effort levels clamp rather than grow without bound.
-	if c := base.WithEffort(99); len(c.Compress(nil, b)) == 0 {
-		t.Fatal("clamped effort produced nothing")
 	}
 }

@@ -56,9 +56,8 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 			return nil, err
 		}
 	}
-	c := e.codec()
 	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), prof, func(sw *scanWorker, i int) (any, error) {
-		return nil, e.walkLeaf(plan.units[i].ref, c, env.pr, accs[sw.id], sw.prof)
+		return nil, e.walkLeaf(plan.units[i].ref, env.pr, accs[sw.id], sw.prof)
 	}, func(int, any) error { return nil })
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"spate/internal/compress"
 	"spate/internal/index"
 	"spate/internal/segment"
 	"spate/internal/snapshot"
@@ -20,9 +19,7 @@ import (
 // entries, fewer compression-stream restarts). Both rewrites reproduce the
 // leaf's wire text byte for byte — the inflated concatenation of the new
 // file equals the old one — so every query answer is bit-for-bit
-// unchanged. Rewrites also re-compress through the engine's *current*
-// codec: a store whose dictionary trained after its first snapshots were
-// ingested wins back the difference on those cold leaves.
+// unchanged.
 
 // CompactOptions bounds one compaction sweep.
 type CompactOptions struct {
@@ -33,13 +30,6 @@ type CompactOptions struct {
 	// (0: the engine's configured chunk size).
 	ChunkSize int
 }
-
-// compactEffort is the codec effort compaction recompresses at — for the
-// zstd codec, a 16x deeper match search than the ingest path. Compaction
-// runs in the background, so unlike ingest it can afford it; the stream
-// format is unchanged and the query path keeps reading with the engine
-// codec.
-const compactEffort = 3
 
 // CompactReport describes one compaction sweep. Byte counts cover
 // rewritten leaves only.
@@ -135,12 +125,9 @@ func (e *Engine) compactLeaf(cand compactCandidate, chunkSize int, rep *CompactR
 		}
 		// A rewrite changes how a table is laid out and pays a footer for
 		// it, knowingly; it must not also make the rows themselves compress
-		// worse. That happens to a blob the codec's trained dictionary holds
-		// verbatim (the leaves the dictionary was trained on inflate from a
-		// dozen bytes, and column streams get nothing from a dictionary of
-		// row text) and can happen to a table of a few rows. Every older
+		// worse. That can happen to a table of a few rows. Every older
 		// layout stays readable, so such a table is kept as stored; a later
-		// sweep, perhaps under another codec, weighs it again.
+		// sweep weighs it again.
 		if rw.newPayload > rw.oldPayload {
 			rep.TablesKept++
 			continue
@@ -234,10 +221,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize int) (*rewrittenTable, 
 	if err != nil {
 		return nil, fmt.Errorf("core: compact open %s: %w", ref, err)
 	}
-	codec := e.codec()
-	// Rewrites decompress through the engine codec but recompress at
-	// background effort: same stream format, deeper match search.
-	wcodec := compress.WithEffort(codec, compactEffort)
+	codec := e.opts.Codec
 	toV3 := e.opts.SegmentVersion != segment.RowVersion
 	r, err := segment.Open(f, f.Size(), codec)
 	if errors.Is(err, segment.ErrNotSegment) {
@@ -259,7 +243,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize int) (*rewrittenTable, 
 		var data []byte
 		var st segment.Stats
 		if toV3 {
-			w := segment.NewColumnWriter(wcodec, chunkSize, tab.Schema.NumFields())
+			w := segment.NewColumnWriter(codec, chunkSize, tab.Schema.NumFields())
 			if err := appendColumnarRows(w, tab, text); err != nil {
 				return nil, fmt.Errorf("core: compact rewrite %s: %w", ref, err)
 			}
@@ -268,7 +252,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize int) (*rewrittenTable, 
 				return nil, fmt.Errorf("core: compact rewrite %s: %w", ref, err)
 			}
 		} else {
-			w := segment.NewWriter(wcodec, chunkSize)
+			w := segment.NewWriter(codec, chunkSize)
 			tsIdx := tab.Schema.FieldIndex(telco.AttrTS)
 			cellIdx := tab.Schema.FieldIndex(telco.AttrCellID)
 			start := 0
@@ -317,7 +301,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize int) (*rewrittenTable, 
 		return nil, nil // already at (or below) the target chunk count
 	}
 	if !toV3 {
-		w := segment.NewWriter(wcodec, chunkSize)
+		w := segment.NewWriter(codec, chunkSize)
 		for i, ch := range chunks {
 			text, err := r.ChunkData(i)
 			if err != nil {
@@ -341,7 +325,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize int) (*rewrittenTable, 
 	if schema == nil {
 		return nil, fmt.Errorf("core: compact %s: unknown schema %q", ref, name)
 	}
-	w := segment.NewColumnWriter(wcodec, chunkSize, schema.NumFields())
+	w := segment.NewColumnWriter(codec, chunkSize, schema.NumFields())
 	for i := range chunks {
 		text, err := r.ChunkData(i)
 		if err != nil {

@@ -47,16 +47,15 @@ func sameRows(t *testing.T, want, got *Result) {
 }
 
 // TestCompactConvertsLegacyBlobs is the compaction acceptance test: on a
-// store of legacy whole-blob leaves under a dictionary-trained codec, a
-// sweep converts every blob to a chunked segment, shrinks the stored
-// bytes (the dictionary wins back the pre-training leaves), and leaves
-// every query answer bit-for-bit identical — including after recovery.
+// store of legacy whole-blob leaves under zstd, a sweep converts every blob
+// to a chunked column segment, shrinks the stored bytes, and leaves every
+// query answer bit-for-bit identical — including after recovery.
 func TestCompactConvertsLegacyBlobs(t *testing.T) {
 	zc, err := compress.Lookup("zstd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Codec: zc, TrainDictionary: true}
+	opts := Options{Codec: zc}
 	r := newRig(t, opts)
 	r.ingestBlobEpochs(t, 6)
 
@@ -108,16 +107,12 @@ func TestCompactConvertsLegacyBlobs(t *testing.T) {
 }
 
 // TestCompactKeepsTableThatPacksWorse pins the one case where a sweep leaves
-// a legacy blob alone: the snapshots a dictionary was trained on are held in
-// it verbatim and inflate from a dozen bytes, and no column layout gets
-// anywhere near that. Such a table stays as stored, still answers, and every
-// later sweep weighs it again without rewriting anything.
+// a legacy blob alone: a table so small under gzip (one of the rig's NMS
+// blobs, a few hundred bytes) that its column segment, footer included,
+// stores more. Such a table stays as stored, still answers, and every later
+// sweep weighs it again without rewriting anything.
 func TestCompactKeepsTableThatPacksWorse(t *testing.T) {
-	zc, err := compress.Lookup("zstd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRig(t, Options{Codec: zc, TrainDictionary: true})
+	r := newRig(t, Options{})
 	r.ingestBlobEpochs(t, 6)
 	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(3*time.Hour))
 	_, wantExact := exploreAll(t, r.e, w)
@@ -136,7 +131,7 @@ func TestCompactKeepsTableThatPacksWorse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := segment.Open(f, f.Size(), r.e.codec()); errors.Is(err, segment.ErrNotSegment) {
+			if _, err := segment.Open(f, f.Size(), r.e.Codec()); errors.Is(err, segment.ErrNotSegment) {
 				blobs++
 			}
 		}

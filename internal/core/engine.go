@@ -19,7 +19,7 @@ import (
 
 	"spate/internal/cache"
 	"spate/internal/compress"
-	"spate/internal/compress/zst"
+	"spate/internal/compress/gzipc"
 	"spate/internal/decay"
 	"spate/internal/dfs"
 	"spate/internal/highlights"
@@ -44,7 +44,8 @@ var ErrFinalized = errors.New("core: store was finalized by FinishIngest; open a
 // thresholds, the EvictOldestIndividuals fungus and no decay horizons
 // (retain everything).
 type Options struct {
-	// Codec is the storage-layer compressor (default: registered "gzip").
+	// Codec is the storage-layer compressor (default: gzip). It is fixed
+	// for the engine's lifetime.
 	Codec compress.Codec
 	// Highlights selects summarized attributes.
 	Highlights highlights.Config
@@ -56,12 +57,6 @@ type Options struct {
 	Fungus decay.Fungus
 	// Policy sets the decay horizons; the zero policy retains everything.
 	Policy decay.Policy
-	// TrainDictionary switches the codec to a zstd dictionary trained on
-	// the first trainAfterTables tables ingested (the §IX-B
-	// differential-compression direction). Ignored unless the codec is
-	// zstd. It governs training only: a zstd engine opened over a store
-	// that holds a trained dictionary reads (and writes) with it either way.
-	TrainDictionary bool
 	// ResultCache, when non-nil, replaces the engine's own 64 MiB result
 	// cache — the hook a process-wide serving tier uses to pool every
 	// engine's results under one byte budget (serving.Namespace binds one
@@ -98,21 +93,12 @@ type Options struct {
 // entry for a level.
 const DefaultTheta = 0.05
 
-// trainAfterTables is how many table samples dictionary training collects
-// before it trains: maybeTrain samples once per table, so a CDR+NMS store
-// trains during its second snapshot.
-const trainAfterTables = 4
-
 // chunkCacheBytes bounds the in-memory cache of inflated leaf chunks.
 const chunkCacheBytes = 64 << 20
 
 func (o Options) withDefaults() (Options, error) {
 	if o.Codec == nil {
-		c, err := compress.Lookup("gzip")
-		if err != nil {
-			return o, fmt.Errorf("core: default codec: %w", err)
-		}
-		o.Codec = c
+		o.Codec = gzipc.Codec{}
 	}
 	if o.Highlights.Categorical == nil && o.Highlights.Numeric == nil {
 		o.Highlights = highlights.DefaultConfig()
@@ -177,10 +163,6 @@ type Engine struct {
 	// two sweeps interleaving with each other, however, could double-apply
 	// evictions or swap refs a concurrent sweep just planned against.
 	decayMu sync.Mutex
-
-	// dictionary training state
-	trainSamples [][]byte
-	trained      bool
 
 	// finished marks a store whose open periods were sealed; further
 	// ingestion is rejected (summaries would be stale otherwise).
@@ -265,14 +247,6 @@ func Open(fs *dfs.Cluster, cellTable *telco.Table, opts Options) (*Engine, error
 	if err := e.recover(); err != nil {
 		return nil, err
 	}
-	// A previously trained dictionary re-arms a zstd codec whether or not
-	// this engine trains: leaves written under it cannot be read without it.
-	if _, zstd := compress.Unwrap(opts.Codec).(zst.Codec); zstd && fs.Exists("/spate/meta/zstd-dict") {
-		if dict, err := fs.ReadFile("/spate/meta/zstd-dict"); err == nil {
-			e.opts.Codec = compress.Instrument(zst.New(dict), e.opts.Obs)
-			e.trained = true
-		}
-	}
 	return e, nil
 }
 
@@ -299,13 +273,8 @@ func (e *Engine) LastEpoch() (telco.Epoch, bool) {
 // FS returns the underlying DFS cluster.
 func (e *Engine) FS() *dfs.Cluster { return e.fs }
 
-// Codec returns the active storage codec (which may be a trained
-// dictionary codec after TrainDictionary kicks in).
-func (e *Engine) Codec() compress.Codec {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opts.Codec
-}
+// Codec returns the engine's storage codec.
+func (e *Engine) Codec() compress.Codec { return e.opts.Codec }
 
 // Cells returns the engine's cell inventory.
 func (e *Engine) Cells() *CellInventory { return e.cells }
@@ -326,10 +295,10 @@ type IngestReport struct {
 	IndexTime      time.Duration
 	Total          time.Duration
 	CompletedNodes int
-	// Stages is the wall-time breakdown (encode, train, compress, highlight
+	// Stages is the wall-time breakdown (encode, compress, highlight
 	// from Prepare; dfs_write, index_insert, seal, persist_meta, decay from
 	// Commit) that also feeds the spate_ingest_stage_seconds histograms. The
-	// stages never overlap, so they sum to at most Total: encode, train and
+	// stages never overlap, so they sum to at most Total: encode and
 	// compress run in one worker per table, and share the wall time of that
 	// fan-out in proportion to the workers' summed figures, which Tables
 	// keeps per table.
@@ -345,9 +314,9 @@ type TableIngest struct {
 	RawBytes  int64
 	CompBytes int64
 	// Encode is the timestamp sort plus, for row-major leaves, the wire-text
-	// render; Train the dictionary sampling; Compress the segment write
-	// (for v3: field render, column packing and the block codec).
-	Encode, Train, Compress time.Duration
+	// render; Compress the segment write (for v3: field render, column
+	// packing and the block codec).
+	Encode, Compress time.Duration
 }
 
 // PreparedSnapshot is a snapshot between Prepare and Commit: every table in
@@ -401,8 +370,7 @@ func (e *Engine) admit(epoch telco.Epoch) error {
 // compresses the tables into their leaf bytes — one worker per table, wire
 // rendering and chunk compression being independent across tables — and
 // folds the epoch's highlight summary. It writes nothing and changes no
-// engine state (dictionary training, when configured, is the exception and
-// locks for itself), so a caller may prepare epoch N+1 while epoch N
+// engine state, so a caller may prepare epoch N+1 while epoch N
 // commits; prepared snapshots must then be committed in epoch order, and
 // the snapshot must not be modified in between. A snapshot the store
 // already cannot take is rejected before any work is done.
@@ -446,21 +414,19 @@ func (e *Engine) prepareTables(p *PreparedSnapshot) error {
 	}
 	wg.Wait()
 	fan := time.Since(tFan).Nanoseconds()
-	var encode, train, comp int64
+	var encode, comp int64
 	for i := range p.tables {
 		enc := &p.tables[i]
 		encode += enc.encodeNS
-		train += enc.trainNS
 		comp += enc.compressNS
 	}
 	// The workers overlap, so their summed times can exceed the wall clock;
 	// the stages get the fan-out's wall time, split as the sums are.
 	scale := 1.0
-	if sum := encode + train + comp; sum > fan {
+	if sum := encode + comp; sum > fan {
 		scale = float64(fan) / float64(sum)
 	}
 	p.sr.add(StageEncode, int64(float64(encode)*scale))
-	p.sr.add(StageTrain, int64(float64(train)*scale))
 	p.sr.add(StageCompress, int64(float64(comp)*scale))
 	for i := range p.tables {
 		enc := &p.tables[i]
@@ -472,7 +438,6 @@ func (e *Engine) prepareTables(p *PreparedSnapshot) error {
 		p.rep.Tables = append(p.rep.Tables, TableIngest{
 			Name: enc.name, RawBytes: enc.raw, CompBytes: int64(len(enc.data)),
 			Encode:   time.Duration(enc.encodeNS),
-			Train:    time.Duration(enc.trainNS),
 			Compress: time.Duration(enc.compressNS),
 		})
 	}
@@ -613,8 +578,7 @@ func (e *Engine) sealLocked(n *index.Node) error {
 			if c.KeptSummary != nil {
 				s, err = highlights.DecodeBinary(c.KeptSummary)
 			} else {
-				// e.mu is held: read the codec directly.
-				s, err = e.buildLeafSummary(e.opts.Codec, c.Period, c.DataRefs, nil)
+				s, err = e.buildLeafSummary(c.Period, c.DataRefs, nil)
 			}
 			if err != nil {
 				return fmt.Errorf("core: seal %s %v: %w", n.Level, n.Period.From, err)
@@ -698,61 +662,6 @@ func (e *Engine) memAfterLocked() (*memtable.Memtable, telco.Epoch) {
 
 // minEpoch sorts before every real epoch (math.MinInt64).
 const minEpoch = -1 << 63
-
-// codec returns the active codec without locking (reads e.opts.Codec which
-// only changes under e.mu during training).
-func (e *Engine) codec() compress.Codec {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opts.Codec
-}
-
-// wantsTrainSample reports whether maybeTrain still has a use for a
-// table's wire text.
-func (e *Engine) wantsTrainSample() bool {
-	if !e.opts.TrainDictionary {
-		return false
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return !e.trained
-}
-
-// maybeTrain accumulates early snapshots and, once enough arrived, swaps
-// in a dictionary-trained zstd codec for all subsequent snapshots. The
-// dictionary is persisted so readers of old data are unaffected (old
-// blocks carry no dict flag; new blocks do).
-func (e *Engine) maybeTrain(text []byte) {
-	if !e.opts.TrainDictionary {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.trained {
-		return
-	}
-	if _, ok := compress.Unwrap(e.opts.Codec).(zst.Codec); !ok {
-		e.trained = true // not applicable
-		return
-	}
-	sample := text
-	if len(sample) > trainSampleBytes {
-		sample = sample[:trainSampleBytes]
-	}
-	e.trainSamples = append(e.trainSamples, append([]byte(nil), sample...))
-	if len(e.trainSamples) < trainAfterTables {
-		return
-	}
-	dict := zst.Train(e.trainSamples, 64<<10)
-	e.trainSamples = nil
-	e.trained = true
-	if len(dict) == 0 {
-		return
-	}
-	if err := e.fs.WriteFile("/spate/meta/zstd-dict", dict); err == nil {
-		e.opts.Codec = compress.Instrument(zst.New(dict), e.opts.Obs)
-	}
-}
 
 // ClearCache drops the query result cache (benchmarks use this to measure
 // uncached response times; normal operation never needs it).

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"spate/internal/compress"
 	_ "spate/internal/compress/all"
 	"spate/internal/decay"
 	"spate/internal/dfs"
@@ -368,30 +367,6 @@ func TestFinishIngestSealsOpenPeriods(t *testing.T) {
 		if len(nodes) == 0 || nodes[len(nodes)-1].Summary == nil {
 			t.Errorf("%v not sealed", l)
 		}
-	}
-}
-
-func TestDictionaryTrainingSwapsCodec(t *testing.T) {
-	zc, err := compress.Lookup("zstd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRig(t, Options{Codec: zc, TrainDictionary: true})
-	r.ingestEpochs(t, 4)
-	if r.e.Codec().Name() != "zstd" {
-		t.Fatalf("codec = %s", r.e.Codec().Name())
-	}
-	if !r.fs.Exists("/spate/meta/zstd-dict") {
-		t.Error("trained dictionary not persisted")
-	}
-	// Old and new snapshots must both decode through exact-row queries.
-	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(2*time.Hour))
-	res, err := r.e.Explore(Query{Window: w, ExactRows: true, Tables: []string{"CDR"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows["CDR"].Len() == 0 {
-		t.Error("no rows across training boundary")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 // span tracer and the per-report Stages breakdowns.
 const (
 	StageEncode    = "encode"       // timestamp sort; wire text of row-major leaves
-	StageTrain     = "train"        // dictionary sampling/training
 	StageCompress  = "compress"     // segment write: field render, column packing, block codec
 	StageDFSWrite  = "dfs_write"    // replicated block writes
 	StageHighlight = "highlight"    // leaf summary build
@@ -32,7 +31,7 @@ const (
 )
 
 var ingestStageNames = []string{
-	StageEncode, StageTrain, StageCompress, StageDFSWrite, StageHighlight,
+	StageEncode, StageCompress, StageDFSWrite, StageHighlight,
 	StageIndex, StageSeal, StagePersist, StageDecay,
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"spate/internal/compress"
 	"spate/internal/highlights"
 	"spate/internal/scanspec"
 	"spate/internal/segment"
@@ -48,19 +47,14 @@ type encodedLeaf struct {
 	colStats []segment.ColumnStat
 
 	encodeNS   int64
-	trainNS    int64
 	compressNS int64
 
 	err error
 }
 
-// trainSampleBytes is how much of a table's wire text one snapshot
-// contributes to dictionary training.
-const trainSampleBytes = 256 << 10
-
 // encodeLeafTable renders one snapshot table into its leaf bytes. It is
-// the body of an ingest encode worker and touches no engine state beyond
-// maybeTrain (self-locking) and the codec read. Every row is rendered once:
+// the body of an ingest encode worker and touches no engine state. Every
+// row is rendered once:
 // to escaped fields for a v3 leaf, to wire text for the row-major forms.
 func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf {
 	out := encodedLeaf{name: name}
@@ -90,7 +84,7 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 	columnar := e.opts.SegmentVersion != segment.RowVersion
 
 	// A v2 leaf compresses the table's wire text, so it renders all of it;
-	// a v3 leaf renders only what dictionary training samples.
+	// a v3 leaf renders its fields in the segment write instead.
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
@@ -98,12 +92,9 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 	}()
 	buf.Reset()
 	var ends []int // each row's end offset in buf
-	if !columnar || e.wantsTrainSample() {
+	if !columnar {
 		var lb strings.Builder
 		for _, r := range tab.Rows {
-			if columnar && buf.Len() >= trainSampleBytes {
-				break
-			}
 			lb.Reset()
 			r.EncodeLine(&lb)
 			lb.WriteByte('\n')
@@ -114,11 +105,7 @@ func (e *Engine) encodeLeafTable(s *snapshot.Snapshot, name string) encodedLeaf 
 	out.encodeNS = time.Since(t0).Nanoseconds()
 
 	t0 = time.Now()
-	e.maybeTrain(buf.Bytes())
-	out.trainNS = time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	c := e.codec()
+	c := e.opts.Codec
 	var st segment.Stats
 	if !columnar {
 		w := segment.NewWriter(c, e.opts.ChunkSize)
@@ -363,7 +350,7 @@ func (e *Engine) cachedChunk(key string, prof *Profile, fetch func() ([]byte, er
 
 // blobText returns a legacy whole-blob leaf's inflated wire text through
 // the chunk cache, accruing I/O costs into prof.
-func (e *Engine) blobText(ref string, c compress.Codec, prof *Profile) ([]byte, error) {
+func (e *Engine) blobText(ref string, prof *Profile) ([]byte, error) {
 	text, leader, err := e.cachedChunk(ref+legacyCacheSuffix, prof, func() ([]byte, error) {
 		t0 := time.Now()
 		comp, err := e.fs.ReadFile(ref)
@@ -371,7 +358,7 @@ func (e *Engine) blobText(ref string, c compress.Codec, prof *Profile) ([]byte, 
 			return nil, fmt.Errorf("core: read %s: %w", ref, err)
 		}
 		t1 := time.Now()
-		text, err := c.Decompress(nil, comp)
+		text, err := e.opts.Codec.Decompress(nil, comp)
 		if err != nil {
 			return nil, fmt.Errorf("core: decompress %s: %w", ref, err)
 		}
@@ -527,7 +514,7 @@ func (s foldSink) rows(_ *projection, b *telco.Batch) error { s.fold.Add(b); ret
 // scanned and pruned count in the fleet counters (a legacy blob counts as
 // one scanned chunk); a non-nil prof accrues the per-query cost split
 // (prune reasons, cache hits, inflated bytes, ranged reads, phase timings).
-func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafSink, prof *Profile) error {
+func (e *Engine) walkLeaf(ref string, pr leafPrune, sink leafSink, prof *Profile) error {
 	var scanned, pruned int
 	defer func() {
 		e.met.chunksScanned.Add(int64(scanned))
@@ -542,11 +529,11 @@ func (e *Engine) walkLeaf(ref string, c compress.Codec, pr leafPrune, sink leafS
 	}
 	b := e.getBatch()
 	defer e.putBatch(b)
-	r, err := segment.Open(f, f.Size(), c)
+	r, err := segment.Open(f, f.Size(), e.opts.Codec)
 	if errors.Is(err, segment.ErrNotSegment) {
 		// Legacy whole-blob leaf: no chunk metadata exists, so the whole
 		// table inflates regardless of the scan's predicates.
-		text, err := e.blobText(ref, c, prof)
+		text, err := e.blobText(ref, prof)
 		if err != nil {
 			return err
 		}

@@ -117,7 +117,7 @@ func mixedStore(t *testing.T, workers int) (*testRig, telco.TimeRange, map[strin
 func oracleRows(t *testing.T, r *testRig, w telco.TimeRange) (all map[string][]telco.Record, perLeaf []map[string]*telco.Table) {
 	t.Helper()
 	all = map[string][]telco.Record{}
-	codec := r.e.codec()
+	codec := r.e.Codec()
 	r.e.mu.RLock()
 	leaves := r.e.rowLeaves(w)
 	memt, after := r.e.memAfterLocked()
@@ -328,7 +328,7 @@ func TestNarrowScanParityAcrossSources(t *testing.T) {
 		r.e.mu.RUnlock()
 		for li, l := range leaves {
 			period := telco.NewTimeRange(w.From.Add(time.Duration(li)*telco.EpochDuration), w.From.Add(time.Duration(li+1)*telco.EpochDuration))
-			got, err := r.e.buildLeafSummary(r.e.codec(), period, l.refs, nil)
+			got, err := r.e.buildLeafSummary(period, l.refs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

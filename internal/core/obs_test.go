@@ -32,7 +32,7 @@ func TestIngestReportStages(t *testing.T) {
 				t.Errorf("epoch %d: missing stage %q in %v", rep.Epoch, want, rep.Stages)
 			}
 		}
-		// Stages are disjoint stretches of wall time: encode, train and
+		// Stages are disjoint stretches of wall time: encode and
 		// compress run in per-table workers but are charged the fan-out's
 		// wall clock, not the workers' sum (make widths runs this starved,
 		// at the box's width and oversubscribed).
@@ -52,7 +52,7 @@ func TestIngestReportStages(t *testing.T) {
 		}
 		var raw, comp int64
 		for _, tb := range rep.Tables {
-			if tb.Compress <= 0 || tb.Encode < 0 || tb.Train < 0 {
+			if tb.Compress <= 0 || tb.Encode < 0 {
 				t.Errorf("epoch %d: table %s times %+v", rep.Epoch, tb.Name, tb)
 			}
 			raw, comp = raw+tb.RawBytes, comp+tb.CompBytes

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"spate/internal/compress"
 	"spate/internal/decay"
 	"spate/internal/dfs"
 	"spate/internal/gen"
@@ -97,41 +96,6 @@ func TestRecoveryGraftsSealedDaysInOrder(t *testing.T) {
 	}
 	if res1.Summary.Rows != res2.Summary.Rows || res2.ServedPeriod != w {
 		t.Errorf("recovered query: %d rows served for %v, want %d for %v", res2.Summary.Rows, res2.ServedPeriod, res1.Summary.Rows, w)
-	}
-}
-
-// A store whose leaves were written under a trained zstd dictionary must
-// read back on an engine that does not train: the option decides training,
-// the persisted dictionary decides reading. Training counts tables, so it
-// fires during the second snapshot and the last two hold dictionary leaves.
-func TestReopenWithoutTrainingReadsDictionaryLeaves(t *testing.T) {
-	zc, err := compress.Lookup("zstd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRig(t, Options{Codec: zc, TrainDictionary: true})
-	r.ingestEpochs(t, 4)
-	if !r.fs.Exists("/spate/meta/zstd-dict") {
-		t.Fatal("trained dictionary not persisted")
-	}
-	e2 := reopen(t, r, Options{Codec: zc})
-	q := Query{Window: telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(2*time.Hour)), ExactRows: true}
-	want, err := r.e.Explore(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e2.Explore(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, table := range []string{"CDR", "NMS"} {
-		if want.Rows[table].Len() == 0 {
-			t.Fatalf("%s: training engine read no rows", table)
-		}
-		if got.Rows[table].Text() != want.Rows[table].Text() {
-			t.Errorf("%s: reopened engine read %d rows, training engine %d (or their text differs)",
-				table, got.Rows[table].Len(), want.Rows[table].Len())
-		}
 	}
 }
 

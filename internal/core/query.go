@@ -12,7 +12,6 @@ import (
 	"unsafe"
 
 	"spate/internal/cache"
-	"spate/internal/compress"
 	"spate/internal/geo"
 	"spate/internal/highlights"
 	"spate/internal/index"
@@ -622,7 +621,6 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, ca
 	if len(slots) == 0 {
 		return parts, nil
 	}
-	c := e.codec()
 	type leafPart struct {
 		sum    *highlights.Summary
 		shared bool // built by a concurrent exploration
@@ -638,7 +636,7 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, ca
 			return leafPart{sum: s}, err
 		}
 		r, shared, err := e.resFlight.Do(ctx, keys[i], func() (*Result, error) {
-			s, err := e.leafSummary(c, src, w.prof)
+			s, err := e.leafSummary(src, w.prof)
 			if err != nil {
 				return nil, err
 			}
@@ -678,11 +676,11 @@ func (e *Engine) buildParts(ctx context.Context, srcs []partSrc, res *Result, ca
 // are stored under the engine write lock, and not on a leaf that decayed
 // (or gained an encoding) since the plan, so each leaf is rebuilt at most
 // once per process.
-func (e *Engine) leafSummary(c compress.Codec, src partSrc, prof *Profile) (*highlights.Summary, error) {
+func (e *Engine) leafSummary(src partSrc, prof *Profile) (*highlights.Summary, error) {
 	if src.kept != nil {
 		return highlights.DecodeBinary(src.kept)
 	}
-	s, err := e.buildLeafSummary(c, src.period, src.refs, prof)
+	s, err := e.buildLeafSummary(src.period, src.refs, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -702,9 +700,8 @@ func (e *Engine) leafSummary(c compress.Codec, src partSrc, prof *Profile) (*hig
 // cell id and the table's configured highlight attributes. Every chunk
 // contributes (summaries aggregate the whole leaf), so the scan prunes
 // nothing; highlight accumulation is row-additive, so folding chunk by
-// chunk reproduces the whole-table fold exactly. The codec is passed
-// explicitly because some callers already hold the engine lock.
-func (e *Engine) buildLeafSummary(c compress.Codec, period telco.TimeRange, refs map[string]string, prof *Profile) (*highlights.Summary, error) {
+// chunk reproduces the whole-table fold exactly.
+func (e *Engine) buildLeafSummary(period telco.TimeRange, refs map[string]string, prof *Profile) (*highlights.Summary, error) {
 	s := highlights.NewSummary(period)
 	fold, _ := e.folders.Get().(*highlights.Folder)
 	if fold == nil {
@@ -719,7 +716,7 @@ func (e *Engine) buildLeafSummary(c compress.Codec, period telco.TimeRange, refs
 		attrs := append(e.opts.Highlights.Attrs(name), telco.AttrTS, telco.AttrCellID)
 		sink := foldSink{proj: newProjection(schema, attrs, false), fold: fold}
 		fold.Reset(s, e.opts.Highlights, sink.proj.out)
-		if err := e.walkLeaf(ref, c, leafPrune{}, sink, prof); err != nil {
+		if err := e.walkLeaf(ref, leafPrune{}, sink, prof); err != nil {
 			return nil, err
 		}
 		fold.Flush()
@@ -820,8 +817,6 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 	if err != nil {
 		return err
 	}
-	c := e.codec()
-
 	// One resolved scan per table, so every table of a name shares one
 	// projected schema. Resolved here, serially; the units only read them.
 	scans := make(map[string]*specScan)
@@ -840,7 +835,7 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 		u := plan.units[i]
 		ss := scans[u.name]
 		tab := ss.table(nil)
-		return tab, e.walkLeaf(u.ref, c, env.pr, newRowSink(ss, q.Window, env.inBox, tab), sw.prof)
+		return tab, e.walkLeaf(u.ref, env.pr, newRowSink(ss, q.Window, env.inBox, tab), sw.prof)
 	}, func(i int, v any) error {
 		return fn(plan.units[i].name, v.(*telco.Table))
 	})

@@ -28,7 +28,7 @@ func commitBlobs(tb testing.TB, e *Engine, snaps ...*snapshot.Snapshot) {
 		p.rep.CompBytes = 0
 		for i := range p.tables {
 			enc := &p.tables[i]
-			if enc.data, err = segmenttest.Blob(enc.data, e.codec()); err != nil {
+			if enc.data, err = segmenttest.Blob(enc.data, e.Codec()); err != nil {
 				tb.Fatal(err)
 			}
 			enc.colNames, enc.colStats = nil, nil

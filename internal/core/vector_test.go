@@ -244,9 +244,8 @@ func TestLeafSummaryRebuildAllocations(t *testing.T) {
 	if len(leaves) != 1 {
 		t.Fatalf("%d leaves", len(leaves))
 	}
-	codec := e.codec()
 	rebuild := func() *highlights.Summary {
-		s, err := e.buildLeafSummary(codec, period, leaves[0].refs, nil)
+		s, err := e.buildLeafSummary(period, leaves[0].refs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +307,7 @@ func TestResultSizeCoversHeap(t *testing.T) {
 	e.mu.RUnlock()
 	rebuild := func(i int) *highlights.Summary {
 		ep := first + telco.Epoch(i)
-		s, err := e.buildLeafSummary(e.codec(), telco.TimeRange{From: ep.Start(), To: ep.End()}, leaves[i].refs, nil)
+		s, err := e.buildLeafSummary(telco.TimeRange{From: ep.Start(), To: ep.End()}, leaves[i].refs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spate/internal/compress"
-	"spate/internal/compress/zst"
 	"spate/internal/gen"
 	"spate/internal/segment"
 	"spate/internal/telco"
@@ -87,16 +86,10 @@ func layoutSizes(t *testing.T, c compress.Codec, rows []telco.Record) (packed, p
 // packed is the best of the three at every cut. No trace the generator writes
 // cuts NMS that small (it carries ~12 NMS rows per CDR row), and a per-chunk
 // rule that turned tiny gzip chunks all-plain would cost zstd stores 14–45 %
-// on the same chunks (EXPERIMENTS.md). The ratios under zstd, with and without
-// a dictionary trained on row-major samples as the engine trains it, are
-// logged for EXPERIMENTS.md.
+// on the same chunks (EXPERIMENTS.md). The ratios under zstd are logged for
+// EXPERIMENTS.md.
 func TestSingleLayoutGuard(t *testing.T) {
 	tables := map[string]*telco.Table{"CDR": layoutTable(t, "CDR"), "NMS": layoutTable(t, "NMS")}
-	var samples [][]byte
-	for _, name := range []string{"CDR", "NMS"} {
-		text := []byte(tables[name].Text())
-		samples = append(samples, text[:min(len(text), 256<<10)])
-	}
 	codecs := []struct {
 		name  string
 		c     compress.Codec
@@ -104,7 +97,6 @@ func TestSingleLayoutGuard(t *testing.T) {
 	}{
 		{"gzip", codec(t, "gzip"), 1.005},
 		{"zstd", codec(t, "zstd"), 0},
-		{"zstd+dict", zst.New(zst.Train(samples, 64<<10)), 0},
 	}
 	for _, name := range []string{"CDR", "NMS"} {
 		tab := tables[name]

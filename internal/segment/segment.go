@@ -42,8 +42,8 @@
 // escaped wire fields with the encoding its entropy selects (see
 // compress.EncodeColumn), the packed streams concatenate, and the block
 // codec compresses the concatenation once — so the codec keeps one shared
-// context (and any trained dictionary) across all columns. Each chunk's
-// footer entry grows a column directory appended after the sketch:
+// context across all columns. Each chunk's footer entry grows a column
+// directory appended after the sketch:
 //
 //	ncols            uvarint
 //	per column:
@@ -634,7 +634,7 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 	}
 	version := hdr[4]
 	if version < 1 || version > Version {
-		return nil, fmt.Errorf("segment: unsupported version %d (have %d)", version, Version)
+		return nil, compress.Corruptf("segment: unsupported version %d (have %d)", version, Version)
 	}
 	tail := end[len(end)-tailLen:]
 	if !bytes.Equal(tail[4:], tailMagic[:]) {
@@ -687,7 +687,8 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 		if c.ULen, err = readUvarint64(br); err != nil {
 			return nil, compress.Corruptf("segment: chunk %d ulen", i)
 		}
-		if c.Rows, err = readUvarint64(br); err != nil {
+		// Every row ends in a newline of the chunk's wire text.
+		if c.Rows, err = readUvarint64(br); err != nil || c.Rows > c.ULen {
 			return nil, compress.Corruptf("segment: chunk %d rows", i)
 		}
 		var fixed [4 + 1 + 8 + 8]byte
@@ -715,7 +716,9 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 				return nil, compress.Corruptf("segment: chunk %d sketch", i)
 			}
 		}
-		if c.Off < headerLen || c.Len <= 0 || c.Off+c.Len > dataEnd {
+		// Off is at least headerLen, so dataEnd-c.Off cannot wrap; the
+		// sum c.Off+c.Len could.
+		if c.Off < headerLen || c.Len <= 0 || c.Len > dataEnd-c.Off {
 			return nil, compress.Corruptf("segment: chunk %d spans [%d,+%d) outside data area", i, c.Off, c.Len)
 		}
 		if version >= 3 {
@@ -737,7 +740,7 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 					// where the previous ended in the inflated packed
 					// concatenation (its size is only known after
 					// decompression).
-					if m.Len, err = readUvarint64(br); err != nil {
+					if m.Len, err = readUvarint64(br); err != nil || m.Len > math.MaxInt64-off {
 						return nil, compress.Corruptf("segment: chunk %d column %d length", i, j)
 					}
 					m.Off = off
@@ -845,12 +848,16 @@ func (r *Reader) ChunkData(i int) ([]byte, error) {
 	if !r.packed(c) {
 		return data, nil
 	}
-	cols, _, err := r.columnFields(i, c, data, nil)
+	cols, wire, err := r.columnFields(i, c, data, nil)
 	if err != nil {
 		return nil, err
 	}
+	if wire != c.ULen {
+		return nil, compress.Corruptf("segment: chunk %d reassembles to %d bytes, footer says %d",
+			i, wire, c.ULen)
+	}
 	var b bytes.Buffer
-	b.Grow(int(c.ULen))
+	b.Grow(int(wire))
 	for row := int64(0); row < c.Rows; row++ {
 		for k := range cols {
 			if k > 0 {
@@ -859,10 +866,6 @@ func (r *Reader) ChunkData(i int) ([]byte, error) {
 			b.WriteString(cols[k][row])
 		}
 		b.WriteByte('\n')
-	}
-	if int64(b.Len()) != c.ULen {
-		return nil, compress.Corruptf("segment: chunk %d reassembled to %d bytes, footer says %d",
-			i, b.Len(), c.ULen)
 	}
 	return b.Bytes(), nil
 }
@@ -920,7 +923,7 @@ func (r *Reader) DecodeBatch(i int, data []byte, schema *telco.Schema, cols []in
 			col = cols[k]
 		}
 		m := c.Cols[col]
-		if m.Off+m.Len > int64(len(data)) {
+		if m.Off < 0 || m.Len > int64(len(data))-m.Off {
 			return 0, compress.Corruptf("segment: chunk %d column %d outside its %d inflated bytes", i, col, len(data))
 		}
 		w, err := compress.DecodeColumnBatch(&b.Cols[k], m.Tag, data[m.Off:m.Off+m.Len], n)
@@ -978,7 +981,9 @@ func (r *Reader) columnFields(i int, c Chunk, data []byte, want []int) ([][]stri
 	}
 	for k, col := range want {
 		m := c.Cols[col]
-		vals, err := compress.DecodeColumn(make([]string, 0, c.Rows), m.Tag,
+		// The footer's row count is checked only by the decode: the
+		// capacity hint is bounded by the bytes actually inflated.
+		vals, err := compress.DecodeColumn(make([]string, 0, min(c.Rows, int64(len(data)))), m.Tag,
 			data[m.Off:m.Off+m.Len], int(c.Rows))
 		if err != nil {
 			return nil, 0, fmt.Errorf("segment: chunk %d column %d: %w", i, col, err)

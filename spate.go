@@ -29,7 +29,6 @@ import (
 
 	"spate/internal/cluster"
 	"spate/internal/compress"
-	_ "spate/internal/compress/all" // register every codec
 	"spate/internal/compute"
 	"spate/internal/compute/ml"
 	"spate/internal/core"
@@ -128,11 +127,6 @@ var (
 	NewTimeRange = telco.NewTimeRange
 	// NewRect builds a normalized rectangle.
 	NewRect = geo.NewRect
-	// LookupCodec resolves a registered codec by name
-	// ("gzip", "sevenz", "snappy", "zstd").
-	LookupCodec = compress.Lookup
-	// CodecNames lists the registered codecs.
-	CodecNames = compress.Names
 )
 
 // Index levels (temporal resolutions).

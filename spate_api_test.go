@@ -110,12 +110,9 @@ func TestPublicAPILifecycle(t *testing.T) {
 		t.Fatalf("KMeans: %v", err)
 	}
 
-	// Codec registry is loaded via the facade import.
-	if got := spate.CodecNames(); len(got) != 4 {
-		t.Errorf("codecs = %v", got)
-	}
-	if _, err := spate.LookupCodec("sevenz"); err != nil {
-		t.Error(err)
+	// The engine stores through gzip unless a caller supplies a codec.
+	if got := eng.Codec().Name(); got != "gzip" {
+		t.Errorf("default codec = %q, want gzip", got)
 	}
 
 	// Space accounting.
