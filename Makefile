@@ -42,13 +42,17 @@ race:
 # fourth races explorations against the day seal, decay and the refill that
 # write a sealed leaf's kept summary encoding, and the fifth a decay sweep
 # applied one eviction per batch against four explorers: which of them wins
-# differs from run to run, so they repeat under the race detector too.
+# differs from run to run, so they repeat under the race detector too. The
+# sixth races result-cache hits under every attr= mode, which fill and read
+# one cached answer's memo of rendered cells, against the cache's Clear and
+# Invalidate (~6 s at -count=20 -cpu 1,2 on 2 vCPUs).
 flaky:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
 	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestClusterTracePartialShard$$' ./internal/cluster/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestKeptSummaryRace$$' ./internal/core/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestConcurrentDecayExplore$$' ./internal/core/
+	$(GO) test -race -count=20 -cpu 1,2 -run 'TestCachedExploreHitsRace$$' ./internal/webui/
 
 # The un-raced counterpart of race's GOMAXPROCS sweep, cheap enough for
 # every CI run: the whole tree starved, at the box's width and

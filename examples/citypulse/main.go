@@ -10,6 +10,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -97,11 +98,13 @@ func main() {
 		drops float64
 		rows  int64
 	}
-	dropAttr := spate.AttrRef{Table: "NMS", Attr: "drop_calls"}
+	// The cells' views share the answer's attribute dictionary: find the
+	// drop counter in it once, then read each cell's sum by its position.
+	drop := slices.Index(res.Summary.Num().Dict(), spate.AttrRef{Table: "NMS", Attr: "drop_calls"})
 	var hs []hotspot
 	for _, cs := range res.Cells {
-		if st, ok := cs.Attr.Get(dropAttr); ok && st.Sum > 0 {
-			hs = append(hs, hotspot{cs.CellID, cs.Loc, st.Sum, cs.Rows})
+		if sum, _, ok := cs.Attr.Sum(drop); ok && sum > 0 {
+			hs = append(hs, hotspot{cs.CellID, cs.Loc, sum, cs.Rows})
 		}
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i].drops > hs[j].drops })

@@ -3,6 +3,7 @@ package compress
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -138,10 +139,13 @@ func (s *StreamReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// nextChunk decodes the next frame. A stream that ends before its
+// end-of-stream marker — mid-header, mid-frame, or between frames — is
+// corrupt input like any other damage a reader detects.
 func (s *StreamReader) nextChunk() error {
 	size, err := binary.ReadUvarint(s.r)
 	if err != nil {
-		return fmt.Errorf("compress: stream header: %w", err)
+		return truncated("compress: stream header", err)
 	}
 	if size == 0 {
 		s.done = true
@@ -155,11 +159,20 @@ func (s *StreamReader) nextChunk() error {
 	}
 	s.comp = s.comp[:size]
 	if _, err := io.ReadFull(s.r, s.comp); err != nil {
-		return fmt.Errorf("compress: stream chunk: %w", err)
+		return truncated("compress: stream chunk", err)
 	}
 	s.out, err = s.c.Decompress(s.out[:0], s.comp)
 	if err != nil {
 		return err
 	}
 	return nil
+}
+
+// truncated wraps a read failure of what: an end of input as ErrCorrupt,
+// anything else (the source's own failure) as it is.
+func truncated(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return Corruptf("%s: truncated (%v)", what, err)
+	}
+	return fmt.Errorf("%s: %w", what, err)
 }

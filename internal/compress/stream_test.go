@@ -2,6 +2,7 @@ package compress_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -165,8 +166,8 @@ func TestStreamChunkSizes(t *testing.T) {
 
 // TestStreamTruncationAllCodecs cuts encoded streams at every interesting
 // point — mid-header, mid-chunk, and just before the terminator — and
-// requires the reader to fail (or at least not claim a full decode) for
-// every codec. The segment reader depends on this to surface torn chunks.
+// requires the reader to fail with ErrCorrupt for every codec. The segment
+// reader depends on this to surface torn chunks as corrupt input.
 func TestStreamTruncationAllCodecs(t *testing.T) {
 	payload := []byte(strings.Repeat("truncated telco stream line|99|FAIL\n", 4000))
 	for _, c := range allCodecs(t) {
@@ -182,9 +183,9 @@ func TestStreamTruncationAllCodecs(t *testing.T) {
 			}
 			enc := buf.Bytes()
 			for _, cut := range []int{0, 1, 2, len(enc) / 3, len(enc) / 2, len(enc) - 2, len(enc) - 1} {
-				got, err := io.ReadAll(compress.NewStreamReader(c, bytes.NewReader(enc[:cut])))
-				if err == nil && bytes.Equal(got, payload) {
-					t.Errorf("cut=%d: truncated stream decoded fully without error", cut)
+				_, err := io.ReadAll(compress.NewStreamReader(c, bytes.NewReader(enc[:cut])))
+				if !errors.Is(err, compress.ErrCorrupt) {
+					t.Errorf("cut=%d: err = %v, want ErrCorrupt", cut, err)
 				}
 			}
 		})

@@ -101,6 +101,11 @@ type Result struct {
 	// leaves' kept summaries and rebuilding the rest from stored data (one
 	// interval per fan-out), reported as the leaf_decode stage.
 	leafDecode time.Duration
+
+	// rendered memoizes renderings of Cells for the hits a cached answer
+	// serves (RenderedCells, MemoizeCells); nil until the result cache
+	// takes an answer that has cells.
+	rendered *cellsMemo
 }
 
 // Explore evaluates a data exploration query against the index: it finds
@@ -961,8 +966,17 @@ type resultsUnder struct {
 }
 
 func (c resultsUnder) Get(key string) (*Result, bool) { return c.lru.Get(c.prefix + key) }
-func (c resultsUnder) Put(key string, r *Result)      { c.lru.Put(c.prefix+key, r) }
 func (c resultsUnder) Clear()                         { c.dropIf(func(*Result) bool { return true }) }
+
+// Put caches r. An answer with cells gets the memo its hits keep their
+// renderings in, charged by SizeBytes from here on; r is not shared yet
+// (the engine puts an answer before it returns it to anyone).
+func (c resultsUnder) Put(key string, r *Result) {
+	if len(r.Cells) > 0 && r.rendered == nil {
+		r.rendered = new(cellsMemo)
+	}
+	c.lru.Put(c.prefix+key, r)
+}
 
 // Invalidate drops every cached result whose served period intersects any
 // of the given ranges. ServedPeriod always covers the data a result was
@@ -991,12 +1005,16 @@ func (c resultsUnder) dropIf(stale func(*Result) bool) {
 
 // SizeBytes estimates the retained heap footprint of a result — the unit
 // result caches budget by: its summary exactly, the rest at shallow
-// per-element sizes. It is deterministic, and cheap enough to run once per
+// per-element sizes, and its memo of rendered cells at the whole reserve
+// the memo may fill. It is deterministic, and cheap enough to run once per
 // cache Put.
 func (r *Result) SizeBytes() int64 {
 	size := int64(512) // struct shell: periods, counters, profile
 	if r.Summary != nil {
 		size += r.Summary.SizeHint() // its memoized encoding included
+	}
+	if r.rendered != nil {
+		size += cellsMemoReserve(len(r.Cells))
 	}
 	size += int64(cap(r.Cells)) * int64(unsafe.Sizeof(CellSeries{}))
 	for _, cs := range r.Cells {

@@ -361,8 +361,22 @@ func TestResultSizeCoversHeap(t *testing.T) {
 	if got := answer.SizeBytes(); got < heap {
 		t.Errorf("a 3-leaf answer over %d cells is charged %d bytes and keeps %d alive", len(answer.Cells), got, heap)
 	}
-	t.Logf("leaf: charged %d, retained %d; answer: charged %d, retained %d",
-		leaf.SizeBytes(), leafHeap, answer.SizeBytes(), heap)
+	// The same answer once the cache took it and its hits filled the memo
+	// of rendered cells.
+	memoized, memoHeap := retained(func() *Result {
+		r := &Result{ServedPeriod: w}
+		r.Summary, r.Cells = e.cells.Restrict(highlights.Merge(w, parts...), box, nil)
+		r.rendered = new(cellsMemo)
+		if kept := fillMemo(r); kept < 3 {
+			t.Fatalf("the memo kept %d renderings", kept)
+		}
+		return r
+	})
+	if got := memoized.SizeBytes(); got < memoHeap {
+		t.Errorf("the answer with a full memo is charged %d bytes and keeps %d alive", got, memoHeap)
+	}
+	t.Logf("leaf: charged %d, retained %d; answer: charged %d, retained %d; with a full memo: charged %d, retained %d",
+		leaf.SizeBytes(), leafHeap, answer.SizeBytes(), heap, memoized.SizeBytes(), memoHeap)
 	runtime.KeepAlive(parts)
 	runtime.KeepAlive(e) // its caches must not be what a measurement sees freed
 }

@@ -245,12 +245,25 @@ func (a Attrs) Len() int { return len(a.pairs) }
 // At returns the i-th attribute and its stats.
 func (a Attrs) At(i int) (AttrRef, Stats) { return a.dict[a.pairs[i].attr], a.pairs[i].stats() }
 
-// Get returns ref's stats, and whether the view holds ref.
-func (a Attrs) Get(ref AttrRef) (Stats, bool) {
-	if i := slices.IndexFunc(a.pairs, func(p pair) bool { return a.dict[p.attr] == ref }); i >= 0 {
-		return a.pairs[i].stats(), true
+// Dict returns the attribute dictionary the view names its attributes by:
+// one slice shared by every view of a summary (and of a restriction or a
+// selection of it), read-only like the summary. An attribute's position in
+// it is the index Sum reads by, so a reader of many views resolves an
+// attribute once per dictionary, not once per view.
+func (a Attrs) Dict() []AttrRef { return a.dict }
+
+// Sum returns the sum and the non-null count of the attribute at position
+// i of the view's dictionary, and whether the view holds that attribute.
+func (a Attrs) Sum(i int) (sum float64, nonNull int64, ok bool) {
+	for _, p := range a.pairs { // ascending by attribute
+		if int(p.attr) >= i {
+			if int(p.attr) == i {
+				return p.sum, p.n, true
+			}
+			break
+		}
 	}
-	return Stats{}, false
+	return 0, 0, false
 }
 
 // Only returns the view narrowed to the attributes refs names, in a copy.

@@ -120,7 +120,7 @@ func (w *ColumnWriter) AppendRowFields(fields []string, m RowMeta) error {
 	} else {
 		w.flags |= flagNoCell
 	}
-	if w.curSize >= w.chunkSize {
+	if w.curSize >= w.chunkSize || w.rows == MaxChunkRows {
 		return w.flushChunk()
 	}
 	return nil

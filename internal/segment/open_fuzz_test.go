@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"spate/internal/compress"
 	"spate/internal/compress/gzipc"
 	"spate/internal/segment"
+	"spate/internal/telco"
 )
 
 // handChunk is the footer entry of the one chunk handSegment writes.
@@ -110,12 +112,156 @@ func TestLyingColumnDirectoryIsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzSegmentOpen feeds mutated bytes to segment.Open, then fetches and
-// reassembles every chunk of whatever opens. Nothing may panic, and every
-// refusal must be a corrupt-input or not-a-segment error. Each input opens
-// under gzip, the store's codec, and under the identity codec, whose v3
-// footers and column streams the mutations reach without first having to
-// survive inflation.
+// stringSchema is n string columns: a packed chunk of n column streams
+// decodes under it whatever the streams hold.
+func stringSchema(n int) *telco.Schema {
+	fields := make([]telco.Field, n)
+	for i := range fields {
+		fields[i] = telco.Field{Name: fmt.Sprint("c", i), Kind: telco.KindString}
+	}
+	return telco.MustSchema("S", fields)
+}
+
+// TestDecodeBatchRefusesLyingRowCount opens packed v3 chunks whose payload
+// and CRC are sound but whose footer claims more rows than a chunk may
+// hold, and decodes each into a batch. A row count of 2^60 once reached
+// the batch's sizing and panicked there; each must come back ErrCorrupt,
+// and the honest chunk must decode.
+func TestDecodeBatchRefusesLyingRowCount(t *testing.T) {
+	payload := identCodec{}.Compress(nil, []byte("a\nb")) // one plain column, rows "a" and "b"
+	decode := func(ulen, rows uint64) (*telco.Batch, error) {
+		data := handSegment(identCodec{}, segment.Version, payload, handChunk{
+			off: 5, len: uint64(len(payload)), ulen: ulen, rows: rows,
+			crc: crc32.ChecksumIEEE(payload), colLens: []uint64{3},
+		})
+		r, err := segment.Open(bytes.NewReader(data), int64(len(data)), identCodec{})
+		if err != nil {
+			return nil, err
+		}
+		inflated, err := r.ChunkBytes(0)
+		if err != nil {
+			return nil, err
+		}
+		var b telco.Batch
+		_, err = r.DecodeBatch(0, inflated, stringSchema(1), nil, &b)
+		return &b, err
+	}
+	if b, err := decode(4, 2); err != nil || b.N != 2 || string(b.Cols[0].Bytes(1)) != "b" {
+		t.Fatalf("the honest chunk: %v", err)
+	}
+	for _, rows := range []uint64{1 << 60, segment.MaxChunkRows + 1} {
+		if _, err := decode(1<<61, rows); !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("a footer claiming %d rows: err = %v, want ErrCorrupt", rows, err)
+		}
+	}
+}
+
+// TestWritersHonourMaxChunkRows: a chunk of one-byte rows under a chunk
+// size that would hold millions of them still ends at MaxChunkRows rows,
+// from the row writer, the column writer and the compactor's chunk merge,
+// so every segment a writer makes opens under Open's bound.
+func TestWritersHonourMaxChunkRows(t *testing.T) {
+	const rows = segment.MaxChunkRows + 3
+	check := func(name string, seg []byte) *segment.Reader {
+		t.Helper()
+		r, err := segment.Open(bytes.NewReader(seg), int64(len(seg)), gzipc.Codec{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []int64
+		for _, c := range r.Chunks() {
+			got = append(got, c.Rows)
+		}
+		if len(got) != 2 || got[0] != segment.MaxChunkRows || got[1] != 3 {
+			t.Fatalf("%s: chunks of %v rows", name, got)
+		}
+		return r
+	}
+	w := segment.NewWriter(gzipc.Codec{}, 64<<20)
+	cw := segment.NewColumnWriter(gzipc.Codec{}, 64<<20, 1)
+	for range rows {
+		if err := w.AppendRow([]byte("a\n"), segment.RowMeta{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.AppendRowFields([]string{"a"}, segment.RowMeta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, _, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := check("row writer", seg)
+	if seg, _, err = cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("column writer", seg)
+	// The compactor merges the two chunks back the other way round: the
+	// short one first, so the long one must not join it.
+	merged := segment.NewWriter(gzipc.Codec{}, 64<<20)
+	chunks := r.Chunks()
+	for _, i := range []int{1, 0} {
+		text, err := r.ChunkData(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.AppendChunk(text, chunks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seg, _, err = merged.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	mr, err := segment.Open(bytes.NewReader(seg), int64(len(seg)), gzipc.Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := mr.Chunks(); len(c) != 2 || c[0].Rows != 3 || c[1].Rows != segment.MaxChunkRows {
+		t.Fatalf("merged chunks: %+v", c)
+	}
+}
+
+// TestTruncatedStreamChunkIsCorrupt: a v2 chunk whose payload passes its
+// CRC but whose gzip stream ends early — mid-frame, mid-header, or before
+// the end-of-stream marker — is corrupt input, as every other refusal of
+// a chunk's bytes is.
+func TestTruncatedStreamChunkIsCorrupt(t *testing.T) {
+	var text, stream bytes.Buffer
+	for i := range 35 {
+		fmt.Fprintf(&text, "row %d|%d|%x\n", i, i*i, i*i*i*7919)
+	}
+	sw := compress.NewStreamWriterSize(gzipc.Codec{}, &stream, 1<<10)
+	if _, err := sw.Write(text.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := stream.Bytes()
+	for _, cut := range []int{len(full) - 5, 1, len(full) - 1} {
+		payload := full[:cut]
+		data := handSegment(gzipc.Codec{}, segment.RowVersion, payload, handChunk{
+			off: 5, len: uint64(len(payload)), ulen: uint64(text.Len()), rows: 35,
+			crc: crc32.ChecksumIEEE(payload),
+		})
+		r, err := segment.Open(bytes.NewReader(data), int64(len(data)), gzipc.Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ChunkBytes(0); !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("a %d-byte stream cut to %d: err = %v, want ErrCorrupt", len(full), cut, err)
+		}
+	}
+}
+
+// FuzzSegmentOpen feeds mutated bytes to segment.Open, then fetches,
+// reassembles and decodes into a batch every chunk of whatever opens.
+// Nothing may panic, and every refusal must be a corrupt-input or
+// not-a-segment error — but a row-text chunk's batch decode, whose string
+// schema need not fit the rows the mutation left. Each input opens under
+// gzip, the store's codec, and under the identity codec, whose v3 footers
+// and column streams the mutations reach without first having to survive
+// inflation.
 func FuzzSegmentOpen(f *testing.F) {
 	v3, err := os.ReadFile(filepath.Join("testdata", "pr16-cdr-packed.seg"))
 	if err != nil {
@@ -159,11 +305,19 @@ func FuzzSegmentOpen(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			for i := range r.NumChunks() {
-				_, err := r.ChunkBytes(i)
+			for i, ch := range r.Chunks() {
+				inflated, err := r.ChunkBytes(i)
 				checkRefusal("chunk bytes", err)
 				_, err = r.ChunkData(i)
 				checkRefusal("chunk data", err)
+				if inflated == nil {
+					continue
+				}
+				var b telco.Batch
+				_, err = r.DecodeBatch(i, inflated, stringSchema(max(len(ch.Cols), 1)), nil, &b)
+				if len(ch.Cols) > 0 {
+					checkRefusal("decode batch", err)
+				}
 			}
 		}
 	})

@@ -149,6 +149,12 @@ const DefaultChunkSize = 256 << 10
 // maxFooter bounds the footer a reader will allocate for.
 const maxFooter = 64 << 20
 
+// MaxChunkRows bounds the rows of one chunk. Writers flush a chunk when it
+// reaches the bound, whatever its bytes; Open refuses a footer claiming
+// more, so a reader sizes nothing by a row count past it. At
+// DefaultChunkSize a chunk of one-byte rows holds a quarter of it.
+const MaxChunkRows = 1 << 20
+
 // RowMeta carries the per-record statistics the writer folds into chunk
 // metadata.
 type RowMeta struct {
@@ -401,7 +407,7 @@ func (w *Writer) AppendRow(line []byte, m RowMeta) error {
 	} else {
 		w.flags |= flagNoCell
 	}
-	if w.cur.Len() >= w.chunkSize {
+	if w.cur.Len() >= w.chunkSize || w.rows == MaxChunkRows {
 		return w.flushChunk()
 	}
 	return nil
@@ -416,6 +422,11 @@ func (w *Writer) AppendRow(line []byte, m RowMeta) error {
 func (w *Writer) AppendChunk(text []byte, ch Chunk) error {
 	if w.finished {
 		return fmt.Errorf("segment: append after Finish")
+	}
+	if w.rows+ch.Rows > MaxChunkRows {
+		if err := w.flushChunk(); err != nil {
+			return err
+		}
 	}
 	w.cur.Write(text)
 	w.rows += ch.Rows
@@ -688,7 +699,7 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 			return nil, compress.Corruptf("segment: chunk %d ulen", i)
 		}
 		// Every row ends in a newline of the chunk's wire text.
-		if c.Rows, err = readUvarint64(br); err != nil || c.Rows > c.ULen {
+		if c.Rows, err = readUvarint64(br); err != nil || c.Rows > c.ULen || c.Rows > MaxChunkRows {
 			return nil, compress.Corruptf("segment: chunk %d rows", i)
 		}
 		var fixed [4 + 1 + 8 + 8]byte

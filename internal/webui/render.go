@@ -70,7 +70,7 @@ func (s *Server) appendExplore(b []byte, x exploration, attr string, profile boo
 	b = append(b, `,"cache_hit":`...)
 	b = strconv.AppendBool(b, x.CacheHit)
 	b = append(b, `,"cells":`...)
-	b = s.appendCells(b, x.Cells, attr)
+	b = s.appendCells(b, x.Result, attr)
 	b = append(b, `,"highlights":`...)
 	b = appendHighlights(b, x.Highlights)
 	if len(x.Stages) > 0 {
@@ -126,37 +126,32 @@ func appendCount(b []byte, key string, n int) []byte {
 // appendCells writes the per-cell answer. A cell's value is the sum of the
 // attribute attr= names; with none named, the cell shows its
 // smallest-named attribute (the view orders by table, then attribute).
-// attr= is split into its reference once, not joined again for every
-// attribute of every cell (table names carry no '.', so the first one
-// separates the two).
-func (s *Server) appendCells(b []byte, cells []core.CellSeries, attr string) []byte {
-	if len(cells) == 0 {
+// attr= is resolved once per attribute dictionary (see attrPick), not
+// compared with every attribute of every cell. A cache hit renders
+// through the answer's memo: the first hit for one resolved attribute
+// renders and keeps the bytes, later ones copy them. A miss keeps nothing,
+// so answers asked once cost no copy.
+func (s *Server) appendCells(b []byte, r *core.Result, attr string) []byte {
+	if len(r.Cells) == 0 {
 		return append(b, "null"...)
 	}
-	table, name, dotted := strings.Cut(attr, ".")
-	want := highlights.AttrRef{Table: table, Attr: name}
+	p := newAttrPick(attr)
+	p.resolve(firstDict(r.Cells))
+	key := p.key()
+	if r.CacheHit {
+		if cells, ok := r.RenderedCells(key); ok {
+			return append(b, cells...)
+		}
+	}
+	start := len(b)
 	var fresh []cellHead
 	s.heads.mu.RLock()
 	b = append(b, '[')
-	for i, cs := range cells {
+	for i, cs := range r.Cells {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		var v float64
-		switch {
-		case attr == "":
-			shown := ""
-			for j := 0; j < cs.Attr.Len(); j++ {
-				ref, st := cs.Attr.At(j)
-				if name := ref.String(); j == 0 || name < shown {
-					shown, v = name, st.Sum
-				}
-			}
-		case dotted:
-			if st, ok := cs.Attr.Get(want); ok {
-				v = st.Sum
-			}
-		}
+		v, _, _ := p.read(cs.Attr)
 		if head, ok := s.heads.m[cs.CellID]; ok {
 			b = append(b, head...)
 		} else {
@@ -172,7 +167,102 @@ func (s *Server) appendCells(b []byte, cells []core.CellSeries, attr string) []b
 	}
 	s.heads.mu.RUnlock()
 	s.heads.add(fresh)
-	return append(b, ']')
+	b = append(b, ']')
+	// A rendering that met a second dictionary is not what key names.
+	if r.CacheHit && !p.mixed {
+		r.MemoizeCells(key, b[start:])
+	}
+	return b
+}
+
+// attrPick reads one attribute's stats out of cell views by the
+// attribute's position in their dictionary, resolved once per dictionary:
+// the views of one answer share its summary's, so an answer resolves once.
+// It reads the attribute named (attr=, a template's), the smallest-named
+// attribute each cell holds (no attr=), or nothing (an attr= without a
+// dot: no table names it).
+type attrPick struct {
+	want     highlights.AttrRef
+	smallest bool
+	named    bool
+
+	dict  []highlights.AttrRef
+	order []int // dictionary positions to read, first held first
+	mixed bool  // views over a second dictionary were read
+}
+
+// newAttrPick reads what attr= asks for. Table names carry no '.', so the
+// first one separates table and attribute.
+func newAttrPick(attr string) attrPick {
+	table, name, dotted := strings.Cut(attr, ".")
+	return attrPick{want: highlights.AttrRef{Table: table, Attr: name}, smallest: attr == "", named: dotted}
+}
+
+// firstDict is the dictionary of the first cell view that has one.
+func firstDict(cells []core.CellSeries) []highlights.AttrRef {
+	for _, cs := range cells {
+		if d := cs.Attr.Dict(); len(d) > 0 {
+			return d
+		}
+	}
+	return nil
+}
+
+// resolve finds the pick's attribute(s) in dict: for the named attribute,
+// the positions holding it; with none named, every position in name
+// order (a stable sort, so equal names keep the view's order).
+func (p *attrPick) resolve(dict []highlights.AttrRef) {
+	p.dict, p.order = dict, p.order[:0]
+	switch {
+	case p.smallest:
+		names := make([]string, len(dict))
+		for i, ref := range dict {
+			names[i] = ref.String()
+			p.order = append(p.order, i)
+		}
+		slices.SortStableFunc(p.order, func(i, j int) int { return strings.Compare(names[i], names[j]) })
+	case p.named:
+		for i, ref := range dict {
+			if ref == p.want {
+				p.order = append(p.order, i)
+			}
+		}
+	}
+}
+
+// key names what the pick reads, resolved, as the answer's memo keys a
+// rendering: the attribute's dictionary position, or one of the two modes
+// that read no single attribute.
+func (p *attrPick) key() int32 {
+	switch {
+	case p.smallest:
+		return -2
+	case len(p.order) > 0:
+		return int32(p.order[0])
+	}
+	return -1 // no attribute: every value 0
+}
+
+// read returns the picked attribute's sum and non-null count in a, and
+// whether a holds it; a view over another dictionary than the last one
+// resolves the pick again.
+func (p *attrPick) read(a highlights.Attrs) (sum float64, nonNull int64, ok bool) {
+	if d := a.Dict(); len(d) > 0 && !sameDict(d, p.dict) {
+		p.mixed = p.mixed || p.dict != nil
+		p.resolve(d)
+	}
+	for _, i := range p.order {
+		if sum, nonNull, ok = a.Sum(i); ok {
+			return sum, nonNull, true
+		}
+	}
+	return 0, 0, false
+}
+
+// sameDict reports whether x and y are one dictionary, not merely equal
+// ones: comparing the refs would cost what resolving once saves.
+func sameDict(x, y []highlights.AttrRef) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
 // cellHeads memoizes each cell's `{"id":…,"x":…,"y":…`, formatted the

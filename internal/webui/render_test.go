@@ -3,6 +3,7 @@ package webui
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -114,7 +115,7 @@ func encodeTemplate(name string, spec templateSpec, cells []core.CellSeries) ([]
 		Cells    []ExploreCellJSON `json:"cells"`
 	}{Template: name, Desc: spec.desc, Stat: spec.stat}
 	for _, cs := range cells {
-		st, ok := cs.Attr.Get(spec.attr)
+		st, ok := statsOf(cs.Attr, spec.attr)
 		if !ok {
 			continue
 		}
@@ -129,6 +130,16 @@ func encodeTemplate(name string, spec templateSpec, cells []core.CellSeries) ([]
 	var buf bytes.Buffer
 	err := json.NewEncoder(&buf).Encode(out)
 	return buf.Bytes(), err
+}
+
+// statsOf is ref's stats in a, the first the view holds.
+func statsOf(a highlights.Attrs, ref highlights.AttrRef) (highlights.Stats, bool) {
+	for i := 0; i < a.Len(); i++ {
+		if r, st := a.At(i); r == ref {
+			return st, true
+		}
+	}
+	return highlights.Stats{}, false
 }
 
 // floatEdges are where appendFloat's choices turn: -0, both sides of the
@@ -183,15 +194,17 @@ func randInventory(rng *rand.Rand) map[int64]geo.Point {
 	return inv
 }
 
-// randCells builds a summary whose per-cell sums are drawn from
-// floatEdges and friends (a cell mostly gets one row per table, so its sum
-// is the value drawn) and views its cells as an answer would, each at its
-// inventory location.
-func randCells(rng *rand.Rand, inv map[int64]geo.Point) []core.CellSeries {
-	refs := []highlights.AttrRef{
-		{Table: "NMS", Attr: "rssi_dbm"}, {Table: "NMS", Attr: "avg_duration"},
-		{Table: "NMS", Attr: "drop_calls"}, {Table: "CDR", Attr: telco.AttrUpflux},
-	}
+// cellRefs are the attributes randCells tracks per cell.
+var cellRefs = []highlights.AttrRef{
+	{Table: "CDR", Attr: telco.AttrUpflux}, {Table: "NMS", Attr: "rssi_dbm"},
+	{Table: "NMS", Attr: "avg_duration"}, {Table: "NMS", Attr: "drop_calls"},
+}
+
+// randCells builds a summary tracking refs whose per-cell sums are drawn
+// from floatEdges and friends (a cell mostly gets one row per table, so
+// its sum is the value drawn) and views its cells as an answer would,
+// each at its inventory location.
+func randCells(rng *rand.Rand, inv map[int64]geo.Point, refs []highlights.AttrRef) []core.CellSeries {
 	cfg := highlights.Config{Numeric: refs, CellAttrs: refs}
 	sum := highlights.NewSummary(telco.TimeRange{})
 	for _, schema := range []*telco.Schema{telco.NMSSchema, telco.CDRSchema} {
@@ -232,10 +245,14 @@ func randCells(rng *rand.Rand, inv map[int64]geo.Point) []core.CellSeries {
 // json.Encoder — wrote for the same answer and the same attr= and
 // profile= parameters. The answers mix the float and string edges above
 // with zero cells, partial answers with missing ranges, duplicate stage
-// names, and cells the head memo holds or does not hold yet. Every 50
-// answers a new server serves a new cell inventory. Each answer renders
-// twice, the second time with every head from the memo; then four
-// goroutines render them all at once over fresh memos.
+// names, cells the head memo holds or does not hold yet, and cells whose
+// views come from two summaries with two dictionaries. Every 50
+// answers a new server serves a new cell inventory. Each answer goes into
+// a result cache and renders under every attr= mode — none, each
+// dictionary attribute, unknown dotted ones and undotted ones — three
+// times: as the miss, as the first hit (which fills the answer's memo of
+// rendered cells) and as a hit the memo serves. Then four goroutines
+// render them all at once over fresh head memos, hits from the memos.
 func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	var inv map[int64]geo.Point
@@ -244,18 +261,25 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 		"CDR.nope", "nodot", ".", "NMS.", "NMS.rssi_dbm.x"}
 	stageNames := []string{"plan", "collect", "leaf_decode", "merge", "<restrict>", "row_fetch"}
 	t0 := time.Date(2016, 1, 18, 0, 0, 0, 0, time.UTC)
+	rc := core.ResultsUnder(core.NewResultLRU(64<<20, obs.NewRegistry()), "")
 	var answers []answer
+	withCells, memoized := 0, 0 // answers, and those whose memo kept a rendering
 	for i := 0; i < 300; i++ {
 		res := &core.Result{Summary: highlights.NewSummary(telco.TimeRange{})}
 		res.Summary.Rows = rng.Int63n(1 << 40)
 		res.DecayedLeaves = rng.Intn(3)
-		res.CacheHit = rng.Intn(2) == 0
 		if i%50 == 0 {
 			inv = randInventory(rng)
 			servers = append(servers, &Server{})
 		}
-		if i%5 != 0 {
-			res.Cells = randCells(rng, inv)
+		switch {
+		case i%5 == 0:
+		case i%5 == 3:
+			// Cells over two dictionaries, the first without the NMS
+			// attributes the second has: attr= resolves again.
+			res.Cells = append(randCells(rng, inv, cellRefs[:1]), randCells(rng, inv, cellRefs)...)
+		default:
+			res.Cells = randCells(rng, inv, cellRefs)
 		}
 		for n := rng.Intn(4); n > 0; n-- {
 			h := highlights.Highlight{
@@ -296,16 +320,56 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 				}
 			}
 		}
-		c := answer{x, attrs[rng.Intn(len(attrs))], rng.Intn(3) == 0, len(servers) - 1, nil}
-		c.want = encodeExplore(t, c.x, c.attr, c.profile)
-		answers = append(answers, c)
-		for pass := 0; pass < 2; pass++ {
-			if got := c.render(t, servers[c.server]); !bytes.Equal(got, c.want) {
-				t.Fatalf("answer %d, pass %d (attr=%q, profile=%v):\n got %s\nwant %s", i, pass, c.attr, c.profile, got, c.want)
+		rc.Put(fmt.Sprint(i), res)
+		// A hit is a copy of the cached answer sharing its memo, as the
+		// engine serves one.
+		hit := *res
+		hit.CacheHit = true
+		hx := x
+		hx.Result = &hit
+		kept := false
+		for _, attr := range attrs {
+			c := answer{x, hx, attr, rng.Intn(3) == 0, len(servers) - 1, nil, nil}
+			c.wantMiss = encodeExplore(t, c.miss, c.attr, c.profile)
+			c.wantHit = encodeExplore(t, c.hit, c.attr, c.profile)
+			answers = append(answers, c)
+			s := servers[c.server]
+			for pass, got := range [][]byte{c.render(t, s, c.miss), c.render(t, s, c.hit), c.render(t, s, c.hit)} {
+				want := c.wantHit
+				if pass == 0 {
+					want = c.wantMiss
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("answer %d, pass %d (attr=%q, profile=%v):\n got %s\nwant %s", i, pass, c.attr, c.profile, got, want)
+				}
+			}
+			if len(res.Cells) == 0 {
+				continue
+			}
+			p := newAttrPick(attr)
+			p.resolve(firstDict(res.Cells))
+			if cells, ok := res.RenderedCells(p.key()); ok {
+				kept = true
+				if !bytes.Contains(c.wantHit, append(append([]byte(`"cells":`), cells...), `,"highlights":`...)) {
+					t.Fatalf("answer %d (attr=%q): the memo holds %s", i, attr, cells)
+				}
+			}
+		}
+		if len(res.Cells) > 0 {
+			withCells++
+			if kept {
+				memoized++
 			}
 		}
 	}
-	// Requests render concurrently: four goroutines share fresh memos.
+	t.Logf("the memo kept a rendering of %d of %d answers", memoized, withCells)
+	// An answer keeps at least its first rendering unless its cells print
+	// past the reserve.
+	if memoized < withCells/2 {
+		t.Fatalf("the memo kept a rendering of %d of %d answers", memoized, withCells)
+	}
+	// Requests render concurrently: four goroutines share fresh head memos
+	// and the answers' memos.
 	for i := range servers {
 		servers[i] = &Server{}
 	}
@@ -316,14 +380,106 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 			defer wg.Done()
 			for i := range answers {
 				c := &answers[(i+g*len(answers)/4)%len(answers)]
-				if got := c.render(t, servers[c.server]); !bytes.Equal(got, c.want) {
-					t.Errorf("goroutine %d: answer differs:\n got %s\nwant %s", g, got, c.want)
+				s := servers[c.server]
+				if got := c.render(t, s, c.hit); !bytes.Equal(got, c.wantHit) {
+					t.Errorf("goroutine %d: hit differs:\n got %s\nwant %s", g, got, c.wantHit)
+					return
+				}
+				if got := c.render(t, s, c.miss); !bytes.Equal(got, c.wantMiss) {
+					t.Errorf("goroutine %d: miss differs:\n got %s\nwant %s", g, got, c.wantMiss)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCellsMemoKeysByResolvedAttr: hits on a cached answer under attr=
+// values that read the same share one memoized rendering — an unknown
+// dotted attr= and an undotted one read nothing — and a miss keeps
+// nothing; what the full memo refuses renders as a miss does. An answer
+// whose cells use two dictionaries, the first without the NMS attributes
+// the second holds, keeps nothing either: there NMS.rssi_dbm resolves
+// against the first dictionary as an unknown attribute does, but reads
+// values from the second.
+func TestCellsMemoKeysByResolvedAttr(t *testing.T) {
+	part := func(refs []highlights.AttrRef, ids ...int64) []core.CellSeries {
+		sum := highlights.NewSummary(telco.TimeRange{})
+		for _, schema := range []*telco.Schema{telco.CDRSchema, telco.NMSSchema} {
+			tab := telco.NewTable(schema)
+			for _, id := range ids {
+				rec := make(telco.Record, schema.NumFields())
+				for i, f := range schema.Fields {
+					rec[i] = telco.Null
+					switch {
+					case f.Name == telco.AttrCellID:
+						rec[i] = telco.Int(id)
+					case f.Kind == telco.KindInt || f.Kind == telco.KindFloat:
+						rec[i] = telco.Int(id*10 + int64(i))
+					}
+				}
+				tab.Append(rec)
+			}
+			sum.AddTable(highlights.Config{Numeric: refs, CellAttrs: refs}, tab)
+		}
+		var cells []core.CellSeries
+		for i := 0; i < sum.Cells(); i++ {
+			id, rows, attrs := sum.Cell(i)
+			cells = append(cells, core.CellSeries{CellID: id, Rows: rows, Attr: attrs})
+		}
+		return cells
+	}
+	rc := core.ResultsUnder(core.NewResultLRU(1<<20, obs.NewRegistry()), "")
+	for name, tc := range map[string]struct {
+		cells []core.CellSeries
+		kept  []string // the attr= values whose renderings the memo ends up holding
+	}{
+		// The reserve holds two renderings; later attr= values render as a
+		// miss does.
+		"one dictionary":   {part(cellRefs, 1, 2, 3, 4), []string{"NMS.rssi_dbm", "nodot"}},
+		"two dictionaries": {append(part(cellRefs[:1], 1, 2), part(cellRefs, 3, 4)...), nil},
+	} {
+		res := &core.Result{Summary: highlights.NewSummary(telco.TimeRange{}), Cells: tc.cells}
+		rc.Put(name, res)
+		hit := *res
+		hit.CacheHit = true
+		s := &Server{}
+		key := func(attr string) int32 {
+			p := newAttrPick(attr)
+			p.resolve(firstDict(res.Cells))
+			return p.key()
+		}
+		for _, attr := range []string{"NMS.rssi_dbm", "nodot", "CDR.nope", "NMS.rssi_dbm", "", "", "CDR.upflux", "CDR.upflux"} {
+			for _, x := range []exploration{{Result: res}, {Result: &hit}} {
+				_, kept := res.RenderedCells(key(attr))
+				got, err := s.appendExplore(nil, x, attr, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := encodeExplore(t, x, attr, false); !bytes.Equal(got, want) {
+					t.Fatalf("%s: attr=%q, hit %v:\n got %s\nwant %s", name, attr, x.CacheHit, got, want)
+				}
+				if _, now := res.RenderedCells(key(attr)); !x.CacheHit && now && !kept {
+					t.Fatalf("%s: attr=%q: a miss kept its rendering", name, attr)
+				}
+			}
+		}
+		held := 0
+		for k := int32(-2); k < int32(len(res.Cells[len(res.Cells)-1].Attr.Dict())); k++ {
+			if _, ok := res.RenderedCells(k); ok {
+				held++
+			}
+		}
+		for _, attr := range tc.kept {
+			if _, ok := res.RenderedCells(key(attr)); !ok {
+				t.Errorf("%s: no rendering kept for attr=%q", name, attr)
+			}
+		}
+		if held != len(tc.kept) {
+			t.Errorf("%s: the memo holds %d renderings, want %d", name, held, len(tc.kept))
+		}
+	}
 }
 
 // TestTemplateBodyMatchesEncodingJSON: over seeded random answers and
@@ -341,7 +497,7 @@ func TestTemplateBodyMatchesEncodingJSON(t *testing.T) {
 		}
 		var cells []core.CellSeries
 		if i%5 != 0 {
-			cells = randCells(rng, inv)
+			cells = randCells(rng, inv, cellRefs)
 		}
 		for _, name := range templateNames() {
 			spec := templates[name]
@@ -365,19 +521,19 @@ func TestTemplateBodyMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// answer is one exploration with its request's parameters, the server
-// (by index) whose inventory its cells come from, and the body the oracle
-// wrote for it.
+// answer is one exploration, as its miss and as a hit on its cached copy,
+// with its request's parameters, the server (by index) whose inventory its
+// cells come from, and the bodies the oracle wrote for the two.
 type answer struct {
-	x       exploration
-	attr    string
-	profile bool
-	server  int
-	want    []byte
+	miss, hit         exploration
+	attr              string
+	profile           bool
+	server            int
+	wantMiss, wantHit []byte
 }
 
-func (c *answer) render(t *testing.T, s *Server) []byte {
-	b, err := s.appendExplore(nil, c.x, c.attr, c.profile)
+func (c *answer) render(t *testing.T, s *Server, x exploration) []byte {
+	b, err := s.appendExplore(nil, x, c.attr, c.profile)
 	if err != nil {
 		t.Error(err)
 	}

@@ -77,14 +77,14 @@ func appendTemplate(b []byte, name string, spec templateSpec, cells []core.CellS
 	b = appendString(b, spec.stat)
 	b = append(b, `,"cells":`...)
 	n := 0
+	p := attrPick{want: spec.attr, named: true}
 	for _, cs := range cells {
-		st, ok := cs.Attr.Get(spec.attr)
+		v, nonNull, ok := p.read(cs.Attr)
 		if !ok {
 			continue
 		}
-		v := st.Sum
 		if spec.stat == "mean" {
-			v = st.Mean()
+			v = mean(v, nonNull)
 		}
 		if n == 0 {
 			b = append(b, '[')
@@ -105,6 +105,14 @@ func appendTemplate(b []byte, name string, spec templateSpec, cells []core.CellS
 		b = append(b, ']')
 	}
 	return append(b, "}\n"...)
+}
+
+// mean is highlights.Stats.Mean of a sum over nonNull values.
+func mean(sum float64, nonNull int64) float64 {
+	if nonNull == 0 {
+		return 0
+	}
+	return sum / float64(nonNull)
 }
 
 // Playback (paper §VI-A): "observe the query results as snapshots or as a

@@ -304,11 +304,17 @@ type HighlightJSON struct {
 }
 
 // parseBoxQuery reads the minx/miny/maxx/maxy params; absent minx leaves
-// the zero box ("everywhere").
+// the zero box ("everywhere"). A value is read as fmt's %g reads it (spaces
+// around it skipped, anything after the number ignored); an absent one
+// skips the scan, which is most of what a box-less request would cost here.
 func parseBoxQuery(q url.Values) geo.Rect {
 	get := func(k string) (float64, bool) {
+		v := q.Get(k)
+		if v == "" {
+			return 0, false
+		}
 		var f float64
-		if _, err := fmt.Sscanf(q.Get(k), "%g", &f); err == nil {
+		if _, err := fmt.Sscanf(v, "%g", &f); err == nil {
 			return f, true
 		}
 		return 0, false

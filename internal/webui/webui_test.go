@@ -3,10 +3,15 @@ package webui
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +20,9 @@ import (
 	"spate/internal/core"
 	"spate/internal/dfs"
 	"spate/internal/gen"
+	"spate/internal/geo"
 	"spate/internal/highlights"
+	"spate/internal/obs"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
@@ -329,7 +336,7 @@ func TestExploreCellsDeterministic(t *testing.T) {
 	s := &Server{}
 	value := func(attr string) float64 {
 		var out []ExploreCellJSON
-		if err := json.Unmarshal(s.appendCells(nil, []core.CellSeries{cell}, attr), &out); err != nil || len(out) != 1 {
+		if err := json.Unmarshal(s.appendCells(nil, &core.Result{Cells: []core.CellSeries{cell}}, attr), &out); err != nil || len(out) != 1 {
 			t.Fatalf("attr=%q: %d cells, %v", attr, len(out), err)
 		}
 		return out[0].Value
@@ -341,6 +348,23 @@ func TestExploreCellsDeterministic(t *testing.T) {
 		if got := value("NMS.rssi_dbm"); got != 11 {
 			t.Fatalf("render %d: attr=NMS.rssi_dbm value %v, want 11", i, got)
 		}
+	}
+	// Names order as strings, not as (table, attribute) pairs: "A-.a"
+	// sorts before "A.z", though table "A" sorts before "A-".
+	odd := highlights.NewSummary(telco.TimeRange{})
+	for _, col := range []struct {
+		table, attr string
+		v           int64
+	}{{"A", "z", 1}, {"A-", "a", 2}} {
+		tab := telco.NewTable(telco.MustSchema(col.table, []telco.Field{
+			{Name: telco.AttrCellID, Kind: telco.KindInt}, {Name: col.attr, Kind: telco.KindInt}}))
+		tab.Append(telco.Record{telco.Int(1), telco.Int(col.v)})
+		ref := []highlights.AttrRef{{Table: col.table, Attr: col.attr}}
+		odd.AddTable(highlights.Config{Numeric: ref, CellAttrs: ref}, tab)
+	}
+	_, _, cell.Attr = odd.Cell(0)
+	if got := value(""); got != 2 {
+		t.Fatalf("value %v, want A-.a's 2", got)
 	}
 
 	single, _ := newTestServer(t)
@@ -360,5 +384,145 @@ func TestExploreCellsDeterministic(t *testing.T) {
 				t.Fatalf("%s: render %d differs from render 0", name, i)
 			}
 		}
+	}
+}
+
+// TestParseBoxQuery pins what a box parameter reads as: fmt's %g, with
+// spaces around the number skipped and anything after it ignored. An
+// absent, blank or unreadable minx is no box at all; another corner that
+// is absent or unreadable is 0.
+func TestParseBoxQuery(t *testing.T) {
+	box := func(x1, y1 float64) geo.Rect { return geo.NewRect(x1, y1, 40, 30) }
+	for _, tc := range []struct {
+		minx, miny string
+		want       geo.Rect
+	}{
+		{"", "2", geo.Rect{}},
+		{" ", "2", geo.Rect{}},
+		{"abc", "2", geo.Rect{}},
+		{"1e", "2", geo.Rect{}},
+		{"1.5", "2", box(1.5, 2)},
+		{"1.5abc", "2", box(1.5, 2)},
+		{" 1.5", "2", box(1.5, 2)},
+		{"1.5 ", "2", box(1.5, 2)},
+		{"  2  ", "2", box(2, 2)},
+		{"\t3", "2", box(3, 2)},
+		{"-3e2", "2", box(-300, 2)},
+		{"0x1p-2", "2", box(0.25, 2)},
+		{"+7", "2", box(7, 2)},
+		{"1,5", "2", box(1, 2)},
+		{"1_000", "2", box(1000, 2)},
+		{".5", "2", box(0.5, 2)},
+		{"5.", "2", box(5, 2)},
+		{"Inf", "2", box(math.Inf(1), 2)},
+		{"1", "", box(1, 0)},
+		{"1", "x", box(1, 0)},
+		{"1", " 2.5abc ", box(1, 2.5)},
+	} {
+		q := url.Values{"maxx": {"40"}, "maxy": {"30"}}
+		for k, v := range map[string]string{"minx": tc.minx, "miny": tc.miny} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		if got := parseBoxQuery(q); got != tc.want {
+			t.Errorf("minx=%q miny=%q: %v, want %v", tc.minx, tc.miny, got, tc.want)
+		}
+	}
+}
+
+// TestCachedExploreHitsRace: requests under every attr= mode hit one
+// cached answer at once, filling and reading its memo of rendered cells,
+// while the result cache is cleared (what an ingest does to it) and the
+// answer's period invalidated (what a decay run does), so requests also
+// miss, evaluate again and cache a fresh answer with an empty memo. Every
+// body's cells equal those the first miss rendered for its attr=. make
+// flaky repeats it under the race detector.
+func TestCachedExploreHitsRace(t *testing.T) {
+	cfg := gen.DefaultConfig(0.002)
+	cfg.Antennas, cfg.Users, cfg.CDRPerEpoch, cfg.NMSReportsPerCell = 12, 80, 40, 0.5
+	g := gen.New(cfg)
+	fs, err := dfs.NewCluster(t.TempDir(), dfs.Config{BlockSize: 1 << 20, DataNodes: 2, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := core.ResultsUnder(core.NewResultLRU(8<<20, obs.NewRegistry()), "")
+	eng, err := core.Open(fs, g.CellTable(), core.Options{ResultCache: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0 := telco.EpochOf(cfg.Start)
+	for i := 0; i < 4; i++ {
+		sn := snapshot.New(e0 + telco.Epoch(i))
+		sn.Add(g.CDRTable(sn.Epoch))
+		sn.Add(g.NMSTable(sn.Epoch))
+		if _, err := eng.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := telco.NewTimeRange(cfg.Start, cfg.Start.Add(2*time.Hour))
+	h := NewServer(eng, g.Cells(), window).Handler()
+	explore := func(attr string) (cells string, hit bool) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+			"/api/explore?from="+window.From.Format(telco.TimeLayout)+"&attr="+url.QueryEscape(attr), nil))
+		body := rec.Body.String()
+		i, j := strings.Index(body, `"cells":`), strings.Index(body, `,"highlights":`)
+		if rec.Code != http.StatusOK || i < 0 || j < i {
+			t.Errorf("attr=%q: status %d, body %.200s", attr, rec.Code, body)
+			return "", false
+		}
+		return body[i:j], strings.Contains(body, `"cache_hit":true`)
+	}
+	attrs := []string{"", "CDR.upflux", "CDR.downflux", "NMS.drop_calls", "NMS.rssi_dbm", "CDR.nope", "nodot"}
+	want := map[string]string{}
+	for _, attr := range attrs {
+		want[attr], _ = explore(attr)
+	}
+	if want["CDR.upflux"] == want["NMS.rssi_dbm"] || want["CDR.nope"] != want["nodot"] {
+		t.Fatal("the attributes render alike")
+	}
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			eng.ClearCache()
+			runtime.Gosched()
+			rc.Invalidate([]telco.TimeRange{window})
+			runtime.Gosched()
+		}
+	}()
+	var readers sync.WaitGroup
+	var hits atomic.Int64
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 150; i++ {
+				attr := attrs[(i+r)%len(attrs)]
+				cells, hit := explore(attr)
+				if cells != want[attr] {
+					t.Errorf("attr=%q (hit %v): the cells differ from the first answer's", attr, hit)
+					return
+				}
+				if hit {
+					hits.Add(1)
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	churn.Wait()
+	if hits.Load() == 0 {
+		t.Fatal("no request hit the cache")
 	}
 }
