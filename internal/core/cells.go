@@ -89,7 +89,9 @@ func (ci *CellInventory) boxSet(box geo.Rect) (ids []int64, set map[int64]bool) 
 // Restrict is the spatial step of a query: the merged window summary m
 // narrowed to the cells inside box (m itself for the zero box) and the
 // per-cell series of those cells in cell-id order, each carrying the
-// attributes named by attrs (all of them when attrs is empty).
+// attributes named by attrs (all of them when attrs is empty). Every
+// series is a view of the one returned summary and shares its attribute
+// dictionary, a selection's copy included.
 func (ci *CellInventory) Restrict(m *highlights.Summary, box geo.Rect, attrs []highlights.AttrRef) (*highlights.Summary, []CellSeries) {
 	_, inBox := ci.boxSet(box)
 	out := m

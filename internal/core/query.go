@@ -53,6 +53,9 @@ func (q Query) everywhere() bool { return q.Box == (geo.Rect{}) }
 
 // CellSeries is the per-cell aggregate view a heatmap renders. Attr is the
 // cell's tracked attributes, ascending: a view into the answer's summary.
+// All of an answer's series view that one summary, so they share its
+// attribute dictionary (Attrs.Dict): a reader resolves an attribute to
+// its position once per answer.
 type CellSeries struct {
 	CellID int64
 	Loc    geo.Point
@@ -102,7 +105,7 @@ type Result struct {
 	// interval per fan-out), reported as the leaf_decode stage.
 	leafDecode time.Duration
 
-	// rendered memoizes renderings of Cells for the hits a cached answer
+	// rendered memoizes a rendering of Cells for the hits a cached answer
 	// serves (RenderedCells, MemoizeCells); nil until the result cache
 	// takes an answer that has cells.
 	rendered *cellsMemo
@@ -968,8 +971,8 @@ type resultsUnder struct {
 func (c resultsUnder) Get(key string) (*Result, bool) { return c.lru.Get(c.prefix + key) }
 func (c resultsUnder) Clear()                         { c.dropIf(func(*Result) bool { return true }) }
 
-// Put caches r. An answer with cells gets the memo its hits keep their
-// renderings in, charged by SizeBytes from here on; r is not shared yet
+// Put caches r. An answer with cells gets the memo its hits keep a
+// rendering in, charged by SizeBytes from here on; r is not shared yet
 // (the engine puts an answer before it returns it to anyone).
 func (c resultsUnder) Put(key string, r *Result) {
 	if len(r.Cells) > 0 && r.rendered == nil {

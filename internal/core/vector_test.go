@@ -361,14 +361,14 @@ func TestResultSizeCoversHeap(t *testing.T) {
 	if got := answer.SizeBytes(); got < heap {
 		t.Errorf("a 3-leaf answer over %d cells is charged %d bytes and keeps %d alive", len(answer.Cells), got, heap)
 	}
-	// The same answer once the cache took it and its hits filled the memo
-	// of rendered cells.
+	// The same answer once the cache took it and a hit filled the memo of
+	// rendered cells.
 	memoized, memoHeap := retained(func() *Result {
 		r := &Result{ServedPeriod: w}
 		r.Summary, r.Cells = e.cells.Restrict(highlights.Merge(w, parts...), box, nil)
 		r.rendered = new(cellsMemo)
-		if kept := fillMemo(r); kept < 3 {
-			t.Fatalf("the memo kept %d renderings", kept)
+		if !fillMemo(r) {
+			t.Fatal("the memo kept no rendering")
 		}
 		return r
 	})

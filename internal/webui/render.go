@@ -124,22 +124,20 @@ func appendCount(b []byte, key string, n int) []byte {
 }
 
 // appendCells writes the per-cell answer. A cell's value is the sum of the
-// attribute attr= names; with none named, the cell shows its
-// smallest-named attribute (the view orders by table, then attribute).
-// attr= is resolved once per attribute dictionary (see attrPick), not
-// compared with every attribute of every cell. A cache hit renders
-// through the answer's memo: the first hit for one resolved attribute
-// renders and keeps the bytes, later ones copy them. A miss keeps nothing,
-// so answers asked once cost no copy.
+// attribute attr= names; with none named, the sum of the attribute whose
+// "table.attribute" name is the smallest the cell holds, compared as whole
+// strings. attr= is resolved once per answer (see attrPick), not compared
+// with every attribute of every cell. A cache hit renders through the
+// answer's memo: the first hit renders and keeps the bytes, later hits
+// that resolve attr= alike copy them. A miss keeps nothing, so answers
+// asked once cost no copy.
 func (s *Server) appendCells(b []byte, r *core.Result, attr string) []byte {
 	if len(r.Cells) == 0 {
 		return append(b, "null"...)
 	}
-	p := newAttrPick(attr)
-	p.resolve(firstDict(r.Cells))
-	key := p.key()
+	p := pickAttr(attr, r.Cells)
 	if r.CacheHit {
-		if cells, ok := r.RenderedCells(key); ok {
+		if cells, ok := r.RenderedCells(p.key); ok {
 			return append(b, cells...)
 		}
 	}
@@ -168,101 +166,78 @@ func (s *Server) appendCells(b []byte, r *core.Result, attr string) []byte {
 	s.heads.mu.RUnlock()
 	s.heads.add(fresh)
 	b = append(b, ']')
-	// A rendering that met a second dictionary is not what key names.
-	if r.CacheHit && !p.mixed {
-		r.MemoizeCells(key, b[start:])
+	if r.CacheHit {
+		r.MemoizeCells(p.key, b[start:])
 	}
 	return b
 }
 
-// attrPick reads one attribute's stats out of cell views by the
-// attribute's position in their dictionary, resolved once per dictionary:
-// the views of one answer share its summary's, so an answer resolves once.
-// It reads the attribute named (attr=, a template's), the smallest-named
-// attribute each cell holds (no attr=), or nothing (an attr= without a
-// dot: no table names it).
+// attrPick reads one attribute's sum out of an answer's cell views by the
+// attribute's position in their dictionary. All of an answer's views
+// share one dictionary (core.CellSeries), so the pick is resolved once per
+// answer.
 type attrPick struct {
-	want     highlights.AttrRef
-	smallest bool
-	named    bool
-
-	dict  []highlights.AttrRef
-	order []int // dictionary positions to read, first held first
-	mixed bool  // views over a second dictionary were read
+	order []int // dictionary positions to read, the first a view holds read
+	key   int32 // what the positions name, as the answer's memo keys a rendering
 }
 
-// newAttrPick reads what attr= asks for. Table names carry no '.', so the
-// first one separates table and attribute.
-func newAttrPick(attr string) attrPick {
+// The memo keys of the picks that read no one position.
+const (
+	keyNone     = -1 // no attribute: every value 0
+	keySmallest = -2 // each cell's smallest-named attribute
+)
+
+// pickAttr resolves attr= against the dictionary of cells: the attribute
+// it names, every attribute in name order when it is empty, or nothing
+// when it has no dot (table names carry no '.', so the first one separates
+// table and attribute, and without one no table is named).
+func pickAttr(attr string, cells []core.CellSeries) attrPick {
 	table, name, dotted := strings.Cut(attr, ".")
-	return attrPick{want: highlights.AttrRef{Table: table, Attr: name}, smallest: attr == "", named: dotted}
+	switch {
+	case attr == "":
+		dict := dictOf(cells)
+		p := attrPick{order: make([]int, len(dict)), key: keySmallest}
+		for i := range p.order {
+			p.order[i] = i
+		}
+		// Stable: equal names keep the dictionary's order, which is the
+		// views' own.
+		slices.SortStableFunc(p.order, func(i, j int) int { return strings.Compare(dict[i].String(), dict[j].String()) })
+		return p
+	case dotted:
+		return pickRef(highlights.AttrRef{Table: table, Attr: name}, cells)
+	}
+	return attrPick{key: keyNone}
 }
 
-// firstDict is the dictionary of the first cell view that has one.
-func firstDict(cells []core.CellSeries) []highlights.AttrRef {
+// pickRef resolves the attribute ref against the dictionary of cells.
+func pickRef(ref highlights.AttrRef, cells []core.CellSeries) attrPick {
+	if i := slices.Index(dictOf(cells), ref); i >= 0 {
+		return attrPick{order: []int{i}, key: int32(i)}
+	}
+	return attrPick{key: keyNone}
+}
+
+// dictOf is the dictionary all of cells' views share: the first one a
+// view has (the zero view, which holds no attribute, has none).
+func dictOf(cells []core.CellSeries) []highlights.AttrRef {
 	for _, cs := range cells {
-		if d := cs.Attr.Dict(); len(d) > 0 {
+		if d := cs.Attr.Dict(); d != nil {
 			return d
 		}
 	}
 	return nil
 }
 
-// resolve finds the pick's attribute(s) in dict: for the named attribute,
-// the positions holding it; with none named, every position in name
-// order (a stable sort, so equal names keep the view's order).
-func (p *attrPick) resolve(dict []highlights.AttrRef) {
-	p.dict, p.order = dict, p.order[:0]
-	switch {
-	case p.smallest:
-		names := make([]string, len(dict))
-		for i, ref := range dict {
-			names[i] = ref.String()
-			p.order = append(p.order, i)
-		}
-		slices.SortStableFunc(p.order, func(i, j int) int { return strings.Compare(names[i], names[j]) })
-	case p.named:
-		for i, ref := range dict {
-			if ref == p.want {
-				p.order = append(p.order, i)
-			}
-		}
-	}
-}
-
-// key names what the pick reads, resolved, as the answer's memo keys a
-// rendering: the attribute's dictionary position, or one of the two modes
-// that read no single attribute.
-func (p *attrPick) key() int32 {
-	switch {
-	case p.smallest:
-		return -2
-	case len(p.order) > 0:
-		return int32(p.order[0])
-	}
-	return -1 // no attribute: every value 0
-}
-
 // read returns the picked attribute's sum and non-null count in a, and
-// whether a holds it; a view over another dictionary than the last one
-// resolves the pick again.
-func (p *attrPick) read(a highlights.Attrs) (sum float64, nonNull int64, ok bool) {
-	if d := a.Dict(); len(d) > 0 && !sameDict(d, p.dict) {
-		p.mixed = p.mixed || p.dict != nil
-		p.resolve(d)
-	}
+// whether a holds it.
+func (p attrPick) read(a highlights.Attrs) (sum float64, nonNull int64, ok bool) {
 	for _, i := range p.order {
 		if sum, nonNull, ok = a.Sum(i); ok {
 			return sum, nonNull, true
 		}
 	}
 	return 0, 0, false
-}
-
-// sameDict reports whether x and y are one dictionary, not merely equal
-// ones: comparing the refs would cost what resolving once saves.
-func sameDict(x, y []highlights.AttrRef) bool {
-	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
 // cellHeads memoizes each cell's `{"id":…,"x":…,"y":…`, formatted the

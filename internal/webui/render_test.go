@@ -200,12 +200,12 @@ var cellRefs = []highlights.AttrRef{
 	{Table: "NMS", Attr: "avg_duration"}, {Table: "NMS", Attr: "drop_calls"},
 }
 
-// randCells builds a summary tracking refs whose per-cell sums are drawn
-// from floatEdges and friends (a cell mostly gets one row per table, so
-// its sum is the value drawn) and views its cells as an answer would,
+// randCells builds a summary tracking cellRefs whose per-cell sums are
+// drawn from floatEdges and friends (a cell mostly gets one row per table,
+// so its sum is the value drawn) and views its cells as an answer would,
 // each at its inventory location.
-func randCells(rng *rand.Rand, inv map[int64]geo.Point, refs []highlights.AttrRef) []core.CellSeries {
-	cfg := highlights.Config{Numeric: refs, CellAttrs: refs}
+func randCells(rng *rand.Rand, inv map[int64]geo.Point) []core.CellSeries {
+	cfg := highlights.Config{Numeric: cellRefs, CellAttrs: cellRefs}
 	sum := highlights.NewSummary(telco.TimeRange{})
 	for _, schema := range []*telco.Schema{telco.NMSSchema, telco.CDRSchema} {
 		tab := telco.NewTable(schema)
@@ -245,13 +245,13 @@ func randCells(rng *rand.Rand, inv map[int64]geo.Point, refs []highlights.AttrRe
 // json.Encoder — wrote for the same answer and the same attr= and
 // profile= parameters. The answers mix the float and string edges above
 // with zero cells, partial answers with missing ranges, duplicate stage
-// names, cells the head memo holds or does not hold yet, and cells whose
-// views come from two summaries with two dictionaries. Every 50
+// names, and cells the head memo holds or does not hold yet. Every 50
 // answers a new server serves a new cell inventory. Each answer goes into
 // a result cache and renders under every attr= mode — none, each
 // dictionary attribute, unknown dotted ones and undotted ones — three
-// times: as the miss, as the first hit (which fills the answer's memo of
-// rendered cells) and as a hit the memo serves. Then four goroutines
+// times: as the miss, as a hit (the first hit fills the answer's memo of
+// rendered cells) and as a hit again, which the memo serves when the
+// attr= resolves as the first hit's did. Then four goroutines
 // render them all at once over fresh head memos, hits from the memos.
 func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
@@ -272,14 +272,8 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 			inv = randInventory(rng)
 			servers = append(servers, &Server{})
 		}
-		switch {
-		case i%5 == 0:
-		case i%5 == 3:
-			// Cells over two dictionaries, the first without the NMS
-			// attributes the second has: attr= resolves again.
-			res.Cells = append(randCells(rng, inv, cellRefs[:1]), randCells(rng, inv, cellRefs)...)
-		default:
-			res.Cells = randCells(rng, inv, cellRefs)
+		if i%5 != 0 {
+			res.Cells = randCells(rng, inv)
 		}
 		for n := rng.Intn(4); n > 0; n-- {
 			h := highlights.Highlight{
@@ -346,9 +340,7 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 			if len(res.Cells) == 0 {
 				continue
 			}
-			p := newAttrPick(attr)
-			p.resolve(firstDict(res.Cells))
-			if cells, ok := res.RenderedCells(p.key()); ok {
+			if cells, ok := res.RenderedCells(pickAttr(attr, res.Cells).key); ok {
 				kept = true
 				if !bytes.Contains(c.wantHit, append(append([]byte(`"cells":`), cells...), `,"highlights":`...)) {
 					t.Fatalf("answer %d (attr=%q): the memo holds %s", i, attr, cells)
@@ -362,10 +354,12 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 	}
+	// An answer keeps its first hit's rendering unless its cells print
+	// past the reserve, as most of these do: the random locations print
+	// up to ~50 bytes each, where the generator's print ~10.
+	// TestCellsMemoStaysInReserve pins which widths fit.
 	t.Logf("the memo kept a rendering of %d of %d answers", memoized, withCells)
-	// An answer keeps at least its first rendering unless its cells print
-	// past the reserve.
-	if memoized < withCells/2 {
+	if memoized < withCells/5 {
 		t.Fatalf("the memo kept a rendering of %d of %d answers", memoized, withCells)
 	}
 	// Requests render concurrently: four goroutines share fresh head memos
@@ -395,89 +389,68 @@ func TestExploreBodyMatchesEncodingJSON(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCellsMemoKeysByResolvedAttr: hits on a cached answer under attr=
-// values that read the same share one memoized rendering — an unknown
-// dotted attr= and an undotted one read nothing — and a miss keeps
-// nothing; what the full memo refuses renders as a miss does. An answer
-// whose cells use two dictionaries, the first without the NMS attributes
-// the second holds, keeps nothing either: there NMS.rssi_dbm resolves
-// against the first dictionary as an unknown attribute does, but reads
-// values from the second.
+// TestCellsMemoKeysByResolvedAttr: a cached answer's memo keeps its first
+// hit's rendering under what attr= resolved to, and a later hit whose
+// attr= resolves alike is served it — here an unknown dotted attr= and an
+// undotted one, which both read no attribute. A miss keeps nothing, and a
+// hit under another attr= renders as a miss does and keeps nothing. Every
+// body equals the oracle's.
 func TestCellsMemoKeysByResolvedAttr(t *testing.T) {
-	part := func(refs []highlights.AttrRef, ids ...int64) []core.CellSeries {
-		sum := highlights.NewSummary(telco.TimeRange{})
-		for _, schema := range []*telco.Schema{telco.CDRSchema, telco.NMSSchema} {
-			tab := telco.NewTable(schema)
-			for _, id := range ids {
-				rec := make(telco.Record, schema.NumFields())
-				for i, f := range schema.Fields {
-					rec[i] = telco.Null
-					switch {
-					case f.Name == telco.AttrCellID:
-						rec[i] = telco.Int(id)
-					case f.Kind == telco.KindInt || f.Kind == telco.KindFloat:
-						rec[i] = telco.Int(id*10 + int64(i))
-					}
+	sum := highlights.NewSummary(telco.TimeRange{})
+	for _, schema := range []*telco.Schema{telco.CDRSchema, telco.NMSSchema} {
+		tab := telco.NewTable(schema)
+		for id := int64(1); id <= 4; id++ {
+			rec := make(telco.Record, schema.NumFields())
+			for i, f := range schema.Fields {
+				rec[i] = telco.Null
+				switch {
+				case f.Name == telco.AttrCellID:
+					rec[i] = telco.Int(id)
+				case f.Kind == telco.KindInt || f.Kind == telco.KindFloat:
+					rec[i] = telco.Int(id*10 + int64(i))
 				}
-				tab.Append(rec)
 			}
-			sum.AddTable(highlights.Config{Numeric: refs, CellAttrs: refs}, tab)
+			tab.Append(rec)
 		}
-		var cells []core.CellSeries
-		for i := 0; i < sum.Cells(); i++ {
-			id, rows, attrs := sum.Cell(i)
-			cells = append(cells, core.CellSeries{CellID: id, Rows: rows, Attr: attrs})
-		}
-		return cells
+		sum.AddTable(highlights.Config{Numeric: cellRefs, CellAttrs: cellRefs}, tab)
 	}
-	rc := core.ResultsUnder(core.NewResultLRU(1<<20, obs.NewRegistry()), "")
-	for name, tc := range map[string]struct {
-		cells []core.CellSeries
-		kept  []string // the attr= values whose renderings the memo ends up holding
+	res := &core.Result{Summary: highlights.NewSummary(telco.TimeRange{})}
+	for i := 0; i < sum.Cells(); i++ {
+		id, rows, attrs := sum.Cell(i)
+		res.Cells = append(res.Cells, core.CellSeries{CellID: id, Rows: rows, Attr: attrs})
+	}
+	core.ResultsUnder(core.NewResultLRU(1<<20, obs.NewRegistry()), "").Put("a", res)
+	hit := *res
+	hit.CacheHit = true
+	s := &Server{}
+	const none = int32(-3) // the memo holds no rendering
+	for _, step := range []struct {
+		attr string
+		hit  bool
+		held int32 // the key the memo holds a rendering under afterwards
 	}{
-		// The reserve holds two renderings; later attr= values render as a
-		// miss does.
-		"one dictionary":   {part(cellRefs, 1, 2, 3, 4), []string{"NMS.rssi_dbm", "nodot"}},
-		"two dictionaries": {append(part(cellRefs[:1], 1, 2), part(cellRefs, 3, 4)...), nil},
+		{"nodot", false, none},
+		{"nodot", true, keyNone},
+		{"CDR.nope", true, keyNone},
+		{"NMS.rssi_dbm", true, keyNone},
+		{"", true, keyNone},
+		{"NMS.rssi_dbm", false, keyNone},
 	} {
-		res := &core.Result{Summary: highlights.NewSummary(telco.TimeRange{}), Cells: tc.cells}
-		rc.Put(name, res)
-		hit := *res
-		hit.CacheHit = true
-		s := &Server{}
-		key := func(attr string) int32 {
-			p := newAttrPick(attr)
-			p.resolve(firstDict(res.Cells))
-			return p.key()
+		x := exploration{Result: res}
+		if step.hit {
+			x.Result = &hit
 		}
-		for _, attr := range []string{"NMS.rssi_dbm", "nodot", "CDR.nope", "NMS.rssi_dbm", "", "", "CDR.upflux", "CDR.upflux"} {
-			for _, x := range []exploration{{Result: res}, {Result: &hit}} {
-				_, kept := res.RenderedCells(key(attr))
-				got, err := s.appendExplore(nil, x, attr, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := encodeExplore(t, x, attr, false); !bytes.Equal(got, want) {
-					t.Fatalf("%s: attr=%q, hit %v:\n got %s\nwant %s", name, attr, x.CacheHit, got, want)
-				}
-				if _, now := res.RenderedCells(key(attr)); !x.CacheHit && now && !kept {
-					t.Fatalf("%s: attr=%q: a miss kept its rendering", name, attr)
-				}
+		got, err := s.appendExplore(nil, x, step.attr, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeExplore(t, x, step.attr, false); !bytes.Equal(got, want) {
+			t.Fatalf("attr=%q, hit %v:\n got %s\nwant %s", step.attr, step.hit, got, want)
+		}
+		for k := int32(keySmallest); k < int32(len(res.Cells[0].Attr.Dict())); k++ {
+			if _, ok := res.RenderedCells(k); ok != (k == step.held) {
+				t.Fatalf("after attr=%q (hit %v) the memo holds key %d: %v, want only key %d", step.attr, step.hit, k, ok, step.held)
 			}
-		}
-		held := 0
-		for k := int32(-2); k < int32(len(res.Cells[len(res.Cells)-1].Attr.Dict())); k++ {
-			if _, ok := res.RenderedCells(k); ok {
-				held++
-			}
-		}
-		for _, attr := range tc.kept {
-			if _, ok := res.RenderedCells(key(attr)); !ok {
-				t.Errorf("%s: no rendering kept for attr=%q", name, attr)
-			}
-		}
-		if held != len(tc.kept) {
-			t.Errorf("%s: the memo holds %d renderings, want %d", name, held, len(tc.kept))
 		}
 	}
 }
@@ -497,7 +470,7 @@ func TestTemplateBodyMatchesEncodingJSON(t *testing.T) {
 		}
 		var cells []core.CellSeries
 		if i%5 != 0 {
-			cells = randCells(rng, inv, cellRefs)
+			cells = randCells(rng, inv)
 		}
 		for _, name := range templateNames() {
 			spec := templates[name]

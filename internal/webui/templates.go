@@ -77,7 +77,7 @@ func appendTemplate(b []byte, name string, spec templateSpec, cells []core.CellS
 	b = appendString(b, spec.stat)
 	b = append(b, `,"cells":`...)
 	n := 0
-	p := attrPick{want: spec.attr, named: true}
+	p := pickRef(spec.attr, cells)
 	for _, cs := range cells {
 		v, nonNull, ok := p.read(cs.Attr)
 		if !ok {
