@@ -45,7 +45,7 @@ race:
 # differs from run to run, so they repeat under the race detector too. The
 # sixth races result-cache hits under every attr= mode, which fill and read
 # one cached answer's memo of rendered cells, against the cache's Clear and
-# Invalidate (~6 s at -count=20 -cpu 1,2 on 2 vCPUs).
+# Invalidate (9–12 s at -count=20 -cpu 1,2 on 2 vCPUs).
 flaky:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
 	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/

@@ -197,12 +197,13 @@ func pickAttr(attr string, cells []core.CellSeries) attrPick {
 	case attr == "":
 		dict := dictOf(cells)
 		p := attrPick{order: make([]int, len(dict)), key: keySmallest}
-		for i := range p.order {
-			p.order[i] = i
+		names := make([]string, len(dict))
+		for i, ref := range dict {
+			p.order[i], names[i] = i, ref.String()
 		}
 		// Stable: equal names keep the dictionary's order, which is the
 		// views' own.
-		slices.SortStableFunc(p.order, func(i, j int) int { return strings.Compare(dict[i].String(), dict[j].String()) })
+		slices.SortStableFunc(p.order, func(i, j int) int { return strings.Compare(names[i], names[j]) })
 		return p
 	case dotted:
 		return pickRef(highlights.AttrRef{Table: table, Attr: name}, cells)
