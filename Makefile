@@ -45,7 +45,9 @@ race:
 # differs from run to run, so they repeat under the race detector too. The
 # sixth races result-cache hits under every attr= mode, which fill and read
 # one cached answer's memo of rendered cells, against the cache's Clear and
-# Invalidate (9–12 s at -count=20 -cpu 1,2 on 2 vCPUs).
+# Invalidate (9–12 s at -count=20 -cpu 1,2 on 2 vCPUs). The seventh races
+# explorations that share the coordinator's memoized shard parts against
+# appends, seals and a decay run on the shards under them (about 26 s).
 flaky:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
 	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/
@@ -53,6 +55,7 @@ flaky:
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestKeptSummaryRace$$' ./internal/core/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestConcurrentDecayExplore$$' ./internal/core/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestCachedExploreHitsRace$$' ./internal/webui/
+	$(GO) test -race -count=20 -cpu 1,2 -run 'TestPartMemoRace$$' ./internal/cluster/
 
 # The un-raced counterpart of race's GOMAXPROCS sweep, cheap enough for
 # every CI run: the whole tree starved, at the box's width and
@@ -75,7 +78,8 @@ bench:
 # column-batch, one target), the SPSG tail/footer parser behind
 # segment.Open (with the chunk reads of what opens), the binary summary
 # decoder (with the merge of what it decodes), the explore frame reader
-# (which decodes the parts, rows and partials inside it), the partials
+# (which checks part digests and decodes the parts, rows and partials
+# inside it), the partials
 # section alone, the scan-spec check a node runs on /rpc/explore bodies and
 # the web UI's JSON string and number writers (against encoding/json) for a
 # short, CI-friendly budget.

@@ -1,8 +1,9 @@
 // Package cache is SPATE's one in-memory cache: a bytes-bounded, striped
 // LRU with a built-in singleflight. Every engine holds two — inflated leaf
-// chunks, and exploration results (the paper's "served directly from the
-// cache" zoom-in) — unless the serving tier hands it one namespace of a
-// results cache that engines share under one budget.
+// chunks (with the leaves' footers), and exploration results (the paper's
+// "served directly from the cache" zoom-in) — unless the serving tier
+// hands it one namespace of a results cache that engines share under one
+// budget; a cluster coordinator holds one of decoded shard parts.
 package cache
 
 import (

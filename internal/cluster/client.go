@@ -50,19 +50,21 @@ func retryAfterOf(err error) time.Duration {
 
 // client is the coordinator's HTTP side: one shared transport, JSON in,
 // JSON or an explore frame out, errors surfaced from the peer's error
-// envelope.
+// envelope; and the part memo every explore frame it reads decodes its
+// parts through, its series registered on reg.
 type client struct {
-	hc *http.Client
+	hc    *http.Client
+	parts *partMemo
 }
 
-func newClient() *client {
+func newClient(reg *obs.Registry) *client {
 	return &client{hc: &http.Client{
 		Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 8,
 			IdleConnTimeout:     90 * time.Second,
 		},
-	}}
+	}, parts: newPartMemo(reg)}
 }
 
 // post sends req as JSON to base+path and decodes the JSON response into
@@ -76,9 +78,9 @@ func (c *client) post(ctx context.Context, base, path string, req, resp any) err
 }
 
 // explore posts req to base's /rpc/explore and reads the explore frame it
-// answers with, checking the summary parts and the partials on the
-// caller's goroutine. A 200 that is not an explore frame comes from a node
-// of another version.
+// answers with, decoding the summary parts it does not hold yet and
+// checking the partials on the caller's goroutine. A 200 that is not an
+// explore frame comes from a node of another version.
 func (c *client) explore(ctx context.Context, base string, req exploreRequest) (*exploreResponse, error) {
 	const path = "/rpc/explore"
 	hreq, err := newPost(ctx, base, path, req)
@@ -94,7 +96,7 @@ func (c *client) explore(ctx context.Context, base string, req exploreRequest) (
 		if err != nil {
 			return err
 		}
-		if resp, err = readExploreFrame(body); err != nil {
+		if resp, err = readExploreFrame(body, c.parts); err != nil {
 			return err
 		}
 		if req.AggTable != "" {

@@ -98,7 +98,7 @@ func newCoordinator(cfg Config, m *ShardMap, nodes [][]string, cells *core.CellI
 		cfg:   cfg,
 		smap:  m,
 		nodes: nodes,
-		cl:    newClient(),
+		cl:    newClient(cfg.Obs),
 		cells: cells,
 		met:   newClusterMetrics(cfg.Obs, m.Shards),
 	}, nil
@@ -497,7 +497,7 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		return nil, err
 	}
 	failed := make(map[int]bool)
-	leaves, live := 0, 0
+	leaves, live, decoded, reused := 0, 0, 0, 0
 	var parts []*highlights.Summary
 	var firstErr error
 	for _, o := range outs {
@@ -517,6 +517,8 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		leaves += o.resp.Leaves
 		live += o.resp.Live
 		parts = append(parts, o.resp.Parts...)
+		decoded += o.resp.partsDecoded
+		reused += o.resp.partsReused
 	}
 	if len(failed) == len(shards) {
 		return fail(fmt.Errorf("cluster: all %d shards failed: %w", len(shards), firstErr))
@@ -531,9 +533,12 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 	// stage. Parts from different slots are disjoint in time (or disjoint
 	// in cells under a spatial split), so ordering by period start
 	// reproduces the single engine's association order. The parts were
-	// decoded in the replicas' goroutines; only the merge is left here.
+	// decoded in the replicas' goroutines, or taken from the part memo;
+	// only the merge is left here.
 	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Period.From.Before(parts[j].Period.From) })
 	span.SetAttr("parts", strconv.Itoa(len(parts)))
+	span.SetAttr("parts_decoded", strconv.Itoa(decoded))
+	span.SetAttr("parts_reused", strconv.Itoa(reused))
 	merged := highlights.Merge(q.Window, parts...)
 	res.Summary, res.Cells = c.cells.Restrict(merged, q.Box, q.Attrs)
 	res.Highlights = merged.Extract(c.cfg.Theta)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -177,16 +178,26 @@ func TestMisSizedPartialsFailTheirSlot(t *testing.T) {
 }
 
 // rawFrame is an explore frame of a header and sections as given: the
-// parts' bytes, each rows table as its name, field list and text, and the
-// partials section (nil: no partials).
+// parts' bytes (each under its own digest), each rows table as its name,
+// field list and text, and the partials section (nil: no partials).
 func rawFrame(hdr string, parts [][]byte, rows [][3]string, partials []byte) []byte {
+	sums := make([][sha256.Size]byte, len(parts))
+	for i, p := range parts {
+		sums[i] = sha256.Sum256(p)
+	}
+	return rawFrameSums(hdr, sums, parts, rows, partials)
+}
+
+// rawFrameSums is rawFrame with each part sent under the digest given.
+func rawFrameSums(hdr string, sums [][sha256.Size]byte, parts [][]byte, rows [][3]string, partials []byte) []byte {
 	if partials == nil {
 		partials = scanspec.AppendPartials(nil, nil)
 	}
 	var f frameWriter
 	f.field([]byte(hdr))
 	f.uvarint(len(parts))
-	for _, p := range parts {
+	for i, p := range parts {
+		f.digest(sums[i])
 		f.field(p)
 	}
 	f.uvarint(len(rows))
@@ -197,6 +208,25 @@ func rawFrame(hdr string, parts [][]byte, rows [][3]string, partials []byte) []b
 	}
 	f.field(partials)
 	return slices.Concat(f.chunks...)
+}
+
+// rehashParts returns a copy of frame with each part's digest made the
+// SHA-256 of its bytes, as far as the frame's header and parts section
+// parse: what the fuzzer mutates then reaches the part decoder too.
+func rehashParts(frame []byte) []byte {
+	out := bytes.Clone(frame)
+	r := frameReader{b: out}
+	r.field()
+	n := r.count(sha256.Size + 1)
+	for range n {
+		sum, part := r.fixed(sha256.Size), r.field()
+		if r.err != nil {
+			break
+		}
+		got := sha256.Sum256(part)
+		copy(sum, got[:])
+	}
+	return out
 }
 
 // serveFrame answers every request with frame.
@@ -329,7 +359,7 @@ func TestFrameReadIsBounded(t *testing.T) {
 		srv := httptest.NewServer(h)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := newClient().explore(context.Background(), srv.URL, exploreRequest{})
+		_, err := newClient(obs.NewNoop()).explore(context.Background(), srv.URL, exploreRequest{})
 		runtime.ReadMemStats(&after)
 		srv.Close()
 		if err == nil || !strings.Contains(err.Error(), "explore frame") {
@@ -341,7 +371,7 @@ func TestFrameReadIsBounded(t *testing.T) {
 	}
 	srv := httptest.NewServer(serveFrame(frame))
 	defer srv.Close()
-	if resp, err := newClient().explore(context.Background(), srv.URL, exploreRequest{}); err != nil || resp.Leaves != 1 || resp.frameBytes != len(frame) {
+	if resp, err := newClient(obs.NewNoop()).explore(context.Background(), srv.URL, exploreRequest{}); err != nil || resp.Leaves != 1 || resp.frameBytes != len(frame) {
 		t.Errorf("a well-formed frame read as %+v, %v", resp, err)
 	}
 }
@@ -353,18 +383,22 @@ func TestExploreAnswerIsAFrame(t *testing.T) {
 		writeJSON(w, map[string]any{"parts": []string{}, "leaves": 1})
 	}))
 	defer srv.Close()
-	_, err := newClient().explore(context.Background(), srv.URL, exploreRequest{})
+	_, err := newClient(obs.NewNoop()).explore(context.Background(), srv.URL, exploreRequest{})
 	if err == nil || !strings.Contains(err.Error(), "different versions") {
 		t.Errorf("a JSON answer read as %v, want a version mismatch", err)
 	}
 }
 
-// FuzzExploreFrame: the frame reader, which decodes every part, rows table
-// and partial, never panics and allocates no more than a bound proportional
-// to its input. Seeds are real node answers — parts and rows, rows alone,
-// partials, an empty shard's, and a T2-shaped narrow row scan — a frame
-// whose partials section holds an unknown value kind, and one whose rows
-// table lists its fields out of stored order.
+// FuzzExploreFrame: the frame reader, which decodes every part it does
+// not hold yet, every rows table and the partials, never panics and
+// allocates no more than a bound proportional to its input. Each input is
+// read twice, into a fresh part memo each time: as it is, and with its
+// parts' digests made to match their bytes, so mutated parts reach the
+// part decoder as well as the digest check. Seeds are real node answers —
+// parts and rows, rows alone, partials, an empty shard's, and a T2-shaped
+// narrow row scan — a frame whose partials section holds an unknown value
+// kind, one whose rows table lists its fields out of stored order, and
+// frames whose parts travel under another part's digest or a cut one.
 func FuzzExploreFrame(f *testing.F) {
 	g, snaps, window := testTrace(f, 1)
 	eng := newRefEngine(f, g)
@@ -395,13 +429,26 @@ func FuzzExploreFrame(f *testing.F) {
 	t2.Spec = &scanspec.Spec{Columns: []string{telco.AttrUpflux, telco.AttrDownflux}}
 	f.Add(exploreFrame(f, NewNode(eng), t2))
 	f.Add(rawFrame(`{"leaves":1}`, nil, [][3]string{{"CDR", "upflux|ts", "1|20160118093000\n"}}, nil))
+	a, err := highlights.NewSummary(w).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := highlights.NewSummary(window).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rawFrameSums(`{"leaves":1}`, [][sha256.Size]byte{sha256.Sum256(a), sha256.Sum256(a)}, [][]byte{a, b}, nil, nil))
+	const hdr = `{"leaves":1}`
+	f.Add(rawFrame(hdr, [][]byte{a}, nil, nil)[:1+len(hdr)+1+sha256.Size/2]) // cut inside the digest
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		readExploreFrame(data)
-		runtime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(64*len(data)+64<<10) {
-			t.Fatalf("reading a %d-byte frame allocated %d bytes", len(data), n)
+		for _, frame := range [][]byte{data, rehashParts(data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			readExploreFrame(frame, newPartMemo(obs.NewNoop()))
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n > uint64(64*len(frame)+64<<10) {
+				t.Fatalf("reading a %d-byte frame allocated %d bytes", len(frame), n)
+			}
 		}
 	})
 }

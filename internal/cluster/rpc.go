@@ -5,19 +5,24 @@ package cluster
 // delimiter-separated wire text of snapshot tables in a []byte field, which
 // encoding/json transports base64-encoded. A 200 /rpc/explore answer is an
 // explore frame instead (exploreFrameType): a JSON header, then the shard's
-// summary parts in their binary encoding (highlights.Summary.Encode), its
-// exact rows as record text in the layout the shard scanned them in (the
-// section names the layout's fields) and its partial aggregates in their
-// binary form (scanspec.AppendPartials), each length-prefixed — no base64,
-// and no copies on the node: it writes the memoized part encodings and the
-// row text straight to the response. A coordinator reads a frame into one
-// buffer and decodes every section of it once, in the goroutine that asked
-// the replica: parts into summaries, rows into tables of their layout,
-// partials. Timestamps travel as Unix seconds. Trace context propagates
-// out-of-envelope in the X-Spate-Trace header (obs.TraceHeader); the
-// shard's recorded subtree rides back in the explore frame's header.
+// summary parts, each as the SHA-256 of its binary encoding
+// (highlights.Summary.Digest) followed by that encoding
+// (highlights.Summary.Encode), its exact rows as record text in the layout
+// the shard scanned them in (the section names the layout's fields) and its
+// partial aggregates in their binary form (scanspec.AppendPartials), each
+// length-prefixed — no base64, and no copies on the node: it writes the
+// memoized part encodings and digests and the row text straight to the
+// response. A coordinator reads a frame into one buffer and decodes every
+// section of it once, in the goroutine that asked the replica: rows into
+// tables of their layout, partials, and parts into summaries — a part only
+// when its digest is not already in the coordinator's part memo
+// (partMemo), which keeps decoded parts by content. Timestamps travel as
+// Unix seconds. Trace context propagates out-of-envelope in the
+// X-Spate-Trace header (obs.TraceHeader); the shard's recorded subtree
+// rides back in the explore frame's header.
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -28,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"spate/internal/cache"
 	"spate/internal/core"
 	"spate/internal/highlights"
 	"spate/internal/obs"
@@ -117,9 +123,12 @@ type exploreResponse struct {
 	// under its own slot span.
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
 
-	// frameBytes is the size of the frame the answer came in and rows the
-	// number of rows decoded from it (coordinator side).
-	frameBytes, rows int
+	// frameBytes is the size of the frame the answer came in, rows the
+	// number of rows decoded from it, and partsDecoded and partsReused
+	// count its parts decoded from the frame and taken from the part memo
+	// (coordinator side).
+	frameBytes, rows          int
+	partsDecoded, partsReused int
 }
 
 type healthResponse struct {
@@ -137,12 +146,13 @@ type errorResponse struct {
 // exploreFrameType is the Content-Type of an explore frame. Its version
 // names the frame layout and the encodings inside it together: a
 // coordinator refuses any other 200 answer as a version mismatch.
-const exploreFrameType = "application/x-spate-explore-frame; v=3"
+const exploreFrameType = "application/x-spate-explore-frame; v=4"
 
 // The explore frame is /rpc/explore's 200 answer:
 //
 //	uvarint n, n bytes   JSON header: the exploreResponse without Parts, Rows and Partials
-//	uvarint n, n × (uvarint len, part)     each part highlights.Summary.Encode
+//	uvarint n, n × (32-byte digest, uvarint len, part)
+//	                     part highlights.Summary.Encode, digest its SHA-256
 //	uvarint n, n × (uvarint len, table name, uvarint len, field list, uvarint len, row text)
 //	uvarint n, n bytes   partials: scanspec.AppendPartials
 //
@@ -150,9 +160,13 @@ const exploreFrameType = "application/x-spate-explore-frame; v=3"
 // once, in stored order, joined by the record delimiter '|' — the stored
 // table itself for a full-width scan, its projection (telco.Schema.Project)
 // for a narrow one. The row text is one record line per row under that
-// layout. A node lays its sections out inside its span (part encodings are
-// memoized on the summaries) and writes the frame once that span has
-// ended, since the header carries it.
+// layout. A node lays its sections out inside its span (part encodings and
+// digests are memoized on the summaries) and writes the frame once that
+// span has ended, since the header carries it.
+//
+// A part's bytes travel even when the coordinator holds the part already,
+// so a miss never costs a second round trip; what the digest saves is the
+// decode.
 
 // maxFrameBytes bounds the explore frame a coordinator reads: a larger
 // Content-Length is refused before anything is allocated for it.
@@ -166,6 +180,7 @@ func frameSections(parts []*highlights.Summary, rows map[string]*telco.Table, pa
 	f.uvarint(len(parts))
 	for _, p := range parts {
 		data, _ := p.Encode() // never fails
+		f.digest(p.Digest())
 		f.field(data)
 	}
 	names := make([]string, 0, len(rows))
@@ -235,6 +250,13 @@ func (f *frameWriter) uvarint(v int) {
 	f.add(f.prefixes[at:])
 }
 
+// digest appends a part's digest to the prefix buffer.
+func (f *frameWriter) digest(sum [sha256.Size]byte) {
+	at := len(f.prefixes)
+	f.prefixes = append(f.prefixes, sum[:]...)
+	f.add(f.prefixes[at:])
+}
+
 func (f *frameWriter) field(b []byte) {
 	f.uvarint(len(b))
 	f.add(b)
@@ -263,11 +285,11 @@ func readFrameBody(hresp *http.Response) ([]byte, error) {
 }
 
 // readExploreFrame reads an explore frame and decodes every section of it:
-// each summary part (highlights.DecodeBinary), each rows table into a table
-// of the layout its field list names (readRows), and the partials. Every
-// count is checked against the bytes left before anything is sized by it,
-// so what it allocates is bounded by the frame's length.
-func readExploreFrame(data []byte) (*exploreResponse, error) {
+// each summary part through the part memo (partMemo.part), each rows table
+// into a table of the layout its field list names (readRows), and the
+// partials. Every count is checked against the bytes left before anything
+// is sized by it, so what it allocates is bounded by the frame's length.
+func readExploreFrame(data []byte, parts *partMemo) (*exploreResponse, error) {
 	r := frameReader{b: data}
 	hdr := r.field()
 	if r.err != nil {
@@ -278,16 +300,21 @@ func readExploreFrame(data []byte) (*exploreResponse, error) {
 		return nil, fmt.Errorf("explore frame: header: %w", err)
 	}
 	resp.frameBytes = len(data)
-	n := r.count(1)
+	n := r.count(sha256.Size + 1)
 	resp.Parts = make([]*highlights.Summary, n)
 	for i := range resp.Parts {
-		part := r.field()
+		sum, part := r.fixed(sha256.Size), r.field()
 		if r.err != nil {
 			return nil, r.err
 		}
-		s, err := highlights.DecodeBinary(part)
+		s, decoded, err := parts.part(sum, part)
 		if err != nil {
 			return nil, fmt.Errorf("explore frame: part %d: %w", i, err)
+		}
+		if decoded {
+			resp.partsDecoded++
+		} else {
+			resp.partsReused++
 		}
 		resp.Parts[i] = s
 	}
@@ -384,11 +411,58 @@ func (r *frameReader) count(min int) int {
 }
 
 func (r *frameReader) field() []byte {
-	n := r.count(1)
+	return r.fixed(r.count(1))
+}
+
+// fixed reads the next n bytes.
+func (r *frameReader) fixed(n int) []byte {
+	if r.err == nil && n > len(r.b) {
+		r.err = errFrameTruncated
+	}
 	if r.err != nil {
 		return nil
 	}
 	f := r.b[:n:n]
 	r.b = r.b[n:]
 	return f
+}
+
+// partMemoBytes bounds the decoded parts a coordinator keeps, as
+// highlights.Summary.SizeHint charges them. A decoded day or leaf part of
+// a modest feed takes tens to a few hundred KiB, so the bound holds a few
+// hundred of them: every part a working set of windows touches.
+const partMemoBytes = 32 << 20
+
+// partMemo is a coordinator's decoded shard parts, kept by the SHA-256 of
+// their encoding. A summary never changes once built, and equal digests
+// mean equal encodings, so an entry can never go stale: ingest, appends,
+// seals, decay and compaction on the shards need no invalidation here —
+// a part they change is a part with another digest, and the old entry
+// ages out of the LRU. Its hits, misses and bytes report as
+// spate_cluster_part_cache_*.
+type partMemo struct {
+	lru *cache.LRU[*highlights.Summary]
+}
+
+func newPartMemo(reg *obs.Registry) *partMemo {
+	return &partMemo{lru: cache.New("spate_cluster_part_cache", "Decoded shard summary parts",
+		partMemoBytes, (*highlights.Summary).SizeHint, reg)}
+}
+
+var errPartDigest = errors.New("part bytes do not hash to their digest")
+
+// part returns the summary whose encoding hashes to sum: the one the memo
+// holds, else data decoded — once, however many replicas' frames carry it
+// at the same moment (cache.LRU.Do). Only a decode checks data against
+// sum, before anything of it is decoded or kept; a mismatch fails like a
+// malformed part. decoded reports that this call decoded data itself.
+func (m *partMemo) part(sum, data []byte) (s *highlights.Summary, decoded bool, err error) {
+	s, _, err = m.lru.Do(string(sum), func() (*highlights.Summary, error) {
+		decoded = true
+		if got := sha256.Sum256(data); string(got[:]) != string(sum) {
+			return nil, errPartDigest
+		}
+		return highlights.DecodeBinary(data)
+	})
+	return s, decoded, err
 }

@@ -141,11 +141,12 @@ func (s *StreamReader) Read(p []byte) (int, error) {
 
 // nextChunk decodes the next frame. A stream that ends before its
 // end-of-stream marker — mid-header, mid-frame, or between frames — is
-// corrupt input like any other damage a reader detects.
+// corrupt input like any other damage a reader detects, and so is a frame
+// header that overflows 64 bits.
 func (s *StreamReader) nextChunk() error {
-	size, err := binary.ReadUvarint(s.r)
+	size, err := s.header()
 	if err != nil {
-		return truncated("compress: stream header", err)
+		return err
 	}
 	if size == 0 {
 		s.done = true
@@ -166,6 +167,30 @@ func (s *StreamReader) nextChunk() error {
 		return err
 	}
 	return nil
+}
+
+// header reads a frame header, a uvarint, as binary.ReadUvarint does, but
+// with its overflow reported as ErrCorrupt: binary's overflow error is not
+// one a caller can tell from a failure of the source.
+func (s *StreamReader) header() (uint64, error) {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := s.r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, truncated("compress: stream header", err)
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<(7*i), nil
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, Corruptf("compress: stream header overflows 64 bits")
 }
 
 // truncated wraps a read failure of what: an end of input as ErrCorrupt,

@@ -107,6 +107,22 @@ func TestStreamGarbageChunkHeader(t *testing.T) {
 	}
 }
 
+// TestStreamHeaderOverflowIsCorrupt: a frame header whose uvarint overflows
+// 64 bits — ten continuation bytes, or a tenth byte above 1 — is corrupt
+// input, not an error of another kind.
+func TestStreamHeaderOverflowIsCorrupt(t *testing.T) {
+	c := mustCodec(t, "gzip")
+	for _, in := range [][]byte{
+		bytes.Repeat([]byte{0xff}, 10),
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),
+	} {
+		_, err := io.ReadAll(compress.NewStreamReader(c, bytes.NewReader(in)))
+		if !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("header % x: err = %v, want ErrCorrupt", in, err)
+		}
+	}
+}
+
 func TestStreamRandomPayload(t *testing.T) {
 	c := mustCodec(t, "sevenz")
 	data := make([]byte, 300_000)

@@ -181,9 +181,10 @@ type Engine struct {
 	cache     ResultCache
 	resFlight cache.Flight[*Result]
 
-	// chunkCache holds inflated leaf chunks across queries, bounded by
-	// chunkCacheBytes; its Do dedupes concurrent inflations of one chunk,
-	// across scan workers and across queries.
+	// chunkCache holds inflated leaf chunks, and each segment leaf's
+	// footer, across queries, bounded by chunkCacheBytes; its Do dedupes
+	// concurrent inflations of one chunk, across scan workers and across
+	// queries.
 	chunkCache *cache.LRU[[]byte]
 
 	// batches pools the column batches leaf walks decode into, folders the

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"spate/internal/decay"
+	"spate/internal/geo"
 	"spate/internal/highlights"
+	"spate/internal/segment"
 	"spate/internal/snapshot"
 	"spate/internal/telco"
 )
@@ -170,4 +173,90 @@ func TestExplorePartsCacheAfterDecay(t *testing.T) {
 			got.prof.LeavesScanned, got.prof.LeavesCached, got.prof.LeavesDecayed, len(recentKeys), rep.LeavesDecayed)
 	}
 	sameParts(t, "after decay", got, exploreParts(t, reopen(t, r, opts), all))
+}
+
+// TestLeafFooterReadOnce: a segment leaf's footer is read off the DFS once
+// and kept in the chunk cache under "<ref>#foot", so a scan of leaves
+// scanned before — their chunks cached too — reads nothing from the DFS.
+// A leaf that decays, or that compaction rewrites under a new ref, loses
+// its entry with its chunks; every entry left is the footer of a file the
+// store holds.
+func TestLeafFooterReadOnce(t *testing.T) {
+	r := newRig(t, Options{ChunkSize: 256})
+	r.ingestEpochs(t, 8)
+	e := reopen(t, r, Options{ChunkSize: 256, Policy: decay.Policy{KeepRaw: 2 * time.Hour}})
+	w := telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(4*time.Hour))
+	spec := &ScanSpec{Columns: []string{telco.AttrUpflux}}
+	scan := func() int {
+		t.Helper()
+		rows := 0
+		err := e.ScanTablesSpec(context.Background(), w, geo.Rect{}, []string{"CDR", "NMS"}, spec, func(_ string, tab *telco.Table) error {
+			rows += tab.Len()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	footers := func() map[string][]byte {
+		keys := make(map[string][]byte)
+		e.chunkCache.DropIf(func(key string, v []byte) bool {
+			if ref, ok := strings.CutSuffix(key, footCacheSuffix); ok {
+				keys[ref] = v
+			}
+			return false
+		})
+		return keys
+	}
+	// Every cached footer is the one its file holds now.
+	current := func(what string, keys map[string][]byte) {
+		t.Helper()
+		for ref, foot := range keys {
+			f, err := r.fs.Open(ref)
+			if err != nil {
+				t.Fatalf("%s: a footer is cached for %s: %v", what, ref, err)
+			}
+			want, err := segment.ReadFooter(f, f.Size(), e.Codec())
+			if err != nil || !bytes.Equal(foot, want) {
+				t.Fatalf("%s: the footer cached for %s is not its file's (%v)", what, ref, err)
+			}
+		}
+	}
+
+	rows := scan()
+	cold := footers()
+	if len(cold) != 16 { // CDR and NMS of 8 epochs
+		t.Fatalf("%d footers cached after the first scan, want 16", len(cold))
+	}
+	current("first scan", cold)
+	read := r.fs.BytesRead()
+	if got := scan(); got != rows {
+		t.Fatalf("second scan: %d rows, want %d", got, rows)
+	}
+	if n := r.fs.BytesRead() - read; n != 0 {
+		t.Errorf("the second scan read %d bytes off the DFS, want none", n)
+	}
+
+	dec, err := e.DecayRun(w.To, DecayBudget{})
+	if err != nil || dec.LeavesDecayed == 0 {
+		t.Fatalf("decay: %+v, %v", dec, err)
+	}
+	decayed := footers()
+	current("after decay", decayed)
+	if len(decayed) >= len(cold) {
+		t.Errorf("decay kept all %d footers", len(cold))
+	}
+
+	comp, err := e.Compact(context.Background(), CompactOptions{ChunkSize: 1 << 20})
+	if err != nil || comp.LeavesRewritten == 0 {
+		t.Fatalf("compact: %+v, %v", comp, err)
+	}
+	compacted := footers()
+	current("after compaction", compacted)
+	if len(compacted) != 0 {
+		t.Errorf("compaction kept %d footers of the files it replaced", len(compacted))
+	}
+	scan()
+	current("after a scan of the compacted leaves", footers())
 }

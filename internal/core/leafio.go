@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"spate/internal/dfs"
 	"spate/internal/highlights"
 	"spate/internal/scanspec"
 	"spate/internal/segment"
@@ -204,6 +205,11 @@ func chunkCacheKey(ref string, version, i int) string {
 // same "<ref>#" prefix segment chunks use, so prefix invalidation covers
 // both formats.
 const legacyCacheSuffix = "#blob"
+
+// footCacheSuffix keys a segment leaf's footer, in the form
+// segment.ReadFooter returns it (version byte and inflated footer), under
+// the same prefix: a scan that finds it opens the leaf without a DFS read.
+const footCacheSuffix = "#foot"
 
 // dropChunks evicts every cached chunk of the leaf file ref — decay and
 // compaction delete leaf files, and their inflated chunks must not linger.
@@ -502,15 +508,29 @@ func (s foldSink) prune(*segment.Chunk) pruneReason         { return pruneNone }
 func (s foldSink) layout(*segment.Chunk) *projection        { return &s.proj }
 func (s foldSink) rows(_ *projection, b *telco.Batch) error { s.fold.Add(b); return nil }
 
+// openSegment opens the segment leaf f stored at ref from its footer in the
+// chunk cache, reading the footer off the DFS only on a miss (a legacy
+// blob's ErrNotSegment is not kept: no engine writes those any more).
+func (e *Engine) openSegment(ref string, f *dfs.File) (*segment.Reader, error) {
+	foot, _, err := e.chunkCache.Do(ref+footCacheSuffix, func() ([]byte, error) {
+		return segment.ReadFooter(f, f.Size(), e.opts.Codec)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return segment.OpenFooter(f, f.Size(), e.opts.Codec, foot)
+}
+
 // walkLeaf is the one leaf loop every scan runs: it streams a stored leaf
 // table into sink. Segment files are pruned chunk by chunk — by window and
 // cell candidates, then by whatever the sink's own metadata tests prove —
 // and only surviving chunks are fetched (ranged), inflated and decoded —
 // just the columns of the sink's layout, into one pooled column batch the
 // sink sees chunk after chunk; a chunk the sink answers from metadata is
-// never fetched. The sink sees chunks in row order. Legacy
-// whole-blob leaves decompress in full, as one chunk. Inflated chunks are
-// served from and installed into the engine's chunk cache. The chunks
+// never fetched. The sink sees chunks in row order. Legacy whole-blob
+// leaves decompress in full, as one chunk. Inflated chunks, and a segment
+// leaf's footer, are served from and installed into the engine's chunk
+// cache, so a leaf scanned before opens without a DFS read. The chunks
 // scanned and pruned count in the fleet counters (a legacy blob counts as
 // one scanned chunk); a non-nil prof accrues the per-query cost split
 // (prune reasons, cache hits, inflated bytes, ranged reads, phase timings).
@@ -529,7 +549,7 @@ func (e *Engine) walkLeaf(ref string, pr leafPrune, sink leafSink, prof *Profile
 	}
 	b := e.getBatch()
 	defer e.putBatch(b)
-	r, err := segment.Open(f, f.Size(), e.opts.Codec)
+	r, err := e.openSegment(ref, f)
 	if errors.Is(err, segment.ErrNotSegment) {
 		// Legacy whole-blob leaf: no chunk metadata exists, so the whole
 		// table inflates regardless of the scan's predicates.

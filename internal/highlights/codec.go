@@ -2,6 +2,7 @@ package highlights
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -67,28 +68,47 @@ const (
 // Encode serializes the summary in its binary form. It never fails; the
 // error is part of the signature every summary encoding has had.
 //
-// The bytes are computed once per summary and memoized, so a summary that
-// is persisted, cached or shipped in many frames is encoded once. Every
-// caller gets the same slice and must not modify it; and a summary must not
-// be modified once it has been encoded (summaries are read-only once built).
-// Encode is safe for concurrent use: racing first calls each compute the
-// same bytes, and one of them is kept.
+// The bytes are computed once per summary and memoized, together with
+// their SHA-256 (Digest), so a summary that is persisted, cached or shipped
+// in many frames is encoded and hashed once. Every caller gets the same
+// slice and must not modify it; and a summary must not be modified once it
+// has been encoded (summaries are read-only once built). Encode is safe for
+// concurrent use: racing first calls each compute the same bytes, and one
+// of them is kept.
 func (s *Summary) Encode() ([]byte, error) {
-	if b := s.enc.Load(); b != nil {
-		return *b, nil
+	return s.encoded().b, nil
+}
+
+// Digest is the SHA-256 of the summary's encoding, memoized with it: the
+// name a cluster coordinator keeps a decoded part under, since equal
+// digests mean equal encodings and so equal summaries.
+func (s *Summary) Digest() [sha256.Size]byte {
+	return s.encoded().sum
+}
+
+// encoding is a summary's memoized binary form and its SHA-256.
+type encoding struct {
+	b   []byte
+	sum [sha256.Size]byte
+}
+
+func (s *Summary) encoded() *encoding {
+	if e := s.enc.Load(); e != nil {
+		return e
 	}
 	b := s.encode(binaryHeader, appendStats)
-	if !s.enc.CompareAndSwap(nil, &b) {
-		return *s.enc.Load(), nil
+	e := &encoding{b: b, sum: sha256.Sum256(b)}
+	if !s.enc.CompareAndSwap(nil, e) {
+		return s.enc.Load()
 	}
-	return b, nil
+	return e
 }
 
 // EncodedLen is the length of the memoized encoding: 0 until Encode has
 // run.
 func (s *Summary) EncodedLen() int {
-	if b := s.enc.Load(); b != nil {
-		return len(*b)
+	if e := s.enc.Load(); e != nil {
+		return len(e.b)
 	}
 	return 0
 }

@@ -166,7 +166,7 @@ type Summary struct {
 	cells []cell    // ascending by id
 	pairs []pair    // the cells' stats: each cell a run, ascending by attribute
 
-	enc atomic.Pointer[[]byte] // Encode's bytes, once computed
+	enc atomic.Pointer[encoding] // Encode's bytes and their digest, once computed
 }
 
 // stat is a Stats as a summary holds it: pointer-free, its peak time a stamp.
@@ -433,8 +433,8 @@ func (s *Summary) Extract(theta float64) []Highlight {
 func (s *Summary) SizeHint() int64 {
 	n := int64(unsafe.Sizeof(*s)) + capBytes(s.attrs) + capBytes(s.num) + capBytes(s.cat) +
 		capBytes(s.vals) + capBytes(s.cells) + capBytes(s.pairs)
-	if b := s.enc.Load(); b != nil {
-		n += capBytes(*b)
+	if e := s.enc.Load(); e != nil {
+		n += capBytes(e.b)
 	}
 	str := func(b int) int64 { return int64(b + b/8 + 16) }
 	for _, ref := range s.attrs {

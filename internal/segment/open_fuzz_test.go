@@ -254,6 +254,23 @@ func TestTruncatedStreamChunkIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestOverflowingStreamHeaderIsCorrupt: a v2 chunk whose payload passes its
+// CRC but opens with a gzip stream frame header of ten 0xff bytes — a
+// uvarint that overflows 64 bits — is corrupt input like a truncated one.
+func TestOverflowingStreamHeaderIsCorrupt(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xff}, 10)
+	data := handSegment(gzipc.Codec{}, segment.RowVersion, payload, handChunk{
+		off: 5, len: uint64(len(payload)), ulen: 10, rows: 1, crc: crc32.ChecksumIEEE(payload),
+	})
+	r, err := segment.Open(bytes.NewReader(data), int64(len(data)), gzipc.Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ChunkBytes(0); !errors.Is(err, compress.ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+}
+
 // FuzzSegmentOpen feeds mutated bytes to segment.Open, then fetches,
 // reassembles and decodes into a batch every chunk of whatever opens.
 // Nothing may panic, and every refusal must be a corrupt-input or

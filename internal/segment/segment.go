@@ -611,7 +611,8 @@ var openBufs = sync.Pool{New: func() any { return new([openReadAhead]byte) }}
 // Reader opens a segment through ranged reads: construction costs one read
 // off the end of the file that nearly always holds tail and footer, plus
 // the 5-byte header unless the file is small enough for that read to hold
-// it too — independent of segment size.
+// it too — independent of segment size — and none at all from a footer
+// ReadFooter read before (OpenFooter).
 type Reader struct {
 	src     io.ReaderAt
 	codec   compress.Codec
@@ -623,6 +624,20 @@ type Reader struct {
 // Open parses the segment footer from src. The codec must match the
 // writer's. A file without the segment magic fails with ErrNotSegment.
 func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
+	foot, err := ReadFooter(src, size, codec)
+	if err != nil {
+		return nil, err
+	}
+	return OpenFooter(src, size, codec, foot)
+}
+
+// ReadFooter reads what Open parses off the end of a segment — checking
+// its header, its tail and its footer's length, and inflating a v3 footer
+// — and returns it in the form OpenFooter takes: the format version byte,
+// the stored footer's length as a uvarint, then the footer as it parses.
+// A reader that keeps that form (the engine keeps it beside the leaf's
+// inflated chunks) opens the segment again without reading it.
+func ReadFooter(src io.ReaderAt, size int64, codec compress.Codec) ([]byte, error) {
 	if size < int64(headerLen+tailLen) {
 		return nil, fmt.Errorf("%w: %d bytes is too short", ErrNotSegment, size)
 	}
@@ -652,8 +667,8 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 		return nil, compress.Corruptf("segment: bad tail magic %x", tail[4:])
 	}
 	footLen := int64(binary.LittleEndian.Uint32(tail[:4]))
-	if footLen <= 0 || footLen > maxFooter || footLen > size-int64(headerLen+tailLen) {
-		return nil, compress.Corruptf("segment: footer of %d bytes out of range", footLen)
+	if err := checkFootLen(footLen, size); err != nil {
+		return nil, err
 	}
 	var foot []byte
 	if footLen+tailLen <= int64(len(end)) {
@@ -664,18 +679,47 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 			return nil, fmt.Errorf("segment: read footer: %w", err)
 		}
 	}
-	if version >= 3 {
-		// v3 footers are block-compressed (the per-chunk column
-		// directories dominate small segments stored plain).
-		inflated, err := codec.Decompress(nil, foot)
-		if err != nil {
-			return nil, fmt.Errorf("segment: inflate footer: %w", err)
-		}
-		if int64(len(inflated)) > maxFooter {
-			return nil, compress.Corruptf("segment: footer inflates to %d bytes", len(inflated))
-		}
-		foot = inflated
+	out := binary.AppendUvarint([]byte{version}, uint64(footLen))
+	if version < 3 {
+		return append(out, foot...), nil
 	}
+	// v3 footers are block-compressed (the per-chunk column directories
+	// dominate small segments stored plain).
+	mark := len(out)
+	out, err := codec.Decompress(out, foot)
+	if err != nil {
+		return nil, fmt.Errorf("segment: inflate footer: %w", err)
+	}
+	if n := len(out) - mark; n > maxFooter {
+		return nil, compress.Corruptf("segment: footer inflates to %d bytes", n)
+	}
+	return out, nil
+}
+
+// checkFootLen refuses a stored footer length the segment cannot hold.
+func checkFootLen(footLen, size int64) error {
+	if footLen <= 0 || footLen > maxFooter || footLen > size-int64(headerLen+tailLen) {
+		return compress.Corruptf("segment: footer of %d bytes out of range", footLen)
+	}
+	return nil
+}
+
+// OpenFooter is Open over the footer ReadFooter read from the same segment
+// (the same src, size and codec): it reads nothing from src until a chunk
+// is fetched. The Reader shares no bytes with foot.
+func OpenFooter(src io.ReaderAt, size int64, codec compress.Codec, foot []byte) (*Reader, error) {
+	if len(foot) == 0 || foot[0] < 1 || foot[0] > Version {
+		return nil, compress.Corruptf("segment: footer of no known version")
+	}
+	version := foot[0]
+	footLen, k := binary.Uvarint(foot[1:])
+	if k <= 0 {
+		return nil, compress.Corruptf("segment: footer length")
+	}
+	if err := checkFootLen(int64(footLen), size); err != nil {
+		return nil, err
+	}
+	foot = foot[1+k:]
 	r := &Reader{src: src, codec: codec, size: size, version: version}
 	br := bytes.NewReader(foot)
 	n, err := binary.ReadUvarint(br)
@@ -686,7 +730,7 @@ func Open(src io.ReaderAt, size int64, codec compress.Codec) (*Reader, error) {
 		return nil, compress.Corruptf("segment: footer claims %d chunks", n)
 	}
 	r.chunks = make([]Chunk, 0, n)
-	dataEnd := size - tailLen - footLen
+	dataEnd := size - tailLen - int64(footLen)
 	for i := uint64(0); i < n; i++ {
 		var c Chunk
 		if c.Off, err = readUvarint64(br); err != nil {
