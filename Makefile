@@ -80,8 +80,9 @@ bench:
 # decoder (with the merge of what it decodes), the explore frame reader
 # (which checks part digests and decodes the parts, rows and partials
 # inside it), the partials
-# section alone, the scan-spec check a node runs on /rpc/explore bodies and
-# the web UI's JSON string and number writers (against encoding/json) for a
+# section alone (which refuses keys out of order), the scan-spec check a node
+# runs on /rpc/explore bodies, the web UI's JSON string and number writers
+# (against encoding/json) and its box parameters (against fmt's %g) for a
 # short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
@@ -92,6 +93,7 @@ fuzz:
 	$(GO) test -fuzz FuzzValidateSpec -fuzztime 30s -run XXX ./internal/scanspec/
 	$(GO) test -fuzz FuzzReadPartials -fuzztime 30s -run XXX ./internal/scanspec/
 	$(GO) test -fuzz FuzzJSONAppend -fuzztime 30s -run XXX ./internal/webui/
+	$(GO) test -fuzz FuzzParseBoxQuery -fuzztime 30s -run XXX ./internal/webui/
 
 fmt:
 	gofmt -l -w .

@@ -397,8 +397,9 @@ func TestExploreAnswerIsAFrame(t *testing.T) {
 // part decoder as well as the digest check. Seeds are real node answers —
 // parts and rows, rows alone, partials, an empty shard's, and a T2-shaped
 // narrow row scan — a frame whose partials section holds an unknown value
-// kind, one whose rows table lists its fields out of stored order, and
-// frames whose parts travel under another part's digest or a cut one.
+// kind, one whose rows table lists its fields out of stored order, frames
+// whose parts travel under another part's digest or a cut one, and frames
+// whose partials are out of key order or repeat a key.
 func FuzzExploreFrame(f *testing.F) {
 	g, snaps, window := testTrace(f, 1)
 	eng := newRefEngine(f, g)
@@ -440,6 +441,11 @@ func FuzzExploreFrame(f *testing.F) {
 	f.Add(rawFrameSums(`{"leaves":1}`, [][sha256.Size]byte{sha256.Sum256(a), sha256.Sum256(a)}, [][]byte{a, b}, nil, nil))
 	const hdr = `{"leaves":1}`
 	f.Add(rawFrame(hdr, [][]byte{a}, nil, nil)[:1+len(hdr)+1+sha256.Size/2]) // cut inside the digest
+	cell := func(key string) scanspec.Partial {
+		return scanspec.Partial{Key: key, Group: scanspec.WireValue{Kind: "int", Val: key}, Cells: []scanspec.Cell{{Seen: true, Count: 1}}}
+	}
+	f.Add(rawFrame(hdr, nil, nil, scanspec.AppendPartials(nil, []scanspec.Partial{cell("1001"), cell("1000")})))
+	f.Add(rawFrame(hdr, nil, nil, scanspec.AppendPartials(nil, []scanspec.Partial{cell("1000"), cell("1000")})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, frame := range [][]byte{data, rehashParts(data)} {
 			var before, after runtime.MemStats

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"spate/internal/geo"
@@ -47,9 +47,9 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	// Partial-aggregate merge is associative and commutative over the
 	// pushdown-eligible aggregates (COUNT, integer SUM, MIN, MAX), so each
 	// worker folds its units into a private accumulator with no locking at
-	// all and the per-worker partial sets Merge at the end. The worker-order
-	// merge and the final sort-by-key make the output independent of
-	// scheduling. A pool of one is one accumulator.
+	// all and the per-worker partial sets Merge at the end. Each set is in
+	// key order and so is every merge of them, which makes the output
+	// independent of scheduling. A pool of one is one accumulator.
 	accs := make([]*aggAcc, max(1, min(e.scanWorkers(), len(plan.units))))
 	for i := range accs {
 		if accs[i], err = newAggAcc(spec, schema, w); err != nil {
@@ -116,13 +116,16 @@ type aggAcc struct {
 	layTS aggLayout // with the timestamp for window filtering
 
 	// Groups are interned: by wire form — the merge key, so two values that
-	// render alike share a group — with a shortcut for integer group columns
-	// and, per batch, one lookup per dictionary entry of a string column.
+	// render alike share a group — except the keys of an integer group
+	// column, which render alike only when equal: those go by value, through
+	// a dense table over keys 0 to denseKeys-1 and a map outside it. A
+	// string column looks up, per batch, each dictionary entry once.
 	byKey map[string]int32
 	byInt map[int64]int32
-	keys  []telco.Value // group value per ordinal
-	cells []aggCell     // ordinal*len(spec.Aggs) + aggregate
-	ext   []telco.Value // alongside cells when the spec has a MIN or MAX: its running extreme
+	dense []int32              // ordinal+1 per integer key, 0 until a row uses it
+	keys  []scanspec.WireValue // group value per ordinal; its Val is the merge key
+	cells []aggCell            // ordinal*len(spec.Aggs) + aggregate
+	ext   []telco.Value        // alongside cells when the spec has a MIN or MAX: its running extreme
 
 	hasExt  bool    // the spec has a MIN or MAX
 	ord     []int32 // per selected row of the batch being folded
@@ -456,13 +459,7 @@ func (a *aggAcc) groupRows(b *telco.Batch, grpIdx int, sel []uint32) []int32 {
 				ord[j] = a.group(telco.Null)
 				continue
 			}
-			x := c.Ints[r]
-			o, ok := a.byInt[x]
-			if !ok {
-				o = a.group(telco.Int(x))
-				a.byInt[x] = o
-			}
-			ord[j] = o
+			ord[j] = a.intGroup(c.Ints[r])
 		}
 	default:
 		for j, r := range sel {
@@ -472,15 +469,48 @@ func (a *aggAcc) groupRows(b *telco.Batch, grpIdx int, sel []uint32) []int32 {
 	return ord
 }
 
+// denseKeys bounds the dense table of integer group keys: keys 0 to
+// denseKeys-1 (cell ids, hours, small codes) find their ordinal by index,
+// the table growing to the largest one seen; any other key goes through
+// byInt.
+const denseKeys = 1 << 16
+
+// intGroup returns (creating on first use) the ordinal of integer key x.
+func (a *aggAcc) intGroup(x int64) int32 {
+	if uint64(x) < denseKeys {
+		if x < int64(len(a.dense)) && a.dense[x] > 0 {
+			return a.dense[x] - 1
+		}
+		o := a.newGroup(telco.Int(x))
+		if x >= int64(len(a.dense)) {
+			a.dense = slices.Grow(a.dense, int(x)+1-len(a.dense))[:x+1]
+		}
+		a.dense[x] = o + 1
+		return o
+	}
+	o, ok := a.byInt[x]
+	if !ok {
+		o = a.newGroup(telco.Int(x))
+		a.byInt[x] = o
+	}
+	return o
+}
+
 // group returns (creating on first use) the ordinal of one group value.
 func (a *aggAcc) group(g telco.Value) int32 {
 	key := g.Format()
 	if o, ok := a.byKey[key]; ok {
 		return o
 	}
-	o := int32(len(a.keys))
+	o := a.newGroup(g)
 	a.byKey[key] = o
-	a.keys = append(a.keys, g)
+	return o
+}
+
+// newGroup adds a group no ordinal stands for yet and returns its ordinal.
+func (a *aggAcc) newGroup(g telco.Value) int32 {
+	o := int32(len(a.keys))
+	a.keys = append(a.keys, scanspec.FromValue(g))
 	n := len(a.spec.Aggs)
 	a.cells = slices.Grow(a.cells, n)[:len(a.cells)+n]
 	if a.hasExt {
@@ -489,27 +519,37 @@ func (a *aggAcc) group(g telco.Value) int32 {
 	return o
 }
 
-// partials renders the accumulated groups as partials sorted by group key.
+// partials renders the accumulated groups as partials in strictly
+// increasing key order — what scanspec.Merge assumes and ReadPartials
+// checks — sorting ordinals on their keys and taking every partial's cells
+// from one slab.
 func (a *aggAcc) partials() []scanspec.Partial {
-	out := make([]scanspec.Partial, 0, len(a.keys))
-	for o, g := range a.keys {
-		p := a.spec.NewPartial(g)
-		for i := range p.Cells {
-			at := o*len(p.Cells) + i
-			c, cell := a.cells[at], &p.Cells[i]
+	order := make([]int32, len(a.keys))
+	for o := range order {
+		order[o] = int32(o)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return strings.Compare(a.keys[x].Val, a.keys[y].Val) })
+	n := len(a.spec.Aggs)
+	cells := make([]scanspec.Cell, len(order)*n)
+	out := make([]scanspec.Partial, len(order))
+	for i, o := range order {
+		p := &out[i]
+		p.Key, p.Group = a.keys[o].Val, a.keys[o]
+		p.Cells = cells[i*n : (i+1)*n : (i+1)*n]
+		for j := range p.Cells {
+			at := int(o)*n + j
+			c, cell := a.cells[at], &p.Cells[j]
 			cell.Seen, cell.Count, cell.ISum = c.seen, c.count, c.isum
 			if !c.seen {
 				continue
 			}
-			switch a.spec.Aggs[i].Fn {
+			switch a.spec.Aggs[j].Fn {
 			case "MIN":
 				cell.Min = scanspec.FromValue(a.ext[at])
 			case "MAX":
 				cell.Max = scanspec.FromValue(a.ext[at])
 			}
 		}
-		out = append(out, *p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

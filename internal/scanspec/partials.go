@@ -14,7 +14,8 @@ import (
 //	value     byte kind (0 null, 1 int, 2 float, 3 str, 4 time), uvarint len, Val
 //
 // Key does not travel: a partial's Key is its group value's wire form, which
-// is Group.Val (NewPartial), and ReadPartials restores it from there.
+// is Group.Val (NewPartial), and ReadPartials restores it from there. Keys
+// are strictly increasing, as Merge needs them.
 
 // wireKinds numbers WireValue kinds on the wire; the index is the kind byte.
 var wireKinds = [...]string{"", "int", "float", "str", "time"}
@@ -63,7 +64,8 @@ func appendWireValue(b []byte, v WireValue) []byte {
 
 // ReadPartials decodes what AppendPartials wrote, all of data and nothing
 // else. Every count is checked against the bytes left before anything is
-// sized by it, and an unknown value kind or Seen byte fails the read.
+// sized by it, and an unknown value kind or Seen byte fails the read, as do
+// keys that are not strictly increasing: Merge relies on that order.
 func ReadPartials(data []byte) ([]Partial, error) {
 	r := partialsReader{b: data}
 	ps := make([]Partial, r.count(minPartial))
@@ -71,6 +73,9 @@ func ReadPartials(data []byte) ([]Partial, error) {
 		p := &ps[i]
 		p.Group = r.value()
 		p.Key = p.Group.Val
+		if i > 0 && r.err == nil && p.Key <= ps[i-1].Key {
+			r.fail(fmt.Errorf("scanspec: partials: key %q after %q", p.Key, ps[i-1].Key))
+		}
 		p.Cells = make([]Cell, r.count(minCell))
 		for j := range p.Cells {
 			c := &p.Cells[j]

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 
 // wirePartials folds rows of every value kind into partials the way a shard
 // does: groups of every kind (null, empty, non-ASCII among them), COUNT(*),
-// COUNT, an integer SUM that goes negative, and MIN/MAX over each kind.
+// COUNT, an integer SUM that goes negative, and MIN/MAX over each kind,
+// shipped in key order.
 func wirePartials(rng *rand.Rand) []Partial {
 	values := []telco.Value{
 		telco.Null, telco.Int(0), telco.Int(math.MinInt64), telco.Int(math.MaxInt64), telco.Int(-17),
@@ -44,6 +46,7 @@ func wirePartials(rng *rand.Rand) []Partial {
 	for _, p := range byKey {
 		out = append(out, *p)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -118,6 +121,30 @@ func TestReadPartialsRejects(t *testing.T) {
 	}
 }
 
+// TestReadPartialsRejectsKeyOrder: a section whose keys are not strictly
+// increasing — out of order, or one key twice — fails the read, since Merge
+// folds two lists in one pass that relies on that order. Keys compare as
+// bytes: "10" sorts before "9".
+func TestReadPartialsRejectsKeyOrder(t *testing.T) {
+	spec := &Spec{Aggs: []Agg{{Fn: "COUNT"}}}
+	part := func(g telco.Value) Partial { return *spec.NewPartial(g) }
+	ordered := []Partial{part(telco.Null), part(telco.Int(10)), part(telco.Int(9)), part(telco.String("a"))}
+	if _, err := ReadPartials(AppendPartials(nil, ordered)); err != nil {
+		t.Fatalf("ordered keys: %v", err)
+	}
+	for name, ps := range map[string][]Partial{
+		"descending":     {part(telco.Int(9)), part(telco.Int(10))},
+		"repeated":       {part(telco.Int(7)), part(telco.Int(7))},
+		"null repeated":  {part(telco.Null), part(telco.String(""))},
+		"same wire form": {part(telco.Int(5)), part(telco.String("5"))},
+		"late":           {part(telco.Int(1)), part(telco.Int(3)), part(telco.Int(2))},
+	} {
+		if _, err := ReadPartials(AppendPartials(nil, ps)); err == nil {
+			t.Errorf("%s: read", name)
+		}
+	}
+}
+
 // TestMergeMismatchedCells: partials of one key with different cell counts
 // — a shard answering another spec — merge the cells both hold and never
 // index past either side.
@@ -135,15 +162,20 @@ func TestMergeMismatchedCells(t *testing.T) {
 }
 
 // FuzzReadPartials: the partials reader never panics, allocates no more
-// than a bound proportional to its input, and whatever it accepts
-// re-encodes to a form that reads back to equal partials and re-encodes to
-// itself.
+// than a bound proportional to its input, accepts keys only in strictly
+// increasing order, and whatever it accepts re-encodes to a form that reads
+// back to equal partials and re-encodes to itself. Seeds include partials
+// out of key order and a key twice.
 func FuzzReadPartials(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
 		f.Add(AppendPartials(nil, wirePartials(rng)))
 	}
 	f.Add([]byte{0})
+	spec := &Spec{Aggs: []Agg{{Fn: "COUNT"}, {Fn: "MAX", Col: "v"}}}
+	unsorted := []Partial{*spec.NewPartial(telco.Int(1001)), *spec.NewPartial(telco.Int(1000))}
+	f.Add(AppendPartials(nil, unsorted))
+	f.Add(AppendPartials(nil, []Partial{unsorted[0], unsorted[0]}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -155,9 +187,12 @@ func FuzzReadPartials(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, p := range ps {
+		for i, p := range ps {
 			if p.Key != p.Group.Val {
 				t.Fatalf("key %q, group value %q", p.Key, p.Group.Val)
+			}
+			if i > 0 && p.Key <= ps[i-1].Key {
+				t.Fatalf("key %q read after %q", p.Key, ps[i-1].Key)
 			}
 		}
 		enc := AppendPartials(nil, ps)

@@ -16,7 +16,6 @@ package scanspec
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -464,44 +463,62 @@ func (s *Spec) CanUseMeta(zoned func(col string) bool) bool {
 	return true
 }
 
-// Merge folds src into dst key-wise and returns dst sorted by group key.
-// Merging is associative and commutative, so shard partials fold in any
-// arrival order. Partials of one spec hold a cell per aggregate each; where
-// two of a key disagree, only the cells both hold merge.
+// Merge folds src into dst key-wise and returns the result sorted by group
+// key. Both lists must be in strictly increasing key order — what an
+// engine's fold emits, what ReadPartials checks and what Merge returns — so
+// one linear pass merges them, and a src merged into nothing is returned as
+// it is. Merging is associative and commutative, so shard partials fold in
+// any arrival order. Partials of one spec hold a cell per aggregate each;
+// where two of a key disagree, only the cells both hold merge. The cells of
+// dst's partials are updated in place.
 func Merge(dst, src []Partial) []Partial {
-	byKey := make(map[string]int, len(dst))
-	for i := range dst {
-		byKey[dst[i].Key] = i
+	if len(dst) == 0 {
+		return src
 	}
-	for _, p := range src {
-		i, ok := byKey[p.Key]
-		if !ok {
-			byKey[p.Key] = len(dst)
-			dst = append(dst, p)
-			continue
+	if len(src) == 0 {
+		return dst
+	}
+	out := make([]Partial, 0, len(dst)+len(src))
+	i, j := 0, 0
+	for i < len(dst) && j < len(src) {
+		d, s := &dst[i], &src[j]
+		switch {
+		case d.Key < s.Key:
+			out = append(out, *d)
+			i++
+		case d.Key > s.Key:
+			out = append(out, *s)
+			j++
+		default:
+			mergeCells(d.Cells, s.Cells)
+			out = append(out, *d)
+			i, j = i+1, j+1
 		}
-		d := &dst[i]
-		for j := range min(len(d.Cells), len(p.Cells)) {
-			dc, sc := &d.Cells[j], p.Cells[j]
-			dc.Count += sc.Count
-			dc.ISum += sc.ISum
-			if sc.Seen {
-				if !dc.Seen {
-					dc.Min, dc.Max = sc.Min, sc.Max
-				} else {
-					if sc.Min.Value().Compare(dc.Min.Value()) < 0 {
-						dc.Min = sc.Min
-					}
-					if sc.Max.Value().Compare(dc.Max.Value()) > 0 {
-						dc.Max = sc.Max
-					}
+	}
+	out = append(out, dst[i:]...)
+	return append(out, src[j:]...)
+}
+
+// mergeCells folds the cells of src into those of dst that both hold.
+func mergeCells(dst, src []Cell) {
+	for j := range min(len(dst), len(src)) {
+		dc, sc := &dst[j], src[j]
+		dc.Count += sc.Count
+		dc.ISum += sc.ISum
+		if sc.Seen {
+			if !dc.Seen {
+				dc.Min, dc.Max = sc.Min, sc.Max
+			} else {
+				if sc.Min.Value().Compare(dc.Min.Value()) < 0 {
+					dc.Min = sc.Min
 				}
-				dc.Seen = true
+				if sc.Max.Value().Compare(dc.Max.Value()) > 0 {
+					dc.Max = sc.Max
+				}
 			}
+			dc.Seen = true
 		}
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Key < dst[j].Key })
-	return dst
 }
 
 // Finalize renders one aggregate cell to its SQL result value, mirroring

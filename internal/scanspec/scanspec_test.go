@@ -3,6 +3,10 @@ package scanspec
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"spate/internal/telco"
@@ -157,13 +161,88 @@ func TestCanUseMeta(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesKeyedFold: the one-pass merge of two key-sorted lists
+// equals folding them key by key through a map and sorting, over random
+// lists of overlapping int keys, and returns src itself when dst is empty.
+func TestMergeMatchesKeyedFold(t *testing.T) {
+	s := &Spec{Aggs: []Agg{{Fn: "COUNT"}, {Fn: "SUM", Col: "v"}, {Fn: "MIN", Col: "v"}, {Fn: "MAX", Col: "v"}}, GroupBy: "g"}
+	rng := rand.New(rand.NewSource(39))
+	list := func() []Partial {
+		byKey := map[string]*Partial{}
+		for n := rng.Intn(12); n > 0; n-- {
+			g := telco.Int(rng.Int63n(40) - 10)
+			p := byKey[g.Format()]
+			if p == nil {
+				p = s.NewPartial(g)
+				byKey[g.Format()] = p
+			}
+			v := telco.Int(rng.Int63n(200) - 100)
+			s.AddRow(p, []telco.Value{telco.Null, v, v, v})
+		}
+		var out []Partial
+		for _, p := range byKey {
+			out = append(out, *p)
+		}
+		slices.SortFunc(out, func(a, b Partial) int { return strings.Compare(a.Key, b.Key) })
+		return out
+	}
+	clone := func(ps []Partial) []Partial {
+		out := slices.Clone(ps)
+		for i := range out {
+			out[i].Cells = slices.Clone(out[i].Cells)
+		}
+		return out
+	}
+	// keyed is the fold Merge replaced: index dst by key, fold or append
+	// each of src, sort.
+	keyed := func(dst, src []Partial) []Partial {
+		at := map[string]int{}
+		for i := range dst {
+			at[dst[i].Key] = i
+		}
+		for _, p := range src {
+			i, ok := at[p.Key]
+			if !ok {
+				at[p.Key] = len(dst)
+				dst = append(dst, p)
+				continue
+			}
+			mergeCells(dst[i].Cells, p.Cells)
+		}
+		slices.SortFunc(dst, func(a, b Partial) int { return strings.Compare(a.Key, b.Key) })
+		return dst
+	}
+	for trial := 0; trial < 500; trial++ {
+		a, b := list(), list()
+		got := Merge(clone(a), clone(b))
+		want := keyed(clone(a), clone(b))
+		if len(got) == 0 && len(want) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merged\n%+v\nwant\n%+v", trial, got, want)
+		}
+	}
+	src := []Partial{*s.NewPartial(telco.Int(1))}
+	if got := Merge(nil, src); &got[0] != &src[0] {
+		t.Error("merging into nothing copied src")
+	}
+}
+
 // TestMergeAssociativeCommutative: any fold order of shard partials gives
 // the same final answer.
 func TestMergeAssociativeCommutative(t *testing.T) {
 	s := &Spec{Aggs: []Agg{{Fn: "COUNT"}, {Fn: "SUM", Col: "v"}, {Fn: "MIN", Col: "v"}, {Fn: "MAX", Col: "v"}}, GroupBy: "g"}
+	// A shard ships its partials in key order, as Merge needs them.
 	shard := func(groups map[string][]int64) []Partial {
+		var names []string
+		for g := range groups {
+			names = append(names, g)
+		}
+		slices.Sort(names)
 		var out []Partial
-		for g, vals := range groups {
+		for _, g := range names {
+			vals := groups[g]
 			p := s.NewPartial(telco.String(g))
 			for _, v := range vals {
 				tv := telco.Int(v)

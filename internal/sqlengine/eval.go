@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -20,9 +21,143 @@ type evaluator struct {
 	rowAggs []map[*AggFunc]telco.Value
 }
 
-// eval computes x over row.
+// colRef is a column reference bound to its position in the combined row,
+// or to the error resolving it gave: evaluating it returns that error, as
+// resolving the name on every row did.
+type colRef struct {
+	ref *ColumnRef
+	pos int
+	err error
+}
+
+func (c *colRef) exprString() string { return c.ref.exprString() }
+
+// timeLit is a string literal that names one instant exactly: fourteen
+// digits of telco.TimeLayout that re-format to themselves, with a year from
+// 1000 to 9999. It evaluates to its string like any literal; compared with
+// a time value it compares as Unix seconds (timeLitCompare).
+type timeLit struct {
+	*Literal
+	sec int64
+}
+
+// maxWireSec is the first Unix second of the year 10000: every earlier time
+// formats to fourteen digits, or to fewer than a timeLit's year with a
+// leading zero or sign, so its wire form orders against a timeLit as its
+// seconds do.
+const maxWireSec = 253402300800
+
+// newTimeLit converts l when it is a canonical time literal.
+func newTimeLit(l *Literal) (*timeLit, bool) {
+	if !l.IsStr || len(l.Str) != len(telco.TimeLayout) || l.Str[0] < '1' || l.Str[0] > '9' {
+		return nil, false
+	}
+	v, err := telco.ParseValue(telco.KindTime, l.Str)
+	if err != nil || v.Format() != l.Str {
+		return nil, false
+	}
+	return &timeLit{Literal: l, sec: v.Time().Unix()}, true
+}
+
+// compare orders the time v against the literal as Unix seconds; ok is
+// false where that could disagree with the wire-form compare.
+func (t *timeLit) compare(v telco.Value) (c int, ok bool) {
+	if v.Kind() != telco.KindTime {
+		return 0, false
+	}
+	sec := v.Time().Unix()
+	if sec >= maxWireSec {
+		return 0, false
+	}
+	return cmp.Compare(sec, t.sec), true
+}
+
+// timeLitCompare compares l with r, the values of le and re, when one is a
+// time and the other expression a timeLit; ok is false otherwise, and the
+// caller compares the values as it always did.
+func timeLitCompare(l, r telco.Value, le, re Expr) (c int, ok bool) {
+	if t, isLit := re.(*timeLit); isLit {
+		if c, ok := t.compare(l); ok {
+			return c, true
+		}
+	}
+	if t, isLit := le.(*timeLit); isLit {
+		if c, ok := t.compare(r); ok {
+			return -c, true
+		}
+	}
+	return 0, false
+}
+
+// compareTo is compare(a, b) for b the value of expression be.
+func compareTo(a, b telco.Value, be Expr) int {
+	if c, ok := timeLitCompare(a, b, nil, be); ok {
+		return c
+	}
+	return compare(a, b)
+}
+
+// bind returns x with every column reference resolved against ev's scope
+// to its row position and every canonical time literal converted, so the
+// row loops never resolve a name or parse a literal. Nodes are copied, never
+// changed: a parsed statement may run again or concurrently. A copied IN
+// keeps its subquery's value set.
+func (ev *evaluator) bind(x Expr) Expr {
+	switch v := x.(type) {
+	case nil:
+		return nil
+	case *ColumnRef:
+		i, err := ev.scope.resolve(v)
+		return &colRef{ref: v, pos: i, err: err}
+	case *Literal:
+		if t, ok := newTimeLit(v); ok {
+			return t
+		}
+		return v
+	case *Binary:
+		return &Binary{Op: v.Op, Left: ev.bind(v.Left), Right: ev.bind(v.Right)}
+	case *Unary:
+		return &Unary{Op: v.Op, X: ev.bind(v.X)}
+	case *IsNullExpr:
+		return &IsNullExpr{X: ev.bind(v.X), Negate: v.Negate}
+	case *InExpr:
+		in := &InExpr{X: ev.bind(v.X), Sub: v.Sub, Negate: v.Negate}
+		for _, le := range v.List {
+			in.List = append(in.List, ev.bind(le))
+		}
+		if set, ok := ev.subs[v]; ok {
+			ev.subs[in] = set
+		}
+		return in
+	case *BetweenExpr:
+		return &BetweenExpr{X: ev.bind(v.X), Lo: ev.bind(v.Lo), Hi: ev.bind(v.Hi), Negate: v.Negate}
+	case *LikeExpr:
+		return &LikeExpr{X: ev.bind(v.X), Pattern: v.Pattern, Negate: v.Negate}
+	case *AggFunc:
+		return &AggFunc{Name: v.Name, Star: v.Star, Distinct: v.Distinct, Arg: ev.bind(v.Arg)}
+	case *FuncExpr:
+		f := &FuncExpr{Name: v.Name, Args: make([]Expr, len(v.Args))}
+		for i, a := range v.Args {
+			f.Args[i] = ev.bind(a)
+		}
+		return f
+	}
+	return x
+}
+
+// eval computes x, an expression bound by bind, over row.
 func (ev *evaluator) eval(x Expr, row []telco.Value) (telco.Value, error) {
 	switch v := x.(type) {
+	case *colRef:
+		if v.err != nil {
+			return telco.Null, v.err
+		}
+		if v.pos >= len(row) {
+			return telco.Null, nil
+		}
+		return row[v.pos], nil
+	case *timeLit:
+		return telco.String(v.Str), nil
 	case *Literal:
 		switch {
 		case v.IsNull:
@@ -36,15 +171,6 @@ func (ev *evaluator) eval(x Expr, row []telco.Value) (telco.Value, error) {
 		default:
 			return telco.Float(v.Float), nil
 		}
-	case *ColumnRef:
-		i, err := ev.scope.resolve(v)
-		if err != nil {
-			return telco.Null, err
-		}
-		if i >= len(row) {
-			return telco.Null, nil
-		}
-		return row[i], nil
 	case *AggFunc:
 		if ev.aggValues == nil {
 			return telco.Null, fmt.Errorf("sql: aggregate %s outside aggregation", v.Name)
@@ -103,7 +229,7 @@ func (ev *evaluator) eval(x Expr, row []telco.Value) (telco.Value, error) {
 		if iv.IsNull() || lo.IsNull() || hi.IsNull() {
 			return telco.Null, nil
 		}
-		in := compare(iv, lo) >= 0 && compare(iv, hi) <= 0
+		in := compareTo(iv, lo, v.Lo) >= 0 && compareTo(iv, hi, v.Hi) <= 0
 		return boolVal(in != v.Negate), nil
 	case *LikeExpr:
 		iv, err := ev.eval(v.X, row)
@@ -306,20 +432,22 @@ func (ev *evaluator) evalBinary(b *Binary, row []telco.Value) (telco.Value, erro
 		if l.IsNull() || r.IsNull() {
 			return telco.Null, nil
 		}
-		c := compare(l, r)
-		switch b.Op {
-		case "=":
+		c, ok := timeLitCompare(l, r, b.Left, b.Right)
+		if !ok && (b.Op == "=" || b.Op == "!=") {
 			// Time = short-string-literal means containment in the
 			// literal's covered interval (the paper's T1 semantics:
 			// ts='201601221530' selects that minute).
 			if eq, ok := timePrefixEqual(l, r); ok {
-				return boolVal(eq), nil
+				return boolVal(eq == (b.Op == "=")), nil
 			}
+		}
+		if !ok {
+			c = compare(l, r)
+		}
+		switch b.Op {
+		case "=":
 			return boolVal(c == 0), nil
 		case "!=":
-			if eq, ok := timePrefixEqual(l, r); ok {
-				return boolVal(!eq), nil
-			}
 			return boolVal(c != 0), nil
 		case "<":
 			return boolVal(c < 0), nil
@@ -359,7 +487,7 @@ func (ev *evaluator) evalIn(v *InExpr, row []telco.Value) (telco.Value, error) {
 		if err != nil {
 			return telco.Null, err
 		}
-		if !lv.IsNull() && compare(iv, lv) == 0 {
+		if !lv.IsNull() && compareTo(iv, lv, le) == 0 {
 			return boolVal(!v.Negate), nil
 		}
 	}

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -187,20 +188,25 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 		return nil, err
 	}
 
+	// Scan each table, rebinding sc to the layouts its rows came in, then
+	// bind the statement to those layouts once: from here on the row loops
+	// read column positions.
+	tables, err := e.scanTables(ctx, stmt, sc, providers, specs)
+	if err != nil {
+		return nil, err
+	}
 	ev := &evaluator{scope: sc, subs: subs}
-
-	// Produce the joined row stream; the scans rebind sc to the layouts
-	// their rows came in.
-	rows, err := e.scanJoin(ctx, stmt, sc, providers, ev, specs)
+	b := ev.bindStmt(stmt)
+	rows, err := ev.join(tables, b.on)
 	if err != nil {
 		return nil, err
 	}
 
 	// WHERE.
-	if stmt.Where != nil {
+	if b.where != nil {
 		filtered := rows[:0]
 		for _, r := range rows {
-			keep, err := ev.evalBool(stmt.Where, r)
+			keep, err := ev.evalBool(b.where, r)
 			if err != nil {
 				return nil, err
 			}
@@ -213,9 +219,9 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 
 	// Aggregate or plain projection.
 	if stmt.GroupBy != nil || containsAgg(stmt) {
-		return e.aggregate(stmt, ev, rows)
+		return e.aggregate(stmt, ev, b, rows)
 	}
-	return e.project(stmt, ev, rows)
+	return e.project(stmt, ev, b, rows)
 }
 
 // baseHint builds the FROM table's scan hint: the conservative ts window
@@ -241,6 +247,7 @@ func scanTable(ctx context.Context, p Provider, hint ScanHint) (*telco.Schema, [
 		} else if !sameLayout(layout, t.Schema) {
 			return fmt.Errorf("sql: table %q changed row layout mid-scan", layout.Name)
 		}
+		rows = slices.Grow(rows, len(t.Rows))
 		for _, r := range t.Rows {
 			rows = append(rows, r)
 		}
@@ -265,11 +272,11 @@ func sameLayout(a, b *telco.Schema) bool {
 	return true
 }
 
-// scanJoin scans the FROM table (with ts pushdown) and nested-loop joins
-// the rest (the paper's T4 self-join path), binding sc to the layout each
-// table's rows came in: the combined row is the concatenation of those
-// layouts, narrow where a provider honored its spec's projection.
-func (e *Engine) scanJoin(ctx context.Context, stmt *SelectStmt, sc *scope, providers []Provider, ev *evaluator, specs []*scanspec.Spec) ([][]telco.Value, error) {
+// scanTables scans the FROM table (with ts pushdown) and every joined
+// table, binding sc to the layout each table's rows came in: the combined
+// row is the concatenation of those layouts, narrow where a provider honored
+// its spec's projection.
+func (e *Engine) scanTables(ctx context.Context, stmt *SelectStmt, sc *scope, providers []Provider, specs []*scanspec.Spec) ([][][]telco.Value, error) {
 	hints := make([]ScanHint, len(providers))
 	hints[0] = baseHint(stmt, sc)
 	for i := 1; i < len(providers); i++ {
@@ -289,8 +296,14 @@ func (e *Engine) scanJoin(ctx context.Context, stmt *SelectStmt, sc *scope, prov
 		sc.bindings[i].schema, sc.bindings[i].offset = layout, width
 		width += layout.NumFields()
 	}
+	return tables, nil
+}
+
+// join nested-loop joins the scanned tables in order (the paper's T4
+// self-join path), keeping the pairs each bound ON predicate accepts.
+func (ev *evaluator) join(tables [][][]telco.Value, on []Expr) ([][]telco.Value, error) {
 	rows := tables[0]
-	for ji, j := range stmt.Joins {
+	for ji, pred := range on {
 		var joined [][]telco.Value
 		var combined []telco.Value // reused until a pair is kept
 		for _, l := range rows {
@@ -299,7 +312,7 @@ func (e *Engine) scanJoin(ctx context.Context, stmt *SelectStmt, sc *scope, prov
 					combined = make([]telco.Value, 0, len(l)+len(r))
 				}
 				combined = append(append(combined[:0], l...), r...)
-				keep, err := ev.evalBool(j.On, combined)
+				keep, err := ev.evalBool(pred, combined)
 				if err != nil {
 					return nil, err
 				}
@@ -411,29 +424,102 @@ func containsAgg(stmt *SelectStmt) bool {
 	return found
 }
 
-// project handles non-aggregated SELECTs.
-func (e *Engine) project(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value) (*ResultSet, error) {
-	cols, exprs, err := outputColumns(stmt, ev.scope)
-	if err != nil {
-		return nil, err
+// bound is a statement bound to the layouts its rows arrived in: every
+// expression the row loops evaluate, with column references resolved to row
+// positions and canonical time literals converted (evaluator.bind), once per
+// statement.
+type bound struct {
+	on      []Expr   // per JOIN
+	where   Expr     // nil without WHERE
+	cols    []string // output names, * expanded
+	items   []Expr   // output expressions, aligned with cols
+	groupBy []Expr
+	having  Expr // nil without HAVING
+	orderBy []Expr
+	// orderOut is, per ORDER BY key, the output column a bare unqualified
+	// name sorts by (finishResult tries output names first), or -1.
+	orderOut []int
+}
+
+// bindStmt binds every expression of stmt against ev's scope.
+func (ev *evaluator) bindStmt(stmt *SelectStmt) *bound {
+	b := &bound{where: ev.bind(stmt.Where), having: ev.bind(stmt.Having)}
+	for _, j := range stmt.Joins {
+		b.on = append(b.on, ev.bind(j.On))
 	}
-	rs := &ResultSet{Cols: cols}
-	for _, r := range rows {
-		out := make([]telco.Value, len(exprs))
-		for i, ex := range exprs {
+	var exprs []Expr
+	b.cols, exprs = outputColumns(stmt, ev.scope)
+	for _, x := range exprs {
+		b.items = append(b.items, ev.bind(x))
+	}
+	for _, g := range stmt.GroupBy {
+		b.groupBy = append(b.groupBy, ev.bind(g))
+	}
+	for _, k := range stmt.OrderBy {
+		b.orderBy = append(b.orderBy, ev.bind(k.Expr))
+		out := -1
+		if c, isCol := k.Expr.(*ColumnRef); isCol && c.Qualifier == "" {
+			for ci, name := range b.cols {
+				if name == c.Name {
+					out = ci
+					break
+				}
+			}
+		}
+		b.orderOut = append(b.orderOut, out)
+	}
+	return b
+}
+
+// project handles non-aggregated SELECTs. When the SELECT list is the
+// row's own leading columns (a bare *, say), each answer row is the scanned
+// row resliced; otherwise answer rows are evaluated into one slab. Either
+// way an answer row's capacity is its width, so appending to one never
+// writes into another.
+func (e *Engine) project(stmt *SelectStmt, ev *evaluator, b *bound, rows [][]telco.Value) (*ResultSet, error) {
+	rs := &ResultSet{Cols: b.cols}
+	if len(rows) == 0 {
+		return finishResult(stmt, ev, b, rs, rows)
+	}
+	k := len(b.items)
+	leading := leadingColumns(b.items)
+	var slab []telco.Value
+	rs.Rows = make([][]telco.Value, len(rows))
+	for ri, r := range rows {
+		if leading && len(r) >= k {
+			rs.Rows[ri] = r[:k:k]
+			continue
+		}
+		if slab == nil {
+			slab = make([]telco.Value, (len(rows)-ri)*k)
+		}
+		out := slab[:k:k]
+		slab = slab[k:]
+		for i, ex := range b.items {
 			v, err := ev.eval(ex, r)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = v
 		}
-		rs.Rows = append(rs.Rows, out)
+		rs.Rows[ri] = out
 	}
-	return finishResult(stmt, ev, rs, rows)
+	return finishResult(stmt, ev, b, rs, rows)
+}
+
+// leadingColumns reports whether the bound items are the resolved columns
+// at positions 0 to len(items)-1, in order.
+func leadingColumns(items []Expr) bool {
+	for i, x := range items {
+		if c, ok := x.(*colRef); !ok || c.err != nil || c.pos != i {
+			return false
+		}
+	}
+	return true
 }
 
 // outputColumns expands * and names output columns.
-func outputColumns(stmt *SelectStmt, sc *scope) ([]string, []Expr, error) {
+func outputColumns(stmt *SelectStmt, sc *scope) ([]string, []Expr) {
 	var cols []string
 	var exprs []Expr
 	for _, it := range stmt.Items {
@@ -453,11 +539,11 @@ func outputColumns(stmt *SelectStmt, sc *scope) ([]string, []Expr, error) {
 		cols = append(cols, name)
 		exprs = append(exprs, it.Expr)
 	}
-	return cols, exprs, nil
+	return cols, exprs
 }
 
 // aggregate executes GROUP BY / aggregate queries with hash grouping.
-func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value) (*ResultSet, error) {
+func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, b *bound, rows [][]telco.Value) (*ResultSet, error) {
 	// Collect every aggregate instance referenced by the statement.
 	var aggs []*AggFunc
 	var collect func(Expr)
@@ -476,16 +562,14 @@ func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value
 			}
 		}
 	}
-	for _, it := range stmt.Items {
-		if it.Expr != nil {
-			collect(it.Expr)
-		}
+	for _, x := range b.items {
+		collect(x)
 	}
-	if stmt.Having != nil {
-		collect(stmt.Having)
+	if b.having != nil {
+		collect(b.having)
 	}
-	for _, k := range stmt.OrderBy {
-		collect(k.Expr)
+	for _, k := range b.orderBy {
+		collect(k)
 	}
 
 	type group struct {
@@ -497,7 +581,7 @@ func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value
 
 	for _, r := range rows {
 		var kb strings.Builder
-		for _, g := range stmt.GroupBy {
+		for _, g := range b.groupBy {
 			v, err := ev.eval(g, r)
 			if err != nil {
 				return nil, err
@@ -537,11 +621,7 @@ func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value
 		orderKeys = append(orderKeys, "")
 	}
 
-	cols, exprs, err := outputColumns(stmt, ev.scope)
-	if err != nil {
-		return nil, err
-	}
-	rs := &ResultSet{Cols: cols}
+	rs := &ResultSet{Cols: b.cols}
 	var resultContexts [][]telco.Value
 	for _, key := range orderKeys {
 		grp := groups[key]
@@ -549,8 +629,8 @@ func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value
 		for i, a := range aggs {
 			ev.aggValues[a] = grp.states[i].value()
 		}
-		if stmt.Having != nil {
-			keep, err := ev.evalBool(stmt.Having, grp.first)
+		if b.having != nil {
+			keep, err := ev.evalBool(b.having, grp.first)
 			if err != nil {
 				return nil, err
 			}
@@ -558,8 +638,8 @@ func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value
 				continue
 			}
 		}
-		out := make([]telco.Value, len(exprs))
-		for i, ex := range exprs {
+		out := make([]telco.Value, len(b.items))
+		for i, ex := range b.items {
 			v, err := ev.eval(ex, grp.first)
 			if err != nil {
 				return nil, err
@@ -571,11 +651,11 @@ func (e *Engine) aggregate(stmt *SelectStmt, ev *evaluator, rows [][]telco.Value
 		// Keep agg values alive for ORDER BY evaluation of this row.
 		ev.rowAggs = append(ev.rowAggs, ev.aggValues)
 	}
-	return finishResult(stmt, ev, rs, resultContexts)
+	return finishResult(stmt, ev, b, rs, resultContexts)
 }
 
 // finishResult applies DISTINCT, ORDER BY and LIMIT.
-func finishResult(stmt *SelectStmt, ev *evaluator, rs *ResultSet, contexts [][]telco.Value) (*ResultSet, error) {
+func finishResult(stmt *SelectStmt, ev *evaluator, b *bound, rs *ResultSet, contexts [][]telco.Value) (*ResultSet, error) {
 	if stmt.Distinct {
 		seen := map[string]bool{}
 		var rows [][]telco.Value
@@ -609,22 +689,12 @@ func finishResult(stmt *SelectStmt, ev *evaluator, rs *ResultSet, contexts [][]t
 				ev.aggValues = ev.rowAggs[i]
 			}
 			ks := make([]telco.Value, len(stmt.OrderBy))
-			for j, ok := range stmt.OrderBy {
-				// Try output alias first.
-				if c, isCol := ok.Expr.(*ColumnRef); isCol && c.Qualifier == "" {
-					found := false
-					for ci, name := range rs.Cols {
-						if name == c.Name {
-							ks[j] = rs.Rows[i][ci]
-							found = true
-							break
-						}
-					}
-					if found {
-						continue
-					}
+			for j, x := range b.orderBy {
+				if ci := b.orderOut[j]; ci >= 0 {
+					ks[j] = rs.Rows[i][ci]
+					continue
 				}
-				v, err := ev.eval(ok.Expr, ctx)
+				v, err := ev.eval(x, ctx)
 				if err != nil {
 					return nil, err
 				}

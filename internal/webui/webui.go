@@ -307,11 +307,18 @@ type HighlightJSON struct {
 // the zero box ("everywhere"). A value is read as fmt's %g reads it (spaces
 // around it skipped, anything after the number ignored); an absent one
 // skips the scan, which is most of what a box-less request would cost here.
+// A plain decimal — what every client sends — is the token %g would hand
+// strconv.ParseFloat whole, so it goes there directly.
 func parseBoxQuery(q url.Values) geo.Rect {
 	get := func(k string) (float64, bool) {
 		v := q.Get(k)
 		if v == "" {
 			return 0, false
+		}
+		if plainDecimal(v) {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				return f, true
+			}
 		}
 		var f float64
 		if _, err := fmt.Sscanf(v, "%g", &f); err == nil {
@@ -326,6 +333,26 @@ func parseBoxQuery(q url.Values) geo.Rect {
 		return geo.NewRect(x1, y1, x2, y2)
 	}
 	return geo.Rect{}
+}
+
+// plainDecimal reports whether s is an optional sign, then digits with at
+// most one decimal point among or around them, and at least one digit.
+func plainDecimal(s string) bool {
+	if s != "" && (s[0] == '-' || s[0] == '+') {
+		s = s[1:]
+	}
+	digits, point := false, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			digits = true
+		case c == '.' && !point:
+			point = true
+		default:
+			return false
+		}
+	}
+	return digits
 }
 
 // handleExplore parses the request's query string once and renders the

@@ -431,6 +431,44 @@ func TestParseBoxQuery(t *testing.T) {
 	}
 }
 
+// FuzzParseBoxQuery: a box reads, corner for corner and bit for bit, what
+// fmt's %g makes of each parameter — the plain-decimal shortcut included.
+func FuzzParseBoxQuery(f *testing.F) {
+	for _, v := range []string{
+		"1.5", "-3e2", " 2 ", "0x1p-2", "1_000", ".5", "5.", "+7", "-", "+", ".", "-.",
+		"1e400", "00012.5000", "-0", "1.5.5", "Inf", "nan", "1,5",
+		"123456789012345678901234567890", "0.000000000000000000000000000001", "٣",
+		"1" + strings.Repeat("0", 400), "-0." + strings.Repeat("0", 400) + "1",
+	} {
+		f.Add(v, "2.25")
+	}
+	sscan := func(v string) (float64, bool) {
+		var x float64
+		if v == "" {
+			return 0, false
+		}
+		_, err := fmt.Sscanf(v, "%g", &x)
+		return x, err == nil
+	}
+	bits := func(r geo.Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.MinX), math.Float64bits(r.MinY), math.Float64bits(r.MaxX), math.Float64bits(r.MaxY)}
+	}
+	f.Fuzz(func(t *testing.T, minx, miny string) {
+		want := geo.Rect{}
+		if x, ok := sscan(minx); ok {
+			y, ok := sscan(miny)
+			if !ok {
+				y = 0
+			}
+			want = geo.NewRect(x, y, 40, 30)
+		}
+		q := url.Values{"minx": {minx}, "miny": {miny}, "maxx": {"40"}, "maxy": {"30"}}
+		if got := parseBoxQuery(q); bits(got) != bits(want) {
+			t.Fatalf("minx=%q miny=%q: %v, want %v", minx, miny, got, want)
+		}
+	})
+}
+
 // TestCachedExploreHitsRace: requests under every attr= mode hit one
 // cached answer at once, filling and reading its memo of rendered cells,
 // while the result cache is cleared (what an ingest does to it) and the
