@@ -47,7 +47,9 @@ race:
 # one cached answer's memo of rendered cells, against the cache's Clear and
 # Invalidate (9–12 s at -count=20 -cpu 1,2 on 2 vCPUs). The seventh races
 # explorations that share the coordinator's memoized shard parts against
-# appends, seals and a decay run on the shards under them (about 26 s).
+# appends, seals and a decay run on the shards under them (about 26 s), and
+# the eighth explorations served the coordinator's kept answers, checked
+# against the digests of parts those writes change (about 31 s).
 flaky:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestThunderingHerd$$' ./internal/serving/
 	$(GO) test -count=20 -cpu 1,2 -run 'TestStreamSealerAdvancesWithDataTime$$' ./internal/core/
@@ -56,6 +58,7 @@ flaky:
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestConcurrentDecayExplore$$' ./internal/core/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestCachedExploreHitsRace$$' ./internal/webui/
 	$(GO) test -race -count=20 -cpu 1,2 -run 'TestPartMemoRace$$' ./internal/cluster/
+	$(GO) test -race -count=20 -cpu 1,2 -run 'TestAnswerCacheRace$$' ./internal/cluster/
 
 # The un-raced counterpart of race's GOMAXPROCS sweep, cheap enough for
 # every CI run: the whole tree starved, at the box's width and

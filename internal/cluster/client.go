@@ -78,7 +78,8 @@ func (c *client) post(ctx context.Context, base, path string, req, resp any) err
 }
 
 // explore posts req to base's /rpc/explore and reads the explore frame it
-// answers with, decoding the summary parts it does not hold yet and
+// answers with, decoding the summary parts it does not hold yet — those
+// whose bytes the frame leaves out are the parts req.held names — and
 // checking the partials on the caller's goroutine. A 200 that is not an
 // explore frame comes from a node of another version.
 func (c *client) explore(ctx context.Context, base string, req exploreRequest) (*exploreResponse, error) {
@@ -96,7 +97,7 @@ func (c *client) explore(ctx context.Context, base string, req exploreRequest) (
 		if err != nil {
 			return err
 		}
-		if resp, err = readExploreFrame(body, c.parts); err != nil {
+		if resp, err = readExploreFrame(body, c.parts, req.held); err != nil {
 			return err
 		}
 		if req.AggTable != "" {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"spate/internal/cache"
 	"spate/internal/core"
 	"spate/internal/geo"
 	"spate/internal/highlights"
@@ -31,6 +32,9 @@ type Coordinator struct {
 	cl    *client
 	cells *core.CellInventory
 	met   *clusterMetrics
+	// answers are finished explorations by query (answer), reporting as
+	// spate_cluster_answer_cache_*.
+	answers *cache.LRU[*answer]
 }
 
 // Result is a scatter-gathered exploration answer: a core.Result — Summary
@@ -40,8 +44,9 @@ type Coordinator struct {
 // totalling the surviving shards' scan cost with the per-shard split in
 // Profile.Shards (failed slots appear with Missing/Error set and a zero
 // profile) — plus the degradation contract: a Result with Partial set is a
-// correct answer for the window minus the Missing ranges. What only one
-// engine knows about its own evaluation (covering level, cache hit, stages,
+// correct answer for the window minus the Missing ranges. CacheHit marks
+// an answer the coordinator kept from an earlier ask (see Explore). What
+// only one engine knows about its own evaluation (covering level, stages,
 // pruning counts) stays zero.
 type Result struct {
 	core.Result
@@ -101,6 +106,8 @@ func newCoordinator(cfg Config, m *ShardMap, nodes [][]string, cells *core.CellI
 		cl:    newClient(cfg.Obs),
 		cells: cells,
 		met:   newClusterMetrics(cfg.Obs, m.Shards),
+		answers: cache.New("spate_cluster_answer_cache", "Finished cluster explore answers",
+			answerCacheBytes, (*answer).sizeBytes, cfg.Obs),
 	}, nil
 }
 
@@ -456,6 +463,53 @@ func appendRows(dst map[string]*telco.Table, resp *exploreResponse) error {
 	return nil
 }
 
+// answerCacheBytes bounds the finished explore answers a coordinator
+// keeps, as answer.sizeBytes charges them (core.Result.SizeBytes and the
+// digests). A 6 h answer over a modest feed takes tens of KiB — its merged
+// window summary and cells — so the bound holds the head of an analyst's
+// working set of windows, not all of it: holding every answer would cost
+// more memory than it saves CPU.
+const answerCacheBytes = 8 << 20
+
+// answer is a finished exploration a coordinator keeps under its query's
+// core.Query.CacheKey: the merged answer — Summary, Cells, Highlights,
+// ServedPeriod, and the memo its hits keep a rendering of the cells in —
+// and, per slot of the scatter in slot order, the digests of the parts the
+// slot answered with, concatenated in frame order. Only a complete answer
+// without exact rows is kept.
+//
+// A kept answer is served again only when every slot answers with the very
+// same digests: equal digests are equal encodings, so the merge would fold
+// the very same parts in the very same order. An append, seal, decay or
+// compaction on a shard changes a part's digest and so re-merges the
+// answer; nothing needs invalidating here.
+type answer struct {
+	res   *core.Result
+	slots []string
+}
+
+func (a *answer) sizeBytes() int64 {
+	n := a.res.SizeBytes() + 64
+	for _, digests := range a.slots {
+		n += int64(len(digests)) + 16
+	}
+	return n
+}
+
+// matches reports whether a scatter's slots all answered with the parts a
+// was merged from.
+func (a *answer) matches(outs []slotOutcome) bool {
+	if len(outs) != len(a.slots) {
+		return false
+	}
+	for i, o := range outs {
+		if o.err != nil || o.resp.digests != a.slots[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Explore evaluates Q(a, b, w) across the cluster: the window selects the
 // time shards to scatter to, the box selects the bands, and the gathered
 // summary parts fold in one flat chronological merge — the association
@@ -463,6 +517,13 @@ func appendRows(dst map[string]*telco.Table, resp *exploreResponse) error {
 // Shards that fail every attempt degrade the answer instead of failing it:
 // Partial is set and their owned window ranges are listed in Missing. Only
 // when every touched shard fails does Explore return an error.
+//
+// A query asked before is still scattered, but cheaply: the request names
+// the parts of the answer the coordinator keeps for it (answer), and the
+// slots ship those as digests alone. When every slot's digests are the
+// kept answer's, the answer is served as it is, with CacheHit set — no
+// merge, no restriction, no extraction; otherwise the parts merge as for a
+// first ask and the merged answer replaces the kept one.
 func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error) {
 	shards := c.smap.TimeShardsFor(q.Window)
 	if len(shards) == 0 {
@@ -487,17 +548,24 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		req.Boxed = true
 		req.MinX, req.MinY, req.MaxX, req.MaxY = q.Box.MinX, q.Box.MinY, q.Box.MaxX, q.Box.MaxY
 	}
+	var key string
+	var kept *answer
+	if !q.ExactRows {
+		key = q.CacheKey()
+		if kept, _ = c.answers.Get(key); kept != nil {
+			req.Have, req.held = c.cl.parts.held(kept.slots)
+		}
+	}
 	outs := c.scatter(ctx, shards, bands, req)
 
-	res := &Result{Result: core.Result{ServedPeriod: q.Window}, ShardsQueried: len(shards), TraceID: span.TraceID()}
-	res.Profile.TraceID = res.TraceID
-	foldShards(&res.Profile, outs)
+	res := &Result{ShardsQueried: len(shards), TraceID: span.TraceID()}
 	fail := func(err error) (*Result, error) {
 		span.SetError(err)
 		return nil, err
 	}
 	failed := make(map[int]bool)
-	leaves, live, decoded, reused := 0, 0, 0, 0
+	scanned, decayed, leaves, live := 0, 0, 0, 0
+	partsDecoded, partsReused, partsOmitted := 0, 0, 0
 	var parts []*highlights.Summary
 	var firstErr error
 	for _, o := range outs {
@@ -512,13 +580,14 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		if o.sp.HedgeWin {
 			res.HedgeWins++
 		}
-		res.ScannedLeaves += o.resp.Scanned
-		res.DecayedLeaves += o.resp.Decayed
+		scanned += o.resp.Scanned
+		decayed += o.resp.Decayed
 		leaves += o.resp.Leaves
 		live += o.resp.Live
 		parts = append(parts, o.resp.Parts...)
-		decoded += o.resp.partsDecoded
-		reused += o.resp.partsReused
+		partsDecoded += o.resp.partsDecoded
+		partsReused += o.resp.partsReused
+		partsOmitted += o.resp.partsOmitted
 	}
 	if len(failed) == len(shards) {
 		return fail(fmt.Errorf("cluster: all %d shards failed: %w", len(shards), firstErr))
@@ -528,20 +597,35 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		// memtable rows anywhere — mirror the single engine.
 		return nil, fmt.Errorf("core: no data ingested")
 	}
-
-	// One flat chronological fold, exactly like a monolithic engine's merge
-	// stage. Parts from different slots are disjoint in time (or disjoint
-	// in cells under a spatial split), so ordering by period start
-	// reproduces the single engine's association order. The parts were
-	// decoded in the replicas' goroutines, or taken from the part memo;
-	// only the merge is left here.
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Period.From.Before(parts[j].Period.From) })
 	span.SetAttr("parts", strconv.Itoa(len(parts)))
-	span.SetAttr("parts_decoded", strconv.Itoa(decoded))
-	span.SetAttr("parts_reused", strconv.Itoa(reused))
-	merged := highlights.Merge(q.Window, parts...)
-	res.Summary, res.Cells = c.cells.Restrict(merged, q.Box, q.Attrs)
-	res.Highlights = merged.Extract(c.cfg.Theta)
+	span.SetAttr("parts_decoded", strconv.Itoa(partsDecoded))
+	span.SetAttr("parts_reused", strconv.Itoa(partsReused))
+	span.SetAttr("parts_omitted", strconv.Itoa(partsOmitted))
+
+	if kept != nil && kept.matches(outs) {
+		span.SetAttr("answer", "hit")
+		res.Result = *kept.res
+		res.CacheHit = true
+	} else {
+		span.SetAttr("answer", "miss")
+		// One flat chronological fold, exactly like a monolithic engine's
+		// merge stage. Parts from different slots are disjoint in time (or
+		// disjoint in cells under a spatial split), so ordering by period
+		// start reproduces the single engine's association order. The
+		// parts were decoded in the replicas' goroutines, or taken from
+		// the part memo; only the merge is left here.
+		sort.SliceStable(parts, func(i, j int) bool { return parts[i].Period.From.Before(parts[j].Period.From) })
+		merged := highlights.Merge(q.Window, parts...)
+		res.ServedPeriod = q.Window
+		res.Summary, res.Cells = c.cells.Restrict(merged, q.Box, q.Attrs)
+		res.Highlights = merged.Extract(c.cfg.Theta)
+		if key != "" && len(failed) == 0 {
+			c.keep(key, res.Result, outs)
+		}
+	}
+	res.ScannedLeaves, res.DecayedLeaves = scanned, decayed
+	res.Profile.TraceID = res.TraceID
+	foldShards(&res.Profile, outs)
 
 	if q.ExactRows {
 		res.Rows = make(map[string]*telco.Table)
@@ -554,7 +638,6 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 			}
 		}
 	}
-
 	if len(failed) > 0 {
 		res.Partial = true
 		res.ShardsFailed = len(failed)
@@ -577,6 +660,18 @@ func (c *Coordinator) Explore(ctx context.Context, q core.Query) (*Result, error
 		p.Shards = append(p.Shards, res.Profile.Shards...)
 	}
 	return res, nil
+}
+
+// keep stores r, a complete answer merged from the parts outs answered
+// with, under key. r holds only what the merge produced: the rest of an
+// answer describes one scatter.
+func (c *Coordinator) keep(key string, r core.Result, outs []slotOutcome) {
+	slots := make([]string, len(outs))
+	for i, o := range outs {
+		slots[i] = o.resp.digests
+	}
+	r.ReserveCellsMemo()
+	c.answers.Put(key, &answer{res: &r, slots: slots})
 }
 
 // AggregatePartials evaluates a pushed-down aggregate spec across the

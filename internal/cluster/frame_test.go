@@ -392,14 +392,18 @@ func TestExploreAnswerIsAFrame(t *testing.T) {
 // FuzzExploreFrame: the frame reader, which decodes every part it does
 // not hold yet, every rows table and the partials, never panics and
 // allocates no more than a bound proportional to its input. Each input is
-// read twice, into a fresh part memo each time: as it is, and with its
-// parts' digests made to match their bytes, so mutated parts reach the
-// part decoder as well as the digest check. Seeds are real node answers —
-// parts and rows, rows alone, partials, an empty shard's, and a T2-shaped
-// narrow row scan — a frame whose partials section holds an unknown value
-// kind, one whose rows table lists its fields out of stored order, frames
-// whose parts travel under another part's digest or a cut one, and frames
-// whose partials are out of key order or repeat a key.
+// read twice, into a fresh part memo each time and as the answer to a
+// request whose have list named one part: as it is, and with its parts'
+// digests made to match their bytes, so mutated parts reach the part
+// decoder as well as the digest check. Seeds are real node answers —
+// parts and rows, rows alone, partials, an empty shard's, a T2-shaped
+// narrow row scan, and parts beside the named one whose bytes it leaves
+// out — a frame whose partials section holds an unknown value kind, one
+// whose rows table lists its fields out of stored order, frames whose parts
+// travel under another part's digest or a cut one, a frame that leaves out
+// the bytes of a part the request did not name, one cut inside a left-out
+// part's digest, and frames whose partials are out of key order or repeat
+// a key.
 func FuzzExploreFrame(f *testing.F) {
 	g, snaps, window := testTrace(f, 1)
 	eng := newRefEngine(f, g)
@@ -441,6 +445,16 @@ func FuzzExploreFrame(f *testing.F) {
 	f.Add(rawFrameSums(`{"leaves":1}`, [][sha256.Size]byte{sha256.Sum256(a), sha256.Sum256(a)}, [][]byte{a, b}, nil, nil))
 	const hdr = `{"leaves":1}`
 	f.Add(rawFrame(hdr, [][]byte{a}, nil, nil)[:1+len(hdr)+1+sha256.Size/2]) // cut inside the digest
+	// The request behind every input named one real part of the node's.
+	named := askNode(f, NewNode(eng), parts).Parts[0]
+	sum, sumB := named.Digest(), sha256.Sum256(b)
+	held := map[string]*highlights.Summary{string(sum[:]): named}
+	req := parts
+	req.Have = sum[:]
+	f.Add(exploreFrame(f, NewNode(eng), req))
+	f.Add(rawFrameSums(hdr, [][sha256.Size]byte{sum, sumB}, [][]byte{nil, b}, nil, nil))
+	f.Add(rawFrameSums(hdr, [][sha256.Size]byte{sumB}, [][]byte{nil}, nil, nil))                             // left out, not named
+	f.Add(rawFrameSums(hdr, [][sha256.Size]byte{sum}, [][]byte{nil}, nil, nil)[:1+len(hdr)+1+sha256.Size/2]) // cut inside its digest
 	cell := func(key string) scanspec.Partial {
 		return scanspec.Partial{Key: key, Group: scanspec.WireValue{Kind: "int", Val: key}, Cells: []scanspec.Cell{{Seen: true, Count: 1}}}
 	}
@@ -450,7 +464,7 @@ func FuzzExploreFrame(f *testing.F) {
 		for _, frame := range [][]byte{data, rehashParts(data)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			readExploreFrame(frame, newPartMemo(obs.NewNoop()))
+			readExploreFrame(frame, newPartMemo(obs.NewNoop()), held)
 			runtime.ReadMemStats(&after)
 			if n := after.TotalAlloc - before.TotalAlloc; n > uint64(64*len(frame)+64<<10) {
 				t.Fatalf("reading a %d-byte frame allocated %d bytes", len(frame), n)

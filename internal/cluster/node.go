@@ -212,6 +212,11 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		rpcError(w, http.StatusBadRequest, err)
 		return
 	}
+	have, err := readHave(req.Have)
+	if err != nil {
+		rpcError(w, http.StatusBadRequest, err)
+		return
+	}
 	// Root a shard-local span continuing the coordinator's trace (when the
 	// request carries one) and accrue the shard-local cost profile; both
 	// ride back on the response for coordinator-side stitching.
@@ -225,20 +230,21 @@ func (n *Node) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// An empty shard legitimately owns no data in any window; the
 		// coordinator decides whether the cluster as a whole is empty.
 		span.SetAttr("empty", "true")
-		writeExploreFrame(w, &resp, frameSections(nil, nil, nil))
+		writeExploreFrame(w, &resp, frameSections(nil, nil, nil, nil))
 		return
 	}
 	fail := func(err error) {
 		span.SetError(err)
 		rpcError(w, http.StatusInternalServerError, err)
 	}
-	// answer lays out the frame's sections inside the span, then ships them
-	// with the shard-local profile and span subtree.
+	// answer lays out the frame's sections inside the span — the bytes of
+	// a part the request's have list names left out — then ships them with
+	// the shard-local profile and span subtree.
 	var parts []*highlights.Summary
 	var tables map[string]*telco.Table
 	var partials []scanspec.Partial
 	answer := func(attr string, v int) {
-		body := frameSections(parts, tables, partials)
+		body := frameSections(parts, have, tables, partials)
 		resp.Profile = prof
 		if span != nil {
 			span.SetAttr(attr, strconv.Itoa(v))

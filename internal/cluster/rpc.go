@@ -7,17 +7,19 @@ package cluster
 // explore frame instead (exploreFrameType): a JSON header, then the shard's
 // summary parts, each as the SHA-256 of its binary encoding
 // (highlights.Summary.Digest) followed by that encoding
-// (highlights.Summary.Encode), its exact rows as record text in the layout
-// the shard scanned them in (the section names the layout's fields) and its
-// partial aggregates in their binary form (scanspec.AppendPartials), each
+// (highlights.Summary.Encode) — or by nothing, when the request's have list
+// named the digest — its exact rows as record text in the layout the shard
+// scanned them in (the section names the layout's fields) and its partial
+// aggregates in their binary form (scanspec.AppendPartials), each
 // length-prefixed — no base64, and no copies on the node: it writes the
 // memoized part encodings and digests and the row text straight to the
 // response. A coordinator reads a frame into one buffer and decodes every
 // section of it once, in the goroutine that asked the replica: rows into
 // tables of their layout, partials, and parts into summaries — a part only
 // when its digest is not already in the coordinator's part memo
-// (partMemo), which keeps decoded parts by content. Timestamps travel as
-// Unix seconds. Trace context propagates out-of-envelope in the
+// (partMemo), which keeps decoded parts by content; a part whose bytes were
+// left out is the one the coordinator named, and holds, already. Timestamps
+// travel as Unix seconds. Trace context propagates out-of-envelope in the
 // X-Spate-Trace header (obs.TraceHeader); the shard's recorded subtree
 // rides back in the explore frame's header.
 
@@ -94,6 +96,40 @@ type exploreRequest struct {
 	// predicate exactly — and responds with Partials instead of summary
 	// parts or rows.
 	AggTable string `json:"agg_table,omitempty"`
+	// Have names summary parts the coordinator holds decoded, as their
+	// digests concatenated (at most maxHave of them): the node writes such
+	// a part's digest and leaves its bytes out.
+	Have []byte `json:"have,omitempty"`
+
+	// held is the coordinator's side of Have: the parts it named, by
+	// digest. It keeps them for the request's lifetime, so a part whose
+	// bytes the answer leaves out is at hand however the part memo evicts
+	// meanwhile.
+	held map[string]*highlights.Summary
+}
+
+// maxHave bounds the digests a have list names; a node refuses a longer
+// one. A coordinator names the parts of one kept answer, which are a few
+// dozen even for a window of years (day, month and year parts).
+const maxHave = 4096
+
+// readHave checks a have list and returns its digests as a set.
+func readHave(have []byte) (map[string]bool, error) {
+	if len(have)%sha256.Size != 0 {
+		return nil, fmt.Errorf("have: %d bytes are not a list of %d-byte digests", len(have), sha256.Size)
+	}
+	n := len(have) / sha256.Size
+	if n > maxHave {
+		return nil, fmt.Errorf("have: %d digests, over the bound of %d", n, maxHave)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	set := make(map[string]bool, n)
+	for i := 0; i < len(have); i += sha256.Size {
+		set[string(have[i:i+sha256.Size])] = true
+	}
+	return set, nil
 }
 
 // exploreResponse is a shard's explore answer. Parts, Rows and Partials
@@ -123,12 +159,14 @@ type exploreResponse struct {
 	// under its own slot span.
 	Trace *obs.SpanJSON `json:"trace,omitempty"`
 
+	// digests are the parts' SHA-256s, concatenated in frame order;
 	// frameBytes is the size of the frame the answer came in, rows the
-	// number of rows decoded from it, and partsDecoded and partsReused
-	// count its parts decoded from the frame and taken from the part memo
-	// (coordinator side).
-	frameBytes, rows          int
-	partsDecoded, partsReused int
+	// number of rows decoded from it, and partsDecoded, partsReused and
+	// partsOmitted count its parts decoded from the frame, the rest, and of
+	// those the parts whose bytes it left out (coordinator side).
+	digests                                 string
+	frameBytes, rows                        int
+	partsDecoded, partsReused, partsOmitted int
 }
 
 type healthResponse struct {
@@ -146,13 +184,14 @@ type errorResponse struct {
 // exploreFrameType is the Content-Type of an explore frame. Its version
 // names the frame layout and the encodings inside it together: a
 // coordinator refuses any other 200 answer as a version mismatch.
-const exploreFrameType = "application/x-spate-explore-frame; v=4"
+const exploreFrameType = "application/x-spate-explore-frame; v=5"
 
 // The explore frame is /rpc/explore's 200 answer:
 //
 //	uvarint n, n bytes   JSON header: the exploreResponse without Parts, Rows and Partials
 //	uvarint n, n × (32-byte digest, uvarint len, part)
-//	                     part highlights.Summary.Encode, digest its SHA-256
+//	                     part highlights.Summary.Encode, digest its SHA-256;
+//	                     len 0 and no part for a digest the request's have named
 //	uvarint n, n × (uvarint len, table name, uvarint len, field list, uvarint len, row text)
 //	uvarint n, n bytes   partials: scanspec.AppendPartials
 //
@@ -164,23 +203,33 @@ const exploreFrameType = "application/x-spate-explore-frame; v=4"
 // digests are memoized on the summaries) and writes the frame once that
 // span has ended, since the header carries it.
 //
-// A part's bytes travel even when the coordinator holds the part already,
-// so a miss never costs a second round trip; what the digest saves is the
-// decode.
+// A part's bytes travel unless the request's have list named its digest —
+// the parts of the answer the coordinator keeps for the query, which it
+// holds decoded — and an encoding is never empty, so length 0 says "left
+// out" unambiguously. The digest travels either way: the coordinator
+// serves its kept answer when every slot's digests are the ones the answer
+// was merged from. A part the coordinator did not name travels whole, even
+// one its memo holds, and what its digest saves then is the decode.
 
 // maxFrameBytes bounds the explore frame a coordinator reads: a larger
 // Content-Length is refused before anything is allocated for it.
 const maxFrameBytes = 1 << 30
 
 // frameSections lays out the sections of an explore frame that follow its
-// header: the parts' encodings, each rows table (name, field list, row
-// text; names sorted) and the partials.
-func frameSections(parts []*highlights.Summary, rows map[string]*telco.Table, partials []scanspec.Partial) *frameWriter {
+// header: the parts' digests and encodings — no encoding for a part whose
+// digest is in have — each rows table (name, field list, row text; names
+// sorted) and the partials.
+func frameSections(parts []*highlights.Summary, have map[string]bool, rows map[string]*telco.Table, partials []scanspec.Partial) *frameWriter {
 	f := new(frameWriter)
 	f.uvarint(len(parts))
 	for _, p := range parts {
+		sum := p.Digest()
+		f.digest(sum)
+		if have[string(sum[:])] {
+			f.uvarint(0)
+			continue
+		}
 		data, _ := p.Encode() // never fails
-		f.digest(p.Digest())
 		f.field(data)
 	}
 	names := make([]string, 0, len(rows))
@@ -285,11 +334,13 @@ func readFrameBody(hresp *http.Response) ([]byte, error) {
 }
 
 // readExploreFrame reads an explore frame and decodes every section of it:
-// each summary part through the part memo (partMemo.part), each rows table
-// into a table of the layout its field list names (readRows), and the
-// partials. Every count is checked against the bytes left before anything
-// is sized by it, so what it allocates is bounded by the frame's length.
-func readExploreFrame(data []byte, parts *partMemo) (*exploreResponse, error) {
+// each summary part through the part memo (partMemo.part) — or, when the
+// frame left its bytes out, as the part held names by its digest, and a
+// digest held does not name fails the frame — each rows table into a table
+// of the layout its field list names (readRows), and the partials. Every
+// count is checked against the bytes left before anything is sized by it,
+// so what it allocates is bounded by the frame's length.
+func readExploreFrame(data []byte, parts *partMemo, held map[string]*highlights.Summary) (*exploreResponse, error) {
 	r := frameReader{b: data}
 	hdr := r.field()
 	if r.err != nil {
@@ -302,10 +353,22 @@ func readExploreFrame(data []byte, parts *partMemo) (*exploreResponse, error) {
 	resp.frameBytes = len(data)
 	n := r.count(sha256.Size + 1)
 	resp.Parts = make([]*highlights.Summary, n)
+	digests := make([]byte, 0, n*sha256.Size)
 	for i := range resp.Parts {
 		sum, part := r.fixed(sha256.Size), r.field()
 		if r.err != nil {
 			return nil, r.err
+		}
+		digests = append(digests, sum...)
+		if len(part) == 0 {
+			s, ok := held[string(sum)]
+			if !ok {
+				return nil, fmt.Errorf("explore frame: part %d: %w", i, errPartOmitted)
+			}
+			resp.Parts[i] = s
+			resp.partsReused++
+			resp.partsOmitted++
+			continue
 		}
 		s, decoded, err := parts.part(sum, part)
 		if err != nil {
@@ -318,6 +381,7 @@ func readExploreFrame(data []byte, parts *partMemo) (*exploreResponse, error) {
 		}
 		resp.Parts[i] = s
 	}
+	resp.digests = string(digests)
 	n = r.count(3)
 	resp.Rows = make(map[string]*telco.Table)
 	for i := 0; i < n; i++ {
@@ -449,7 +513,10 @@ func newPartMemo(reg *obs.Registry) *partMemo {
 		partMemoBytes, (*highlights.Summary).SizeHint, reg)}
 }
 
-var errPartDigest = errors.New("part bytes do not hash to their digest")
+var (
+	errPartDigest  = errors.New("part bytes do not hash to their digest")
+	errPartOmitted = errors.New("part bytes left out, but the request did not name its digest")
+)
 
 // part returns the summary whose encoding hashes to sum: the one the memo
 // holds, else data decoded — once, however many replicas' frames carry it
@@ -465,4 +532,32 @@ func (m *partMemo) part(sum, data []byte) (s *highlights.Summary, decoded bool, 
 		return highlights.DecodeBinary(data)
 	})
 	return s, decoded, err
+}
+
+// held looks up the parts a kept answer was merged from (slots: each slot's
+// digests, concatenated) and returns the ones the memo still holds: their
+// digests, concatenated as a have list — at most maxHave of them — and the
+// parts by digest. A lookup marks the part recently used, so the parts of
+// an answer asked often stay in the memo however rarely they are decoded.
+func (m *partMemo) held(slots []string) (have []byte, parts map[string]*highlights.Summary) {
+	for _, digests := range slots {
+		for i := 0; i+sha256.Size <= len(digests); i += sha256.Size {
+			if len(parts) == maxHave {
+				return have, parts
+			}
+			sum := digests[i : i+sha256.Size]
+			s, ok := m.lru.Get(sum)
+			if !ok {
+				continue
+			}
+			if parts == nil {
+				parts = make(map[string]*highlights.Summary)
+			}
+			if _, dup := parts[sum]; !dup {
+				parts[sum] = s
+				have = append(have, sum...)
+			}
+		}
+	}
+	return have, parts
 }

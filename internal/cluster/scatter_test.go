@@ -130,11 +130,11 @@ func TestNodeRepeatedExploreRebuildsNothing(t *testing.T) {
 	if !bytes.Equal(frameBody(t, first), frameBody(t, second)) {
 		t.Error("the repeated exploration's parts differ from the first's")
 	}
-	cold, err := readExploreFrame(first, newPartMemo(obs.NewNoop()))
+	cold, err := readExploreFrame(first, newPartMemo(obs.NewNoop()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := readExploreFrame(second, newPartMemo(obs.NewNoop()))
+	warm, err := readExploreFrame(second, newPartMemo(obs.NewNoop()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestNodeRejectsInvalidSpec(t *testing.T) {
 // answers with.
 func askNode(tb testing.TB, node *Node, req exploreRequest) *exploreResponse {
 	tb.Helper()
-	resp, err := readExploreFrame(exploreFrame(tb, node, req), newPartMemo(obs.NewNoop()))
+	resp, err := readExploreFrame(exploreFrame(tb, node, req), newPartMemo(obs.NewNoop()), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

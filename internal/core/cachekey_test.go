@@ -209,7 +209,7 @@ func TestResultCacheKeyIsExact(t *testing.T) {
 	// Windows a nanosecond apart are two queries as well.
 	later := w
 	later.From = later.From.Add(time.Nanosecond)
-	if (Query{Window: w}).cacheKey() == (Query{Window: later}).cacheKey() {
+	if (Query{Window: w}).CacheKey() == (Query{Window: later}).CacheKey() {
 		t.Error("windows a nanosecond apart share a result-cache key")
 	}
 }
@@ -227,7 +227,7 @@ func TestQueryKeysNeverLookLikeLeafKeys(t *testing.T) {
 		{Tables: []string{"|leaf|"}, ExactRows: true},
 	}
 	for _, q := range queries {
-		if key := q.cacheKey(); strings.HasPrefix(key, leafKeyPrefix) {
+		if key := q.CacheKey(); strings.HasPrefix(key, leafKeyPrefix) {
 			t.Errorf("query %+v has key %q", q, key)
 		}
 	}

@@ -40,6 +40,16 @@ func cellsMemoReserve(cells int) int64 {
 	return int64(unsafe.Sizeof(cellsMemo{})+unsafe.Sizeof(rendering{})) + int64(cells)*cellsMemoPerCell
 }
 
+// ReserveCellsMemo gives an answer that has cells the memo its hits keep
+// a rendering in (RenderedCells, MemoizeCells), charged by SizeBytes from
+// here on. A cache calls it as it takes the answer, before anyone shares
+// it; it leaves a memo the answer already has alone.
+func (r *Result) ReserveCellsMemo() {
+	if len(r.Cells) > 0 && r.rendered == nil {
+		r.rendered = new(cellsMemo)
+	}
+}
+
 // RenderedCells returns the rendering of the answer's cells kept under key
 // by an earlier hit. The bytes are shared by every hit: append them, never
 // modify them.

@@ -404,7 +404,7 @@ func TestResultFlightLeaderFailure(t *testing.T) {
 		Window:    telco.NewTimeRange(r.cfg.Start, r.cfg.Start.Add(time.Hour)),
 		ExactRows: true,
 	}
-	key := q.cacheKey()
+	key := q.CacheKey()
 
 	gate := make(chan struct{})
 	leader := make(chan error, 1)
@@ -500,7 +500,7 @@ func TestExploreResultSingleflight(t *testing.T) {
 	}()
 	// Wait for the leader to hold the result flight, then unleash the herd
 	// while it is still reading at 1 MB/s.
-	waitPending(t, &e.resFlight, q.cacheKey(), 1)
+	waitPending(t, &e.resFlight, q.CacheKey(), 1)
 	const herd = 4
 	var wg sync.WaitGroup
 	var rows atomic.Int64

@@ -133,7 +133,7 @@ func (e *Engine) Explore(q Query) (*Result, error) {
 // nobody, and each waiter retries (possibly leading itself), so one
 // abandoned request never fails an unrelated identical one.
 func (e *Engine) ExploreContext(ctx context.Context, q Query) (*Result, error) {
-	key := q.cacheKey()
+	key := q.CacheKey()
 	if r, ok := e.cache.Get(key); ok {
 		e.met.cacheHits.Inc()
 		return sharedResult(ctx, r), nil
@@ -879,12 +879,12 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 	return nil
 }
 
-// cacheKey renders a deterministic key for the result cache that tells
+// CacheKey renders a deterministic key for a result cache that tells
 // every two queries apart: names are quoted, the box's corners are their
 // float bits and the window's bounds their seconds and nanoseconds, none of
 // them rounded as printing would. It starts with "q", which no leaf key
-// does.
-func (q Query) cacheKey() string {
+// does. A cluster coordinator keys its finished answers by it too.
+func (q Query) CacheKey() string {
 	b := make([]byte, 0, 160)
 	b = append(b, 'q')
 	for _, a := range q.Attrs {
@@ -975,9 +975,7 @@ func (c resultsUnder) Clear()                         { c.dropIf(func(*Result) b
 // rendering in, charged by SizeBytes from here on; r is not shared yet
 // (the engine puts an answer before it returns it to anyone).
 func (c resultsUnder) Put(key string, r *Result) {
-	if len(r.Cells) > 0 && r.rendered == nil {
-		r.rendered = new(cellsMemo)
-	}
+	r.ReserveCellsMemo()
 	c.lru.Put(c.prefix+key, r)
 }
 

@@ -148,8 +148,11 @@ func TestServingParitySingleNode(t *testing.T) {
 }
 
 // TestServingParityCluster runs the same contract over a 4-shard local
-// cluster: one coordinator, two UI servers — admission-fronted and bare
-// — must serve identical scatter-gathered answers.
+// cluster: two UI servers — admission-fronted and bare — each with its own
+// coordinator over the same shard nodes, as the single-node variant gives
+// each server its own engine (a coordinator keeps the answers it served,
+// so one shared by both would answer the second server's ask from what it
+// kept for the first), must serve identical scatter-gathered answers.
 func TestServingParityCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a 4-node loopback cluster")
@@ -183,7 +186,16 @@ func TestServingParityCluster(t *testing.T) {
 
 	bare := httptest.NewServer(webui.NewClusterServer(local.Coordinator, g.Cells(), window).Handler())
 	defer bare.Close()
-	guarded := webui.NewClusterServer(local.Coordinator, g.Cells(), window)
+	nodes := make([][]string, len(local.URLs)) // one replica per slot
+	for slot, url := range local.URLs {
+		nodes[slot] = []string{url}
+	}
+	coord, err := cluster.NewCoordinator(cluster.Config{Shards: 4, Obs: obs.NewRegistry(), Tracer: obs.NewTracer(64)},
+		local.Coordinator.Map(), nodes, g.CellTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded := webui.NewClusterServer(coord, g.Cells(), window)
 	guarded.SetAdmission(serving.NewController(serving.Config{
 		Default: serving.Limits{RPS: 10000, MaxConcurrent: 64},
 		Obs:     obs.NewRegistry(),

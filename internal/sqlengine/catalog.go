@@ -13,7 +13,8 @@ import (
 // and SHAHED prune snapshots through their temporal index, RAW ignores it.
 type ScanHint struct {
 	// Window bounds the ts attribute when Constrained is true. It is a
-	// conservative superset of the matching rows.
+	// conservative superset of the matching rows; a zero From or To leaves
+	// that side open, as a WHERE clause bounding ts on one side does.
 	Window      telco.TimeRange
 	Constrained bool
 	// Spec, when non-nil, is the compiled pushdown spec for the scan: the
@@ -76,12 +77,23 @@ func (p memProvider) Scan(ctx context.Context, hint ScanHint, fn func(*telco.Tab
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if hint.Constrained && tsIdx >= 0 && !r[tsIdx].IsNull() && !hint.Window.Contains(r[tsIdx].Time()) {
+		if hint.Constrained && tsIdx >= 0 && !r[tsIdx].IsNull() && !inWindow(hint.Window, r[tsIdx].Time()) {
 			continue
 		}
 		out.Rows = append(out.Rows, r)
 	}
 	return fn(out)
+}
+
+// inWindow reports whether a hint's window may hold a row dated t. A zero
+// bound is open. A row dated after year 9999 is never pruned: WHERE orders
+// timestamps by their wire text, and five year digits order that text
+// apart from the time (year 10000's sorts before '2016').
+func inWindow(w telco.TimeRange, t time.Time) bool {
+	if t.Year() > 9999 {
+		return true
+	}
+	return (w.From.IsZero() || !t.Before(w.From)) && (w.To.IsZero() || t.Before(w.To))
 }
 
 // parseTimeLit interprets a (possibly truncated) timestamp literal like the
@@ -120,7 +132,8 @@ func parseTimeLit(s string) (lo, hi time.Time, ok bool) {
 
 // extractWindow walks a WHERE tree's conjunctions and derives a pushdown
 // window from comparisons between the ts column of the given binding and
-// time literals. The result is a conservative superset.
+// time literals. The result is a conservative superset; a side no
+// comparison bounds stays open (a zero bound, see ScanHint).
 func extractWindow(where Expr, binding string) (telco.TimeRange, bool) {
 	var lo, hi time.Time
 	haveLo, haveHi := false, false
@@ -179,12 +192,6 @@ func extractWindow(where Expr, binding string) (telco.TimeRange, bool) {
 	}
 	if !haveLo && !haveHi {
 		return telco.TimeRange{}, false
-	}
-	if !haveLo {
-		lo = time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if !haveHi {
-		hi = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
 	return telco.TimeRange{From: lo, To: hi}, true
 }

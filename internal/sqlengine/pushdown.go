@@ -445,14 +445,18 @@ func pushAgg(v *AggFunc, b binding) (scanspec.Agg, bool) {
 
 // result renders merged partials into the statement's result set, mirroring
 // the row path: a zero-row ungrouped aggregate still yields one row, ORDER
-// BY keys compare output values, and LIMIT truncates last.
+// BY keys compare output values, and LIMIT truncates last. The rows share
+// one slab, and they are sorted only when they are not in ORDER BY order
+// already — merged partials arrive in key order, which is often it.
 func (p *aggPlan) result(parts []scanspec.Partial) *ResultSet {
 	if len(parts) == 0 && p.spec.GroupBy == "" {
 		parts = []scanspec.Partial{*p.spec.NewPartial(telco.Null)}
 	}
-	rs := &ResultSet{Cols: p.cols}
-	for _, part := range parts {
-		row := make([]telco.Value, len(p.cols))
+	n := len(p.cols)
+	rs := &ResultSet{Cols: p.cols, Rows: make([][]telco.Value, len(parts))}
+	slab := make([]telco.Value, len(parts)*n)
+	for k, part := range parts {
+		row := slab[k*n : (k+1)*n : (k+1)*n]
 		for i := range p.cols {
 			if p.group[i] {
 				row[i] = part.Group.Value()
@@ -461,10 +465,10 @@ func (p *aggPlan) result(parts []scanspec.Partial) *ResultSet {
 				row[i] = p.spec.Aggs[ai].Finalize(part.Cells[ai])
 			}
 		}
-		rs.Rows = append(rs.Rows, row)
+		rs.Rows[k] = row
 	}
 	if len(p.orderIdx) > 0 {
-		sort.SliceStable(rs.Rows, func(a, b int) bool {
+		less := func(a, b int) bool {
 			for j, ci := range p.orderIdx {
 				c := rs.Rows[a][ci].Compare(rs.Rows[b][ci])
 				if c != 0 {
@@ -475,7 +479,10 @@ func (p *aggPlan) result(parts []scanspec.Partial) *ResultSet {
 				}
 			}
 			return false
-		})
+		}
+		if !sort.SliceIsSorted(rs.Rows, less) {
+			sort.SliceStable(rs.Rows, less)
+		}
 	}
 	if p.limit >= 0 && len(rs.Rows) > p.limit {
 		rs.Rows = rs.Rows[:p.limit]

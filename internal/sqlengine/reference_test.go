@@ -306,8 +306,6 @@ func randPred(rng *rand.Rand, depth int, times []int64) refPred {
 
 // fullScan is a catalog whose tables ignore scan hints, as raw text files
 // do: which rows a statement returns is the executor's doing alone.
-// (MemCatalog prunes by the hint's window, which extractWindow closes at
-// 1970 and 2100, so it drops the outlying rows of refTimes.)
 type fullScan map[string]*telco.Table
 
 func (c fullScan) Table(name string) (Provider, error) {
@@ -415,10 +413,11 @@ func checkRows(t *testing.T, what string, rs *ResultSet, names []string, want []
 
 // TestExecutorMatchesReferenceOnRandomPredicates: random predicate trees
 // over integer columns and a timestamp — compared with time literals of
-// every shape, on either side — select the rows the reference selects, and
-// random plain SELECT lists project them as the reference does, from full
-// rows and from the narrow rows a projecting provider hands back, over one
-// table and over a T4-shaped self-join.
+// every shape, on either side — select the rows the reference selects, on
+// a catalog that ignores the scan hint and on one that prunes by its
+// window, and random plain SELECT lists project them as the reference
+// does, from full rows and from the narrow rows a projecting provider
+// hands back, over one table and over a T4-shaped self-join.
 func TestExecutorMatchesReferenceOnRandomPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	schema := telco.MustSchema("T", []telco.Field{
@@ -442,16 +441,12 @@ func TestExecutorMatchesReferenceOnRandomPredicates(t *testing.T) {
 		rows[i] = r
 		tab.Append(telco.Record{telco.Int(r["id"]), telco.Int(r["a"]), telco.Int(r["b"]), telco.Int(r["c"]), refValue(r, "ts")})
 	}
-	eng := NewEngine(fullScan{"T": tab})
+	engs := []*Engine{NewEngine(fullScan{"T": tab}), NewEngine(MemCatalog{"T": tab})}
 
 	for trial := 0; trial < 600; trial++ {
 		pred := randPred(rng, 3, times)
 		sel := randSelect(rng, []string{""})
 		sql := "SELECT " + strings.Join(sel.sql, ", ") + " FROM T WHERE " + pred.sql() + " ORDER BY id"
-		rs, err := eng.Query(sql)
-		if err != nil {
-			t.Fatalf("trial %d: %s: %v", trial, sql, err)
-		}
 		var want [][]telco.Value
 		for _, r := range rows { // already in id order
 			if !pred.eval(r) {
@@ -463,7 +458,13 @@ func TestExecutorMatchesReferenceOnRandomPredicates(t *testing.T) {
 			}
 			want = append(want, out)
 		}
-		checkRows(t, fmt.Sprintf("trial %d: %s", trial, sql), rs, sel.names, want)
+		for i, eng := range engs {
+			rs, err := eng.Query(sql)
+			if err != nil {
+				t.Fatalf("trial %d, catalog %d: %s: %v", trial, i, sql, err)
+			}
+			checkRows(t, fmt.Sprintf("trial %d, catalog %d: %s", trial, i, sql), rs, sel.names, want)
+		}
 	}
 
 	// SELECT lists alone, from full rows and from narrow ones, over the
@@ -500,7 +501,7 @@ func TestExecutorMatchesReferenceOnRandomPredicates(t *testing.T) {
 				}
 			}
 		}
-		for name, e := range map[string]*Engine{"full": eng, "narrow": narrow} {
+		for name, e := range map[string]*Engine{"full": engs[0], "narrow": narrow} {
 			rs, err := e.Query(sql)
 			if err != nil {
 				t.Fatalf("trial %d (%s): %s: %v", trial, name, sql, err)

@@ -295,6 +295,46 @@ func TestWindowPushdown(t *testing.T) {
 	}
 }
 
+// TestOneSidedTimeBoundStaysOpen: a WHERE clause bounding ts on one side
+// pushes down a window open on the other, so a catalog that prunes by the
+// hint keeps rows dated before 1970 and after 2100 (it used to close the
+// open side at those years and drop them).
+func TestOneSidedTimeBoundStaysOpen(t *testing.T) {
+	schema := telco.MustSchema("T", []telco.Field{{Name: "ts", Kind: telco.KindTime}})
+	tab := telco.NewTable(schema)
+	for _, ts := range []time.Time{
+		time.Date(1969, 7, 20, 20, 17, 0, 0, time.UTC),
+		time.Date(2016, 1, 18, 9, 30, 0, 0, time.UTC),
+		time.Date(2500, 1, 18, 1, 0, 0, 0, time.UTC),
+	} {
+		tab.Append(telco.Record{telco.Time(ts)})
+	}
+	eng := NewEngine(MemCatalog{"T": tab})
+	for sql, want := range map[string]int64{
+		`SELECT COUNT(*) FROM T WHERE ts > '2016'`:                  2,
+		`SELECT COUNT(*) FROM T WHERE ts < '2017'`:                  2,
+		`SELECT COUNT(*) FROM T WHERE '2016' <= ts`:                 2,
+		`SELECT COUNT(*) FROM T WHERE ts >= '1969' AND ts < '2016'`: 1,
+		`SELECT COUNT(*) FROM T WHERE ts >= '2016' AND ts < '2017'`: 1,
+		`SELECT COUNT(*) FROM T WHERE ts > '2016' OR ts < '2016'`:   3,
+	} {
+		rs, err := eng.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if got := rs.Rows[0][0].Int64(); got != want {
+			t.Errorf("%s = %d, want %d", sql, got, want)
+		}
+	}
+	stmt, err := Parse(`SELECT * FROM T WHERE ts > '2016'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := extractWindow(stmt.Where, "T"); !ok || !w.To.IsZero() {
+		t.Errorf("ts > '2016' pushes down %v (ok %v), want a window open above", w, ok)
+	}
+}
+
 func TestGlobalAggregateOverEmptyInput(t *testing.T) {
 	rs := mustQuery(t, `SELECT COUNT(*), SUM(duration) FROM CDR WHERE duration > 99999`)
 	if len(rs.Rows) != 1 {

@@ -184,10 +184,26 @@ type fwProvider struct {
 
 func (p fwProvider) Schema() *telco.Schema { return p.schema }
 
-// allTime is the scan window when the executor derived no ts bounds.
+// allTime is the scan window when the executor derived no ts bounds, and
+// the side of a hint's window it left open.
 var allTime = telco.TimeRange{
 	From: time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC),
 	To:   time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC),
+}
+
+// hintWindow is the window a framework scans for hint: allTime, narrowed
+// by the sides of the hint's window that it bounds.
+func hintWindow(hint sqlengine.ScanHint) telco.TimeRange {
+	w := allTime
+	if hint.Constrained {
+		if !hint.Window.From.IsZero() {
+			w.From = hint.Window.From
+		}
+		if !hint.Window.To.IsZero() {
+			w.To = hint.Window.To
+		}
+	}
+	return w
 }
 
 // Scan implements sqlengine.Provider. The framework's tables pass through
@@ -195,10 +211,7 @@ var allTime = telco.TimeRange{
 // own schema from a full scan, the spec's narrow projection of it from a
 // SpecScanner that decodes only referenced columns.
 func (p fwProvider) Scan(ctx context.Context, hint sqlengine.ScanHint, fn func(*telco.Table) error) error {
-	w := allTime
-	if hint.Constrained {
-		w = hint.Window
-	}
+	w := hintWindow(hint)
 	emit := func(_ string, tab *telco.Table) error { return fn(tab) }
 	if hint.Spec != nil {
 		if ss, ok := p.f.(SpecScanner); ok {
@@ -217,10 +230,7 @@ type aggProvider struct {
 }
 
 func (p aggProvider) Aggregate(ctx context.Context, hint sqlengine.ScanHint, spec *scanspec.Spec) ([]scanspec.Partial, error) {
-	w := allTime
-	if hint.Constrained {
-		w = hint.Window
-	}
+	w := hintWindow(hint)
 	parts, err := p.agg.AggregatePartials(ctx, w, p.name, spec)
 	return parts, scanErr(err)
 }
