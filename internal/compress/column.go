@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -244,22 +245,28 @@ func DecodeColumn(dst []string, tag byte, data []byte, rows int) ([]string, erro
 		if err != nil {
 			return nil, err
 		}
-		err = dictRuns(runs, len(entries), rows, func(idx, _, run int) {
+		for at := 0; at < rows; {
+			idx, run, k := dictRun(runs, len(entries), rows-at)
+			if k == 0 {
+				return nil, errDictRun(at)
+			}
+			runs = runs[k:]
 			for j := 0; j < run; j++ {
 				dst = append(dst, entries[idx])
 			}
-		})
-		if err != nil {
+			at += run
+		}
+		if err := dictTail(runs); err != nil {
 			return nil, err
 		}
 		return dst, nil
 	case ColDelta:
-		err := deltaValues(data, rows, func(_ int, x int64) error {
-			dst = append(dst, strconv.FormatInt(x, 10))
-			return nil
-		})
-		if err != nil {
+		xs := make([]int64, min(rows, len(data)+1)) // as in deltaScratch
+		if _, err := deltaDecode(xs, data); err != nil {
 			return nil, err
+		}
+		for _, x := range xs {
+			dst = append(dst, strconv.FormatInt(x, 10))
 		}
 		return dst, nil
 	}
@@ -270,134 +277,253 @@ func DecodeColumn(dst []string, tag byte, data []byte, rows int) ([]string, erro
 // already Reset to the stream's kind and row count: row i equals
 // telco.ParseField(kind, field i) over the fields DecodeColumn yields —
 // blank fields are null, escapes resolve, plain streams keep non-canonical
-// integers — without ever building those strings. Numbers land in the
-// column's typed array: a dictionary entry parses once, where its first run
-// starts, and its runs copy the value (the run boundaries stay with the
-// column, col.Runs); deltas accumulate as int64 and convert arithmetically.
-// A string column aliases data — plain fields and dictionary entries are
-// located, not copied, and a dictionary stream keeps its dictionary with one
-// code per row — so data must stay untouched while the column is in use. wire is the wire-text share of the column, each
-// field with one separator. Corrupt streams fail exactly as DecodeColumn's
-// do.
-func DecodeColumnBatch(col *telco.Column, tag byte, data []byte, rows int) (wire int64, err error) {
-	str := col.Kind == telco.KindString
+// integers — without ever building those strings. Each (codec, kind) pair
+// decodes in a loop of its own, straight into the column's typed array:
+// plain digits parse in place, a dictionary entry parses once, where its
+// first run starts, and its runs copy the value (the run boundaries stay
+// with the column, col.Runs), and deltas accumulate as int64 and convert
+// arithmetically. A string column aliases data — plain fields and dictionary
+// entries are located, not copied, and a dictionary stream keeps its
+// dictionary with one code per row — so data must stay untouched while the
+// column is in use. With countWire set, wire is the wire-text share of the
+// column, each field with one separator (0 without): it costs a delta stream
+// a decimal-length pass over its integers, so a caller asks for it only when
+// it reports it. Corrupt streams fail exactly as DecodeColumn's do.
+func DecodeColumnBatch(col *telco.Column, tag byte, data []byte, rows int, countWire bool) (wire int64, err error) {
 	switch tag {
 	case ColPlain:
-		if err := checkPlain(data, rows); err != nil {
-			return 0, err
-		}
-		if rows == 0 {
-			return 0, nil
-		}
-		if str {
-			col.Arena = data
-			col.SetEntries(rows)
-		}
+		return decodePlain(col, data, rows, countWire)
+	case ColDict:
+		return decodeDict(col, data, rows, countWire)
+	case ColDelta:
+		return decodeDelta(col, data, rows, countWire)
+	}
+	return 0, Corruptf("compress: column codec %d", tag)
+}
+
+// decodePlain is DecodeColumnBatch over a plain stream: a string column
+// locates its fields, an integer one parses plain digits in place, and any
+// other field — a sign, an escape, a float, a timestamp — takes SetField.
+func decodePlain(col *telco.Column, data []byte, rows int, countWire bool) (int64, error) {
+	if err := checkPlain(data, rows); err != nil {
+		return 0, err
+	}
+	if rows == 0 {
+		return 0, nil
+	}
+	switch col.Kind {
+	case telco.KindString:
+		col.Arena = data
+		col.SetEntries(rows)
 		at := 0
 		for i := 0; i < rows; i++ {
-			end := len(data)
-			if nl := bytes.IndexByte(data[at:], '\n'); nl >= 0 {
-				end = at + nl
+			end := fieldEnd(data, at)
+			col.Starts[i], col.Ends[i] = uint32(at), uint32(end)
+			at = end + 1
+		}
+		col.Unescape()
+	case telco.KindInt:
+		ints, at := col.Ints, 0
+		for i := range ints {
+			// Up to 18 digits and the field's end: no overflow to check.
+			j, x := at, int64(0)
+			for j < len(data) && j-at < 18 && data[j]-'0' <= 9 {
+				x = x*10 + int64(data[j]-'0')
+				j++
 			}
-			if str {
-				col.Starts[i], col.Ends[i] = uint32(at), uint32(end)
-			} else if err := col.SetField(i, data[at:end]); err != nil {
+			if j > at && (j == len(data) || data[j] == '\n') {
+				ints[i], at = x, j+1
+				continue
+			}
+			end := fieldEnd(data, j)
+			if err := col.SetField(i, data[at:end]); err != nil {
 				return 0, err
 			}
 			at = end + 1
 		}
-		if str {
-			col.Unescape()
-		}
-		return int64(len(data)) + 1, nil
-	case ColDict:
-		// A string column keeps the entries' spans in data as its dictionary;
-		// a numeric one parses through them.
-		var runs []byte
-		if col.Starts, col.Ends, runs, err = dictSpans(data, col.Starts[:0], col.Ends[:0]); err != nil {
-			return 0, err
-		}
-		col.Arena = data
-		n := len(col.Starts)
-		var first []int32 // numeric: the row an entry was parsed into, -1 before
-		if str {
-			col.UseCodes(rows)
-		} else {
-			first = col.Work(n)
-			for i := range first {
-				first[i] = -1
-			}
-		}
-		// An entry that does not parse only fails the decode if a run uses
-		// it, as it would field by field.
-		var bad error
-		err = dictRuns(runs, n, rows, func(idx, at, run int) {
-			wire += int64(run) * int64(col.Ends[idx]-col.Starts[idx]+1)
-			col.Runs = append(col.Runs, uint32(at+run))
-			switch {
-			case str:
-				for j := at; j < at+run; j++ {
-					col.Codes[j] = uint32(idx)
-				}
-			case bad != nil:
-			case first[idx] < 0:
-				if bad = col.SetField(at, data[col.Starts[idx]:col.Ends[idx]]); bad == nil {
-					first[idx] = int32(at)
-					col.Fill(at+1, at+run, at)
-				}
-			default:
-				col.Fill(at, at+run, int(first[idx]))
-			}
-		})
-		if err == nil {
-			err = bad
-		}
-		if err != nil {
-			return 0, err
-		}
-		if str {
-			col.Unescape()
-		} else {
-			col.Arena, col.Starts, col.Ends = nil, col.Starts[:0], col.Ends[:0]
-		}
-		return wire, nil
-	case ColDelta:
-		if str {
-			// Numeric identifiers stored as text: every row's digits render
-			// into the column's own arena.
-			digits := col.Own()
-			col.SetEntries(rows)
-			err := deltaValues(data, rows, func(i int, x int64) error {
-				col.Starts[i] = uint32(len(digits))
-				digits = strconv.AppendInt(digits, x, 10)
-				col.Ends[i] = uint32(len(digits))
-				return nil
-			})
-			if err != nil {
+	default:
+		at := 0
+		for i := 0; i < rows; i++ {
+			end := fieldEnd(data, at)
+			if err := col.SetField(i, data[at:end]); err != nil {
 				return 0, err
 			}
-			col.OwnArena(digits)
-			return int64(len(digits) + rows), nil
+			at = end + 1
 		}
-		if col.Kind == telco.KindInt {
-			// The common case lands in the array with no call per row.
-			err = deltaValues(data, rows, func(i int, x int64) error {
-				wire += int64(decimalLen(x)) + 1
-				col.Ints[i] = x
-				return nil
-			})
-		} else {
-			err = deltaValues(data, rows, func(i int, x int64) error {
-				wire += int64(decimalLen(x)) + 1
-				return col.SetInt(i, x)
-			})
+	}
+	if !countWire {
+		return 0, nil
+	}
+	return int64(len(data)) + 1, nil
+}
+
+// fieldEnd is the end of the plain-stream field that runs through at: its
+// newline, or the end of the stream.
+func fieldEnd(data []byte, at int) int {
+	if nl := bytes.IndexByte(data[at:], '\n'); nl >= 0 {
+		return at + nl
+	}
+	return len(data)
+}
+
+// decodeDict is DecodeColumnBatch over a dictionary stream. A string column
+// keeps the entries' spans in data as its dictionary and writes one code a
+// row; a numeric one parses through them (dictNumbers).
+func decodeDict(col *telco.Column, data []byte, rows int, countWire bool) (wire int64, err error) {
+	var runs []byte
+	if col.Starts, col.Ends, runs, err = dictSpans(data, col.Starts[:0], col.Ends[:0]); err != nil {
+		return 0, err
+	}
+	col.Arena = data
+	switch col.Kind {
+	case telco.KindString:
+		codes, rest := col.UseCodes(rows), runs
+		for at := 0; at < rows; {
+			idx, run, k := dictRun(rest, len(col.Starts), rows-at)
+			if k == 0 {
+				return 0, errDictRun(at)
+			}
+			rest = rest[k:]
+			end, code := at+run, uint32(idx)
+			col.Runs = append(col.Runs, uint32(end))
+			for j := at; j < end; j++ {
+				codes[j] = code
+			}
+			at = end
 		}
-		if err != nil {
+		err = dictTail(rest)
+	case telco.KindFloat:
+		err = dictNumbers(col, col.Floats, runs, rows)
+	default: // KindInt and KindTime fill Ints; KindNull has no array to fill
+		err = dictNumbers(col, col.Ints, runs, rows)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if countWire {
+		wire = dictWire(runs, col.Starts, col.Ends, rows)
+	}
+	if col.Kind == telco.KindString {
+		col.Unescape()
+	} else {
+		col.Arena, col.Starts, col.Ends = nil, col.Starts[:0], col.Ends[:0]
+	}
+	return wire, nil
+}
+
+// dictNumbers walks a dictionary stream's runs into vals, a numeric column's
+// array. An entry parses where its first run starts, and every later row of
+// its runs copies that row's value, nullness included. An entry that does
+// not parse only fails the decode if a run uses it, as it would field by
+// field; a malformed run fails it first.
+func dictNumbers[T int64 | float64](col *telco.Column, vals []T, runs []byte, rows int) error {
+	first := col.Work(len(col.Starts)) // the row an entry was parsed into, -1 before
+	for e := range first {
+		first[e] = -1
+	}
+	var bad error
+	for at := 0; at < rows; {
+		idx, run, k := dictRun(runs, len(first), rows-at)
+		if k == 0 {
+			return errDictRun(at)
+		}
+		runs = runs[k:]
+		end := at + run
+		col.Runs = append(col.Runs, uint32(end))
+		from, src := at, int(first[idx])
+		if src < 0 && bad == nil {
+			if bad = col.SetField(at, col.Entry(idx)); bad == nil {
+				first[idx], src, from = int32(at), at, at+1
+			}
+		}
+		switch {
+		case src < 0: // the decode fails anyway
+		case col.Null(src):
+			col.SetNulls(from, end)
+		default:
+			x := vals[src]
+			for j := from; j < end; j++ {
+				vals[j] = x
+			}
+		}
+		at = end
+	}
+	if err := dictTail(runs); err != nil {
+		return err
+	}
+	return bad
+}
+
+// decodeDelta is DecodeColumnBatch over a delta stream: integers and floats
+// accumulate straight into their array, times convert in place from the
+// fourteen wire digits, and a string column renders each integer's digits
+// into its own arena.
+func decodeDelta(col *telco.Column, data []byte, rows int, countWire bool) (wire int64, err error) {
+	var xs []int64 // the decoded integers, for the wire count and the kinds that convert them
+	switch col.Kind {
+	case telco.KindInt, telco.KindTime:
+		var n int
+		n, err = deltaDecode(col.Ints, data)
+		xs = col.Ints[:n]
+	case telco.KindFloat:
+		if !countWire {
+			_, err = deltaDecode(col.Floats, data)
+			break
+		}
+		if xs, err = deltaScratch(col, data, rows); err == nil {
+			for i, x := range xs {
+				col.Floats[i] = float64(x)
+			}
+		}
+	case telco.KindString:
+		// Numeric identifiers stored as text: each integer's digits render
+		// into the column's own arena as the walk reaches it.
+		digits, prev, at := col.Own(), int64(0), 0
+		col.SetEntries(rows)
+		for i := 0; i < rows; i++ {
+			d, next := varintAt(data, at)
+			if next == 0 {
+				return 0, errDeltaRow(i)
+			}
+			prev, at = prev+d, next
+			col.Starts[i] = uint32(len(digits))
+			digits = strconv.AppendInt(digits, prev, 10)
+			col.Ends[i] = uint32(len(digits))
+		}
+		if err := deltaTail(data, at); err != nil {
 			return 0, err
 		}
+		col.OwnArena(digits)
+		if countWire {
+			wire = int64(len(digits) + rows)
+		}
 		return wire, nil
+	default:
+		xs, err = deltaScratch(col, data, rows)
 	}
-	return 0, Corruptf("compress: column codec %d", tag)
+	if countWire && err == nil {
+		wire = int64(rows)
+		for _, x := range xs {
+			wire += int64(decimalLen(x))
+		}
+	}
+	switch col.Kind {
+	case telco.KindTime:
+		// Rows before a truncation convert first: a time the digits do not
+		// name fails the decode ahead of the corruption after it, as a
+		// row-by-row walk would.
+		if terr := col.IntsToTimes(len(xs)); terr != nil {
+			return 0, terr
+		}
+	case telco.KindNull:
+		if err == nil { // the digits are never blank: every row parses to null
+			col.SetNulls(0, rows)
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	return wire, nil
 }
 
 // checkPlain verifies a plain stream holds exactly rows newline-joined
@@ -415,18 +541,17 @@ func checkPlain(data []byte, rows int) error {
 	return nil
 }
 
-// decimalLen is len(strconv.FormatInt(x, 10)).
+// decimalLen is len(strconv.FormatInt(x, 10)), without a branch on the
+// value: a wire-bytes count runs it over random counters.
 func decimalLen(x int64) int {
-	n, u := 0, uint64(x)
-	if x < 0 {
-		n, u = 1, -u
-	}
-	// 1233/4096 approximates log10(2): t is the digit count or one short.
+	sign := x >> 63 // 0, or -1 for a negative x
+	u := uint64((x ^ sign) - sign)
+	// 1233/4096 approximates log10(2): t is the digit count or one short,
+	// and pow10[t]-1-u wraps past 1<<63 exactly when it is short (u is at
+	// most 1<<63, and below pow10[19]).
 	t := bits.Len64(u) * 1233 >> 12
-	if u >= pow10[t] {
-		t++
-	}
-	return n + max(t, 1)
+	t += int((pow10[t] - 1 - u) >> 63)
+	return int(-sign) + max(t, 1)
 }
 
 var pow10 = func() (p [20]uint64) {
@@ -503,29 +628,57 @@ func dictEntries(data []byte) (entries []string, runs []byte, err error) {
 	return entries, runs, nil
 }
 
-// dictRuns walks a dictionary stream's (entry index, run length) pairs,
-// calling fn with each run's entry, first row and length. The runs must
-// cover exactly rows rows over n entries.
-func dictRuns(runs []byte, n, rows int, fn func(idx, at, run int)) error {
-	got := 0
-	for got < rows {
-		idx, k := binary.Uvarint(runs)
-		if k <= 0 || idx >= uint64(n) {
-			return Corruptf("compress: dict column: run index")
-		}
-		runs = runs[k:]
-		run, k := binary.Uvarint(runs)
-		if k <= 0 || run == 0 || run > uint64(rows-got) {
-			return Corruptf("compress: dict column: run length")
-		}
-		runs = runs[k:]
-		fn(int(idx), got, int(run))
-		got += int(run)
+// dictRun reads the (entry index, run length) pair at the head of runs, for
+// a dictionary of n entries with left rows still to cover, returning it with
+// its length in bytes — 0 when the pair is malformed: an index past the
+// dictionary, an empty run or one longer than the rows left. The common pair
+// is two one-byte varints.
+func dictRun(runs []byte, n, left int) (idx, run, k int) {
+	if len(runs) < 2 || runs[0]|runs[1] >= 0x80 {
+		return dictRunLong(runs, n, left)
 	}
+	idx, run = int(runs[0]), int(runs[1])
+	if idx >= n || run == 0 || run > left {
+		return 0, 0, 0
+	}
+	return idx, run, 2
+}
+
+// dictRunLong is dictRun for pairs with a multi-byte varint.
+func dictRunLong(runs []byte, n, left int) (idx, run, k int) {
+	i, ki := binary.Uvarint(runs)
+	if ki <= 0 || i >= uint64(n) {
+		return 0, 0, 0
+	}
+	r, kr := binary.Uvarint(runs[ki:])
+	if kr <= 0 || r == 0 || r > uint64(left) {
+		return 0, 0, 0
+	}
+	return int(i), int(r), ki + kr
+}
+
+func errDictRun(at int) error {
+	return Corruptf("compress: dict column: bad run at row %d", at)
+}
+
+// dictTail checks that the runs covering a column's rows end the stream.
+func dictTail(runs []byte) error {
 	if len(runs) != 0 {
 		return Corruptf("compress: dict column: %d trailing bytes", len(runs))
 	}
 	return nil
+}
+
+// dictWire is the wire-text share of a dictionary stream whose runs cover
+// rows rows and have decoded cleanly, from its entries' escaped spans.
+func dictWire(runs []byte, starts, ends []uint32, rows int) (wire int64) {
+	for at := 0; at < rows; {
+		idx, run, k := dictRun(runs, len(starts), rows-at)
+		runs = runs[k:]
+		wire += int64(run) * int64(ends[idx]-starts[idx]+1)
+		at += run
+	}
+	return wire
 }
 
 func encodeDelta(dst []byte, values []string) ([]byte, error) {
@@ -542,23 +695,77 @@ func encodeDelta(dst []byte, values []string) ([]byte, error) {
 	return dst, nil
 }
 
-// deltaValues walks a delta stream, calling fn with each of its rows
-// reconstructed integers; fn's first error stops the walk.
-func deltaValues(data []byte, rows int, fn func(i int, x int64) error) error {
-	prev := int64(0)
-	for i := 0; i < rows; i++ {
-		d, k := binary.Varint(data)
-		if k <= 0 {
-			return Corruptf("compress: delta column: truncated at row %d", i)
+// deltaDecode reconstructs a delta stream's first len(dst) integers into
+// dst — a float one rounds each to the nearest float64, as parsing its
+// digits would — and checks that they end the stream. It returns how many
+// it decoded: all of them, or the row a truncated varint stopped it at.
+func deltaDecode[T int64 | float64](dst []T, data []byte) (int, error) {
+	prev, at := int64(0), 0
+	for i := range dst {
+		var u uint64
+		if at < len(data) && data[at] < 0x80 {
+			u = uint64(data[at])
+			at++
+		} else {
+			// varintAt, inline on the hot path: up to nine continuation
+			// bytes, and a tenth byte of 0 or 1.
+			j, s := at, uint(0)
+			for ; j < len(data) && j-at < 9 && data[j] >= 0x80; j++ {
+				u |= uint64(data[j]&0x7f) << s
+				s += 7
+			}
+			if j == len(data) || data[j] >= 0x80 || j-at == 9 && data[j] > 1 {
+				return i, errDeltaRow(i)
+			}
+			u |= uint64(data[j]) << s
+			at = j + 1
 		}
-		data = data[k:]
-		prev += d
-		if err := fn(i, prev); err != nil {
-			return err
-		}
+		prev += int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint reads it
+		dst[i] = T(prev)
 	}
-	if len(data) != 0 {
-		return Corruptf("compress: delta column: %d trailing bytes", len(data))
+	return len(dst), deltaTail(data, at)
+}
+
+// varintAt reads the zigzag varint at data[at:] as binary.Varint does,
+// returning it with the offset after it — 0 when it is truncated or
+// overflows. It serves the walk that renders text identifiers, where
+// formatting the digits outweighs the call; deltaDecode reads inline.
+func varintAt(data []byte, at int) (int64, int) {
+	if at < len(data) && data[at] < 0x80 {
+		u := int64(data[at])
+		return u>>1 ^ -(u & 1), at + 1
+	}
+	return varintLong(data, at)
+}
+
+// varintLong is varintAt past one byte.
+func varintLong(data []byte, at int) (int64, int) {
+	u, k := binary.Uvarint(data[min(at, len(data)):])
+	if k <= 0 {
+		return 0, 0
+	}
+	return int64(u>>1) ^ -int64(u&1), at + k
+}
+
+func errDeltaRow(i int) error {
+	return Corruptf("compress: delta column: truncated at row %d", i)
+}
+
+// deltaTail checks that a delta stream's rows end at at, its length.
+func deltaTail(data []byte, at int) error {
+	if at != len(data) {
+		return Corruptf("compress: delta column: %d trailing bytes", len(data)-at)
 	}
 	return nil
+}
+
+// deltaScratch decodes a delta stream for a column without an integer array
+// of its own — a float or null one — into its Ints capacity, which those
+// kinds leave unused.
+func deltaScratch(col *telco.Column, data []byte, rows int) ([]int64, error) {
+	n := min(rows, len(data)+1) // a row takes a byte at least: a stream this short fails sooner
+	xs := slices.Grow(col.Ints[:0], n)[:n]
+	col.Ints = xs[:0]
+	_, err := deltaDecode(xs, data)
+	return xs, err
 }

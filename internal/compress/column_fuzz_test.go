@@ -2,7 +2,9 @@ package compress
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"spate/internal/telco"
@@ -17,8 +19,10 @@ var typedKinds = []telco.Kind{telco.KindString, telco.KindInt, telco.KindFloat, 
 // exactly telco.ParseField(kind, field i) — the same kind, payload and
 // nullness, read back both one value at a time and through the record
 // materializer — a parse failure anywhere fails the decode, and the
-// reported wire bytes are the fields' lengths plus one separator each. The
-// column is reused across kinds and calls, as a scan worker's is.
+// reported wire bytes are the fields' lengths plus one separator each.
+// Every stream decodes twice, counting wire bytes and not, into columns
+// that must come out identical, errors included. The columns are reused
+// across kinds and calls, as a scan worker's are.
 func checkTypedDecode(t *testing.T, tag byte, data []byte, rows int) {
 	t.Helper()
 	fields, strErr := DecodeColumn(nil, tag, data, rows)
@@ -27,9 +31,20 @@ func checkTypedDecode(t *testing.T, tag byte, data []byte, rows int) {
 		schema := telco.MustSchema("T", []telco.Field{{Name: "c", Kind: kind}})
 		typedBatch.Reset(schema, nil, rows)
 		col := &typedBatch.Cols[0]
-		wire, err := DecodeColumnBatch(col, tag, data, rows)
+		wire, err := DecodeColumnBatch(col, tag, data, rows, true)
+		uncounted.Reset(schema, nil, rows)
+		noWire, noWireErr := DecodeColumnBatch(&uncounted.Cols[0], tag, data, rows, false)
 		if !bytes.Equal(data, pristine) {
 			t.Fatalf("tag %d kind %v: decode wrote into the stream it aliases", tag, kind)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(noWireErr) {
+			t.Fatalf("tag %d kind %v: counting wire bytes, the decode fails with %v; without, %v", tag, kind, err, noWireErr)
+		}
+		if err == nil {
+			if noWire != 0 {
+				t.Fatalf("tag %d kind %v: %d wire bytes reported uncounted", tag, kind, noWire)
+			}
+			sameColumn(t, fmt.Sprintf("tag %d kind %v", tag, kind), col, &uncounted.Cols[0], rows)
 		}
 		if strErr != nil {
 			if err == nil {
@@ -85,17 +100,34 @@ func checkTypedDecode(t *testing.T, tag byte, data []byte, rows int) {
 	}
 }
 
-// sameValue is Equal, but for holding two NaN floats the same: a field such
-// as "NaN" or "nAn" parses to NaN, which Equal finds unequal to itself.
+// sameValue is Equal, but bit for bit on floats — -0 is not 0 — and
+// holding two NaN floats the same: a field such as "NaN" or "nAn" parses to
+// NaN, which Equal finds unequal to itself.
 func sameValue(a, b telco.Value) bool {
-	if a.Kind() == telco.KindFloat && b.Kind() == telco.KindFloat && math.IsNaN(a.Float64()) && math.IsNaN(b.Float64()) {
-		return true
+	if a.Kind() == telco.KindFloat && b.Kind() == telco.KindFloat {
+		x, y := a.Float64(), b.Float64()
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
 	}
 	return a.Equal(b)
 }
 
-// typedBatch is the one batch every checkTypedDecode call decodes into.
-var typedBatch telco.Batch
+// sameColumn requires two decodes of one stream to agree row for row:
+// value, nullness, null count and run boundaries.
+func sameColumn(t *testing.T, what string, a, b *telco.Column, rows int) {
+	t.Helper()
+	if a.NullCount != b.NullCount || !slices.Equal(a.Runs, b.Runs) {
+		t.Fatalf("%s: null count %d and runs %v against %d and %v", what, a.NullCount, a.Runs, b.NullCount, b.Runs)
+	}
+	for i := 0; i < rows; i++ {
+		if x, y := a.Value(i), b.Value(i); a.Null(i) != b.Null(i) || x.Kind() != y.Kind() || !sameValue(x, y) {
+			t.Fatalf("%s: row %d decodes to %v %q and to %v %q", what, i, x.Kind(), x.Format(), y.Kind(), y.Format())
+		}
+	}
+}
+
+// typedBatch and uncounted are the batches every checkTypedDecode call
+// decodes into, counting wire bytes and not.
+var typedBatch, uncounted telco.Batch
 
 // FuzzDecodeColumn drives arbitrary bytes through every column codec, the
 // string decoder and the typed one. Three invariants: a decoder never

@@ -68,6 +68,92 @@ func TestTypedDecodeProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeEdgeCases pins the batch decoder's loops on the streams their
+// fast paths could get wrong, each through checkTypedDecode in every kind,
+// whole and cut short by a byte.
+func TestDecodeEdgeCases(t *testing.T) {
+	uv := func(b []byte, u uint64) []byte { return binary.AppendUvarint(b, u) }
+	// dict packs entries and (index, run) pairs by hand, so a stream may
+	// hold entries no run uses.
+	dict := func(entries []string, runs ...uint64) []byte {
+		b := uv(nil, uint64(len(entries)))
+		for _, e := range entries {
+			b = append(uv(b, uint64(len(e))), e...)
+		}
+		for _, r := range runs {
+			b = uv(b, r)
+		}
+		return b
+	}
+	many := make([]string, 300) // a dictionary past one-byte indexes
+	for i := range many {
+		many[i] = strconv.Itoa(i * 7)
+	}
+	long := make([]string, 0, 700) // runs past one-byte lengths
+	for _, v := range []string{"3", "", "3"} {
+		for i := 0; i < 200+len(long)/2; i++ {
+			long = append(long, v)
+		}
+	}
+	cases := []struct {
+		name string
+		tag  byte
+		vals []string // encoded with tag, unless data is set
+		data []byte
+		rows int
+	}{
+		{name: "ten-byte delta last", tag: ColDelta, vals: []string{"0", "1", "9223372036854775807"}},
+		{name: "ten-byte delta first", tag: ColDelta, vals: []string{"-9223372036854775808", "-9223372036854775807"}},
+		{name: "running sum past both edges", tag: ColDelta, vals: []string{"9223372036854775807", "-9223372036854775808",
+			"0", "-9223372036854775808", "9223372036854775807", "-1", "1"}},
+		{name: "two- and three-byte deltas", tag: ColDelta, vals: []string{"64", "0", "8192", "-8193", "1048576", "-1"}},
+		{name: "overlong varint", tag: ColDelta, data: []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, rows: 1},
+		{name: "eleven-byte varint", tag: ColDelta, data: []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, rows: 1},
+		{name: "ten-byte varint of one", tag: ColDelta, data: []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, rows: 1},
+		{name: "integral floats", tag: ColDelta, vals: []string{"0", "1", "-1", "9007199254740993", "-9007199254740995",
+			"9223372036854775807", "-9223372036854775808", "4611686018427387903"}},
+		{name: "times over midnight, month ends and a leap day", tag: ColDelta, vals: []string{
+			"20160131235959", "20160201000000", "20160228235959", "20160229000000", "20160229235959",
+			"20160301000000", "20161231235959", "20170101000000", "20170101000001"}},
+		{name: "a day that is not", tag: ColDelta, vals: []string{"20150228235959", "20150229000000", "20150301000000"}},
+		{name: "a clock that is not", tag: ColDelta, vals: []string{"20160118093000", "20160118240000", "20160118093001"}},
+		{name: "a clock that is not, then truncated", tag: ColDelta, data: append(
+			mustEncode(t, ColDelta, []string{"20160118093000", "20160118096000"}), 0x80), rows: 3},
+		{name: "short and long times", tag: ColDelta, vals: []string{"2016011809300", "20160118093000", "201601180930000", "0"}},
+		{name: "unused unparseable entry", tag: ColDict, data: dict([]string{"x", "5", "1.5"}, 1, 3, 2, 2), rows: 5},
+		{name: "used unparseable entry", tag: ColDict, data: dict([]string{"x", "5"}, 1, 3, 0, 2), rows: 5},
+		{name: "null entry across runs", tag: ColDict, vals: []string{"", "", "7", "", "7", "7", "", ""}},
+		{name: "multi-byte indexes", tag: ColDict, vals: append(append([]string(nil), many...), many...)},
+		{name: "multi-byte runs at the end", tag: ColDict, vals: long},
+		{name: "index past the dictionary", tag: ColDict, data: dict([]string{"1"}, 1, 1), rows: 1},
+		{name: "run past the rows", tag: ColDict, data: dict([]string{"1"}, 0, 3), rows: 2},
+		{name: "empty run", tag: ColDict, data: dict([]string{"1"}, 0, 0, 0, 1), rows: 1},
+		{name: "plain digits and their neighbours", tag: ColPlain, vals: []string{"0", "007", "-5", "", "123456789012345678",
+			"1234567890123456789", "9223372036854775808", "+5", "1.5", "12a", "-"}},
+	}
+	for _, tc := range cases {
+		data, rows := tc.data, tc.rows
+		if data == nil {
+			data, rows = mustEncode(t, tc.tag, tc.vals), len(tc.vals)
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			checkTypedDecode(t, tc.tag, data, rows)
+			if len(data) > 0 {
+				checkTypedDecode(t, tc.tag, data[:len(data)-1], rows)
+			}
+		})
+	}
+}
+
+func mustEncode(t *testing.T, tag byte, vals []string) []byte {
+	t.Helper()
+	data, err := EncodeColumn(nil, tag, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestVarintLen: the chooser sizes a delta stream without writing it.
 func TestVarintLen(t *testing.T) {
 	var tmp [binary.MaxVarintLen64]byte

@@ -389,7 +389,8 @@ func (e *Engine) blobText(ref string, prof *Profile) ([]byte, error) {
 // by every projection — and the typed decode of the wanted columns then
 // runs per caller, on a hit as on a miss; b's string columns alias the
 // cached bytes, which nothing ever writes to. The miss's leader charges the
-// inflated bytes and decoded columns to its profile.
+// inflated bytes and decoded columns to its profile, and only its decode
+// counts the columns' wire bytes.
 func (e *Engine) chunkBatch(r *segment.Reader, ref string, i int, proj *projection, prof *Profile, b *telco.Batch) error {
 	data, leader, err := e.cachedChunk(chunkCacheKey(ref, r.Version(), i), prof, func() ([]byte, error) {
 		t0 := time.Now()
@@ -412,7 +413,7 @@ func (e *Engine) chunkBatch(r *segment.Reader, ref string, i int, proj *projecti
 	if prof != nil {
 		t0 = time.Now()
 	}
-	wire, err := r.DecodeBatch(i, data, proj.full, proj.cols, b)
+	wire, err := r.DecodeBatch(i, data, proj.full, proj.cols, b, leader && r.Columnar())
 	if prof != nil {
 		prof.DecodeNS += time.Since(t0).Nanoseconds()
 	}

@@ -89,7 +89,7 @@ func vecChunk(t *testing.T, rng *rand.Rand, n int, b *telco.Batch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.DecodeBatch(0, inflated, vecSchema, nil, b); err != nil {
+	if _, err := r.DecodeBatch(0, inflated, vecSchema, nil, b, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"band", "zone"} {

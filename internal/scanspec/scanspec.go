@@ -524,7 +524,7 @@ func mergeCells(dst, src []Cell) {
 // Finalize renders one aggregate cell to its SQL result value, mirroring
 // the SQL engine's aggregate states: COUNT of nothing is 0, SUM/MIN/MAX of
 // nothing is NULL, and a pushed-down SUM is always an exact integer.
-func (a Agg) Finalize(c Cell) telco.Value {
+func (a *Agg) Finalize(c *Cell) telco.Value {
 	switch a.Fn {
 	case "COUNT":
 		return telco.Int(c.Count)

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"spate/internal/telco"
 )
@@ -123,7 +125,7 @@ func TestAddRowFinalize(t *testing.T) {
 	}
 	want := []telco.Value{telco.Int(4), telco.Int(3), telco.Int(9), telco.Int(-1), telco.Int(7)}
 	for i, a := range s.Aggs {
-		got := a.Finalize(p.Cells[i])
+		got := a.Finalize(&p.Cells[i])
 		if got.Format() != want[i].Format() {
 			t.Errorf("%s = %s, want %s", a, got.Format(), want[i].Format())
 		}
@@ -131,7 +133,7 @@ func TestAddRowFinalize(t *testing.T) {
 	// Aggregates over nothing: COUNT is 0, the rest NULL.
 	empty := s.NewPartial(telco.Null)
 	for i, a := range s.Aggs {
-		got := a.Finalize(empty.Cells[i])
+		got := a.Finalize(&empty.Cells[i])
 		if a.Fn == "COUNT" {
 			if got.Int64() != 0 {
 				t.Errorf("%s of nothing = %s", a, got.Format())
@@ -282,8 +284,8 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 			continue
 		}
 		got := []telco.Value{
-			s.Aggs[0].Finalize(p.Cells[0]), s.Aggs[1].Finalize(p.Cells[1]),
-			s.Aggs[2].Finalize(p.Cells[2]), s.Aggs[3].Finalize(p.Cells[3]),
+			s.Aggs[0].Finalize(&p.Cells[0]), s.Aggs[1].Finalize(&p.Cells[1]),
+			s.Aggs[2].Finalize(&p.Cells[2]), s.Aggs[3].Finalize(&p.Cells[3]),
 		}
 		want := []int64{3, 8, -5, 10}
 		for i := range want {
@@ -313,6 +315,53 @@ func TestWireValueRoundTrip(t *testing.T) {
 	}
 	if back.Value().Int64() != 7 {
 		t.Errorf("JSON round trip = %s", back.Value().Format())
+	}
+}
+
+// TestWireValueMatchesSlowParse: group keys and extremes read back off
+// their wire text exactly as strconv and the time layout read them —
+// canonical and non-canonical integers, the int64 edges and past them,
+// valid and impossible timestamps, text that is neither, and the null and
+// empty-string keys.
+func TestWireValueMatchesSlowParse(t *testing.T) {
+	texts := []string{"", "0", "7", "-7", "007", "-0", "+5", "00", "1_000", " 1", "1e3", "x",
+		"999999999999999999", "-999999999999999999", "9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "-9223372036854775809", "18446744073709551616",
+		"20160118093000", "20160229235959", "20150229000000", "20161231240000", "20160118", "2016011809300",
+		"201601180930000", "-2016011809300", "00000101000000"}
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 500; i++ {
+		texts = append(texts, strconv.FormatInt(rng.Int63()>>uint(rng.Intn(64))*int64(1-2*rng.Intn(2)), 10),
+			time.Unix(rng.Int63n(4e9), 0).UTC().Format(telco.TimeLayout))
+	}
+	slow := func(kind, s string) telco.Value {
+		switch {
+		case kind == "str":
+			return telco.String(s)
+		case s == "" || kind == "":
+			return telco.Null
+		case kind == "int":
+			if x, err := strconv.ParseInt(s, 10, 64); err == nil {
+				return telco.Int(x)
+			}
+		case kind == "time":
+			if at, err := time.ParseInLocation(telco.TimeLayout, s, time.UTC); err == nil {
+				return telco.Time(at)
+			}
+		case kind == "float":
+			if f, err := strconv.ParseFloat(s, 64); err == nil {
+				return telco.Float(f)
+			}
+		}
+		return telco.Null
+	}
+	for _, kind := range []string{"", "int", "time", "float", "str"} {
+		for _, s := range texts {
+			got, want := WireValue{Kind: kind, Val: s}.Value(), slow(kind, s)
+			if got.Kind() != want.Kind() || got.Format() != want.Format() {
+				t.Errorf("%s %q reads %v %q, want %v %q", kind, s, got.Kind(), got.Format(), want.Kind(), want.Format())
+			}
+		}
 	}
 }
 

@@ -143,7 +143,7 @@ func TestDecodeBatchRefusesLyingRowCount(t *testing.T) {
 			return nil, err
 		}
 		var b telco.Batch
-		_, err = r.DecodeBatch(0, inflated, stringSchema(1), nil, &b)
+		_, err = r.DecodeBatch(0, inflated, stringSchema(1), nil, &b, true)
 		return &b, err
 	}
 	if b, err := decode(4, 2); err != nil || b.N != 2 || string(b.Cols[0].Bytes(1)) != "b" {
@@ -331,7 +331,7 @@ func FuzzSegmentOpen(f *testing.F) {
 					continue
 				}
 				var b telco.Batch
-				_, err = r.DecodeBatch(i, inflated, stringSchema(max(len(ch.Cols), 1)), nil, &b)
+				_, err = r.DecodeBatch(i, inflated, stringSchema(max(len(ch.Cols), 1)), nil, &b, true)
 				if len(ch.Cols) > 0 {
 					checkRefusal("decode batch", err)
 				}

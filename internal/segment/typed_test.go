@@ -56,7 +56,7 @@ func typedTable(seed int64, n int) *telco.Table {
 // inflated bytes decode into one reused batch, whose rows then materialize
 // as records.
 func decodeRows(r *segment.Reader, i int, data []byte, schema *telco.Schema, cols []int) ([]telco.Record, int64, error) {
-	wire, err := r.DecodeBatch(i, data, schema, cols, &rowsBatch)
+	wire, err := r.DecodeBatch(i, data, schema, cols, &rowsBatch, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -288,7 +288,7 @@ func TestProjectedDecodeAllocations(t *testing.T) {
 		}
 		var b telco.Batch
 		decode := func() {
-			if _, err := r.DecodeBatch(0, inflated, telco.CDRSchema, cols, &b); err != nil || b.N != tab.Len() {
+			if _, err := r.DecodeBatch(0, inflated, telco.CDRSchema, cols, &b, false); err != nil || b.N != tab.Len() {
 				t.Fatalf("%s: %d rows, err %v", name, b.N, err)
 			}
 		}

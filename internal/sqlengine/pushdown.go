@@ -455,14 +455,14 @@ func (p *aggPlan) result(parts []scanspec.Partial) *ResultSet {
 	n := len(p.cols)
 	rs := &ResultSet{Cols: p.cols, Rows: make([][]telco.Value, len(parts))}
 	slab := make([]telco.Value, len(parts)*n)
-	for k, part := range parts {
-		row := slab[k*n : (k+1)*n : (k+1)*n]
+	for k := range parts {
+		part, row := &parts[k], slab[k*n:(k+1)*n:(k+1)*n]
 		for i := range p.cols {
 			if p.group[i] {
 				row[i] = part.Group.Value()
 			} else {
 				ai := p.aggIdx[i]
-				row[i] = p.spec.Aggs[ai].Finalize(part.Cells[ai])
+				row[i] = p.spec.Aggs[ai].Finalize(&part.Cells[ai])
 			}
 		}
 		rs.Rows[k] = row
