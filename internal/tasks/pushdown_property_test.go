@@ -25,6 +25,9 @@ func pushdownPropertyQueries(start time.Time) []string {
 		`SELECT COUNT(*) FROM CDR`,
 		`SELECT COUNT(*), SUM(duration), MIN(duration), MAX(duration) FROM CDR`,
 		`SELECT COUNT(caller) FROM CDR`,
+		// attr_013 is an optional flag, blank (null) in most rows.
+		`SELECT COUNT(attr_013), MIN(attr_013), MAX(attr_013) FROM CDR`,
+		`SELECT call_type, COUNT(attr_013), MIN(attr_013), MAX(attr_013) FROM CDR GROUP BY call_type ORDER BY call_type`,
 		`SELECT SUM(upflux), SUM(downflux) FROM CDR WHERE call_type='DATA'`,
 		fmt.Sprintf(`SELECT COUNT(*) FROM CDR WHERE duration>=60 AND ts>='%s' AND ts<'%s'`, t1, t2),
 		fmt.Sprintf(`SELECT MIN(duration), MAX(duration) FROM CDR WHERE ts BETWEEN '%s' AND '%s'`, t1, t2),
