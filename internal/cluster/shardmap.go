@@ -104,18 +104,19 @@ func (m *ShardMap) BandsFor(box geo.Rect) []int {
 }
 
 // TimeShardsFor returns the time shards owning data inside w, in shard
-// order.
+// order. Blocks go round-robin, so it walks w's blocks only until every
+// shard is seen: a window of years is as cheap as one of Shards blocks.
 func (m *ShardMap) TimeShardsFor(w telco.TimeRange) []int {
-	seen := make(map[int]bool, m.Shards)
+	if !w.From.Before(w.To) {
+		return nil
+	}
+	seen := make([]bool, m.Shards)
 	var out []int
-	for _, b := range m.blocksIn(w) {
-		s := m.TimeShardOf(telco.Epoch(b * int64(m.BlockEpochs)))
-		if !seen[s] {
+	for b := int64(telco.EpochOf(w.From)) / int64(m.BlockEpochs); len(out) < m.Shards &&
+		telco.Epoch(b*int64(m.BlockEpochs)).Start().Before(w.To); b++ {
+		if s := m.TimeShardOf(telco.Epoch(b * int64(m.BlockEpochs))); !seen[s] {
 			seen[s] = true
 			out = append(out, s)
-		}
-		if len(out) == m.Shards {
-			break
 		}
 	}
 	sort.Ints(out)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"spate/internal/geo"
 	"spate/internal/scanspec"
@@ -39,7 +38,8 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	tables := []string{table}
 	src := e.capture(w, tables)
 	prof := ProfileFromContext(ctx)
-	env, plan, err := e.planScan(&w, geo.Rect{}, tables, src, prof)
+	tf := newTimeFilter(w, spec)
+	env, plan, err := e.planScan(tf.win, geo.Rect{}, tables, src, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func (e *Engine) AggregatePartials(ctx context.Context, w telco.TimeRange, table
 	// independent of scheduling. A pool of one is one accumulator.
 	accs := make([]*aggAcc, max(1, min(e.scanWorkers(), len(plan.units))))
 	for i := range accs {
-		if accs[i], err = newAggAcc(spec, schema, w); err != nil {
+		if accs[i], err = newAggAcc(spec, schema, tf); err != nil {
 			return nil, err
 		}
 	}
@@ -106,8 +106,7 @@ type aggLayout struct {
 type aggAcc struct {
 	spec   *ScanSpec
 	schema *telco.Schema
-	w      telco.TimeRange // the scan window
-	tf     timeFilter      // w and the spec's exact window, as an array filter
+	tf     timeFilter // the scan's window, which the walk prunes chunks by too
 
 	predCol []int // stored position per predicate
 	aggCol  []int // stored position per aggregate argument, -1 for COUNT(*)
@@ -156,12 +155,11 @@ type aggCell struct {
 // path — where the spec is a prefilter and the SQL engine re-evaluates —
 // the aggregate path is authoritative, so an unresolvable column is an
 // error rather than a skipped predicate.
-func newAggAcc(spec *ScanSpec, schema *telco.Schema, w telco.TimeRange) (*aggAcc, error) {
+func newAggAcc(spec *ScanSpec, schema *telco.Schema, tf timeFilter) (*aggAcc, error) {
 	a := &aggAcc{
 		spec:   spec,
 		schema: schema,
-		w:      w,
-		tf:     newTimeFilter(w, spec),
+		tf:     tf,
 		byKey:  make(map[string]int32),
 		byInt:  make(map[int64]int32),
 	}
@@ -230,10 +228,12 @@ func (a *aggAcc) resolve(names []string, checkTS bool) aggLayout {
 	return l
 }
 
-// prune is the aggregate's own chunk test: the spec's exact row window,
-// then its predicates against the column zone maps.
+// prune is the aggregate's own chunk test, beyond the walk's window test:
+// a chunk whose rows without a timestamp the spec drops holds a passing row
+// only inside its timestamped range; then the spec's predicates against the
+// column zone maps.
 func (a *aggAcc) prune(ch *segment.Chunk) pruneReason {
-	if a.exactWindowSkip(ch) {
+	if a.spec.RequireTS && ch.HasTimeGaps() && (ch.MinTS > ch.MaxTS || !a.tf.win.OverlapsRange(ch.MinTS/1e9, ch.MaxTS/1e9)) {
 		return pruneZone
 	}
 	if zonePrune(a.spec.Preds, a.predCol, a.schema, ch) {
@@ -270,26 +270,10 @@ func (a *aggAcc) rows(p *projection, b *telco.Batch) error {
 	return nil
 }
 
-// exactWindowSkip reports whether the spec's exact row window (and its
-// null-timestamp rule) proves no row of the chunk passes the row-level
-// time filter.
-func (a *aggAcc) exactWindowSkip(ch *segment.Chunk) bool {
-	if ch.HasTimeGaps() {
-		if !a.spec.RequireTS {
-			return false // null-ts rows pass unconditionally
-		}
-		if ch.MinTS > ch.MaxTS {
-			return true // only null-ts rows, all dropped
-		}
-	} else if ch.Rows == 0 {
-		return false
-	}
-	return !a.spec.Window.OverlapsRange(ch.MinTS, ch.MaxTS)
-}
-
 // chunkAllInWindow reports whether every row of the chunk provably passes
-// the row-level time filter (scan window, exact window and the
-// null-timestamp rule), so per-row timestamp checks can be skipped.
+// the row-level time filter (the scan's window and the null-timestamp
+// rule), so per-row timestamp checks can be skipped. The footer's bounds
+// are nanoseconds of whole seconds, before the year 10000.
 func (a *aggAcc) chunkAllInWindow(ch *segment.Chunk) bool {
 	if ch.HasTimeGaps() {
 		if a.spec.RequireTS {
@@ -301,10 +285,7 @@ func (a *aggAcc) chunkAllInWindow(ch *segment.Chunk) bool {
 	} else if ch.Rows == 0 {
 		return true
 	}
-	if !a.w.Contains(time.Unix(0, ch.MinTS)) || !a.w.Contains(time.Unix(0, ch.MaxTS)) {
-		return false
-	}
-	return a.spec.Window.ContainsRange(ch.MinTS, ch.MaxTS)
+	return a.tf.win.Contains(ch.MinTS/1e9) && a.tf.win.Contains(ch.MaxTS/1e9)
 }
 
 // chunkAllMatch reports whether the zone maps prove every row satisfies

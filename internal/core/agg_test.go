@@ -52,7 +52,7 @@ func TestGroupOrdinalsMatchAddRow(t *testing.T) {
 		func() telco.Value { return telco.Null },
 	}
 	newAcc := func() *aggAcc {
-		a, err := newAggAcc(spec, schema, w)
+		a, err := newAggAcc(spec, schema, newTimeFilter(w, spec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func BenchmarkGroupedPartials(b *testing.B) {
 	}}
 	w := telco.NewTimeRange(time.Unix(0, 0), time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC))
 	rng := rand.New(rand.NewSource(3))
-	lay, err := newAggAcc(spec, telco.NMSSchema, w)
+	lay, err := newAggAcc(spec, telco.NMSSchema, newTimeFilter(w, spec))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func BenchmarkGroupedPartials(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := newAggAcc(spec, telco.NMSSchema, w)
+		a, err := newAggAcc(spec, telco.NMSSchema, newTimeFilter(w, spec))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,7 +150,7 @@ const maxPruneCells = 512
 type leafPrune struct {
 	// window skips chunks whose [MinTS, MaxTS] cannot intersect it; nil
 	// applies no temporal pruning.
-	window *telco.TimeRange
+	window *scanspec.TimeWindow
 	// spatial marks an active box filter; cells lists the candidate cell
 	// ids inside the box (possibly none — then only chunks holding rows
 	// without cell ids survive).
@@ -173,7 +173,7 @@ const (
 // filters would keep, and which predicate proved it. It is conservative:
 // metadata-less rows defeat it.
 func (pr leafPrune) skip(ch segment.Chunk) pruneReason {
-	if pr.window != nil && !ch.OverlapsWindow(*pr.window) {
+	if !ch.OverlapsWindow(pr.window) {
 		return pruneZone
 	}
 	if pr.spatial {
@@ -467,12 +467,12 @@ type rowSink struct {
 	dst     *telco.Table
 }
 
-// newRowSink builds the sink of one row scan over window w into dst; inBox
-// is the query box's cell membership, nil for the zero box.
-func newRowSink(ss *specScan, w telco.TimeRange, inBox map[int64]bool, dst *telco.Table) rowSink {
+// newRowSink builds the sink of one row scan filtered by tf into dst;
+// inBox is the query box's cell membership, nil for the zero box.
+func newRowSink(ss *specScan, tf timeFilter, inBox map[int64]bool, dst *telco.Table) rowSink {
 	return rowSink{
 		specScan: ss,
-		tf:       newTimeFilter(w, ss.spec),
+		tf:       tf,
 		tsIdx:    ss.out.FieldIndex(telco.AttrTS),
 		inBox:    inBox,
 		cellIdx:  ss.out.FieldIndex(telco.AttrCellID),

@@ -184,7 +184,7 @@ func wantScan(full []telco.Record, schema *telco.Schema, w telco.TimeRange, spec
 			}
 		} else {
 			ts := r[tsIdx].Time()
-			if !w.Contains(ts) || (spec != nil && !spec.Window.Contains(ts.UnixNano())) {
+			if !w.Contains(ts) || (spec != nil && !spec.Window.Contains(ts.Unix())) {
 				continue
 			}
 		}
@@ -242,7 +242,7 @@ func TestNarrowScanParityAcrossSources(t *testing.T) {
 		// ScanTablesSpec. The sub-window starts and ends inside epochs, so
 		// the row-level time filter works on every kind of source.
 		sub := telco.NewTimeRange(w.From.Add(10*time.Minute), w.To.Add(-10*time.Minute))
-		exact := (&scanspec.TimeWindow{}).TightenFrom(sub.From.Add(5 * time.Minute).UnixNano())
+		exact := &scanspec.TimeWindow{From: sub.From.Add(5 * time.Minute).Unix(), HasFrom: true}
 		specs := []struct {
 			table  string
 			schema *telco.Schema

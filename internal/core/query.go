@@ -17,6 +17,7 @@ import (
 	"spate/internal/index"
 	"spate/internal/memtable"
 	"spate/internal/obs"
+	"spate/internal/scanspec"
 	"spate/internal/telco"
 )
 
@@ -389,10 +390,10 @@ type queryEnv struct {
 	pr     leafPrune
 }
 
-// newQueryEnv derives the environment for one query. The window pointer
-// must stay valid for the query's lifetime (the chunk pruner aliases it).
-func (e *Engine) newQueryEnv(w *telco.TimeRange, tables []string, box geo.Rect) *queryEnv {
-	env := &queryEnv{pr: leafPrune{window: w}}
+// newQueryEnv derives the environment for one query, whose chunks the
+// window prunes.
+func (e *Engine) newQueryEnv(win *scanspec.TimeWindow, tables []string, box geo.Rect) *queryEnv {
+	env := &queryEnv{pr: leafPrune{window: win}}
 	if len(tables) > 0 {
 		env.tables = make(map[string]struct{}, len(tables))
 		for _, t := range tables {
@@ -523,11 +524,11 @@ func (e *Engine) planUnits(leaves []leafRef, env *queryEnv) (scanPlan, error) {
 }
 
 // planScan is the prologue every exact-data read shares: the query
-// environment of window w, box and the table selection, the unit plan of
-// the captured leaves, and the plan's leaf counts booked to prof (when
-// non-nil). The window pointer must stay valid for the scan's lifetime.
-func (e *Engine) planScan(w *telco.TimeRange, box geo.Rect, tables []string, src scanSources, prof *Profile) (*queryEnv, scanPlan, error) {
-	env := e.newQueryEnv(w, tables, box)
+// environment of the scan's window, box and the table selection, the unit
+// plan of the captured leaves, and the plan's leaf counts booked to prof
+// (when non-nil).
+func (e *Engine) planScan(win *scanspec.TimeWindow, box geo.Rect, tables []string, src scanSources, prof *Profile) (*queryEnv, scanPlan, error) {
+	env := e.newQueryEnv(win, tables, box)
 	plan, err := e.planUnits(src.leaves, env)
 	if err != nil {
 		return nil, plan, err
@@ -821,7 +822,8 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 		narrow.Columns = append(slices.Clip(spec.Columns), telco.AttrCellID)
 		spec = &narrow
 	}
-	env, plan, err := e.planScan(&q.Window, q.Box, q.Tables, src, prof)
+	tf := newTimeFilter(q.Window, spec)
+	env, plan, err := e.planScan(tf.win, q.Box, q.Tables, src, prof)
 	if err != nil {
 		return err
 	}
@@ -843,7 +845,7 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 		u := plan.units[i]
 		ss := scans[u.name]
 		tab := ss.table(nil)
-		return tab, e.walkLeaf(u.ref, env.pr, newRowSink(ss, q.Window, env.inBox, tab), sw.prof)
+		return tab, e.walkLeaf(u.ref, env.pr, newRowSink(ss, tf, env.inBox, tab), sw.prof)
 	}, func(i int, v any) error {
 		return fn(plan.units[i].name, v.(*telco.Table))
 	})
@@ -866,7 +868,7 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 		ss := scanFor(mt.name, schema)
 		tab := ss.table(nil)
 		b.SetRows(ss.full, ss.cols, mt.tab.Rows, true)
-		if err := newRowSink(ss, q.Window, env.inBox, tab).rows(&ss.projection, b); err != nil {
+		if err := newRowSink(ss, tf, env.inBox, tab).rows(&ss.projection, b); err != nil {
 			return err
 		}
 		if prof != nil {

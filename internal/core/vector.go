@@ -181,35 +181,29 @@ func narrowCmp[T int64 | float64](b *telco.Batch, c *telco.Column, vals []T, lit
 }
 
 // timeFilter is the row-level time filter of a (possibly spec-carrying)
-// scan in array form: rows inside the window pass, rows without a timestamp
-// pass unless the spec's WHERE clause carried a timestamp conjunct, and the
-// spec's exact window narrows the scan window when present. Timestamps are
-// whole seconds, so the window's bounds are held as the first second inside
-// it and the first second past it.
+// scan in array form: rows inside the scan's one window pass, and rows
+// without a timestamp pass unless the spec's WHERE clause carried a
+// timestamp conjunct. The same window prunes the scan's chunks.
 type timeFilter struct {
-	from, to  int64 // seconds: from <= ts < to
-	exact     *scanspec.TimeWindow
+	win       *scanspec.TimeWindow
 	requireTS bool
 }
 
+// newTimeFilter builds the filter of a scan over range w: w in the whole
+// seconds rows carry — a bound with a fractional second admits the next
+// whole second onward — narrowed by the spec's window.
 func newTimeFilter(w telco.TimeRange, spec *ScanSpec) timeFilter {
-	// A bound with a fractional second admits the next whole second onward.
 	ceil := func(t time.Time) int64 {
 		if t.Nanosecond() > 0 {
 			return t.Unix() + 1
 		}
 		return t.Unix()
 	}
-	tf := timeFilter{from: ceil(w.From), to: ceil(w.To)}
+	tf := timeFilter{win: &scanspec.TimeWindow{From: ceil(w.From), HasFrom: true, To: ceil(w.To), HasTo: true}}
 	if spec != nil {
-		tf.exact, tf.requireTS = spec.Window, spec.RequireTS
+		tf.win, tf.requireTS = tf.win.Intersect(spec.Window), spec.RequireTS
 	}
 	return tf
-}
-
-// keep reports whether a timestamp (Unix seconds) passes.
-func (tf *timeFilter) keep(sec int64) bool {
-	return sec >= tf.from && sec < tf.to && tf.exact.Contains(sec*1e9)
 }
 
 // filter narrows b's selection by the timestamp column at ts (-1: the
@@ -230,7 +224,7 @@ func (tf *timeFilter) filter(b *telco.Batch, ts int) {
 			if !tf.requireTS {
 				out = append(out, i)
 			}
-		} else if tf.keep(c.Ints[i]) {
+		} else if tf.win.Contains(c.Ints[i]) {
 			out = append(out, i)
 		}
 	}

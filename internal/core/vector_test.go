@@ -162,7 +162,7 @@ func TestTimeFilterParity(t *testing.T) {
 		if !w.Contains(ts) {
 			return false
 		}
-		return spec == nil || spec.Window.Contains(ts.UnixNano())
+		return spec == nil || spec.Window.Contains(ts.Unix())
 	}
 	base := time.Date(2016, 1, 18, 9, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(5))
@@ -180,7 +180,7 @@ func TestTimeFilterParity(t *testing.T) {
 		telco.NewTimeRange(base.Add(100*time.Second+time.Nanosecond), base.Add(400*time.Second+500*time.Millisecond)),
 		telco.NewTimeRange(base.Add(-time.Hour), base.Add(time.Hour)),
 	}
-	exact := (&scanspec.TimeWindow{}).TightenFrom(base.Add(150 * time.Second).UnixNano()).TightenTo(base.Add(300*time.Second).UnixNano() + 1)
+	exact := &scanspec.TimeWindow{From: base.Add(150 * time.Second).Unix(), HasFrom: true, To: base.Add(301 * time.Second).Unix(), HasTo: true}
 	specs := []*ScanSpec{nil, {}, {RequireTS: true}, {RequireTS: true, Window: exact}, {Window: exact}}
 	for _, w := range windows {
 		for _, spec := range specs {
@@ -408,14 +408,14 @@ func TestAggMetaParity(t *testing.T) {
 		rows = append(rows, r)
 		spec.AddRow(byRow, []telco.Value{telco.Null, r[0], r[0], r[0], r[1], r[1], r[2], r[2]})
 	}
-	folded, err := newAggAcc(spec, schema, w)
+	folded, err := newAggAcc(spec, schema, newTimeFilter(w, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b telco.Batch
 	folded.foldMem(&b, &telco.Table{Schema: schema, Rows: rows})
 
-	meta, err := newAggAcc(spec, schema, w)
+	meta, err := newAggAcc(spec, schema, newTimeFilter(w, spec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"spate/internal/telco"
 )
@@ -187,16 +188,23 @@ type Spec struct {
 	// rows without a timestamp are dropped (a NULL comparison filters the
 	// row in SQL), whereas a bare window scan keeps them.
 	RequireTS bool `json:"require_ts,omitempty"`
-	// Window is the exact half-open row-level timestamp interval the
-	// WHERE clause's timestamp conjuncts denote (nil when they impose no
-	// bound). The scan hint window stays a conservative superset used for
-	// leaf and chunk selection; this window decides row membership, so
-	// aggregate pushdown reproduces the row path bit for bit.
+	// Window is the window the WHERE clause's timestamp conjuncts denote
+	// (nil when they impose no bound), the one the scan hint carries too.
+	// It decides row membership exactly, so aggregate pushdown reproduces
+	// the row path bit for bit.
 	Window *TimeWindow `json:"window,omitempty"`
 }
 
-// TimeWindow is an exact half-open timestamp interval in Unix nanoseconds.
-// An unset side is unbounded.
+// TimeWindow is a scan's time window: the half-open interval of Unix
+// seconds [From, To) the WHERE clause's timestamp conjuncts denote, each
+// side open unless its Has flag is set. One window, derived once per
+// scanned table, is what every layer tests: the SQL engine's in-memory
+// tables, the frameworks' temporal indexes, a chunk's timestamp range and
+// each row. A nil window is open on both sides.
+//
+// A row at or past MaxWireSec is never outside a window: the SQL engine
+// compares a timestamp with a literal on its wire text, and five or more
+// year digits sort that text apart from the time it names.
 type TimeWindow struct {
 	From    int64 `json:"from,omitempty"`
 	HasFrom bool  `json:"has_from,omitempty"`
@@ -204,61 +212,66 @@ type TimeWindow struct {
 	HasTo   bool  `json:"has_to,omitempty"`
 }
 
-// Contains reports whether instant ns lies inside the window. A nil
-// window contains everything.
-func (tw *TimeWindow) Contains(ns int64) bool {
-	if tw == nil {
+// MaxWireSec is the first Unix second of the year 10000: every earlier time
+// formats to fourteen digits of telco.TimeLayout, or to fewer than a
+// four-digit year with a leading zero or sign, so its wire text orders
+// against a time literal as its seconds do.
+const MaxWireSec = 253402300800
+
+// minWireSec is the first Unix second of the year 0, the earliest time a
+// fourteen-digit wire form names.
+const minWireSec = -62167219200
+
+// Contains reports whether a row dated sec lies inside the window.
+func (tw *TimeWindow) Contains(sec int64) bool {
+	if tw == nil || sec >= MaxWireSec {
 		return true
 	}
-	if tw.HasFrom && ns < tw.From {
-		return false
-	}
-	if tw.HasTo && ns >= tw.To {
-		return false
-	}
-	return true
+	return (!tw.HasFrom || sec >= tw.From) && (!tw.HasTo || sec < tw.To)
 }
 
-// ContainsRange reports whether every instant in [min, max] lies inside.
-func (tw *TimeWindow) ContainsRange(min, max int64) bool {
-	return tw.Contains(min) && tw.Contains(max)
-}
-
-// OverlapsRange reports whether some instant in [min, max] lies inside.
-func (tw *TimeWindow) OverlapsRange(min, max int64) bool {
-	if tw == nil {
+// OverlapsRange reports whether a row dated in [lo, hi] may lie inside.
+func (tw *TimeWindow) OverlapsRange(lo, hi int64) bool {
+	if tw == nil || hi >= MaxWireSec {
 		return true
 	}
-	if tw.HasFrom && max < tw.From {
-		return false
-	}
-	if tw.HasTo && min >= tw.To {
-		return false
-	}
-	return true
+	return (!tw.HasFrom || hi >= tw.From) && (!tw.HasTo || lo < tw.To)
 }
 
-// TightenFrom raises the window's lower bound to ns if that narrows it,
-// returning the (possibly newly allocated) window.
-func (tw *TimeWindow) TightenFrom(ns int64) *TimeWindow {
-	if tw == nil {
-		tw = &TimeWindow{}
+// Intersect returns the window both tw and o bound: the later From and the
+// earlier To of the sides they set, nil when both are nil. Neither operand
+// changes.
+func (tw *TimeWindow) Intersect(o *TimeWindow) *TimeWindow {
+	if tw == nil && o == nil {
+		return nil
 	}
-	if !tw.HasFrom || ns > tw.From {
-		tw.From, tw.HasFrom = ns, true
+	var w TimeWindow
+	for _, s := range [2]*TimeWindow{tw, o} {
+		if s == nil {
+			continue
+		}
+		if s.HasFrom && (!w.HasFrom || s.From > w.From) {
+			w.From, w.HasFrom = s.From, true
+		}
+		if s.HasTo && (!w.HasTo || s.To < w.To) {
+			w.To, w.HasTo = s.To, true
+		}
 	}
-	return tw
+	return &w
 }
 
-// TightenTo lowers the window's upper bound to ns if that narrows it.
-func (tw *TimeWindow) TightenTo(ns int64) *TimeWindow {
-	if tw == nil {
-		tw = &TimeWindow{}
+// Range is the window as the time range a framework scans: an open side
+// becomes the start of the year 0 or of the year 10000, past every time a
+// stored fourteen-digit wire form names.
+func (tw *TimeWindow) Range() telco.TimeRange {
+	r := telco.TimeRange{From: time.Unix(minWireSec, 0).UTC(), To: time.Unix(MaxWireSec, 0).UTC()}
+	if tw != nil && tw.HasFrom {
+		r.From = time.Unix(tw.From, 0).UTC()
 	}
-	if !tw.HasTo || ns < tw.To {
-		tw.To, tw.HasTo = ns, true
+	if tw != nil && tw.HasTo {
+		r.To = time.Unix(tw.To, 0).UTC()
 	}
-	return tw
+	return r
 }
 
 // IsAggregate reports whether the scan folds aggregates instead of

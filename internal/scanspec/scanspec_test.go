@@ -87,30 +87,31 @@ func TestZoneLogicConsistency(t *testing.T) {
 
 func TestTimeWindow(t *testing.T) {
 	var nilWin *TimeWindow
-	if !nilWin.Contains(42) || !nilWin.OverlapsRange(1, 2) || !nilWin.ContainsRange(1, 2) {
+	if !nilWin.Contains(42) || !nilWin.OverlapsRange(1, 2) || nilWin.Intersect(nil) != nil {
 		t.Error("nil window must contain everything")
 	}
-	w := nilWin.TightenFrom(100).TightenTo(200)
-	for ns, want := range map[int64]bool{99: false, 100: true, 199: true, 200: false} {
-		if w.Contains(ns) != want {
-			t.Errorf("Contains(%d) = %v, want %v (half-open [100,200))", ns, !want, want)
+	w := nilWin.Intersect(&TimeWindow{From: 100, HasFrom: true}).Intersect(&TimeWindow{To: 200, HasTo: true})
+	for sec, want := range map[int64]bool{99: false, 100: true, 199: true, 200: false, MaxWireSec - 1: false, MaxWireSec: true} {
+		if w.Contains(sec) != want {
+			t.Errorf("Contains(%d) = %v, want %v (half-open [100,200), never past MaxWireSec)", sec, !want, want)
 		}
 	}
-	if !w.ContainsRange(100, 199) || w.ContainsRange(100, 200) {
-		t.Error("ContainsRange bounds wrong")
-	}
-	if !w.OverlapsRange(50, 100) || w.OverlapsRange(50, 99) || w.OverlapsRange(200, 300) || !w.OverlapsRange(199, 300) {
+	if !w.OverlapsRange(50, 100) || w.OverlapsRange(50, 99) || w.OverlapsRange(200, 300) || !w.OverlapsRange(199, 300) || !w.OverlapsRange(300, MaxWireSec) {
 		t.Error("OverlapsRange bounds wrong")
 	}
-	// Tighten only narrows.
-	if got := w.TightenFrom(50); got.From != 100 {
-		t.Errorf("TightenFrom widened to %d", got.From)
+	// Intersect only narrows, and changes neither operand.
+	if got := w.Intersect(&TimeWindow{From: 50, HasFrom: true, To: 300, HasTo: true}); *got != *w {
+		t.Errorf("Intersect widened to %+v", got)
 	}
-	if got := w.TightenTo(300); got.To != 200 {
-		t.Errorf("TightenTo widened to %d", got.To)
+	if got := w.Intersect(&TimeWindow{From: 150, HasFrom: true}); got.From != 150 || got.To != 200 || w.From != 100 {
+		t.Errorf("Intersect(From 150) = %+v (operand now %+v)", got, w)
 	}
-	if got := w.TightenFrom(150); got.From != 150 {
-		t.Errorf("TightenFrom(150) = %d", got.From)
+	// An open side spans every time a wire form names.
+	if r := nilWin.Range(); r.From.Year() != 0 || r.To.Unix() != MaxWireSec {
+		t.Errorf("open range = %v", r)
+	}
+	if r := w.Range(); r.From.Unix() != 100 || r.To.Unix() != 200 {
+		t.Errorf("range = %v", r)
 	}
 }
 

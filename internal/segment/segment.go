@@ -90,6 +90,7 @@ import (
 	"sync"
 
 	"spate/internal/compress"
+	"spate/internal/scanspec"
 	"spate/internal/telco"
 )
 
@@ -210,12 +211,14 @@ type ColMeta struct {
 }
 
 // OverlapsWindow reports whether the chunk may hold a row inside the
-// half-open window w. Chunks holding rows without timestamps always may.
-func (c Chunk) OverlapsWindow(w telco.TimeRange) bool {
+// window w (nil: no bound). Chunks holding rows without timestamps always
+// may. The footer's nanosecond bounds are whole seconds, as rows carry
+// them, and compare with the window's seconds.
+func (c Chunk) OverlapsWindow(w *scanspec.TimeWindow) bool {
 	if c.Flags&flagNoTS != 0 {
 		return true
 	}
-	return c.MinTS < w.To.UnixNano() && c.MaxTS >= w.From.UnixNano()
+	return w.OverlapsRange(c.MinTS/1e9, c.MaxTS/1e9)
 }
 
 // HasTimeGaps reports whether the chunk holds rows without timestamps —

@@ -12,9 +12,15 @@ import (
 
 	"spate/internal/compress"
 	_ "spate/internal/compress/all"
+	"spate/internal/scanspec"
 	"spate/internal/segment"
 	"spate/internal/telco"
 )
+
+// window is the half-open window [from, to) in whole seconds.
+func window(from, to time.Time) *scanspec.TimeWindow {
+	return &scanspec.TimeWindow{From: from.Unix(), HasFrom: true, To: to.Unix(), HasTo: true}
+}
 
 func codec(t testing.TB, name string) compress.Codec {
 	t.Helper()
@@ -109,7 +115,7 @@ func TestWindowPruning(t *testing.T) {
 	}
 	// A 30-minute window deep inside: most chunks must be prunable, and
 	// the surviving chunks must cover every matching row.
-	w := telco.NewTimeRange(base.Add(5*time.Hour), base.Add(5*time.Hour+30*time.Minute))
+	w := window(base.Add(5*time.Hour), base.Add(5*time.Hour+30*time.Minute))
 	kept, pruned := 0, 0
 	var got bytes.Buffer
 	for i, ch := range r.Chunks() {
@@ -130,7 +136,7 @@ func TestWindowPruning(t *testing.T) {
 	// Every line whose timestamp falls in the window must appear.
 	for i, l := range lines {
 		ts := base.Add(time.Duration(i) * time.Minute)
-		if w.Contains(ts) && !bytes.Contains(got.Bytes(), l) {
+		if w.Contains(ts.Unix()) && !bytes.Contains(got.Bytes(), l) {
 			t.Fatalf("window row %d missing after pruning (kept=%d pruned=%d)", i, kept, pruned)
 		}
 	}
@@ -182,6 +188,51 @@ func TestCellSketchPruning(t *testing.T) {
 	}
 }
 
+// TestOverlapsWindowBeyondNanoseconds: a window bound before 1678 or after
+// 2262 — past what int64 nanoseconds hold — or an open side prunes no chunk
+// it overlaps and every chunk it does not, and a chunk holding a row
+// without a timestamp survives every window.
+func TestOverlapsWindowBeyondNanoseconds(t *testing.T) {
+	c := codec(t, "gzip")
+	base := time.Date(2016, 1, 18, 0, 0, 0, 0, time.UTC)
+	lines, metas := buildRows(120, 4, base)
+	// The last chunk also holds a row without a timestamp.
+	lines = append(lines, []byte("no-ts|1|gap|0\n"))
+	metas = append(metas, segment.RowMeta{Cell: 1, HasCell: true})
+	data := encode(t, c, 1<<10, lines, metas)
+	r, err := segment.Open(bytes.NewReader(data), int64(len(data)), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := r.Chunks()
+	if len(chunks) < 3 || !chunks[len(chunks)-1].HasTimeGaps() || chunks[0].HasTimeGaps() {
+		t.Fatalf("want several chunks, only the last with a timestamp gap: %d chunks", len(chunks))
+	}
+	year := func(y int) int64 { return time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC).Unix() }
+	for _, tc := range []struct {
+		name     string
+		w        *scanspec.TimeWindow
+		overlaps bool // the timestamped chunks
+	}{
+		{"unbounded", nil, true},
+		{"1600 to 2300", &scanspec.TimeWindow{From: year(1600), HasFrom: true, To: year(2300), HasTo: true}, true},
+		{"from 1600", &scanspec.TimeWindow{From: year(1600), HasFrom: true}, true},
+		{"before 2300", &scanspec.TimeWindow{To: year(2300), HasTo: true}, true},
+		{"from 12016", &scanspec.TimeWindow{From: year(12016), HasFrom: true}, false},
+		{"1500 to 1600", &scanspec.TimeWindow{From: year(1500), HasFrom: true, To: year(1600), HasTo: true}, false},
+		{"2300 to 2400", &scanspec.TimeWindow{From: year(2300), HasFrom: true, To: year(2400), HasTo: true}, false},
+		{"before 1600", &scanspec.TimeWindow{To: year(1600), HasTo: true}, false},
+		{"from 2300", &scanspec.TimeWindow{From: year(2300), HasFrom: true}, false},
+	} {
+		for i, ch := range chunks {
+			want := tc.overlaps || ch.HasTimeGaps()
+			if got := ch.OverlapsWindow(tc.w); got != want {
+				t.Errorf("%s: chunk %d (gap %v) overlaps = %v, want %v", tc.name, i, ch.HasTimeGaps(), got, want)
+			}
+		}
+	}
+}
+
 func TestRowsWithoutMetadataDefeatPruning(t *testing.T) {
 	c := codec(t, "gzip")
 	w := segment.NewWriter(c, 1<<10)
@@ -197,8 +248,7 @@ func TestRowsWithoutMetadataDefeatPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := r.Chunks()[0]
-	anyWindow := telco.NewTimeRange(time.Unix(0, 0), time.Unix(1, 0))
-	if !ch.OverlapsWindow(anyWindow) {
+	if !ch.OverlapsWindow(window(time.Unix(0, 0), time.Unix(1, 0))) {
 		t.Error("chunk with timestamp-less rows was window-pruned")
 	}
 	if !ch.MayContainCell(42) {

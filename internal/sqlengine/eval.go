@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"spate/internal/scanspec"
 	"spate/internal/telco"
 )
 
@@ -41,12 +42,6 @@ type timeLit struct {
 	sec int64
 }
 
-// maxWireSec is the first Unix second of the year 10000: every earlier time
-// formats to fourteen digits, or to fewer than a timeLit's year with a
-// leading zero or sign, so its wire form orders against a timeLit as its
-// seconds do.
-const maxWireSec = 253402300800
-
 // newTimeLit converts l when it is a canonical time literal.
 func newTimeLit(l *Literal) (*timeLit, bool) {
 	if !l.IsStr || len(l.Str) != len(telco.TimeLayout) || l.Str[0] < '1' || l.Str[0] > '9' {
@@ -66,7 +61,7 @@ func (t *timeLit) compare(v telco.Value) (c int, ok bool) {
 		return 0, false
 	}
 	sec := v.Time().Unix()
-	if sec >= maxWireSec {
+	if sec >= scanspec.MaxWireSec {
 		return 0, false
 	}
 	return cmp.Compare(sec, t.sec), true

@@ -128,55 +128,39 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 	if stmt.Explain {
 		return e.explain(ctx, stmt)
 	}
-	// Bind FROM and JOIN tables.
-	sc := &scope{}
-	providers := make([]Provider, 0, 1+len(stmt.Joins))
-	add := func(tr TableRef) error {
-		p, err := e.cat.Table(tr.Name)
-		if err != nil {
-			return err
-		}
-		off := 0
-		if len(sc.bindings) > 0 {
-			off = sc.width()
-		}
-		sc.bindings = append(sc.bindings, binding{name: tr.binding(), schema: p.Schema(), offset: off})
-		providers = append(providers, p)
-		return nil
-	}
-	if err := add(stmt.From); err != nil {
+	sc, providers, cjs, err := e.bindTables(stmt)
+	if err != nil {
 		return nil, err
 	}
-	for _, j := range stmt.Joins {
-		if err := add(j.Table); err != nil {
-			return nil, err
-		}
-	}
 
-	// Single-table statements compile into a pushdown spec: fully eligible
-	// aggregates skip row materialization entirely when the provider folds
-	// partials itself; everything else ships the spec as an advisory
-	// prefilter with the scan hint. Joined tables each get a
-	// projection-only spec — the columns the statement reads from that
-	// binding, no predicates (the WHERE clause may span both sides) — so
-	// the nested loop concatenates narrow rows.
-	specs := make([]*scanspec.Spec, len(providers))
+	// Every table's scan hint carries its ts window. Single-table
+	// statements compile into a pushdown spec: fully eligible aggregates
+	// skip row materialization entirely when the provider folds partials
+	// itself; everything else ships the spec as an advisory prefilter with
+	// the scan hint. Joined tables each get a projection-only spec — the
+	// columns the statement reads from that binding, no predicates (the
+	// WHERE clause may span both sides) — so the nested loop concatenates
+	// narrow rows.
+	hints := make([]ScanHint, len(providers))
+	for i := range hints {
+		hints[i].Window = cjs[i].win
+	}
 	if !e.DisablePushdown {
 		if len(stmt.Joins) == 0 {
-			if plan, ok := compileAggPlan(stmt, sc.bindings[0]); ok {
+			if plan, ok := compileAggPlan(stmt, sc.bindings[0], cjs[0]); ok {
 				if agg, isAgg := providers[0].(Aggregator); isAgg {
-					parts, err := agg.Aggregate(ctx, baseHint(stmt, sc), plan.spec)
+					parts, err := agg.Aggregate(ctx, hints[0], plan.spec)
 					if err != nil {
 						return nil, err
 					}
 					return plan.result(parts), nil
 				}
 			}
-			specs[0] = compileScanSpec(stmt, sc.bindings[0])
+			hints[0].Spec = compileScanSpec(stmt, sc.bindings[0], cjs[0])
 		} else {
 			for i, b := range sc.bindings {
 				if cols, all := collectColumns(stmt, b); !all {
-					specs[i] = &scanspec.Spec{Columns: cols}
+					hints[i].Spec = &scanspec.Spec{Columns: cols}
 				}
 			}
 		}
@@ -191,7 +175,7 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 	// Scan each table, rebinding sc to the layouts its rows came in, then
 	// bind the statement to those layouts once: from here on the row loops
 	// read column positions.
-	tables, err := e.scanTables(ctx, stmt, sc, providers, specs)
+	tables, err := e.scanTables(ctx, sc, providers, hints)
 	if err != nil {
 		return nil, err
 	}
@@ -224,14 +208,30 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 	return e.project(stmt, ev, b, rows)
 }
 
-// baseHint builds the FROM table's scan hint: the conservative ts window
-// the temporal index prunes with.
-func baseHint(stmt *SelectStmt, sc *scope) ScanHint {
-	hint := ScanHint{}
-	if w, ok := extractWindow(stmt.Where, sc.bindings[0].name); ok {
-		hint = ScanHint{Window: w, Constrained: true}
+// bindTables binds the FROM and JOIN tables into one scope, in order, and
+// decomposes the WHERE clause for each: the one place a table's ts window
+// is derived.
+func (e *Engine) bindTables(stmt *SelectStmt) (*scope, []Provider, []conjuncts, error) {
+	refs := []TableRef{stmt.From}
+	for _, j := range stmt.Joins {
+		refs = append(refs, j.Table)
 	}
-	return hint
+	sc := &scope{bindings: make([]binding, 0, len(refs))}
+	providers := make([]Provider, len(refs))
+	cjs := make([]conjuncts, len(refs))
+	for i, tr := range refs {
+		p, err := e.cat.Table(tr.Name)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		b := binding{name: tr.binding(), schema: p.Schema()}
+		if i > 0 {
+			b.offset = sc.width()
+		}
+		sc.bindings = append(sc.bindings, b)
+		providers[i], cjs[i] = p, decomposeWhere(stmt.Where, b.name, b.schema)
+	}
+	return sc, providers, cjs, nil
 }
 
 // scanTable drains one provider's scan, returning the rows and the layout
@@ -272,22 +272,13 @@ func sameLayout(a, b *telco.Schema) bool {
 	return true
 }
 
-// scanTables scans the FROM table (with ts pushdown) and every joined
-// table, binding sc to the layout each table's rows came in: the combined
-// row is the concatenation of those layouts, narrow where a provider honored
-// its spec's projection.
-func (e *Engine) scanTables(ctx context.Context, stmt *SelectStmt, sc *scope, providers []Provider, specs []*scanspec.Spec) ([][][]telco.Value, error) {
-	hints := make([]ScanHint, len(providers))
-	hints[0] = baseHint(stmt, sc)
-	for i := 1; i < len(providers); i++ {
-		if w, ok := extractWindow(stmt.Where, sc.bindings[i].name); ok {
-			hints[i] = ScanHint{Window: w, Constrained: true}
-		}
-	}
+// scanTables scans every table under its hint, binding sc to the layout
+// each table's rows came in: the combined row is the concatenation of those
+// layouts, narrow where a provider honored its spec's projection.
+func (e *Engine) scanTables(ctx context.Context, sc *scope, providers []Provider, hints []ScanHint) ([][][]telco.Value, error) {
 	tables := make([][][]telco.Value, len(providers))
 	width := 0
 	for i, p := range providers {
-		hints[i].Spec = specs[i]
 		layout, rows, err := scanTable(ctx, p, hints[i])
 		if err != nil {
 			return nil, err

@@ -22,8 +22,12 @@ type ExplainProfiler interface {
 // explain serves EXPLAIN and EXPLAIN ANALYZE: the plan alone, or the plan
 // plus an execution report (rows, wall time, storage profile).
 func (e *Engine) explain(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) {
-	lines := planLines(stmt)
-	lines = append(lines, e.pushdownLines(stmt)...)
+	sc, providers, cjs, err := e.bindTables(stmt)
+	if err != nil {
+		return nil, err
+	}
+	lines := planLines(stmt, cjs)
+	lines = append(lines, e.pushdownLines(stmt, sc.bindings[0], providers[0], cjs[0])...)
 	rs := &ResultSet{Cols: []string{"plan"}}
 	if stmt.Analyze {
 		inner := *stmt
@@ -52,53 +56,58 @@ func (e *Engine) explain(ctx context.Context, stmt *SelectStmt) (*ResultSet, err
 }
 
 // pushdownLines reports what the columnar storage layer will consume for a
-// single-table statement. Lines appear only for providers that implement
+// single-table statement over provider p, bound as b with its WHERE clause
+// decomposed into cj. Lines appear only for providers that implement
 // Aggregator (i.e. spec-aware storage): either the whole aggregate is
 // answered from partials, or the scan ships a column/predicate spec.
 // Catalogs without pushdown-capable storage keep their plans unchanged.
-func (e *Engine) pushdownLines(stmt *SelectStmt) []string {
+func (e *Engine) pushdownLines(stmt *SelectStmt, b binding, p Provider, cj conjuncts) []string {
 	if e.DisablePushdown || len(stmt.Joins) > 0 {
-		return nil
-	}
-	p, err := e.cat.Table(stmt.From.Name)
-	if err != nil {
 		return nil
 	}
 	if _, isAgg := p.(Aggregator); !isAgg {
 		return nil
 	}
-	b := binding{name: stmt.From.binding(), schema: p.Schema()}
-	if plan, ok := compileAggPlan(stmt, b); ok {
+	if plan, ok := compileAggPlan(stmt, b, cj); ok {
 		return []string{"PUSHDOWN aggregate: " + plan.spec.String()}
 	}
-	if spec := compileScanSpec(stmt, b); spec != nil {
+	if spec := compileScanSpec(stmt, b, cj); spec != nil {
 		return []string{"PUSHDOWN scan: " + spec.String()}
 	}
 	return nil
 }
 
 // planLines renders the statement's evaluation plan, one step per line, in
-// execution order. The scan lines surface the planner's only real
-// decision: whether a ts predicate was pushed down into the storage index.
-func planLines(stmt *SelectStmt) []string {
+// execution order; cjs is the WHERE clause decomposed for each table, FROM
+// first. The scan lines surface the planner's only real decision: the ts
+// window each table's scan is pushed down, with a side no conjunct bounds
+// left out.
+func planLines(stmt *SelectStmt, cjs []conjuncts) []string {
 	var lines []string
-	scanLine := func(tr TableRef, bindingName string) string {
+	scanLine := func(tr TableRef, cj conjuncts) string {
 		s := "SCAN " + tr.Name
 		if tr.Alias != "" {
 			s += " AS " + tr.Alias
 		}
-		if w, ok := extractWindow(stmt.Where, bindingName); ok {
-			s += fmt.Sprintf(" [ts pushdown %s .. %s]",
-				w.From.UTC().Format("2006-01-02T15:04:05"),
-				w.To.UTC().Format("2006-01-02T15:04:05"))
+		if w := cj.win; w != nil {
+			const layout = "2006-01-02T15:04:05"
+			s += " [ts pushdown "
+			if w.HasFrom {
+				s += time.Unix(w.From, 0).UTC().Format(layout) + " <= "
+			}
+			s += "ts"
+			if w.HasTo {
+				s += " < " + time.Unix(w.To, 0).UTC().Format(layout)
+			}
+			s += "]"
 		} else {
 			s += " [full scan]"
 		}
 		return s
 	}
-	lines = append(lines, scanLine(stmt.From, stmt.From.binding()))
-	for _, j := range stmt.Joins {
-		lines = append(lines, "JOIN "+scanLine(j.Table, j.Table.binding())[len("SCAN "):]+
+	lines = append(lines, scanLine(stmt.From, cjs[0]))
+	for i, j := range stmt.Joins {
+		lines = append(lines, "JOIN "+scanLine(j.Table, cjs[i+1])[len("SCAN "):]+
 			" ON "+j.On.exprString())
 	}
 	if stmt.Where != nil {

@@ -88,3 +88,25 @@ func TestExplainIsNotAnalyze(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainPrintsTheScanWindow: the SCAN line prints the window the scan
+// is pushed down — the one the hint and the spec carry, in whole seconds —
+// with a side no conjunct bounds left out.
+func TestExplainPrintsTheScanWindow(t *testing.T) {
+	for sql, want := range map[string]string{
+		`EXPLAIN SELECT COUNT(*) FROM CDR WHERE ts < '2016'`:                                         "SCAN CDR [ts pushdown ts < 2016-01-01T00:00:00]",
+		`EXPLAIN SELECT COUNT(*) FROM CDR WHERE ts <= '201601181030'`:                                "SCAN CDR [ts pushdown ts < 2016-01-18T10:30:00]",
+		`EXPLAIN SELECT COUNT(*) FROM CDR WHERE ts <= '20160118103000'`:                              "SCAN CDR [ts pushdown ts < 2016-01-18T10:30:01]",
+		`EXPLAIN SELECT COUNT(*) FROM CDR WHERE ts >= '1600'`:                                        "SCAN CDR [ts pushdown 1600-01-01T00:00:00 <= ts]",
+		`EXPLAIN SELECT COUNT(*) FROM CDR WHERE ts >= '201601221530' AND ts < '201601221630'`:        "SCAN CDR [ts pushdown 2016-01-22T15:30:00 <= ts < 2016-01-22T16:30:00]",
+		`EXPLAIN SELECT c.caller FROM CDR c JOIN NMS n ON c.cell_id = n.cell_id WHERE n.ts > '2016'`: "SCAN CDR AS c [full scan]",
+	} {
+		if got := planOf(t, sql)[0]; got != want {
+			t.Errorf("%s:\n plan %q\n want %q", sql, got, want)
+		}
+	}
+	lines := planOf(t, `EXPLAIN SELECT c.caller FROM CDR c JOIN NMS n ON c.cell_id = n.cell_id WHERE n.ts > '2016'`)
+	if want := "JOIN NMS AS n [ts pushdown 2016-01-01T00:00:00 <= ts] ON (c.cell_id = n.cell_id)"; lines[1] != want {
+		t.Errorf("join line %q, want %q", lines[1], want)
+	}
+}

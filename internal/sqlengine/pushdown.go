@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"sort"
 	"strconv"
+	"time"
 
 	"spate/internal/scanspec"
 	"spate/internal/telco"
@@ -25,16 +26,37 @@ import (
 //     column: partials merge in key order, rows group in first-seen order,
 //     and only a total order reconciles the two).
 
+// conjuncts is a WHERE clause decomposed for one binding (decomposeWhere).
+// win is the binding's ts window — the one window its scan hint, its
+// pushdown spec and EXPLAIN carry — and requireTS marks that a timestamp
+// conjunct was captured, so a row without a timestamp fails the clause.
+// full reports that every conjunct was captured: the precondition for
+// aggregate pushdown, where storage filtering is authoritative rather than
+// advisory.
+type conjuncts struct {
+	preds     []scanspec.Pred
+	win       *scanspec.TimeWindow
+	requireTS bool
+	full      bool
+}
+
 // decomposeWhere splits a WHERE tree into conjuncts the storage layer can
 // evaluate: plain column-op-literal predicates over non-time columns, and
 // timestamp comparisons against (possibly truncated) time literals, which
-// tighten the exact row-membership window. full reports that every conjunct
-// was captured — the precondition for aggregate pushdown, where storage
-// filtering is authoritative rather than advisory.
-func decomposeWhere(where Expr, bindingName string, schema *telco.Schema) (preds []scanspec.Pred, win *scanspec.TimeWindow, requireTS, full bool) {
-	full = true
+// tighten the binding's window. Each conjunct it captures is a condition
+// every row the clause keeps meets, so the window holds every such row.
+func decomposeWhere(where Expr, bindingName string, schema *telco.Schema) conjuncts {
+	cj := conjuncts{full: true}
 	if where == nil {
-		return nil, nil, false, true
+		return cj
+	}
+	// ts captures one timestamp comparison, or gives up on full
+	// decomposition (ts != ..., ts against a non-literal).
+	ts := func(op string, lit Expr) {
+		l, isLit := lit.(*Literal)
+		if !isLit || !l.IsStr || !cj.applyTSOp(op, l.Str) {
+			cj.full = false
+		}
 	}
 	var visit func(e Expr)
 	visit = func(e Expr) {
@@ -50,19 +72,7 @@ func decomposeWhere(where Expr, bindingName string, schema *telco.Schema) (preds
 				col, lit, op = lit, col, flip(op)
 			}
 			if isTSCol(col, bindingName) {
-				// A timestamp conjunct: capture it exactly or give up on
-				// full decomposition (e.g. ts != ..., ts vs non-literal).
-				l, isLit := lit.(*Literal)
-				if !isLit || !l.IsStr {
-					full = false
-					return
-				}
-				w, ok := applyTSOp(win, op, l.Str)
-				if !ok {
-					full = false
-					return
-				}
-				win, requireTS = w, true
+				ts(op, lit)
 				return
 			}
 			if _, isCol := col.(*ColumnRef); !isCol {
@@ -71,86 +81,128 @@ func decomposeWhere(where Expr, bindingName string, schema *telco.Schema) (preds
 				}
 			}
 			if p, ok := predConjunct(col, lit, op, bindingName, schema); ok {
-				preds = append(preds, p)
+				cj.preds = append(cj.preds, p)
 				return
 			}
-			full = false
+			cj.full = false
 		case *BetweenExpr:
 			if v.Negate {
-				full = false
+				cj.full = false
 				return
 			}
 			if isTSCol(v.X, bindingName) {
 				// ts BETWEEN a AND b evaluates as ts >= a AND ts <= b
 				// under the engine's lexicographic time-vs-string compare.
-				lo, okLo := v.Lo.(*Literal)
-				hi, okHi := v.Hi.(*Literal)
-				if !okLo || !okHi || !lo.IsStr || !hi.IsStr {
-					full = false
-					return
-				}
-				w, ok := applyTSOp(win, ">=", lo.Str)
-				if ok {
-					w, ok = applyTSOp(w, "<=", hi.Str)
-				}
-				if !ok {
-					full = false
-					return
-				}
-				win, requireTS = w, true
+				ts(">=", v.Lo)
+				ts("<=", v.Hi)
 				return
 			}
 			pLo, okLo := predConjunct(v.X, v.Lo, ">=", bindingName, schema)
 			pHi, okHi := predConjunct(v.X, v.Hi, "<=", bindingName, schema)
 			if !okLo || !okHi {
-				full = false
+				cj.full = false
 				return
 			}
-			preds = append(preds, pLo, pHi)
+			cj.preds = append(cj.preds, pLo, pHi)
 		default:
-			full = false
+			cj.full = false
 		}
 	}
 	visit(where)
-	return preds, win, requireTS, full
+	return cj
 }
 
-// applyTSOp tightens win with one "ts <op> literal" comparison, mapping the
-// engine's lexicographic wire-form compare onto an exact half-open window.
-// A truncated literal denotes its covered interval [lo, hi): equality means
-// containment, and order comparisons resolve against the interval start
-// (every stored timestamp formats to the full layout, so it can never
-// compare equal to a shorter literal).
-func applyTSOp(win *scanspec.TimeWindow, op, lit string) (*scanspec.TimeWindow, bool) {
+// applyTSOp narrows the window by one "ts <op> literal" comparison,
+// mapping the engine's lexicographic wire-form compare onto whole seconds,
+// and reports whether it could. A truncated literal denotes its covered
+// interval [lo, hi): equality means containment, and order comparisons
+// resolve against the interval start (every stored timestamp formats to
+// the full layout, so it never compares equal to a shorter literal).
+func (cj *conjuncts) applyTSOp(op, lit string) bool {
 	lo, hi, ok := parseTimeLit(lit)
 	if !ok {
-		return win, false
+		return false
 	}
-	sec := len(lit) >= len(telco.TimeLayout)
+	// after is the first second whose wire text sorts after the literal.
+	after := lo.Unix()
+	if len(lit) == len(telco.TimeLayout) {
+		after = hi.Unix()
+	}
+	var w scanspec.TimeWindow
 	switch op {
 	case "=":
-		win = win.TightenFrom(lo.UnixNano())
-		win = win.TightenTo(hi.UnixNano())
+		w = scanspec.TimeWindow{From: lo.Unix(), HasFrom: true, To: hi.Unix(), HasTo: true}
 	case ">=":
-		win = win.TightenFrom(lo.UnixNano())
+		w = scanspec.TimeWindow{From: lo.Unix(), HasFrom: true}
 	case ">":
-		if sec {
-			win = win.TightenFrom(hi.UnixNano())
-		} else {
-			win = win.TightenFrom(lo.UnixNano())
-		}
+		w = scanspec.TimeWindow{From: after, HasFrom: true}
 	case "<":
-		win = win.TightenTo(lo.UnixNano())
+		w = scanspec.TimeWindow{To: lo.Unix(), HasTo: true}
 	case "<=":
-		if sec {
-			win = win.TightenTo(hi.UnixNano())
-		} else {
-			win = win.TightenTo(lo.UnixNano())
-		}
+		w = scanspec.TimeWindow{To: after, HasTo: true}
 	default:
-		return win, false
+		return false
 	}
-	return win, true
+	cj.win, cj.requireTS = cj.win.Intersect(&w), true
+	return true
+}
+
+// parseTimeLit interprets a (possibly truncated) timestamp literal like the
+// paper's '2015' or '201601221530' as the covered time interval
+// [lo, hi): '2016' covers the year, '20160122' the day, and so on.
+// Accepted lengths: 4 (year), 6 (month), 8 (day), 10 (hour), 12 (minute),
+// 14 (second).
+func parseTimeLit(s string) (lo, hi time.Time, ok bool) {
+	layouts := map[int]string{
+		4: "2006", 6: "200601", 8: "20060102",
+		10: "2006010215", 12: "200601021504", 14: "20060102150405",
+	}
+	layout, found := layouts[len(s)]
+	if !found {
+		return lo, hi, false
+	}
+	t, err := time.ParseInLocation(layout, s, time.UTC)
+	if err != nil {
+		return lo, hi, false
+	}
+	switch len(s) {
+	case 4:
+		return t, t.AddDate(1, 0, 0), true
+	case 6:
+		return t, t.AddDate(0, 1, 0), true
+	case 8:
+		return t, t.AddDate(0, 0, 1), true
+	case 10:
+		return t, t.Add(time.Hour), true
+	case 12:
+		return t, t.Add(time.Minute), true
+	default:
+		return t, t.Add(time.Second), true
+	}
+}
+
+// flip mirrors a comparison for swapped operands.
+func flip(op string) string {
+	switch op {
+	case "<":
+		return ">"
+	case "<=":
+		return ">="
+	case ">":
+		return "<"
+	case ">=":
+		return "<="
+	}
+	return op
+}
+
+// isTSCol reports whether e is the ts column of the given binding.
+func isTSCol(e Expr, binding string) bool {
+	c, ok := e.(*ColumnRef)
+	if !ok || c.Name != telco.AttrTS {
+		return false
+	}
+	return c.Qualifier == "" || c.Qualifier == binding
 }
 
 // predConjunct captures one "column <op> literal" comparison as a storage
@@ -294,18 +346,18 @@ func collectColumns(stmt *SelectStmt, b binding) (cols []string, all bool) {
 }
 
 // compileScanSpec builds the advisory row-scan spec for a single-table
-// statement. It returns nil when the spec would carry no information (every
-// column needed, no capturable conjuncts).
-func compileScanSpec(stmt *SelectStmt, b binding) *scanspec.Spec {
-	preds, win, requireTS, _ := decomposeWhere(stmt.Where, b.name, b.schema)
+// statement whose WHERE clause decomposed into cj. It returns nil when the
+// spec would carry no information (every column needed, no capturable
+// conjuncts).
+func compileScanSpec(stmt *SelectStmt, b binding, cj conjuncts) *scanspec.Spec {
 	cols, all := collectColumns(stmt, b)
 	if all {
 		cols = nil
 	}
-	if cols == nil && len(preds) == 0 && win == nil && !requireTS {
+	if cols == nil && len(cj.preds) == 0 && !cj.requireTS {
 		return nil
 	}
-	return &scanspec.Spec{Columns: cols, Preds: preds, Window: win, RequireTS: requireTS}
+	return &scanspec.Spec{Columns: cols, Preds: cj.preds, Window: cj.win, RequireTS: cj.requireTS}
 }
 
 // aggPlan is a fully pushed-down aggregate statement: the spec the provider
@@ -330,16 +382,16 @@ type aggPlan struct {
 // totally orders grouped results (it must include the group column — group
 // values are unique, so the sort then reconciles the row path's first-seen
 // emission order with the merge's key order). SUM pushes down only over
-// integer columns so partial sums stay exact in any association order.
-func compileAggPlan(stmt *SelectStmt, b binding) (*aggPlan, bool) {
+// integer columns so partial sums stay exact in any association order. cj
+// is the statement's WHERE clause decomposed for b.
+func compileAggPlan(stmt *SelectStmt, b binding, cj conjuncts) (*aggPlan, bool) {
 	if len(stmt.Joins) > 0 || stmt.Distinct || stmt.Having != nil || len(stmt.Items) == 0 {
 		return nil, false
 	}
 	if len(stmt.GroupBy) == 0 && !containsAgg(stmt) {
 		return nil, false
 	}
-	preds, win, requireTS, full := decomposeWhere(stmt.Where, b.name, b.schema)
-	if !full {
+	if !cj.full {
 		return nil, false
 	}
 	group := ""
@@ -353,7 +405,7 @@ func compileAggPlan(stmt *SelectStmt, b binding) (*aggPlan, bool) {
 		}
 		group = c.Name
 	}
-	spec := &scanspec.Spec{Preds: preds, Window: win, RequireTS: requireTS, GroupBy: group}
+	spec := &scanspec.Spec{Preds: cj.preds, Window: cj.win, RequireTS: cj.requireTS, GroupBy: group}
 	plan := &aggPlan{limit: stmt.Limit}
 	for _, it := range stmt.Items {
 		if it.Star {

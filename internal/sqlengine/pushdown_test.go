@@ -66,7 +66,7 @@ func (p aggProvider) Aggregate(_ context.Context, _ ScanHint, spec *scanspec.Spe
 	vals := make([]telco.Value, len(spec.Aggs))
 	for _, r := range p.t.Rows {
 		if tsIdx >= 0 && !r[tsIdx].IsNull() {
-			if !spec.Window.Contains(r[tsIdx].Time().UnixNano()) {
+			if !spec.Window.Contains(r[tsIdx].Time().Unix()) {
 				continue
 			}
 		} else if spec.RequireTS {
@@ -240,7 +240,7 @@ func TestAggPlanEligibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := compileAggPlan(stmt, b); !ok {
+		if _, ok := compileAggPlan(stmt, b, decomposeWhere(stmt.Where, b.name, b.schema)); !ok {
 			t.Errorf("%s: expected eligible for aggregate pushdown", q)
 		}
 	}
@@ -261,7 +261,7 @@ func TestAggPlanEligibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := compileAggPlan(stmt, b); ok {
+		if _, ok := compileAggPlan(stmt, b, decomposeWhere(stmt.Where, b.name, b.schema)); ok {
 			t.Errorf("%s: expected ineligible for aggregate pushdown", q)
 		}
 	}
@@ -277,7 +277,7 @@ func TestCompileScanSpecShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := compileScanSpec(stmt, b)
+	spec := compileScanSpec(stmt, b, decomposeWhere(stmt.Where, b.name, b.schema))
 	if spec == nil {
 		t.Fatal("spec = nil")
 	}
@@ -297,8 +297,8 @@ func TestCompileScanSpecShape(t *testing.T) {
 	if !spec.RequireTS || spec.Window == nil || !spec.Window.HasFrom || spec.Window.HasTo {
 		t.Fatalf("window = %+v requireTS=%v", spec.Window, spec.RequireTS)
 	}
-	if spec.Window.From != t0.UnixNano() {
-		t.Fatalf("window.From = %d, want %d", spec.Window.From, t0.UnixNano())
+	if spec.Window.From != t0.Unix() {
+		t.Fatalf("window.From = %d, want %d", spec.Window.From, t0.Unix())
 	}
 
 	// An OR disables predicate capture but projection survives.
@@ -306,7 +306,7 @@ func TestCompileScanSpecShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec = compileScanSpec(stmt, b)
+	spec = compileScanSpec(stmt, b, decomposeWhere(stmt.Where, b.name, b.schema))
 	if spec == nil {
 		t.Fatal("spec = nil")
 	}

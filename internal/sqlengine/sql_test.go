@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"spate/internal/scanspec"
 	"spate/internal/telco"
 )
 
@@ -268,30 +269,37 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestWindowPushdown(t *testing.T) {
-	stmt, err := Parse(`SELECT * FROM CDR WHERE ts >= '2016' AND ts <= '201601221630' AND duration > 0`)
+// tsWindow is the ts window the engine derives for binding b, laid out as
+// schema, from sql's WHERE clause.
+func tsWindow(t *testing.T, sql, b string, schema *telco.Schema) *scanspec.TimeWindow {
+	t.Helper()
+	stmt, err := Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := extractWindow(stmt.Where, "CDR")
-	if !ok {
-		t.Fatal("no window extracted")
-	}
+	return decomposeWhere(stmt.Where, b, schema).win
+}
+
+func TestWindowPushdown(t *testing.T) {
+	// A truncated literal bounds ts <= from the start of its minute: a row
+	// of 16:30:xx formats longer than '201601221630', so it sorts after it.
+	w := tsWindow(t, `SELECT * FROM CDR WHERE ts >= '2016' AND ts <= '201601221630' AND duration > 0`, "CDR", cdrSchema)
 	wantLo := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
-	wantHi := time.Date(2016, 1, 22, 16, 31, 0, 0, time.UTC)
-	if !w.From.Equal(wantLo) || !w.To.Equal(wantHi) {
-		t.Errorf("window = %v..%v", w.From, w.To)
+	wantHi := time.Date(2016, 1, 22, 16, 30, 0, 0, time.UTC)
+	if w == nil || !w.HasFrom || !w.HasTo || w.From != wantLo.Unix() || w.To != wantHi.Unix() {
+		t.Errorf("window = %+v, want [%d, %d)", w, wantLo.Unix(), wantHi.Unix())
 	}
 	// Equality pins a single-minute window.
-	stmt2, _ := Parse(`SELECT * FROM CDR WHERE ts = '201601221530'`)
-	w2, ok := extractWindow(stmt2.Where, "CDR")
-	if !ok || w2.Duration() != time.Minute {
-		t.Errorf("equality window = %v (%v)", w2, w2.Duration())
+	if w := tsWindow(t, `SELECT * FROM CDR WHERE ts = '201601221530'`, "CDR", cdrSchema); w == nil || !w.HasFrom || !w.HasTo || w.To-w.From != 60 {
+		t.Errorf("equality window = %+v", w)
 	}
 	// OR disables pushdown (not a pure conjunction on ts).
-	stmt3, _ := Parse(`SELECT * FROM CDR WHERE ts = '2016' OR duration > 5`)
-	if _, ok := extractWindow(stmt3.Where, "CDR"); ok {
-		t.Error("window extracted from OR")
+	if w := tsWindow(t, `SELECT * FROM CDR WHERE ts = '2016' OR duration > 5`, "CDR", cdrSchema); w != nil {
+		t.Errorf("window %+v derived from OR", w)
+	}
+	// A conjunct of another binding bounds nothing here.
+	if w := tsWindow(t, `SELECT * FROM CDR c JOIN CDR d ON c.caller = d.caller WHERE d.ts < '2016'`, "c", cdrSchema); w != nil {
+		t.Errorf("window %+v derived from another binding's ts", w)
 	}
 }
 
@@ -326,12 +334,11 @@ func TestOneSidedTimeBoundStaysOpen(t *testing.T) {
 			t.Errorf("%s = %d, want %d", sql, got, want)
 		}
 	}
-	stmt, err := Parse(`SELECT * FROM T WHERE ts > '2016'`)
-	if err != nil {
-		t.Fatal(err)
+	if w := tsWindow(t, `SELECT * FROM T WHERE ts > '2016'`, "T", schema); w == nil || !w.HasFrom || w.HasTo {
+		t.Errorf("ts > '2016' pushes down %+v, want a window open above", w)
 	}
-	if w, ok := extractWindow(stmt.Where, "T"); !ok || !w.To.IsZero() {
-		t.Errorf("ts > '2016' pushes down %v (ok %v), want a window open above", w, ok)
+	if w := tsWindow(t, `SELECT * FROM T WHERE ts < '2300'`, "T", schema); w == nil || w.HasFrom || !w.HasTo {
+		t.Errorf("ts < '2300' pushes down %+v, want a window open below", w)
 	}
 }
 

@@ -184,34 +184,13 @@ type fwProvider struct {
 
 func (p fwProvider) Schema() *telco.Schema { return p.schema }
 
-// allTime is the scan window when the executor derived no ts bounds, and
-// the side of a hint's window it left open.
-var allTime = telco.TimeRange{
-	From: time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC),
-	To:   time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC),
-}
-
-// hintWindow is the window a framework scans for hint: allTime, narrowed
-// by the sides of the hint's window that it bounds.
-func hintWindow(hint sqlengine.ScanHint) telco.TimeRange {
-	w := allTime
-	if hint.Constrained {
-		if !hint.Window.From.IsZero() {
-			w.From = hint.Window.From
-		}
-		if !hint.Window.To.IsZero() {
-			w.To = hint.Window.To
-		}
-	}
-	return w
-}
-
-// Scan implements sqlengine.Provider. The framework's tables pass through
-// as the batches: their Schema is the layout contract — the stored table's
-// own schema from a full scan, the spec's narrow projection of it from a
-// SpecScanner that decodes only referenced columns.
+// Scan implements sqlengine.Provider over the time range of the hint's
+// window, whose open sides lie past every stored row. The framework's
+// tables pass through as the batches: their Schema is the layout contract —
+// the stored table's own schema from a full scan, the spec's narrow
+// projection of it from a SpecScanner that decodes only referenced columns.
 func (p fwProvider) Scan(ctx context.Context, hint sqlengine.ScanHint, fn func(*telco.Table) error) error {
-	w := hintWindow(hint)
+	w := hint.Window.Range()
 	emit := func(_ string, tab *telco.Table) error { return fn(tab) }
 	if hint.Spec != nil {
 		if ss, ok := p.f.(SpecScanner); ok {
@@ -230,8 +209,7 @@ type aggProvider struct {
 }
 
 func (p aggProvider) Aggregate(ctx context.Context, hint sqlengine.ScanHint, spec *scanspec.Spec) ([]scanspec.Partial, error) {
-	w := hintWindow(hint)
-	parts, err := p.agg.AggregatePartials(ctx, w, p.name, spec)
+	parts, err := p.agg.AggregatePartials(ctx, hint.Window.Range(), p.name, spec)
 	return parts, scanErr(err)
 }
 
