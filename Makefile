@@ -85,9 +85,10 @@ bench:
 # inside it), the partials
 # section alone (which refuses keys out of order), the scan-spec check a node
 # runs on /rpc/explore bodies, the web UI's JSON string and number writers
-# (against encoding/json) and its box parameters (against fmt's %g), and
-# the SQL engine's ts window derivation (against its row evaluator) for a
-# short, CI-friendly budget.
+# (against encoding/json), its SQL rows rendered from column batches
+# (against the records AppendRecords makes of them) and its box parameters
+# (against fmt's %g), and the SQL engine's ts window derivation (against
+# its row evaluator) for a short, CI-friendly budget.
 fuzz:
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run XXX ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeColumn -fuzztime 30s -run XXX ./internal/compress/
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz FuzzValidateSpec -fuzztime 30s -run XXX ./internal/scanspec/
 	$(GO) test -fuzz FuzzReadPartials -fuzztime 30s -run XXX ./internal/scanspec/
 	$(GO) test -fuzz FuzzJSONAppend -fuzztime 30s -run XXX ./internal/webui/
+	$(GO) test -fuzz FuzzSQLColumns -fuzztime 30s -run XXX ./internal/webui/
 	$(GO) test -fuzz FuzzParseBoxQuery -fuzztime 30s -run XXX ./internal/webui/
 	$(GO) test -fuzz FuzzTSWindow -fuzztime 30s -run XXX ./internal/sqlengine/
 

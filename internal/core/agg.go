@@ -233,7 +233,7 @@ func (a *aggAcc) resolve(names []string, checkTS bool) aggLayout {
 // only inside its timestamped range; then the spec's predicates against the
 // column zone maps.
 func (a *aggAcc) prune(ch *segment.Chunk) pruneReason {
-	if a.spec.RequireTS && ch.HasTimeGaps() && (ch.MinTS > ch.MaxTS || !a.tf.win.OverlapsRange(ch.MinTS/1e9, ch.MaxTS/1e9)) {
+	if a.spec.RequireTS && ch.HasTimeGaps() && (ch.MinTS > ch.MaxTS || !a.tf.win.OverlapsRange(ch.TSSeconds())) {
 		return pruneZone
 	}
 	if zonePrune(a.spec.Preds, a.predCol, a.schema, ch) {
@@ -272,8 +272,7 @@ func (a *aggAcc) rows(p *projection, b *telco.Batch) error {
 
 // chunkAllInWindow reports whether every row of the chunk provably passes
 // the row-level time filter (the scan's window and the null-timestamp
-// rule), so per-row timestamp checks can be skipped. The footer's bounds
-// are nanoseconds of whole seconds, before the year 10000.
+// rule), so per-row timestamp checks can be skipped.
 func (a *aggAcc) chunkAllInWindow(ch *segment.Chunk) bool {
 	if ch.HasTimeGaps() {
 		if a.spec.RequireTS {
@@ -285,7 +284,7 @@ func (a *aggAcc) chunkAllInWindow(ch *segment.Chunk) bool {
 	} else if ch.Rows == 0 {
 		return true
 	}
-	return a.tf.win.Contains(ch.MinTS/1e9) && a.tf.win.Contains(ch.MaxTS/1e9)
+	return a.tf.win.CoversRange(ch.TSSeconds())
 }
 
 // chunkAllMatch reports whether the zone maps prove every row satisfies

@@ -354,7 +354,7 @@ func (e *Engine) planRewrite(name, ref string, chunkSize int) (*rewrittenTable, 
 func rowMetaOf(r telco.Record, tsIdx, cellIdx int) segment.RowMeta {
 	var m segment.RowMeta
 	if tsIdx >= 0 && !r[tsIdx].IsNull() {
-		m.TS, m.HasTS = r[tsIdx].Time().UnixNano(), true
+		m.TS, m.HasTS = segment.NanosOf(r[tsIdx].Time().Unix()), true
 	}
 	if cellIdx >= 0 {
 		// Null cells hash as id 0 — the same value the row filters

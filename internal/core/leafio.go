@@ -455,21 +455,49 @@ type leafSink interface {
 // row read runs — Explore's rows, SQL scans, a shard's row answers — and
 // which feeds it every sealed chunk and every unsealed memtable table
 // alike: it narrows each batch's selection by the row-level time filter,
-// the spec's compiled predicates and the query box, and only then
-// materializes the surviving rows, as records in the scan's projected
-// layout appended to dst.
+// the spec's compiled predicates and the query box, and only then keeps
+// the surviving rows in dst, in the scan's projected layout.
 type rowSink struct {
 	*specScan
 	tf      timeFilter
 	tsIdx   int            // timestamp column in the layout, -1 when absent
 	inBox   map[int64]bool // nil = no spatial filter
 	cellIdx int            // cell id column in the layout, -1 when absent
-	dst     *telco.Table
+	dst     *unitRows
+}
+
+// unitRows is what a row scan kept of one unit: records appended to tab,
+// or — when tab is nil — a copy of each batch that kept a row, the form
+// ScanBatches hands out.
+type unitRows struct {
+	tab     *telco.Table
+	batches []*telco.Batch
+}
+
+// newUnitRows starts the kept rows of one unit of ss, as batches or as a
+// table of records.
+func newUnitRows(ss *specScan, asBatches bool) *unitRows {
+	if asBatches {
+		return &unitRows{}
+	}
+	return &unitRows{tab: ss.table(nil)}
+}
+
+// len is the number of rows kept.
+func (u *unitRows) len() int {
+	if u.tab != nil {
+		return u.tab.Len()
+	}
+	n := 0
+	for _, b := range u.batches {
+		n += b.N
+	}
+	return n
 }
 
 // newRowSink builds the sink of one row scan filtered by tf into dst;
 // inBox is the query box's cell membership, nil for the zero box.
-func newRowSink(ss *specScan, tf timeFilter, inBox map[int64]bool, dst *telco.Table) rowSink {
+func newRowSink(ss *specScan, tf timeFilter, inBox map[int64]bool, dst *unitRows) rowSink {
 	return rowSink{
 		specScan: ss,
 		tf:       tf,
@@ -493,7 +521,13 @@ func (s rowSink) rows(_ *projection, b *telco.Batch) error {
 		cell := b.Cols[s.cellIdx].Ints
 		b.Keep(func(i int) bool { return s.inBox[cell[i]] })
 	}
-	s.dst.Rows = b.AppendRecords(s.dst.Rows)
+	switch {
+	case s.dst.tab != nil:
+		s.dst.tab.Rows = b.AppendRecords(s.dst.tab.Rows)
+	case b.Len() > 0:
+		// The walk decodes its next chunk into b: keep a copy.
+		s.dst.batches = append(s.dst.batches, b.CopySelected())
+	}
 	return nil
 }
 

@@ -291,14 +291,14 @@ func (e *Engine) exploreUncached(ctx context.Context, q Query, key string) (*Res
 		tRows := time.Now()
 		planned := res.Profile.LeavesDecayed
 		res.Rows = make(map[string]*telco.Table)
-		err := e.scanRows(ctx, q, nil, rowSrc, &res.Profile, func(name string, tab *telco.Table) error {
+		err := e.scanRows(ctx, q, nil, rowSrc, &res.Profile, rowOut{tables: func(name string, tab *telco.Table) error {
 			if dst := res.Rows[name]; dst != nil {
 				dst.Rows = append(dst.Rows, tab.Rows...)
 			} else {
 				res.Rows[name] = tab
 			}
 			return nil
-		})
+		}})
 		// The row scan met the decayed leaves the summary plan counted.
 		res.Profile.LeavesDecayed = planned
 		sr.add(StageRows, time.Since(tRows).Nanoseconds())
@@ -778,22 +778,55 @@ func (e *Engine) ScanTablesContext(ctx context.Context, w telco.TimeRange, table
 // memtable — comes out in that one layout. A nil spec (or one with nil
 // Columns) scans every column and fn sees the stored table's own schema.
 func (e *Engine) ScanTablesSpec(ctx context.Context, w telco.TimeRange, box geo.Rect, tables []string, spec *ScanSpec, fn func(string, *telco.Table) error) error {
-	return e.scanRows(ctx, Query{Window: w, Box: box, Tables: tables}, spec, e.capture(w, tables), ProfileFromContext(ctx), fn)
+	return e.scanRows(ctx, Query{Window: w, Box: box, Tables: tables}, spec, e.capture(w, tables), ProfileFromContext(ctx), rowOut{tables: fn})
+}
+
+// ScanBatches is ScanTablesSpec for a caller that keeps the rows in the
+// column form the scan filtered them in, never as records: fn receives one
+// batch per chunk or unsealed table that kept a row, in the order
+// ScanTablesSpec hands the same rows out, laid out as layout — the schema
+// ScanTablesSpec's tables would carry — with every row selected. The caller
+// owns each batch: it shares no memory with the engine, and the scan never
+// touches it again.
+func (e *Engine) ScanBatches(ctx context.Context, w telco.TimeRange, tables []string, spec *ScanSpec, fn func(name string, layout *telco.Schema, b *telco.Batch) error) error {
+	return e.scanRows(ctx, Query{Window: w, Tables: tables}, spec, e.capture(w, tables), ProfileFromContext(ctx), rowOut{batches: fn})
+}
+
+// rowOut is where scanRows hands the rows it kept: as records, one table
+// per (leaf, table) unit and per unsealed table, to tables; or, when
+// batches is set, as owned column batches to it.
+type rowOut struct {
+	tables  func(name string, tab *telco.Table) error
+	batches func(name string, layout *telco.Schema, b *telco.Batch) error
+}
+
+// emit hands one unit's kept rows, laid out as ss.out, to the caller.
+func (o rowOut) emit(name string, ss *specScan, kept *unitRows) error {
+	if o.batches == nil {
+		return o.tables(name, kept.tab)
+	}
+	for _, b := range kept.batches {
+		if err := o.batches(name, ss.out, b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scanRows is the one exact-row loop, under one row_fetch span: Explore's
 // rows, the SQL scans and a shard's row answers all run it. It reads the
-// sources src captured for q's window and table selection, and hands fn
-// one table per (leaf, table) unit, in leaf order with table names sorted
-// within a leaf, then one per unsealed (epoch, table) — strictly newer than
-// every sealed leaf — so every table's row sequence is the same at every
-// scan width. A table comes out even when none of its rows passed. Segment
+// sources src captured for q's window and table selection, and hands out
+// one unit's rows per (leaf, table) unit, in leaf order with table names
+// sorted within a leaf, then one per unsealed (epoch, table) — strictly
+// newer than every sealed leaf — so every table's row sequence is the same
+// at every scan width. As records, a table comes out even when none of its
+// rows passed; as batches, only the chunks that kept a row do. Segment
 // leaves prune chunks through their zone maps (window bounds, cell sketch,
 // the spec's integer predicates) before decompressing; the row sink's
 // filters — q's window and box, the spec — stay authoritative, and the
 // memtable's rows go through the same sink. The leaf counts and the scan's
 // costs accrue to prof (nil: unprofiled).
-func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scanSources, prof *Profile, fn func(string, *telco.Table) error) (err error) {
+func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scanSources, prof *Profile, out rowOut) (err error) {
 	ctx, span := e.met.tracer.StartSpan(ctx, StageRows)
 	defer span.End()
 	if span != nil {
@@ -841,13 +874,15 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 	for _, u := range plan.units {
 		scanFor(u.name, u.schema)
 	}
+	asBatches := out.batches != nil
 	err = e.runUnits(ctx, e.scanWorkers(), len(plan.units), prof, func(sw *scanWorker, i int) (any, error) {
 		u := plan.units[i]
 		ss := scans[u.name]
-		tab := ss.table(nil)
-		return tab, e.walkLeaf(u.ref, env.pr, newRowSink(ss, tf, env.inBox, tab), sw.prof)
+		kept := newUnitRows(ss, asBatches)
+		return kept, e.walkLeaf(u.ref, env.pr, newRowSink(ss, tf, env.inBox, kept), sw.prof)
 	}, func(i int, v any) error {
-		return fn(plan.units[i].name, v.(*telco.Table))
+		u := plan.units[i]
+		return out.emit(u.name, scans[u.name], v.(*unitRows))
 	})
 	if err != nil {
 		return err
@@ -866,15 +901,15 @@ func (e *Engine) scanRows(ctx context.Context, q Query, spec *ScanSpec, src scan
 			return fmt.Errorf("core: decode memtable: unknown schema %q", mt.name)
 		}
 		ss := scanFor(mt.name, schema)
-		tab := ss.table(nil)
+		kept := newUnitRows(ss, asBatches)
 		b.SetRows(ss.full, ss.cols, mt.tab.Rows, true)
-		if err := newRowSink(ss, tf, env.inBox, tab).rows(&ss.projection, b); err != nil {
+		if err := newRowSink(ss, tf, env.inBox, kept).rows(&ss.projection, b); err != nil {
 			return err
 		}
 		if prof != nil {
-			prof.MemRows += tab.Len()
+			prof.MemRows += kept.len()
 		}
-		if err := fn(mt.name, tab); err != nil {
+		if err := out.emit(mt.name, ss, kept); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -140,6 +141,44 @@ func TestStreamQueryBeforeSeal(t *testing.T) {
 	if res.Rows["NMS"].Len() != sn.Table("NMS").Len() {
 		t.Errorf("exact rows = %d, want %d", res.Rows["NMS"].Len(), sn.Table("NMS").Len())
 	}
+}
+
+// TestStreamRowBefore1970: a row appended at 1969-12-31T23:45 belongs to
+// the epoch from 23:30, so a [23:30, 24:00) window finds it in the
+// memtable and again once its epoch has sealed.
+func TestStreamRowBefore1970(t *testing.T) {
+	r := newRig(t, Options{})
+	st := openStreamer(t, r, streamOpts(t))
+	e0 := telco.EpochOf(r.cfg.Start)
+	row := slices.Clone(r.g.NMSTable(e0).Rows[0])
+	at := time.Date(1969, 12, 31, 23, 45, 0, 0, time.UTC)
+	row[telco.NMSSchema.FieldIndex(telco.AttrTS)] = telco.Time(at)
+	if err := st.Append(context.Background(), "NMS", []telco.Record{row}); err != nil {
+		t.Fatal(err)
+	}
+	w := telco.NewTimeRange(time.Date(1969, 12, 31, 23, 30, 0, 0, time.UTC), time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC))
+	count := func(when string) {
+		t.Helper()
+		n := 0
+		err := r.e.ScanTablesContext(context.Background(), w, []string{"NMS"}, func(_ string, tab *telco.Table) error {
+			n += tab.Len()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 {
+			t.Errorf("%s: the window holds %d rows, want the one appended", when, n)
+		}
+	}
+	count("before the seal")
+	if err := st.SealAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.e.Snapshots(); got != 1 {
+		t.Fatalf("sealed %d leaves, want 1", got)
+	}
+	count("after the seal")
 }
 
 // TestStreamFreshRowsInvalidateCache: a cached answer must not mask rows

@@ -238,6 +238,16 @@ func (tw *TimeWindow) OverlapsRange(lo, hi int64) bool {
 	return (!tw.HasFrom || hi >= tw.From) && (!tw.HasTo || lo < tw.To)
 }
 
+// CoversRange reports whether every row dated in [lo, hi] lies inside. A
+// row from MaxWireSec on always does, so only the part of the range before
+// it is tested.
+func (tw *TimeWindow) CoversRange(lo, hi int64) bool {
+	if tw == nil || lo >= MaxWireSec {
+		return true
+	}
+	return tw.Contains(lo) && tw.Contains(min(hi, MaxWireSec-1))
+}
+
 // Intersect returns the window both tw and o bound: the later From and the
 // earlier To of the sides they set, nil when both are nil. Neither operand
 // changes.

@@ -99,6 +99,20 @@ func TestTimeWindow(t *testing.T) {
 	if !w.OverlapsRange(50, 100) || w.OverlapsRange(50, 99) || w.OverlapsRange(200, 300) || !w.OverlapsRange(199, 300) || !w.OverlapsRange(300, MaxWireSec) {
 		t.Error("OverlapsRange bounds wrong")
 	}
+	// A range covered ends before To, starts at or after From, and may
+	// reach past MaxWireSec; an open side (the int64 extremes) is covered
+	// only by a window open on that side.
+	for _, tc := range []struct {
+		lo, hi int64
+		want   bool
+	}{{100, 199, true}, {99, 199, false}, {100, 200, false}, {math.MinInt64, 150, false}, {150, math.MaxInt64, false}, {MaxWireSec, math.MaxInt64, true}} {
+		if got := w.CoversRange(tc.lo, tc.hi); got != tc.want {
+			t.Errorf("CoversRange(%d, %d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+	if !(&TimeWindow{To: MaxWireSec, HasTo: true}).CoversRange(math.MinInt64, math.MaxInt64) || nilWin.CoversRange(math.MinInt64, math.MaxInt64) != true {
+		t.Error("a window open below and closed at MaxWireSec must cover every range")
+	}
 	// Intersect only narrows, and changes neither operand.
 	if got := w.Intersect(&TimeWindow{From: 50, HasFrom: true, To: 300, HasTo: true}); *got != *w {
 		t.Errorf("Intersect widened to %+v", got)

@@ -162,7 +162,7 @@ type RowMeta struct {
 	// TS is the record's timestamp; HasTS is false when the schema has no
 	// timestamp attribute or the value is null (such rows defeat window
 	// pruning for their chunk).
-	TS    int64 // unix nanoseconds
+	TS    int64 // unix nanoseconds, saturated as NanosOf does
 	HasTS bool
 	// Cell is the record's cell id; HasCell is false when the schema has no
 	// cell-id attribute (such rows defeat spatial pruning for their chunk).
@@ -178,7 +178,7 @@ type Chunk struct {
 	Rows  int64
 	CRC   uint32
 	Flags byte
-	MinTS int64 // unix nanos; valid only when some row carried a timestamp
+	MinTS int64 // unix nanos, saturated (NanosOf); valid only when some row carried a timestamp
 	MaxTS int64
 
 	// Sketch is the chunk's cell-id bloom filter: 0 or a power-of-two
@@ -212,13 +212,44 @@ type ColMeta struct {
 
 // OverlapsWindow reports whether the chunk may hold a row inside the
 // window w (nil: no bound). Chunks holding rows without timestamps always
-// may. The footer's nanosecond bounds are whole seconds, as rows carry
-// them, and compare with the window's seconds.
+// may.
 func (c Chunk) OverlapsWindow(w *scanspec.TimeWindow) bool {
 	if c.Flags&flagNoTS != 0 {
 		return true
 	}
-	return w.OverlapsRange(c.MinTS/1e9, c.MaxTS/1e9)
+	return w.OverlapsRange(c.TSSeconds())
+}
+
+// TSSeconds returns the chunk's timestamp bounds in Unix seconds, the form
+// every window test reads them in. The footer's nanoseconds are whole
+// seconds, as rows carry them, except a bound the writer saturated
+// (NanosOf): that side is open, the minimum reading math.MinInt64 and the
+// maximum math.MaxInt64. A chunk without timestamped rows keeps its
+// sentinel bounds, minimum above maximum.
+func (c Chunk) TSSeconds() (lo, hi int64) {
+	lo, hi = c.MinTS/1e9, c.MaxTS/1e9
+	if c.MinTS == math.MinInt64 {
+		lo = math.MinInt64
+	}
+	if c.MaxTS == math.MaxInt64 {
+		hi = math.MaxInt64
+	}
+	return lo, hi
+}
+
+// NanosOf returns Unix second sec as a footer's nanosecond bound, saturated
+// at the int64 extremes for a time outside the years 1678–2262, which
+// int64 nanoseconds cannot hold. TSSeconds reads a saturated bound as
+// open.
+func NanosOf(sec int64) int64 {
+	const perSec = 1_000_000_000
+	switch {
+	case sec > math.MaxInt64/perSec:
+		return math.MaxInt64
+	case sec < math.MinInt64/perSec:
+		return math.MinInt64
+	}
+	return sec * perSec
 }
 
 // HasTimeGaps reports whether the chunk holds rows without timestamps —

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -230,6 +231,51 @@ func TestOverlapsWindowBeyondNanoseconds(t *testing.T) {
 				t.Errorf("%s: chunk %d (gap %v) overlaps = %v, want %v", tc.name, i, ch.HasTimeGaps(), got, want)
 			}
 		}
+	}
+}
+
+// TestSaturatedTimestampBounds: rows of 1600 and 2300, which int64
+// nanoseconds cannot hold, saturate the chunk's bounds, and a saturated
+// side reads as open — so no window that holds one of those rows prunes
+// the chunk.
+func TestSaturatedTimestampBounds(t *testing.T) {
+	c := codec(t, "gzip")
+	w := segment.NewWriter(c, 1<<20)
+	old := time.Date(1600, 3, 1, 10, 0, 0, 0, time.UTC).Unix()
+	far := time.Date(2300, 1, 18, 0, 0, 0, 0, time.UTC).Unix()
+	for _, sec := range []int64{old, far} {
+		if err := w.AppendRow([]byte("row\n"), segment.RowMeta{TS: segment.NanosOf(sec), HasTS: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, _, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := segment.Open(bytes.NewReader(data), int64(len(data)), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := r.Chunks()[0]
+	if ch.MinTS != math.MinInt64 {
+		t.Errorf("MinTS = %d, want saturated at math.MinInt64", ch.MinTS)
+	}
+	if lo, hi := ch.TSSeconds(); lo != math.MinInt64 || hi != math.MaxInt64 {
+		t.Errorf("TSSeconds = (%d, %d), want both sides open", lo, hi)
+	}
+	year := func(y int) int64 { return time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC).Unix() }
+	for _, win := range []*scanspec.TimeWindow{
+		{To: year(1601), HasTo: true},
+		{From: year(1599), HasFrom: true, To: year(1601), HasTo: true},
+		{From: year(2100), HasFrom: true},
+		{From: year(2299), HasFrom: true, To: year(2301), HasTo: true},
+	} {
+		if !ch.OverlapsWindow(win) {
+			t.Errorf("window %+v pruned a chunk holding a row inside it", win)
+		}
+	}
+	if segment.NanosOf(far) != math.MaxInt64 || segment.NanosOf(0) != 0 || segment.NanosOf(-1) != -1e9 {
+		t.Error("NanosOf saturates only outside the int64 nanosecond range")
 	}
 }
 

@@ -48,6 +48,20 @@ type Aggregator interface {
 	Aggregate(ctx context.Context, hint ScanHint, spec *scanspec.Spec) ([]scanspec.Partial, error)
 }
 
+// BatchScanner is implemented by providers whose storage layer can answer
+// a plain SELECT with the column batches its scan filtered, so no row of
+// values is ever built. As with Aggregator, the spec is authoritative: the
+// provider must apply Window, RequireTS and every predicate exactly as the
+// engine's row path would, and hand the rows out in the order that path
+// would read them, because the engine answers with every row it is handed.
+// Each batch comes with every row selected, laid out as layout — the
+// table's schema or a telco.Schema.Project of it holding at least
+// spec.Referenced(), the same for every batch of one scan — and is the
+// engine's to keep once fn has it.
+type BatchScanner interface {
+	ScanBatches(ctx context.Context, hint ScanHint, spec *scanspec.Spec, fn func(layout *telco.Schema, b *telco.Batch) error) error
+}
+
 // Catalog resolves table names.
 type Catalog interface {
 	Table(name string) (Provider, error)

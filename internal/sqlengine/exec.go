@@ -26,10 +26,40 @@ type Engine struct {
 // NewEngine returns an executor over cat.
 func NewEngine(cat Catalog) *Engine { return &Engine{cat: cat} }
 
-// ResultSet is a materialized query answer.
+// ResultSet is a query answer: Cols names its columns, and its rows are in
+// Rows — or, only in an answer QueryBatches returns, in Batches.
 type ResultSet struct {
 	Cols []string
 	Rows [][]telco.Value
+	// Batches hold the rows of an answer the row pushdown produced, as the
+	// scan handed them over: batch after batch, every row of each, output
+	// column j read from the batch's column Pick[j]. Rows is nil then.
+	Batches []*telco.Batch
+	Pick    []int
+}
+
+// rowCount is the number of rows in the answer, wherever they are held.
+func (rs *ResultSet) rowCount() int {
+	n := len(rs.Rows)
+	for _, b := range rs.Batches {
+		n += b.N
+	}
+	return n
+}
+
+// materialize moves an answer held in Batches into Rows, one record per
+// row; an answer already in Rows stays as it is.
+func (rs *ResultSet) materialize() {
+	if rs.Batches == nil {
+		return
+	}
+	rows := make([][]telco.Value, 0, rs.rowCount())
+	for _, b := range rs.Batches {
+		for _, r := range telco.ProjectRows(b.AppendRecords(nil), rs.Pick) {
+			rows = append(rows, r)
+		}
+	}
+	rs.Rows, rs.Batches, rs.Pick = rows, nil, nil
 }
 
 // SPATE-SQL observability: statement counts and latency, reported into the
@@ -60,6 +90,18 @@ func (e *Engine) Query(sql string) (*ResultSet, error) {
 // propagates through the storage scans, so an abandoned client request
 // stops consuming the engine (webui handlers pass r.Context()).
 func (e *Engine) QueryContext(ctx context.Context, sql string) (*ResultSet, error) {
+	rs, err := e.QueryBatches(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	rs.materialize()
+	return rs, nil
+}
+
+// QueryBatches is QueryContext for a caller that reads an answer in column
+// form: a statement the row pushdown answers comes back with its rows in
+// Batches, not Rows.
+func (e *Engine) QueryBatches(ctx context.Context, sql string) (*ResultSet, error) {
 	queries, errs, sec := sqlMetrics()
 	t0 := time.Now()
 	queries.Inc()
@@ -68,7 +110,7 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (*ResultSet, erro
 		if err != nil {
 			return nil, err
 		}
-		return e.RunContext(ctx, stmt)
+		return e.run(ctx, stmt)
 	}()
 	sec.ObserveSince(t0)
 	if err != nil {
@@ -125,6 +167,17 @@ func (e *Engine) Run(stmt *SelectStmt) (*ResultSet, error) {
 
 // RunContext executes a parsed statement under ctx.
 func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) {
+	rs, err := e.run(ctx, stmt)
+	if err != nil {
+		return nil, err
+	}
+	rs.materialize()
+	return rs, nil
+}
+
+// run executes a parsed statement, leaving a row pushdown's answer in its
+// batches.
+func (e *Engine) run(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) {
 	if stmt.Explain {
 		return e.explain(ctx, stmt)
 	}
@@ -136,8 +189,9 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 	// Every table's scan hint carries its ts window. Single-table
 	// statements compile into a pushdown spec: fully eligible aggregates
 	// skip row materialization entirely when the provider folds partials
-	// itself; everything else ships the spec as an advisory prefilter with
-	// the scan hint. Joined tables each get a projection-only spec — the
+	// itself, and fully eligible plain SELECTs when it hands out its scan's
+	// column batches; everything else ships the spec as an advisory
+	// prefilter with the scan hint. Joined tables each get a projection-only spec — the
 	// columns the statement reads from that binding, no predicates (the
 	// WHERE clause may span both sides) — so the nested loop concatenates
 	// narrow rows.
@@ -155,6 +209,9 @@ func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, 
 					}
 					return plan.result(parts), nil
 				}
+			}
+			if plan, bs, ok := e.rowPushdown(stmt, sc.bindings[0], providers[0], cjs[0]); ok {
+				return plan.scan(ctx, bs, hints[0])
 			}
 			hints[0].Spec = compileScanSpec(stmt, sc.bindings[0], cjs[0])
 		} else {

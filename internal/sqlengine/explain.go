@@ -20,7 +20,11 @@ type ExplainProfiler interface {
 }
 
 // explain serves EXPLAIN and EXPLAIN ANALYZE: the plan alone, or the plan
-// plus an execution report (rows, wall time, storage profile).
+// plus an execution report (rows, wall time, the row pushdown when it
+// answered, storage profile). The plan names no path a catalog alone
+// decides: it reads the same over every catalog whose answers must agree
+// (an engine, a cluster coordinator), and only some hand out column
+// batches.
 func (e *Engine) explain(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) {
 	sc, providers, cjs, err := e.bindTables(stmt)
 	if err != nil {
@@ -37,14 +41,17 @@ func (e *Engine) explain(ctx context.Context, stmt *SelectStmt) (*ResultSet, err
 			ctx, render = pp.WithProfile(ctx)
 		}
 		t0 := time.Now()
-		res, err := e.RunContext(ctx, &inner)
+		res, err := e.run(ctx, &inner)
 		if err != nil {
 			return nil, err
 		}
 		lines = append(lines,
-			fmt.Sprintf("rows: %d", len(res.Rows)),
+			fmt.Sprintf("rows: %d", res.rowCount()),
 			fmt.Sprintf("time: %.3f ms", float64(time.Since(t0))/float64(time.Millisecond)),
 		)
+		if _, _, ok := e.rowPushdown(stmt, sc.bindings[0], providers[0], cjs[0]); ok {
+			lines = append(lines, fmt.Sprintf("row pushdown: %d column batches, no records", len(res.Batches)))
+		}
 		if render != nil {
 			lines = append(lines, render()...)
 		}

@@ -1,6 +1,8 @@
 package sqlengine
 
 import (
+	"context"
+	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -17,6 +19,11 @@ import (
 //     not decompose are simply dropped — the engine still evaluates the
 //     full WHERE clause over the returned rows — so the spec only has to
 //     be a superset-preserving filter plus the column set the engine reads.
+//
+//   - Row plans (compileRowPlan) replace execution of a plain SELECT: the
+//     provider's scan applies the WHERE clause exactly and its filtered
+//     column batches are the answer, never turned into rows of values
+//     unless the caller asks for Rows.
 //
 //   - Aggregate plans (compileAggPlan) replace execution entirely: the
 //     provider folds partial aggregates and the engine renders them into
@@ -358,6 +365,92 @@ func compileScanSpec(stmt *SelectStmt, b binding, cj conjuncts) *scanspec.Spec {
 		return nil
 	}
 	return &scanspec.Spec{Columns: cols, Preds: cj.preds, Window: cj.win, RequireTS: cj.requireTS}
+}
+
+// rowPlan is a plain SELECT answered by the provider's scan: the spec the
+// scan applies, authoritatively, and per output column its name and the
+// table column it reads.
+type rowPlan struct {
+	spec *scanspec.Spec
+	cols []string
+	src  []string
+}
+
+// compileRowPlan recognizes statements whose answer is the scan's own rows,
+// in scan order: a single table, items that are * or bare columns of it,
+// no GROUP BY, HAVING, DISTINCT, ORDER BY, LIMIT or aggregate, and a WHERE
+// clause that decomposed whole (cj.full), so the spec's filter is the
+// clause itself. cj is the statement's WHERE clause decomposed for b.
+func compileRowPlan(stmt *SelectStmt, b binding, cj conjuncts) (*rowPlan, bool) {
+	if len(stmt.Joins) > 0 || len(stmt.GroupBy) > 0 || stmt.Having != nil || stmt.Distinct ||
+		len(stmt.OrderBy) > 0 || stmt.Limit >= 0 || !cj.full || containsAgg(stmt) {
+		return nil, false
+	}
+	if cj.requireTS && b.schema.FieldIndex(telco.AttrTS) < 0 {
+		return nil, false // the row path fails on the unknown column
+	}
+	plan := &rowPlan{}
+	for _, it := range stmt.Items {
+		if it.Star {
+			for _, f := range b.schema.Fields {
+				plan.cols = append(plan.cols, f.Name)
+				plan.src = append(plan.src, f.Name)
+			}
+			continue
+		}
+		c, ok := it.Expr.(*ColumnRef)
+		if !ok || (c.Qualifier != "" && c.Qualifier != b.name) || b.schema.FieldIndex(c.Name) < 0 {
+			return nil, false
+		}
+		name := it.Alias
+		if name == "" {
+			name = c.exprString()
+		}
+		plan.cols = append(plan.cols, name)
+		plan.src = append(plan.src, c.Name)
+	}
+	cols, all := collectColumns(stmt, b)
+	if all {
+		cols = nil
+	}
+	plan.spec = &scanspec.Spec{Columns: cols, Preds: cj.preds, Window: cj.win, RequireTS: cj.requireTS}
+	return plan, true
+}
+
+// rowPushdown returns the row plan by which p answers stmt, bound as b
+// with its WHERE clause decomposed into cj, when p hands out column
+// batches and the statement is eligible.
+func (e *Engine) rowPushdown(stmt *SelectStmt, b binding, p Provider, cj conjuncts) (*rowPlan, BatchScanner, bool) {
+	bs, isBatch := p.(BatchScanner)
+	if !isBatch || e.DisablePushdown {
+		return nil, nil, false
+	}
+	plan, ok := compileRowPlan(stmt, b, cj)
+	return plan, bs, ok
+}
+
+// scan runs the plan over bs, keeping the batches as the answer.
+func (p *rowPlan) scan(ctx context.Context, bs BatchScanner, hint ScanHint) (*ResultSet, error) {
+	rs := &ResultSet{Cols: p.cols}
+	var layout *telco.Schema
+	err := bs.ScanBatches(ctx, hint, p.spec, func(l *telco.Schema, b *telco.Batch) error {
+		if layout == nil {
+			layout, rs.Pick = l, make([]int, len(p.src))
+			for j, name := range p.src {
+				if rs.Pick[j] = l.FieldIndex(name); rs.Pick[j] < 0 {
+					return fmt.Errorf("sql: table %q scanned without column %q", l.Name, name)
+				}
+			}
+		} else if !sameLayout(layout, l) {
+			return fmt.Errorf("sql: table %q changed row layout mid-scan", layout.Name)
+		}
+		rs.Batches = append(rs.Batches, b)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // aggPlan is a fully pushed-down aggregate statement: the spec the provider

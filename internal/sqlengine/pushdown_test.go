@@ -60,26 +60,11 @@ func (p aggProvider) Aggregate(_ context.Context, _ ScanHint, spec *scanspec.Spe
 		return nil, err
 	}
 	schema := p.t.Schema
-	tsIdx := schema.FieldIndex(telco.AttrTS)
 	groups := make(map[string]*scanspec.Partial)
 	var order []string
 	vals := make([]telco.Value, len(spec.Aggs))
 	for _, r := range p.t.Rows {
-		if tsIdx >= 0 && !r[tsIdx].IsNull() {
-			if !spec.Window.Contains(r[tsIdx].Time().Unix()) {
-				continue
-			}
-		} else if spec.RequireTS {
-			continue
-		}
-		ok := true
-		for _, pd := range spec.Preds {
-			if !pd.Eval(r[schema.FieldIndex(pd.Col)]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !specKeeps(spec, schema, r) {
 			continue
 		}
 		g := telco.Null
@@ -107,6 +92,24 @@ func (p aggProvider) Aggregate(_ context.Context, _ ScanHint, spec *scanspec.Spe
 		out = append(out, *groups[k])
 	}
 	return out, nil
+}
+
+// specKeeps reports whether the spec, applied exactly, keeps row r of
+// schema: its window and RequireTS, then every predicate.
+func specKeeps(spec *scanspec.Spec, schema *telco.Schema, r telco.Record) bool {
+	if tsIdx := schema.FieldIndex(telco.AttrTS); tsIdx >= 0 && !r[tsIdx].IsNull() {
+		if !spec.Window.Contains(r[tsIdx].Time().Unix()) {
+			return false
+		}
+	} else if spec.RequireTS {
+		return false
+	}
+	for _, pd := range spec.Preds {
+		if !pd.Eval(r[schema.FieldIndex(pd.Col)]) {
+			return false
+		}
+	}
+	return true
 }
 
 // pushdownCatalog mirrors testCatalog's tables behind Aggregator providers.

@@ -67,11 +67,22 @@ type PartialAggregator interface {
 	AggregatePartials(ctx context.Context, w telco.TimeRange, table string, spec *scanspec.Spec) ([]scanspec.Partial, error)
 }
 
+// BatchScanner is the optional Framework capability behind the row
+// pushdown: the storage layer hands out a scan's rows as the column batches
+// it filtered (authoritative — window, RequireTS and predicates applied
+// exactly), in the order its row scans read them, each batch laid out as
+// layout with every row selected and owned by fn from then on.
+type BatchScanner interface {
+	ScanBatches(ctx context.Context, w telco.TimeRange, table string, spec *scanspec.Spec, fn func(layout *telco.Schema, b *telco.Batch) error) error
+}
+
 // Catalog adapts a framework to SPATE-SQL: CDR and NMS tables are scanned
 // through the framework, honoring the executor's timestamp pushdown. When
 // the framework supports columnar pushdown (SPATE, SPATE-CLUSTER), the
 // returned providers additionally implement sqlengine.Aggregator and route
-// column/predicate specs into the storage layer.
+// column/predicate specs into the storage layer; over a framework that
+// hands out column batches too (SPATE), they implement
+// sqlengine.BatchScanner as well.
 func Catalog(f Framework) sqlengine.Catalog {
 	return fwCatalog{f}
 }
@@ -97,10 +108,15 @@ func (c fwCatalog) Table(name string) (sqlengine.Provider, error) {
 		return nil, &unknownTableError{name}
 	}
 	p := fwProvider{f: c.f, name: name, schema: schema}
-	if agg, ok := c.f.(PartialAggregator); ok {
-		return aggProvider{fwProvider: p, agg: agg}, nil
+	agg, isAgg := c.f.(PartialAggregator)
+	if !isAgg {
+		return p, nil
 	}
-	return p, nil
+	ap := aggProvider{fwProvider: p, agg: agg}
+	if bs, ok := c.f.(BatchScanner); ok {
+		return batchProvider{aggProvider: ap, bs: bs}, nil
+	}
+	return ap, nil
 }
 
 // WithProfile implements sqlengine.ExplainProfiler: scans under the
@@ -213,6 +229,18 @@ func (p aggProvider) Aggregate(ctx context.Context, hint sqlengine.ScanHint, spe
 	return parts, scanErr(err)
 }
 
+// batchProvider is the provider returned for frameworks that also hand
+// out column batches: it additionally satisfies sqlengine.BatchScanner,
+// answering plain SELECTs from the scan's batches.
+type batchProvider struct {
+	aggProvider
+	bs BatchScanner
+}
+
+func (p batchProvider) ScanBatches(ctx context.Context, hint sqlengine.ScanHint, spec *scanspec.Spec, fn func(*telco.Schema, *telco.Batch) error) error {
+	return scanErr(p.bs.ScanBatches(ctx, hint.Window.Range(), p.name, spec, fn))
+}
+
 // --- SPATE adapter ---
 
 // Spate wraps a core.Engine as a Framework.
@@ -246,6 +274,14 @@ func (s Spate) ScanSpec(ctx context.Context, w telco.TimeRange, tables []string,
 // chunk-side, answering zone-decidable chunks without decoding any column.
 func (s Spate) AggregatePartials(ctx context.Context, w telco.TimeRange, table string, spec *scanspec.Spec) ([]scanspec.Partial, error) {
 	return s.E.AggregatePartials(ctx, w, table, spec)
+}
+
+// ScanBatches implements BatchScanner: the rows ScanSpec would hand out,
+// left in the column batches the scan filtered them in.
+func (s Spate) ScanBatches(ctx context.Context, w telco.TimeRange, table string, spec *scanspec.Spec, fn func(*telco.Schema, *telco.Batch) error) error {
+	return s.E.ScanBatches(ctx, w, []string{table}, spec, func(_ string, layout *telco.Schema, b *telco.Batch) error {
+		return fn(layout, b)
+	})
 }
 
 // Space implements Framework.

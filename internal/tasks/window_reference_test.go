@@ -19,8 +19,9 @@ import (
 )
 
 // windowReferenceQueries bound ts with literals far from the data — '1600'
-// before the nanosecond range, '2100' between an ordinary day and a
-// snapshot of 2150, '2300' after the nanosecond range — on one side, on
+// before the nanosecond range and at a snapshot of 1600, '2100' between an
+// ordinary day and a snapshot of 2150, '2300' after the nanosecond range —
+// on one side, on
 // both, through BETWEEN, truncated to the day, hour and minute, and with
 // the literal on the left; aggregate statements push down, row statements
 // select their own sort keys.
@@ -52,12 +53,14 @@ var windowReferenceQueries = []string{
 	`SELECT caller, ts FROM CDR WHERE ts BETWEEN '1600' AND '2100' AND call_type = 'SMS' ORDER BY ts, caller`,
 }
 
-// TestTimeWindowsMatchReference: over an ordinary day and a snapshot of
-// 2150, SPATE answers every windowReferenceQueries statement as the in-memory
+// TestTimeWindowsMatchReference: over an ordinary day and snapshots of 1600
+// and 2150, SPATE answers every windowReferenceQueries statement as the in-memory
 // reference does (sqlengine.MemCatalog over the same snapshots), on one
 // engine and on a 4-shard cluster, with pushdown on and off, and so does
 // the flat-file RAW store. The pushdown equivalence tests compare SPATE
-// with itself and cannot see a row every route of it loses.
+// with itself and cannot see a row every route of it loses. The 1600 rows
+// lie before the years int64 nanoseconds hold, so their chunks' timestamp
+// bounds are saturated and must read as open.
 func TestTimeWindowsMatchReference(t *testing.T) {
 	cfg := gen.DefaultConfig(0.003)
 	cfg.Antennas = 20
@@ -89,8 +92,9 @@ func TestTimeWindowsMatchReference(t *testing.T) {
 
 	ref := sqlengine.MemCatalog{"CDR": telco.NewTable(telco.CDRSchema), "NMS": telco.NewTable(telco.NMSSchema)}
 	e0 := telco.EpochOf(cfg.Start)
+	old := telco.EpochOf(time.Date(1600, 3, 1, 10, 0, 0, 0, time.UTC))
 	far := telco.EpochOf(time.Date(2150, 1, 18, 0, 0, 0, 0, time.UTC))
-	for _, e := range []telco.Epoch{e0, e0 + 1, e0 + 2, e0 + 3, far} {
+	for _, e := range []telco.Epoch{old, e0, e0 + 1, e0 + 2, e0 + 3, far} {
 		sn := snapshot.New(e)
 		sn.Add(g.CDRTable(e))
 		sn.Add(g.NMSTable(e))

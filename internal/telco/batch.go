@@ -108,7 +108,7 @@ func (b *Batch) Len() int {
 // the result with SetSelection.
 func (b *Batch) Rows() []uint32 {
 	if !b.filtered {
-		b.sel = b.sel[:b.N]
+		b.sel = slices.Grow(b.sel[:0], b.N)[:b.N]
 		for i := range b.sel {
 			b.sel[i] = uint32(i)
 		}
@@ -492,4 +492,75 @@ func (b *Batch) AppendRecords(dst []Record) []Record {
 		dst = append(dst, vals[j*width:(j+1)*width:(j+1)*width])
 	}
 	return dst
+}
+
+// CopySelected returns the selected rows as a new batch that shares no
+// memory with b, every row selected and the columns in b's layout: the form
+// in which a scan hands rows to a caller that keeps them past the next
+// chunk. Strings are copied row by row, so the copy holds only the bytes of
+// the rows it kept; a dictionary-coded column comes out plain.
+func (b *Batch) CopySelected() *Batch {
+	n := b.Len()
+	sel := b.Rows()
+	out := &Batch{N: n, Cols: make([]Column, len(b.Cols))}
+	// One slab per array kind serves every column of the copy.
+	var ints, floats, strs, strBytes int
+	for k := range b.Cols {
+		c := &b.Cols[k]
+		switch c.Kind {
+		case KindInt, KindTime:
+			ints++
+		case KindFloat:
+			floats++
+		case KindString:
+			strs++
+			for _, i := range sel {
+				e := c.entry(int(i))
+				strBytes += int(c.Ends[e] - c.Starts[e])
+			}
+		}
+	}
+	words := (n + 63) / 64
+	intSlab := make([]int64, ints*n)
+	floatSlab := make([]float64, floats*n)
+	offSlab := make([]uint32, 2*strs*n)
+	nullSlab := make([]uint64, (len(b.Cols)-strs)*words)
+	arena := make([]byte, 0, strBytes)
+	for k := range b.Cols {
+		c, d := &b.Cols[k], &out.Cols[k]
+		d.Kind, d.n = c.Kind, n
+		switch c.Kind {
+		case KindString:
+			d.Starts, d.Ends, offSlab = offSlab[:n:n], offSlab[n:2*n:2*n], offSlab[2*n:]
+			start := len(arena)
+			for j, i := range sel {
+				d.Starts[j] = uint32(len(arena) - start)
+				arena = append(arena, c.Bytes(int(i))...)
+				d.Ends[j] = uint32(len(arena) - start)
+			}
+			d.Arena = arena[start:len(arena):len(arena)]
+			continue
+		case KindInt, KindTime:
+			d.Ints, intSlab = intSlab[:n:n], intSlab[n:]
+			for j, i := range sel {
+				d.Ints[j] = c.Ints[i]
+			}
+		case KindFloat:
+			d.Floats, floatSlab = floatSlab[:n:n], floatSlab[n:]
+			for j, i := range sel {
+				d.Floats[j] = c.Floats[i]
+			}
+		}
+		d.nulls, nullSlab = nullSlab[:words:words], nullSlab[words:]
+		if c.NullCount == 0 {
+			continue
+		}
+		for j, i := range sel {
+			if c.nulls[i>>6]&(1<<(i&63)) != 0 {
+				d.nulls[j>>6] |= 1 << (uint(j) & 63)
+				d.NullCount++
+			}
+		}
+	}
+	return out
 }

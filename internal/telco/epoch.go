@@ -13,9 +13,16 @@ const EpochsPerDay = int(24 * time.Hour / EpochDuration) // 48
 // since the Unix epoch.
 type Epoch int64
 
-// EpochOf returns the epoch containing t.
+// EpochOf returns the epoch containing t. The division floors, so a time
+// before 1970 lands in the epoch that starts at or before it.
 func EpochOf(t time.Time) Epoch {
-	return Epoch(t.Unix() / int64(EpochDuration/time.Second))
+	const span = int64(EpochDuration / time.Second)
+	sec := t.Unix()
+	e := sec / span
+	if sec%span < 0 {
+		e--
+	}
+	return Epoch(e)
 }
 
 // Start returns the inclusive start time of the epoch.

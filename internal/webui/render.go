@@ -345,7 +345,8 @@ func appendStages(b []byte, stages []obs.Stage) []byte {
 }
 
 // appendSQL writes a result set as {"cols":[…],"rows":[[…],…]}, every value
-// in its wire text form (a NULL as "").
+// in its wire text form (a NULL as ""). Rows held in batches are written
+// straight from their typed columns, as the same bytes.
 func appendSQL(b []byte, rs *sqlengine.ResultSet) []byte {
 	b = append(b, `{"cols":`...)
 	if rs.Cols == nil {
@@ -374,7 +375,45 @@ func appendSQL(b []byte, rs *sqlengine.ResultSet) []byte {
 		}
 		b = append(b, ']')
 	}
+	comma := len(rs.Rows) > 0
+	for _, bt := range rs.Batches {
+		for i := 0; i < bt.N; i++ {
+			if comma {
+				b = append(b, ',')
+			}
+			comma = true
+			b = append(b, '[')
+			for j, k := range rs.Pick {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = appendCell(b, &bt.Cols[k], i)
+			}
+			b = append(b, ']')
+		}
+	}
 	return append(b, "]}\n"...)
+}
+
+// appendCell writes row i of c as appendValue writes the value
+// telco.Batch.AppendRecords makes of it: a null or blank string as "".
+func appendCell(b []byte, c *telco.Column, i int) []byte {
+	if c.Null(i) {
+		return append(b, '"', '"')
+	}
+	switch c.Kind {
+	case telco.KindString:
+		return appendString(b, c.Bytes(i))
+	case telco.KindInt:
+		b = strconv.AppendInt(append(b, '"'), c.Ints[i], 10)
+	case telco.KindFloat:
+		b = strconv.AppendFloat(append(b, '"'), c.Floats[i], 'g', -1, 64)
+	case telco.KindTime:
+		b = time.Unix(c.Ints[i], 0).UTC().AppendFormat(append(b, '"'), telco.TimeLayout)
+	default:
+		b = append(b, '"')
+	}
+	return append(b, '"')
 }
 
 // appendValue writes v.Format() as a JSON string without building it. Only
@@ -397,7 +436,7 @@ func appendValue(b []byte, v telco.Value) []byte {
 }
 
 // appendString writes s as encoding/json does, HTML escaping included.
-func appendString(b []byte, s string) []byte {
+func appendString[S string | []byte](b []byte, s S) []byte {
 	return append(appendEscaped(append(b, '"'), s), '"')
 }
 
@@ -407,7 +446,7 @@ const hexDigits = "0123456789abcdef"
 // control characters escaped, '<', '>' and '&' as \u00XX, an invalid UTF-8
 // byte as the escaped replacement character U+FFFD, and U+2028/U+2029
 // escaped (JavaScript reads them as line ends).
-func appendEscaped(b []byte, s string) []byte {
+func appendEscaped[S string | []byte](b []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -437,7 +476,7 @@ func appendEscaped(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)

@@ -593,3 +593,63 @@ func FuzzJSONAppend(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSQLColumns: an answer held in column batches renders to the bytes
+// appendSQL writes for the records telco.Batch.AppendRecords makes of the
+// same rows — strings plain and dictionary-coded, integers, floats and
+// times, nulls in each, a selection over the rows and output columns read
+// in any order, repeats included.
+func FuzzSQLColumns(f *testing.F) {
+	f.Add("<b>& \\", int64(-7), math.Float64bits(1e21), int64(1453075200), uint8(0x5a), uint8(0x06))
+	f.Add("", int64(0), math.Float64bits(math.NaN()), int64(-1), uint8(0xff), uint8(0x07))
+	f.Add("\xff\x01\"", int64(math.MinInt64), math.Float64bits(math.Inf(-1)), int64(253402300799), uint8(0), uint8(0x03))
+	f.Add("x", int64(1), math.Float64bits(math.Copysign(0, -1)), int64(-62135596800), uint8(0x21), uint8(0x00))
+	schema := telco.MustSchema("F", []telco.Field{
+		{Name: "s", Kind: telco.KindString},
+		{Name: "n", Kind: telco.KindInt},
+		{Name: "x", Kind: telco.KindFloat},
+		{Name: "ts", Kind: telco.KindTime},
+		{Name: "d", Kind: telco.KindString},
+	})
+	f.Fuzz(func(t *testing.T, s string, n int64, xbits uint64, sec int64, nulls, keep uint8) {
+		x := math.Float64frombits(xbits)
+		half := s[:len(s)/2]
+		rows := []telco.Record{
+			{telco.String(s), telco.Int(n), telco.Float(x), telco.Time(time.Unix(sec, 0)), telco.Null},
+			{telco.String(half), telco.Int(-n), telco.Float(-x), telco.Time(time.Unix(sec/2, 0)), telco.Null},
+			{telco.Null, telco.Int(n / 3), telco.Float(x / 3), telco.Time(time.Unix(sec-1, 0)), telco.Null},
+		}
+		for i, r := range rows { // nulls: one bit per (row, numeric column)
+			for k := 1; k <= 3; k++ {
+				if nulls&(1<<(3*i+k-1)) != 0 {
+					r[k] = telco.Null
+				}
+			}
+		}
+		var b telco.Batch
+		b.SetRows(schema, nil, rows, false)
+		// d is dictionary-coded over s, "" and half.
+		d := &b.Cols[4]
+		arena := append(append([]byte(s), half...), s...)
+		d.SetEntries(3)
+		d.Starts[0], d.Ends[0] = 0, uint32(len(s))
+		d.Starts[1], d.Ends[1] = uint32(len(s)), uint32(len(s))
+		d.Starts[2], d.Ends[2] = uint32(len(s)), uint32(len(s)+len(half))
+		d.OwnArena(arena)
+		copy(d.UseCodes(len(rows)), []uint32{2, 0, 1})
+		b.Keep(func(i int) bool { return keep&(1<<i) != 0 })
+
+		pick := []int{4, 3, 0, 1, 2, 0}
+		cols := []string{"d", "ts", "s", "n", "x", "s"}
+		var want sqlengine.ResultSet
+		want.Cols = cols
+		for _, r := range telco.ProjectRows(b.AppendRecords(nil), pick) {
+			want.Rows = append(want.Rows, r)
+		}
+		got := sqlengine.ResultSet{Cols: cols, Batches: []*telco.Batch{b.CopySelected(), b.CopySelected()}, Pick: pick}
+		want.Rows = append(want.Rows, want.Rows...)
+		if g, w := appendSQL(nil, &got), appendSQL(nil, &want); !bytes.Equal(g, w) {
+			t.Errorf("from columns:\n%s\nfrom records:\n%s", g, w)
+		}
+	})
+}

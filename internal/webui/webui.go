@@ -383,7 +383,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, fmt.Errorf("missing q parameter"))
 		return
 	}
-	rs, err := s.sql.QueryContext(r.Context(), q)
+	rs, err := s.sql.QueryBatches(r.Context(), q)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, tasks.ErrScan) {
