@@ -191,10 +191,10 @@ func (e *Engine) run(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) 
 	// skip row materialization entirely when the provider folds partials
 	// itself, and fully eligible plain SELECTs when it hands out its scan's
 	// column batches; everything else ships the spec as an advisory
-	// prefilter with the scan hint. Joined tables each get a projection-only spec — the
-	// columns the statement reads from that binding, no predicates (the
-	// WHERE clause may span both sides) — so the nested loop concatenates
-	// narrow rows.
+	// prefilter with the scan hint. Joined tables each get a
+	// projection-only spec — the columns the statement reads from that
+	// binding, no predicates (the WHERE clause may span both sides) — so
+	// the nested loop concatenates narrow rows.
 	hints := make([]ScanHint, len(providers))
 	for i := range hints {
 		hints[i].Window = cjs[i].win
