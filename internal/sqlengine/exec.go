@@ -33,7 +33,8 @@ type ResultSet struct {
 	Rows [][]telco.Value
 	// Batches hold the rows of an answer the row pushdown produced, as the
 	// scan handed them over: batch after batch, every row of each, output
-	// column j read from the batch's column Pick[j]. Rows is nil then.
+	// column j read from the batch's column Pick[j]. Rows is nil then,
+	// and Batches non-nil even when it holds no row.
 	Batches []*telco.Batch
 	Pick    []int
 }
@@ -45,21 +46,6 @@ func (rs *ResultSet) rowCount() int {
 		n += b.N
 	}
 	return n
-}
-
-// materialize moves an answer held in Batches into Rows, one record per
-// row; an answer already in Rows stays as it is.
-func (rs *ResultSet) materialize() {
-	if rs.Batches == nil {
-		return
-	}
-	rows := make([][]telco.Value, 0, rs.rowCount())
-	for _, b := range rs.Batches {
-		for _, r := range telco.ProjectRows(b.AppendRecords(nil), rs.Pick) {
-			rows = append(rows, r)
-		}
-	}
-	rs.Rows, rs.Batches, rs.Pick = rows, nil, nil
 }
 
 // SPATE-SQL observability: statement counts and latency, reported into the
@@ -88,20 +74,22 @@ func (e *Engine) Query(sql string) (*ResultSet, error) {
 
 // QueryContext parses and runs one statement under ctx: cancellation
 // propagates through the storage scans, so an abandoned client request
-// stops consuming the engine (webui handlers pass r.Context()).
+// stops consuming the engine (webui handlers pass r.Context()). The answer
+// is always in Rows.
 func (e *Engine) QueryContext(ctx context.Context, sql string) (*ResultSet, error) {
-	rs, err := e.QueryBatches(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	rs.materialize()
-	return rs, nil
+	return e.query(ctx, sql, false)
 }
 
 // QueryBatches is QueryContext for a caller that reads an answer in column
 // form: a statement the row pushdown answers comes back with its rows in
 // Batches, not Rows.
 func (e *Engine) QueryBatches(ctx context.Context, sql string) (*ResultSet, error) {
+	return e.query(ctx, sql, true)
+}
+
+// query parses and runs one statement, counting it; batches lets the row
+// pushdown answer in column batches.
+func (e *Engine) query(ctx context.Context, sql string, batches bool) (*ResultSet, error) {
 	queries, errs, sec := sqlMetrics()
 	t0 := time.Now()
 	queries.Inc()
@@ -110,7 +98,7 @@ func (e *Engine) QueryBatches(ctx context.Context, sql string) (*ResultSet, erro
 		if err != nil {
 			return nil, err
 		}
-		return e.run(ctx, stmt)
+		return e.run(ctx, stmt, batches)
 	}()
 	sec.ObserveSince(t0)
 	if err != nil {
@@ -165,21 +153,18 @@ func (e *Engine) Run(stmt *SelectStmt) (*ResultSet, error) {
 	return e.RunContext(context.Background(), stmt)
 }
 
-// RunContext executes a parsed statement under ctx.
+// RunContext executes a parsed statement under ctx. The answer is always
+// in Rows.
 func (e *Engine) RunContext(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) {
-	rs, err := e.run(ctx, stmt)
-	if err != nil {
-		return nil, err
-	}
-	rs.materialize()
-	return rs, nil
+	return e.run(ctx, stmt, false)
 }
 
-// run executes a parsed statement, leaving a row pushdown's answer in its
-// batches.
-func (e *Engine) run(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) {
+// run executes a parsed statement. With batches set, a plain SELECT the
+// provider can answer from its scan's column batches (the row pushdown)
+// leaves its answer in them; otherwise every answer is in Rows.
+func (e *Engine) run(ctx context.Context, stmt *SelectStmt, batches bool) (*ResultSet, error) {
 	if stmt.Explain {
-		return e.explain(ctx, stmt)
+		return e.explain(ctx, stmt, batches)
 	}
 	sc, providers, cjs, err := e.bindTables(stmt)
 	if err != nil {
@@ -189,12 +174,12 @@ func (e *Engine) run(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) 
 	// Every table's scan hint carries its ts window. Single-table
 	// statements compile into a pushdown spec: fully eligible aggregates
 	// skip row materialization entirely when the provider folds partials
-	// itself, and fully eligible plain SELECTs when it hands out its scan's
-	// column batches; everything else ships the spec as an advisory
-	// prefilter with the scan hint. Joined tables each get a
-	// projection-only spec — the columns the statement reads from that
-	// binding, no predicates (the WHERE clause may span both sides) — so
-	// the nested loop concatenates narrow rows.
+	// itself, and fully eligible plain SELECTs when it hands out its
+	// scan's column batches and the caller reads them; everything else
+	// ships the spec as an advisory prefilter with the scan hint. Joined
+	// tables each get a projection-only spec — the columns the statement
+	// reads from that binding, no predicates (the WHERE clause may span
+	// both sides) — so the nested loop concatenates narrow rows.
 	hints := make([]ScanHint, len(providers))
 	for i := range hints {
 		hints[i].Window = cjs[i].win
@@ -210,8 +195,10 @@ func (e *Engine) run(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) 
 					return plan.result(parts), nil
 				}
 			}
-			if plan, bs, ok := e.rowPushdown(stmt, sc.bindings[0], providers[0], cjs[0]); ok {
-				return plan.scan(ctx, bs, hints[0])
+			if batches {
+				if plan, bs, ok := e.rowPushdown(stmt, sc.bindings[0], providers[0], cjs[0]); ok {
+					return plan.scan(ctx, bs, hints[0])
+				}
 			}
 			hints[0].Spec = compileScanSpec(stmt, sc.bindings[0], cjs[0])
 		} else {

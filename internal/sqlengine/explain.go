@@ -24,8 +24,9 @@ type ExplainProfiler interface {
 // answered, storage profile). The plan names no path a catalog alone
 // decides: it reads the same over every catalog whose answers must agree
 // (an engine, a cluster coordinator), and only some hand out column
-// batches.
-func (e *Engine) explain(ctx context.Context, stmt *SelectStmt) (*ResultSet, error) {
+// batches. The report's run takes the row pushdown only when batches is
+// set, as the statement itself would.
+func (e *Engine) explain(ctx context.Context, stmt *SelectStmt, batches bool) (*ResultSet, error) {
 	sc, providers, cjs, err := e.bindTables(stmt)
 	if err != nil {
 		return nil, err
@@ -41,7 +42,7 @@ func (e *Engine) explain(ctx context.Context, stmt *SelectStmt) (*ResultSet, err
 			ctx, render = pp.WithProfile(ctx)
 		}
 		t0 := time.Now()
-		res, err := e.run(ctx, &inner)
+		res, err := e.run(ctx, &inner, batches)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +50,7 @@ func (e *Engine) explain(ctx context.Context, stmt *SelectStmt) (*ResultSet, err
 			fmt.Sprintf("rows: %d", res.rowCount()),
 			fmt.Sprintf("time: %.3f ms", float64(time.Since(t0))/float64(time.Millisecond)),
 		)
-		if _, _, ok := e.rowPushdown(stmt, sc.bindings[0], providers[0], cjs[0]); ok {
+		if res.Batches != nil {
 			lines = append(lines, fmt.Sprintf("row pushdown: %d column batches, no records", len(res.Batches)))
 		}
 		if render != nil {

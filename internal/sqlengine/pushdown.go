@@ -429,9 +429,11 @@ func (e *Engine) rowPushdown(stmt *SelectStmt, b binding, p Provider, cj conjunc
 	return plan, bs, ok
 }
 
-// scan runs the plan over bs, keeping the batches as the answer.
+// scan runs the plan over bs, keeping the batches as the answer. Batches
+// is non-nil even when no row came back: that marks an answer the row
+// pushdown gave.
 func (p *rowPlan) scan(ctx context.Context, bs BatchScanner, hint ScanHint) (*ResultSet, error) {
-	rs := &ResultSet{Cols: p.cols}
+	rs := &ResultSet{Cols: p.cols, Batches: []*telco.Batch{}}
 	var layout *telco.Schema
 	err := bs.ScanBatches(ctx, hint, p.spec, func(l *telco.Schema, b *telco.Batch) error {
 		if layout == nil {

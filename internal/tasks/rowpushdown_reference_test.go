@@ -175,11 +175,12 @@ func answerJSON(t *testing.T, rs *sqlengine.ResultSet) []byte {
 }
 
 // TestRowPushdownMatchesRecordReference: every rowPushdownStatements
-// statement takes the row pushdown on the engine (EXPLAIN ANALYZE says
-// so), and the /api/sql body rendered from its column batches is byte for
-// byte the JSON of the record path's answer — with the spec applied as a
-// prefilter, and with no pushdown at all — and of its own materialized
-// rows.
+// statement takes the row pushdown on the engine when the caller reads
+// column batches (EXPLAIN ANALYZE under QueryBatches says so), and the
+// /api/sql body rendered from its column batches is byte for byte the JSON
+// of the record path's answer — over a framework without batches, over
+// the engine through QueryContext (the spec applied as a prefilter), and
+// with no pushdown at all.
 func TestRowPushdownMatchesRecordReference(t *testing.T) {
 	eng := rowPushdownWorld(t)
 	srv := httptest.NewServer(webui.NewServer(eng, nil, telco.TimeRange{}).Handler())
@@ -189,14 +190,14 @@ func TestRowPushdownMatchesRecordReference(t *testing.T) {
 	unpushed := sqlengine.NewEngine(tasks.Catalog(spate))
 	unpushed.DisablePushdown = true
 	refs := map[string]*sqlengine.Engine{
-		"record path":  sqlengine.NewEngine(tasks.Catalog(recordsOnly{spate, spate, spate})),
-		"no pushdown":  unpushed,
-		"materialized": pushed,
+		"record path": sqlengine.NewEngine(tasks.Catalog(recordsOnly{spate, spate, spate})),
+		"no pushdown": unpushed,
+		"query rows":  pushed,
 	}
 	ctx := context.Background()
 	rowsSeen := 0
 	for _, q := range rowPushdownStatements {
-		plan, err := pushed.QueryContext(ctx, "EXPLAIN ANALYZE "+q)
+		plan, err := pushed.QueryBatches(ctx, "EXPLAIN ANALYZE "+q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -230,11 +231,12 @@ func TestRowPushdownMatchesRecordReference(t *testing.T) {
 	}
 }
 
-// TestExplainNamesRowPushdown: EXPLAIN ANALYZE names the row pushdown for
-// a plain SELECT the engine answers from its column batches, and only there
-// — not for statements that sort, limit, dedupe, aggregate or filter beyond
-// the spec, nor over a framework without batches. The plan above the report
-// is the same either way.
+// TestExplainNamesRowPushdown: EXPLAIN ANALYZE under QueryBatches names
+// the row pushdown for a plain SELECT the engine answers from its column
+// batches, and only there — not for statements that sort, limit, dedupe,
+// aggregate or filter beyond the spec, nor over a framework without
+// batches, nor under QueryContext, whose answers are always rows. The plan
+// above the report is the same either way.
 func TestExplainNamesRowPushdown(t *testing.T) {
 	eng := rowPushdownWorld(t)
 	spate := tasks.Spate{E: eng}
@@ -253,19 +255,26 @@ func TestExplainNamesRowPushdown(t *testing.T) {
 		{`SELECT caller FROM CDR WHERE duration >= 60 OR cell_id = 2`, false},
 		{`SELECT duration + 1 FROM CDR`, false},
 	} {
-		rs, err := batches.QueryContext(context.Background(), "EXPLAIN ANALYZE "+tc.q)
+		rs, err := batches.QueryBatches(context.Background(), "EXPLAIN ANALYZE "+tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := planHas(rs, "row pushdown: "); got != tc.rows {
 			t.Errorf("%s: row pushdown named = %v, want %v:\n%s", tc.q, got, tc.rows, planText(rs))
 		}
-		rec, err := records.QueryContext(context.Background(), "EXPLAIN ANALYZE "+tc.q)
+		rec, err := records.QueryBatches(context.Background(), "EXPLAIN ANALYZE "+tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if planHas(rec, "row pushdown: ") {
 			t.Errorf("%s: row pushdown named over a framework without batches:\n%s", tc.q, planText(rec))
+		}
+		rows, err := batches.QueryContext(context.Background(), "EXPLAIN ANALYZE "+tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if planHas(rows, "row pushdown: ") {
+			t.Errorf("%s: row pushdown named under QueryContext:\n%s", tc.q, planText(rows))
 		}
 		plan := func(rs *sqlengine.ResultSet) string { s, _, _ := strings.Cut(planText(rs), "rows: "); return s }
 		if plan(rs) != plan(rec) {
